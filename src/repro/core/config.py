@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 
 from repro.core.sketch import (
@@ -58,8 +57,8 @@ SHARD_BAND_POLICIES = ("geometric", "uniform", "quantile")
 
 #: Canonical namespaced knob name -> dataclass field, for every knob
 #: whose flat name predates the ``query.*`` / ``store.*`` namespaces.
-#: ``to_dict`` emits the canonical spellings; ``from_dict`` accepts
-#: both, warning on the legacy flat spellings.
+#: ``to_dict`` emits the canonical spellings and ``from_dict`` accepts
+#: only those (the flat spellings remain as constructor field names).
 _NAMESPACED_KNOBS = {
     "query.similarity": "similarity",
     "query.prefilter": "query_prefilter",
@@ -70,7 +69,7 @@ _NAMESPACED_KNOBS = {
     "store.shards": "store_shards",
     "store.band_policy": "shard_band_policy",
 }
-_LEGACY_KNOB_ALIASES = {
+_CANONICAL_KNOB_NAMES = {
     field_name: canonical for canonical, field_name in _NAMESPACED_KNOBS.items()
 }
 
@@ -357,41 +356,32 @@ class SimilarityConfig:
         """
         out = {}
         for f in fields(self):
-            out[_LEGACY_KNOB_ALIASES.get(f.name, f.name)] = getattr(
+            out[_CANONICAL_KNOB_NAMES.get(f.name, f.name)] = getattr(
                 self, f.name
             )
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimilarityConfig":
-        """Build a config from canonical (or legacy-alias) knob names.
+        """Build a config from canonical knob names.
 
-        Canonical ``query.*`` / ``store.*`` spellings are preferred;
-        the legacy flat spellings (``query_prefilter``, ``store_shards``,
-        ...) are still accepted for one release and warn with
-        ``DeprecationWarning``.  An unknown knob raises ``ValueError``.
+        Service-layer knobs are spelled ``query.*`` / ``store.*``; a
+        flat spelling of a namespaced knob (``query_prefilter``,
+        ``store_shards``, ...) raises ``ValueError`` naming the
+        canonical key, as does an unknown knob.
         """
         field_names = {f.name for f in fields(cls)}
         kwargs = {}
         for key, value in data.items():
             if key in _NAMESPACED_KNOBS:
-                name = _NAMESPACED_KNOBS[key]
-            elif key in _LEGACY_KNOB_ALIASES:
-                warnings.warn(
-                    f"config knob {key!r} is deprecated; use "
-                    f"{_LEGACY_KNOB_ALIASES[key]!r}",
-                    DeprecationWarning,
-                    stacklevel=2,
+                kwargs[_NAMESPACED_KNOBS[key]] = value
+            elif key in _CANONICAL_KNOB_NAMES:
+                raise ValueError(
+                    f"config knob {key!r} is spelled "
+                    f"{_CANONICAL_KNOB_NAMES[key]!r}"
                 )
-                name = key
             elif key in field_names:
-                name = key
+                kwargs[key] = value
             else:
                 raise ValueError(f"unknown config knob {key!r}")
-            if name in kwargs:
-                raise ValueError(
-                    f"config knob {name!r} given more than once "
-                    f"(canonical and legacy spellings)"
-                )
-            kwargs[name] = value
         return cls(**kwargs)

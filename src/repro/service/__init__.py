@@ -7,7 +7,7 @@ package **persists and serves**:
 
 * :mod:`repro.service.api` — :class:`SimilarityService`, the **public
   facade**: one front door over both store layouts, incremental
-  maintenance, and both query paths;
+  maintenance, and single and batched queries;
 * :mod:`repro.service.store` — a versioned on-disk index of genomes
   (sorted value columns + sketches as codec frames) with an optional
   persisted all-pairs Gram result, a store-level lock, and
@@ -25,15 +25,19 @@ package **persists and serves**:
   curve ``1 - (1 - s^r)^b``, incremental maintenance, and codec-frame
   persistence alongside the manifest;
 * :mod:`repro.service.plan` — the explicit :class:`QueryPlan` stage
-  pipeline both query paths compile to;
-* :mod:`repro.service.query` — the threshold/top-k query engine with
-  the size-ratio / sketch / exact-verify cascade (``query:*``
-  kernels), and the sharded fan-out engine that runs it per band;
+  pipeline (pure data) every query compiles to;
+* :mod:`repro.service.cascade` — the one executor of that plan:
+  request validation and the lsh / window / sketch / verify stage
+  bodies, a function of ``(plan, snapshot, requests)``;
+* :mod:`repro.service.query` — the threshold/top-k query engines
+  around the executor: the flat engine (snapshot pin, result cache,
+  cost split) and the sharded band router that runs it per size band
+  and merges exactly;
 * :mod:`repro.service.batch` — the coalescing :class:`QueryBatcher`
-  front end: one size-sorted window and one rectangular popcount block
-  per batch, charged under ``query:batch:*`` kernels;
+  front end: admission only (which requests run together, against
+  which store version);
 * :mod:`repro.service.cache` — the LRU query/result cache, shared by
-  both paths through one topology-aware key schema;
+  every entry point through one topology-aware key schema;
 * :mod:`repro.service.errors` — the :class:`ServiceError` hierarchy
   every service-layer failure raises under.
 
@@ -41,9 +45,6 @@ See ``docs/service.md`` for the store layouts, the cascade correctness
 argument, the batched admission model, and the facade contract.
 """
 
-import warnings
-
-from repro.service import incremental as _incremental
 from repro.service.api import SimilarityService
 from repro.service.batch import BatchQuery, QueryBatcher
 from repro.service.cache import CacheStats, QueryCache, result_cache_key
@@ -93,8 +94,6 @@ __all__ = [
     "QueryError",
     "ConfigError",
     "IncrementalReport",
-    "add_genomes",
-    "rebuild",
     "similarity_from_gram",
     "BandPlan",
     "LSHTable",
@@ -122,32 +121,3 @@ __all__ = [
     "shard_store",
 ]
 
-
-def add_genomes(*args, **kwargs):
-    """Deprecated shim for :func:`repro.service.incremental.add_genomes`.
-
-    Route through :meth:`SimilarityService.add` (or import from
-    :mod:`repro.service.incremental` directly).
-    """
-    warnings.warn(
-        "repro.service.add_genomes is deprecated; use "
-        "SimilarityService.add or repro.service.incremental.add_genomes",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _incremental.add_genomes(*args, **kwargs)
-
-
-def rebuild(*args, **kwargs):
-    """Deprecated shim for :func:`repro.service.incremental.rebuild`.
-
-    Route through :meth:`SimilarityService.rebuild` (or import from
-    :mod:`repro.service.incremental` directly).
-    """
-    warnings.warn(
-        "repro.service.rebuild is deprecated; use "
-        "SimilarityService.rebuild or repro.service.incremental.rebuild",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _incremental.rebuild(*args, **kwargs)

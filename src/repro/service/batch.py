@@ -1,72 +1,49 @@
-"""Batched query admission + vectorized multi-query execution.
+"""Batched query admission: the coalescing front end of the cascade.
 
-:class:`~repro.service.query.SimilarityIndex` answers one query at a
-time; serving thousands of concurrent users means most of that work is
-repeated per query: the candidate sizes are scanned per query, and the
-exact verification intersects one (query, candidate) pair at a time.
-The all-pairs-threshold literature (Özkural & Aykanat) frames both the
-size-ratio window and the Gram product as *batch* operations, and
-GPU vector-similarity engines (Joubert et al.) get their throughput by
-amortizing many queries into one rectangular block product — so the
-:class:`QueryBatcher` front end coalesces in-flight requests and runs
-the compiled :class:`~repro.service.plan.QueryPlan` once per batch:
+Serving thousands of concurrent users one query at a time repeats work
+the cascade can share: the extent-sorted window order is searched, not
+rebuilt, and the surviving (query, candidate) pairs of a whole batch
+verify as one rectangular popcount block instead of pair by pair
+(GPU vector-similarity engines — Joubert et al. — get their throughput
+the same way).  The stages themselves live once, in
+:func:`repro.service.cascade.run_cascade`; the :class:`QueryBatcher` is
+**admission only** — it decides *which requests run together, against
+which store version*:
 
-* **admission** — requests enter a pending batch pinned to a
-  version-consistent :class:`~repro.service.store.StoreSnapshot`; the
-  batch flushes when it reaches ``query_batch_size`` requests, when
-  ``query_max_wait`` expires, or when a new request observes a newer
-  store version (a batch never mixes versions).  Because shards are
-  append-only, a batch admitted under version ``v`` computes correct
-  answers for ``v`` even while ``add_genomes`` moves the store on.
-* **windowing** — the size-ratio bound runs over *size-sorted* genome
-  lengths: the argsort is charged once per store version, after which
-  each request's window is two ``searchsorted`` probes instead of a
-  full size scan.
-* **blocked verification** — the surviving (query, candidate) pairs of
-  the whole batch merge into one rectangular bit-matrix popcount block
-  (:func:`~repro.sparse.spgemm.gram_popcount_blocked`), replacing
-  per-pair sorted intersections.  The bit rows span only the **union
-  of the query values**: candidate bits outside the query universe
-  cannot contribute to any intersection, so hypersparse stores (the
-  BIGSI-like Fig. 2b regime, ``m`` in the millions) pack into a few
-  word rows instead of millions.
+* requests enter a pending batch pinned to the engine's
+  version-consistent snapshot; the batch flushes when it reaches
+  ``query_batch_size`` requests, when ``query_max_wait`` expires, or
+  when a new request observes a newer store version (a batch never
+  mixes versions).  Because shards are append-only, a batch admitted
+  under version ``v`` computes correct answers for ``v`` even while
+  ``add_genomes`` moves the store on;
+* each flushed batch is handed to the engine's
+  :meth:`~repro.service.query.SimilarityIndex.execute` under the
+  ``batched=True`` plan, which charges the ``query:batch:*`` kernels
+  (``admit`` / ``lsh`` / ``window`` / ``sketch`` / ``verify``) and
+  splits the batch's modelled cost evenly across the requests it
+  actually computed (cache hits are served for free).
 
-Every batched stage charges the cost ledger under ``query:batch:*``
-kernels (``admit`` / ``window`` / ``sketch`` / ``verify``); a batch's
-modelled cost is split evenly across the requests it actually computed
-(cache hits are served for free).  Exactness is preserved end to end:
-a batched answer's matches equal the per-query engine's, which equal
-brute force — property- and stress-tested in
-``tests/service/test_batcher.py``.
+Exactness is the executor's: a batched answer equals the single-query
+answer (a batch of one through the same code), which equals brute
+force — property- and stress-tested in ``tests/service/test_batcher.py``.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
-from repro.core.sketch import make_sketch
 from repro.runtime.executor import SequentialExecutor, ThreadedExecutor
-from repro.semantics.measures import get_measure
-from repro.semantics.weighted import coerce_counts
-from repro.service.cache import counts_cache_digest, result_cache_key
-from repro.service.errors import ConfigError, QueryError
-from repro.service.plan import ADMIT_KERNEL, QueryPlan, compile_plan
+from repro.service.cascade import Request, validate_request
+from repro.service.errors import ConfigError
 from repro.service.query import (
-    _EPS,
-    QueryMatch,
     QueryResult,
+    ShardedSimilarityIndex,
     SimilarityIndex,
-    sketch_estimates,
 )
-from repro.service.store import LSH_FAMILY, StoreSnapshot, _as_values
-from repro.sparse.bitmatrix import BitMatrix
-from repro.sparse.spgemm import gram_popcount_blocked
 
 
 @dataclass(frozen=True)
@@ -88,41 +65,28 @@ class BatchQuery:
 
 
 @dataclass
-class _Request:
-    """An admitted query: validated values, its cache key, its future."""
-
-    vals: np.ndarray
-    threshold: float | None
-    top_k: int | None
-    exclude_name: str | None
-    key: tuple
-    future: Future
-    counts: np.ndarray | None = None
-
-
-@dataclass
 class _Batch:
-    """The pending batch: requests pinned to one store snapshot."""
+    """The pending batch: requests pinned to one engine snapshot."""
 
-    snapshot: StoreSnapshot
-    plan: QueryPlan
-    requests: list[_Request] = field(default_factory=list)
+    snapshot: Any
+    requests: list[Request] = field(default_factory=list)
+    futures: list[Future] = field(default_factory=list)
     timer: threading.Timer | None = None
 
 
 class QueryBatcher:
-    """Coalescing front end over a :class:`SimilarityIndex`.
+    """Coalescing front end over a query engine (flat or sharded).
 
-    Shares the index's machine, config, and result cache — entries
-    written by either path are served by the other (the cache key
-    carries no batch context).  ``submit`` returns a
+    Batches run on the engine's machine, config, and result cache —
+    entries written through the batcher serve single queries and vice
+    versa (the cache key carries no batch context).  ``submit`` returns a
     :class:`concurrent.futures.Future`; ``query_many`` is the
     deterministic synchronous API (fixed chunking, no timers).
 
     Parameters
     ----------
     index:
-        The single-query engine to batch over.
+        The engine to batch over.
     executor:
         Where flushed batches execute; defaults to a 1-worker
         :class:`~repro.runtime.executor.ThreadedExecutor` (batches
@@ -135,25 +99,22 @@ class QueryBatcher:
 
     def __init__(
         self,
-        index: SimilarityIndex,
+        index: SimilarityIndex | ShardedSimilarityIndex,
         executor: SequentialExecutor | ThreadedExecutor | None = None,
         batch_size: int | None = None,
         max_wait: float | None = None,
     ):
         self.index = index
-        self.machine = index.machine
-        self.config = index.config
-        self.cache = index.cache
         self.batch_size = int(
             batch_size if batch_size is not None
-            else self.config.query_batch_size
+            else index.config.query_batch_size
         )
         if self.batch_size <= 0:
             raise ConfigError(
                 f"batch_size must be positive, got {self.batch_size}"
             )
         self.max_wait = float(
-            max_wait if max_wait is not None else self.config.query_max_wait
+            max_wait if max_wait is not None else index.config.query_max_wait
         )
         if self.max_wait < 0:
             raise ConfigError(
@@ -166,18 +127,6 @@ class QueryBatcher:
         self._admit_lock = threading.Lock()
         self._exec_lock = threading.Lock()
         self._pending: _Batch | None = None
-        # Extent-argsort memos: the window's sort is charged once per
-        # store version, then every request pays two searchsorted
-        # probes — this is what amortizes the window across a batch.
-        # Set measures sort support sizes; weighted Jaccard sorts
-        # total masses (a separate memo, same amortization).
-        self._sorted_version: int | None = None
-        self._size_order: np.ndarray | None = None
-        self._sorted_sizes: np.ndarray | None = None
-        self._mass_version: int | None = None
-        self._mass_order: np.ndarray | None = None
-        self._sorted_masses: np.ndarray | None = None
-        self._charged_sort_versions: set[tuple[int, bool]] = set()
         self.n_batches = 0
         self.n_requests = 0
 
@@ -197,22 +146,15 @@ class QueryBatcher:
         future completes when the request's batch executes (full batch,
         ``max_wait`` expiry, version-change flush, or :meth:`flush`).
         """
-        vals, q_counts = self._validate(values, threshold, top_k, counts)
+        request = validate_request(
+            self.index.store.m, values, threshold, top_k, counts,
+            exclude_name,
+        )
         future: Future = Future()
         with self._admit_lock:
             batch = self._admit_batch_locked()
-            batch.requests.append(
-                _Request(
-                    vals=vals, threshold=threshold, top_k=top_k,
-                    exclude_name=exclude_name,
-                    key=self._request_key(
-                        vals, q_counts, threshold, top_k, exclude_name,
-                        batch.plan, batch.snapshot.version,
-                    ),
-                    future=future,
-                    counts=q_counts,
-                )
-            )
+            batch.requests.append(request)
+            batch.futures.append(future)
             self.n_requests += 1
             if len(batch.requests) >= self.batch_size or self.max_wait == 0:
                 self._dispatch_locked()
@@ -233,43 +175,34 @@ class QueryBatcher:
         """Run many queries through the batched path, deterministically.
 
         Items are raw value arrays (taking the call-level
-        ``threshold`` / ``top_k``) or :class:`BatchQuery` instances;
-        they are chunked into batches of ``batch_size`` in order, each
-        chunk admitted under its own store snapshot and executed
-        inline — no timers, no executor handoff — so results are
-        reproducible and returned in input order.
+        ``threshold`` / ``top_k``) or :class:`BatchQuery` instances.
+        Every item is validated before anything runs; the requests are
+        then chunked into batches of ``batch_size`` in order, each
+        chunk executed inline against the engine's current snapshot —
+        no timers, no executor handoff — so results are reproducible
+        and returned in input order.
         """
         items = [
             q if isinstance(q, BatchQuery)
             else BatchQuery(q, threshold=threshold, top_k=top_k)
             for q in queries
         ]
+        requests = [
+            validate_request(
+                self.index.store.m, item.values, item.threshold,
+                item.top_k, item.counts, item.exclude_name,
+            )
+            for item in items
+        ]
+        self.n_requests += len(requests)
         results: list[QueryResult] = []
-        for lo in range(0, len(items), self.batch_size):
-            chunk = items[lo : lo + self.batch_size]
-            snapshot = self.index.store.snapshot()
-            plan = compile_plan(self.config, snapshot, batched=True)
-            requests = []
-            for item in chunk:
-                vals, q_counts = self._validate(
-                    item.values, item.threshold, item.top_k, item.counts
+        for lo in range(0, len(requests), self.batch_size):
+            results.extend(
+                self._run_batch(
+                    requests[lo : lo + self.batch_size],
+                    self.index.snapshot(),
                 )
-                requests.append(
-                    _Request(
-                        vals=vals, threshold=item.threshold,
-                        top_k=item.top_k,
-                        exclude_name=item.exclude_name,
-                        key=self._request_key(
-                            vals, q_counts, item.threshold, item.top_k,
-                            item.exclude_name, plan, snapshot.version,
-                        ),
-                        future=Future(),
-                        counts=q_counts,
-                    )
-                )
-            self.n_requests += len(requests)
-            self._execute_batch(requests, snapshot, plan)
-            results.extend(r.future.result() for r in requests)
+            )
         return results
 
     def flush(self) -> None:
@@ -291,49 +224,6 @@ class QueryBatcher:
 
     # ---- admission internals --------------------------------------------
 
-    def _validate(
-        self, values, threshold: float | None, top_k: int | None,
-        counts=None,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        if counts is not None:
-            vals, q_counts = coerce_counts(values, counts)
-        else:
-            vals, q_counts = _as_values(values), None
-        m = self.index.store.m
-        if vals.size and (vals[0] < 0 or vals[-1] >= m):
-            raise QueryError(f"query values outside [0, {m})")
-        if threshold is None and top_k is None:
-            raise QueryError("pass threshold, top_k, or both")
-        if threshold is not None and not 0.0 <= threshold <= 1.0:
-            raise QueryError(
-                f"threshold must be in [0, 1], got {threshold}"
-            )
-        if top_k is not None and top_k <= 0:
-            raise QueryError(f"top_k must be positive, got {top_k}")
-        return vals, q_counts
-
-    def _request_key(
-        self,
-        vals: np.ndarray,
-        q_counts: np.ndarray | None,
-        threshold: float | None,
-        top_k: int | None,
-        exclude_name: str | None,
-        plan: QueryPlan,
-        version: int,
-    ) -> tuple:
-        """The request's cache key — byte-identical to the single path's."""
-        return result_cache_key(
-            vals, threshold, top_k, plan.prefilter, plan.family,
-            plan.candidates, exclude_name, version,
-            similarity=plan.measure,
-            counts_digest=(
-                counts_cache_digest(q_counts)
-                if plan.measure == "weighted_jaccard"
-                else None
-            ),
-        )
-
     def _admit_batch_locked(self) -> _Batch:
         """The pending batch for the *current* store version.
 
@@ -343,17 +233,14 @@ class QueryBatcher:
         correctly for the snapshot it holds; the check only bounds
         staleness, it is not needed for correctness.)
         """
+        snapshot = self.index.snapshot()
         if (
             self._pending is not None
-            and self._pending.snapshot.version != self.index.store.version
+            and self._pending.snapshot.version != snapshot.version
         ):
             self._dispatch_locked()
         if self._pending is None:
-            snapshot = self.index.store.snapshot()
-            self._pending = _Batch(
-                snapshot=snapshot,
-                plan=compile_plan(self.config, snapshot, batched=True),
-            )
+            self._pending = _Batch(snapshot=snapshot)
         return self._pending
 
     def _dispatch_locked(self) -> None:
@@ -363,9 +250,7 @@ class QueryBatcher:
             return
         if batch.timer is not None:
             batch.timer.cancel()
-        self._executor.submit(
-            self._execute_batch, batch.requests, batch.snapshot, batch.plan
-        )
+        self._executor.submit(self._execute_batch, batch)
 
     def _flush_expired(self, batch: _Batch) -> None:
         with self._admit_lock:
@@ -374,467 +259,22 @@ class QueryBatcher:
 
     # ---- batch execution ------------------------------------------------
 
-    def _execute_batch(
-        self,
-        requests: list[_Request],
-        snapshot: StoreSnapshot,
-        plan: QueryPlan,
-    ) -> None:
+    def _execute_batch(self, batch: _Batch) -> None:
         try:
-            results = self._run_batch(requests, snapshot, plan)
-            for req, res in zip(requests, results):
-                req.future.set_result(res)
+            results = self._run_batch(batch.requests, batch.snapshot)
+            for future, res in zip(batch.futures, results):
+                future.set_result(res)
         except BaseException as exc:  # pragma: no cover - defensive
-            for req in requests:
-                if not req.future.done():
-                    req.future.set_exception(exc)
+            for future in batch.futures:
+                if not future.done():
+                    future.set_exception(exc)
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
 
-    def _run_batch(
-        self,
-        requests: list[_Request],
-        snapshot: StoreSnapshot,
-        plan: QueryPlan,
-    ) -> list[QueryResult]:
-        """Execute one admitted batch; returns results in request order."""
+    def _run_batch(self, requests: list[Request], snapshot) -> list[QueryResult]:
+        """Hand one admitted batch to the engine; results in request order."""
         with self._exec_lock:
-            return self._run_batch_locked(requests, snapshot, plan)
-
-    def _run_batch_locked(
-        self,
-        requests: list[_Request],
-        snapshot: StoreSnapshot,
-        plan: QueryPlan,
-    ) -> list[QueryResult]:
-        machine = self.machine
-        # Charge the serving rank the index is pinned to (a sharded
-        # fan-out pins each band's batcher to a distinct rank).
-        serving = machine.world.sub(
-            [getattr(self.index, "serving_rank", 0)]
-        )
-        self.n_batches += 1
-        batch_size = len(requests)
-        results: list[QueryResult | None] = [None] * batch_size
-
-        # Cache probe: hits are served immediately and charged nothing.
-        misses: list[int] = []
-        for i, req in enumerate(requests):
-            cached = self.cache.get(req.key)
-            if cached is not None:
-                results[i] = replace(
-                    cached, from_cache=True, cache_stats=self.cache.stats
-                )
-            else:
-                misses.append(i)
-        if not misses:
-            return results  # type: ignore[return-value]
-
-        sizes = snapshot.sizes()
-        n = snapshot.n_genomes
-        before = machine.ledger.snapshot()
-        with machine.phase("query_batch"):
-            serving.charge_compute(float(batch_size), kernel=ADMIT_KERNEL)
-            probes, n_after_lsh = self._lsh_stage(
-                serving, requests, misses, snapshot, plan
+            self.n_batches += 1
+            return self.index.execute(
+                requests, snapshot, self.index.plan(batched=True)
             )
-            cands = self._window_stage(
-                serving, requests, misses, snapshot, plan, probes
-            )
-            n_after_size = [int(c.size) for c in cands.values()]
-            cands = self._sketch_stage(
-                serving, requests, misses, cands, sizes, snapshot, plan
-            )
-            if plan.verify == "pairwise":
-                sims = self._verify_pairwise(
-                    serving, requests, misses, cands, sizes, snapshot,
-                    plan,
-                )
-            else:
-                sims = self._verify_stage(
-                    serving, requests, misses, cands, sizes, snapshot,
-                    plan,
-                )
-            for slot, i in enumerate(misses):
-                req = requests[i]
-                cand, sim = cands[i], sims[i]
-                if req.threshold is not None and cand.size:
-                    sel = sim >= req.threshold
-                    cand, sim = cand[sel], sim[sel]
-                order = np.lexsort((cand, -sim))
-                cand, sim = cand[order], sim[order]
-                if req.top_k is not None:
-                    cand = cand[: req.top_k]
-                    sim = sim[: req.top_k]
-                results[i] = QueryResult(
-                    matches=tuple(
-                        QueryMatch(
-                            name=snapshot.names[int(c)], index=int(c),
-                            similarity=float(s),
-                        )
-                        for c, s in zip(cand, sim)
-                    ),
-                    threshold=req.threshold,
-                    top_k=req.top_k,
-                    prefilter=plan.prefilter,
-                    estimator=plan.estimator,
-                    error_bound=plan.error_bound,
-                    n_candidates=(
-                        n - 1
-                        if req.exclude_name in snapshot.names
-                        else n
-                    ),
-                    n_after_size=n_after_size[slot],
-                    n_after_sketch=int(cands[i].size),
-                    store_version=snapshot.version,
-                    simulated_seconds=0.0,
-                    candidates=plan.candidates,
-                    n_after_lsh=n_after_lsh.get(i),
-                    batch_size=batch_size,
-                    similarity_measure=plan.measure,
-                    bound_type=plan.bound_type,
-                )
-        # The batch's modelled cost is split evenly across the queries
-        # it actually computed; cache hits ride for free.
-        total = machine.ledger.diff(before).simulated_seconds
-        per_query = total / len(misses)
-        for i in misses:
-            bare = replace(results[i], simulated_seconds=per_query)
-            self.cache.put(requests[i].key, bare)
-            results[i] = replace(bare, cache_stats=self.cache.stats)
-        return results  # type: ignore[return-value]
-
-    # ---- stages ---------------------------------------------------------
-
-    def _size_sort(self, snapshot: StoreSnapshot) -> tuple:
-        if self._sorted_version != snapshot.version:
-            sizes = snapshot.sizes()
-            self._size_order = np.argsort(sizes, kind="stable")
-            self._sorted_sizes = sizes[self._size_order]
-            self._sorted_version = snapshot.version
-        return self._size_order, self._sorted_sizes
-
-    def _mass_sort(self, snapshot: StoreSnapshot) -> tuple:
-        if self._mass_version != snapshot.version:
-            masses = np.asarray(snapshot.masses(), dtype=np.int64)
-            self._mass_order = np.argsort(masses, kind="stable")
-            self._sorted_masses = masses[self._mass_order]
-            self._mass_version = snapshot.version
-        return self._mass_order, self._sorted_masses
-
-    def _lsh_stage(
-        self, serving, requests, misses, snapshot, plan
-    ) -> tuple[dict[int, np.ndarray], dict[int, int | None]]:
-        """Banded LSH bucket probes, one per cache-missed request.
-
-        Returns ``(probes, counts)``: per request, the probed store
-        positions with the request's self-match already excluded, and
-        the ``n_after_lsh`` audit count (``None`` when there was
-        nothing to probe, mirroring the single path).  Under
-        ``"lsh_exact"`` only ``counts`` is consumed — the window stage
-        still scans, keeping results exact.
-        """
-        if plan.stage("lsh") is None:
-            return {}, {}
-        table = snapshot.lsh
-        n = snapshot.n_genomes
-        probes: dict[int, np.ndarray] = {}
-        counts: dict[int, int | None] = {}
-        total_flops = 0.0
-        for i in misses:
-            req = requests[i]
-            excl = -1
-            if req.exclude_name is not None:
-                try:
-                    excl = snapshot.names.index(req.exclude_name)
-                except ValueError:
-                    excl = -1
-            if n - (1 if excl >= 0 else 0) == 0:
-                counts[i] = None
-                continue
-            sk = make_sketch(
-                LSH_FAMILY, snapshot.sketch_size, snapshot.sketch_bits,
-                snapshot.sketch_seed,
-            )
-            sk.update(req.vals)
-            probed, retrieved = table.probe(sk.fingerprints())
-            total_flops += table.probe_cost(retrieved)
-            if excl >= 0:
-                probed = probed[probed != excl]
-            probes[i] = probed
-            counts[i] = int(probed.size)
-        if total_flops:
-            serving.charge_compute(total_flops, kernel=plan.kernel("lsh"))
-        return probes, counts
-
-    def _window_stage(
-        self, serving, requests, misses, snapshot, plan, probes=None
-    ) -> dict[int, np.ndarray]:
-        """Per-request candidate windows over extent-sorted lengths.
-
-        Matches the single path's measure window exactly; only the
-        cost shape changes (one amortized argsort per store version
-        plus two log-time probes per request, instead of a full extent
-        scan per query).  The extent is the measure's: support sizes
-        for the set measures, total masses for weighted Jaccard.
-        Under ``candidates="lsh"`` a request's window is instead a
-        direct extent mask over its (much smaller) probed set.
-        """
-        measure = get_measure(plan.measure)
-        extents = (
-            np.asarray(snapshot.masses(), dtype=np.int64)
-            if measure.weighted
-            else snapshot.sizes()
-        )
-        n = snapshot.n_genomes
-        windowed = plan.stage("window") is not None and n > 0
-        probes = probes if probes is not None else {}
-        cands: dict[int, np.ndarray] = {}
-        charged_probes = 0
-        for i in misses:
-            req = requests[i]
-            q_extent = measure.extent(req.vals, req.counts)
-            if plan.candidates == "lsh" and i in probes:
-                cand = probes[i]
-                if windowed and req.threshold is not None and cand.size:
-                    serving.charge_compute(
-                        float(cand.size), kernel=plan.kernel("window")
-                    )
-                    w_lo, w_hi = measure.window(q_extent, req.threshold)
-                    ext = extents[cand]
-                    cand = cand[(ext >= w_lo) & (ext <= w_hi)]
-                cands[i] = cand.astype(np.int64)
-                continue
-            if windowed and req.threshold is not None:
-                order, sorted_ext = (
-                    self._mass_sort(snapshot)
-                    if measure.weighted
-                    else self._size_sort(snapshot)
-                )
-                sort_key = (snapshot.version, measure.weighted)
-                if sort_key not in self._charged_sort_versions:
-                    serving.charge_compute(
-                        float(n) * max(math.log2(n), 1.0),
-                        kernel=plan.kernel("window"),
-                    )
-                    self._charged_sort_versions.add(sort_key)
-                w_lo, w_hi = measure.window(q_extent, req.threshold)
-                left = int(np.searchsorted(sorted_ext, w_lo, side="left"))
-                right = int(
-                    np.searchsorted(sorted_ext, w_hi, side="right")
-                )
-                cand = np.sort(order[left:right])
-                charged_probes += 1
-            else:
-                cand = np.arange(n, dtype=np.int64)
-            if req.exclude_name is not None:
-                try:
-                    excl = snapshot.names.index(req.exclude_name)
-                except ValueError:
-                    excl = -1
-                if excl >= 0:
-                    cand = cand[cand != excl]
-            cands[i] = cand.astype(np.int64)
-        if charged_probes:
-            serving.charge_compute(
-                2.0 * charged_probes * max(math.log2(max(n, 2)), 1.0),
-                kernel=plan.kernel("window"),
-            )
-        return cands
-
-    def _sketch_stage(
-        self, serving, requests, misses, cands, sizes, snapshot, plan
-    ) -> dict[int, np.ndarray]:
-        """Conservative sketch prune, per request (cascade plans only).
-
-        The stored estimate is plain Jaccard; the plan's measure
-        transforms the estimate band into conservative score bounds
-        (batched weighted plans carry no sketch stage, so ``family``
-        here is always a plain one).
-        """
-        family = plan.family
-        if family is None:
-            return cands
-        measure = get_measure(plan.measure)
-        bound = plan.error_bound
-        payloads = [
-            snapshot.load_sketch_payload(name, family)
-            for name in snapshot.names
-        ]
-        total = 0
-        out: dict[int, np.ndarray] = {}
-        for i in misses:
-            req, cand = requests[i], cands[i]
-            if not cand.size:
-                out[i] = cand
-                continue
-            est = sketch_estimates(
-                req.vals, cand, sizes, payloads, family,
-                snapshot.sketch_size, snapshot.sketch_bits,
-                snapshot.sketch_seed,
-            )
-            total += int(cand.size)
-            s_lo, s_hi = measure.sketch_score_bounds(
-                est, bound, int(req.vals.size), sizes[cand]
-            )
-            if req.threshold is not None:
-                keep = s_hi >= req.threshold - _EPS
-                cand, s_lo, s_hi = cand[keep], s_lo[keep], s_hi[keep]
-            if req.top_k is not None and cand.size > req.top_k:
-                kth = np.partition(s_lo, -req.top_k)[-req.top_k]
-                keep = s_hi >= kth - _EPS
-                cand = cand[keep]
-            out[i] = cand
-        if total:
-            serving.charge_compute(
-                float(total) * snapshot.sketch_size,
-                kernel=plan.kernel("sketch"),
-            )
-        return out
-
-    def _verify_stage(
-        self, serving, requests, misses, cands, sizes, snapshot, plan
-    ) -> dict[int, np.ndarray]:
-        """Exact similarities via one rectangular popcount block.
-
-        Distinct query columns (duplicates collapse by digest) against
-        the union of every request's surviving candidates, over a bit
-        universe restricted to the union of the *query* values —
-        candidate bits outside it cannot contribute to an intersection,
-        so the word-row count tracks the queries, not ``m``.
-        """
-        # Duplicate queries in one batch share a column.
-        slot_of: dict[tuple, int] = {}
-        req_slot: dict[int, int] = {}
-        uniq_vals: list[np.ndarray] = []
-        for i in misses:
-            k = (requests[i].key[0], requests[i].key[1])
-            if k not in slot_of:
-                slot_of[k] = len(uniq_vals)
-                uniq_vals.append(requests[i].vals)
-            req_slot[i] = slot_of[k]
-        cand_union = np.unique(
-            np.concatenate(
-                [cands[i] for i in misses]
-                or [np.empty(0, dtype=np.int64)]
-            )
-        ).astype(np.int64)
-        universe = np.unique(
-            np.concatenate(uniq_vals or [np.empty(0, dtype=np.int64)])
-        )
-
-        nq, nc, w = len(uniq_vals), int(cand_union.size), int(universe.size)
-        if nq and nc and w:
-            q_rows = np.concatenate(
-                [np.searchsorted(universe, v) for v in uniq_vals]
-            )
-            q_cols = np.concatenate(
-                [np.full(v.size, s, dtype=np.int64)
-                 for s, v in enumerate(uniq_vals)]
-            )
-            c_rows_parts, c_cols_parts = [], []
-            mapped = 0
-            for col, c in enumerate(cand_union):
-                cvals = snapshot.load_values(snapshot.names[int(c)])
-                mapped += int(cvals.size)
-                if not cvals.size:
-                    continue
-                pos = np.searchsorted(universe, cvals)
-                clipped = np.minimum(pos, w - 1)
-                hit = universe[clipped] == cvals
-                c_rows_parts.append(pos[hit])
-                c_cols_parts.append(
-                    np.full(int(hit.sum()), col, dtype=np.int64)
-                )
-            bit_width = self.config.bit_width
-            q_mat = BitMatrix.from_coo(q_rows, q_cols, w, nq, bit_width)
-            c_mat = BitMatrix.from_coo(
-                np.concatenate(c_rows_parts or [np.empty(0, np.int64)]),
-                np.concatenate(c_cols_parts or [np.empty(0, np.int64)]),
-                w, nc, bit_width,
-            )
-            kr = gram_popcount_blocked(q_mat, c_mat)
-            inter = kr.value
-            # Modelled cost: like spgemm's gram_popcount, a tuned
-            # implementation picks between the dense word sweep
-            # (w * pairs, what gram_popcount_blocked reports) and a
-            # Gustavson-style input-sparse kernel touching only word
-            # pairs where both operands are nonzero — decisive in the
-            # hypersparse regime, where a candidate's universe-
-            # restricted column is almost entirely empty words.
-            cx = (q_mat.words != 0).sum(axis=1, dtype=np.float64)
-            cy = (c_mat.words != 0).sum(axis=1, dtype=np.float64)
-            rect_flops = min(kr.flops, 2.0 * float((cx * cy).sum()))
-            # One pass over each operand's values to pack the block,
-            # plus the rectangle itself — the pack cost is paid once
-            # per union candidate, not once per (query, candidate)
-            # pair, which is exactly where batching wins.
-            serving.charge_compute(
-                rect_flops + float(mapped + sum(v.size for v in uniq_vals)),
-                kernel=plan.kernel("verify"),
-            )
-        else:
-            inter = np.zeros((max(nq, 1), max(nc, 1)), dtype=np.int64)
-
-        # The blocked Gram yields exact intersections + sizes, which
-        # is everything jaccard / containment / cosine need: the
-        # measure maps the statistics to its score.
-        measure = get_measure(plan.measure)
-        sims: dict[int, np.ndarray] = {}
-        for i in misses:
-            req, cand = requests[i], cands[i]
-            if not cand.size:
-                sims[i] = np.empty(0, dtype=np.float64)
-                continue
-            cols = np.searchsorted(cand_union, cand)
-            ivals = inter[req_slot[i], cols].astype(np.int64)
-            sims[i] = np.asarray(
-                measure.score_from_stats(
-                    ivals, int(req.vals.size), sizes[cand]
-                ),
-                dtype=np.float64,
-            )
-        return sims
-
-    def _verify_pairwise(
-        self, serving, requests, misses, cands, sizes, snapshot, plan
-    ) -> dict[int, np.ndarray]:
-        """Exact pairwise verification (weighted plans).
-
-        Weighted Jaccard needs min/max mass accumulations over aligned
-        counts, which the popcount Gram cannot produce — survivors are
-        verified pair by pair against the snapshot's stored values and
-        counts, memoized per candidate across the batch.
-        """
-        measure = get_measure(plan.measure)
-        values_memo: dict[int, np.ndarray] = {}
-        counts_memo: dict[int, np.ndarray] = {}
-        sims: dict[int, np.ndarray] = {}
-        total = 0.0
-        for i in misses:
-            req, cand = requests[i], cands[i]
-            if not cand.size:
-                sims[i] = np.empty(0, dtype=np.float64)
-                continue
-            qc = (
-                req.counts
-                if req.counts is not None
-                else np.ones(req.vals.size, dtype=np.int64)
-            )
-            out = np.empty(cand.size, dtype=np.float64)
-            for j, c in enumerate(cand):
-                ci = int(c)
-                if ci not in values_memo:
-                    name = snapshot.names[ci]
-                    values_memo[ci] = snapshot.load_values(name)
-                    counts_memo[ci] = snapshot.load_counts(name)
-                out[j] = measure.exact_pair(
-                    req.vals, values_memo[ci], qc, counts_memo[ci]
-                )
-            total += float(
-                req.vals.size * cand.size + sizes[cand].sum()
-            )
-            sims[i] = out
-        if total:
-            serving.charge_compute(total, kernel=plan.kernel("verify"))
-        return sims

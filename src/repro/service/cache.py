@@ -8,15 +8,15 @@ hit/miss/eviction counters are kept so the serving layer can surface a
 hit rate in ``QueryResult.summary()``.
 
 The key schema lives in exactly one place — :func:`result_cache_key` —
-and deliberately contains **no batch context**: the single-query path
-(:class:`~repro.service.query.SimilarityIndex`) and the batched path
-(:class:`~repro.service.batch.QueryBatcher`) build byte-identical keys
-for the same logical query, so entries written by either path are
-served by the other.  ``tests/service/test_batcher.py`` pins this
-schema with a regression test.
+and deliberately contains **no batch context**: keys are built in one
+spot (the engines' ``execute``), whether the query arrived alone or
+through the :class:`~repro.service.batch.QueryBatcher`, so an entry
+written through either entry point is served to the other.
+``tests/service/test_batcher.py`` pins this schema with a regression
+test.
 
 The cache is internally locked: the batcher's worker threads and the
-owning thread's single-path queries may probe one shared cache
+owning thread's single queries may probe one shared cache
 concurrently.
 """
 
@@ -63,8 +63,8 @@ def result_cache_key(
     the excluded self-match, and the store version (any index mutation
     changes the version and so invalidates every prior entry).  Batch
     membership is deliberately absent — a query answers the same
-    whether it arrived alone or coalesced, so both execution paths
-    share entries.  ``topology`` is the store's shard topology
+    whether it arrived alone or coalesced, so both entry points share
+    entries.  ``topology`` is the store's shard topology
     (:data:`SINGLE_TOPOLOGY` for a flat store, the sharded store's band
     layout otherwise): the answers are exactly equal across layouts,
     but the per-shard counters a cached :class:`~repro.service.query.

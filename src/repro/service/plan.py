@@ -1,30 +1,25 @@
-"""Explicit query plans: the stage pipeline both query paths compile to.
+"""Explicit query plans: the stage pipeline every query path compiles to.
 
-PR 5's :class:`~repro.service.query.SimilarityIndex` hard-wired its
-cascade (size bound -> sketch prefilter -> exact verify) into one
-method.  The batched front end (:mod:`repro.service.batch`) runs the
-*same* stages but vectorized across many queries, with different cost
-accounting — so the stage pipeline is now reified as a
-:class:`QueryPlan` that **both** paths compile to via
-:func:`compile_plan`:
+A :class:`QueryPlan` reifies the cascade (lsh -> window -> sketch ->
+verify) as pure data: which stages run, which sketch family estimates,
+what the analytic bound is, and which ledger kernel each stage
+charges.  :func:`compile_plan` builds it from a config and a store;
+the one executor (:func:`repro.service.cascade.run_cascade`) owns the
+loop and runs whatever plan it is handed.  Two flavours exist, differing
+only in the kernel labels (and the nominal verify strategy) they carry:
 
-* the single-query path executes the plan one candidate array at a
-  time and verifies survivors with per-pair sorted intersections
-  (kernel labels ``query:size`` / ``query:sketch`` / ``query:verify``,
-  unchanged from PR 5 so the committed ``BENCH_query.json`` trajectory
-  stays comparable);
-* the batched path executes the plan once per admitted batch — the
-  size-ratio window runs over size-sorted genome lengths, the
-  surviving (query, candidate) pairs merge, and verification is one
-  rectangular bit-matrix popcount block (kernel labels
+* ``batched=False`` — a single query, i.e. a batch of one: kernel
+  labels ``query:size`` / ``query:sketch`` / ``query:verify`` (PR 5's
+  labels, kept stable so the committed ``BENCH_query.json`` trajectory
+  stays comparable), survivors verified by per-pair sorted
+  intersections;
+* ``batched=True`` — an admitted batch: kernel labels
   ``query:batch:window`` / ``query:batch:sketch`` /
-  ``query:batch:verify``).
+  ``query:batch:verify``, the merged survivors of a multi-request
+  batch verified as one rectangular bit-matrix popcount block.
 
-A plan is pure data: which stages run, which sketch family estimates,
-what the analytic bound is, and which ledger kernel each stage charges.
-The executing engine owns the loop; the plan guarantees the two
-engines agree on *what* is pruned and *what* is exact — which is why
-batched results equal per-query results equal brute force.
+Because both flavours run the same stage bodies, batched results equal
+per-query results equal brute force.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from repro.service.store import LSH_FAMILY, StoreError
 #: Stage names in execution order (not every plan runs every stage).
 PLAN_STAGES = ("lsh", "window", "sketch", "verify")
 
-#: Kernel labels of the single-query path (PR 5's labels, kept stable).
+#: Kernel labels of a single query's plan (PR 5's labels, kept stable).
 SINGLE_KERNELS = {
     "lsh": "query:lsh",
     "window": "query:size",
@@ -49,7 +44,7 @@ SINGLE_KERNELS = {
     "verify": "query:verify",
 }
 
-#: Kernel labels of the batched path.
+#: Kernel labels of an admitted batch's plan.
 BATCH_KERNELS = {
     "lsh": "query:batch:lsh",
     "window": "query:batch:window",
@@ -73,10 +68,12 @@ class PlanStage:
 class QueryPlan:
     """The compiled stage pipeline of one query (or query batch).
 
-    ``verify`` names the verification strategy: ``"pairwise"`` (one
-    sorted-array intersection per surviving candidate) or ``"blocked"``
-    (one rectangular popcount block over the merged survivors of a
-    batch).  Both are exact; only the cost shape differs.
+    ``verify`` names the plan's nominal verification strategy:
+    ``"pairwise"`` (one sorted-array intersection per surviving
+    candidate) or ``"blocked"`` (one rectangular popcount block over the
+    merged survivors of a batch).  Both are exact; only the cost shape
+    differs, and the executor falls back to pairwise whenever a batch
+    computes a single request.
 
     ``candidates`` names the candidate generator (a
     :data:`~repro.core.config.QUERY_CANDIDATES` value): plans compiled
@@ -187,10 +184,8 @@ def compile_plan(
     """Compile a config + store (or snapshot) into a :class:`QueryPlan`.
 
     ``store`` only needs ``families`` / ``sketch_size`` / ``sketch_bits``
-    / ``sketch_seed`` — both :class:`~repro.service.store.IndexStore`
-    and :class:`~repro.service.store.StoreSnapshot` qualify, so the
-    batcher compiles against the immutable snapshot a batch was
-    admitted under.
+    / ``sketch_seed`` — fixed at store creation, so a plan compiled
+    against the live store is valid for any snapshot of it.
 
     Compilation is where sketch-consuming plans are validated: LSH
     candidate generation requires the stored ``bbit_minhash`` family,
@@ -230,11 +225,8 @@ def compile_plan(
         # The plain families estimate unweighted J, which bounds nothing
         # about J_w (no ordering either way) — a weighted cascade has a
         # sketch stage only when the store holds the weighted-MinHash
-        # family, and only on the single-query path (the batched
-        # verify is a popcount Gram that a weighted plan skips anyway).
-        wants_sketch = (
-            not batched and WEIGHTED_MINHASH_FAMILY in store.families
-        )
+        # family.
+        wants_sketch = WEIGHTED_MINHASH_FAMILY in store.families
     uses_sketches = wants_sketch or candidates != "scan"
     if uses_sketches and config.sketch_seed != store.sketch_seed:
         raise StoreError(

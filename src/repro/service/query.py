@@ -1,40 +1,33 @@
-"""Threshold / top-k similarity queries over a persistent index.
+"""Threshold / top-k similarity query engines over a persistent index.
 
 The all-pairs-similarity literature (Özkural & Aykanat's 1-D/2-D
 all-pairs algorithms, Bayardo et al.'s size-based pruning) shows that
 *threshold* queries admit aggressive candidate pruning an exact
-all-pairs engine never exploits.  :class:`SimilarityIndex` answers
-``J(query, genome) >= t`` (and top-``k``) queries over an
-:class:`~repro.service.store.IndexStore` through a **cascading filter**
-whose stages discard candidates strictly before the expensive exact
-verification:
+all-pairs engine never exploits.  The pruning itself — the
+lsh -> window -> sketch -> verify cascade — lives once, in
+:func:`repro.service.cascade.run_cascade`; this module is what stands
+around it:
 
-1. **size-ratio bound** (exact, never wrong):
-   ``J(A, B) >= t  =>  t * |A| <= |B| <= |A| / t`` — because
-   ``J <= min(|A|,|B|) / max(|A|,|B|)``.  Candidate sizes live in the
-   manifest, so this stage costs one comparison per candidate.
-2. **sketch prefilter** (conservative at the configured confidence):
-   the stored sketches (PR 4's MinHash / b-bit / HLL families) give an
-   estimate ``est`` with an analytic 95% additive bound ``eps``; a
-   candidate is pruned only when ``est + eps < t``, so no true positive
-   is pruned while the estimate honours its bound.
-3. **exact verification** on the survivors only: a sorted-array
-   intersection against the stored values, exactly what a brute-force
-   pass would compute for every candidate.
+* :class:`QueryResult` / :class:`QueryMatch` — what a query returns,
+  including the cascade funnel counters and the modelled cost;
+* :class:`SimilarityIndex` — the engine over one flat
+  :class:`~repro.service.store.IndexStore`: it pins one
+  :class:`~repro.service.store.StoreSnapshot` per store version, probes
+  the LRU :class:`~repro.service.cache.QueryCache` (keyed on the query
+  digest and the store version, so any mutation invalidates every
+  cached answer), hands the misses to the cascade, and splits the
+  ledger cost the stages charged (``query:*`` / ``query:batch:*``
+  kernels, named by the compiled :class:`~repro.service.plan.QueryPlan`)
+  across them;
+* :class:`ShardedSimilarityIndex` — the band router over a
+  :class:`~repro.service.sharded.ShardedStore`: it maps each request's
+  extent window onto the size bands, runs the per-band engines on the
+  overlapping ones, and merges their answers exactly
+  (:func:`merge_shard_results`).
 
-Every stage charges the machine's :class:`~repro.runtime.cost.CostLedger`
-under a ``query:*`` kernel label (``query:size``, ``query:sketch``,
-``query:verify``), so the serving cost is accounted like any other
-kernel.  Results are memoized in an LRU :class:`~repro.service.cache.QueryCache`
-keyed on the query digest and the store version (any index mutation
-invalidates every cached answer).
-
-The cascade no longer lives only in this module: it compiles to an
-explicit :class:`~repro.service.plan.QueryPlan`, and the batched front
-end (:class:`~repro.service.batch.QueryBatcher`) compiles the *same*
-plan for whole batches — windowing once over size-sorted lengths and
-verifying merged survivors as one rectangular popcount block.  This
-module executes the plan one query at a time.
+A single query is a batch of one: ``query_values`` and the batched
+front end (:class:`~repro.service.batch.QueryBatcher`) both call
+:meth:`execute`, on either engine.
 """
 
 from __future__ import annotations
@@ -46,34 +39,26 @@ import numpy as np
 
 from repro.baselines.exact import intersection_size_sorted
 from repro.core.config import QUERY_PREFILTERS, SimilarityConfig
-from repro.core.sketch import (
-    estimate_bbit_jaccard,
-    hll_cardinality,
-    make_sketch,
-    sketch_error_bound,
-    unpack_lanes,
-)
+from repro.core.sketch import sketch_error_bound
 from repro.runtime.engine import Machine
 from repro.runtime.executor import SequentialExecutor
 from repro.runtime.machine import laptop
 from repro.semantics.measures import get_measure
-from repro.semantics.weighted import coerce_counts
-from repro.semantics.wminhash import (
-    WEIGHTED_MINHASH_FAMILY,
-    WeightedMinHashSketch,
-)
 from repro.service.cache import (
+    SINGLE_TOPOLOGY,
     CacheStats,
     QueryCache,
     counts_cache_digest,
     result_cache_key,
 )
+from repro.service.cascade import Request, run_cascade, validate_request
+from repro.service.cascade import sketch_estimates  # noqa: F401 - public from this module
 from repro.service.errors import ConfigError, QueryError
-from repro.service.plan import QueryPlan, compile_plan, resolve_family
+from repro.service.plan import ADMIT_KERNEL, QueryPlan, compile_plan, resolve_family
 from repro.service.sharded import ShardedStore
-from repro.service.store import LSH_FAMILY, IndexStore, StoreError, _as_values
+from repro.service.store import IndexStore, StoreSnapshot
 
-#: Tolerance of the threshold comparisons: protects the exact-equality
+#: Tolerance of the window arithmetic: protects the exact-equality
 #: guarantee against float rounding in ``t * |A|``-style products, far
 #: below any meaningful similarity difference.
 _EPS = 1e-12
@@ -171,7 +156,7 @@ class QueryResult:
     from_cache: bool = False
     cache_stats: CacheStats | None = field(default=None, compare=False)
     #: How many coalesced queries shared the batch this answer came
-    #: from (1 = the single-query path).  Excluded from equality so a
+    #: from (1 = a single query).  Excluded from equality so a
     #: batched answer compares equal to its per-query twin.
     batch_size: int = field(default=1, compare=False)
     #: The similarity semantics the scores were computed under (a
@@ -234,37 +219,41 @@ class QueryResult:
         return "\n".join(lines)
 
 
-# ---- the serving engine ---------------------------------------------------
+# ---- the engines ----------------------------------------------------------
 
 
-class SimilarityIndex:
-    """Threshold / top-k query engine over an :class:`IndexStore`.
+def _result(plan: QueryPlan, matches, threshold, top_k, store_version, **counters) -> QueryResult:
+    """A :class:`QueryResult` labelled with the plan it was computed under."""
+    return QueryResult(
+        matches=tuple(matches),
+        threshold=threshold,
+        top_k=top_k,
+        prefilter=plan.prefilter,
+        estimator=plan.estimator,
+        error_bound=plan.error_bound,
+        store_version=store_version,
+        simulated_seconds=0.0,
+        candidates=plan.candidates,
+        similarity_measure=plan.measure,
+        bound_type=plan.bound_type,
+        **counters,
+    )
 
-    Parameters
-    ----------
-    store:
-        The persistent index to serve from.
-    machine:
-        The simulated machine whose ledger the ``query:*`` kernels are
-        charged to; defaults to a 4-rank laptop (queries execute on one
-        serving rank).
-    config:
-        ``query_prefilter`` selects the cascade depth (``"off"`` =
-        brute-force exact, ``"size"`` = size bound only — both exact
-        unconditionally; ``"cascade"`` adds the sketch prefilter, exact
-        at the sketches' 95% confidence), ``query_cache_size`` sizes
-        the LRU result cache, and ``estimator`` picks the stored sketch
-        family the prefilter uses (``"exact"`` falls back to the
-        store's first family).
+
+class _QueryEngine:
+    """What the flat engine and the band router share.
+
+    The public front door (``query`` / ``query_name`` / ``query_values``),
+    the per-version snapshot pin, and :meth:`execute` — cache probe,
+    compute the misses together, split their modelled cost, cache the
+    answers.  A subclass supplies ``plan``, ``_take_snapshot`` and
+    ``_compute``.
     """
 
-    def __init__(
-        self,
-        store: IndexStore,
-        machine: Machine | None = None,
-        config: SimilarityConfig | None = None,
-        serving_rank: int = 0,
-    ):
+    #: Shard-layout component of this engine's cache keys.
+    _topology: tuple = SINGLE_TOPOLOGY
+
+    def __init__(self, store, machine: Machine | None, config: SimilarityConfig | None):
         self.store = store
         self.machine = machine if machine is not None else Machine(laptop(4))
         self.config = config if config is not None else SimilarityConfig()
@@ -273,16 +262,8 @@ class SimilarityIndex:
                 f"query_prefilter must be one of {QUERY_PREFILTERS}, "
                 f"got {self.config.query_prefilter!r}"
             )
-        # Which machine rank this engine's cascade charges.  The
-        # sharded fan-out assigns each shard engine a distinct rank, so
-        # per-shard cascades overlap in the ledger's per-rank clocks
-        # (the makespan, not the sum, is the modelled fan-out cost).
-        self.serving_rank = serving_rank % self.machine.world.size
         self.cache = QueryCache(self.config.query_cache_size)
-        self._cached_version: int | None = None
-        self._payloads: dict[str, list[np.ndarray]] = {}
-        self._values: dict[int, np.ndarray] = {}
-        self._counts: dict[int, np.ndarray] = {}
+        self._pinned = None
 
     # ---- configuration ------------------------------------------------
 
@@ -300,9 +281,16 @@ class SimilarityIndex:
             self.family, self.store.sketch_size, self.store.sketch_bits
         )
 
-    def plan(self, batched: bool = False) -> QueryPlan:
-        """The :class:`QueryPlan` this engine's config compiles to."""
-        return compile_plan(self.config, self.store, batched=batched)
+    def snapshot(self):
+        """The pinned view of the store's current version.
+
+        Re-taken only when ``store.version`` has moved, so everything
+        the cascade loads is memoized for as long as the version lives.
+        """
+        pinned = self._pinned
+        if pinned is None or pinned.version != self.store.version:
+            pinned = self._pinned = self._take_snapshot()
+        return pinned
 
     # ---- public API ----------------------------------------------------
 
@@ -356,354 +344,137 @@ class SimilarityIndex:
         exclude_name: str | None = None,
         counts=None,
     ) -> QueryResult:
-        """Run the cascade for one query set of attribute values."""
-        if counts is not None:
-            vals, q_counts = coerce_counts(values, counts)
-        else:
-            vals, q_counts = _as_values(values), None
-        if vals.size and (vals[0] < 0 or vals[-1] >= self.store.m):
-            raise QueryError(
-                f"query values outside [0, {self.store.m})"
-            )
-        if threshold is None and top_k is None:
-            raise QueryError("pass threshold, top_k, or both")
-        if threshold is not None and not 0.0 <= threshold <= 1.0:
-            raise QueryError(
-                f"threshold must be in [0, 1], got {threshold}"
-            )
-        if top_k is not None and top_k <= 0:
-            raise QueryError(f"top_k must be positive, got {top_k}")
-        plan = self.plan()
-        key = result_cache_key(
-            vals, threshold, top_k, plan.prefilter, plan.family,
-            plan.candidates, exclude_name, self.store.version,
-            similarity=plan.measure,
-            counts_digest=(
-                counts_cache_digest(q_counts)
-                if plan.measure == "weighted_jaccard"
-                else None
-            ),
+        """Answer one query set of attribute values: a batch of one."""
+        request = validate_request(
+            self.store.m, values, threshold, top_k, counts, exclude_name
         )
-        cached = self.cache.get(key)
-        if cached is not None:
-            return replace(
-                cached, from_cache=True, cache_stats=self.cache.stats
-            )
-        result = self._run_cascade(
-            vals, threshold, top_k, plan, exclude_name, q_counts
-        )
-        self.cache.put(key, result)
-        return replace(result, cache_stats=self.cache.stats)
+        return self.execute([request], self.snapshot(), self.plan())[0]
 
-    # ---- the cascade ---------------------------------------------------
+    def execute(
+        self, requests: list[Request], snapshot, plan: QueryPlan
+    ) -> list[QueryResult]:
+        """Answer validated requests against one pinned snapshot.
 
-    def _run_cascade(
-        self,
-        vals: np.ndarray,
-        threshold: float | None,
-        top_k: int | None,
-        plan: QueryPlan,
-        exclude_name: str | None,
-        q_counts: np.ndarray | None = None,
-    ) -> QueryResult:
-        machine = self.machine
-        serving = machine.world.sub([self.serving_rank])
-        family = plan.family
-        bound = plan.error_bound
-        measure = get_measure(plan.measure)
-        names = self.store.names
-        sizes = self.store.sizes()
-        # The window prunes on the measure's extent: support sizes for
-        # the set measures, total k-mer masses for weighted Jaccard.
-        extents = (
-            np.asarray(self.store.masses(), dtype=np.int64)
-            if measure.weighted
-            else sizes
-        )
-        q_extent = measure.extent(vals, q_counts)
-        cand = np.arange(len(names), dtype=np.int64)
-        if exclude_name is not None and exclude_name in names:
-            # Absence is fine: in a sharded fan-out the excluded
-            # genome lives in exactly one shard's engine.
-            cand = cand[cand != names.index(exclude_name)]
-        n_candidates = int(cand.size)
-        before = machine.ledger.snapshot()
-        n_after_lsh: int | None = None
-        with machine.phase("query"):
-            # Stage 0: the banded LSH bucket probe (sub-linear).  Under
-            # "lsh" the probe narrows the candidates (approximate, with
-            # the analytic recall bound); under "lsh_exact" it is only
-            # measured, and the full scan proceeds — exact, for recall
-            # auditing.
-            if plan.stage("lsh") is not None and cand.size:
-                probed, probe_flops = self._lsh_probe(vals)
-                serving.charge_compute(
-                    probe_flops, kernel=plan.kernel("lsh")
-                )
-                hits = cand[np.isin(cand, probed, assume_unique=True)]
-                n_after_lsh = int(hits.size)
-                if plan.candidates == "lsh":
-                    cand = hits
-
-            # Stage 1: the measure's exact extent window (needs a
-            # threshold).  Jaccard/cosine: the two-sided size-ratio
-            # window; containment: the one-sided lower bound;
-            # weighted: the two-sided mass-ratio window.
-            if (
-                threshold is not None
-                and plan.stage("window") is not None
-                and cand.size
-            ):
-                serving.charge_compute(
-                    float(cand.size), kernel=plan.kernel("window")
-                )
-                w_lo, w_hi = measure.window(q_extent, threshold)
-                ext = extents[cand]
-                cand = cand[(ext >= w_lo) & (ext <= w_hi)]
-            n_after_size = int(cand.size)
-
-            # Stage 2: the sketch prefilter (conservative at 95%).
-            # Plain families estimate J and the measure transforms the
-            # estimate band into score bounds; the weighted family
-            # estimates J_w directly.
-            if family is not None and cand.size:
-                if family == WEIGHTED_MINHASH_FAMILY:
-                    est = self._wminhash_estimates(vals, q_counts, cand)
-                else:
-                    est = self._sketch_estimates(vals, cand, sizes, family)
-                serving.charge_compute(
-                    float(cand.size) * self.store.sketch_size,
-                    kernel=plan.kernel("sketch"),
-                )
-                s_lo, s_hi = measure.sketch_score_bounds(
-                    est, bound, int(vals.size), sizes[cand]
-                )
-                if threshold is not None:
-                    keep = s_hi >= threshold - _EPS
-                    cand, s_lo, s_hi = cand[keep], s_lo[keep], s_hi[keep]
-                if top_k is not None and cand.size > top_k:
-                    kth = np.partition(s_lo, -top_k)[-top_k]
-                    keep = s_hi >= kth - _EPS
-                    cand = cand[keep]
-            n_after_sketch = int(cand.size)
-
-            # Stage 3: exact verification of the survivors.
-            if measure.weighted:
-                qc = (
-                    q_counts
-                    if q_counts is not None
-                    else np.ones(vals.size, dtype=np.int64)
-                )
-                sims = np.array(
-                    [
-                        measure.exact_pair(
-                            vals,
-                            self._genome_values(int(i)),
-                            qc,
-                            self._genome_counts(int(i)),
-                        )
-                        for i in cand
-                    ],
-                    dtype=np.float64,
-                )
-            elif plan.measure == "jaccard":
-                sims = np.array(
-                    [
-                        exact_jaccard(vals, self._genome_values(int(i)))
-                        for i in cand
-                    ],
-                    dtype=np.float64,
-                )
-            else:
-                sims = np.array(
-                    [
-                        measure.exact_pair(vals, self._genome_values(int(i)))
-                        for i in cand
-                    ],
-                    dtype=np.float64,
-                )
-            if cand.size:
-                serving.charge_compute(
-                    float(vals.size * cand.size + sizes[cand].sum()),
-                    kernel=plan.kernel("verify"),
-                )
-            if threshold is not None and cand.size:
-                sel = sims >= threshold
-                cand, sims = cand[sel], sims[sel]
-            order = np.lexsort((cand, -sims))
-            cand, sims = cand[order], sims[order]
-            if top_k is not None:
-                cand, sims = cand[:top_k], sims[:top_k]
-        cost = machine.ledger.diff(before)
-        return QueryResult(
-            matches=tuple(
-                QueryMatch(
-                    name=names[int(i)], index=int(i), similarity=float(s)
-                )
-                for i, s in zip(cand, sims)
-            ),
-            threshold=threshold,
-            top_k=top_k,
-            prefilter=plan.prefilter,
-            estimator=plan.estimator,
-            error_bound=bound,
-            n_candidates=n_candidates,
-            n_after_size=n_after_size,
-            n_after_sketch=n_after_sketch,
-            store_version=self.store.version,
-            simulated_seconds=cost.simulated_seconds,
-            candidates=plan.candidates,
-            n_after_lsh=n_after_lsh,
-            similarity_measure=plan.measure,
-            bound_type=plan.bound_type,
-        )
-
-    # ---- sketch estimation ----------------------------------------------
-
-    def _refresh(self) -> None:
-        if self._cached_version != self.store.version:
-            self._payloads.clear()
-            self._values.clear()
-            self._counts.clear()
-            self._cached_version = self.store.version
-
-    def _genome_values(self, index: int) -> np.ndarray:
-        self._refresh()
-        if index not in self._values:
-            self._values[index] = self.store.load_values(
-                self.store.names[index]
-            )
-        return self._values[index]
-
-    def _genome_counts(self, index: int) -> np.ndarray:
-        self._refresh()
-        if index not in self._counts:
-            self._counts[index] = self.store.load_counts(
-                self.store.names[index]
-            )
-        return self._counts[index]
-
-    def _family_payloads(self, family: str) -> list[np.ndarray]:
-        self._refresh()
-        if family not in self._payloads:
-            self._payloads[family] = [
-                self.store.load_sketch_payload(name, family)
-                for name in self.store.names
-            ]
-        return self._payloads[family]
-
-    def _lsh_probe(self, vals: np.ndarray) -> tuple[np.ndarray, float]:
-        """Bucket-probe the store's LSH table with the query's sketch.
-
-        Returns ``(positions, modelled_flops)`` — positions sharing at
-        least one band bucket with the query, and the probe's modelled
-        cost (``bands`` binary searches plus the retrieved members).
+        Cache hits are served as stored and charged nothing; the misses
+        are computed together and split the modelled cost they charged
+        evenly.  The cache key carries no batch context, so an entry
+        written through any entry point serves every other.
         """
-        table = self.store.lsh_table()
-        if table is None:  # pragma: no cover - compile_plan gates this
-            raise StoreError(
-                f"store holds no LSH table (family {LSH_FAMILY!r} "
-                f"not stored)"
+        keys = [
+            result_cache_key(
+                req.vals, req.threshold, req.top_k, plan.prefilter,
+                plan.family, plan.candidates, req.exclude_name,
+                snapshot.version,
+                topology=self._topology,
+                similarity=plan.measure,
+                counts_digest=(
+                    counts_cache_digest(req.counts)
+                    if plan.measure == "weighted_jaccard"
+                    else None
+                ),
             )
-        sk = make_sketch(
-            LSH_FAMILY, self.store.sketch_size, self.store.sketch_bits,
-            self.store.sketch_seed,
-        )
-        sk.update(vals)
-        probed, retrieved = table.probe(sk.fingerprints())
-        return probed, table.probe_cost(retrieved)
-
-    def _sketch_estimates(
-        self, vals: np.ndarray, cand: np.ndarray, sizes: np.ndarray,
-        family: str,
-    ) -> np.ndarray:
-        """Per-candidate J estimates from the stored sketch family."""
-        store = self.store
-        return sketch_estimates(
-            vals, cand, sizes, self._family_payloads(family), family,
-            store.sketch_size, store.sketch_bits, store.sketch_seed,
-        )
-
-    def _wminhash_estimates(
-        self,
-        vals: np.ndarray,
-        q_counts: np.ndarray | None,
-        cand: np.ndarray,
-    ) -> np.ndarray:
-        """Per-candidate J_w estimates from stored weighted sketches."""
-        store = self.store
-        qsk = WeightedMinHashSketch(
-            size=store.sketch_size, seed=store.sketch_seed
-        )
-        if vals.size:
-            qsk.update(vals, q_counts)
-        payloads = self._family_payloads(WEIGHTED_MINHASH_FAMILY)
-        out = np.empty(cand.size, dtype=np.float64)
-        for j, i in enumerate(cand):
-            csk = WeightedMinHashSketch(
-                size=store.sketch_size,
-                seed=store.sketch_seed,
-                hashes=payloads[int(i)],
+            for req in requests
+        ]
+        results: list[QueryResult | None] = [None] * len(requests)
+        misses: list[int] = []
+        for i, key in enumerate(keys):
+            cached = self.cache.get(key)
+            if cached is None:
+                misses.append(i)
+            else:
+                results[i] = replace(
+                    cached, from_cache=True, cache_stats=self.cache.stats
+                )
+        if misses:
+            before = self.machine.ledger.snapshot()
+            computed = self._compute(
+                [requests[i] for i in misses], snapshot, plan
             )
-            out[j] = qsk.jaccard(csk)
-        return out
+            cost = self.machine.ledger.diff(before).simulated_seconds
+            for i, result in zip(misses, computed):
+                bare = replace(
+                    result,
+                    simulated_seconds=cost / len(misses),
+                    batch_size=len(requests) if plan.batched else 1,
+                )
+                self.cache.put(keys[i], bare)
+                results[i] = replace(bare, cache_stats=self.cache.stats)
+        return results  # type: ignore[return-value]
 
 
-# ---- sketch estimation (shared by the single and batched paths) -----------
+class SimilarityIndex(_QueryEngine):
+    """Threshold / top-k query engine over an :class:`IndexStore`.
 
-
-def sketch_estimates(
-    vals: np.ndarray,
-    cand: np.ndarray,
-    sizes: np.ndarray,
-    payloads: list[np.ndarray],
-    family: str,
-    sketch_size: int,
-    sketch_bits: int,
-    sketch_seed: int,
-) -> np.ndarray:
-    """Per-candidate J estimates of one query from stored sketches.
-
-    ``payloads`` is indexed by store position (one stored payload per
-    live genome); ``cand`` selects the candidates to estimate.  Both
-    :class:`SimilarityIndex` and the batcher call this, so the two
-    paths prune on byte-identical estimates.
+    Parameters
+    ----------
+    store:
+        The persistent index to serve from.
+    machine:
+        The simulated machine whose ledger the ``query:*`` kernels are
+        charged to; defaults to a 4-rank laptop (queries execute on one
+        serving rank).
+    config:
+        ``query_prefilter`` selects the cascade depth (``"off"`` =
+        brute-force exact, ``"size"`` = size bound only — both exact
+        unconditionally; ``"cascade"`` adds the sketch prefilter, exact
+        at the sketches' 95% confidence), ``query_cache_size`` sizes
+        the LRU result cache, and ``estimator`` picks the stored sketch
+        family the prefilter uses (``"exact"`` falls back to the
+        store's first family).
     """
-    sk = make_sketch(family, sketch_size, sketch_bits, sketch_seed)
-    sk.update(vals)
-    if family == "minhash":
-        est = _estimate_minhash(
-            sk.hashes, [payloads[int(i)] for i in cand], sketch_size
-        )
-    elif family == "bbit_minhash":
-        fps = np.stack(
-            [
-                unpack_lanes(payloads[int(i)], sketch_bits, sketch_size)
-                for i in cand
-            ]
-        )
-        matches = (fps == sk.fingerprints()[None, :]).mean(axis=1)
-        est = np.array(
-            [estimate_bbit_jaccard(float(m), sketch_bits) for m in matches]
-        )
-    else:
-        regs = np.stack([payloads[int(i)] for i in cand])
-        unions = np.maximum(
-            hll_cardinality(np.maximum(regs, sk.registers[None, :])),
-            1e-12,
-        )
-        inter = vals.size + sizes[cand].astype(np.float64) - unions
-        est = np.clip(inter / unions, 0.0, 1.0)
-    # Exact empty-set rules override any estimate.
-    cand_sizes = sizes[cand]
-    if vals.size == 0:
-        est = np.where(cand_sizes == 0, 1.0, 0.0)
-    else:
-        est = np.where(cand_sizes == 0, 0.0, est)
-    return est
+
+    def __init__(
+        self,
+        store: IndexStore,
+        machine: Machine | None = None,
+        config: SimilarityConfig | None = None,
+        serving_rank: int = 0,
+    ):
+        super().__init__(store, machine, config)
+        # Which machine rank this engine's cascade charges.  The band
+        # router assigns each shard engine a distinct rank, so per-shard
+        # cascades overlap in the ledger's per-rank clocks (the
+        # makespan, not the sum, is the modelled fan-out cost).
+        self.serving_rank = serving_rank % self.machine.world.size
+
+    def plan(self, batched: bool = False) -> QueryPlan:
+        """The :class:`QueryPlan` this engine's config compiles to."""
+        return compile_plan(self.config, self.store, batched=batched)
+
+    def _take_snapshot(self) -> StoreSnapshot:
+        return self.store.snapshot()
+
+    def _compute(
+        self, requests: list[Request], snapshot: StoreSnapshot, plan: QueryPlan
+    ) -> list[QueryResult]:
+        serving = self.machine.world.sub([self.serving_rank])
+        with self.machine.phase("query_batch" if plan.batched else "query"):
+            if plan.batched:
+                serving.charge_compute(
+                    float(len(requests)), kernel=ADMIT_KERNEL
+                )
+            outcomes = run_cascade(plan, snapshot, requests, serving)
+        return [
+            _result(
+                plan,
+                (
+                    QueryMatch(
+                        name=snapshot.names[int(i)], index=int(i),
+                        similarity=float(s),
+                    )
+                    for i, s in zip(out.positions, out.sims)
+                ),
+                req.threshold, req.top_k, snapshot.version,
+                n_candidates=out.n_candidates,
+                n_after_lsh=out.n_after_lsh,
+                n_after_size=out.n_after_size,
+                n_after_sketch=out.n_after_sketch,
+            )
+            for req, out in zip(requests, outcomes)
+        ]
 
 
-# ---- the sharded fan-out engine -------------------------------------------
+# ---- the sharded band router ----------------------------------------------
 
 
 def merge_shard_results(
@@ -713,7 +484,6 @@ def merge_shard_results(
     top_k: int | None,
     positions: dict[str, int],
     store_version: int,
-    batch_size: int = 1,
 ) -> QueryResult:
     """Merge per-shard results into one exact global answer.
 
@@ -745,53 +515,52 @@ def merge_shard_results(
     lsh_counts = [
         r.n_after_lsh for r in shard_results if r.n_after_lsh is not None
     ]
-    return QueryResult(
-        matches=tuple(matches),
-        threshold=threshold,
-        top_k=top_k,
-        prefilter=plan.prefilter,
-        estimator=plan.estimator,
-        error_bound=plan.error_bound,
+    return _result(
+        plan, matches, threshold, top_k, store_version,
         n_candidates=sum(r.n_candidates for r in shard_results),
+        n_after_lsh=sum(lsh_counts) if lsh_counts else None,
         n_after_size=sum(r.n_after_size for r in shard_results),
         n_after_sketch=sum(r.n_after_sketch for r in shard_results),
-        store_version=store_version,
-        simulated_seconds=0.0,
-        candidates=plan.candidates,
-        n_after_lsh=sum(lsh_counts) if lsh_counts else None,
-        batch_size=batch_size,
-        similarity_measure=plan.measure,
-        bound_type=plan.bound_type,
     )
 
 
-class ShardedSimilarityIndex:
-    """Fan-out query engine over a :class:`~repro.service.sharded.ShardedStore`.
+@dataclass(frozen=True)
+class ShardedSnapshot:
+    """One sharded-store version: each band's pinned snapshot plus the
+    global insertion positions the merge re-bases and tie-breaks on."""
+
+    version: int
+    positions: dict[str, int]
+    bands: tuple[StoreSnapshot, ...]
+
+
+class ShardedSimilarityIndex(_QueryEngine):
+    """Band router over a :class:`~repro.service.sharded.ShardedStore`.
 
     Compiles the same :class:`QueryPlan` as the flat engine (with
     ``fanout = n_shards``); the plan's ``window`` stage runs first as a
-    *band selector* — the query's size-ratio window is mapped onto the
+    *band selector* — each request's extent window is mapped onto the
     store's band edges, and only the overlapping shards are consulted.
-    Each consulted shard then runs the full single-shard cascade
-    (size -> lsh -> sketch -> verify) through its own
-    :class:`SimilarityIndex`, pinned to machine rank ``shard % ranks``:
-    the ledger's per-rank clocks advance independently, so the fan-out's
-    ``simulated_seconds`` (one ledger diff around the whole fan-out) is
-    the parallel **makespan** of the per-shard cascades, not their sum.
-    Per-shard results merge via :func:`merge_shard_results` into an
-    answer bit-identical to the flat store's.
+    Each consulted shard runs the cascade over the requests routed to it
+    through its own :class:`SimilarityIndex`, pinned to machine rank
+    ``shard % ranks``: the ledger's per-rank clocks advance
+    independently, so the ``simulated_seconds`` of a fan-out (one ledger
+    diff around all of it) is the parallel **makespan** of the per-shard
+    cascades, not their sum.  Per-shard results merge via
+    :func:`merge_shard_results` into answers bit-identical to the flat
+    store's.  One router serves a single query and a batch alike.
 
-    ``executor`` maps the per-shard queries (default
+    ``executor`` maps the per-shard work (default
     :class:`~repro.runtime.executor.SequentialExecutor`; parallelism is
     *modelled* by the rank assignment either way).  Results are cached
     at this level — keyed with the store's shard topology — while the
     per-shard engines run cache-less, so one mutation invalidates
     exactly one layer.
 
-    Queries hold the store's lock for the duration of the fan-out, so a
-    concurrent multi-shard ``add_genomes`` can never interleave between
-    per-shard cascades — every answer reflects exactly one store
-    version.
+    The band snapshots and the global positions are pinned together
+    under the store's lock, so a concurrent multi-shard ``add_genomes``
+    can never interleave between per-shard cascades — every answer
+    reflects exactly one store version.
     """
 
     def __init__(
@@ -801,15 +570,8 @@ class ShardedSimilarityIndex:
         config: SimilarityConfig | None = None,
         executor=None,
     ):
-        self.store = store
-        self.machine = machine if machine is not None else Machine(laptop(4))
-        self.config = config if config is not None else SimilarityConfig()
-        if self.config.query_prefilter not in QUERY_PREFILTERS:
-            raise ConfigError(
-                f"query_prefilter must be one of {QUERY_PREFILTERS}, "
-                f"got {self.config.query_prefilter!r}"
-            )
-        self.cache = QueryCache(self.config.query_cache_size)
+        super().__init__(store, machine, config)
+        self._topology = store.topology()
         self.executor = (
             executor if executor is not None else SequentialExecutor()
         )
@@ -823,187 +585,73 @@ class ShardedSimilarityIndex:
             for i, shard in enumerate(store.shards)
         ]
 
-    # ---- configuration ------------------------------------------------
-
-    @property
-    def family(self) -> str:
-        return resolve_family(
-            self.config.estimator, tuple(self.store.families)
-        )
-
-    @property
-    def error_bound(self) -> float:
-        return sketch_error_bound(
-            self.family, self.store.sketch_size, self.store.sketch_bits
-        )
-
     def plan(self, batched: bool = False) -> QueryPlan:
         return compile_plan(
             self.config, self.store, batched=batched,
             shards=self.store.n_shards,
         )
 
-    # ---- public API ----------------------------------------------------
-
-    def query(
-        self,
-        values=None,
-        name: str | None = None,
-        threshold: float | None = None,
-        top_k: int | None = None,
-        counts=None,
-    ) -> QueryResult:
-        """Query by values or by the name of an indexed genome."""
-        if (values is None) == (name is None):
-            raise QueryError("pass exactly one of values or name")
-        if name is not None:
-            if counts is not None:
-                raise QueryError("counts only apply to value queries")
-            return self.query_name(name, threshold=threshold, top_k=top_k)
-        return self.query_values(
-            values, threshold=threshold, top_k=top_k, counts=counts
-        )
-
-    def query_name(
-        self,
-        name: str,
-        threshold: float | None = None,
-        top_k: int | None = None,
-    ) -> QueryResult:
-        counts = None
-        if self.config.similarity == "weighted_jaccard":
-            counts = self.store.load_counts(name)
-        return self.query_values(
-            self.store.load_values(name),
-            threshold=threshold,
-            top_k=top_k,
-            exclude_name=name,
-            counts=counts,
-        )
-
-    def query_values(
-        self,
-        values,
-        threshold: float | None = None,
-        top_k: int | None = None,
-        exclude_name: str | None = None,
-        counts=None,
-    ) -> QueryResult:
-        """Fan the cascade out over the overlapping size bands."""
-        if counts is not None:
-            vals, q_counts = coerce_counts(values, counts)
-        else:
-            vals, q_counts = _as_values(values), None
-        if vals.size and (vals[0] < 0 or vals[-1] >= self.store.m):
-            raise QueryError(
-                f"query values outside [0, {self.store.m})"
-            )
-        if threshold is None and top_k is None:
-            raise QueryError("pass threshold, top_k, or both")
-        if threshold is not None and not 0.0 <= threshold <= 1.0:
-            raise QueryError(
-                f"threshold must be in [0, 1], got {threshold}"
-            )
-        if top_k is not None and top_k <= 0:
-            raise QueryError(f"top_k must be positive, got {top_k}")
-        plan = self.plan()
-        key = result_cache_key(
-            vals, threshold, top_k, plan.prefilter, plan.family,
-            plan.candidates, exclude_name, self.store.version,
-            topology=self.store.topology(),
-            similarity=plan.measure,
-            counts_digest=(
-                counts_cache_digest(q_counts)
-                if plan.measure == "weighted_jaccard"
-                else None
-            ),
-        )
-        cached = self.cache.get(key)
-        if cached is not None:
-            return replace(
-                cached, from_cache=True, cache_stats=self.cache.stats
-            )
+    def _take_snapshot(self) -> ShardedSnapshot:
         with self.store._lock:
-            result = self._fan_out(
-                vals, threshold, top_k, plan, exclude_name, q_counts
+            return ShardedSnapshot(
+                version=self.store.version,
+                positions=self.store.positions(),
+                bands=tuple(eng.snapshot() for eng in self.engines),
             )
-        self.cache.put(key, result)
-        return replace(result, cache_stats=self.cache.stats)
 
-    # ---- the fan-out ---------------------------------------------------
-
-    def _fan_out(
-        self,
-        vals: np.ndarray,
-        threshold: float | None,
-        top_k: int | None,
-        plan: QueryPlan,
-        exclude_name: str | None,
-        q_counts: np.ndarray | None = None,
-    ) -> QueryResult:
-        machine = self.machine
-        before = machine.ledger.snapshot()
+    def _bands(self, req: Request, plan: QueryPlan) -> range:
+        """The shards whose size band ``req``'s extent window overlaps."""
         measure = get_measure(plan.measure)
         if (
-            threshold is not None
-            and threshold > 0.0
+            req.threshold is not None
+            and req.threshold > 0.0
             and plan.stage("window") is not None
             and not measure.weighted
         ):
-            # The measure's extent window maps onto the band edges:
-            # jaccard/cosine select a contiguous band range, and the
+            # jaccard/cosine select a contiguous band range; the
             # containment window is one-sided, so every band from the
-            # lower edge up is consulted.  Shards band by *support*
-            # size, about which weighted Jaccard admits no bound (a
-            # single huge-count value can dominate the mass), so
-            # weighted queries consult every band.
-            w_lo, w_hi = measure.window(int(vals.size), threshold)
+            # lower edge up is consulted.
+            w_lo, w_hi = measure.window(int(req.vals.size), req.threshold)
             b_lo, b_hi = self.store.band_range(w_lo, w_hi)
-            bands = list(range(b_lo, b_hi + 1))
-        else:
-            # Top-k-only (or unwindowed, or weighted) queries can
-            # match in any band.
-            bands = list(range(self.store.n_shards))
-        with machine.phase("query"):
-            # Band selection: one comparison per band edge, on rank 0.
-            machine.world.sub([0]).charge_compute(
-                float(self.store.n_shards), kernel="query:bands"
-            )
-        shard_results = list(
-            self.executor.map(
-                lambda band: self.engines[band].query_values(
-                    vals,
-                    threshold=threshold,
-                    top_k=top_k,
-                    exclude_name=exclude_name,
-                    counts=q_counts,
-                ),
-                bands,
-            )
-        )
-        cost = machine.ledger.diff(before)
-        merged = merge_shard_results(
-            plan, shard_results, threshold, top_k,
-            self.store.positions(), self.store.version,
-        )
-        return replace(merged, simulated_seconds=cost.simulated_seconds)
+            return range(b_lo, b_hi + 1)
+        # Top-k-only and unwindowed queries can match in any band, and
+        # so can weighted ones: shards band by *support* size, about
+        # which weighted Jaccard admits no bound (a single huge-count
+        # value can dominate the mass).
+        return range(self.store.n_shards)
 
-
-def _estimate_minhash(
-    qh: np.ndarray, hashes: list[np.ndarray], size: int
-) -> np.ndarray:
-    out = np.empty(len(hashes), dtype=np.float64)
-    for i, h in enumerate(hashes):
-        if qh.size == 0 and h.size == 0:
-            out[i] = 1.0
-            continue
-        union = np.union1d(qh, h)[:size]
-        if union.size == 0:
-            out[i] = 1.0
-            continue
-        both = (
-            np.isin(union, qh, assume_unique=True)
-            & np.isin(union, h, assume_unique=True)
-        ).sum()
-        out[i] = both / union.size
-    return out
+    def _compute(
+        self, requests: list[Request], snapshot: ShardedSnapshot, plan: QueryPlan
+    ) -> list[QueryResult]:
+        routed: dict[int, list[int]] = {}
+        for i, req in enumerate(requests):
+            for band in self._bands(req, plan):
+                routed.setdefault(band, []).append(i)
+        with self.machine.phase("query"):
+            # Band selection: one comparison per band edge per request,
+            # on rank 0.
+            self.machine.world.sub([0]).charge_compute(
+                float(self.store.n_shards * len(requests)),
+                kernel="query:bands",
+            )
+        bands = sorted(routed)
+        band_plan = replace(plan, fanout=1)
+        answers = self.executor.map(
+            lambda band: self.engines[band].execute(
+                [requests[i] for i in routed[band]],
+                snapshot.bands[band],
+                band_plan,
+            ),
+            bands,
+        )
+        parts: list[list[QueryResult]] = [[] for _ in requests]
+        for band, band_answers in zip(bands, answers):
+            for i, answer in zip(routed[band], band_answers):
+                parts[i].append(answer)
+        return [
+            merge_shard_results(
+                plan, shard_results, req.threshold, req.top_k,
+                snapshot.positions, snapshot.version,
+            )
+            for req, shard_results in zip(requests, parts)
+        ]

@@ -65,6 +65,7 @@ import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -905,11 +906,14 @@ class IndexStore:
 class StoreSnapshot:
     """An immutable view of one store version's live genomes.
 
-    Carries everything the query engines read — names, shard paths,
+    Carries everything the query cascade reads — names, shard paths,
     exact sizes, the sketch configuration — captured atomically under
     the store lock.  Reads go to the same immutable shard files, and
-    decoded values / sketch payloads are memoized per snapshot (the
-    snapshot can never go stale, so the memo never needs invalidation).
+    everything derived from them (the name -> position map, decoded
+    values / counts / sketch payloads, the extent-sorted order the
+    window stage searches) is built lazily and memoized here: an engine
+    pins one snapshot per store version, so the snapshot *is* the
+    per-version cache and never needs invalidation.
     """
 
     root: Path
@@ -933,6 +937,7 @@ class StoreSnapshot:
     _values: dict = field(default_factory=dict, repr=False, compare=False)
     _payloads: dict = field(default_factory=dict, repr=False, compare=False)
     _counts: dict = field(default_factory=dict, repr=False, compare=False)
+    _orders: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_genomes(self) -> int:
@@ -944,40 +949,59 @@ class StoreSnapshot:
     def masses(self) -> np.ndarray:
         return self._sizes if self._masses is None else self._masses
 
-    def _shard(self, name: str) -> Path:
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Live name -> store position."""
+        return {name: i for i, name in enumerate(self.names)}
+
+    def _position(self, name: str) -> int:
         try:
-            return self.root / self.shards[self.names.index(name)]
-        except ValueError:
+            return self.positions[name]
+        except KeyError:
             raise KeyError(
                 f"unknown genome {name!r} at version {self.version}"
             ) from None
+
+    def _shard(self, name: str) -> Path:
+        return self.root / self.shards[self._position(name)]
+
+    def extent_order(self, by_mass: bool) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The genomes' stable argsort by extent (support size, or total
+        mass when ``by_mass``) and the extents in that order.
+
+        The third element says whether this call built the order — the
+        cascade charges the sort to the ledger exactly then.
+        """
+        built = by_mass not in self._orders
+        if built:
+            extents = self.masses() if by_mass else self._sizes
+            order = np.argsort(extents, kind="stable")
+            self._orders[by_mass] = (order, extents[order])
+        return (*self._orders[by_mass], built)
 
     def load_values(self, name: str) -> np.ndarray:
         if name not in self._values:
             self._values[name] = read_record(self._shard(name), 0)
         return self._values[name]
 
-    def load_sketch_payload(self, name: str, family: str) -> np.ndarray:
+    def family_payloads(self, family: str) -> list[np.ndarray]:
+        """One family's stored sketch payload per live genome, by position."""
         if family not in self.families:
             raise StoreError(
                 f"family {family!r} not stored (store holds {self.families})"
             )
-        key = (name, family)
-        if key not in self._payloads:
+        if family not in self._payloads:
             idx = 1 + self.families.index(family)
-            self._payloads[key] = read_record(self._shard(name), idx)
-        return self._payloads[key]
+            self._payloads[family] = [
+                read_record(self.root / shard, idx) for shard in self.shards
+            ]
+        return self._payloads[family]
 
     def load_counts(self, name: str) -> np.ndarray:
         """Abundance counts aligned with :meth:`load_values` (see
         :meth:`IndexStore.load_counts`)."""
         if name not in self._counts:
-            try:
-                i = self.names.index(name)
-            except ValueError:
-                raise KeyError(
-                    f"unknown genome {name!r} at version {self.version}"
-                ) from None
+            i = self._position(name)
             if int(self.masses()[i]) == int(self._sizes[i]):
                 self._counts[name] = np.ones(
                     int(self._sizes[i]), dtype=np.int64

@@ -98,16 +98,16 @@ class TestKnobNamespace:
         )
         assert SimilarityConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_alias_equals_canonical(self):
-        # The legacy flat spelling builds the identical config — it is
-        # an alias, not a fork.
+    def test_flat_spelling_rejected_naming_canonical(self):
+        # The flat spellings were accepted (with a DeprecationWarning)
+        # for one release; now they name the canonical key and raise.
         for canonical, field_name in self.CANONICAL.items():
-            default = SimilarityConfig()
-            value = getattr(default, field_name)
-            via_canonical = SimilarityConfig.from_dict({canonical: value})
-            with pytest.warns(DeprecationWarning, match=field_name):
-                via_alias = SimilarityConfig.from_dict({field_name: value})
-            assert via_canonical == via_alias == default
+            value = getattr(SimilarityConfig(), field_name)
+            assert SimilarityConfig.from_dict({canonical: value}) == (
+                SimilarityConfig()
+            )
+            with pytest.raises(ValueError, match=canonical):
+                SimilarityConfig.from_dict({field_name: value})
 
     def test_plain_field_names_stay_silent(self):
         # Non-namespaced fields never warn.
@@ -121,13 +121,6 @@ class TestKnobNamespace:
     def test_unknown_knob_rejected(self):
         with pytest.raises(ValueError, match="unknown config knob"):
             SimilarityConfig.from_dict({"query.bogus": 1})
-
-    def test_duplicate_spellings_rejected(self):
-        with pytest.raises(ValueError, match="more than once"), \
-                pytest.warns(DeprecationWarning):
-            SimilarityConfig.from_dict(
-                {"store.shards": 4, "store_shards": 4}
-            )
 
     def test_shard_knob_validation(self):
         with pytest.raises(ValueError, match="store_shards"):

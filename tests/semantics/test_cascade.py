@@ -14,8 +14,10 @@ import pytest
 
 from repro.core.config import SIMILARITY_MEASURES, SimilarityConfig
 from repro.semantics import get_measure
-from repro.service import SimilarityService
+from repro.semantics.wminhash import WEIGHTED_MINHASH_FAMILY
+from repro.service import BatchQuery, SimilarityService
 from repro.service.errors import ConfigError
+from tests.helpers import without_modelled_cost
 
 N_GENOMES = 18
 M = 512
@@ -62,12 +64,13 @@ def reference_answer(scores, threshold, top_k):
     return qualifying
 
 
-def build_service(tmp_path, measure, shards, triples, batched=False,
-                  candidates="scan"):
+def build_service(tmp_path, measure, shards, triples, candidates="scan",
+                  **config_kwargs):
     config = SimilarityConfig(
         similarity=measure,
         store_shards=shards,
         query_candidates=candidates,
+        **config_kwargs,
     )
     service = SimilarityService.create(
         tmp_path / f"{measure}-{shards}-{candidates}",
@@ -122,8 +125,6 @@ def test_top_k_cascade_equals_brute_force(tmp_path, measure):
 @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
 @pytest.mark.parametrize("shards", [1, 3])
 def test_batched_path_equals_brute_force(tmp_path, measure, shards):
-    from repro.service.batch import BatchQuery
-
     names, triples, q_vals, q_counts = make_corpus(seed=13)
     service = build_service(tmp_path, measure, shards, triples)
     counts = q_counts if measure == "weighted_jaccard" else None
@@ -140,6 +141,42 @@ def test_batched_path_equals_brute_force(tmp_path, measure, shards):
     assert [n for n, _ in got] == [n for n, _ in ref]
     for (_, a), (_, b) in zip(got, ref):
         assert a == pytest.approx(b, abs=1e-12)
+    if measure == "weighted_jaccard":
+        # A batched weighted cascade runs (and stays exact through) the
+        # weighted-MinHash sketch stage, like a single query does.
+        assert results[0].estimator == WEIGHTED_MINHASH_FAMILY
+        assert results[0].n_after_sketch <= results[0].n_after_size
+        kernels = service.machine.ledger.kernel_totals
+        assert kernels["query:batch:sketch"][1] > 0
+
+
+@pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("candidates", ["scan", "lsh_exact"])
+def test_batch_of_one_is_the_single_query(
+    tmp_path, measure, shards, candidates
+):
+    """``query_batch([q])[0] == query(values=q)`` as whole results:
+    matches, funnel counters, store version, plan labels."""
+    names, triples, q_vals, q_counts = make_corpus(seed=29)
+    service = build_service(
+        tmp_path, measure, shards, triples, candidates=candidates,
+        query_cache_size=0,
+    )
+    counts = q_counts if measure == "weighted_jaccard" else None
+    for kwargs in (
+        {"threshold": 0.1},
+        {"top_k": 4},
+        {"threshold": 0.05, "top_k": 3},
+    ):
+        single = service.query(values=q_vals, counts=counts, **kwargs)
+        (alone,) = service.query_batch(
+            [BatchQuery(q_vals, counts=counts, **kwargs)]
+        )
+        assert single.matches, "vacuous: the query matches nothing"
+        assert without_modelled_cost(alone) == without_modelled_cost(single), kwargs
+        if candidates == "lsh_exact":
+            assert alone.n_after_lsh is not None
 
 
 @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)

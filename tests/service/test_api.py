@@ -2,14 +2,12 @@
 
 The facade is the public API: these tests pin that every flow —
 create/open, add/remove/compact/rebuild, single and batched queries,
-migration, stats — works identically on both store layouts, and that
-the pre-facade entry points keep working behind deprecation shims.
+migration, stats — works identically on both store layouts.
 """
 
 import numpy as np
 import pytest
 
-import repro.service as service_pkg
 from repro.core.config import SimilarityConfig
 from repro.service import (
     BatchQuery,
@@ -228,20 +226,3 @@ class TestStats:
         assert len(stats["band_edges"]) == 4
         assert sum(stats["shard_occupancy"]) == 8
 
-
-class TestDeprecatedShims:
-    def test_add_genomes_shim_warns_and_works(self, tmp_path, rng):
-        store = IndexStore.create(tmp_path / "idx", m=M)
-        with pytest.warns(DeprecationWarning, match="add_genomes"):
-            report = service_pkg.add_genomes(
-                store,
-                [("a", np.sort(rng.choice(M, size=50, replace=False)))],
-            )
-        assert report.added == ("a",)
-
-    def test_rebuild_shim_warns_and_works(self, tmp_path, rng):
-        store = IndexStore.create(tmp_path / "idx", m=M)
-        store.append("a", np.sort(rng.choice(M, size=50, replace=False)))
-        with pytest.warns(DeprecationWarning, match="rebuild"):
-            service_pkg.rebuild(store)
-        assert gram_current(store)

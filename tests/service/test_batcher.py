@@ -33,6 +33,7 @@ from repro.service import (
 from repro.service.cache import counts_cache_digest
 from repro.service.incremental import add_genomes
 from repro.service.query import exact_jaccard
+from tests.helpers import without_modelled_cost
 
 M = 2_000
 
@@ -321,12 +322,15 @@ class TestHypothesisProperties:
             idx = engine(store, prefilter=prefilter, query_cache_size=0)
             with QueryBatcher(idx, batch_size=batch_size) as batcher:
                 batched = batcher.query_many(queries, threshold=threshold)
-            for q, res in zip(queries, batched):
-                single = idx.query_values(q, threshold=threshold)
-                assert res.matches == single.matches
-                assert_matches(
-                    res, brute_force(corpus, q, threshold=threshold)
-                )
+                for q, res in zip(queries, batched):
+                    single = idx.query_values(q, threshold=threshold)
+                    assert res.matches == single.matches
+                    assert_matches(
+                        res, brute_force(corpus, q, threshold=threshold)
+                    )
+                    # A batch of one is the single query, field for field.
+                    (alone,) = batcher.query_many([q], threshold=threshold)
+                    assert without_modelled_cost(alone) == without_modelled_cost(single)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -359,10 +363,12 @@ class TestHypothesisProperties:
             idx = engine(store, query_cache_size=0)
             with QueryBatcher(idx, batch_size=batch_size) as batcher:
                 batched = batcher.query_many(qvals, top_k=top_k)
-            for q, res in zip(qvals, batched):
-                single = idx.query_values(q, top_k=top_k)
-                assert res.matches == single.matches
-                assert_matches(res, brute_force(corpus, q, top_k=top_k))
+                for q, res in zip(qvals, batched):
+                    single = idx.query_values(q, top_k=top_k)
+                    assert res.matches == single.matches
+                    assert_matches(res, brute_force(corpus, q, top_k=top_k))
+                    (alone,) = batcher.query_many([q], top_k=top_k)
+                    assert without_modelled_cost(alone) == without_modelled_cost(single)
 
 
 class TestCacheUnderBatching:
@@ -632,12 +638,14 @@ class TestBatchedLsh:
         queries.append(np.empty(0, dtype=np.int64))
         with QueryBatcher(idx, batch_size=4) as batcher:
             batched = batcher.query_many(queries, threshold=0.3)
-        for q, res in zip(queries, batched):
-            single = idx.query_values(q, threshold=0.3)
-            assert res.matches == single.matches
-            assert res.n_after_lsh == single.n_after_lsh
-            assert res.n_after_size == single.n_after_size
-            assert res.candidates == candidates
+            for q, res in zip(queries, batched):
+                single = idx.query_values(q, threshold=0.3)
+                assert res.matches == single.matches
+                assert res.n_after_lsh == single.n_after_lsh
+                assert res.n_after_size == single.n_after_size
+                assert res.candidates == candidates
+                (alone,) = batcher.query_many([q], threshold=0.3)
+                assert without_modelled_cost(alone) == without_modelled_cost(single)
 
     def test_lsh_exact_batch_equals_bruteforce(
         self, tmp_path, clustered_sets

@@ -14,6 +14,7 @@ from repro.core.config import SimilarityConfig
 from repro.runtime.engine import Machine
 from repro.runtime.machine import laptop
 from repro.service import IndexStore, SimilarityIndex
+from repro.service import store as store_module
 from repro.service.query import (
     exact_jaccard,
     size_ratio_mask,
@@ -292,6 +293,47 @@ class TestCaching:
         res = eng.query_values(family_sets[0], threshold=0.5)
         assert not res.from_cache
         assert res.n_candidates == len(family_sets) + 1
+
+    def test_mutation_mid_query_answers_for_the_starting_version(
+        self, tmp_path, family_sets, monkeypatch
+    ):
+        """The cascade reads one pinned snapshot, never the live store.
+
+        The first shard read of the query appends an exact duplicate of
+        the query set (no threads: the add is injected from the store's
+        load hook).  The answer must be brute force over the version
+        the query started under, reported under that version — so the
+        entry cached for it can never be mistaken for the new version's.
+        """
+        store = build_index(tmp_path, family_sets)
+        eng = engine(store, prefilter="size")
+        q = np.asarray(sorted(family_sets[0]), dtype=np.int64)
+        version = store.version
+        scored = [
+            (n, exact_jaccard(q, store.load_values(n))) for n in store.names
+        ]
+        # sorted() is stable, so ties keep store order, like the engine.
+        expected = sorted(
+            (p for p in scored if p[1] >= 0.3), key=lambda p: -p[1]
+        )
+        real_read = store_module.read_record
+        fired = []
+
+        def read_then_mutate(path, index):
+            if not fired:
+                fired.append(True)
+                store.append("late", q)
+            return real_read(path, index)
+
+        monkeypatch.setattr(store_module, "read_record", read_then_mutate)
+        res = eng.query_values(q, threshold=0.3)
+        assert fired and store.version == version + 1
+        assert res.store_version == version
+        assert [(m.name, m.similarity) for m in res.matches] == expected
+        again = eng.query_values(q, threshold=0.3)
+        assert not again.from_cache
+        assert again.store_version == version + 1
+        assert "late" in again.names
 
     def test_cache_disabled(self, tmp_path, family_sets):
         store = build_index(tmp_path, family_sets)

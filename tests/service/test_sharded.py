@@ -13,9 +13,11 @@ import pytest
 
 from repro.core.config import SimilarityConfig
 from repro.runtime.engine import Machine
+from repro.runtime.executor import SequentialExecutor
 from repro.runtime.machine import laptop
 from repro.service import (
     IndexStore,
+    QueryBatcher,
     ShardedSimilarityIndex,
     ShardedStore,
     SimilarityIndex,
@@ -26,6 +28,7 @@ from repro.service import (
 )
 from repro.service.incremental import add_genomes, rebuild
 from repro.service.query import exact_jaccard
+from tests.helpers import without_modelled_cost
 
 M = 3_000
 
@@ -198,10 +201,12 @@ class TestQueryEquality:
         sets = corpus(rng)
         flat = build_flat(tmp_path, sets)
         sh = build_sharded(tmp_path, sets, shards)
+        # Cache off: every answer below is computed, never replayed.
+        config = SimilarityConfig(query_cache_size=0)
         return (
             sets,
-            SimilarityIndex(flat),
-            ShardedSimilarityIndex(sh),
+            SimilarityIndex(flat, config=config),
+            ShardedSimilarityIndex(sh, config=config),
         )
 
     def test_threshold_topk_and_both(self, tmp_path, rng, shards):
@@ -228,6 +233,15 @@ class TestQueryEquality:
                 # Consulted-shards-only counters never exceed flat's.
                 assert r_sh.n_candidates <= r_flat.n_candidates
                 assert r_sh.n_verified <= r_flat.n_verified
+                # A batch of one is the same query, on either layout.
+                for eng, single in ((flat_eng, r_flat), (sh_eng, r_sh)):
+                    with QueryBatcher(
+                        eng, executor=SequentialExecutor()
+                    ) as batcher:
+                        (alone,) = batcher.query_many([q], **case)
+                    assert without_modelled_cost(alone) == without_modelled_cost(single), (
+                        q.size, case
+                    )
 
     def test_topk_ties_break_identically(self, tmp_path, rng, shards):
         # Exact duplicates across bands of different sizes can't tie,
