@@ -38,9 +38,6 @@ __all__ = [
     "make_pair_with_jaccard",
 ]
 
-# Backwards-compatible alias for the pre-promotion private name.
-_splitmix64 = splitmix64
-
 
 def sketch(values, size: int, seed: int = 0) -> np.ndarray:
     """Bottom-``size`` sketch: the smallest hashed values, sorted.

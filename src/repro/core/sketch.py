@@ -141,28 +141,32 @@ def pack_lanes(lanes: np.ndarray, bits: int) -> np.ndarray:
 
 
 def unpack_lanes(words: np.ndarray, bits: int, k: int) -> np.ndarray:
-    """Invert :func:`pack_lanes` into ``k`` lane values."""
+    """Invert :func:`pack_lanes` into ``k`` lane values.
+
+    ``words`` is one packed word array or a stacked ``[n, n_words]``
+    block of them; the lanes come back along the last axis.
+    """
     if not MIN_SKETCH_BITS <= bits <= MAX_SKETCH_BITS:
         raise ValueError(
             f"bits must be in [{MIN_SKETCH_BITS}, {MAX_SKETCH_BITS}], "
             f"got {bits}"
         )
     words = np.ascontiguousarray(words, dtype=np.uint64)
-    if words.size < -(-(k * bits) // 64):
+    if words.shape[-1] < -(-(k * bits) // 64):
         raise ValueError(
-            f"{words.size} word(s) cannot hold {k} lanes of {bits} bits"
+            f"{words.shape[-1]} word(s) cannot hold {k} lanes of {bits} bits"
         )
     mask = (np.uint64(1) << np.uint64(bits)) - np.uint64(1)
     pos = np.arange(k, dtype=np.int64) * bits
     word_idx = pos // 64
     offset = (pos % 64).astype(np.uint64)
-    lanes = (words[word_idx] >> offset) & mask
+    lanes = (words[..., word_idx] >> offset) & mask
     straddle = (pos % 64) + bits > 64
     if np.any(straddle):
-        hi = words[word_idx[straddle] + 1] << (
+        hi = words[..., word_idx[straddle] + 1] << (
             np.uint64(64) - offset[straddle]
         )
-        lanes[straddle] = (lanes[straddle] | hi) & mask
+        lanes[..., straddle] = (lanes[..., straddle] | hi) & mask
     return lanes
 
 
@@ -182,16 +186,18 @@ def _bit_length_u64(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---- k-min-values MinHash -------------------------------------------------
+# ---- bottom-s (k-min-values) MinHash --------------------------------------
 
 
 @dataclass
-class KMinValuesSketch:
-    """Bottom-``size`` MinHash sketch: the smallest hashes, sorted.
+class BottomSSketch:
+    """What the bottom-``s`` families share: at most ``size`` sorted
+    unique 64-bit hashes, compared by the Mash estimator.
 
-    ``hashes`` always holds at most ``size`` sorted unique values; sets
-    with fewer than ``size`` distinct elements keep everything (the
-    estimate then degenerates to exact Jaccard, as in Mash).
+    :class:`KMinValuesSketch` keeps the smallest hashes of a set,
+    :class:`~repro.semantics.wminhash.WeightedMinHashSketch` those of
+    an expanded abundance multiset; a sketch holding fewer than
+    ``size`` hashes holds all of them, and its estimates are exact.
     """
 
     size: int
@@ -199,14 +205,47 @@ class KMinValuesSketch:
     hashes: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.uint64)
     )
-    #: Distinct values inserted via ``update`` (exact when batched
-    #: inserts are disjoint); after ``merge``, the clamped
-    #: union-cardinality estimate (see :func:`_clamp_union_count`).
-    n_values: int = 0
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"sketch size must be positive, got {self.size}")
+
+    def _check_compatible(self, other: "BottomSSketch") -> None:
+        if self.size != other.size or self.seed != other.seed:
+            raise ValueError(
+                f"incompatible sketches: size/seed "
+                f"({self.size}, {self.seed}) vs ({other.size}, {other.seed})"
+            )
+
+    def jaccard(self, other: "BottomSSketch") -> float:
+        """Mash estimator: shared fraction of the union's bottom-``s``."""
+        self._check_compatible(other)
+        n = np.array([other.hashes.size])
+        return float(
+            estimate_rows(
+                "minhash", self.hashes, self.hashes.size,
+                pad_rows(other.hashes, n, self.size), n, n,
+            )[0]
+        )
+
+    def error_bound(self, z: float = Z_95) -> float:
+        """Worst-case (J = 1/2) additive bound on the estimate."""
+        return min(1.0, z * 0.5 / math.sqrt(self.size))
+
+    @property
+    def nbytes(self) -> int:
+        """Wire bytes of the hash payload."""
+        return int(self.hashes.nbytes)
+
+
+@dataclass
+class KMinValuesSketch(BottomSSketch):
+    """Bottom-``size`` MinHash sketch: the smallest hashes, sorted."""
+
+    #: Distinct values inserted via ``update`` (exact when batched
+    #: inserts are disjoint); after ``merge``, the clamped
+    #: union-cardinality estimate (see :func:`_clamp_union_count`).
+    n_values: int = 0
 
     @classmethod
     def from_values(
@@ -252,34 +291,6 @@ class KMinValuesSketch:
             estimate, self.n_values, other.n_values
         )
         return out
-
-    def _check_compatible(self, other: "KMinValuesSketch") -> None:
-        if self.size != other.size or self.seed != other.seed:
-            raise ValueError(
-                f"incompatible sketches: size/seed "
-                f"({self.size}, {self.seed}) vs ({other.size}, {other.seed})"
-            )
-
-    def jaccard(self, other: "KMinValuesSketch") -> float:
-        """Mash estimator: shared fraction of the union's bottom-``s``."""
-        self._check_compatible(other)
-        if self.hashes.size == 0 and other.hashes.size == 0:
-            return 1.0
-        union = np.union1d(self.hashes, other.hashes)[: self.size]
-        if union.size == 0:
-            return 1.0
-        in_a = np.isin(union, self.hashes, assume_unique=True)
-        in_b = np.isin(union, other.hashes, assume_unique=True)
-        return float((in_a & in_b).sum() / union.size)
-
-    def error_bound(self, z: float = Z_95) -> float:
-        """Worst-case (J = 1/2) additive bound on the estimate."""
-        return min(1.0, z * 0.5 / math.sqrt(self.size))
-
-    @property
-    def nbytes(self) -> int:
-        """Wire bytes of the hash payload."""
-        return int(self.hashes.nbytes)
 
 
 # ---- b-bit packed MinHash -------------------------------------------------
@@ -408,14 +419,13 @@ class BBitMinHashSketch:
     def jaccard(self, other: "BBitMinHashSketch") -> float:
         """Li–König unbiased estimator ``(m - C) / (1 - C)``, clipped."""
         self._check_compatible(other)
-        if self.n_values == 0 and other.n_values == 0:
-            return 1.0
-        if self.n_values == 0 or other.n_values == 0:
-            return 0.0
-        matches = float(
-            (self.fingerprints() == other.fingerprints()).mean()
+        return float(
+            estimate_rows(
+                "bbit_minhash", self.fingerprints(), self.n_values,
+                other.fingerprints()[None, :], np.array([other.n_values]),
+                bits=self.bits,
+            )[0]
         )
-        return estimate_bbit_jaccard(matches, self.bits)
 
     def error_bound(self, z: float = Z_95) -> float:
         """Worst-case additive bound of the corrected estimator."""
@@ -428,10 +438,10 @@ class BBitMinHashSketch:
         return (-(-(self.size * self.bits) // 64)) * 8
 
 
-def estimate_bbit_jaccard(match_fraction: float, bits: int) -> float:
-    """Collision-corrected Jaccard from a lane match fraction."""
+def estimate_bbit_jaccard(match_fraction, bits: int):
+    """Collision-corrected Jaccard from lane match fraction(s)."""
     c = 2.0 ** -bits
-    return float(min(1.0, max(0.0, (match_fraction - c) / (1.0 - c))))
+    return np.clip((match_fraction - c) / (1.0 - c), 0.0, 1.0)
 
 
 # ---- HyperLogLog ----------------------------------------------------------
@@ -526,15 +536,12 @@ class HyperLogLogSketch:
     def jaccard(self, other: "HyperLogLogSketch") -> float:
         """Inclusion–exclusion against the exact per-sketch sizes."""
         self._check_compatible(other)
-        if self.n_values == 0 and other.n_values == 0:
-            return 1.0
-        if self.n_values == 0 or other.n_values == 0:
-            return 0.0
-        union = self.merge(other).cardinality()
-        if union <= 0.0:
-            return 1.0
-        inter = self.n_values + other.n_values - union
-        return float(min(1.0, max(0.0, inter / union)))
+        return float(
+            estimate_rows(
+                "hll", self.registers, self.n_values,
+                other.registers[None, :], np.array([other.n_values]),
+            )[0]
+        )
 
     def error_bound(self, z: float = Z_95) -> float:
         """Worst-case (J = 1) additive bound via error propagation.
@@ -572,6 +579,104 @@ def hll_cardinality(registers: np.ndarray) -> np.ndarray:
         linear = r * np.log(r / np.maximum(zeros, 1).astype(np.float64))
     out[small] = linear[small]
     return out
+
+
+# ---- the row kernel -------------------------------------------------------
+#
+# Every estimate in the repo — a sketch object's ``jaccard``, the
+# all-pairs exchange, the query cascade's sketch stage — is one query
+# row against a stacked ``[n, width]`` block of candidate rows.  A row
+# is: the sorted bottom-``s`` hashes zero-padded to ``s`` (``lengths``
+# holds each row's valid prefix), the ``k`` unpacked b-bit lane
+# fingerprints, or the ``r`` HLL registers.
+
+#: Families whose rows are sorted bottom-``s`` hashes.
+BOTTOM_S_FAMILIES = ("minhash", "weighted_minhash")
+
+
+def pad_rows(flat: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """Scatter concatenated hash rows (row ``i`` is the next
+    ``lengths[i]`` values of ``flat``) into a zero-padded block."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    rows = np.zeros((lengths.size, width), dtype=np.uint64)
+    rows[np.arange(width) < lengths[:, None]] = flat
+    return rows
+
+
+def stack_payloads(
+    family: str, payloads, size: int, bits: int = 8
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-set stored payloads (sorted hashes, b-bit *packed*
+    words, registers) into the row kernel's ``(rows, lengths)`` block."""
+    n = len(payloads)
+    if family in BOTTOM_S_FAMILIES:
+        lengths = np.array([p.size for p in payloads], dtype=np.int64)
+        flat = np.concatenate(payloads) if n else np.empty(0, dtype=np.uint64)
+        return pad_rows(flat, lengths, size), lengths
+    if not n:
+        rows = np.empty((0, 0), dtype=np.uint64)
+    elif family == "bbit_minhash":
+        rows = unpack_lanes(np.stack(payloads), bits, size)
+    else:
+        rows = np.stack(payloads)
+    return rows, np.full(n, rows.shape[1], dtype=np.int64)
+
+
+def _bottom_s_rows(
+    query: np.ndarray, rows: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Mash estimator per row: shared fraction of the union's bottom-``s``.
+
+    One ``searchsorted`` of the block into the query's sorted hashes
+    gives every row element its membership in the query and — with its
+    column and the shared elements before it — its rank in the pair's
+    union, so each union's bottom-``s`` falls out without being built.
+    """
+    s = rows.shape[1]
+    columns = np.arange(s)
+    below = np.searchsorted(query, rows)  # query hashes < each element
+    shared = np.zeros(rows.shape, dtype=bool)
+    if query.size:
+        hit = query[np.minimum(below, query.size - 1)] == rows
+        shared = hit & (columns < lengths[:, None])
+    rank = columns + below - (np.cumsum(shared, axis=1) - shared)
+    n_union = np.minimum(s, query.size + lengths - shared.sum(axis=1))
+    return (shared & (rank < s)).sum(axis=1) / np.maximum(n_union, 1)
+
+
+def estimate_rows(
+    family: str,
+    query: np.ndarray,
+    q_size: int,
+    rows: np.ndarray,
+    row_sizes: np.ndarray,
+    lengths: np.ndarray | None = None,
+    bits: int = 8,
+) -> np.ndarray:
+    """The row kernel: estimate J of one query against each block row.
+
+    ``query`` is the query's own row (bottom-``s``: only its valid
+    hashes); ``lengths`` is read for bottom-``s`` blocks only.
+    ``q_size`` / ``row_sizes`` are the exact set sizes: they decide the
+    empty-set rule — ``J(0, 0) = 1``, ``J(0, B) = 0`` — whatever the
+    sketches say, and anchor HLL's inclusion–exclusion.
+    """
+    row_sizes = np.asarray(row_sizes)
+    if family in BOTTOM_S_FAMILIES:
+        est = _bottom_s_rows(query, rows, lengths)
+    elif family == "bbit_minhash":
+        est = estimate_bbit_jaccard((rows == query).mean(axis=1), bits)
+    elif family == "hll":
+        unions = np.maximum(
+            hll_cardinality(np.maximum(rows, query)), 1e-12
+        )
+        inter = q_size + row_sizes.astype(np.float64) - unions
+        est = np.clip(inter / unions, 0.0, 1.0)
+    else:
+        raise ValueError(f"unknown sketch family {family!r}")
+    if q_size == 0:
+        return (row_sizes == 0).astype(np.float64)
+    return np.where(row_sizes == 0, 0.0, est)
 
 
 # ---- factory --------------------------------------------------------------
@@ -615,11 +720,9 @@ def sketch_error_bound(
 
     Also covers the opt-in ``"weighted_minhash"`` store family
     (:mod:`repro.semantics.wminhash`), whose bottom-``s`` estimator over
-    the expanded multiset carries the same ``z * 0.5 / sqrt(s)`` bound
-    as plain bottom-``s`` MinHash.
+    the expanded multiset carries the bound of plain bottom-``s``
+    MinHash.
     """
-    if estimator == "weighted_minhash":
-        if size <= 0:
-            raise ValueError(f"sketch size must be positive, got {size}")
-        return min(1.0, z * 0.5 / math.sqrt(size))
+    if estimator in BOTTOM_S_FAMILIES:
+        estimator = "minhash"
     return make_sketch(estimator, size, bits).error_bound(z)

@@ -26,12 +26,11 @@ equivalence; index stores build one sketch per genome at append time.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.sketch import Z_95, hash_values, splitmix64
+from repro.core.sketch import BottomSSketch, hash_values, splitmix64
 from repro.semantics.weighted import coerce_counts
 
 __all__ = ["WEIGHTED_MINHASH_FAMILY", "WeightedMinHashSketch"]
@@ -58,25 +57,16 @@ def _replica_hashes(vals: np.ndarray, cnts: np.ndarray, seed: int) -> np.ndarray
 
 
 @dataclass
-class WeightedMinHashSketch:
+class WeightedMinHashSketch(BottomSSketch):
     """Bottom-``size`` sketch of an expanded abundance multiset.
 
-    ``hashes`` always holds at most ``size`` sorted unique replica
-    hashes; multisets with total mass below ``size`` keep everything
-    (the estimate then degenerates to exact weighted Jaccard).
-    ``mass`` tracks the total inserted k-mer mass.
+    ``hashes`` holds the smallest replica hashes, so the inherited Mash
+    estimator reads ``J_w`` and multisets with total mass below
+    ``size`` estimate it exactly.  ``mass`` tracks the total inserted
+    k-mer mass.
     """
 
-    size: int
-    seed: int = 0
-    hashes: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.uint64)
-    )
     mass: int = 0
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"sketch size must be positive, got {self.size}")
 
     @classmethod
     def from_weighted(
@@ -96,32 +86,3 @@ class WeightedMinHashSketch:
         self.mass += int(cnts.sum())
         self.hashes = merged[: self.size]
         return self
-
-    def _check_compatible(self, other: "WeightedMinHashSketch") -> None:
-        if self.size != other.size or self.seed != other.seed:
-            raise ValueError(
-                f"incompatible sketches: size/seed "
-                f"({self.size}, {self.seed}) vs ({other.size}, {other.seed})"
-            )
-
-    def jaccard(self, other: "WeightedMinHashSketch") -> float:
-        """Mash estimator of ``J_w``: shared fraction of the union's
-        bottom-``s`` over the expanded multisets."""
-        self._check_compatible(other)
-        if self.hashes.size == 0 and other.hashes.size == 0:
-            return 1.0
-        union = np.union1d(self.hashes, other.hashes)[: self.size]
-        if union.size == 0:
-            return 1.0
-        in_a = np.isin(union, self.hashes, assume_unique=True)
-        in_b = np.isin(union, other.hashes, assume_unique=True)
-        return float((in_a & in_b).sum() / union.size)
-
-    def error_bound(self, z: float = Z_95) -> float:
-        """Worst-case (J_w = 1/2) additive bound on the estimate."""
-        return min(1.0, z * 0.5 / math.sqrt(self.size))
-
-    @property
-    def nbytes(self) -> int:
-        """Wire bytes of the hash payload."""
-        return int(self.hashes.nbytes)

@@ -70,7 +70,6 @@ from repro.service.query import (
     SimilarityIndex,
     exact_jaccard,
     merge_shard_results,
-    size_ratio_mask,
     size_ratio_window,
 )
 from repro.service.sharded import (
@@ -109,7 +108,6 @@ __all__ = [
     "ShardedSimilarityIndex",
     "exact_jaccard",
     "merge_shard_results",
-    "size_ratio_mask",
     "size_ratio_window",
     "GenomeEntry",
     "IndexStore",

@@ -47,18 +47,12 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.baselines.exact import intersection_size_sorted
-from repro.core.sketch import (
-    estimate_bbit_jaccard,
-    hll_cardinality,
-    make_sketch,
-    unpack_lanes,
-)
+from repro.core.sketch import estimate_rows, make_sketch, stack_payloads
 from repro.semantics.measures import SimilarityMeasure, get_measure
 from repro.semantics.weighted import coerce_counts
-from repro.semantics.wminhash import WEIGHTED_MINHASH_FAMILY, WeightedMinHashSketch
 from repro.service.errors import QueryError
 from repro.service.plan import QueryPlan
-from repro.service.store import LSH_FAMILY, StoreSnapshot, _as_values
+from repro.service.store import LSH_FAMILY, StoreSnapshot, _as_values, sketch_row
 from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.spgemm import gram_popcount_blocked
 
@@ -249,24 +243,21 @@ def _prune_by_sketch(
     if family is None:
         return cands
     sizes = snapshot.sizes()
+    size, bits, seed = snapshot.sketch_size, snapshot.sketch_bits, snapshot.sketch_seed
     survivors = []
     pairs = 0
     for req, cand in zip(requests, cands):
         if cand.size:
-            payloads = snapshot.family_payloads(family)
-            if family == WEIGHTED_MINHASH_FAMILY:
-                est = _wminhash_estimates(req, cand, payloads, snapshot)
-            else:
-                est = sketch_estimates(
-                    req.vals,
-                    cand,
-                    sizes,
-                    payloads,
-                    family,
-                    snapshot.sketch_size,
-                    snapshot.sketch_bits,
-                    snapshot.sketch_seed,
-                )
+            rows, lengths = snapshot.family_payloads(family)
+            est = estimate_rows(
+                family,
+                sketch_row(family, req.vals, req.counts, size, bits, seed),
+                int(req.vals.size),
+                rows[cand],
+                sizes[cand],
+                lengths[cand],
+                bits,
+            )
             pairs += int(cand.size)
             s_lo, s_hi = measure.sketch_score_bounds(
                 est, plan.error_bound, int(req.vals.size), sizes[cand]
@@ -404,60 +395,22 @@ def sketch_estimates(
     sketch_bits: int,
     sketch_seed: int,
 ) -> np.ndarray:
-    """Per-candidate J estimates of one query from stored plain sketches.
+    """Per-candidate J estimates of one query from a *list* of stored payloads.
 
     ``payloads`` is indexed by store position (one stored payload per
-    live genome); ``cand`` selects the candidates to estimate.
+    live genome, as :meth:`IndexStore.load_sketch_payload` returns
+    them); ``cand`` selects the candidates to estimate.  The cascade
+    itself runs the same row kernel on the snapshot's stacked block.
     """
-    sk = make_sketch(family, sketch_size, sketch_bits, sketch_seed)
-    sk.update(vals)
-    if family == "minhash":
-        est = _estimate_minhash(sk.hashes, [payloads[int(i)] for i in cand], sketch_size)
-    elif family == "bbit_minhash":
-        fps = np.stack([unpack_lanes(payloads[int(i)], sketch_bits, sketch_size) for i in cand])
-        matches = (fps == sk.fingerprints()[None, :]).mean(axis=1)
-        est = np.array([estimate_bbit_jaccard(float(m), sketch_bits) for m in matches])
-    else:
-        regs = np.stack([payloads[int(i)] for i in cand])
-        unions = np.maximum(hll_cardinality(np.maximum(regs, sk.registers[None, :])), 1e-12)
-        inter = vals.size + sizes[cand].astype(np.float64) - unions
-        est = np.clip(inter / unions, 0.0, 1.0)
-    # Exact empty-set rules override any estimate.
-    cand_sizes = sizes[cand]
-    if vals.size == 0:
-        return np.where(cand_sizes == 0, 1.0, 0.0)
-    return np.where(cand_sizes == 0, 0.0, est)
-
-
-def _estimate_minhash(qh: np.ndarray, hashes: list[np.ndarray], size: int) -> np.ndarray:
-    out = np.empty(len(hashes), dtype=np.float64)
-    for i, h in enumerate(hashes):
-        union = np.union1d(qh, h)[:size]
-        if union.size == 0:
-            out[i] = 1.0
-            continue
-        in_both = np.isin(union, qh, assume_unique=True) & np.isin(union, h, assume_unique=True)
-        out[i] = in_both.sum() / union.size
-    return out
-
-
-def _wminhash_estimates(
-    req: Request, cand: np.ndarray, payloads: list[np.ndarray], snapshot: StoreSnapshot
-) -> np.ndarray:
-    """Per-candidate J_w estimates from stored weighted-MinHash sketches."""
-    qsk = WeightedMinHashSketch(size=snapshot.sketch_size, seed=snapshot.sketch_seed)
-    if req.vals.size:
-        qsk.update(req.vals, req.counts)
-    return np.array(
-        [
-            qsk.jaccard(
-                WeightedMinHashSketch(
-                    size=snapshot.sketch_size,
-                    seed=snapshot.sketch_seed,
-                    hashes=payloads[int(i)],
-                )
-            )
-            for i in cand
-        ],
-        dtype=np.float64,
+    rows, lengths = stack_payloads(
+        family, [payloads[int(i)] for i in cand], sketch_size, sketch_bits
+    )
+    return estimate_rows(
+        family,
+        sketch_row(family, vals, None, sketch_size, sketch_bits, sketch_seed),
+        int(vals.size),
+        rows,
+        sizes[cand],
+        lengths,
+        sketch_bits,
     )

@@ -88,15 +88,6 @@ def size_ratio_window(size: int, threshold: float) -> tuple[int, int]:
     return lo, hi
 
 
-def size_ratio_mask(
-    sizes: np.ndarray, size: int, threshold: float
-) -> np.ndarray:
-    """Vectorized :func:`size_ratio_window` membership test."""
-    lo, hi = size_ratio_window(size, threshold)
-    sizes = np.asarray(sizes)
-    return (sizes >= lo) & (sizes <= hi)
-
-
 def exact_jaccard(a: np.ndarray, b: np.ndarray) -> float:
     """Exact J of two sorted unique value arrays (J(0, 0) = 1).
 
@@ -593,6 +584,10 @@ class ShardedSimilarityIndex(_QueryEngine):
 
     def _take_snapshot(self) -> ShardedSnapshot:
         with self.store._lock:
+            # A rolled-back mutation replaces the band store objects, so
+            # every pin re-points the band engines at the live ones.
+            for engine, shard in zip(self.engines, self.store.shards):
+                engine.store = shard
             return ShardedSnapshot(
                 version=self.store.version,
                 positions=self.store.positions(),

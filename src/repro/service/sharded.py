@@ -75,7 +75,6 @@ from repro.service.store import (
     MANIFEST_NAME,
     GenomeEntry,
     IndexStore,
-    _as_values,
     _normalize_item,
 )
 

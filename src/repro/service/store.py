@@ -70,7 +70,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.sketch import SKETCH_ESTIMATORS, make_sketch, unpack_lanes
+from repro.core.sketch import (
+    SKETCH_ESTIMATORS,
+    make_sketch,
+    pack_lanes,
+    stack_payloads,
+)
 from repro.runtime.codec import WIRE_CODECS, decode_frame, encode_frame
 from repro.semantics.weighted import coerce_counts
 from repro.semantics.wminhash import (
@@ -196,6 +201,23 @@ def _as_values(values) -> np.ndarray:
     else:
         arr = np.asarray(sorted(values), dtype=np.int64)
     return np.unique(arr)
+
+
+def sketch_row(
+    family: str, vals, counts, size: int, bits: int, seed: int
+) -> np.ndarray:
+    """Sketch one set under a stored family, as a row of the kernel's
+    block layout (:func:`repro.core.sketch.estimate_rows`).
+
+    ``counts`` (``None`` = all ones) only matter to the weighted family.
+    """
+    if family == WEIGHTED_MINHASH_FAMILY:
+        sk = WeightedMinHashSketch(size=size, seed=seed)
+        return sk.update(vals, counts).hashes
+    sk = make_sketch(family, size, bits, seed).update(vals)
+    if family == LSH_FAMILY:
+        return sk.fingerprints()
+    return sk.hashes if family == "minhash" else sk.registers
 
 
 def _normalize_item(item) -> tuple[str, np.ndarray, np.ndarray | None]:
@@ -507,13 +529,11 @@ class IndexStore:
             ),
             self.sketch_bits,
             self.sketch_seed,
-            [
-                unpack_lanes(
-                    self.load_sketch_payload(name, LSH_FAMILY),
-                    self.sketch_bits, self.sketch_size,
-                )
-                for name in self.names
-            ],
+            stack_payloads(
+                LSH_FAMILY,
+                [self.load_sketch_payload(n, LSH_FAMILY) for n in self.names],
+                self.sketch_size, self.sketch_bits,
+            )[0],
         )
 
     def _write_lsh(self, table: "LSHTable", target: int | None = None) -> str:
@@ -700,21 +720,16 @@ class IndexStore:
                 for name, vals, cnts in clean:
                     payloads: list = [vals]
                     for fam in self.families:
-                        if fam == WEIGHTED_MINHASH_FAMILY:
-                            wsk = WeightedMinHashSketch(
-                                size=self.sketch_size, seed=self.sketch_seed
-                            )
-                            wsk.update(vals, cnts)
-                            payloads.append(wsk.hashes)
-                            continue
-                        sk = make_sketch(
-                            fam, self.sketch_size, self.sketch_bits,
-                            self.sketch_seed,
+                        # Stored payload = the sketch's kernel row, the
+                        # b-bit lanes packed.
+                        row = sketch_row(
+                            fam, vals, cnts, self.sketch_size,
+                            self.sketch_bits, self.sketch_seed,
                         )
-                        sk.update(vals)
                         if fam == LSH_FAMILY:
-                            new_fps.append(sk.fingerprints())
-                        payloads.append(self._sketch_payload(fam, sk))
+                            new_fps.append(row)
+                            row = pack_lanes(row, self.sketch_bits)
+                        payloads.append(row)
                     if cnts is not None:
                         payloads.append(cnts)
                     shard = f"{SHARD_DIR}/{self.next_shard:06d}.bin"
@@ -734,14 +749,6 @@ class IndexStore:
                         self._lsh.with_added(new_fps), stale
                     )
             return new_entries
-
-    @staticmethod
-    def _sketch_payload(family: str, sketch) -> np.ndarray:
-        if family in ("minhash", WEIGHTED_MINHASH_FAMILY):
-            return sketch.hashes
-        if family == "bbit_minhash":
-            return sketch.packed()
-        return sketch.registers
 
     def load_values(self, name: str) -> np.ndarray:
         """A genome's sorted attribute values (decoded from its shard)."""
@@ -984,17 +991,24 @@ class StoreSnapshot:
             self._values[name] = read_record(self._shard(name), 0)
         return self._values[name]
 
-    def family_payloads(self, family: str) -> list[np.ndarray]:
-        """One family's stored sketch payload per live genome, by position."""
+    def family_payloads(self, family: str) -> tuple[np.ndarray, np.ndarray]:
+        """One family's stored sketches as the row kernel's stacked block.
+
+        ``(rows, lengths)`` with one row per live genome, by position
+        (see :func:`repro.core.sketch.stack_payloads`) — decoded and
+        stacked once per store version.
+        """
         if family not in self.families:
             raise StoreError(
                 f"family {family!r} not stored (store holds {self.families})"
             )
         if family not in self._payloads:
             idx = 1 + self.families.index(family)
-            self._payloads[family] = [
-                read_record(self.root / shard, idx) for shard in self.shards
-            ]
+            self._payloads[family] = stack_payloads(
+                family,
+                [read_record(self.root / shard, idx) for shard in self.shards],
+                self.sketch_size, self.sketch_bits,
+            )
         return self._payloads[family]
 
     def load_counts(self, name: str) -> np.ndarray:

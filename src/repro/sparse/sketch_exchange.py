@@ -41,9 +41,10 @@ import numpy as np
 
 from repro.core.sketch import (
     SKETCH_ESTIMATORS,
-    hll_cardinality,
+    estimate_rows,
     hll_precision_for,
     make_sketch,
+    pad_rows,
     unpack_lanes,
 )
 from repro.runtime.codec import WireCodec
@@ -160,94 +161,6 @@ class SketchFamily:
 # ---- root-side estimation -------------------------------------------------
 
 
-def _fill_symmetric(n: int, fill) -> np.ndarray:
-    """Build a symmetric unit-diagonal matrix from a row callback.
-
-    ``fill(i)`` returns the estimates for pairs ``(i, j > i)``.
-    """
-    sim = np.eye(n, dtype=np.float64)
-    for i in range(n - 1):
-        row = fill(i)
-        sim[i, i + 1 :] = row
-        sim[i + 1 :, i] = row
-    return sim
-
-
-def _apply_empty_rules(
-    sim: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
-    """Exact J for pairs involving empty sets (0, or 1 for both empty)."""
-    empty = sizes == 0
-    if not empty.any():
-        return sim
-    sim[empty, :] = 0.0
-    sim[:, empty] = 0.0
-    both = np.outer(empty, empty)
-    sim[both] = 1.0
-    np.fill_diagonal(sim, 1.0)
-    return sim
-
-
-def estimate_minhash_pairs(
-    sketch_hashes: list[np.ndarray], sizes: np.ndarray, size: int
-) -> np.ndarray:
-    """All-pairs Mash estimates from bottom-``s`` hash arrays."""
-    n = len(sketch_hashes)
-
-    def fill(i: int) -> np.ndarray:
-        a = sketch_hashes[i]
-        out = np.empty(n - i - 1, dtype=np.float64)
-        for off, j in enumerate(range(i + 1, n)):
-            b = sketch_hashes[j]
-            if a.size == 0 and b.size == 0:
-                out[off] = 1.0
-                continue
-            union = np.union1d(a, b)[:size]
-            if union.size == 0:
-                out[off] = 1.0
-                continue
-            both = (
-                np.isin(union, a, assume_unique=True)
-                & np.isin(union, b, assume_unique=True)
-            ).sum()
-            out[off] = both / union.size
-        return out
-
-    return _apply_empty_rules(_fill_symmetric(n, fill), sizes)
-
-
-def estimate_bbit_pairs(
-    fingerprints: np.ndarray, sizes: np.ndarray, bits: int
-) -> np.ndarray:
-    """All-pairs collision-corrected estimates from lane fingerprints."""
-    n = fingerprints.shape[0]
-    c = 2.0 ** -bits
-
-    def fill(i: int) -> np.ndarray:
-        matches = (
-            (fingerprints[i + 1 :] == fingerprints[i]).mean(axis=1)
-        )
-        return np.clip((matches - c) / (1.0 - c), 0.0, 1.0)
-
-    return _apply_empty_rules(_fill_symmetric(n, fill), sizes)
-
-
-def estimate_hll_pairs(
-    registers: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
-    """All-pairs inclusion–exclusion estimates from HLL registers."""
-    n = registers.shape[0]
-    szs = sizes.astype(np.float64)
-
-    def fill(i: int) -> np.ndarray:
-        union_regs = np.maximum(registers[i + 1 :], registers[i])
-        unions = np.maximum(hll_cardinality(union_regs), 1e-12)
-        inter = szs[i] + szs[i + 1 :] - unions
-        return np.clip(inter / unions, 0.0, 1.0)
-
-    return _apply_empty_rules(_fill_symmetric(n, fill), sizes)
-
-
 def estimate_flops(estimator: str, n: int, size: int) -> float:
     """Modelled root-side cost of the all-pairs estimation."""
     pairs = n * (n - 1) / 2.0
@@ -353,37 +266,36 @@ def exchange_and_estimate(
         codec=codec,
     )[0]
 
-    # Root-side reassembly into global sample order.
+    # Root-side reassembly into one stacked block in global sample
+    # order (the row kernel's layout, see repro.core.sketch).
+    width = fam.size
+    if fam.estimator == "hll":
+        width = 1 << hll_precision_for(fam.size)
+    rows = np.zeros(
+        (n, width), dtype=np.uint8 if fam.estimator == "hll" else np.uint64
+    )
     sizes = np.zeros(n, dtype=np.int64)
+    lengths = np.full(n, width, dtype=np.int64)
     for r, f in enumerate(families):
-        sizes[f.sample_ids] = gathered["sizes"][r]
+        if not f.n_local:
+            continue
+        ids = f.sample_ids
+        sizes[ids] = gathered["sizes"][r]
+        if fam.estimator == "minhash":
+            lengths[ids] = gathered["lengths"][r]
+            rows[ids] = pad_rows(gathered["hashes"][r], lengths[ids], width)
+        elif fam.estimator == "bbit_minhash":
+            rows[ids] = unpack_lanes(gathered["words"][r], fam.bits, width)
+        else:
+            rows[ids] = gathered["registers"][r]
 
-    if fam.estimator == "minhash":
-        sketch_hashes: list[np.ndarray] = [None] * n  # type: ignore
-        for r, f in enumerate(families):
-            lengths = gathered["lengths"][r]
-            values = gathered["hashes"][r]
-            bounds = np.r_[0, np.cumsum(lengths)]
-            for i, j in enumerate(f.sample_ids):
-                sketch_hashes[int(j)] = values[bounds[i] : bounds[i + 1]]
-        sim = estimate_minhash_pairs(sketch_hashes, sizes, fam.size)
-    elif fam.estimator == "bbit_minhash":
-        fingerprints = np.zeros((n, fam.size), dtype=np.uint64)
-        for r, f in enumerate(families):
-            words = gathered["words"][r]
-            for i, j in enumerate(f.sample_ids):
-                fingerprints[int(j)] = unpack_lanes(
-                    words[i], fam.bits, fam.size
-                )
-        sim = estimate_bbit_pairs(fingerprints, sizes, fam.bits)
-    else:
-        n_regs = 1 << hll_precision_for(fam.size)
-        registers = np.zeros((n, n_regs), dtype=np.uint8)
-        for r, f in enumerate(families):
-            regs = gathered["registers"][r]
-            if regs.size:
-                registers[f.sample_ids] = regs
-        sim = estimate_hll_pairs(registers, sizes)
+    # All pairs: row i against the rows after it.
+    sim = np.eye(n, dtype=np.float64)
+    for i in range(n - 1):
+        sim[i, i + 1 :] = sim[i + 1 :, i] = estimate_rows(
+            fam.estimator, rows[i, : lengths[i]], sizes[i],
+            rows[i + 1 :], sizes[i + 1 :], lengths[i + 1 :], fam.bits,
+        )
 
     comm.sub([0]).charge_compute(
         estimate_flops(fam.estimator, n, fam.size),

@@ -12,6 +12,7 @@ from repro.core.sketch import (
     KMinValuesSketch,
     SKETCH_ESTIMATORS,
     estimate_bbit_jaccard,
+    estimate_rows,
     hash_values,
     hll_cardinality,
     hll_precision_for,
@@ -19,6 +20,7 @@ from repro.core.sketch import (
     pack_lanes,
     sketch_error_bound,
     splitmix64,
+    stack_payloads,
     unpack_lanes,
 )
 
@@ -67,6 +69,10 @@ class TestPackLanes:
         assert words.dtype == np.uint64
         assert words.size == -(-(k * bits) // 64)
         assert np.array_equal(unpack_lanes(words, bits, k), lanes)
+        # A stacked [n, n_words] block unpacks row by row.
+        block = unpack_lanes(np.stack([words, words[::-1]]), bits, k)
+        assert np.array_equal(block[0], lanes)
+        assert np.array_equal(block[1], unpack_lanes(words[::-1], bits, k))
 
     def test_rejects_oversized_values(self):
         with pytest.raises(ValueError, match="exceed"):
@@ -293,6 +299,120 @@ class TestHyperLogLog:
     def test_row_api_rejects_1d(self):
         with pytest.raises(ValueError, match="2-D"):
             hll_cardinality(np.zeros(16, dtype=np.uint8))
+
+
+class TestRowKernel:
+    """One query against a stacked block == the per-pair references."""
+
+    SIZE, BITS = 16, 5
+
+    @staticmethod
+    def _block_sets(query: set, other: set) -> list[set]:
+        # Empty, smaller than s, identical, disjoint, nested both ways,
+        # and an arbitrary overlap.
+        return [
+            set(),
+            set(sorted(other)[:3]),
+            set(query),
+            {v + 10_000 for v in other},
+            set(sorted(query)[: len(query) // 2]),
+            query | other,
+            other,
+        ]
+
+    @given(query=value_sets, other=value_sets, seed=st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_bottom_s_equals_baseline_estimator(self, query, other, seed):
+        from repro.baselines.minhash import jaccard_estimate
+        from repro.semantics.wminhash import WeightedMinHashSketch
+
+        def plain(values):
+            return KMinValuesSketch.from_values(values, self.SIZE, seed)
+
+        def weighted(values):
+            vals = sorted(values)
+            counts = [1 + v % 3 for v in vals]
+            return WeightedMinHashSketch.from_weighted(
+                vals, counts, self.SIZE, seed
+            )
+
+        sets = self._block_sets(query, other)
+        for family, build in (
+            ("minhash", plain), ("weighted_minhash", weighted)
+        ):
+            q = build(query)
+            block = [build(s) for s in sets]
+            rows, lengths = stack_payloads(
+                family, [sk.hashes for sk in block], self.SIZE
+            )
+            assert rows.shape == (len(sets), self.SIZE)
+            got = estimate_rows(
+                family, q.hashes, len(query), rows,
+                np.array([len(s) for s in sets]), lengths,
+            )
+            want = [
+                jaccard_estimate(q.hashes, sk.hashes, self.SIZE)
+                for sk in block
+            ]
+            assert got.tolist() == want
+            assert got.tolist() == [q.jaccard(sk) for sk in block]
+
+    @given(query=value_sets, other=value_sets, seed=st.integers(0, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_bbit_equals_scalar_li_koenig(self, query, other, seed):
+        def build(values):
+            return BBitMinHashSketch.from_values(
+                values, self.SIZE, self.BITS, seed
+            )
+
+        def scalar(a, b):
+            if a.n_values == 0 or b.n_values == 0:
+                return float(a.n_values == b.n_values)
+            matches = float((a.fingerprints() == b.fingerprints()).mean())
+            c = 2.0**-self.BITS
+            return min(1.0, max(0.0, (matches - c) / (1.0 - c)))
+
+        sets = self._block_sets(query, other)
+        q, block = build(query), [build(s) for s in sets]
+        rows, _ = stack_payloads(
+            "bbit_minhash", [sk.packed() for sk in block],
+            self.SIZE, self.BITS,
+        )
+        got = estimate_rows(
+            "bbit_minhash", q.fingerprints(), len(query), rows,
+            np.array([len(s) for s in sets]), bits=self.BITS,
+        )
+        assert got.tolist() == [scalar(q, sk) for sk in block]
+        assert got.tolist() == [q.jaccard(sk) for sk in block]
+
+    @given(query=value_sets, other=value_sets, seed=st.integers(0, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_hll_equals_scalar_inclusion_exclusion(self, query, other, seed):
+        def build(values):
+            return HyperLogLogSketch.from_values(values, 5, seed)
+
+        def scalar(a, b):
+            if a.n_values == 0 or b.n_values == 0:
+                return float(a.n_values == b.n_values)
+            union = a.merge(b).cardinality()
+            inter = a.n_values + b.n_values - union
+            return min(1.0, max(0.0, inter / union))
+
+        sets = self._block_sets(query, other)
+        q, block = build(query), [build(s) for s in sets]
+        rows, _ = stack_payloads("hll", [sk.registers for sk in block], 32)
+        got = estimate_rows(
+            "hll", q.registers, len(query), rows,
+            np.array([len(s) for s in sets]),
+        )
+        assert got.tolist() == [scalar(q, sk) for sk in block]
+        assert got.tolist() == [q.jaccard(sk) for sk in block]
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="family"):
+            estimate_rows(
+                "simhash", np.zeros(4), 1, np.zeros((1, 4)), np.ones(1)
+            )
 
 
 class TestFactory:

@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SimilarityConfig
+from repro.core.sketch import estimate_rows
 from repro.runtime.engine import Machine
 from repro.runtime.machine import laptop
 from repro.service import IndexStore, SimilarityIndex
 from repro.service import store as store_module
 from repro.service.query import (
     exact_jaccard,
-    size_ratio_mask,
     size_ratio_window,
+    sketch_estimates,
 )
 
 M = 3_000
@@ -68,11 +69,6 @@ class TestSizeRatioBound:
         assert size_ratio_window(0, 0.5) == (0, 0)
         lo, hi = size_ratio_window(100, 0.0)
         assert lo == 0 and hi > 10**15
-
-    def test_mask_matches_window(self):
-        sizes = np.array([0, 10, 49, 50, 200, 201])
-        mask = size_ratio_mask(sizes, 100, 0.5)
-        assert mask.tolist() == [False, False, False, True, True, False]
 
     @given(
         a=st.integers(min_value=0, max_value=500),
@@ -145,6 +141,39 @@ class TestThresholdQueries:
         assert [(m.name, m.similarity) for m in res.matches] == [
             (m.name, m.similarity) for m in ref.matches
         ]
+
+    @pytest.mark.parametrize(
+        "family", ["minhash", "bbit_minhash", "hll", "weighted_minhash"]
+    )
+    def test_list_payloads_estimate_like_the_stacked_snapshot(
+        self, tmp_path, family_sets, family
+    ):
+        # sketch_estimates takes the per-genome payload *list*; the
+        # cascade runs the row kernel on the snapshot's stacked block.
+        sets = family_sets + [set(), set(range(5))]
+        store = build_index(
+            tmp_path, sets, name=f"idx_{family}", families=(family,),
+            sketch_size=32,
+        )
+        config = (store.sketch_size, store.sketch_bits, store.sketch_seed)
+        payloads = [store.load_sketch_payload(n, family) for n in store.names]
+        rows, lengths = store.snapshot().family_payloads(family)
+        assert rows.shape[0] == lengths.size == len(sets)
+        sizes = store.sizes()
+        cand = np.arange(len(sets))[::2]  # includes the empty genome
+        for query in (sets[0], set(), sets[-1]):
+            vals = np.array(sorted(query), dtype=np.int64)
+            listed = sketch_estimates(
+                vals, cand, sizes, payloads, family, *config
+            )
+            stacked = estimate_rows(
+                family,
+                store_module.sketch_row(family, vals, None, *config),
+                vals.size, rows[cand], sizes[cand], lengths[cand],
+                store.sketch_bits,
+            )
+            assert np.array_equal(listed, stacked)
+            assert set(listed[sizes[cand] == 0]) == {float(not query)}
 
     def test_cascade_funnel_is_monotone(self, tmp_path, family_sets):
         store = build_index(tmp_path, family_sets)

@@ -585,3 +585,30 @@ class TestShardedCrashConsistency:
         reopened = ShardedStore.open(store.root)
         assert self._state(reopened) == committed
         assert "x" not in reopened.names and "y" not in reopened.names
+
+    def test_rolled_back_add_leaves_no_stale_band_engine(
+        self, tmp_path, monkeypatch
+    ):
+        # The rollback *replaces* the band stores that had already
+        # committed; a service whose band engines kept the discarded
+        # objects would serve the rolled-back genomes after the next
+        # successful mutation.
+        from repro.service import SimilarityService
+        from tests.helpers import without_modelled_cost
+
+        n_writes = self._count_writes(tmp_path, monkeypatch, "add_genomes")
+        store, sets = self._baseline(tmp_path, "stale-engine")
+        _sharded_rebuild(store)
+        service = SimilarityService(store)
+        service.query(values=sets["small"], top_k=5)  # pins every band
+        with monkeypatch.context() as mp:
+            self._install_injector(mp, fail_on=n_writes)  # top manifest
+            with pytest.raises(OSError, match="injected crash"):
+                _sharded_add(service.store)
+        service.add([("z", np.array([7, 9], dtype=np.int64))])
+        fresh = SimilarityService.open(store.root)
+        for query in (np.array([7, 8, 9]), sets["mid"]):
+            got = service.query(values=query, top_k=5)
+            want = fresh.query(values=query, top_k=5)
+            assert without_modelled_cost(got) == without_modelled_cost(want)
+            assert "x" not in got.names and "y" not in got.names

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from repro import SimilarityConfig, jaccard_similarity
-from repro.core.sketch import SKETCH_ESTIMATORS
+from repro.core.sketch import SKETCH_ESTIMATORS, estimate_rows
 from repro.runtime.engine import Machine
 from repro.runtime.machine import laptop
 from repro.sparse.coo import CooMatrix
 from repro.sparse.sketch_exchange import (
     SketchFamily,
-    estimate_bbit_pairs,
-    estimate_hll_pairs,
-    estimate_minhash_pairs,
     exchange_and_estimate,
     owned_samples,
 )
@@ -88,24 +85,56 @@ class TestSketchFamily:
 
 class TestEstimators:
     def test_minhash_empty_rules(self):
-        hashes = [np.empty(0, np.uint64), np.empty(0, np.uint64),
-                  np.array([1, 2, 3], np.uint64)]
-        sizes = np.array([0, 0, 3])
-        sim = estimate_minhash_pairs(hashes, sizes, 8)
-        assert sim[0, 1] == 1.0  # both empty
-        assert sim[0, 2] == 0.0  # empty vs non-empty
-        assert np.allclose(sim, sim.T)
-        assert np.allclose(np.diag(sim), 1.0)
+        rows = np.array([[0, 0, 0], [1, 2, 3]], np.uint64)
+        sizes, lengths = np.array([0, 3]), np.array([0, 3])
+        empty = np.empty(0, np.uint64)
+        est = estimate_rows("minhash", empty, 0, rows, sizes, lengths)
+        assert est.tolist() == [1.0, 0.0]  # both empty; empty vs non-empty
+        est = estimate_rows("minhash", rows[1], 3, rows, sizes, lengths)
+        assert est.tolist() == [0.0, 1.0]
 
     def test_bbit_empty_rules(self):
         fps = np.zeros((2, 16), dtype=np.uint64)
-        sim = estimate_bbit_pairs(fps, np.array([0, 5]), 8)
-        assert sim[0, 1] == 0.0
+        est = estimate_rows("bbit_minhash", fps[0], 0, fps, np.array([0, 5]))
+        assert est.tolist() == [1.0, 0.0]
 
     def test_hll_empty_rules(self):
         regs = np.zeros((2, 16), dtype=np.uint8)
-        sim = estimate_hll_pairs(regs, np.array([0, 0]))
-        assert sim[0, 1] == 1.0
+        est = estimate_rows("hll", regs[0], 0, regs, np.array([0, 0]))
+        assert est.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("estimator", SKETCH_ESTIMATORS)
+    @pytest.mark.parametrize("ranks", [1, 3])
+    def test_all_pairs_matrix_is_the_matrix_of_pair_estimates(
+        self, estimator, ranks
+    ):
+        # Small sketches, so the estimates are genuinely lossy.
+        sets = family_sets() + [set(range(850, 870)), set()]
+        n = len(sets)
+        fams = []
+        for r in range(ranks):
+            ids = owned_samples(n, r, ranks)
+            fam = SketchFamily(
+                estimator=estimator, sample_ids=ids, size=32, bits=6, seed=3
+            )
+            for i, j in enumerate(ids):
+                fam.sketches[i].update(sorted(sets[int(j)]))
+            fams.append(fam)
+        out = exchange_and_estimate(Machine(laptop(ranks)).world, fams, n)
+        sketches = {
+            int(j): sk
+            for fam in fams
+            for j, sk in zip(fam.sample_ids, fam.sketches)
+        }
+        want = np.array(
+            [
+                [1.0 if i == j else sketches[i].jaccard(sketches[j])
+                 for j in range(n)]
+                for i in range(n)
+            ]
+        )
+        assert np.array_equal(out.similarity, want)
+        assert 0.0 < out.similarity[0, 1] < 1.0
 
 
 class TestExchange:
