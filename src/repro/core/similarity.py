@@ -315,6 +315,34 @@ class SimilarityAtScale:
             comm.charge_compute([float(ch.nnz) for ch in chunks])
         return chunks, sum(ch.nnz for ch in chunks)
 
+    def plan_1d(self, source: IndicatorSource) -> BatchPlan:
+        """The batch plan of the 1-D layout (every rank one row slab)."""
+        return plan_batches(
+            source.m, source.n, source.nnz_estimate(), self.machine.spec,
+            self.config, GridPlan(q=1, c=self.machine.world.size),
+        )
+
+    def prepare_1d(
+        self, source: IndicatorSource, lo: int, hi: int, codec
+    ) -> tuple[list, int, int]:
+        """Read -> zero-row filter -> bit-pack one batch on the 1-D layout.
+
+        Returns ``(per-rank packed blocks, nnz, surviving rows)``.  The
+        1-D driver and the serving layer's incremental border block
+        (:mod:`repro.service.incremental`) both prepare batches here, so
+        they pay identical ledger charges by construction.
+        """
+        machine, config, comm = self.machine, self.config, self.machine.world
+        chunks, nnz = self._read_batch(comm, source, lo, hi)
+        with machine.phase("filter"):
+            filt = apply_filter(comm, chunks, config.filter_strategy)
+        with machine.phase("pack"):
+            blocks = distribute_and_pack_1d(
+                comm, filt.chunks, filt.n_nonzero_rows, source.n,
+                config.bit_width, codec=codec,
+            )
+        return blocks, nnz, filt.n_nonzero_rows
+
     def _derive_similarity(
         self, grid: ProcessorGrid, b_main: DistDenseMatrix, ahat: DistVector
     ) -> tuple[DistDenseMatrix, DistDenseMatrix | None]:
@@ -405,10 +433,7 @@ class SimilarityAtScale:
         codec = resolve_wire_codec(config.wire_codec)
         n, m = source.n, source.m
         comm = machine.world
-        grid_plan = GridPlan(q=1, c=comm.size)
-        batch_plan = plan_batches(
-            m, n, source.nnz_estimate(), machine.spec, config, grid_plan
-        )
+        batch_plan = self.plan_1d(source)
         b_total = np.zeros((n, n), dtype=np.int64)
         ahat = np.zeros(n, dtype=np.int64)
         bounds = batch_plan.bounds
@@ -416,17 +441,9 @@ class SimilarityAtScale:
 
         def prepare(idx: int) -> _PreparedBatch:
             lo, hi = bounds[idx]
-            chunks, nnz = self._read_batch(comm, source, lo, hi)
-            with machine.phase("filter"):
-                filt = apply_filter(comm, chunks, config.filter_strategy)
-            with machine.phase("pack"):
-                blocks = distribute_and_pack_1d(
-                    comm, filt.chunks, filt.n_nonzero_rows, n,
-                    config.bit_width, codec=codec,
-                )
-            decision = self._dispatch(n, nnz, filt.n_nonzero_rows)
+            blocks, nnz, kept = self.prepare_1d(source, lo, hi, codec)
             return _PreparedBatch(
-                lo, hi, nnz, filt.n_nonzero_rows, decision, blocks
+                lo, hi, nnz, kept, self._dispatch(n, nnz, kept), blocks
             )
 
         def accumulate(idx: int, prep: _PreparedBatch) -> None:
@@ -484,10 +501,7 @@ class SimilarityAtScale:
         codec = resolve_wire_codec(config.wire_codec)
         n, m = source.n, source.m
         comm = machine.world
-        grid_plan = GridPlan(q=1, c=comm.size)
-        batch_plan = plan_batches(
-            m, n, source.nnz_estimate(), machine.spec, config, grid_plan
-        )
+        batch_plan = self.plan_1d(source)
         families = [
             SketchFamily(
                 estimator=config.estimator,

@@ -16,10 +16,10 @@ package **persists and serves**:
   top-level manifest maps size bands to shard directories, each shard
   a full :class:`~repro.service.store.IndexStore`; plus the in-place
   flat-to-sharded migration (:func:`shard_store`) and the
-  layout-dispatching :func:`open_store`;
+  layout-dispatching :func:`open_store` / :func:`create_store`;
 * :mod:`repro.service.incremental` — add genomes by computing only the
-  new-vs-existing border block (bit-identical to a rebuild), routed
-  per band on a sharded store;
+  new-vs-existing border block (bit-identical to a rebuild), per
+  touched band, through the store's one write path;
 * :mod:`repro.service.lsh` — banded MinHash-LSH bucket tables over the
   stored b-bit lane fingerprints: band/row planning from the collision
   curve ``1 - (1 - s^r)^b``, incremental maintenance, and codec-frame
@@ -75,6 +75,7 @@ from repro.service.query import (
 from repro.service.sharded import (
     ShardedEntry,
     ShardedStore,
+    create_store,
     open_store,
     plan_size_bands,
     shard_store,
@@ -114,6 +115,7 @@ __all__ = [
     "StoreSnapshot",
     "ShardedEntry",
     "ShardedStore",
+    "create_store",
     "open_store",
     "plan_size_bands",
     "shard_store",

@@ -50,7 +50,12 @@ from repro.service.query import (
     ShardedSimilarityIndex,
     SimilarityIndex,
 )
-from repro.service.sharded import ShardedStore, open_store, shard_store
+from repro.service.sharded import (
+    ShardedStore,
+    create_store,
+    open_store,
+    shard_store,
+)
 from repro.service.store import IndexStore
 
 __all__ = ["SimilarityService"]
@@ -132,28 +137,16 @@ class SimilarityService:
             # of the plain estimators, so the cascade's sketch stage
             # can bound the weighted score (plain sketches cannot).
             families = families + (WEIGHTED_MINHASH_FAMILY,)
-        if config.store_shards > 1:
-            store: IndexStore | ShardedStore = ShardedStore.create(
-                root, m, config.store_shards,
-                band_policy=config.shard_band_policy,
-                codec=config.wire_codec,
-                sketch_size=config.sketch_size,
-                sketch_bits=config.sketch_bits,
-                sketch_seed=config.sketch_seed,
-                families=families,
-                metadata=metadata,
-                size_hint=size_hint,
-            )
-        else:
-            store = IndexStore.create(
-                root, m,
-                codec=config.wire_codec,
-                sketch_size=config.sketch_size,
-                sketch_bits=config.sketch_bits,
-                sketch_seed=config.sketch_seed,
-                families=families,
-                metadata=metadata,
-            )
+        store = create_store(
+            root, m, shards=config.store_shards,
+            band_policy=config.shard_band_policy, size_hint=size_hint,
+            codec=config.wire_codec,
+            sketch_size=config.sketch_size,
+            sketch_bits=config.sketch_bits,
+            sketch_seed=config.sketch_seed,
+            families=families,
+            metadata=metadata,
+        )
         return cls(store, machine=machine, config=config, executor=executor)
 
     @classmethod
@@ -178,11 +171,15 @@ class SimilarityService:
     # ---- mutations ------------------------------------------------------
 
     def add(self, named_values) -> IncrementalReport:
-        """Append ``(name, values)`` pairs, border-merging the Gram.
+        """Append ``(name, values[, counts])`` items, border-merging the Gram.
 
-        On a sharded store each genome routes to its size band and only
-        the touched bands pay a border block; either way the stored
-        Gram stays bit-identical to a from-scratch rebuild.
+        The batch is validated once, up front
+        (:func:`~repro.service.store.validate_add`: a bad item anywhere
+        raises :class:`~repro.service.errors.StoreError` with nothing
+        written); each genome routes to its size band and only the
+        touched bands pay a border block — a flat store is the one-band
+        case.  One atomic commit on either layout, and the stored Gram
+        stays bit-identical to a from-scratch rebuild.
         """
         return add_genomes(
             self.store, named_values, machine=self.machine,
@@ -194,7 +191,8 @@ class SimilarityService:
         self.store.remove(name)
 
     def compact(self) -> int:
-        """Drop tombstoned genomes; returns reclaimed bytes.
+        """Drop tombstoned genomes; returns the number of record files
+        (one per tombstoned genome) reclaimed.
 
         A sharded store compacts only the shards that hold tombstones.
         """

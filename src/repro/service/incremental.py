@@ -4,10 +4,9 @@ A from-scratch rebuild of an ``n``-genome index costs an ``n x n`` Gram
 product; adding ``n_new`` genomes to an index that already persists its
 Gram only needs the **border block** — intersections of every live
 genome against the new ones (``n x n_new``), the old-vs-old block is
-already on disk.  The border is computed through the same machinery the
-1-D exact path uses: batched reads over the attribute space, zero-row
-filtering (:func:`~repro.core.filtering.apply_filter`), bit-packed
-distribution (:func:`~repro.core.bitmask.distribute_and_pack_1d`), the
+already on disk.  The border is computed by the 1-D exact driver's own
+read -> zero-row filter -> bit-pack step
+(:meth:`~repro.core.similarity.SimilarityAtScale.prepare_1d`), the
 rectangular form of the word-tiled popcount kernel
 (:func:`~repro.sparse.spgemm.gram_popcount_blocked` with the new
 columns as the right operand), and a codec-riding allreduce — so the
@@ -19,6 +18,12 @@ Because every intersection count is an exact integer, merging the
 border into the stored Gram produces results **bit-identical** to a
 from-scratch rebuild over the same genome order (the regression tests
 assert ``np.array_equal``).
+
+Both entry points are layout-blind compositions of the store's one
+write path (:mod:`repro.service.store`): validate once, route to bands
+(a flat store is its own only band), stage each touched band's records
+and Gram, and commit everything with the scope's single manifest
+replacement — so an ``add`` is atomic on either layout.
 """
 
 from __future__ import annotations
@@ -27,20 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batching import GridPlan, plan_batches
-from repro.core.bitmask import distribute_and_pack_1d
 from repro.core.config import SimilarityConfig
-from repro.core.filtering import apply_filter
 from repro.core.indicator import SetSource
+from repro.core.similarity import SimilarityAtScale
 from repro.runtime.codec import resolve_wire_codec
 from repro.runtime.engine import Machine
 from repro.runtime.machine import laptop
-from repro.service.sharded import ShardedEntry, ShardedStore
-from repro.service.store import (
-    IndexStore,
-    StoreError,
-    _normalize_item,
-)
+from repro.service.store import IndexStore, StoreError, route, transaction, validate_add
 from repro.sparse.spgemm import gram_popcount_blocked
 
 
@@ -74,45 +72,18 @@ def _border_block(
     The new columns are the last ``n_new`` of the source.  Returns the
     border block and the number of batches executed.
     """
+    engine = SimilarityAtScale(machine=machine, config=config)
     comm = machine.world
     codec = resolve_wire_codec(config.wire_codec)
-    grid_plan = GridPlan(q=1, c=comm.size)
-    batch_plan = plan_batches(
-        source.m, n_all, source.nnz_estimate(), machine.spec, config,
-        grid_plan,
-    )
+    batch_plan = engine.plan_1d(source)
     border = np.zeros((n_all, n_new), dtype=np.int64)
     new_lo = n_all - n_new
     for lo, hi in batch_plan.bounds:
-        with machine.phase("read"):
-            chunks = comm.run_local(
-                lambda r: source.read_batch(lo, hi, r, comm.size)
-            )
-            comm.charge_io(
-                [
-                    source.read_bytes(lo, hi, r, comm.size)
-                    for r in range(comm.size)
-                ]
-            )
-            comm.charge_compute([float(ch.nnz) for ch in chunks])
-        with machine.phase("filter"):
-            filt = apply_filter(comm, chunks, config.filter_strategy)
-        with machine.phase("pack"):
-            blocks = distribute_and_pack_1d(
-                comm, filt.chunks, filt.n_nonzero_rows, n_all,
-                config.bit_width, codec=codec,
-            )
+        blocks, _, _ = engine.prepare_1d(source, lo, hi, codec)
         with machine.phase("spgemm"):
-            results = [
-                gram_popcount_blocked(b, b.col_slice(new_lo, n_all))
-                for b in blocks
-            ]
-            comm.charge_compute(
-                [r.flops for r in results], kernel="incremental:border"
-            )
-            border += comm.allreduce(
-                [r.value for r in results], op="sum", codec=codec
-            )[0]
+            results = [gram_popcount_blocked(b, b.col_slice(new_lo, n_all)) for b in blocks]
+            comm.charge_compute([r.flops for r in results], kernel="incremental:border")
+            border += comm.allreduce([r.value for r in results], op="sum", codec=codec)[0]
     return border, batch_plan.batch_count
 
 
@@ -123,101 +94,57 @@ def rebuild(
 ):
     """Recompute and persist the store's Gram with the batch engine.
 
-    Runs the full exact pipeline over the live genomes and stores the
-    intersection matrix + sizes.  Returns the engine's
-    :class:`~repro.core.result.SimilarityResult` — or, for a
-    :class:`~repro.service.sharded.ShardedStore` (whose Gram is one
-    block per band), the list of per-band results, committed as one
-    top-level transaction.
+    Runs the full exact pipeline over each non-empty band's live
+    genomes (a flat store is its own only band) and commits every
+    band's intersection matrix + sizes in one transaction.  Returns the
+    engine's :class:`~repro.core.result.SimilarityResult` for a flat
+    store, the list of per-band results for a sharded one.
     """
-    from repro.core.similarity import SimilarityAtScale
-
     machine, config = _resolve(machine, config)
     if config.estimator != "exact":
         raise StoreError(
             "the persisted Gram must be exact; rebuild requires "
             f"estimator='exact', got {config.estimator!r}"
         )
+    if not store.n_genomes:
+        raise StoreError("index store is empty")
     engine = SimilarityAtScale(machine=machine, config=config)
-    if isinstance(store, ShardedStore):
-        with store._mutation():
-            results = []
-            for shard in store.shards:
-                if not shard.n_genomes:
-                    continue
-                result = engine.run(shard.as_source())
-                shard.set_gram(result.intersections, result.sample_sizes)
+    with transaction(store) as txn:
+        results = []
+        for band in store._bands:
+            if band.n_genomes:
+                result = engine.run(band.as_source())
+                band._stage_gram(result.intersections, result.sample_sizes, None, txn)
                 results.append(result)
-        return results
-    result = engine.run(store.as_source())
-    store.set_gram(result.intersections, result.sample_sizes)
-    return result
+    return results[0] if store._bands[0] is store else results
 
 
-def _validate_batch(
-    store, named_values
-) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
-    """Coerce and validate an add batch against the whole store.
-
-    Items are ``(name, values)`` or ``(name, values, counts)``; the
-    returned triples carry normalized counts (``None`` when the genome
-    is multiplicity-free).
-    """
-    clean = [_normalize_item(item) for item in named_values]
-    seen = set(store.names)
-    for name, vals, _ in clean:
-        if name in seen:
-            raise StoreError(f"genome {name!r} already present")
-        seen.add(name)
-        if vals.size and (vals[0] < 0 or vals[-1] >= store.m):
-            raise StoreError(
-                f"genome {name!r} has values outside [0, {store.m})"
-            )
-    return clean
-
-
-def _merge_border(
-    store: IndexStore,
-    clean: list[tuple[str, np.ndarray, np.ndarray | None]],
+def _merged_gram(
+    band: IndexStore,
+    group: list[tuple[str, np.ndarray, np.ndarray | None]],
     machine: Machine,
     config: SimilarityConfig,
-) -> int:
-    """Border-merge one validated batch into one flat store.
+) -> tuple[np.ndarray, int]:
+    """One band's stored Gram extended by the border of ``group``.
 
-    Computes the border block, appends the batch, and persists the
-    merged Gram; returns the number of border batches executed.  The
-    border is computed *before* any mutation, so a failure in the
-    computation leaves the store untouched.
+    A pure computation over the band's live genomes plus the validated
+    new ones (nothing is written); returns the merged intersection
+    matrix and the number of border batches executed.
     """
-    n_before = store.n_genomes
-    old_names = store.names
-    n_new = len(clean)
-    n_all = n_before + n_new
-    source = SetSource(
-        [store.load_values(n) for n in old_names]
-        + [vals for _, vals, _ in clean],
-        m=store.m,
-    )
-    border, batches = _border_block(machine, config, source, n_all, n_new)
-
+    n_before = band.n_genomes
+    n_all = n_before + len(group)
+    old_values = [band.load_values(name) for name in band.names]
+    source = SetSource(old_values + [vals for _, vals, _ in group], m=band.m)
+    border, batches = _border_block(machine, config, source, n_all, len(group))
+    inter = np.zeros((n_all, n_all), dtype=np.int64)
     if n_before:
-        old_inter, old_sizes, _ = store.gram()
-        if not np.array_equal(old_sizes, store.sizes()):
-            raise StoreError(
-                "stored Gram sizes disagree with the manifest sizes"
-            )
-        inter = np.zeros((n_all, n_all), dtype=np.int64)
+        old_inter, old_sizes, _ = band.gram()
+        if not np.array_equal(old_sizes, band.sizes()):
+            raise StoreError("stored Gram sizes disagree with the manifest sizes")
         inter[:n_before, :n_before] = old_inter
-    else:
-        inter = np.zeros((n_all, n_all), dtype=np.int64)
     inter[:, n_before:] = border
     inter[n_before:, :] = border.T
-
-    entries = store.append_many(clean)
-    store.set_gram(
-        inter, store.sizes(), old_names + [e.name for e in entries]
-    )
-    return batches
+    return inter, batches
 
 
 def add_genomes(
@@ -228,74 +155,33 @@ def add_genomes(
 ) -> IncrementalReport:
     """Append genomes and fold only the border block into the stored Gram.
 
-    ``named_values`` is a list of ``(name, values)`` pairs.  The store
-    must either be empty (the "border" is then the whole Gram) or hold a
-    current Gram to merge into; otherwise call :func:`rebuild` first.
+    ``named_values`` is a list of ``(name, values[, counts])`` items
+    (see :func:`~repro.service.store.validate_add`).  Every band the
+    batch routes to must either be empty (its "border" is then the
+    whole Gram) or hold a current Gram to merge into; otherwise call
+    :func:`rebuild` first.
 
-    A :class:`~repro.service.sharded.ShardedStore` routes each genome
-    to its size band and border-merges **only the touched bands** —
-    each border block is ``(band live + band new) x (band new)``, never
-    the whole corpus — inside one top-level two-level transaction (a
-    crash rolls back every band).
+    Only the touched bands pay a border — each block is ``(band live +
+    band new) x (band new)``, never the whole corpus on a sharded store
+    — and records, LSH tables and Grams of every touched band commit in
+    one transaction: a crash anywhere rolls all of them back.
     """
     if not named_values:
         raise StoreError("need at least one genome to add")
     machine, config = _resolve(machine, config)
-    if isinstance(store, ShardedStore):
-        return _add_genomes_sharded(store, named_values, machine, config)
-    n_before = store.n_genomes
-    if n_before and not store.gram_current:
-        raise StoreError(
-            "store has no current Gram to merge into; run rebuild() first"
-        )
-    before = machine.ledger.snapshot()
-    clean = _validate_batch(store, named_values)
-    batches = _merge_border(store, clean, machine, config)
-    cost = machine.ledger.diff(before)
-    n_all = n_before + len(clean)
-    return IncrementalReport(
-        added=tuple(name for name, _, _ in clean),
-        n_before=n_before,
-        n_after=n_all,
-        batches=batches,
-        border_shape=(n_all, len(clean)),
-        simulated_seconds=cost.simulated_seconds,
-    )
-
-
-def _add_genomes_sharded(
-    store: ShardedStore,
-    named_values,
-    machine: Machine,
-    config: SimilarityConfig,
-) -> IncrementalReport:
-    """Per-band incremental add: only the touched bands pay a border."""
-    with store._lock:
+    with transaction(store) as txn:
         n_before = store.n_genomes
-        clean = _validate_batch(store, named_values)
-        groups: dict[
-            int, list[tuple[str, np.ndarray, np.ndarray | None]]
-        ] = {}
-        for item in clean:
-            groups.setdefault(store.band_of(item[1].size), []).append(item)
-        for band in sorted(groups):
-            shard = store.shards[band]
-            if shard.n_genomes and not shard.gram_current:
-                raise StoreError(
-                    "store has no current Gram to merge into; "
-                    "run rebuild() first"
-                )
+        clean = validate_add(store, named_values)
+        routed = route(store, clean)
+        if any(band.n_genomes and not band.gram_current for band, _ in routed):
+            raise StoreError("store has no current Gram to merge into; run rebuild() first")
         before = machine.ledger.snapshot()
         batches = 0
-        with store._mutation():
-            for band in sorted(groups):
-                batches += _merge_border(
-                    store.shards[band], groups[band], machine, config
-                )
-            store.genomes.extend(
-                ShardedEntry(name=name, band=store.band_of(vals.size))
-                for name, vals, _ in clean
-            )
+        for band, group in routed:
+            inter, n_batches = _merged_gram(band, group, machine, config)
+            batches += n_batches
+            band._stage_append(group, txn)
+            band._stage_gram(inter, band.sizes(), None, txn)
         cost = machine.ledger.diff(before)
     n_all = n_before + len(clean)
     return IncrementalReport(
@@ -308,13 +194,9 @@ def _add_genomes_sharded(
     )
 
 
-def similarity_from_gram(
-    intersections: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
+def similarity_from_gram(intersections: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Eq. 2 on a stored Gram: ``S = B / (a_i + a_j - B)`` (J(0,0)=1)."""
     inter = np.asarray(intersections, dtype=np.float64)
     a = np.asarray(sizes, dtype=np.float64)
     unions = a[:, None] + a[None, :] - inter
-    return np.where(
-        unions == 0.0, 1.0, inter / np.where(unions == 0.0, 1.0, unions)
-    )
+    return np.where(unions == 0.0, 1.0, inter / np.where(unions == 0.0, 1.0, unions))

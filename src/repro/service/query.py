@@ -584,10 +584,6 @@ class ShardedSimilarityIndex(_QueryEngine):
 
     def _take_snapshot(self) -> ShardedSnapshot:
         with self.store._lock:
-            # A rolled-back mutation replaces the band store objects, so
-            # every pin re-points the band engines at the live ones.
-            for engine, shard in zip(self.engines, self.store.shards):
-                engine.store = shard
             return ShardedSnapshot(
                 version=self.store.version,
                 positions=self.store.positions(),

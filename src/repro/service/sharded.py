@@ -16,9 +16,9 @@ only the touched bands recompute border blocks.
 On-disk layout::
 
     root/
-      manifest.json     <- top level: format_version 2, layout "sharded"
-      bands/000/         <- one complete IndexStore per size band
-        manifest.json
+      manifest.json     <- the ONLY manifest: format_version 2, layout
+                           "sharded", every band's payload embedded
+      bands/000/         <- one IndexStore per size band, no manifest
         shards/...
         gram-*.bin
         lsh-*.bin
@@ -30,29 +30,27 @@ shard; the last edge is ``m + 1``, so every possible size lands in
 exactly one band (``band_of``).  :func:`plan_size_bands` plans the
 edges under one of :data:`~repro.core.config.SHARD_BAND_POLICIES`.
 
-Crash consistency (the same contract as the flat store, now two-level):
-the **top-level manifest embeds every band's full manifest payload**,
-and its atomic replacement is the *only* durable commit point.  A
-mutation first commits each touched band (the band's own manifest bump,
-with cleanup of its superseded files *deferred* via
-``IndexStore._defer_cleanup``), then bumps the top-level manifest;
-only after that commit are the deferred stale files unlinked.  A crash
-between a band's commit and the top-level bump therefore leaves a
-top-level manifest whose embedded payloads still describe the previous
-version of every band — and since the band's superseded files were not
-unlinked, ``ShardedStore.open`` reconstructs every band at the
-committed version from the embedded payloads alone, ignoring the
-band's own (ahead) manifest file.  Fault-injected in
-``tests/service/test_store.py``.
+Writes go through the flat store's one write path
+(:mod:`repro.service.store`): the same ``validate_add``, the same
+router (``_assign`` maps sizes to bands and keeps the top-level genome
+list), the same staged band operations, and the same
+:func:`~repro.service.store.transaction`, whose single commit here is
+the atomic replacement of the top-level manifest.  Bands write no
+manifest of their own; ``ShardedStore.open`` rebuilds every band from
+the payloads embedded in the top-level one, so a ``manifest.json`` an
+older layout left inside a band directory — stale or ahead — is never
+read.  A crash at any write leaves the previous top-level manifest
+referencing only fully written files, on every band.
 
-Migration: :func:`shard_store` upgrades a v1 single-directory store
-in place — the band stores are built fully (values, sketches, LSH, and
-the Gram sliced exactly per band from the flat store's current Gram),
-then one atomic top-level manifest replacement commits the new layout
-and the old flat artifacts are unlinked.  An interrupted migration
-leaves the v1 store intact (plus an unreferenced ``bands/`` tree that
-a retry rebuilds).  :func:`open_store` dispatches on the manifest, so
-callers open either layout transparently.
+Migration: :func:`shard_store` upgrades a v1 single-directory store in
+place through that same path — every live genome (values *and* stored
+abundance counts) is routed into a staged band tree, each band's Gram
+block is sliced exactly out of the flat store's current Gram, and the
+one atomic top-level manifest replacement commits the new layout, after
+which the old flat artifacts are unlinked.  An interrupted migration
+leaves the v1 store intact (plus an unreferenced ``bands/`` tree a retry
+clears).  :func:`open_store` / :func:`create_store` dispatch on the
+layout, so callers open or create either transparently.
 """
 
 from __future__ import annotations
@@ -60,22 +58,22 @@ from __future__ import annotations
 import json
 import shutil
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.config import SHARD_BAND_POLICIES
-from repro.core.sketch import SKETCH_ESTIMATORS
 from repro.service import store as _flat
 from repro.service.errors import StoreError
 from repro.service.store import (
     FORMAT_VERSION,
     MANIFEST_NAME,
-    GenomeEntry,
     IndexStore,
-    _normalize_item,
+    Transaction,
+    _WriteAPI,
+    route,
+    transaction,
 )
 
 __all__ = [
@@ -83,6 +81,7 @@ __all__ = [
     "SHARDED_FORMAT_VERSION",
     "ShardedEntry",
     "ShardedStore",
+    "create_store",
     "open_store",
     "plan_size_bands",
     "shard_store",
@@ -187,14 +186,14 @@ class ShardedEntry:
 
 
 @dataclass
-class ShardedStore:
+class ShardedStore(_WriteAPI):
     """A size-banded collection of :class:`IndexStore` shards.
 
-    Mirrors the flat store's mutation API (``append_many`` / ``remove``
-    / ``compact``) and read API (``names`` / ``sizes`` / ``load_*``),
-    routing by size band; every mutation is one two-level transaction
-    committed by the atomic top-level manifest replacement (see the
-    module docstring for the crash contract).
+    Shares the flat store's mutation API (``append_many`` / ``remove``
+    / ``compact``, one definition) and mirrors its read API (``names``
+    / ``sizes`` / ``load_*``), routing by size band; every mutation is
+    one transaction committed by the atomic top-level manifest
+    replacement.
     """
 
     root: Path
@@ -226,47 +225,48 @@ class ShardedStore:
         m: int,
         shards: int,
         band_policy: str = "geometric",
-        codec: str = "adaptive",
-        sketch_size: int = 256,
-        sketch_bits: int = 8,
-        sketch_seed: int = 0,
-        families: tuple[str, ...] = SKETCH_ESTIMATORS,
-        metadata: dict | None = None,
-        lsh_threshold: float = 0.5,
-        lsh_fn_budget: float = 0.05,
         size_hint: np.ndarray | None = None,
+        **settings,
     ) -> "ShardedStore":
         """Create an empty sharded store with planned band edges.
 
         ``size_hint`` is an optional sample of expected genome sizes —
-        required by the ``"quantile"`` policy, ignored by the others.
+        required by the ``"quantile"`` policy, ignored by the others;
+        ``settings`` are :meth:`IndexStore.create`'s (``codec``,
+        ``sketch_*``, ``families``, ``metadata``, ``lsh_*``), shared by
+        every band.
         """
         root = Path(root)
         if (root / MANIFEST_NAME).exists():
             raise StoreError(f"an index store already exists at {root}")
         edges = plan_size_bands(m, shards, band_policy, sizes=size_hint)
-        bands: list[IndexStore] = []
-        for i in range(shards):
-            band = IndexStore.create(
-                root / BAND_DIR / f"{i:03d}", m,
-                codec=codec, sketch_size=sketch_size,
-                sketch_bits=sketch_bits, sketch_seed=sketch_seed,
-                families=families, metadata=dict(metadata or {}),
-                lsh_threshold=lsh_threshold, lsh_fn_budget=lsh_fn_budget,
-            )
-            band._defer_cleanup = True
-            bands.append(band)
-        store = cls(
-            root=root, m=int(m), codec=codec,
-            sketch_size=int(sketch_size), sketch_bits=int(sketch_bits),
-            sketch_seed=int(sketch_seed), families=tuple(families),
-            metadata=dict(metadata or {}), band_policy=band_policy,
-            band_edges=edges, shards=bands,
-            lsh_threshold=float(lsh_threshold),
-            lsh_fn_budget=float(lsh_fn_budget),
-        )
+        store = cls._stage_create(root, m, edges, band_policy, **settings)
         store._save_manifest()
         return store
+
+    @classmethod
+    def _stage_create(
+        cls, root: Path, m: int, edges, band_policy: str, version: int = 0,
+        **settings,
+    ) -> "ShardedStore":
+        """Stage one empty band per edge under ``root/bands/`` and the
+        store over them; nothing is committed until a manifest lands."""
+        bands = [
+            IndexStore._stage_create(
+                root / BAND_DIR / f"{i:03d}", m, **settings
+            )
+            for i in range(len(edges))
+        ]
+        first = bands[0]
+        return cls(
+            root=root, m=first.m, codec=first.codec,
+            sketch_size=first.sketch_size, sketch_bits=first.sketch_bits,
+            sketch_seed=first.sketch_seed, families=first.families,
+            metadata=dict(first.metadata), band_policy=band_policy,
+            band_edges=edges, shards=bands, version=version,
+            lsh_threshold=first.lsh_threshold,
+            lsh_fn_budget=first.lsh_fn_budget,
+        )
 
     @classmethod
     def open(cls, root: str | Path) -> "ShardedStore":
@@ -283,14 +283,12 @@ class ShardedStore:
                 f"{root}: not a sharded store "
                 f"(format {meta.get('format_version')!r})"
             )
-        bands: list[IndexStore] = []
-        for sh in meta["shards"]:
-            # The embedded payload is authoritative: a band whose own
-            # manifest ran ahead of an interrupted top-level commit is
-            # re-read at the committed version, zero recovery writes.
-            band = IndexStore._from_payload(root / sh["dir"], sh["manifest"])
-            band._defer_cleanup = True
-            bands.append(band)
+        # The embedded payloads are authoritative: a manifest file an
+        # older layout left in a band directory is never read.
+        bands = [
+            IndexStore._from_payload(root / sh["dir"], sh["manifest"])
+            for sh in meta["shards"]
+        ]
         lsh = meta.get("lsh") or {}
         return cls(
             root=root,
@@ -339,55 +337,48 @@ class ShardedStore:
                 "fn_budget": self.lsh_fn_budget,
             },
         }
-        # The atomic top-level replacement is the ONLY durable commit
-        # point of the whole two-level store (goes through the flat
-        # store's byte sink so fault injection covers it too).
+        # The atomic top-level replacement is the ONLY commit point of
+        # the whole store (through the flat store's byte sink, so fault
+        # injection covers it too).
         _flat._atomic_write_bytes(
             self.root / MANIFEST_NAME,
             (json.dumps(payload, indent=2) + "\n").encode("utf-8"),
         )
 
-    # ---- the two-level mutation transaction ---------------------------
+    # ---- the transaction protocol (see store.transaction) -------------
 
-    @contextmanager
-    def _mutation(self):
-        """Transactional multi-shard mutation scope.
+    @property
+    def _bands(self) -> list[IndexStore]:
+        return self.shards
 
-        The body mutates any number of band stores (each band commit
-        defers its stale-file cleanup); the top-level manifest bump is
-        the single durable commit, after which every band's deferred
-        stale files are drained.  On failure the top-level state rolls
-        back in memory and any band that already committed is rebuilt
-        from its saved manifest payload — disk may run ahead (exactly
-        as after a crash), but both a reopen and a retry converge, and
-        no file the rolled-back state references was unlinked.
-        """
-        with self._lock:
-            saved_payloads = [s._manifest_payload() for s in self.shards]
-            saved_genomes = list(self.genomes)
-            saved_flags = [(g, g.removed) for g in self.genomes]
-            saved_version = self.version
-            try:
-                yield
-                self.version += 1
-                self._save_manifest()  # the atomic two-level commit
-            except BaseException:
-                restored: list[IndexStore] = []
-                for shard, payload in zip(self.shards, saved_payloads):
-                    if shard.version != payload["version"]:
-                        shard = IndexStore._from_payload(
-                            shard.root, payload
-                        )
-                        shard._defer_cleanup = True
-                    restored.append(shard)
-                self.shards = restored
-                self.genomes = saved_genomes
-                for entry, removed in saved_flags:
-                    entry.removed = removed
-                self.version = saved_version
-                raise
-            for shard in self.shards:
-                shard.drain_deferred()
+    def _assign(self, clean) -> list[int]:
+        """Each genome's band, by support size regardless of counts;
+        the top-level list records the batch in input order."""
+        owners = [self.band_of(vals.size) for _, vals, _ in clean]
+        self.genomes.extend(
+            ShardedEntry(name=name, band=band)
+            for (name, _, _), band in zip(clean, owners)
+        )
+        return owners
+
+    def _state(self) -> tuple:
+        flags = [g.removed for g in self.genomes]
+        return list(self.genomes), flags, self.version
+
+    def _restore(self, state: tuple) -> None:
+        self.genomes, flags, self.version = state
+        for entry, removed in zip(self.genomes, flags):
+            entry.removed = removed
+
+    def _stage_remove(self, name: str, txn: Transaction) -> None:
+        entry = self._entry(name)
+        self.shards[entry.band]._stage_remove(name, txn)
+        entry.removed = True
+
+    def _stage_compact(self, txn: Transaction) -> int:
+        reclaimed = sum(shard._stage_compact(txn) for shard in self.shards)
+        self.genomes = [g for g in self.genomes if not g.removed]
+        return reclaimed
 
     # ---- band geometry ------------------------------------------------
 
@@ -496,77 +487,6 @@ class ShardedStore:
             f"{self.total_bytes()} shard byte(s)"
         )
 
-    # ---- content ------------------------------------------------------
-
-    def append(self, name: str, values) -> GenomeEntry:
-        return self.append_many([(name, values)])[0]
-
-    def append_many(self, named_values) -> list[GenomeEntry]:
-        """Route a batch of ``(name, values[, counts])`` to its bands.
-
-        One two-level transaction.  Validation (unique names
-        store-wide, in-range values) happens before any band is
-        touched; the top-level genome list records the batch in input
-        order, whatever bands it scattered to.  Band routing is by
-        support size regardless of counts — the abundance mass rides
-        along inside the owning band's shard records.
-        """
-        with self._lock:
-            clean: list[tuple[str, np.ndarray, np.ndarray | None]] = []
-            seen = set(self.names)
-            for item in named_values:
-                name, vals, cnts = _normalize_item(item)
-                if name in seen:
-                    raise StoreError(f"genome {name!r} already present")
-                seen.add(name)
-                if vals.size and (vals[0] < 0 or vals[-1] >= self.m):
-                    raise StoreError(
-                        f"genome {name!r} has values outside [0, {self.m})"
-                    )
-                clean.append((name, vals, cnts))
-            if not clean:
-                return []
-            by_name: dict[str, GenomeEntry] = {}
-            with self._mutation():
-                bands = sorted(
-                    {self.band_of(v.size) for _, v, _ in clean}
-                )
-                for band in bands:
-                    group = [
-                        item
-                        for item in clean
-                        if self.band_of(item[1].size) == band
-                    ]
-                    for entry in self.shards[band].append_many(group):
-                        by_name[entry.name] = entry
-                self.genomes.extend(
-                    ShardedEntry(name=n, band=self.band_of(v.size))
-                    for n, v, _ in clean
-                )
-            return [by_name[n] for n, _, _ in clean]
-
-    def remove(self, name: str) -> None:
-        """Tombstone a genome in its band and the top-level list."""
-        with self._lock:
-            entry = self._entry(name)
-            with self._mutation():
-                self.shards[entry.band].remove(name)
-                entry.removed = True
-
-    def compact(self) -> int:
-        """Per-shard compaction; returns total shards files reclaimed."""
-        with self._lock:
-            if not any(g.removed for g in self.genomes):
-                return 0
-            with self._mutation():
-                reclaimed = sum(
-                    shard.compact()
-                    for shard in self.shards
-                    if any(e.removed for e in shard.entries)
-                )
-                self.genomes = [g for g in self.genomes if not g.removed]
-            return reclaimed
-
 
 def open_store(root: str | Path) -> "IndexStore | ShardedStore":
     """Open a store of either layout, dispatching on its manifest.
@@ -591,6 +511,28 @@ def open_store(root: str | Path) -> "IndexStore | ShardedStore":
     )
 
 
+def create_store(
+    root: str | Path,
+    m: int,
+    shards: int = 1,
+    band_policy: str = "geometric",
+    size_hint: np.ndarray | None = None,
+    **settings,
+) -> "IndexStore | ShardedStore":
+    """Create an empty store: flat for ``shards == 1``, else size-banded.
+
+    ``settings`` are the layout-independent store settings (``codec``,
+    ``sketch_*``, ``families``, ``metadata``, ``lsh_*``); the twin of
+    :func:`open_store` for :meth:`SimilarityService.create`.
+    """
+    if shards == 1:
+        return IndexStore.create(root, m, **settings)
+    return ShardedStore.create(
+        root, m, shards, band_policy=band_policy, size_hint=size_hint,
+        **settings,
+    )
+
+
 def shard_store(
     root: str | Path,
     shards: int,
@@ -598,15 +540,15 @@ def shard_store(
 ) -> ShardedStore:
     """Upgrade a v1 single-directory store to a sharded store, in place.
 
-    The band stores are built completely before anything commits: every
-    live genome's values are re-appended into its band (rebuilding
-    sketches and per-band LSH tables), and if the flat store holds a
-    *current* Gram, each band's Gram block is sliced out of it exactly
-    — no similarity is recomputed.  The atomic top-level manifest
-    replacement then commits the new layout, after which the old flat
-    artifacts (record files, Gram, LSH table) are unlinked.  A crash at
-    any earlier point leaves the v1 store fully intact (plus an
-    unreferenced ``bands/`` tree a retry clears and rebuilds).
+    One transaction on the new layout: every live genome (values and
+    stored abundance counts) is routed into a freshly staged band tree
+    — rebuilding sketches and per-band LSH tables — and if the flat
+    store holds a *current* Gram, each band's block is sliced out of it
+    exactly (no similarity is recomputed).  The atomic top-level
+    manifest replacement commits the migration, after which the old
+    flat artifacts are unlinked.  A crash at any earlier write leaves
+    the v1 store fully intact (plus an unreferenced ``bands/`` tree a
+    retry clears and rebuilds).
 
     The default ``"quantile"`` policy plans the band edges from the
     observed corpus sizes, which keeps the shards balanced even when
@@ -619,71 +561,48 @@ def shard_store(
         if meta.get("layout") == "sharded":
             raise StoreError(f"{root} is already a sharded store")
     flat = IndexStore.open(root)
-    names = flat.names
     sizes = flat.sizes()
     edges = plan_size_bands(
         flat.m, shards, band_policy,
         sizes=sizes if sizes.size else None,
     )
-    band_tree = root / BAND_DIR
-    if band_tree.exists():
+    if (root / BAND_DIR).exists():
         # Leftovers of an interrupted migration: unreferenced by the
         # committed v1 manifest, safe to clear and rebuild.
-        shutil.rmtree(band_tree)
-    bands: list[IndexStore] = []
-    for i in range(shards):
-        band = IndexStore.create(
-            band_tree / f"{i:03d}", flat.m,
-            codec=flat.codec, sketch_size=flat.sketch_size,
-            sketch_bits=flat.sketch_bits, sketch_seed=flat.sketch_seed,
-            families=flat.families, metadata=dict(flat.metadata),
-            lsh_threshold=flat.lsh_threshold,
-            lsh_fn_budget=flat.lsh_fn_budget,
-        )
-        band._defer_cleanup = True
-        bands.append(band)
-    store = ShardedStore(
-        root=root, m=flat.m, codec=flat.codec,
-        sketch_size=flat.sketch_size, sketch_bits=flat.sketch_bits,
-        sketch_seed=flat.sketch_seed, families=flat.families,
-        metadata=dict(flat.metadata), band_policy=band_policy,
-        band_edges=edges, shards=bands,
-        version=flat.version + 1,
-        lsh_threshold=flat.lsh_threshold,
-        lsh_fn_budget=flat.lsh_fn_budget,
+        shutil.rmtree(root / BAND_DIR)
+    store = ShardedStore._stage_create(
+        root, flat.m, edges, band_policy, version=flat.version,
+        codec=flat.codec, sketch_size=flat.sketch_size,
+        sketch_bits=flat.sketch_bits, sketch_seed=flat.sketch_seed,
+        families=flat.families, metadata=flat.metadata,
+        lsh_threshold=flat.lsh_threshold, lsh_fn_budget=flat.lsh_fn_budget,
     )
-    band_names: dict[int, list[str]] = {}
-    for name, size in zip(names, sizes):
-        band_names.setdefault(store.band_of(int(size)), []).append(name)
     gram = flat.gram() if flat.gram_current else None
-    for band, members in sorted(band_names.items()):
-        bands[band].append_many(
-            [(name, flat.load_values(name)) for name in members]
-        )
-        if gram is not None:
-            inter, gram_sizes, gram_names = gram
-            idx = [gram_names.index(name) for name in members]
-            bands[band].set_gram(
-                inter[np.ix_(idx, idx)], gram_sizes[idx], members
+    with transaction(store) as txn:
+        txn.touch(store)  # an empty corpus still commits the new layout
+        # Stored genomes are already clean triples: a counts record
+        # exists iff the mass differs from the support size.
+        clean = [
+            (
+                e.name, flat.load_values(e.name),
+                None if e.total_mass == e.n_values else flat.load_counts(e.name),
             )
-    store.genomes = [
-        ShardedEntry(name=name, band=store.band_of(int(size)))
-        for name, size in zip(names, sizes)
-    ]
-    # The atomic replacement of the v1 manifest is the migration's
-    # single commit point.
-    store._save_manifest()
-    for shard in bands:
-        shard.drain_deferred()
-    # The old flat artifacts are unreferenced now; a crash here merely
-    # leaks them.
-    stale = [e.shard for e in flat.entries]
-    if flat.gram_file is not None:
-        stale.append(flat.gram_file)
-    if flat.lsh_file is not None:
-        stale.append(flat.lsh_file)
-    for fname in stale:
-        (root / fname).unlink(missing_ok=True)
+            for e in flat.live_entries
+        ]
+        for band, group in route(store, clean):
+            entries = band._stage_append(group, txn)
+            if gram is not None:
+                inter, gram_sizes, gram_names = gram
+                idx = [gram_names.index(e.name) for e in entries]
+                band._stage_gram(
+                    inter[np.ix_(idx, idx)], gram_sizes[idx], None, txn
+                )
+        # Unreferenced once the top-level manifest lands; a crash during
+        # the cleanup merely leaks them.
+        txn.stale.extend(root / e.shard for e in flat.entries)
+        txn.stale.extend(
+            root / f for f in (flat.gram_file, flat.lsh_file) if f
+        )
     old_records = root / _flat.SHARD_DIR
     if old_records.exists() and not any(old_records.iterdir()):
         old_records.rmdir()

@@ -35,25 +35,37 @@ one sketch per configured family).
 stored Gram, which is exact); ``compact`` rewrites the store without
 the tombstoned shards.
 
-Concurrency: every mutation (``append_many`` / ``remove`` / ``compact``
-/ ``set_gram``) and :meth:`IndexStore.snapshot` hold one store-level
-re-entrant lock, so a snapshot never observes a half-applied batch
-(``append_many`` appends entries one by one before its single version
-bump).  A :class:`StoreSnapshot` is the frozen view a query batch is
-admitted under: shard files are append-only and immutable, so a
-snapshot stays readable after later appends — only ``compact`` (which
-unlinks shards) invalidates older snapshots, and running it with
-queries in flight is unsupported.
+The write path is one for both layouts (:mod:`repro.service.sharded`
+adds only size-band routing and its top-level genome list):
+:func:`validate_add` is the only place an add batch is normalised and
+checked; :func:`route` groups it by owning band (a flat store is the
+one-band case); the *staged operations* (``IndexStore._stage_append`` /
+``_stage_remove`` / ``_stage_compact`` / ``_stage_gram``) write fresh
+version-stamped files, update the in-memory state and register the
+files they supersede, never a manifest; and :func:`transaction` is the
+one scope they run in.  Every mutation — ``append_many`` / ``remove`` /
+``compact`` / ``set_gram``, :mod:`repro.service.incremental`'s
+``add_genomes`` / ``rebuild``, the ``shard_store`` migration — is a
+composition of staged operations inside one such scope.
+
+Concurrency: the scope and :meth:`IndexStore.snapshot` hold the same
+re-entrant lock(s), so a snapshot never observes a half-applied batch.
+A :class:`StoreSnapshot` is the frozen view a query batch is admitted
+under: shard files are append-only and immutable, so a snapshot stays
+readable after later appends — only ``compact`` (which unlinks shards)
+invalidates older snapshots, and running it with queries in flight is
+unsupported.
 
 Crash consistency: every file lands via write-to-temp + ``os.replace``
-(:func:`_atomic_write_bytes`), derived artifacts (Gram, LSH tables)
-are written to *fresh version-stamped names* before the manifest, and
-the atomic manifest replacement is the single commit point of every
-mutation — an interrupted write anywhere leaves the previous manifest
-referencing only fully-written files, so the store reopens at the
-previous version with no torn state (fault-injected in
-``tests/service/test_store.py``).  Files superseded by a committed
-mutation are unlinked only after the manifest lands; a crash during
+(:func:`_atomic_write_bytes`) under a *fresh name*, and the scope
+commits by bumping the version of the store (and of each touched band)
+by one and atomically replacing **one** manifest — the store's own, or
+a sharded store's top-level one, whose bands write none — before it
+unlinks the superseded files.  An interrupted write anywhere leaves the
+previous manifest referencing only fully-written files, so the store
+reopens at the previous version with no torn state, and the live
+objects are rolled back *in place* (fault-injected at every write of
+every mutation in ``tests/service/test_store.py``).  A crash during the
 cleanup merely leaks an unreferenced file.
 """
 
@@ -63,7 +75,7 @@ import json
 import os
 import struct
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -220,21 +232,195 @@ def sketch_row(
     return sk.hashes if family == "minhash" else sk.registers
 
 
-def _normalize_item(item) -> tuple[str, np.ndarray, np.ndarray | None]:
-    """Normalize one append item: ``(name, values[, counts])``.
+def _int_array(data, what: str) -> np.ndarray:
+    """``data`` as a flat int64 array; :class:`StoreError` unless it is a
+    one-dimensional collection of integers (no floats, bools, strings)."""
+    try:
+        arr = np.asarray(data if isinstance(data, np.ndarray) else list(data))
+    except (TypeError, ValueError):
+        raise StoreError(f"{what} must be a collection of integers") from None
+    if arr.ndim != 1:
+        raise StoreError(
+            f"{what} must be one-dimensional, got shape {arr.shape}"
+        )
+    if arr.size and arr.dtype.kind not in "iu":
+        raise StoreError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _clean_item(item, m: int) -> tuple[str, np.ndarray, np.ndarray | None]:
+    """Normalise and check one ``(name, values[, counts])`` add item.
 
     Returns ``(name, sorted unique values, counts | None)``; counts
-    that carry no multiplicity (all 1) normalize to ``None`` so the
+    that carry no multiplicity (all 1) normalise to ``None`` so the
     on-disk layout of unweighted appends never changes.
     """
-    name, values, *rest = item
-    counts = rest[0] if rest else None
+    if not isinstance(item, (tuple, list)) or len(item) not in (2, 3):
+        raise StoreError(
+            "an add item must be (name, values) or (name, values, counts)"
+        )
+    name, values, counts = (*item, None)[:3]
+    if not isinstance(name, str) or not name:
+        raise StoreError(
+            f"genome name must be a non-empty str, got {name!r}"
+        )
+    vals = _int_array(values, f"genome {name!r} values")
     if counts is None:
-        return name, _as_values(values), None
-    vals, cnts = coerce_counts(values, counts)
-    if not bool((cnts > 1).any()):
-        return name, vals, None
-    return name, vals, cnts
+        vals = np.unique(vals)
+    else:
+        try:
+            vals, counts = coerce_counts(
+                vals, _int_array(counts, f"genome {name!r} counts")
+            )
+        except ValueError as exc:
+            raise StoreError(f"genome {name!r}: {exc}") from None
+        if not bool((counts > 1).any()):
+            counts = None
+    if vals.size and (vals[0] < 0 or vals[-1] >= m):
+        raise StoreError(f"genome {name!r} has values outside [0, {m})")
+    return name, vals, counts
+
+
+def validate_add(
+    store, items
+) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
+    """Normalise and check one add batch against ``store`` (either layout).
+
+    The one place an add batch is validated, whichever entry point it
+    came through — the twin of
+    :func:`repro.service.cascade.validate_request`.  Raises
+    :class:`StoreError` on the first bad item, before anything is
+    written; returns clean ``(name, values, counts | None)`` triples.
+    """
+    clean = []
+    seen = set(store.names)
+    for item in items:
+        triple = _clean_item(item, store.m)
+        if triple[0] in seen:
+            raise StoreError(f"genome {triple[0]!r} already present")
+        seen.add(triple[0])
+        clean.append(triple)
+    return clean
+
+
+def route(store, clean) -> list[tuple["IndexStore", list]]:
+    """The one band router: a validated batch grouped by owning band.
+
+    ``(band, group)`` pairs in band order, input order within a group.
+    A flat store is the one-band case and owns the whole batch; a
+    sharded store routes by support size and records each genome's band
+    in its top-level list (rolled back with the enclosing scope).
+    """
+    owners = store._assign(clean)
+    bands = store._bands
+    return [
+        (bands[b], [item for item, o in zip(clean, owners) if o == b])
+        for b in sorted(set(owners))
+    ]
+
+
+@dataclass
+class Transaction:
+    """What one :func:`transaction` scope has staged so far."""
+
+    #: Stores a staged operation mutated, by ``id`` — the commit bumps
+    #: each one's version by exactly one.
+    touched: dict = field(default_factory=dict)
+    #: Files the staged state supersedes; unlinked after the commit.
+    stale: list[Path] = field(default_factory=list)
+
+    def touch(self, store) -> None:
+        self.touched[id(store)] = store
+
+
+@contextmanager
+def transaction(store):
+    """The one write scope of either layout, committed by one manifest.
+
+    The body runs staged operations against ``store``'s bands (a flat
+    store is its own only band).  If any touched a band, the scope bumps
+    the touched bands' and the store's versions and replaces the store's
+    manifest — the single atomic commit — then unlinks the superseded
+    files.  On failure every store is restored in place, leaving the
+    staged (unreferenced) files orphaned: exactly the state an
+    interrupted process leaves, and one ``open`` reads past.
+    """
+    owners = [store, *(b for b in store._bands if b is not store)]
+    with ExitStack() as locks:
+        for owner in owners:
+            locks.enter_context(owner._lock)
+        saved = [(owner, owner._state()) for owner in owners]
+        txn = Transaction()
+        try:
+            yield txn
+            if txn.touched:
+                txn.touch(store)
+                for owner in txn.touched.values():
+                    owner.version += 1
+                store._save_manifest()  # the atomic replace is the commit
+        except BaseException:
+            for owner, state in saved:
+                owner._restore(state)
+            raise
+        for path in txn.stale:
+            path.unlink(missing_ok=True)
+
+
+class _WriteAPI:
+    """The public mutations, defined once for both store layouts: each
+    is staged operations inside one :func:`transaction`."""
+
+    def append(self, name: str, values) -> "GenomeEntry":
+        """Persist one genome's values + sketches as a new shard."""
+        return self.append_many([(name, values)])[0]
+
+    def append_many(self, named_values) -> list["GenomeEntry"]:
+        """Persist a batch of ``(name, values[, counts])`` items.
+
+        The whole batch is validated (:func:`validate_add`) before any
+        shard is written, so a bad genome anywhere in the list leaves
+        the store untouched; one transaction, one version bump, and a
+        concurrent ``snapshot`` sees either none or all of the batch.
+        On a sharded store each genome routes to its size band (by
+        support size, whatever its counts) and the top-level list
+        records the batch in input order.
+
+        An optional third element carries per-value abundance counts
+        (the weighted-Jaccard inputs); counts with real multiplicity
+        are persisted as one extra record *after* the sketch records,
+        and the entry's ``mass`` records their sum.  Items without
+        counts (or with all-ones counts) produce byte-identical shards
+        to the pre-counts layout.
+        """
+        with transaction(self) as txn:
+            clean = validate_add(self, named_values)
+            staged = {
+                entry.name: entry
+                for band, group in route(self, clean)
+                for entry in band._stage_append(group, txn)
+            }
+            return [staged[name] for name, _, _ in clean]
+
+    def remove(self, name: str) -> None:
+        """Tombstone a genome; its Gram row/column is dropped exactly.
+
+        The owning band's LSH table (if maintained) drops the genome's
+        position incrementally — later live positions shift down by
+        one, in lockstep with the live-genome order.
+        """
+        with transaction(self) as txn:
+            self._stage_remove(name, txn)
+
+    def compact(self) -> int:
+        """Drop tombstoned shards from disk; returns shards reclaimed.
+
+        Unlinks shard files, so older :class:`StoreSnapshot` views stop
+        being readable — do not compact with queries in flight.  Each
+        touched band's LSH table is rebuilt from the surviving stored
+        fingerprints (equal, by canonicity, to the maintained one).
+        """
+        with transaction(self) as txn:
+            return self._stage_compact(txn)
 
 
 @dataclass
@@ -281,7 +467,7 @@ class GenomeEntry:
 
 
 @dataclass
-class IndexStore:
+class IndexStore(_WriteAPI):
     """A directory of codec-framed genome shards plus a manifest.
 
     ``families`` names the sketch estimators persisted per genome (in
@@ -318,26 +504,29 @@ class IndexStore:
         default_factory=threading.RLock, init=False, repr=False,
         compare=False,
     )
-    #: When this store is one band of a :class:`~repro.service.sharded.
-    #: ShardedStore`, its own manifest bump is *not* the durable commit
-    #: point — the parent's top-level manifest is.  The parent sets this
-    #: flag so post-commit cleanup of superseded files is deferred into
-    #: :attr:`_deferred_stale` until the parent commits (see
-    #: :meth:`drain_deferred`); a crash before the parent's commit must
-    #: leave every file the parent's embedded shard manifests reference.
-    _defer_cleanup: bool = field(
-        default=False, init=False, repr=False, compare=False
-    )
-    _deferred_stale: list = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
 
     # ---- lifecycle ----------------------------------------------------
 
     @classmethod
-    def create(
+    def create(cls, root: str | Path, m: int, **settings) -> "IndexStore":
+        """Create and commit an empty store under ``root``.
+
+        ``settings`` are the optional ``codec``, ``sketch_size`` /
+        ``sketch_bits`` / ``sketch_seed``, ``families``, ``metadata``
+        and ``lsh_threshold`` / ``lsh_fn_budget`` (signature and
+        defaults: :meth:`_stage_create`).
+        """
+        root = Path(root)
+        if (root / MANIFEST_NAME).exists():
+            raise StoreError(f"an index store already exists at {root}")
+        store = cls._stage_create(root, m, **settings)
+        store._save_manifest()
+        return store
+
+    @classmethod
+    def _stage_create(
         cls,
-        root: str | Path,
+        root: Path,
         m: int,
         codec: str = "adaptive",
         sketch_size: int = 256,
@@ -348,9 +537,10 @@ class IndexStore:
         lsh_threshold: float = 0.5,
         lsh_fn_budget: float = 0.05,
     ) -> "IndexStore":
-        root = Path(root)
-        if (root / MANIFEST_NAME).exists():
-            raise StoreError(f"an index store already exists at {root}")
+        """Validate the settings and stage an empty store under ``root``
+        (its directory and empty LSH table) without a manifest — the
+        caller's manifest write, the store's own or a sharded parent's
+        top-level one, is what commits it."""
         if m <= 0:
             raise StoreError(f"m must be positive, got {m}")
         if codec not in WIRE_CODECS:
@@ -388,7 +578,6 @@ class IndexStore:
             )
             store.lsh_file = store._write_lsh(table, target=0)
             store._lsh = table
-        store._save_manifest()
         return store
 
     @classmethod
@@ -418,9 +607,8 @@ class IndexStore:
 
         This is how :class:`~repro.service.sharded.ShardedStore` opens
         its bands: the payloads embedded in the *top-level* manifest are
-        authoritative, so a band whose own on-disk manifest ran ahead of
-        an interrupted top-level commit is silently re-read at the
-        committed version (its staged files are simply never referenced).
+        authoritative — bands write no manifest of their own, and one
+        left in a band directory by an older layout is never read.
         """
         gram_names = (
             list(meta["gram_names"])
@@ -454,9 +642,7 @@ class IndexStore:
         """The JSON manifest payload for the current in-memory state.
 
         Shared by :meth:`_save_manifest` and the sharded store, which
-        embeds each band's payload inside its top-level manifest so the
-        bands can be reopened without trusting their own (possibly
-        ahead-of-commit) manifest files.
+        embeds each band's payload inside its top-level manifest.
         """
         return {
             "format_version": FORMAT_VERSION,
@@ -489,10 +675,6 @@ class IndexStore:
             self.root / MANIFEST_NAME,
             (json.dumps(payload, indent=2) + "\n").encode("utf-8"),
         )
-
-    def _bump(self) -> None:
-        self.version += 1
-        self._save_manifest()
 
     # ---- the banded LSH table -----------------------------------------
 
@@ -543,29 +725,26 @@ class IndexStore:
         write_records(self.root / fname, table.to_payloads(), self.codec)
         return fname
 
-    def _replace_lsh(self, table: "LSHTable", stale: list[str]) -> None:
+    def _stage_lsh(self, table: "LSHTable", txn: Transaction) -> None:
         """Stage a new table; the superseded file is unlinked on commit."""
         if self.lsh_file is not None:
-            stale.append(self.lsh_file)
+            txn.stale.append(self.root / self.lsh_file)
         self.lsh_file = self._write_lsh(table)
         self._lsh = table
 
-    # ---- the mutation transaction -------------------------------------
+    # ---- the transaction protocol (see :func:`transaction`) -----------
 
-    @contextmanager
-    def _mutation(self):
-        """Transactional mutation scope, committed by one version bump.
+    @property
+    def _bands(self) -> list["IndexStore"]:
+        return [self]
 
-        The body stages new files under fresh version-stamped names and
-        registers superseded ones in the yielded list.  On success the
-        atomic manifest bump commits, then the stale files are
-        unlinked; on failure the in-memory state rolls back, leaving
-        the staged (unreferenced) files orphaned — exactly the state an
-        interrupted process leaves, and one ``open`` reads past.
-        """
-        state = (
+    def _assign(self, clean) -> list[int]:
+        return [0] * len(clean)
+
+    def _state(self) -> tuple:
+        return (
             list(self.entries),
-            [(e, e.removed) for e in self.entries],
+            [e.removed for e in self.entries],
             self.version,
             self.next_shard,
             list(self.gram_names) if self.gram_names is not None else None,
@@ -573,32 +752,14 @@ class IndexStore:
             self.lsh_file,
             self._lsh,
         )
-        stale: list[str] = []
-        try:
-            yield stale
-            self._bump()  # the atomic manifest replace is the commit
-        except BaseException:
-            (
-                self.entries, flags, self.version, self.next_shard,
-                self.gram_names, self.gram_file, self.lsh_file, self._lsh,
-            ) = state
-            for entry, removed in flags:
-                entry.removed = removed
-            raise
-        if self._defer_cleanup:
-            # Band of a sharded store: the parent's top-level commit is
-            # the durable one, so superseded files must survive until
-            # the parent drains them (see ShardedStore._mutation).
-            self._deferred_stale.extend(stale)
-        else:
-            for fname in stale:
-                (self.root / fname).unlink(missing_ok=True)
 
-    def drain_deferred(self) -> None:
-        """Unlink files whose cleanup a parent sharded commit deferred."""
-        for fname in self._deferred_stale:
-            (self.root / fname).unlink(missing_ok=True)
-        self._deferred_stale.clear()
+    def _restore(self, state: tuple) -> None:
+        (
+            self.entries, flags, self.version, self.next_shard,
+            self.gram_names, self.gram_file, self.lsh_file, self._lsh,
+        ) = state
+        for entry, removed in zip(self.entries, flags):
+            entry.removed = removed
 
     # ---- views --------------------------------------------------------
 
@@ -676,79 +837,42 @@ class IndexStore:
 
     # ---- content ------------------------------------------------------
 
-    def append(self, name: str, values) -> GenomeEntry:
-        """Persist one genome's values + sketches as a new shard."""
-        return self.append_many([(name, values)])[0]
-
-    def append_many(self, named_values) -> list[GenomeEntry]:
-        """Persist a batch of ``(name, values[, counts])`` items.
-
-        The whole batch is validated (unique names, in-range values)
-        before any shard is written, so a bad genome anywhere in the
-        list leaves the store untouched; the manifest is saved once,
-        with a single version bump.  The store lock is held throughout,
-        so a concurrent :meth:`snapshot` sees either none or all of the
-        batch.
-
-        An optional third element carries per-value abundance counts
-        (the weighted-Jaccard inputs); counts with real multiplicity
-        are persisted as one extra record *after* the sketch records,
-        and the entry's ``mass`` records their sum.  Items without
-        counts (or with all-ones counts) produce byte-identical shards
-        to the pre-counts layout.
-        """
-        with self._lock:
-            clean: list[tuple[str, np.ndarray, np.ndarray | None]] = []
-            seen = {e.name for e in self.entries if not e.removed}
-            for item in named_values:
-                name, vals, cnts = _normalize_item(item)
-                if name in seen:
-                    raise StoreError(f"genome {name!r} already present")
-                seen.add(name)
-                if vals.size and (vals[0] < 0 or vals[-1] >= self.m):
-                    raise StoreError(
-                        f"genome {name!r} has values outside [0, {self.m})"
-                    )
-                clean.append((name, vals, cnts))
-            if not clean:
-                return []
-            if self.has_lsh:
-                self.lsh_table()  # load before mutating, for with_added
-            with self._mutation() as stale:
-                new_entries = []
-                new_fps: list[np.ndarray] = []
-                for name, vals, cnts in clean:
-                    payloads: list = [vals]
-                    for fam in self.families:
-                        # Stored payload = the sketch's kernel row, the
-                        # b-bit lanes packed.
-                        row = sketch_row(
-                            fam, vals, cnts, self.sketch_size,
-                            self.sketch_bits, self.sketch_seed,
-                        )
-                        if fam == LSH_FAMILY:
-                            new_fps.append(row)
-                            row = pack_lanes(row, self.sketch_bits)
-                        payloads.append(row)
-                    if cnts is not None:
-                        payloads.append(cnts)
-                    shard = f"{SHARD_DIR}/{self.next_shard:06d}.bin"
-                    write_records(self.root / shard, payloads, self.codec)
-                    entry = GenomeEntry(
-                        name=name, shard=shard, n_values=int(vals.size),
-                        mass=(
-                            int(cnts.sum()) if cnts is not None
-                            else int(vals.size)
-                        ),
-                    )
-                    self.entries.append(entry)
-                    self.next_shard += 1
-                    new_entries.append(entry)
-                if self.has_lsh:
-                    self._replace_lsh(
-                        self._lsh.with_added(new_fps), stale
-                    )
-            return new_entries
+    def _stage_append(self, clean, txn: Transaction) -> list[GenomeEntry]:
+        """Stage validated triples: one record file each (values, the
+        sketches, then any counts) plus the extended LSH table."""
+        if not clean:
+            return []
+        txn.touch(self)
+        table = self.lsh_table()  # loaded before the entries change
+        new_entries = []
+        new_fps: list[np.ndarray] = []
+        for name, vals, cnts in clean:
+            payloads: list = [vals]
+            for fam in self.families:
+                # Stored payload = the sketch's kernel row, the b-bit
+                # lanes packed.
+                row = sketch_row(
+                    fam, vals, cnts, self.sketch_size,
+                    self.sketch_bits, self.sketch_seed,
+                )
+                if fam == LSH_FAMILY:
+                    new_fps.append(row)
+                    row = pack_lanes(row, self.sketch_bits)
+                payloads.append(row)
+            if cnts is not None:
+                payloads.append(cnts)
+            shard = f"{SHARD_DIR}/{self.next_shard:06d}.bin"
+            write_records(self.root / shard, payloads, self.codec)
+            entry = GenomeEntry(
+                name=name, shard=shard, n_values=int(vals.size),
+                mass=int(vals.size if cnts is None else cnts.sum()),
+            )
+            self.entries.append(entry)
+            self.next_shard += 1
+            new_entries.append(entry)
+        if table is not None:
+            self._stage_lsh(table.with_added(new_fps), txn)
+        return new_entries
 
     def load_values(self, name: str) -> np.ndarray:
         """A genome's sorted attribute values (decoded from its shard)."""
@@ -781,50 +905,36 @@ class IndexStore:
             self.root / entry.shard, 1 + len(self.families)
         )
 
-    def remove(self, name: str) -> None:
-        """Tombstone a genome; its Gram row/column is dropped exactly.
+    def _stage_remove(self, name: str, txn: Transaction) -> None:
+        """Stage a tombstone, the Gram minus the genome's row/column,
+        and the LSH table minus its position."""
+        entry = self._entry(name)
+        position = self.names.index(name)
+        table = self.lsh_table()
+        txn.touch(self)
+        if self.gram_names is not None and name in self.gram_names:
+            inter, sizes, names = self._read_gram()
+            keep = [i for i, n in enumerate(names) if n != name]
+            self._stage_gram(
+                inter[np.ix_(keep, keep)], sizes[keep],
+                [names[i] for i in keep], txn,
+            )
+        if table is not None:
+            self._stage_lsh(table.with_removed(position), txn)
+        entry.removed = True
 
-        The LSH table (if maintained) drops the genome's position
-        incrementally — later live positions shift down by one, in
-        lockstep with the live-genome order.
-        """
-        with self._lock:
-            entry = self._entry(name)
-            position = self.names.index(name)
-            if self.has_lsh:
-                self.lsh_table()
-            with self._mutation() as stale:
-                if self.gram_names is not None and name in self.gram_names:
-                    inter, sizes, names = self._read_gram()
-                    keep = [i for i, n in enumerate(names) if n != name]
-                    self._write_gram(
-                        inter[np.ix_(keep, keep)], sizes[keep],
-                        [names[i] for i in keep], stale,
-                    )
-                if self.has_lsh:
-                    self._replace_lsh(
-                        self._lsh.with_removed(position), stale
-                    )
-                entry.removed = True
-
-    def compact(self) -> int:
-        """Drop tombstoned shards from disk; returns shards reclaimed.
-
-        Unlinks shard files, so older :class:`StoreSnapshot` views stop
-        being readable — do not compact with queries in flight.  The
-        LSH table is rebuilt from the surviving stored fingerprints
-        (equal, by canonicity, to the incrementally maintained one).
-        """
-        with self._lock:
-            dead = [e for e in self.entries if e.removed]
-            if not dead:
-                return 0
-            with self._mutation() as stale:
-                stale.extend(e.shard for e in dead)
-                self.entries = [e for e in self.entries if not e.removed]
-                if self.has_lsh:
-                    self._replace_lsh(self._build_lsh(), stale)
-            return len(dead)
+    def _stage_compact(self, txn: Transaction) -> int:
+        """Stage the entry list without tombstones (their record files
+        go stale) and the LSH table rebuilt over the survivors."""
+        dead = [e for e in self.entries if e.removed]
+        if not dead:
+            return 0
+        txn.touch(self)
+        txn.stale.extend(self.root / e.shard for e in dead)
+        self.entries = [e for e in self.entries if not e.removed]
+        if self.has_lsh:
+            self._stage_lsh(self._build_lsh(), txn)
+        return len(dead)
 
     # ---- the persisted all-pairs result -------------------------------
 
@@ -835,36 +945,34 @@ class IndexStore:
         names: list[str] | None = None,
     ) -> None:
         """Persist the exact all-pairs intersection matrix + sizes."""
-        with self._lock:
-            names = list(names) if names is not None else self.names
-            inter = np.ascontiguousarray(intersections, dtype=np.int64)
-            szs = np.ascontiguousarray(sizes, dtype=np.int64)
-            n = len(names)
-            if inter.shape != (n, n):
-                raise StoreError(
-                    f"intersections shape {inter.shape} does not match "
-                    f"{n} genome(s)"
-                )
-            if szs.shape != (n,):
-                raise StoreError(
-                    f"sizes shape {szs.shape} does not match {n} genome(s)"
-                )
-            with self._mutation() as stale:
-                self._write_gram(inter, szs, names, stale)
+        with transaction(self) as txn:
+            self._stage_gram(intersections, sizes, names, txn)
 
-    def _write_gram(
-        self,
-        inter: np.ndarray,
-        sizes: np.ndarray,
-        names: list[str],
-        stale: list[str],
+    def _stage_gram(
+        self, intersections, sizes, names, txn: Transaction
     ) -> None:
+        """Stage ``gram-<version+1>.bin`` over ``names`` (default: the
+        live genomes); shapes are checked before anything is written."""
+        names = list(names) if names is not None else self.names
+        inter = np.ascontiguousarray(intersections, dtype=np.int64)
+        szs = np.ascontiguousarray(sizes, dtype=np.int64)
+        n = len(names)
+        if inter.shape != (n, n):
+            raise StoreError(
+                f"intersections shape {inter.shape} does not match "
+                f"{n} genome(s)"
+            )
+        if szs.shape != (n,):
+            raise StoreError(
+                f"sizes shape {szs.shape} does not match {n} genome(s)"
+            )
+        txn.touch(self)
         if self.gram_file is not None:
-            stale.append(self.gram_file)
+            txn.stale.append(self.root / self.gram_file)
         fname = f"gram-{self.version + 1:06d}.bin"
-        write_records(self.root / fname, [inter, sizes], self.codec)
+        write_records(self.root / fname, [inter, szs], self.codec)
         self.gram_file = fname
-        self.gram_names = list(names)
+        self.gram_names = names
 
     def _read_gram(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         if self.gram_names is None or self.gram_file is None:

@@ -117,6 +117,42 @@ class TestMutations:
         svc.rebuild()
         assert gram_current(svc.store)
 
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    def test_add_normalises_each_item_once(
+        self, tmp_path, rng, layout, monkeypatch
+    ):
+        # One front door: the per-item normalisation (np.unique /
+        # coerce_counts) runs once per item per add — not once in the
+        # incremental layer and again in each store's append.
+        import repro.service.store as store_module
+
+        sets = sets_for(rng, n=8)
+        svc = (
+            flat_service(tmp_path, sets) if layout == "flat"
+            else sharded_service(tmp_path, sets)
+        )
+        calls = {"items": 0, "counts": 0}
+        clean_item = store_module._clean_item
+        coerce_counts = store_module.coerce_counts
+
+        def counting_clean_item(item, m):
+            calls["items"] += 1
+            return clean_item(item, m)
+
+        def counting_coerce_counts(values, counts=None):
+            calls["counts"] += 1
+            return coerce_counts(values, counts)
+
+        monkeypatch.setattr(store_module, "_clean_item", counting_clean_item)
+        monkeypatch.setattr(store_module, "coerce_counts", counting_coerce_counts)
+        batch = [
+            ("tiny", np.array([3, 1, 2])),
+            ("weighted", np.arange(10, 900), np.full(890, 2)),
+            ("big", np.arange(0, M - 100)),
+        ]
+        svc.add(batch)
+        assert calls == {"items": len(batch), "counts": 1}
+
     def test_shard_migrates_in_place(self, tmp_path, rng):
         sets = sets_for(rng, n=10)
         svc = flat_service(tmp_path, sets)

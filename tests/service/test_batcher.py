@@ -533,11 +533,8 @@ class TestConcurrencyStress:
             machine=Machine(laptop(4)),
         )
         corpus = [(n, store.load_values(n)) for n in store.names]
-        # add_genomes bumps the version twice (append_many, then
-        # set_gram); a snapshot taken between the two sees the same
-        # corpus, so both versions map to it.
-        version_map = {store.version: list(corpus),
-                       store.version - 1: list(corpus)}
+        # add_genomes is one commit: exactly one version per corpus.
+        version_map = {store.version: list(corpus)}
 
         idx = engine(store, prefilter="cascade", query_cache_size=0)
         batcher = QueryBatcher(idx, batch_size=4, max_wait=0.005)
@@ -559,7 +556,6 @@ class TestConcurrencyStress:
                     snap = [(n, store.load_values(n)) for n in store.names]
                     with outcomes_lock:
                         version_map[store.version] = snap
-                        version_map[store.version - 1] = snap
             except BaseException as exc:  # pragma: no cover - diagnostics
                 errors.append(exc)
 

@@ -16,6 +16,7 @@ from repro.service import (
     QueryError,
     ServiceError,
     SimilarityIndex,
+    SimilarityService,
     StoreError,
 )
 from repro.service.cache import QueryCache
@@ -111,6 +112,131 @@ class TestPinnedMessages:
             ConfigError, match=r"capacity must be >= 0, got -1"
         ):
             QueryCache(-1)
+
+
+#: One bad add item per row -> the pinned ``StoreError`` message.
+#: Every one of these was *accepted* before ``validate_add`` existed
+#: (floats truncated, 2-D flattened, strings and bools coerced, the
+#: name ``5`` stored as ``'5'``) or escaped as a bare ``ValueError``.
+BAD_ADD_ITEMS = {
+    "float-values": (
+        ("f", [1.5, 2.7, 3.2]),
+        r"genome 'f' values must be integers, got dtype float64",
+    ),
+    "2d-values": (
+        ("d", np.array([[1, 2], [3, 4]])),
+        r"genome 'd' values must be one-dimensional, got shape \(2, 2\)",
+    ),
+    "str-values": (
+        ("s", ["1", "2"]),
+        r"genome 's' values must be integers, got dtype <U1",
+    ),
+    "bool-values": (
+        ("b", [True, False]),
+        r"genome 'b' values must be integers, got dtype bool",
+    ),
+    "scalar-values": (
+        ("n", 7),
+        r"genome 'n' values must be a collection of integers",
+    ),
+    "int-name": (
+        (5, [1, 2]),
+        r"genome name must be a non-empty str, got 5",
+    ),
+    "empty-name": (
+        ("", [1, 2]),
+        r"genome name must be a non-empty str, got ''",
+    ),
+    "bare-name": (
+        ("lonely",),
+        r"an add item must be \(name, values\) or \(name, values, counts\)",
+    ),
+    "misaligned-counts": (
+        ("c", [1, 2, 3], [1, 2]),
+        r"genome 'c': counts must align with values: "
+        r"2 count\(s\) for 3 value\(s\)",
+    ),
+    "zero-count": (
+        ("z", [1, 2], [1, 0]),
+        r"genome 'z': abundance counts must be >= 1",
+    ),
+    "float-counts": (
+        ("fc", [1, 2], [1.5, 2.0]),
+        r"genome 'fc' counts must be integers, got dtype float64",
+    ),
+    "out-of-range": (
+        ("o", [M]),
+        r"genome 'o' has values outside \[0, 1000\)",
+    ),
+    "negative": (
+        ("neg", [-1]),
+        r"genome 'neg' has values outside \[0, 1000\)",
+    ),
+    "duplicate-name": (
+        ("a", [3]),
+        r"genome 'a' already present",
+    ),
+    "repeated-in-batch": (
+        ("ok", [4]),
+        r"genome 'ok' already present",
+    ),
+}
+
+
+class TestAddValidation:
+    """``validate_add`` is the one front door of both layouts: a bad
+    item anywhere in a batch raises the pinned ``StoreError`` and
+    nothing — no record, no table, no manifest — is written."""
+
+    @pytest.mark.parametrize("shards", [1, 3], ids=["flat", "sharded"])
+    @pytest.mark.parametrize("case", sorted(BAD_ADD_ITEMS))
+    def test_bad_item_rejected_before_any_write(self, tmp_path, shards, case):
+        bad, message = BAD_ADD_ITEMS[case]
+        service = SimilarityService.create(
+            tmp_path / "idx", m=M,
+            config=SimilarityConfig(
+                store_shards=shards, shard_band_policy="uniform"
+            ),
+        )
+        service.add([("a", [1, 2])])
+        store = service.store
+
+        def on_disk():
+            return sorted(
+                (str(p), p.stat().st_mtime_ns)
+                for p in store.root.rglob("*") if p.is_file()
+            )
+
+        before = (store.version, store.names, on_disk())
+        batch = [("ok", [1, 2, 3]), bad]
+        with pytest.raises(StoreError, match=message):
+            service.add(batch)
+        with pytest.raises(StoreError, match=message):
+            store.append_many(batch)
+        assert (store.version, store.names, on_disk()) == before
+        service.add([("ok", [1, 2, 3])])  # still addable
+        assert store.names == ["a", "ok"]
+
+    def test_clean_triples(self, tmp_path):
+        from repro.service.store import validate_add
+
+        store = IndexStore.create(tmp_path / "idx", m=M)
+        clean = validate_add(
+            store,
+            [
+                ("set", {3, 1, 2}),
+                ("dups", [5, 5, 4], [1, 2, 1]),
+                ("ones", np.array([9, 8], dtype=np.uint16), [1, 1]),
+                ("empty", []),
+            ],
+        )
+        assert [name for name, _, _ in clean] == ["set", "dups", "ones", "empty"]
+        assert [v.tolist() for _, v, _ in clean] == [[1, 2, 3], [4, 5], [8, 9], []]
+        assert all(v.dtype == np.int64 for _, v, _ in clean)
+        # Duplicate occurrences sum; all-ones counts normalise away.
+        assert [None if c is None else c.tolist() for _, _, c in clean] == [
+            None, [1, 3], None, None,
+        ]
 
 
 def _bad_prefilter_config():

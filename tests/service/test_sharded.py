@@ -7,20 +7,23 @@ while a concurrent ``add_genomes`` mutates the store.
 """
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core.config import SimilarityConfig
+from repro.core.config import SIMILARITY_MEASURES, SimilarityConfig
 from repro.runtime.engine import Machine
 from repro.runtime.executor import SequentialExecutor
 from repro.runtime.machine import laptop
 from repro.service import (
     IndexStore,
     QueryBatcher,
+    QueryMatch,
     ShardedSimilarityIndex,
     ShardedStore,
     SimilarityIndex,
+    SimilarityService,
     StoreError,
     open_store,
     plan_size_bands,
@@ -468,6 +471,54 @@ class TestMigration:
         # Incremental adds work immediately after migration.
         add_genomes(sh, [("post", np.unique(rng.integers(0, M, 50)))])
         assert "post" in sh.names
+
+        # Abundance counts migrate with the values: masses, stored
+        # counts, the weighted-MinHash rows built from them, and so
+        # every answer under every measure.
+        weighted = [
+            (f"w{i:02d}", vals, rng.integers(1, 9, size=vals.size))
+            for i, vals in enumerate(sets[:12])
+        ]
+        root = tmp_path / "counts"
+        SimilarityService.create(
+            root, m=M,
+            config=SimilarityConfig(
+                similarity="weighted_jaccard", sketch_size=64
+            ),
+        ).add(weighted)
+
+        def answers():
+            out = []
+            for measure in SIMILARITY_MEASURES:
+                svc = SimilarityService.open(
+                    root, config=SimilarityConfig(similarity=measure)
+                )
+                for query in (
+                    {"name": "w03", "top_k": 5},
+                    {"name": "w07", "threshold": 0.0},
+                    {"values": weighted[5][1], "counts": weighted[5][2],
+                     "top_k": 12},
+                ):
+                    # The migration is one commit: only the store
+                    # version may move.
+                    out.append(replace(
+                        without_modelled_cost(svc.query(**query)),
+                        store_version=0,
+                    ))
+            return svc.store, out
+
+        flat, before = answers()
+        masses = flat.masses()
+        counts = [flat.load_counts(name) for name in flat.names]
+        assert int(masses.sum()) > int(flat.sizes().sum())
+        assert before[5].matches[0] == QueryMatch("w05", 5, 1.0)  # weighted self-query
+        shard_store(root, 3)
+        migrated, after = answers()
+        assert isinstance(migrated, ShardedStore)
+        assert after == before
+        assert np.array_equal(migrated.masses(), masses)
+        for name, want in zip(migrated.names, counts):
+            assert np.array_equal(migrated.load_counts(name), want)
 
     def test_migrated_store_reopens(self, tmp_path, rng):
         sets = corpus(rng)

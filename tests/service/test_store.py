@@ -279,36 +279,49 @@ class TestGramArtifact:
             store.set_gram(np.zeros((2, 2), dtype=np.int64), np.array([1]))
 
 
+SMALL = np.array([1, 2, 3], dtype=np.int64)
+# M // 3 = 3333: on three uniform bands the mid band starts there.
+MID = np.arange(3400, 7000, dtype=np.int64)
+LARGE = np.arange(100, 7900, dtype=np.int64)
+# New genomes landing in two different bands of the sharded layout.
+X = ("x", np.array([7, 8], dtype=np.int64))
+Y = ("y", np.arange(4000, 8000, dtype=np.int64))
+
+
+def bands_of(store):
+    """A sharded store's bands; a flat store is its own only band."""
+    return getattr(store, "shards", [store])
+
+
 class TestCrashConsistency:
     """Fault injection: a crash mid-write must never tear the store.
 
-    Every byte the store writes flows through
+    Every byte either layout writes flows through
     ``repro.service.store._atomic_write_bytes``.  The injector below
     simulates a crash during the N-th write of a mutation: a torn temp
     file lands on disk, the target is never replaced, and the mutation
-    raises.  Whatever N (mid-shard, mid-Gram, mid-LSH-table,
-    mid-manifest), the live store must roll back in memory and a fresh
-    ``open`` must see the previous committed version intact — and the
-    retried mutation must then succeed.
+    raises.  Whatever N (mid-record, mid-Gram, mid-LSH-table, between
+    two bands' files, mid-manifest), the live store must roll back in
+    memory — in place, so a service's engines keep serving it — and a
+    fresh ``open`` must see the previous committed version intact on
+    every band; the retried mutation must then succeed.  One table
+    covers layout x mutation: both layouts commit through the same
+    scope, so they owe the same contract (``sh-*`` rows = sharded).
     """
 
     @staticmethod
-    def _baseline(tmp_path, tag):
-        store = IndexStore.create(
-            tmp_path / f"idx-{tag}", m=M, sketch_size=64
+    def _baseline(tmp_path, tag, layout="flat"):
+        from repro.service import SimilarityService, create_store
+
+        store = create_store(
+            tmp_path / f"{layout}-{tag}", m=M,
+            shards=3 if layout == "sharded" else 1,
+            band_policy="uniform", sketch_size=64,
         )
-        sets = {
-            "a": np.array([1, 2, 3, 4], dtype=np.int64),
-            "b": np.array([2, 3, 4], dtype=np.int64),
-            "c": np.array([500, 501], dtype=np.int64),
-        }
-        for name, vals in sets.items():
-            store.append(name, vals)
-        inter = np.array(
-            [[4, 3, 0], [3, 3, 0], [0, 0, 2]], dtype=np.int64
-        )
-        store.set_gram(inter, np.array([4, 3, 2]))
-        return store, sets
+        store.append_many([("small", SMALL), ("mid", MID), ("large", LARGE)])
+        service = SimilarityService(store)
+        service.rebuild()  # a current Gram on every band
+        return service
 
     @staticmethod
     def _state(store):
@@ -316,20 +329,26 @@ class TestCrashConsistency:
             store.version,
             store.names,
             {n: store.load_values(n).tolist() for n in store.names},
-            store.gram_file,
-            store.lsh_file,
+            [
+                (b.version, b.names, b.gram_file, b.gram_current, b.lsh_file)
+                for b in bands_of(store)
+            ],
         )
+
+    @staticmethod
+    def _tables(store):
+        return [b.lsh_table() for b in bands_of(store)]
 
     @staticmethod
     def _install_injector(monkeypatch, fail_on):
         import repro.service.store as store_module
 
         real = store_module._atomic_write_bytes
-        calls = {"n": 0}
+        log: list[str] = []
 
         def torn(path, data):
-            calls["n"] += 1
-            if calls["n"] == fail_on:
+            log.append(path.name)
+            if len(log) == fail_on:
                 torn_tmp = path.with_name(path.name + ".tmp")
                 torn_tmp.write_bytes(data[: max(1, len(data) // 2)])
                 raise OSError(
@@ -339,74 +358,139 @@ class TestCrashConsistency:
             real(path, data)
 
         monkeypatch.setattr(store_module, "_atomic_write_bytes", torn)
-        return calls
+        return log
 
-    # Each entry is (prep, mutation): prep commits normally, the
-    # mutation is the single transaction the crash is injected into.
+    # Each row is (prep, mutation) over a SimilarityService: prep
+    # commits normally, the mutation is the single transaction the
+    # crash is injected into.  On the sharded layout every row touches
+    # >= 2 bands or a band plus the top level, so the sweep hits crash
+    # points between bands, not just within one.
     MUTATIONS = {
-        "append_many": (
-            None,
-            lambda s: s.append_many([("x", [7, 8]), ("y", [9])]),
+        "append_many": (None, lambda svc: svc.store.append_many([X, Y])),
+        "add_genomes": (None, lambda svc: svc.add([X, Y])),
+        "remove": (None, lambda svc: svc.remove("mid")),
+        "compact": (
+            lambda svc: (svc.remove("small"), svc.remove("large")),
+            lambda svc: svc.compact(),
         ),
-        "remove": (None, lambda s: s.remove("b")),
-        "compact": (lambda s: s.remove("b"), lambda s: s.compact()),
+        "rebuild": (None, lambda svc: svc.rebuild()),
+    }
+    FLAT_ONLY = {
         "set_gram": (
             None,
-            lambda s: s.set_gram(
-                np.eye(3, dtype=np.int64), np.array([4, 3, 2])
+            lambda svc: svc.store.set_gram(
+                np.eye(3, dtype=np.int64), svc.store.sizes()
             ),
         ),
+        "shard_store": (None, lambda svc: svc.shard(3, band_policy="uniform")),
+    }
+    ROWS = {
+        **{label: ("flat", *row) for label, row in MUTATIONS.items()},
+        **{label: ("flat", *row) for label, row in FLAT_ONLY.items()},
+        **{
+            f"sh-{label}": ("sharded", *row)
+            for label, row in MUTATIONS.items()
+        },
     }
 
-    def _count_writes(self, tmp_path, monkeypatch, label):
-        # A dry run with an injector that never fires counts the
+    def _write_log(self, tmp_path, monkeypatch, row):
+        # A dry run with an injector that never fires logs the
         # mutation's writes, so the sweep below hits every one.
-        prep, mutate = self.MUTATIONS[label]
+        layout, prep, mutate = self.ROWS[row]
+        service = self._baseline(tmp_path, f"count-{row}", layout)
+        if prep is not None:
+            prep(service)
         with monkeypatch.context() as mp:
-            calls = self._install_injector(mp, fail_on=0)
-            store, _ = self._baseline(tmp_path, f"count-{label}")
-            if prep is not None:
-                prep(store)
-            before = calls["n"]
-            mutate(store)
-            return calls["n"] - before
+            log = self._install_injector(mp, fail_on=0)
+            mutate(service)
+            return list(log)
 
-    @pytest.mark.parametrize("label", sorted(MUTATIONS))
+    @pytest.mark.parametrize("row", sorted(ROWS))
     def test_crash_at_every_write_rolls_back(
-        self, tmp_path, monkeypatch, label
+        self, tmp_path, monkeypatch, row
     ):
-        prep, mutate = self.MUTATIONS[label]
-        n_writes = self._count_writes(tmp_path, monkeypatch, label)
-        assert n_writes >= 2  # data file(s) + LSH table + manifest
-        for fail_on in range(1, n_writes + 1):
-            store, _ = self._baseline(tmp_path, f"{label}-{fail_on}")
+        from repro.service import SimilarityService, open_store
+        from tests.helpers import without_modelled_cost
+
+        layout, prep, mutate = self.ROWS[row]
+        log = self._write_log(tmp_path, monkeypatch, row)
+        # Data file(s) first, then exactly one manifest — the commit.
+        assert len(log) >= 2
+        assert log.count("manifest.json") == 1
+        assert log[-1] == "manifest.json"
+        for fail_on in range(1, len(log) + 1):
+            service = self._baseline(tmp_path, f"{row}-{fail_on}", layout)
             if prep is not None:
-                prep(store)
-            committed = self._state(store)
-            table = store.lsh_table()
+                prep(service)
+            root = service.store.root
+            committed = self._state(service.store)
+            tables = self._tables(service.store)
+            service.query(values=SMALL, top_k=5)  # pins every band
             with monkeypatch.context() as mp:
                 self._install_injector(mp, fail_on)
                 with pytest.raises(OSError, match="injected crash"):
-                    mutate(store)
-            # Live store rolled back in memory...
-            assert self._state(store) == committed
-            assert store.lsh_table().equals(table)
-            # ...and a fresh open sees the previous committed version.
-            reopened = IndexStore.open(store.root)
+                    mutate(service)
+            # The live store rolled back in memory...
+            assert self._state(service.store) == committed
+            # ...and a fresh open sees the previous committed version,
+            # top level AND every band, Gram currency included.
+            reopened = open_store(root)
             assert self._state(reopened) == committed
-            assert reopened.lsh_table().equals(table)
-            # The interrupted mutation retries cleanly.
-            mutate(store)
-            assert store.version == committed[0] + 1
-            final = IndexStore.open(store.root)
-            assert final.names == store.names
-            assert final.lsh_table().equals(store.lsh_table())
+            for store in (service.store, reopened):
+                for got, want in zip(self._tables(store), tables):
+                    assert got.equals(want)
+            # The interrupted mutation retries cleanly, and the service
+            # that lived through the crash answers like a fresh one.
+            mutate(service)
+            assert service.store.version == committed[0] + 1
+            assert self._state(open_store(root)) == self._state(service.store)
+            fresh = SimilarityService.open(root)
+            for query in (np.array([7, 8, 9]), MID):
+                assert without_modelled_cost(
+                    service.query(values=query, top_k=5)
+                ) == without_modelled_cost(fresh.query(values=query, top_k=5))
+
+    @pytest.mark.parametrize(
+        "layout, mutate, n_writes, touched",
+        [
+            # records + LSH table + Gram, then the manifest
+            ("flat", lambda svc: svc.add([X]), 4, [0]),
+            # band 0: 1 record + LSH + Gram; band 1: 3 records + LSH +
+            # Gram; then the one top-level manifest
+            (
+                "sharded",
+                lambda svc: svc.add(
+                    [X, Y, ("y2", Y[1][1:]), ("y3", Y[1][2:])]
+                ),
+                9,
+                [0, 1],
+            ),
+            # the band's Gram and LSH table, then the manifest
+            ("sharded", lambda svc: svc.remove("mid"), 3, [1]),
+        ],
+        ids=["flat-add", "sharded-add-two-bands", "sharded-remove"],
+    )
+    def test_one_manifest_and_one_version_per_mutation(
+        self, tmp_path, monkeypatch, layout, mutate, n_writes, touched
+    ):
+        service = self._baseline(tmp_path, "traffic", layout)
+        bands = bands_of(service.store)
+        before = [b.version for b in bands]
+        version = service.store.version
+        log = self._install_injector(monkeypatch, fail_on=0)
+        mutate(service)
+        assert len(log) == n_writes
+        assert log.count("manifest.json") == 1 and log[-1] == "manifest.json"
+        assert service.store.version == version + 1
+        assert [b.version for b in bands] == [
+            v + (i in touched) for i, v in enumerate(before)
+        ]
 
     def test_torn_manifest_never_observed(self, tmp_path, monkeypatch):
         # The injected crash lands during the manifest write itself:
         # the torn bytes sit in a temp file, the committed manifest is
         # still the old one, and open() parses it fine.
-        store, _ = self._baseline(tmp_path, "manifest")
+        store = self._baseline(tmp_path, "manifest").store
         n_writes = 3  # shard, lsh table, manifest — manifest is last
         version = store.version
         with monkeypatch.context() as mp:
@@ -422,7 +506,7 @@ class TestCrashConsistency:
     def test_orphaned_staged_files_are_ignored(self, tmp_path, monkeypatch):
         # A crash after the LSH table write leaves an unreferenced
         # lsh-<v+1>.bin on disk; open() reads only the manifest's file.
-        store, _ = self._baseline(tmp_path, "orphan")
+        store = self._baseline(tmp_path, "orphan").store
         with monkeypatch.context() as mp:
             self._install_injector(mp, fail_on=2)  # the LSH-table write
             with pytest.raises(OSError, match="injected crash"):
@@ -432,183 +516,73 @@ class TestCrashConsistency:
         assert reopened.lsh_table().equals(store.lsh_table())
 
 
-def _sharded_rebuild(store):
-    from repro.service.incremental import rebuild
-
-    return rebuild(store)
-
-
-def _sharded_add(store):
-    from repro.service.incremental import add_genomes
-
-    return add_genomes(
-        store,
-        [
-            ("x", np.array([7, 8], dtype=np.int64)),
-            ("y", np.arange(4000, 8000, dtype=np.int64)),
-        ],
-    )
-
-
 class TestShardedCrashConsistency:
-    """Fault injection on the two-level (shard + top manifest) commit.
-
-    A sharded mutation appends to several shard stores and then bumps
-    the top-level manifest; a crash at ANY write — inside a shard's
-    data file, inside a shard's LSH table, between one shard's commit
-    and the next, or during the top-level manifest replacement itself —
-    must leave a fresh ``ShardedStore.open`` at the previous version on
-    **every** shard (the top-level manifest embeds the shard payloads,
-    so a shard's committed-but-unreferenced files are simply ignored).
-    """
-
-    @staticmethod
-    def _baseline(tmp_path, tag):
-        from repro.service.sharded import ShardedStore
-
-        store = ShardedStore.create(
-            tmp_path / f"sh-{tag}", m=M, shards=3,
-            band_policy="uniform", sketch_size=64,
-        )
-        sets = {
-            "small": np.array([1, 2, 3], dtype=np.int64),
-            # M // 3 = 3333: mid band starts there.
-            "mid": np.arange(3400, 7000, dtype=np.int64),
-            "large": np.arange(100, 7900, dtype=np.int64),
-        }
-        store.append_many(list(sets.items()))
-        return store, sets
-
-    @staticmethod
-    def _state(store):
-        return (
-            store.version,
-            store.names,
-            {n: store.load_values(n).tolist() for n in store.names},
-            [s.version for s in store.shards],
-            [s.gram_file for s in store.shards],
-            [s.lsh_file for s in store.shards],
-        )
-
-    _install_injector = staticmethod(
-        TestCrashConsistency._install_injector
-    )
-
-    # Every mutation below touches >= 2 shards, so the sweep hits
-    # crash points between shard commits, not just within one.
-    MUTATIONS = {
-        "append_many": (
-            None,
-            lambda s: s.append_many(
-                [
-                    ("x", np.array([7, 8], dtype=np.int64)),
-                    ("y", np.arange(4000, 8000, dtype=np.int64)),
-                ]
-            ),
-        ),
-        "remove": (None, lambda s: s.remove("mid")),
-        "compact": (
-            lambda s: (s.remove("small"), s.remove("large")),
-            lambda s: s.compact(),
-        ),
-        # The border-merge needs a current Gram on every touched shard.
-        "add_genomes": (
-            lambda s: _sharded_rebuild(s),
-            lambda s: _sharded_add(s),
-        ),
-    }
-
-    def _count_writes(self, tmp_path, monkeypatch, label):
-        prep, mutate = self.MUTATIONS[label]
-        with monkeypatch.context() as mp:
-            calls = self._install_injector(mp, fail_on=0)
-            store, _ = self._baseline(tmp_path, f"count-{label}")
-            if prep is not None:
-                prep(store)
-            before = calls["n"]
-            mutate(store)
-            return calls["n"] - before
-
-    @pytest.mark.parametrize("label", sorted(MUTATIONS))
-    def test_crash_at_every_write_rolls_back(
-        self, tmp_path, monkeypatch, label
-    ):
-        from repro.service.sharded import ShardedStore
-
-        prep, mutate = self.MUTATIONS[label]
-        n_writes = self._count_writes(tmp_path, monkeypatch, label)
-        # Two shards' files plus the top-level manifest, at least.
-        assert n_writes >= 3
-        for fail_on in range(1, n_writes + 1):
-            store, _ = self._baseline(tmp_path, f"{label}-{fail_on}")
-            if prep is not None:
-                prep(store)
-            committed = self._state(store)
-            with monkeypatch.context() as mp:
-                self._install_injector(mp, fail_on)
-                with pytest.raises(OSError, match="injected crash"):
-                    mutate(store)
-            # Live store rolled back in memory...
-            assert self._state(store) == committed
-            # ...and a fresh open sees the previous committed version
-            # on the top level AND on every shard.
-            reopened = ShardedStore.open(store.root)
-            assert self._state(reopened) == committed
-            # The interrupted mutation retries cleanly.
-            mutate(store)
-            assert store.version == committed[0] + 1
-            final = ShardedStore.open(store.root)
-            assert final.names == store.names
-            assert [s.version for s in final.shards] == [
-                s.version for s in store.shards
-            ]
-
-    def test_crash_between_shard_commit_and_manifest(
-        self, tmp_path, monkeypatch
-    ):
-        # The top-level manifest is the LAST write of a multi-shard
-        # append.  Crash exactly there: every shard has already written
-        # its new files, yet reopening must still see the old version —
-        # the new shard files are unreferenced and ignored.
-        from repro.service.sharded import ShardedStore
-
-        n_writes = self._count_writes(tmp_path, monkeypatch, "append_many")
-        _, mutate = self.MUTATIONS["append_many"]
-        store, _ = self._baseline(tmp_path, "last-write")
-        committed = self._state(store)
-        with monkeypatch.context() as mp:
-            self._install_injector(mp, fail_on=n_writes)
-            with pytest.raises(OSError, match="injected crash"):
-                mutate(store)
-        torn = list(store.root.glob("manifest.json.tmp"))
-        assert torn, "the crash must have hit the top-level manifest"
-        reopened = ShardedStore.open(store.root)
-        assert self._state(reopened) == committed
-        assert "x" not in reopened.names and "y" not in reopened.names
+    """What only the sharded layout can get wrong: the top-level
+    manifest is the one commit of every band (the crash sweep itself is
+    ``TestCrashConsistency``'s ``sh-*`` rows)."""
 
     def test_rolled_back_add_leaves_no_stale_band_engine(
         self, tmp_path, monkeypatch
     ):
-        # The rollback *replaces* the band stores that had already
-        # committed; a service whose band engines kept the discarded
-        # objects would serve the rolled-back genomes after the next
-        # successful mutation.
+        # The rollback restores the band stores in place, so a service
+        # whose band engines pinned them before the crash must not
+        # serve the rolled-back genomes after the next successful
+        # mutation.
         from repro.service import SimilarityService
         from tests.helpers import without_modelled_cost
 
-        n_writes = self._count_writes(tmp_path, monkeypatch, "add_genomes")
-        store, sets = self._baseline(tmp_path, "stale-engine")
-        _sharded_rebuild(store)
-        service = SimilarityService(store)
-        service.query(values=sets["small"], top_k=5)  # pins every band
+        sweep = TestCrashConsistency()
+        n_writes = len(
+            sweep._write_log(tmp_path, monkeypatch, "sh-add_genomes")
+        )
+        service = sweep._baseline(tmp_path, "stale-engine", "sharded")
+        bands = list(service.store.shards)
+        service.query(values=SMALL, top_k=5)  # pins every band
         with monkeypatch.context() as mp:
-            self._install_injector(mp, fail_on=n_writes)  # top manifest
+            sweep._install_injector(mp, fail_on=n_writes)  # top manifest
             with pytest.raises(OSError, match="injected crash"):
-                _sharded_add(service.store)
+                service.add([X, Y])
+        assert all(a is b for a, b in zip(service.store.shards, bands))
         service.add([("z", np.array([7, 9], dtype=np.int64))])
-        fresh = SimilarityService.open(store.root)
-        for query in (np.array([7, 8, 9]), sets["mid"]):
+        fresh = SimilarityService.open(service.store.root)
+        for query in (np.array([7, 8, 9]), MID):
             got = service.query(values=query, top_k=5)
             want = fresh.query(values=query, top_k=5)
             assert without_modelled_cost(got) == without_modelled_cost(want)
             assert "x" not in got.names and "y" not in got.names
+
+    def test_band_manifests_of_an_older_layout_are_never_read(self, tmp_path):
+        # Stores written before bands stopped committing on their own
+        # hold a manifest.json per band directory.  Whether it is stale
+        # or ahead of the top-level manifest (an interrupted two-level
+        # commit left both), open() trusts only the embedded payloads.
+        import json
+
+        from repro.service import SimilarityService
+        from tests.helpers import without_modelled_cost
+
+        service = TestCrashConsistency._baseline(tmp_path, "legacy", "sharded")
+        root = service.store.root
+        assert not list(root.glob("bands/*/manifest.json"))
+        committed = TestCrashConsistency._state(service.store)
+        want = [service.query(values=q, top_k=5) for q in (SMALL, MID)]
+        stale, ahead, _ = service.store.shards
+        payload = stale._manifest_payload()
+        payload.update(version=0, genomes=[], gram_names=None, gram_file=None)
+        (stale.root / "manifest.json").write_text(json.dumps(payload))
+        payload = ahead._manifest_payload()
+        payload["version"] += 2
+        payload["genomes"].append(
+            {"name": "ghost", "shard": "shards/000099.bin", "n_values": 4000,
+             "removed": False, "mass": 4000}
+        )
+        (ahead.root / "manifest.json").write_text(json.dumps(payload))
+        reopened = SimilarityService.open(root)
+        assert TestCrashConsistency._state(reopened.store) == committed
+        got = [reopened.query(values=q, top_k=5) for q in (SMALL, MID)]
+        assert [without_modelled_cost(r) for r in got] == [
+            without_modelled_cost(r) for r in want
+        ]
+        # ...and the next mutation commits past them without touching them.
+        reopened.add([X, Y])
+        assert "ghost" not in SimilarityService.open(root).store.names

@@ -20,6 +20,9 @@ over ``tests/data/smoke_fasta``:
   per-sample baseline queries, then ``index shard --shards 2``
   upgrades the flat index into size bands in place; every re-run
   query must return the identical answer through the fan-out engine.
+  Run twice: over a plain index and over a ``--similarity
+  weighted_jaccard`` one, whose stored abundance counts must survive
+  the migration (the scores move if they are dropped).
 * ``similarity`` — the measure knob: ``index build`` + per-sample
   ``index query --similarity containment`` runs whose ``--json``
   payloads must report the containment measure and its one-sided
@@ -241,18 +244,15 @@ def check_shard(
     fastas = sorted(FASTA_DIR.glob("*.fasta"))
     if len(fastas) < 2:
         raise SystemExit(f"need at least two smoke FASTA files in {FASTA_DIR}")
-    index_dir = workdir / "shard_index"
-    if index_dir.exists():
-        shutil.rmtree(index_dir)
-    run_cli(["index", "build", *map(str, fastas), "--index", str(index_dir)])
 
-    def query_all(tag: str) -> dict[str, list[tuple[str, float]]]:
+    def query_all(index_dir: Path, similarity: str, k: int, tag: str) -> dict:
         answers = {}
         for fasta in fastas:
-            out_json = workdir / f"shard_{tag}_{fasta.stem}.json"
+            out_json = workdir / f"shard_{similarity}_{tag}_{fasta.stem}.json"
             run_cli(
                 [
                     "index", "query", str(fasta), "--index", str(index_dir),
+                    "--similarity", similarity, "-k", str(k),
                     "--threshold", str(threshold), "--json", str(out_json),
                 ]
             )
@@ -262,28 +262,40 @@ def check_shard(
             ]
         return answers
 
-    before = query_all("flat")
-    run_cli(["index", "shard", "--index", str(index_dir), "--shards", "2"])
-    manifest = json.loads((index_dir / "manifest.json").read_text())
-    if manifest.get("layout") != "sharded":
-        raise SystemExit(
-            f"index shard left no sharded manifest in {index_dir}: "
-            f"layout = {manifest.get('layout')!r}"
+    # The weighted index uses short k-mers so that they repeat within a
+    # sample: with abundances of 1 throughout, dropped counts cost nothing.
+    for similarity, k in (("jaccard", 31), ("weighted_jaccard", 5)):
+        index_dir = workdir / f"shard_index_{similarity}"
+        if index_dir.exists():
+            shutil.rmtree(index_dir)
+        run_cli(
+            [
+                "index", "build", *map(str, fastas), "-k", str(k),
+                "--index", str(index_dir), "--similarity", similarity,
+            ]
         )
-    after = query_all("sharded")
-    if verbose:
-        print(f"flat answers: {before}")
-        print(f"sharded answers: {after}")
-    for stem in before:
-        if after[stem] != before[stem]:
+        before = query_all(index_dir, similarity, k, "flat")
+        run_cli(["index", "shard", "--index", str(index_dir), "--shards", "2"])
+        manifest = json.loads((index_dir / "manifest.json").read_text())
+        if manifest.get("layout") != "sharded":
             raise SystemExit(
-                f"query for {stem} moved after index shard: "
-                f"{before[stem]} -> {after[stem]}"
+                f"index shard left no sharded manifest in {index_dir}: "
+                f"layout = {manifest.get('layout')!r}"
             )
+        after = query_all(index_dir, similarity, k, "sharded")
+        if verbose:
+            print(f"{similarity} flat answers: {before}")
+            print(f"{similarity} sharded answers: {after}")
+        for stem in before:
+            if after[stem] != before[stem]:
+                raise SystemExit(
+                    f"{similarity} query for {stem} moved after index shard: "
+                    f"{before[stem]} -> {after[stem]}"
+                )
     return (
         f"cli smoke ok [shard]: build({len(fastas)}) -> shard(2) kept "
         f"every query t={threshold:g} answer identical across "
-        f"{len(fastas)} samples"
+        f"{len(fastas)} samples, under jaccard and weighted_jaccard"
     )
 
 
