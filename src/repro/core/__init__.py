@@ -26,7 +26,6 @@ from repro.core.indicator import (
     SyntheticSource,
 )
 from repro.core.result import BatchStats, SimilarityResult
-from repro.core.similarity import SimilarityAtScale, jaccard_similarity
 from repro.core.sketch import (
     ESTIMATORS,
     SKETCH_ESTIMATORS,
@@ -50,3 +49,18 @@ __all__ = [
     "SimilarityAtScale",
     "jaccard_similarity",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve the driver lazily, through the top-level package's table.
+
+    :mod:`repro.core.similarity` imports :mod:`repro.sparse`, whose
+    sketch exchange imports :mod:`repro.core.sketch` — importing the
+    driver eagerly here would make ``import repro.sparse`` (as the first
+    import of a process) re-enter a half-initialised module.
+    """
+    if name in ("SimilarityAtScale", "jaccard_similarity"):
+        import repro
+
+        return getattr(repro, name)
+    raise AttributeError(f"module 'repro.core' has no attribute {name!r}")

@@ -23,6 +23,7 @@ from repro.runtime.topology import ProcessorGrid
 from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.coo import CooMatrix
 from repro.sparse.distributed import DistWordMatrix, word_aligned_row_bounds
+from repro.util.arrays import merge_messages, split_by_destination
 from repro.util.partition import block_bounds
 
 
@@ -51,35 +52,34 @@ def distribute_and_pack(
     layers = grid.layers
 
     layer_bounds = word_aligned_row_bounds(n_rows, layers, bit_width)
-    layer_his = np.array([hi for _, hi in layer_bounds], dtype=np.int64)
+    layer_los = np.array([lo for lo, _ in layer_bounds], dtype=np.int64)
     # Per-layer face blocking, in rows relative to the layer start.
     face_row_bounds = [
         word_aligned_row_bounds(hi - lo, q, bit_width) for lo, hi in layer_bounds
     ]
+    # The same blocking as one monotone list of global upper bounds:
+    # entry ``l * q + s`` closes word-row block ``s`` of layer ``l``, so a
+    # single search places a row in its (layer, block) at once.
+    block_his = np.array(
+        [lo + hi for (lo, _), face in zip(layer_bounds, face_row_bounds)
+         for _, hi in face],
+        dtype=np.int64,
+    )
     col_bounds = [block_bounds(n_cols, grid.cols, t) for t in range(grid.cols)]
     col_his = np.array([hi for _, hi in col_bounds], dtype=np.int64)
 
     send: list[list[np.ndarray | None]] = []
     for chunk in chunks:
-        row_msgs: list[np.ndarray | None] = [None] * comm.size
-        if chunk.nnz:
-            layer_ids = np.searchsorted(layer_his, chunk.rows, side="right")
-            rel_rows = chunk.rows - np.array(
-                [lo for lo, _ in layer_bounds], dtype=np.int64
-            )[layer_ids]
-            block_ids = np.empty(chunk.nnz, dtype=np.int64)
-            for l in range(layers):
-                sel = layer_ids == l
-                if not np.any(sel):
-                    continue
-                his = np.array([hi for _, hi in face_row_bounds[l]], dtype=np.int64)
-                block_ids[sel] = np.searchsorted(his, rel_rows[sel], side="right")
-            col_ids = np.searchsorted(col_his, chunk.cols, side="right")
-            dests = layer_ids * q * grid.cols + block_ids * grid.cols + col_ids
-            for d in np.unique(dests):
-                sel = dests == d
-                row_msgs[int(d)] = np.stack([rel_rows[sel], chunk.cols[sel]])
-        send.append(row_msgs)
+        block_ids = np.searchsorted(block_his, chunk.rows, side="right")
+        col_ids = np.searchsorted(col_his, chunk.cols, side="right")
+        send.append(
+            split_by_destination(
+                block_ids * grid.cols + col_ids,
+                chunk.rows - layer_los[block_ids // q],
+                chunk.cols,
+                comm.size,
+            )
+        )
     comm.charge_compute([float(c.nnz) for c in chunks])
     received = comm.alltoallv(send, codec=codec)
 
@@ -98,16 +98,9 @@ def distribute_and_pack(
             for t in range(grid.cols):
                 clo, chi = col_bounds[t]
                 local_rank = grid.local_rank(s, t, l)
-                parts = [a for a in received[local_rank] if a is not None]
-                if parts:
-                    coords = np.concatenate(parts, axis=1)
-                    rows = coords[0] - rlo
-                    cols = coords[1] - clo
-                else:
-                    rows = np.empty(0, dtype=np.int64)
-                    cols = np.empty(0, dtype=np.int64)
+                rows, cols = merge_messages(received[local_rank])
                 mat.blocks[(s, t)] = BitMatrix.from_coo(
-                    rows, cols, rhi - rlo, chi - clo, bit_width
+                    rows - rlo, cols - clo, rhi - rlo, chi - clo, bit_width
                 )
                 pack_flops[local_rank] = float(rows.size)
         matrices.append(mat)
@@ -134,30 +127,23 @@ def distribute_and_pack_1d(
         )
     bounds = word_aligned_row_bounds(n_rows, comm.size, bit_width)
     his = np.array([hi for _, hi in bounds], dtype=np.int64)
-    send: list[list[np.ndarray | None]] = []
-    for chunk in chunks:
-        row_msgs: list[np.ndarray | None] = [None] * comm.size
-        if chunk.nnz:
-            dests = np.searchsorted(his, chunk.rows, side="right")
-            for d in np.unique(dests):
-                sel = dests == d
-                row_msgs[int(d)] = np.stack([chunk.rows[sel], chunk.cols[sel]])
-        send.append(row_msgs)
+    send = [
+        split_by_destination(
+            np.searchsorted(his, chunk.rows, side="right"),
+            chunk.rows, chunk.cols, comm.size,
+        )
+        for chunk in chunks
+    ]
     comm.charge_compute([float(c.nnz) for c in chunks])
     received = comm.alltoallv(send, codec=codec)
     blocks = []
     flops = []
     for r in range(comm.size):
         rlo, rhi = bounds[r]
-        parts = [a for a in received[r] if a is not None]
-        if parts:
-            coords = np.concatenate(parts, axis=1)
-            rows = coords[0] - rlo
-            cols = coords[1]
-        else:
-            rows = np.empty(0, dtype=np.int64)
-            cols = np.empty(0, dtype=np.int64)
-        blocks.append(BitMatrix.from_coo(rows, cols, rhi - rlo, n_cols, bit_width))
+        rows, cols = merge_messages(received[r])
+        blocks.append(
+            BitMatrix.from_coo(rows - rlo, cols, rhi - rlo, n_cols, bit_width)
+        )
         flops.append(float(rows.size))
     comm.charge_compute(flops)
     return blocks

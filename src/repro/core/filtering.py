@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.runtime.comm import Communicator
 from repro.sparse.coo import CooMatrix
+from repro.util.arrays import sorted_unique
 from repro.util.partition import block_bounds
 
 
@@ -73,22 +74,47 @@ def apply_filter(
     raise ValueError(f"unknown filter strategy {strategy!r}")
 
 
+def _nonzero_rows(rows: np.ndarray, m_batch: int) -> np.ndarray:
+    """Sorted distinct row ids of a coordinate list (the support of ``f``).
+
+    A batch with no more rows than coordinates builds the filter vector
+    of Eq. 5 literally — one scatter into a dense ``f``, one scan — which
+    is linear; a hypersparse batch (``m_batch`` is ``4^k / r``) cannot
+    afford the dense vector and sorts its ids instead.
+    """
+    if m_batch <= rows.size:
+        f = np.zeros(m_batch, dtype=bool)
+        f[rows] = True
+        return np.flatnonzero(f)
+    return sorted_unique(rows)
+
+
+def _rank_in(keys: np.ndarray, rows: np.ndarray, m_batch: int) -> np.ndarray:
+    """Eq. 6: the position of each row id in the sorted distinct ``keys``.
+
+    Same choice as :func:`_nonzero_rows`: the prefix sum of ``f`` as a
+    dense lookup table when the batch has no more rows than coordinates,
+    a binary search otherwise.
+    """
+    if m_batch <= rows.size:
+        table = np.empty(m_batch, dtype=np.int64)
+        table[keys] = np.arange(keys.size, dtype=np.int64)
+        return table[rows]
+    return np.searchsorted(keys, rows)
+
+
 def _filter_allgather(comm: Communicator, chunks: list[CooMatrix]) -> FilterResult:
     m_batch = chunks[0].shape[0]
-    local_rows = [np.unique(c.rows) for c in chunks]
+    local_rows = [_nonzero_rows(c.rows, m_batch) for c in chunks]
     comm.charge_compute([float(c.nnz) for c in chunks])
     gathered = comm.allgather(local_rows)[0]
     # Replicated merge: the (max, x)-semiring read of f on every rank,
     # followed by the local prefix sum over its nonzero entries.
-    nonzero_rows = (
-        np.unique(np.concatenate(gathered))
-        if any(a.size for a in gathered)
-        else np.empty(0, dtype=np.int64)
-    )
+    nonzero_rows = _nonzero_rows(np.concatenate(gathered), m_batch)
     comm.charge_compute(float(sum(a.size for a in gathered)))
     mapped = []
     for chunk in chunks:
-        new_rows = np.searchsorted(nonzero_rows, chunk.rows)
+        new_rows = _rank_in(nonzero_rows, chunk.rows, m_batch)
         mapped.append(
             CooMatrix(new_rows, chunk.cols, (int(nonzero_rows.size), chunk.shape[1]))
         )
@@ -106,12 +132,15 @@ def _filter_transpose(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
     # block owner.
     send: list[list[np.ndarray | None]] = []
     for chunk in chunks:
-        uniq = np.unique(chunk.rows)
-        owners = np.searchsorted(highs, uniq, side="right")
-        row: list[np.ndarray | None] = [None] * p
-        for o in np.unique(owners):
-            row[int(o)] = uniq[owners == o]
-        send.append(row)
+        # Sorted ids fall into the owners' blocks as contiguous slices.
+        uniq = _nonzero_rows(chunk.rows, m_batch)
+        cuts = np.searchsorted(uniq, highs).tolist()
+        send.append(
+            [
+                uniq[a:b] if b > a else None
+                for a, b in zip([0] + cuts[:-1], cuts)
+            ]
+        )
     comm.charge_compute([float(c.nnz) for c in chunks])
     received = comm.alltoallv(send)
 
@@ -119,7 +148,9 @@ def _filter_transpose(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
     owned_rows: list[np.ndarray] = []
     for r in range(p):
         parts = [a for a in received[r] if a is not None and a.size]
-        owned = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+        owned = (
+            sorted_unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+        )
         owned_rows.append(owned)
     comm.charge_compute([float(a.size) for a in owned_rows])
 
@@ -151,7 +182,7 @@ def _filter_transpose(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
             table = np.concatenate(pairs, axis=1)
             order = np.argsort(table[0], kind="stable")
             keys, vals = table[0][order], table[1][order]
-            new_rows = vals[np.searchsorted(keys, chunk.rows)]
+            new_rows = vals[_rank_in(keys, chunk.rows, m_batch)]
         else:
             new_rows = np.empty(0, dtype=np.int64)
         mapped.append(CooMatrix(new_rows, chunk.cols, (total, chunk.shape[1])))

@@ -28,6 +28,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.sparse.coo import CooMatrix
+from repro.util.arrays import sorted_unique
 from repro.util.prng import rng_for
 
 
@@ -69,12 +70,56 @@ def _reader_samples(n: int, rank: int, n_readers: int) -> np.ndarray:
     return np.arange(rank, n, n_readers, dtype=np.int64)
 
 
-class SetSource:
+class SortedSampleSource:
+    """Batched reads over one sorted, duplicate-free value array per sample.
+
+    Subclasses provide ``n`` and ``_load(j)`` (sample ``j``'s array).  A
+    batch is then a pure window computation: one ``searchsorted`` pair
+    per sample gives its ``[lo, hi)`` slice, the table of those slices is
+    built once per batch and shared by every reader rank, and
+    ``read_bytes`` answers from the table alone — no coordinate is
+    materialised to count it.
+    """
+
+    #: ``(lo, hi, table)`` of the batch read last; ``table[j]`` holds the
+    #: slice bounds of sample ``j``'s window.
+    _windows: tuple[int, int, np.ndarray] | None = None
+
+    def _window_table(self, lo: int, hi: int) -> np.ndarray:
+        memo = self._windows
+        if memo is None or memo[:2] != (lo, hi):
+            table = np.empty((self.n, 2), dtype=np.int64)
+            for j in range(self.n):
+                table[j] = np.searchsorted(self._load(j), (lo, hi))
+            self._windows = memo = (lo, hi, table)
+        return memo[2]
+
+    def read_batch(self, lo: int, hi: int, rank: int, n_readers: int) -> CooMatrix:
+        samples = _reader_samples(self.n, rank, n_readers)
+        bounds = self._window_table(lo, hi)[samples]
+        parts = [
+            self._load(j)[a:b]
+            for j, (a, b) in zip(samples.tolist(), bounds.tolist())
+        ]
+        rows = np.concatenate(parts) - lo if parts else np.empty(0, np.int64)
+        cols = np.repeat(samples, bounds[:, 1] - bounds[:, 0])
+        return CooMatrix(rows, cols, (hi - lo, self.n))
+
+    def read_bytes(self, lo: int, hi: int, rank: int, n_readers: int) -> int:
+        bounds = self._window_table(lo, hi)[_reader_samples(self.n, rank, n_readers)]
+        return int((bounds[:, 1] - bounds[:, 0]).sum()) * 8
+
+
+class SetSource(SortedSampleSource):
     """Samples given as in-memory collections of integer attribute values."""
 
     def __init__(self, sets: Sequence, m: int | None = None):
+        # np.array copies: the source never aliases caller-owned memory.
         self._arrays = [
-            np.unique(np.asarray(sorted(s), dtype=np.int64)) for s in sets
+            sorted_unique(
+                np.array(s if isinstance(s, np.ndarray) else sorted(s), dtype=np.int64)
+            )
+            for s in sets
         ]
         max_val = max((int(a[-1]) for a in self._arrays if a.size), default=-1)
         # At least one row so that an all-empty family still yields a
@@ -94,21 +139,8 @@ class SetSource:
     def m(self) -> int:
         return self._m
 
-    def read_batch(self, lo: int, hi: int, rank: int, n_readers: int) -> CooMatrix:
-        rows_parts, cols_parts = [], []
-        for j in _reader_samples(self.n, rank, n_readers):
-            vals = self._arrays[j]
-            a, b = np.searchsorted(vals, [lo, hi])
-            window = vals[a:b]
-            rows_parts.append(window - lo)
-            cols_parts.append(np.full(window.size, j, dtype=np.int64))
-        rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, np.int64)
-        cols = np.concatenate(cols_parts) if cols_parts else np.empty(0, np.int64)
-        return CooMatrix(rows, cols, (hi - lo, self.n))
-
-    def read_bytes(self, lo: int, hi: int, rank: int, n_readers: int) -> int:
-        coo = self.read_batch(lo, hi, rank, n_readers)
-        return coo.nnz * 8
+    def _load(self, j: int) -> np.ndarray:
+        return self._arrays[j]
 
     def nnz_estimate(self) -> int:
         return self._nnz
@@ -139,13 +171,14 @@ class CooSource:
         return CooMatrix(rows[mine] - lo, cols[mine], (hi - lo, self.n))
 
     def read_bytes(self, lo: int, hi: int, rank: int, n_readers: int) -> int:
-        return self.read_batch(lo, hi, rank, n_readers).nnz * 8
+        a, b = np.searchsorted(self._rows, [lo, hi])
+        return int(np.count_nonzero(self._cols[a:b] % n_readers == rank)) * 8
 
     def nnz_estimate(self) -> int:
         return self._coo.nnz
 
 
-class FileSource:
+class FileSource(SortedSampleSource):
     """One sorted attribute-value file per sample.
 
     Supports ``.npy`` arrays (preferred: loaded once, windowed with
@@ -177,7 +210,7 @@ class FileSource:
                 vals = np.load(path)
             else:
                 vals = np.loadtxt(path, dtype=np.int64, ndmin=1)
-            vals = np.unique(np.asarray(vals, dtype=np.int64))
+            vals = sorted_unique(np.asarray(vals, dtype=np.int64))
             if vals.size and (vals[0] < 0 or vals[-1] >= self._m):
                 raise ValueError(
                     f"{path}: values outside [0, {self._m}): "
@@ -185,21 +218,6 @@ class FileSource:
                 )
             self._cache[j] = vals
         return self._cache[j]
-
-    def read_batch(self, lo: int, hi: int, rank: int, n_readers: int) -> CooMatrix:
-        rows_parts, cols_parts = [], []
-        for j in _reader_samples(self.n, rank, n_readers):
-            vals = self._load(j)
-            a, b = np.searchsorted(vals, [lo, hi])
-            window = vals[a:b]
-            rows_parts.append(window - lo)
-            cols_parts.append(np.full(window.size, j, dtype=np.int64))
-        rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, np.int64)
-        cols = np.concatenate(cols_parts) if cols_parts else np.empty(0, np.int64)
-        return CooMatrix(rows, cols, (hi - lo, self.n))
-
-    def read_bytes(self, lo: int, hi: int, rank: int, n_readers: int) -> int:
-        return self.read_batch(lo, hi, rank, n_readers).nnz * 8
 
     def nnz_estimate(self) -> int:
         if self._nnz is None:
@@ -258,7 +276,7 @@ class SyntheticSource:
             rng = rng_for(self.seed, "cell", j, lo, hi)
             count = rng.binomial(span, self._col_density[j])
             if count:
-                rows = np.unique(rng.integers(0, span, size=count))
+                rows = sorted_unique(rng.integers(0, span, size=count))
                 rows_parts.append(rows.astype(np.int64))
                 cols_parts.append(np.full(rows.size, j, dtype=np.int64))
         rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, np.int64)

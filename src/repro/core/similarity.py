@@ -64,6 +64,7 @@ from repro.sparse.summa import (
     gram_1d_allreduce,
     summa_gram_2d,
 )
+from repro.util.arrays import sorted_unique
 
 
 @dataclass(frozen=True)
@@ -536,7 +537,7 @@ class SimilarityAtScale:
                 )
             rows = [c.rows for c in chunks if c.nnz]
             nonzero_rows = (
-                int(np.unique(np.concatenate(rows)).size) if rows else 0
+                int(sorted_unique(np.concatenate(rows)).size) if rows else 0
             )
             decision = DispatchDecision(
                 kernel=kernel, policy="sketch",

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.util.arrays import sorted_unique
 from repro.util.prng import derive_seed
 
 #: Sketch-based estimator names (the lossy family).
@@ -99,12 +100,13 @@ def hash_values(values: np.ndarray, seed: int = 0) -> np.ndarray:
 
 
 def _as_value_array(values) -> np.ndarray:
-    """Coerce any iterable of non-negative ints to a unique int64 array."""
+    """Coerce any iterable of non-negative ints to a sorted unique int64
+    array (the input itself when it already is one)."""
     if isinstance(values, np.ndarray):
         arr = values.astype(np.int64, copy=False)
     else:
         arr = np.asarray(sorted(values), dtype=np.int64)
-    return np.unique(arr)
+    return sorted_unique(arr.ravel())
 
 
 # ---- b-bit lane packing ---------------------------------------------------
@@ -260,8 +262,9 @@ class KMinValuesSketch(BottomSSketch):
         vals = _as_value_array(values)
         if vals.size == 0:
             return self
-        fresh = np.unique(hash_values(vals, self.seed))
-        merged = np.union1d(self.hashes, fresh)
+        merged = sorted_unique(
+            np.concatenate((self.hashes, hash_values(vals, self.seed)))
+        )
         # n_values tracks distinct *hashes* seen, which equals distinct
         # values up to 64-bit hash collisions — the same approximation
         # every MinHash tool makes.

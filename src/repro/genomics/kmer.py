@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.genomics.sequence import ALPHABET, sequence_to_codes
+from repro.util.arrays import sorted_unique
 
 #: k is capped so encodings fit a signed 64-bit integer: 4^31 < 2^63.
 MAX_K = 31
@@ -35,37 +36,53 @@ def _check_k(k: int) -> None:
 def encode_kmers(seq: str, k: int) -> np.ndarray:
     """All forward-strand k-mer codes of ``seq``, in order.
 
-    Windows overlapping an ambiguous base are skipped.  Vectorized:
-    builds the code array once and combines strided windows by
-    polynomial evaluation in base 4.
+    Windows overlapping an ambiguous base are skipped.  A rolling
+    encode: ``k`` shift-or passes, pass ``i`` folding base ``i`` of every
+    window in as the next 2-bit digit (``code = code << 2 | base``) over
+    one contiguous slice of the base-code array — ``O(k * n)`` word
+    operations on ``n``-length vectors, no ``(n, k)`` window matrix.
+    The ambiguity mask is one cumulative sum: a window is valid iff the
+    running count of ``N`` is the same at both of its ends.
     """
     _check_k(k)
     codes = sequence_to_codes(seq)
     n = codes.size - k + 1
     if n <= 0:
         return np.empty(0, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(codes, k)
-    valid = (windows != 255).all(axis=1)
-    weights = (4 ** np.arange(k - 1, -1, -1, dtype=np.int64))
-    vals = windows[valid].astype(np.int64) @ weights
-    return vals
+    ambiguous = np.concatenate(([0], np.cumsum(codes == 255)))
+    digits = codes & 3
+    vals = np.zeros(n, dtype=np.int64)
+    for i in range(k):
+        np.left_shift(vals, 2, out=vals)
+        np.bitwise_or(vals, digits[i : i + n], out=vals)
+    if ambiguous[-1] == 0:
+        return vals
+    return vals[ambiguous[k:] == ambiguous[:n]]
+
+
+#: Masks that swap adjacent 2-bit digits / adjacent nibbles of a word.
+_PAIR_MASK = np.uint64(0x3333333333333333)
+_NIBBLE_MASK = np.uint64(0x0F0F0F0F0F0F0F0F)
 
 
 def reverse_complement_codes(kmers: np.ndarray, k: int) -> np.ndarray:
-    """Reverse-complement encodings, computed arithmetically.
+    """Reverse-complement encodings, computed on the 64-bit word.
 
-    Complement in 2-bit code is ``3 - digit``; reversal flips digit
-    order.  Equivalent to encoding ``reverse_complement(decode(x))``.
+    Complement in 2-bit code is ``3 - digit``, i.e. every bit flipped;
+    reversal flips digit order.  Both act on all 32 digit slots of the
+    word at once: flip the bits, reverse the digits (swap the digits of
+    each nibble, the nibbles of each byte, then the bytes), and shift
+    the ``k`` digits that ended up at the top back down by ``64 - 2k``
+    — which also drops the complemented padding.  Equivalent to encoding
+    ``reverse_complement(decode(x))``, in a fixed handful of word
+    operations whatever ``k`` is.
     """
     _check_k(k)
-    kmers = np.asarray(kmers, dtype=np.int64)
-    out = np.zeros_like(kmers)
-    rem = kmers.copy()
-    for _ in range(k):
-        digit = rem % 4
-        out = out * 4 + (3 - digit)
-        rem //= 4
-    return out
+    x = ~np.asarray(kmers, dtype=np.int64).view(np.uint64)
+    x = ((x >> np.uint64(2)) & _PAIR_MASK) | ((x & _PAIR_MASK) << np.uint64(2))
+    x = ((x >> np.uint64(4)) & _NIBBLE_MASK) | ((x & _NIBBLE_MASK) << np.uint64(4))
+    x = x.byteswap() >> np.uint64(64 - 2 * k)
+    return x.view(np.int64)
 
 
 def canonical_kmers(seq: str, k: int) -> np.ndarray:
@@ -100,7 +117,7 @@ def kmer_set(
             parts.append(kmers)
     if not parts:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
+    return sorted_unique(np.concatenate(parts))
 
 
 def decode_kmer(code: int, k: int) -> str:

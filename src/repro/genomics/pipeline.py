@@ -138,14 +138,17 @@ class GenomeAtScale:
             )
         store = SampleStore.create(store_dir, k=self.k, canonical=self.canonical)
         reports = []
-        for name, path in zip(names, paths):
-            records = read_fasta(path)
-            codes, report = clean_sample(
-                records, self.k, min_count=self.min_count,
-                canonical=self.canonical,
-            )
-            store.add_sample(name, codes)
-            reports.append(report)
+
+        def cleaned():
+            for name, path in zip(names, paths):
+                codes, report = clean_sample(
+                    read_fasta(path), self.k, min_count=self.min_count,
+                    canonical=self.canonical,
+                )
+                reports.append(report)
+                yield name, codes
+
+        store.add_samples(cleaned())
         return store, reports
 
     # ---- parts II + III: distributed distances -------------------------

@@ -16,11 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.indicator import FileSource
 from repro.genomics.kmer import kmer_space_size
+from repro.util.arrays import sorted_unique
 
 MANIFEST_NAME = "manifest.json"
 
@@ -69,16 +71,30 @@ class SampleStore:
 
     def add_sample(self, name: str, kmer_codes: np.ndarray) -> None:
         """Store one sample's sorted, deduplicated k-mer codes."""
-        if name in self.names:
-            raise ValueError(f"sample {name!r} already present")
-        codes = np.unique(np.asarray(kmer_codes, dtype=np.int64))
-        if codes.size and (codes[0] < 0 or codes[-1] >= kmer_space_size(self.k)):
-            raise ValueError(
-                f"sample {name!r} has codes outside [0, 4^{self.k})"
-            )
-        np.save(self._path(name), codes)
-        self.names.append(name)
-        self._write_manifest()
+        self.add_samples([(name, kmer_codes)])
+
+    def add_samples(self, samples: Iterable[tuple[str, np.ndarray]]) -> None:
+        """Store ``(name, codes)`` samples under one manifest commit.
+
+        ``samples`` may be a generator: each sample file is written as it
+        arrives, and the manifest — which lists every sample stored so
+        far, including those before a failing one — is rewritten once.
+        """
+        try:
+            for name, kmer_codes in samples:
+                if name in self.names:
+                    raise ValueError(f"sample {name!r} already present")
+                codes = sorted_unique(np.asarray(kmer_codes, dtype=np.int64))
+                if codes.size and (
+                    codes[0] < 0 or codes[-1] >= kmer_space_size(self.k)
+                ):
+                    raise ValueError(
+                        f"sample {name!r} has codes outside [0, 4^{self.k})"
+                    )
+                np.save(self._path(name), codes)
+                self.names.append(name)
+        finally:
+            self._write_manifest()
 
     def load_sample(self, name: str) -> np.ndarray:
         if name not in self.names:

@@ -27,9 +27,18 @@ for _i, _b in enumerate(ALPHABET):
     BASE_CODES[ord(_b.lower())] = _i
 
 
+#: Byte-level membership table of the extended alphabet, either case.
+_VALID_BYTES = BASE_CODES != 255
+_VALID_BYTES[list(b"Nn")] = True
+
+
 def is_valid_sequence(seq: str) -> bool:
     """True when ``seq`` contains only A/C/G/T/N (case-insensitive)."""
-    return all(ch in "ACGTN" for ch in seq.upper())
+    try:
+        raw = seq.encode("ascii")
+    except UnicodeEncodeError:
+        return False
+    return bool(_VALID_BYTES[np.frombuffer(raw, dtype=np.uint8)].all())
 
 
 def reverse_complement(seq: str) -> str:

@@ -35,11 +35,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.indicator import _reader_samples
+from repro.core.indicator import SortedSampleSource
 from repro.genomics.fasta import iter_fasta
-from repro.genomics.kmer import canonical_kmers, encode_kmers, kmer_space_size
+from repro.genomics.kmer import kmer_set, kmer_space_size
 from repro.genomics.sequence import SequenceRecord
-from repro.sparse.coo import CooMatrix
+from repro.util.arrays import sorted_unique
 
 #: Default chunk budget: 1 MiB of bases keeps peak sequence memory small
 #: while leaving each chunk large enough to amortize extraction setup.
@@ -98,17 +98,6 @@ def iter_sequence_chunks(
         yield segments
 
 
-def _extract_chunk(segments: list[str], k: int, canonical: bool) -> np.ndarray:
-    parts = []
-    for seg in segments:
-        codes = canonical_kmers(seg, k) if canonical else encode_kmers(seg, k)
-        if codes.size:
-            parts.append(codes)
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
-
-
 def stream_sample_kmers(
     path: str | Path,
     k: int,
@@ -133,11 +122,11 @@ def stream_sample_kmers(
     chunks = iter_sequence_chunks(iter_fasta(path), k, chunk_bases)
     if executor is None:
         for segments in chunks:
-            yield _extract_chunk(segments, k, canonical)
+            yield kmer_set(segments, k, canonical)
         return
     pending = None
     for segments in chunks:
-        nxt = executor.submit(_extract_chunk, segments, k, canonical)
+        nxt = executor.submit(kmer_set, segments, k, canonical)
         if pending is not None:
             yield pending.result()
         pending = nxt
@@ -170,14 +159,14 @@ def stream_kmer_set(
         pending.append(batch)
         pending_n += batch.size
         if pending_n >= max(merged.size, batch.size):
-            merged = np.unique(np.concatenate([merged, *pending]))
+            merged = sorted_unique(np.concatenate([merged, *pending]))
             pending, pending_n = [], 0
     if pending:
-        merged = np.unique(np.concatenate([merged, *pending]))
+        merged = sorted_unique(np.concatenate([merged, *pending]))
     return merged
 
 
-class StreamingKmerSource:
+class StreamingKmerSource(SortedSampleSource):
     """Batched indicator source over FASTA files, built by streaming.
 
     The streaming analogue of building a
@@ -234,27 +223,6 @@ class StreamingKmerSource:
                 self.executor,
             )
         return self._cache[j]
-
-    def read_batch(self, lo: int, hi: int, rank: int, n_readers: int) -> CooMatrix:
-        rows_parts, cols_parts = [], []
-        for j in _reader_samples(self.n, rank, n_readers):
-            vals = self._load(j)
-            a, b = np.searchsorted(vals, [lo, hi])
-            window = vals[a:b]
-            rows_parts.append(window - lo)
-            cols_parts.append(np.full(window.size, j, dtype=np.int64))
-        rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, np.int64)
-        cols = np.concatenate(cols_parts) if cols_parts else np.empty(0, np.int64)
-        return CooMatrix(rows, cols, (hi - lo, self.n))
-
-    def read_bytes(self, lo: int, hi: int, rank: int, n_readers: int) -> int:
-        # Count window sizes without building the coordinate arrays —
-        # this runs once per rank per batch alongside read_batch.
-        nnz = 0
-        for j in _reader_samples(self.n, rank, n_readers):
-            a, b = np.searchsorted(self._load(j), [lo, hi])
-            nnz += int(b - a)
-        return nnz * 8
 
     def nnz_estimate(self) -> int:
         return sum(self._load(j).size for j in range(self.n))

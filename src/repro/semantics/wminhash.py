@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.sketch import BottomSSketch, hash_values, splitmix64
 from repro.semantics.weighted import coerce_counts
+from repro.util.arrays import sorted_unique
 
 __all__ = ["WEIGHTED_MINHASH_FAMILY", "WeightedMinHashSketch"]
 
@@ -81,8 +82,9 @@ class WeightedMinHashSketch(BottomSSketch):
         vals, cnts = coerce_counts(values, counts)
         if vals.size == 0:
             return self
-        fresh = np.unique(_replica_hashes(vals, cnts, self.seed))
-        merged = np.union1d(self.hashes, fresh)
+        merged = sorted_unique(
+            np.concatenate((self.hashes, _replica_hashes(vals, cnts, self.seed)))
+        )
         self.mass += int(cnts.sum())
         self.hashes = merged[: self.size]
         return self

@@ -52,9 +52,10 @@ from repro.semantics.measures import SimilarityMeasure, get_measure
 from repro.semantics.weighted import coerce_counts
 from repro.service.errors import QueryError
 from repro.service.plan import QueryPlan
-from repro.service.store import LSH_FAMILY, StoreSnapshot, _as_values, sketch_row
+from repro.service.store import LSH_FAMILY, StoreSnapshot, _int_array, sketch_row
 from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.spgemm import gram_popcount_blocked
+from repro.util.arrays import sorted_unique
 
 #: Tolerance of the threshold comparisons: protects the exact-equality
 #: guarantee against float rounding in ``t * |A|``-style products, far
@@ -89,10 +90,15 @@ def validate_request(
     The one place a query is validated, whichever entry point it came
     through; raises :class:`~repro.service.errors.QueryError`.
     """
+    vals = _int_array(values, "query values", QueryError)
     if counts is not None:
-        vals, counts = coerce_counts(values, counts)
+        vals, counts = coerce_counts(vals, counts)
     else:
-        vals = _as_values(values)
+        vals = sorted_unique(vals)
+        # A request can wait in the batcher's admission queue: it owns
+        # its values, so an already-clean caller array is copied.
+        if isinstance(values, np.ndarray) and np.may_share_memory(vals, values):
+            vals = vals.copy()
     if vals.size and (vals[0] < 0 or vals[-1] >= m):
         raise QueryError(f"query values outside [0, {m})")
     if threshold is None and top_k is None:

@@ -96,6 +96,7 @@ from repro.semantics.wminhash import (
 )
 from repro.service.errors import StoreError
 from repro.service.lsh import LSHTable, plan_bands
+from repro.util.arrays import sorted_unique
 
 __all__ = [
     "GenomeEntry",
@@ -206,15 +207,6 @@ def read_record(path: Path, index: int):
         return decode_frame(body)
 
 
-def _as_values(values) -> np.ndarray:
-    """Coerce any iterable of non-negative ints to sorted unique int64."""
-    if isinstance(values, np.ndarray):
-        arr = values.astype(np.int64, copy=False)
-    else:
-        arr = np.asarray(sorted(values), dtype=np.int64)
-    return np.unique(arr)
-
-
 def sketch_row(
     family: str, vals, counts, size: int, bits: int, seed: int
 ) -> np.ndarray:
@@ -232,19 +224,20 @@ def sketch_row(
     return sk.hashes if family == "minhash" else sk.registers
 
 
-def _int_array(data, what: str) -> np.ndarray:
-    """``data`` as a flat int64 array; :class:`StoreError` unless it is a
-    one-dimensional collection of integers (no floats, bools, strings)."""
+def _int_array(data, what: str, error=StoreError) -> np.ndarray:
+    """``data`` as a flat int64 array; ``error`` unless it is a
+    one-dimensional collection of integers (no floats, bools, strings).
+
+    The one integer check of both front doors: add items raise
+    :class:`StoreError`, query values :class:`QueryError`."""
     try:
         arr = np.asarray(data if isinstance(data, np.ndarray) else list(data))
     except (TypeError, ValueError):
-        raise StoreError(f"{what} must be a collection of integers") from None
+        raise error(f"{what} must be a collection of integers") from None
     if arr.ndim != 1:
-        raise StoreError(
-            f"{what} must be one-dimensional, got shape {arr.shape}"
-        )
+        raise error(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size and arr.dtype.kind not in "iu":
-        raise StoreError(f"{what} must be integers, got dtype {arr.dtype}")
+        raise error(f"{what} must be integers, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
 
 
@@ -266,7 +259,7 @@ def _clean_item(item, m: int) -> tuple[str, np.ndarray, np.ndarray | None]:
         )
     vals = _int_array(values, f"genome {name!r} values")
     if counts is None:
-        vals = np.unique(vals)
+        vals = sorted_unique(vals)
     else:
         try:
             vals, counts = coerce_counts(

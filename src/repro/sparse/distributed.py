@@ -21,6 +21,7 @@ from repro.runtime.codec import WireCodec
 from repro.runtime.topology import ProcessorGrid
 from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.coo import CooMatrix
+from repro.util.arrays import merge_messages, split_by_destination
 from repro.util.partition import block_bounds
 
 
@@ -114,25 +115,16 @@ class DistWordMatrix:
             )
         row_bounds = word_aligned_row_bounds(n_rows_bits, q, bit_width)
         col_bounds = [block_bounds(n_cols, grid.cols, t) for t in range(grid.cols)]
-        row_lo = np.array([lo for lo, _ in row_bounds], dtype=np.int64)
-        col_lo = np.array([lo for lo, _ in col_bounds], dtype=np.int64)
         row_hi = np.array([hi for _, hi in row_bounds], dtype=np.int64)
         col_hi = np.array([hi for _, hi in col_bounds], dtype=np.int64)
-
-        def destinations(coo: CooMatrix) -> np.ndarray:
-            s = np.searchsorted(row_hi, coo.rows, side="right")
-            t = np.searchsorted(col_hi, coo.cols, side="right")
-            return s * grid.cols + t
-
-        send: list[list[np.ndarray | None]] = []
-        for coo in chunks:
-            dests = destinations(coo)
-            row: list[np.ndarray | None] = [None] * comm.size
-            for d in np.unique(dests):
-                sel = dests == d
-                payload = np.stack([coo.rows[sel], coo.cols[sel]])
-                row[int(d)] = payload
-            send.append(row)
+        send = [
+            split_by_destination(
+                np.searchsorted(row_hi, coo.rows, side="right") * grid.cols
+                + np.searchsorted(col_hi, coo.cols, side="right"),
+                coo.rows, coo.cols, comm.size,
+            )
+            for coo in chunks
+        ]
         received = comm.alltoallv(send, codec=codec)
 
         matrix = cls(
@@ -147,16 +139,9 @@ class DistWordMatrix:
             s, t = divmod(local_rank, grid.cols)
             rlo, rhi = row_bounds[s]
             clo, chi = col_bounds[t]
-            parts = [p for p in received[local_rank] if p is not None]
-            if parts:
-                coords = np.concatenate(parts, axis=1)
-                rows = coords[0] - rlo
-                cols = coords[1] - clo
-            else:
-                rows = np.empty(0, dtype=np.int64)
-                cols = np.empty(0, dtype=np.int64)
+            rows, cols = merge_messages(received[local_rank])
             matrix.blocks[(s, t)] = BitMatrix.from_coo(
-                rows, cols, rhi - rlo, chi - clo, bit_width
+                rows - rlo, cols - clo, rhi - rlo, chi - clo, bit_width
             )
             flops.append(float(rows.size))
         comm.charge_compute(flops)

@@ -8,10 +8,10 @@ Four kernels cover the density regimes the paper evaluates:
   filtered and segments packed.
 * :func:`gram_popcount_blocked` — the word-tiled popcount fast path for
   the dense regime (Kingsford-like densities): a single fused
-  AND+popcount+accumulate sweep over cache-resident word tiles, using
-  ``np.bitwise_count`` when available with a portable lookup-table
-  fallback.  Same result as :func:`gram_bitpacked`, roughly half the
-  modelled word operations (one pass instead of materialize-then-reduce).
+  AND+popcount+accumulate sweep (``np.bitwise_count``) over
+  cache-resident word tiles.  Same result as :func:`gram_bitpacked`,
+  roughly half the modelled word operations (one pass instead of
+  materialize-then-reduce).
 * :func:`gram_csr_outer` — hypersparse row-outer-product accumulation:
   every nonzero row ``k`` with column set ``c_k`` adds 1 to ``B[c_k x
   c_k]``; cost ``O(sum_k |c_k|^2)``, independent of ``n^2`` — the right
@@ -40,14 +40,19 @@ import numpy as np
 
 from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.csr import CsrMatrix
-from repro.util.bits import popcount_elementwise
 
 #: Soft cap on the temporary expansion a blocked kernel may allocate.
 DEFAULT_BLOCK_BYTES = 64 * 2**20
 
-#: Word rows per tile of the blocked popcount fast path; sized so one
-#: tile's AND temporary stays within typical L2 capacities.
+#: Word rows per *modelled* tile of the blocked popcount fast path (the
+#: ``working_set_bytes`` the machine model is charged with).
 DEFAULT_WORD_TILE = 128
+
+#: Bytes of the AND temporary one *executed* step of the blocked kernel
+#: materialises.  The modelled tile above can reach ``block_bytes``
+#: (64 MiB — main memory, not cache); the sweep really runs in steps of
+#: this size so the AND -> popcount -> reduce chain stays L2-resident.
+EXEC_TILE_BYTES = 256 * 2**10
 
 
 @dataclass(frozen=True)
@@ -131,17 +136,16 @@ def gram_popcount_blocked(
     y: BitMatrix | None = None,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
     word_tile: int = DEFAULT_WORD_TILE,
-    use_hw_popcount: bool | None = None,
 ) -> KernelResult:
     """Word-tiled popcount Gram — the dense-regime fast path.
 
     Computes the same ``B[i, j] = sum_w popcount(x[:, i] & y[:, j])`` as
     :func:`gram_bitpacked`, but tiles the word-row dimension so the AND
     temporary of each step stays cache-resident, and fuses the popcount
-    and accumulation into a single sweep over every tile.  Popcounts go
-    through ``np.bitwise_count`` when the running NumPy provides it and
-    otherwise through a byte lookup table (``use_hw_popcount`` pins a
-    path for testing).
+    (``np.bitwise_count``) and accumulation into a single sweep over
+    every tile.  Each executed step is one 3-D AND of at most
+    :data:`EXEC_TILE_BYTES`, cut out of the modelled ``word_tile`` x
+    ``block_bytes`` tile.
 
     Modelled cost: one word operation per (word-row, column pair) — half
     the two-pass reference sweep — with a per-tile working set, which is
@@ -165,24 +169,26 @@ def gram_popcount_blocked(
     tile = int(max(1, min(w, word_tile)))
     per_col = max(1, tile * n_y * itemsize)
     block = int(max(1, min(n_x, block_bytes // per_col)))
+    # The executed step: as many word rows of the modelled tile, then as
+    # many x columns of the modelled block, as EXEC_TILE_BYTES holds.
+    row_bytes = n_y * itemsize
+    step_w = int(max(1, min(tile, EXEC_TILE_BYTES // row_bytes)))
+    step_x = int(max(1, min(block, EXEC_TILE_BYTES // (step_w * row_bytes))))
     xw = x.words
     yw = y.words
-    for wlo in range(0, w, tile):
-        whi = min(wlo + tile, w)
-        xt = xw[wlo:whi]
-        yt = yw[wlo:whi]
-        for lo in range(0, n_x, block):
-            hi = min(lo + block, n_x)
-            if symmetric:
-                anded = xt[:, lo:hi, None] & yt[:, None, lo:]
-                out[lo:hi, lo:] += popcount_elementwise(
-                    anded, use_hw_popcount
-                ).sum(axis=0, dtype=np.int64)
-            else:
-                anded = xt[:, lo:hi, None] & yt[:, None, :]
-                out[lo:hi, :] += popcount_elementwise(
-                    anded, use_hw_popcount
-                ).sum(axis=0, dtype=np.int64)
+    for wlo in range(0, w, step_w):
+        xt = xw[wlo : wlo + step_w]
+        yt = yw[wlo : wlo + step_w]
+        for lo in range(0, n_x, step_x):
+            hi = min(lo + step_x, n_x)
+            # Only columns >= lo can land in the upper triangle.
+            clo = lo if symmetric else 0
+            anded = xt[:, lo:hi, None] & yt[:, None, clo:]
+            # A step spans < 2^32 bit rows, so uint32 partial sums are
+            # exact and reduce faster than widening every count to int64.
+            out[lo:hi, clo:] += np.bitwise_count(anded).sum(
+                axis=0, dtype=np.uint32
+            )
     if symmetric:
         out = np.triu(out)
         out = out + np.triu(out, k=1).T

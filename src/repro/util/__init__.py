@@ -1,10 +1,12 @@
-"""Shared low-level utilities: bit manipulation, RNG, partitioning, units.
+"""Shared low-level utilities: bit manipulation, sort/scan array
+primitives, RNG, partitioning, units.
 
 These helpers are deliberately free of any distributed-runtime concepts so
 that every other subpackage (``runtime``, ``sparse``, ``core``, ...) can
 depend on them without import cycles.
 """
 
+from repro.util.arrays import merge_messages, sorted_unique, split_by_destination
 from repro.util.bits import (
     pack_bits,
     popcount,
@@ -28,6 +30,9 @@ __all__ = [
     "popcount_words",
     "unpack_bits",
     "words_needed",
+    "merge_messages",
+    "sorted_unique",
+    "split_by_destination",
     "block_bounds",
     "block_owner",
     "block_size",

@@ -89,43 +89,6 @@ def unpack_bits(words: np.ndarray, n_rows: int, bit_width: int = 64) -> np.ndarr
     return bits[:n_rows].astype(bool)
 
 
-#: True when the running NumPy exposes the hardware popcount ufunc.
-HAVE_HW_POPCOUNT = hasattr(np, "bitwise_count")
-
-#: Set-bit counts of every byte value — the portable popcount table.
-BYTE_POPCOUNTS = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1
-).sum(axis=1, dtype=np.uint8)
-
-
-def popcount_table(words: np.ndarray) -> np.ndarray:
-    """Lookup-table popcount, elementwise, for any unsigned word array.
-
-    Views each word as bytes and sums per-byte table entries; byte order
-    within a word is irrelevant to the count, so no endianness handling
-    is needed.  This is the portable fallback used when
-    :data:`HAVE_HW_POPCOUNT` is false (NumPy < 2) and in tests that pin
-    the hardware path against it.
-    """
-    arr = np.ascontiguousarray(words)
-    if arr.size == 0:
-        return np.zeros(arr.shape, dtype=np.uint8)
-    as_bytes = arr.view(np.uint8).reshape(arr.shape + (arr.dtype.itemsize,))
-    return BYTE_POPCOUNTS[as_bytes].sum(axis=-1, dtype=np.uint8)
-
-
-def popcount_elementwise(words: np.ndarray, use_hw: bool | None = None) -> np.ndarray:
-    """Elementwise popcount: hardware ufunc when available, else the LUT.
-
-    ``use_hw`` forces a path (``True``/``False``); ``None`` auto-selects.
-    """
-    if use_hw is None:
-        use_hw = HAVE_HW_POPCOUNT
-    if use_hw:
-        return np.bitwise_count(words)
-    return popcount_table(words)
-
-
 def popcount(x: np.ndarray | int) -> np.ndarray | int:
     """Number of set bits, elementwise (hardware popcount via NumPy>=2)."""
     if isinstance(x, (int, np.integer)):

@@ -128,13 +128,6 @@ class TestBlockedKernel:
         res = gram_popcount_blocked(BitMatrix.from_dense(dense, width))
         assert np.array_equal(res.value, gram_dense_reference(dense))
 
-    def test_lut_fallback_bit_exact_with_hardware_path(self, rng):
-        dense = rng.random((500, 9)) < 0.4
-        bm = BitMatrix.from_dense(dense)
-        hw = gram_popcount_blocked(bm, use_hw_popcount=True).value
-        lut = gram_popcount_blocked(bm, use_hw_popcount=False).value
-        assert np.array_equal(hw, lut)
-
     def test_tiling_invariance(self, rng):
         x = rng.random((700, 7)) < 0.25
         y = rng.random((700, 11)) < 0.25
@@ -145,6 +138,71 @@ class TestBlockedKernel:
                 bx, by, word_tile=tile, block_bytes=bb
             ).value
             assert np.array_equal(got, full)
+
+    @staticmethod
+    def _one_tile_per_step(x, y=None, block_bytes=64 * 2**20, word_tile=128):
+        """The kernel as it ran before its executed step was cache-sized:
+        every step materialises a whole modelled (tile x block) AND."""
+        symmetric = y is None
+        y = x if y is None else y
+        w, n_x, n_y = x.n_word_rows, x.n_cols, y.n_cols
+        out = np.zeros((n_x, n_y), dtype=np.int64)
+        if w == 0 or n_x == 0 or n_y == 0:
+            return out, 0.0, 0.0
+        itemsize = x.words.dtype.itemsize
+        tile = int(max(1, min(w, word_tile)))
+        block = int(max(1, min(n_x, block_bytes // max(1, tile * n_y * itemsize))))
+        for wlo in range(0, w, tile):
+            xt, yt = x.words[wlo : wlo + tile], y.words[wlo : wlo + tile]
+            for lo in range(0, n_x, block):
+                clo = lo if symmetric else 0
+                anded = xt[:, lo : lo + block, None] & yt[:, None, clo:]
+                out[lo : lo + block, clo:] += np.bitwise_count(anded).sum(
+                    axis=0, dtype=np.int64
+                )
+        if symmetric:
+            out = np.triu(out)
+            out = out + np.triu(out, k=1).T
+        pairs = n_x * (n_x + 1) // 2 if symmetric else n_x * n_y
+        working_set = float(
+            tile * (min(block, n_x) + n_y) * itemsize
+            + tile * min(block, n_x) * n_y * itemsize
+            + out.nbytes
+        )
+        return out, float(w) * pairs, working_set
+
+    @pytest.mark.parametrize(
+        "rows, n_x, n_y, width, kwargs",
+        [
+            (400 * 64, 2, None, 64, {}),    # w >> n
+            (4 * 64, 640, None, 64, {}),    # n >> w, symmetric
+            (4 * 64, 640, 640, 64, {}),     # n >> w, pair (what SUMMA calls)
+            (13 * 64, 320, 320, 64, {}),    # an allpairs_dense SUMMA block
+            (100 * 64, 8, 8, 64, {}),       # a serve verify block
+            (300, 33, 7, 64, {}),           # ragged trailing word
+            (900, 40, 12, 8, {}),           # 113 byte-wide word rows
+            (700, 9, 11, 32, {"word_tile": 3, "block_bytes": 512}),
+            (5000, 6, None, 16, {"word_tile": 1024}),  # a tile > 2^16 bit rows
+            (0, 5, None, 64, {}),           # empty: no word rows
+            (64, 0, 3, 64, {}),             # empty: no x columns
+            (64, 3, 0, 64, {}),             # empty: no y columns
+        ],
+    )
+    def test_cache_sized_steps_change_neither_value_nor_model(
+        self, rng, rows, n_x, n_y, width, kwargs
+    ):
+        x = BitMatrix.from_dense(rng.random((rows, n_x)) < 0.35, width)
+        y = (
+            None if n_y is None
+            else BitMatrix.from_dense(rng.random((rows, n_y)) < 0.35, width)
+        )
+        value, flops, working_set = self._one_tile_per_step(x, y, **kwargs)
+        res = gram_popcount_blocked(x, y, **kwargs)
+        assert res.value.dtype == np.int64
+        assert np.array_equal(res.value, value)
+        # == on purpose: both feed MachineSpec.compute_seconds.
+        assert res.flops == flops
+        assert res.working_set_bytes == working_set
 
     def test_cheaper_than_reference_sweep(self, rng):
         bm = BitMatrix.from_dense(rng.random((640, 16)) < 0.5)

@@ -67,6 +67,69 @@ class TestSetSource:
         assert src.nnz_estimate() == 3
 
 
+    def test_retains_no_caller_memory(self):
+        # np.unique used to copy every input; the sort-based dedup hands a
+        # strictly increasing array back uncopied, so the source must copy.
+        mine = [np.array([1, 4, 7], dtype=np.int64), np.array([4, 2, 2])]
+        src = SetSource(mine, m=10)
+        before = assemble(src, [(0, 10)], 2)
+        for arr in mine:
+            arr[:] = 9
+        assert np.array_equal(assemble(src, [(0, 10)], 2), before)
+        assert before[:, 0].nonzero()[0].tolist() == [1, 4, 7]
+
+    def test_batch_order_is_sample_major_values_ascending(self):
+        # The within-chunk order feeds the varint codec's frame sizes.
+        src = SetSource([{5, 1}, {9}, {3, 1, 8}, {2}], m=10)
+        coo = src.read_batch(1, 9, 0, 2)  # reader 0 owns samples 0 and 2
+        assert coo.cols.tolist() == [0, 0, 2, 2, 2]
+        assert coo.rows.tolist() == [0, 4, 0, 2, 7]
+        assert coo.shape == (8, 4)
+
+
+class TestReadBytes:
+    """``read_bytes`` is the window count, answered without a read."""
+
+    @pytest.fixture
+    def sources(self, tmp_path, rng):
+        sets = [np.unique(rng.integers(0, 200, size=s)) for s in (0, 30, 5, 60, 1)]
+        paths = []
+        for j, vals in enumerate(sets):
+            paths.append(tmp_path / f"s{j}.npy")
+            np.save(paths[-1], vals)
+
+        def counting(cls, *args, **kwargs):
+            class Counting(cls):
+                reads = 0
+
+                def read_batch(self, *a):
+                    type(self).reads += 1
+                    return super().read_batch(*a)
+
+            return Counting(*args, **kwargs)
+
+        return [
+            counting(SetSource, sets, m=200),
+            counting(CooSource, CooMatrix.from_sets(sets, 200)),
+            counting(FileSource, paths, m=200),
+        ]
+
+    def test_equals_the_batch_nnz_without_reading_it(self, sources):
+        windows = [(0, 200), (0, 1), (17, 90), (90, 200), (50, 50)]
+        for src in sources:
+            got = [
+                src.read_bytes(lo, hi, r, p)
+                for lo, hi in windows for p in (1, 2, 3) for r in range(p)
+            ]
+            assert type(src).reads == 0, type(src).__mro__[1].__name__
+            want = [
+                src.read_batch(lo, hi, r, p).nnz * 8
+                for lo, hi in windows for p in (1, 2, 3) for r in range(p)
+            ]
+            assert got == want
+            assert sum(got[:1]) == src.nnz_estimate() * 8
+
+
 class TestCooSource:
     def test_matches_matrix(self, rng):
         dense = rng.random((40, 6)) < 0.2

@@ -14,10 +14,31 @@ from repro.genomics.kmer import (
     kmer_space_size,
     reverse_complement_codes,
 )
-from repro.genomics.sequence import reverse_complement
+from repro.genomics.sequence import reverse_complement, sequence_to_codes
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=80)
 odd_k = st.sampled_from([3, 5, 7, 11, 19, 31])
+
+
+def _encode_by_window_matmul(seq: str, k: int) -> np.ndarray:
+    """The ``(n, k)`` window-matrix encode the rolling shift-or replaced."""
+    codes = sequence_to_codes(seq)
+    if codes.size < k:
+        return np.empty(0, dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(codes, k)
+    valid = (windows != 255).all(axis=1)
+    weights = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return windows[valid].astype(np.int64) @ weights
+
+
+def _reverse_complement_by_digits(kmers: np.ndarray, k: int) -> np.ndarray:
+    """The ``k``-iteration digit loop the word-level reversal replaced."""
+    rem = np.asarray(kmers, dtype=np.int64).copy()
+    out = np.zeros_like(rem)
+    for _ in range(k):
+        out = out * 4 + (3 - rem % 4)
+        rem //= 4
+    return out
 
 
 class TestEncode:
@@ -62,6 +83,38 @@ class TestEncode:
             assert decode_kmer(int(code), k) == seq[i : i + k]
 
 
+    @settings(max_examples=150)
+    @given(
+        seq=st.text(alphabet="ACGTNacgtn", min_size=0, max_size=90),
+        k=st.integers(1, MAX_K),
+    )
+    def test_rolling_encode_equals_window_matmul(self, seq, k):
+        got = encode_kmers(seq, k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _encode_by_window_matmul(seq, k))
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            "ACGTNNNNACGTACGTNACG",  # N runs, also at a window's edge
+            "NACGTACGTN",            # N at both ends
+            "acgtnacgtACGT",         # lowercase folds onto the same codes
+            "NNNNNNNN",              # nothing valid
+            "ACG",                   # shorter than / equal to k below
+        ],
+    )
+    def test_rolling_encode_on_the_awkward_sequences(self, seq):
+        for k in (1, 2, 3, 4, 7):
+            assert np.array_equal(
+                encode_kmers(seq, k), _encode_by_window_matmul(seq, k)
+            )
+        assert encode_kmers("ACG", 3).tolist() == [6]  # length == k
+        assert encode_kmers("ACG", 4).size == 0        # length < k
+
+    def test_max_k_uses_the_full_62_bits(self):
+        assert encode_kmers("T" * MAX_K, MAX_K).tolist() == [4**MAX_K - 1]
+
+
 class TestDecode:
     def test_known(self):
         assert decode_kmer(6, 3) == "ACG"
@@ -83,6 +136,28 @@ class TestReverseComplementCodes:
             assert decode_kmer(int(code), k) == reverse_complement(
                 seq[i : i + k]
             )
+
+    @pytest.mark.parametrize("k", range(1, MAX_K + 1))
+    def test_word_reversal_equals_digit_loop_for_every_k(self, k, rng):
+        top = 4**k - 1
+        codes = np.concatenate(
+            [
+                [0, top, 1, top - 1, top // 3],  # all-A, all-T, ...
+                rng.integers(0, top, size=200, endpoint=True),
+            ]
+        ).astype(np.int64)
+        got = reverse_complement_codes(codes, k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reverse_complement_by_digits(codes, k))
+        assert got[0] == top and got[1] == 0  # A^k <-> T^k
+
+    def test_input_left_untouched_and_shape_kept(self):
+        codes = np.array([[6, 27], [0, 63]], dtype=np.int64)
+        before = codes.copy()
+        got = reverse_complement_codes(codes, 3)
+        assert got.shape == codes.shape
+        assert np.array_equal(codes, before)
+        assert np.array_equal(got, _reverse_complement_by_digits(codes, 3))
 
     @given(seq=st.text(alphabet="ACGT", min_size=7, max_size=30))
     def test_involution(self, seq):

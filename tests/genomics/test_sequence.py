@@ -40,6 +40,25 @@ class TestValidation:
 
     def test_invalid(self):
         assert not is_valid_sequence("ACGU")
+        assert not is_valid_sequence("ACG T")
+        assert not is_valid_sequence("ACGT\n")
+
+    def test_empty_is_valid(self):
+        assert is_valid_sequence("")
+
+    @pytest.mark.parametrize(
+        "seq", ["ACG\u00c5", "\u0391CGT", "AC\U0001f9ecGT", "ACGT\u0131"]
+    )
+    def test_non_ascii_rejected_not_raised(self, seq):
+        assert not is_valid_sequence(seq)
+        with pytest.raises(ValueError, match="contains invalid bases"):
+            SequenceRecord("x", seq)
+
+    @given(seq=st.text(max_size=40))
+    def test_equals_the_per_character_definition(self, seq):
+        assert is_valid_sequence(seq) == all(
+            ch in "ACGTN" for ch in seq.upper()
+        )
 
 
 class TestCodes:

@@ -153,6 +153,28 @@ class TestMutations:
         svc.add(batch)
         assert calls == {"items": len(batch), "counts": 1}
 
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    def test_add_retains_no_caller_memory(self, tmp_path, rng, layout):
+        # np.unique used to copy every added array; the sort-based dedup
+        # returns an already sorted-unique int64 array as is.  Nothing the
+        # service keeps may alias it: scribbling over the caller's arrays
+        # after add() changes no answer, live or after a reopen.
+        sets = sets_for(rng, n=8)
+        svc = (
+            flat_service(tmp_path, sets) if layout == "flat"
+            else sharded_service(tmp_path, sets)
+        )
+        queries = [v.copy() for _, v in sets[:3]]
+        before = [matches_of(svc.query(values=q, top_k=5)) for q in queries]
+        for _, values in sets:
+            values[:] = 0
+        after = [matches_of(svc.query(values=q, top_k=5)) for q in queries]
+        assert after == before
+        reopened = SimilarityService.open(svc.store.root)
+        assert [
+            matches_of(reopened.query(values=q, top_k=5)) for q in queries
+        ] == before
+
     def test_shard_migrates_in_place(self, tmp_path, rng):
         sets = sets_for(rng, n=10)
         svc = flat_service(tmp_path, sets)

@@ -250,6 +250,24 @@ class TestBatchedExactness:
         assert "late" in res_new.names
         assert batcher.n_batches == 2
 
+    def test_queued_request_owns_its_values(self, tmp_path, clustered_sets):
+        # A request can sit in the admission queue until max_wait: the
+        # caller may reuse its buffer meanwhile without changing the
+        # answer (validation used to copy via np.unique; the sort-based
+        # dedup returns a clean array as is, so validate_request copies).
+        store = build_store(tmp_path, clustered_sets)
+        idx = engine(store, query_cache_size=0)
+        mine = as_vals(clustered_sets[0])
+        want = idx.query_values(mine.copy(), threshold=0.3).matches
+        batcher = QueryBatcher(idx, batch_size=64, max_wait=60.0)
+        try:
+            fut = batcher.submit(mine, threshold=0.3)
+            mine[:] = M - 1
+            batcher.flush()
+            assert fut.result(timeout=30).matches == want
+        finally:
+            batcher.close()
+
     def test_invalid_requests_raise_synchronously(self, tmp_path):
         store = build_store(tmp_path, [{1, 2}])
         idx = engine(store)

@@ -239,6 +239,70 @@ class TestAddValidation:
         ]
 
 
+BAD_QUERY_VALUES = {
+    "float-values": (
+        [1.5, 2.7],
+        r"query values must be integers, got dtype float64",
+    ),
+    "float-array": (
+        np.array([1.0, 2.0]),
+        r"query values must be integers, got dtype float64",
+    ),
+    "str-values": (
+        ["1", "2"],
+        r"query values must be integers, got dtype <U1",
+    ),
+    "bool-values": (
+        [True, False],
+        r"query values must be integers, got dtype bool",
+    ),
+    "two-dimensional": (
+        np.array([[1, 2], [3, 4]]),
+        r"query values must be one-dimensional, got shape \(2, 2\)",
+    ),
+    "scalar-values": (
+        7,
+        r"query values must be a collection of integers",
+    ),
+}
+
+
+class TestQueryValidation:
+    """``validate_request`` is the query-side twin of ``validate_add``:
+    the same integer check, the same message shape, ``QueryError``.  A
+    float query used to be truncated and answered (``[1.5, 2.7]`` as
+    ``[1, 2]``), a 2-D one flattened."""
+
+    @pytest.mark.parametrize("shards", [1, 3], ids=["flat", "sharded"])
+    @pytest.mark.parametrize("case", sorted(BAD_QUERY_VALUES))
+    def test_bad_values_rejected_at_every_entry_point(
+        self, tmp_path, shards, case
+    ):
+        bad, message = BAD_QUERY_VALUES[case]
+        service = SimilarityService.create(
+            tmp_path / "idx", m=M,
+            config=SimilarityConfig(
+                store_shards=shards, shard_band_policy="uniform"
+            ),
+        )
+        service.add([("a", [1, 2]), ("b", [2, 3, 4])])
+        with pytest.raises(QueryError, match=message):
+            service.query(values=bad, threshold=0.1)
+        with pytest.raises(QueryError, match=message):
+            service.query(values=bad, top_k=1, counts=[1, 1])
+        with pytest.raises(QueryError, match=message):
+            service.query_batch([[1, 2], bad], threshold=0.1)
+
+    def test_integer_collections_are_still_answered(self, tmp_path):
+        service = SimilarityService.create(tmp_path / "idx", m=M)
+        service.add([("a", [1, 2]), ("b", [2, 3, 4])])
+        want = service.query(values=[2, 1], threshold=0.5).matches
+        assert [m.name for m in want] == ["a"]
+        for same in ({1, 2}, (2, 1, 1), np.array([2, 1], dtype=np.uint8), iter([1, 2])):
+            assert service.query(values=same, threshold=0.5).matches == want
+        assert not service.query(values=[], threshold=0.5).matches
+
+
 def _bad_prefilter_config():
     # SimilarityConfig validates query_prefilter itself, so sneak an
     # invalid value past __post_init__ to exercise the engine's check.
