@@ -41,13 +41,13 @@ answers are equal by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.baselines.exact import intersection_size_sorted
-from repro.core.sketch import estimate_rows, make_sketch, stack_payloads
+from repro.core.sketch import estimate_rows, stack_payloads
 from repro.semantics.measures import SimilarityMeasure, get_measure
 from repro.semantics.weighted import coerce_counts
 from repro.service.errors import QueryError
@@ -75,6 +75,19 @@ class Request:
     threshold: float | None = None
     top_k: int | None = None
     exclude_name: str | None = None
+    #: Sketch rows already built for this request, by ``(family, size,
+    #: bits, seed)``: a sharded fan-out hands the same request to every
+    #: consulted band.  A row is a pure function of the request, so
+    #: bands racing on a threaded executor at worst build it twice.
+    _rows: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def sketch_row(self, family: str, size: int, bits: int, seed: int) -> np.ndarray:
+        """This request's row of ``family``'s kernel block
+        (:func:`repro.service.store.sketch_row`), built once."""
+        key = (family, size, bits, seed)
+        if key not in self._rows:
+            self._rows[key] = sketch_row(family, self.vals, self.counts, size, bits, seed)
+        return self._rows[key]
 
 
 def validate_request(
@@ -92,7 +105,11 @@ def validate_request(
     """
     vals = _int_array(values, "query values", QueryError)
     if counts is not None:
-        vals, counts = coerce_counts(vals, counts)
+        counts = _int_array(counts, "query counts", QueryError)
+        try:
+            vals, counts = coerce_counts(vals, counts)
+        except ValueError as exc:  # misaligned or non-positive counts
+            raise QueryError(f"query {exc}") from None
     else:
         vals = sorted_unique(vals)
         # A request can wait in the batcher's admission queue: it owns
@@ -186,11 +203,10 @@ def _probe_lsh(plan, snapshot, requests, excluded, serving) -> list[np.ndarray |
     for i, (req, excl) in enumerate(zip(requests, excluded)):
         if snapshot.n_genomes - (excl >= 0) == 0:
             continue
-        sk = make_sketch(
+        fingerprints = req.sketch_row(
             LSH_FAMILY, snapshot.sketch_size, snapshot.sketch_bits, snapshot.sketch_seed
         )
-        sk.update(req.vals)
-        probed, retrieved = table.probe(sk.fingerprints())
+        probed, retrieved = table.probe(fingerprints)
         flops += table.probe_cost(retrieved)
         probes[i] = probed[probed != excl]
     if flops:
@@ -257,7 +273,7 @@ def _prune_by_sketch(
             rows, lengths = snapshot.family_payloads(family)
             est = estimate_rows(
                 family,
-                sketch_row(family, req.vals, req.counts, size, bits, seed),
+                req.sketch_row(family, size, bits, seed),
                 int(req.vals.size),
                 rows[cand],
                 sizes[cand],
@@ -338,8 +354,8 @@ def _verify_block(
     """
     sizes = snapshot.sizes()
     queries = [req.vals for req in requests]
-    cand_union = np.unique(np.concatenate(cands)).astype(np.int64)
-    universe = np.unique(np.concatenate(queries))
+    cand_union = sorted_unique(np.concatenate(cands))
+    universe = sorted_unique(np.concatenate(queries))
     nq, nc, w = len(queries), int(cand_union.size), int(universe.size)
     if nc and w:
         q_rows = np.concatenate([np.searchsorted(universe, v) for v in queries])

@@ -19,20 +19,40 @@ this curve for a target threshold and false-negative budget;
 :func:`collision_probability` evaluated at a query's threshold is the
 analytic per-match recall bound the benchmarks audit against.
 
-An :class:`LSHTable` stores, per band, the sorted unique bucket keys
-with a CSR offsets array and a member-position array — probing is
-``b`` binary searches plus the retrieved bucket members, independent
-of the corpus size.  The structure is *canonical*: it depends only on
-the (ordered) item fingerprints, never on insertion history, so an
-incremental :meth:`~LSHTable.with_added` equals a from-scratch
-:meth:`~LSHTable.build` (property-tested in
-``tests/service/test_lsh.py``).  Tables are value objects — mutation
-returns a new table — so a :class:`~repro.service.store.StoreSnapshot`
-holding a table stays frozen while the store moves on.
+An :class:`LSHTable` *is* its **key matrix**: ``keymat[i, j]`` is the
+bucket key of item ``i`` (a store position) in band ``j``, one
+``uint64[n_items, bands]`` array in item order — in memory, on disk and
+under the probe.  Adding items is a ``vstack`` of their freshly hashed
+rows, removing one an ``np.delete``, so the table is trivially
+*canonical*: it depends only on the (ordered) item fingerprints, never
+on insertion history (property-tested in ``tests/service/test_lsh.py``).
+Tables are value objects — mutation returns a new table — so a
+:class:`~repro.service.store.StoreSnapshot` holding a table stays
+frozen while the store moves on.
 
-Serialization is a list of codec frames (the store's wire codecs),
-persisted by :mod:`repro.service.store` next to the manifest and
-versioned with it.
+A probe is one search, not one per band: the first probe of a table
+sorts the flattened matrix once (a pure function of ``keymat``, cached
+on the table), and every probe then finds all ``b`` band keys with two
+vectorised binary searches, gathers the hit cells and keeps a cell only
+when it sits in the band that probed for it — so a key that happens to
+occur in two *different* bands never makes a candidate:
+
+>>> plan = BandPlan(bands=2, rows=1, n_lanes=2, threshold=0.5, fn_budget=0.05)
+>>> stored = np.array([[3, 7], [3, 8], [9, 7], [5, 5]], dtype=np.uint64)
+>>> table = LSHTable.build(plan, bits=8, seed=0, fingerprints=stored)
+>>> table.keymat.shape, table.n_items
+((4, 2), 4)
+>>> table.probe(np.array([3, 7], dtype=np.uint64))  # (candidates, cells hit)
+(array([0, 1, 2]), 4)
+>>> grown = table.with_removed(1).with_added([stored[1]])
+>>> grown.equals(LSHTable.build(plan, 8, 0, stored[[0, 2, 3, 1]]))
+True
+
+Serialization is three codec frames — header, planning parameters and
+the key matrix — persisted by :mod:`repro.service.store` next to the
+manifest and versioned with it.  The matrix frame is stored raw: the
+keys are hash outputs, which no varint / RLE coding can shrink, so
+sizing them would only cost time.
 
 On a size-banded :class:`~repro.service.sharded.ShardedStore` there is
 no global table: every size band is a full
@@ -44,11 +64,13 @@ the same band selection that prunes the scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from repro.core.sketch import splitmix64
+from repro.util.arrays import sorted_unique
 from repro.util.prng import derive_seed
 
 __all__ = [
@@ -76,9 +98,7 @@ def collision_probability(s, rows: int, bands: int):
     0.0
     """
     if rows <= 0 or bands <= 0:
-        raise ValueError(
-            f"rows and bands must be positive, got r={rows}, b={bands}"
-        )
+        raise ValueError(f"rows and bands must be positive, got r={rows}, b={bands}")
     s = np.clip(np.asarray(s, dtype=np.float64), 0.0, 1.0)
     out = 1.0 - (1.0 - s**rows) ** bands
     return float(out) if out.ndim == 0 else out
@@ -104,14 +124,10 @@ class BandPlan:
 
     def __post_init__(self) -> None:
         if self.bands <= 0 or self.rows <= 0:
-            raise ValueError(
-                f"bands and rows must be positive, "
-                f"got b={self.bands}, r={self.rows}"
-            )
+            raise ValueError(f"bands and rows must be positive, got b={self.bands}, r={self.rows}")
         if self.bands * self.rows > self.n_lanes:
             raise ValueError(
-                f"bands*rows = {self.bands * self.rows} exceeds "
-                f"n_lanes = {self.n_lanes}"
+                f"bands*rows = {self.bands * self.rows} exceeds n_lanes = {self.n_lanes}"
             )
 
     @property
@@ -136,9 +152,7 @@ class BandPlan:
         )
 
 
-def plan_bands(
-    threshold: float, n_lanes: int, fn_budget: float = 0.05
-) -> BandPlan:
+def plan_bands(threshold: float, n_lanes: int, fn_budget: float = 0.05) -> BandPlan:
     """Pick ``(bands, rows)`` from the collision-probability curve.
 
     Among the bandings ``r in 1..n_lanes`` with ``b = n_lanes // r``,
@@ -162,15 +176,11 @@ def plan_bands(
     True
     """
     if not 0.0 < threshold <= 1.0:
-        raise ValueError(
-            f"threshold must be in (0, 1], got {threshold}"
-        )
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if n_lanes <= 0:
         raise ValueError(f"n_lanes must be positive, got {n_lanes}")
     if not 0.0 < fn_budget < 1.0:
-        raise ValueError(
-            f"fn_budget must be in (0, 1), got {fn_budget}"
-        )
+        raise ValueError(f"fn_budget must be in (0, 1), got {fn_budget}")
     best = None
     for rows in range(1, n_lanes + 1):
         bands = n_lanes // rows
@@ -181,122 +191,84 @@ def plan_bands(
     if best is None:
         best = (n_lanes, 1)
     return BandPlan(
-        bands=best[0], rows=best[1], n_lanes=n_lanes,
-        threshold=float(threshold), fn_budget=float(fn_budget),
+        bands=best[0],
+        rows=best[1],
+        n_lanes=n_lanes,
+        threshold=float(threshold),
+        fn_budget=float(fn_budget),
     )
 
 
-def band_keys(
-    fingerprints: np.ndarray, plan: BandPlan, seed: int
-) -> np.ndarray:
-    """One 64-bit bucket key per band from an item's lane fingerprints.
+def band_keys(fingerprints: np.ndarray, plan: BandPlan, seed: int) -> np.ndarray:
+    """One 64-bit bucket key per band from lane fingerprints.
+
+    ``fingerprints`` is one item's lanes (``(lanes,)`` -> ``(bands,)``
+    keys) or a stacked block (``(n, lanes)`` -> ``(n, bands)``, row
+    ``i`` equal to the 1-D call on row ``i``), hashed in one pass.
 
     Band ``j``'s key absorbs lanes ``j*r .. (j+1)*r - 1`` into a
     splitmix64 sponge seeded with a per-band salt, so equal keys in
     band ``j`` mean (up to a ``2^-64`` hash collision) equal
-    fingerprints on all ``r`` of that band's lanes, and no key ever
-    collides *across* bands.  Deterministic in (fingerprints, plan,
-    seed) — the store side hashes stored fingerprints, the query side
-    hashes the query sketch's, and equal inputs bucket together.
+    fingerprints on all ``r`` of that band's lanes.  Deterministic in
+    (fingerprints, plan, seed) — the store side hashes stored
+    fingerprints, the query side hashes the query sketch's, and equal
+    inputs bucket together.
     """
     fps = np.asarray(fingerprints, dtype=np.uint64)
-    if fps.size < plan.bands * plan.rows:
+    used = plan.bands * plan.rows
+    if fps.ndim not in (1, 2) or fps.shape[-1] < used:
         raise ValueError(
-            f"need {plan.bands * plan.rows} lane fingerprint(s), "
-            f"got {fps.size}"
+            f"need {used} lane fingerprint(s) per item, got an array of shape {fps.shape}"
         )
-    grid = fps[: plan.bands * plan.rows].reshape(plan.bands, plan.rows)
+    grid = fps[..., :used].reshape(*fps.shape[:-1], plan.bands, plan.rows)
     salt = np.uint64(derive_seed(seed, "lsh", "bands"))
     with np.errstate(over="ignore"):
-        keys = splitmix64(
-            np.arange(plan.bands, dtype=np.uint64) + salt
-        )
+        keys = splitmix64(np.arange(plan.bands, dtype=np.uint64) + salt)
         for j in range(plan.rows):
-            keys = splitmix64(keys ^ grid[:, j])
+            keys = splitmix64(keys ^ grid[..., j])
     return keys
 
 
 @dataclass(frozen=True, eq=False)
 class LSHTable:
-    """Per-band bucket tables over one store version's live genomes.
+    """The band-key matrix of one store version's live genomes.
 
-    For each band: ``keys`` (sorted unique bucket keys), ``offsets``
-    (CSR boundaries into ``members``), and ``members`` (store
-    positions, ascending inside each bucket).  Positions index the
-    live-genome order of the version the table was built for.
-
-    The layout is canonical in the item sequence — the same items in
-    the same order produce bit-identical arrays whatever the history
-    of ``with_added`` / ``with_removed`` calls that led there.
+    ``keymat[i, j]`` is the bucket key (:func:`band_keys`) of the item
+    at store position ``i`` in band ``j``; positions index the
+    live-genome order of the version the table was built for.  The same
+    items in the same order produce the same matrix whatever the
+    history of ``with_added`` / ``with_removed`` calls that led there.
     """
 
     plan: BandPlan
     bits: int
     seed: int
-    n_items: int
-    keys: tuple[np.ndarray, ...]
-    offsets: tuple[np.ndarray, ...]
-    members: tuple[np.ndarray, ...]
+    keymat: np.ndarray
+
+    @property
+    def n_items(self) -> int:
+        return int(self.keymat.shape[0])
 
     # ---- construction -------------------------------------------------
 
     @classmethod
-    def build(
-        cls, plan: BandPlan, bits: int, seed: int, fingerprints
-    ) -> "LSHTable":
-        """Build from per-item lane-fingerprint arrays, in store order."""
-        fps_list = list(fingerprints)
-        keymat = np.empty((len(fps_list), plan.bands), dtype=np.uint64)
-        for i, fps in enumerate(fps_list):
-            keymat[i] = band_keys(fps, plan, seed)
-        return cls._from_keymat(plan, bits, seed, keymat)
-
-    @classmethod
-    def _from_keymat(
-        cls, plan: BandPlan, bits: int, seed: int, keymat: np.ndarray
-    ) -> "LSHTable":
-        n_items = int(keymat.shape[0])
-        keys, offsets, members = [], [], []
-        for band in range(plan.bands):
-            col = keymat[:, band]
-            order = np.argsort(col, kind="stable")
-            uniq, starts = np.unique(col[order], return_index=True)
-            keys.append(uniq)
-            offsets.append(
-                np.append(starts, col.size).astype(np.int64)
-            )
-            members.append(order.astype(np.int64))
-        return cls(
-            plan=plan, bits=int(bits), seed=int(seed), n_items=n_items,
-            keys=tuple(keys), offsets=tuple(offsets),
-            members=tuple(members),
-        )
-
-    def _keymat(self) -> np.ndarray:
-        """Invert the bucket layout back to the per-item key matrix."""
-        mat = np.empty((self.n_items, self.plan.bands), dtype=np.uint64)
-        for band in range(self.plan.bands):
-            counts = np.diff(self.offsets[band])
-            mat[self.members[band], band] = np.repeat(
-                self.keys[band], counts
-            )
-        return mat
+    def build(cls, plan: BandPlan, bits: int, seed: int, fingerprints) -> "LSHTable":
+        """Build from the items' lane fingerprints, in store order (a
+        sequence of per-item arrays or one stacked ``(n, lanes)`` block)."""
+        empty = cls(plan, int(bits), int(seed), np.empty((0, plan.bands), dtype=np.uint64))
+        return empty.with_added(fingerprints)
 
     def with_added(self, fingerprints) -> "LSHTable":
         """A new table with items appended (incremental maintenance).
 
         Equals a from-scratch :meth:`build` over the concatenated item
-        sequence: the new rows are hashed, appended to the reconstructed
-        key matrix, and the buckets regrouped canonically.
+        sequence: the new rows are hashed in one pass and stacked under
+        the existing ones.
         """
-        fps_list = list(fingerprints)
-        if not fps_list:
+        if len(fingerprints) == 0:
             return self
-        extra = np.empty((len(fps_list), self.plan.bands), dtype=np.uint64)
-        for i, fps in enumerate(fps_list):
-            extra[i] = band_keys(fps, self.plan, self.seed)
-        keymat = np.vstack([self._keymat(), extra])
-        return self._from_keymat(self.plan, self.bits, self.seed, keymat)
+        rows = band_keys(fingerprints, self.plan, self.seed)
+        return replace(self, keymat=np.vstack([self.keymat, rows]))
 
     def with_removed(self, position: int) -> "LSHTable":
         """A new table without the item at ``position``.
@@ -305,123 +277,99 @@ class LSHTable:
         live genome shifts the store's live order.
         """
         if not 0 <= position < self.n_items:
-            raise ValueError(
-                f"position {position} outside [0, {self.n_items})"
-            )
-        keymat = np.delete(self._keymat(), position, axis=0)
-        return self._from_keymat(self.plan, self.bits, self.seed, keymat)
+            raise ValueError(f"position {position} outside [0, {self.n_items})")
+        return replace(self, keymat=np.delete(self.keymat, position, axis=0))
 
     # ---- probing ------------------------------------------------------
+
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The probe's search structure: ``(cells, keys)``, the stable
+        argsort of the flattened key matrix and the keys in that order
+        (cell ``c`` is item ``c // bands``, band ``c % bands``).  A pure
+        function of ``keymat``, so racing first probes agree."""
+        flat = self.keymat.ravel()
+        cells = np.argsort(flat, kind="stable")
+        return cells, flat[cells]
 
     def probe(self, fingerprints: np.ndarray) -> tuple[np.ndarray, int]:
         """Store positions sharing >= 1 bucket with the query.
 
         Returns ``(candidates, retrieved)``: candidates sorted unique
-        (int64), and the total bucket members touched across bands (the
-        data-dependent part of the probe's modelled cost; the control
-        part is ``bands`` binary searches).
+        (int64), and the total bucket members touched across bands —
+        the number of ``(item, band)`` cells whose key equals the
+        query's key *in that band* (the data-dependent part of the
+        probe's modelled cost; the control part is ``bands`` binary
+        searches).
         """
+        bands = self.plan.bands
+        cells, keys = self._index
         qkeys = band_keys(fingerprints, self.plan, self.seed)
-        hits: list[np.ndarray] = []
-        retrieved = 0
-        for band in range(self.plan.bands):
-            ks = self.keys[band]
-            pos = int(np.searchsorted(ks, qkeys[band]))
-            if pos < ks.size and ks[pos] == qkeys[band]:
-                lo, hi = self.offsets[band][pos], self.offsets[band][pos + 1]
-                bucket = self.members[band][lo:hi]
-                retrieved += int(bucket.size)
-                hits.append(bucket)
-        if not hits:
-            return np.empty(0, dtype=np.int64), 0
-        return np.unique(np.concatenate(hits)), retrieved
+        lo = np.searchsorted(keys, qkeys, side="left")
+        counts = np.searchsorted(keys, qkeys, side="right") - lo
+        # Hit range j is cells[lo[j] : lo[j] + counts[j]]; all of them in one gather.
+        first = np.cumsum(counts) - counts
+        hits = cells[np.repeat(lo - first, counts) + np.arange(int(counts.sum()))]
+        items, hit_band = np.divmod(hits, bands)
+        items = items[hit_band == np.repeat(np.arange(bands), counts)]
+        return sorted_unique(items.astype(np.int64, copy=False)), int(items.size)
+
+    @cached_property
+    def _max_buckets(self) -> int:
+        """The most distinct keys any one band holds (one column sort)."""
+        col = np.sort(self.keymat, axis=0)
+        return int((col[1:] != col[:-1]).sum(axis=0).max()) + (self.n_items > 0)
 
     def probe_cost(self, retrieved: int) -> float:
         """Modelled flop count of one probe (searches + retrieval)."""
-        per_band = max(
-            float(np.log2(max(max(k.size for k in self.keys), 2)))
-            if self.keys else 1.0,
-            1.0,
-        )
+        per_band = float(np.log2(max(self._max_buckets, 2)))
         return self.plan.bands * per_band + float(retrieved)
 
     # ---- serialization ------------------------------------------------
 
     def to_payloads(self) -> list[np.ndarray]:
-        """Flatten to codec-frameable arrays (header + 3 per band)."""
-        header = np.array(
-            [
-                self.plan.bands, self.plan.rows, self.plan.n_lanes,
-                self.bits, self.seed, self.n_items,
-            ],
-            dtype=np.int64,
-        )
-        params = np.array(
-            [self.plan.threshold, self.plan.fn_budget], dtype=np.float64
-        )
-        payloads: list[np.ndarray] = [header, params]
-        for band in range(self.plan.bands):
-            payloads.extend(
-                (self.keys[band], self.offsets[band], self.members[band])
-            )
-        return payloads
+        """The table as three codec-frameable arrays: header, planning
+        parameters and the key matrix."""
+        plan = self.plan
+        header = [plan.bands, plan.rows, plan.n_lanes, self.bits, self.seed, self.n_items]
+        params = [plan.threshold, plan.fn_budget]
+        return [np.array(header, dtype=np.int64), np.array(params, dtype=np.float64), self.keymat]
 
     @classmethod
     def from_payloads(cls, payloads: list) -> "LSHTable":
-        """Inverse of :meth:`to_payloads`."""
-        header = np.asarray(payloads[0], dtype=np.int64)
-        params = np.asarray(payloads[1], dtype=np.float64)
-        bands, rows, n_lanes, bits, seed, n_items = (
-            int(x) for x in header
-        )
-        plan = BandPlan(
-            bands=bands, rows=rows, n_lanes=n_lanes,
-            threshold=float(params[0]), fn_budget=float(params[1]),
-        )
-        if len(payloads) != 2 + 3 * bands:
+        """Inverse of :meth:`to_payloads`; ``ValueError`` unless the three
+        arrays describe one consistent table."""
+        if len(payloads) != 3:
+            raise ValueError(f"LSH table payload holds {len(payloads)} frame(s), expected 3")
+        plan, bits, seed, n_items = read_header(payloads)
+        keymat = np.asarray(payloads[2])
+        if keymat.dtype != np.uint64 or keymat.shape != (n_items, plan.bands):
             raise ValueError(
-                f"LSH table payload holds {len(payloads)} frame(s), "
-                f"expected {2 + 3 * bands}"
+                f"LSH table header declares a uint64 {n_items} x {plan.bands} key matrix, "
+                f"the third frame holds {keymat.dtype}{list(keymat.shape)}"
             )
-        keys, offsets, members = [], [], []
-        for band in range(bands):
-            keys.append(np.asarray(payloads[2 + 3 * band], dtype=np.uint64))
-            offsets.append(
-                np.asarray(payloads[3 + 3 * band], dtype=np.int64)
-            )
-            members.append(
-                np.asarray(payloads[4 + 3 * band], dtype=np.int64)
-            )
-        return cls(
-            plan=plan, bits=bits, seed=seed, n_items=n_items,
-            keys=tuple(keys), offsets=tuple(offsets),
-            members=tuple(members),
-        )
+        return cls(plan, bits, seed, keymat)
 
     # ---- comparison ---------------------------------------------------
 
     def equals(self, other: "LSHTable") -> bool:
-        """Structural equality (the canonical layout makes it decidable)."""
-        if (
-            self.plan != other.plan
-            or self.bits != other.bits
-            or self.seed != other.seed
-            or self.n_items != other.n_items
-        ):
-            return False
-        return all(
-            np.array_equal(a, b)
-            for mine, theirs in (
-                (self.keys, other.keys),
-                (self.offsets, other.offsets),
-                (self.members, other.members),
-            )
-            for a, b in zip(mine, theirs)
+        """Structural equality (the item-ordered matrix makes it decidable)."""
+        return (
+            self.plan == other.plan
+            and self.bits == other.bits
+            and self.seed == other.seed
+            and np.array_equal(self.keymat, other.keymat)
         )
 
-    def describe(self) -> str:
-        n_buckets = sum(int(k.size) for k in self.keys)
-        return (
-            f"LSHTable: {self.n_items} item(s), {self.plan.describe()}, "
-            f"{n_buckets} bucket(s)"
-        )
+
+def read_header(payloads: list) -> tuple[BandPlan, int, int, int]:
+    """``(plan, bits, seed, n_items)`` from a payload list's first two
+    frames; ``ValueError`` when they are not a table header."""
+    header, params = (np.asarray(p) for p in (*payloads, None, None)[:2])
+    if header.dtype != np.int64 or header.shape != (6,):
+        raise ValueError("the first frame is no LSH table header (int64[6])")
+    if params.dtype != np.float64 or params.shape != (2,):
+        raise ValueError("the second frame is no LSH planning parameters (float64[2])")
+    plan = BandPlan(*(int(x) for x in header[:3]), *(float(x) for x in params))
+    bits, seed, n_items = (int(x) for x in header[3:])
+    return plan, bits, seed, n_items

@@ -21,8 +21,10 @@ directory holding
   over a recorded genome order (what
   :mod:`repro.service.incremental` merges border blocks into);
 * ``lsh-<version>.bin`` — when the ``bbit_minhash`` family is stored,
-  the banded LSH bucket tables of :mod:`repro.service.lsh` over the
-  live genomes, maintained incrementally on ``append_many`` /
+  the banded LSH table of :mod:`repro.service.lsh` over the live
+  genomes: three records — header, planning parameters and the
+  ``uint64[n_live, bands]`` band-key matrix, stored raw (hash keys do
+  not compress) — maintained incrementally on ``append_many`` /
   ``remove`` and rebuilt from the stored fingerprints on ``compact``.
 
 Shard files are sequences of length-prefixed frame records
@@ -95,7 +97,7 @@ from repro.semantics.wminhash import (
     WeightedMinHashSketch,
 )
 from repro.service.errors import StoreError
-from repro.service.lsh import LSHTable, plan_bands
+from repro.service.lsh import BandPlan, LSHTable, plan_bands, read_header
 from repro.util.arrays import sorted_unique
 
 __all__ = [
@@ -562,15 +564,8 @@ class IndexStore(_WriteAPI):
             # The banding plan is validated here (raises on a bad
             # threshold/budget) and the empty table persisted, so
             # every later mutation only maintains it.
-            table = LSHTable.build(
-                plan_bands(
-                    store.lsh_threshold, store.sketch_size,
-                    store.lsh_fn_budget,
-                ),
-                store.sketch_bits, store.sketch_seed, [],
-            )
-            store.lsh_file = store._write_lsh(table, target=0)
-            store._lsh = table
+            store._lsh = store._build_lsh()
+            store.lsh_file = store._write_lsh(store._lsh, target=0)
         return store
 
     @classmethod
@@ -681,27 +676,50 @@ class IndexStore(_WriteAPI):
 
         Loaded lazily from ``lsh-<version>.bin`` and cached; mutations
         replace the cache with the table they persist.  A store written
-        before LSH existed (no ``lsh`` manifest entry) is rebuilt from
-        its stored fingerprints in memory, without mutating the store.
+        before LSH existed (no ``lsh`` manifest entry), or whose table
+        file is in the layout that preceded the key matrix, is rebuilt
+        from its stored fingerprints in memory, without mutating the
+        store — the next mutation writes the current layout.
         """
         with self._lock:
             if not self.has_lsh:
                 return None
             if self._lsh is None:
-                if self.lsh_file is not None:
-                    self._lsh = LSHTable.from_payloads(
-                        read_records(self.root / self.lsh_file)
-                    )
-                else:
-                    self._lsh = self._build_lsh()
+                self._lsh = self._read_lsh() or self._build_lsh()
             return self._lsh
+
+    def _lsh_plan(self) -> BandPlan:
+        return plan_bands(self.lsh_threshold, self.sketch_size, self.lsh_fn_budget)
+
+    def _read_lsh(self) -> "LSHTable | None":
+        """The table in ``lsh_file``; :class:`StoreError` naming the file
+        unless it holds exactly this store version's table.  ``None``
+        when the caller has to rebuild: no file, or one in the layout
+        that preceded the key matrix (this header, then three arrays per
+        band), recognised by its record count and never decoded."""
+        if self.lsh_file is None:
+            return None
+        path = self.root / self.lsh_file
+        expected = (self._lsh_plan(), self.sketch_bits, self.sketch_seed, self.n_genomes)
+        try:
+            records = read_records(path)
+            if read_header(records) != expected:
+                raise ValueError(
+                    "its header does not describe this store's plan, sketch "
+                    f"configuration and {self.n_genomes} live genome(s)"
+                )
+            if len(records) == 2 + 3 * expected[0].bands:
+                return None
+            return LSHTable.from_payloads(records)
+        except StoreError:
+            raise
+        except ValueError as exc:  # a CodecError included
+            raise StoreError(f"{path}: unreadable LSH table: {exc}") from None
 
     def _build_lsh(self) -> "LSHTable":
         """Rebuild the table from the stored lane fingerprints."""
         return LSHTable.build(
-            plan_bands(
-                self.lsh_threshold, self.sketch_size, self.lsh_fn_budget
-            ),
+            self._lsh_plan(),
             self.sketch_bits,
             self.sketch_seed,
             stack_payloads(
@@ -715,7 +733,8 @@ class IndexStore(_WriteAPI):
         """Persist a table under a fresh version-stamped name."""
         target = self.version + 1 if target is None else target
         fname = f"lsh-{target:06d}.bin"
-        write_records(self.root / fname, table.to_payloads(), self.codec)
+        # Raw whatever the store's codec: the matrix is hash output.
+        write_records(self.root / fname, table.to_payloads(), "raw")
         return fname
 
     def _stage_lsh(self, table: "LSHTable", txn: Transaction) -> None:

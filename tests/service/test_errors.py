@@ -267,6 +267,45 @@ BAD_QUERY_VALUES = {
 }
 
 
+#: Query ``counts`` get the add side's integer check and message
+#: shapes.  ``[1.9, 1.2, 1.0]`` used to be truncated to ``[1, 1, 1]``
+#: and answered; misaligned / zero counts raised a bare ``ValueError``.
+BAD_QUERY_COUNTS = {
+    "float-counts": (
+        [1.9, 1.2, 1.0],
+        r"query counts must be integers, got dtype float64",
+    ),
+    "str-counts": (
+        ["1", "1", "1"],
+        r"query counts must be integers, got dtype <U1",
+    ),
+    "bool-counts": (
+        [True, True, True],
+        r"query counts must be integers, got dtype bool",
+    ),
+    "two-dimensional": (
+        np.ones((3, 1), dtype=np.int64),
+        r"query counts must be one-dimensional, got shape \(3, 1\)",
+    ),
+    "scalar-counts": (
+        3,
+        r"query counts must be a collection of integers",
+    ),
+    "misaligned": (
+        [1, 1],
+        r"query counts must align with values: 2 count\(s\) for 3 value\(s\)",
+    ),
+    "zero-count": (
+        [1, 0, 1],
+        r"query abundance counts must be >= 1",
+    ),
+    "negative-count": (
+        [1, -2, 1],
+        r"query abundance counts must be >= 1",
+    ),
+}
+
+
 class TestQueryValidation:
     """``validate_request`` is the query-side twin of ``validate_add``:
     the same integer check, the same message shape, ``QueryError``.  A
@@ -292,6 +331,43 @@ class TestQueryValidation:
             service.query(values=bad, top_k=1, counts=[1, 1])
         with pytest.raises(QueryError, match=message):
             service.query_batch([[1, 2], bad], threshold=0.1)
+
+    @pytest.mark.parametrize("shards", [1, 3], ids=["flat", "sharded"])
+    @pytest.mark.parametrize("case", sorted(BAD_QUERY_COUNTS))
+    def test_bad_counts_rejected_at_every_entry_point(self, tmp_path, shards, case):
+        from repro.service import BatchQuery
+
+        bad, message = BAD_QUERY_COUNTS[case]
+        service = SimilarityService.create(
+            tmp_path / "idx", m=M,
+            config=SimilarityConfig(
+                similarity="weighted_jaccard",
+                store_shards=shards, shard_band_policy="uniform",
+            ),
+        )
+        service.add([("a", [1, 2, 3], [2, 1, 1]), ("b", [2, 3, 4])])
+        with pytest.raises(QueryError, match=message):
+            service.query(values=[1, 2, 3], counts=bad, threshold=0.1)
+        with pytest.raises(QueryError, match=message):
+            service.query_batch(
+                [[1, 2], BatchQuery([1, 2, 3], counts=bad)], threshold=0.1
+            )
+
+    @pytest.mark.parametrize("shards", [1, 3], ids=["flat", "sharded"])
+    def test_integer_counts_are_still_answered(self, tmp_path, shards):
+        service = SimilarityService.create(
+            tmp_path / "idx", m=M,
+            config=SimilarityConfig(
+                similarity="weighted_jaccard",
+                store_shards=shards, shard_band_policy="uniform",
+            ),
+        )
+        service.add([("a", [1, 2, 3], [2, 1, 1]), ("b", [2, 3, 4])])
+        want = service.query(values=[1, 2, 3], counts=[2, 1, 1], threshold=0.9)
+        assert [(m.name, m.similarity) for m in want.matches] == [("a", 1.0)]
+        for same in ((2, 1, 1), np.array([2, 1, 1], dtype=np.uint8), iter([2, 1, 1])):
+            got = service.query(values=[1, 2, 3], counts=same, threshold=0.9)
+            assert got.matches == want.matches
 
     def test_integer_collections_are_still_answered(self, tmp_path):
         service = SimilarityService.create(tmp_path / "idx", m=M)

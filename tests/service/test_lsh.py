@@ -4,22 +4,32 @@ The load-bearing invariants, property-tested with Hypothesis:
 
 * the table is *canonical* — incremental ``with_added`` /
   ``with_removed`` maintenance equals a from-scratch ``build`` over the
-  same item sequence, and the table rebuilt from its on-disk codec
-  frames equals the in-memory one;
+  same item sequence (in memory and byte for byte on disk), and the
+  table rebuilt from its on-disk codec frames equals the in-memory one;
+* ``probe`` equals its brute-force definition — the items sharing the
+  query's key *in the same band* — kept here as the reference;
+* a table file that is not this store's table raises ``StoreError``
+  (never a numpy / struct error), except the pre-key-matrix layout,
+  which is rebuilt from the stored fingerprints and replaced by the
+  next mutation;
 * measured recall over true matches is no worse than the analytic
   collision bound ``1 - (1 - s^r)^b`` minus a statistical tolerance;
 * ``query_candidates="lsh_exact"`` returns exactly the brute-force
   answer (the probe only audits; it never narrows).
 """
 
+import doctest
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.service.lsh
+import repro.service.store as store_module
 from repro.core.config import SimilarityConfig
 from repro.core.sketch import make_sketch
-from repro.service import IndexStore, SimilarityIndex
+from repro.service import IndexStore, SimilarityIndex, SimilarityService, StoreError
 from repro.service.lsh import (
     BandPlan,
     LSHTable,
@@ -28,7 +38,7 @@ from repro.service.lsh import (
     plan_bands,
 )
 from repro.service.query import exact_jaccard
-from repro.service.store import LSH_FAMILY
+from repro.service.store import LSH_FAMILY, read_records, write_records
 
 M = 20_000
 LANES = 64
@@ -151,6 +161,18 @@ class TestBandKeys:
         plan = plan_bands(0.5, LANES)
         with pytest.raises(ValueError, match="lane"):
             band_keys(np.zeros(LANES - 1, dtype=np.uint64), plan, 0)
+        with pytest.raises(ValueError, match="lane"):
+            band_keys(np.zeros((3, LANES - 1), dtype=np.uint64), plan, 0)
+
+    def test_stacked_block_agrees_row_for_row(self, rng):
+        # Surplus lanes (LANES + 5 > bands * rows) are ignored either way.
+        plan = plan_bands(0.5, LANES)
+        block = np.stack(corpus_fingerprints(rng, 9, n_lanes=LANES + 5))
+        keys = band_keys(block, plan, 11)
+        assert keys.shape == (9, plan.bands) and keys.dtype == np.uint64
+        for row, fps in zip(keys, block):
+            assert np.array_equal(row, band_keys(fps, plan, 11))
+        assert band_keys(block[:0], plan, 11).shape == (0, plan.bands)
 
 
 class TestTableCanonical:
@@ -186,6 +208,28 @@ class TestTableCanonical:
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
+    def test_any_history_equals_scratch(self, data):
+        # An arbitrary interleaving of adds and removes vs one build
+        # over the sequence it leaves behind.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        plan = plan_bands(0.5, LANES)
+        table = LSHTable.build(plan, BITS, 0, [])
+        kept: list[np.ndarray] = []
+        for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+            if kept and data.draw(st.booleans()):
+                pos = data.draw(st.integers(0, len(kept) - 1))
+                del kept[pos]
+                table = table.with_removed(pos)
+            else:
+                new = corpus_fingerprints(rng, data.draw(st.integers(0, 4)))
+                kept += new
+                table = table.with_added(new)
+        scratch = LSHTable.build(plan, BITS, 0, kept)
+        assert table.equals(scratch) and table.n_items == len(kept)
+        assert np.array_equal(table.keymat, scratch.keymat)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
     def test_payload_round_trip(self, data):
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         n = data.draw(st.integers(min_value=0, max_value=16))
@@ -216,8 +260,101 @@ class TestTableCanonical:
         with pytest.raises(ValueError, match="frame"):
             LSHTable.from_payloads(table.to_payloads()[:-1])
 
+    def test_table_is_three_payloads(self, rng):
+        table = LSHTable.build(
+            plan_bands(0.5, LANES), BITS, 0, corpus_fingerprints(rng, 4)
+        )
+        header, params, keymat = table.to_payloads()
+        assert header.tolist() == [
+            table.plan.bands, table.plan.rows, LANES, BITS, 0, 4
+        ]
+        assert params.tolist() == [0.5, 0.05]
+        assert keymat is table.keymat and keymat.shape == (4, table.plan.bands)
+
+    def test_stacked_block_builds_the_same_table(self, rng):
+        fps = corpus_fingerprints(rng, 6)
+        plan = plan_bands(0.5, LANES)
+        assert LSHTable.build(plan, BITS, 0, np.stack(fps)).equals(
+            LSHTable.build(plan, BITS, 0, fps)
+        )
+
+    def test_module_doctests_execute(self):
+        failed, attempted = doctest.testmod(repro.service.lsh)
+        assert attempted >= 8 and failed == 0
+
+
+def brute_probe(table, fingerprints):
+    """The definition ``probe`` must equal: an item is a candidate iff
+    some band's key equals the query's key *in that same band*;
+    ``retrieved`` counts the matching (item, band) cells."""
+    qkeys = band_keys(fingerprints, table.plan, table.seed)
+    cells = [
+        (item, band)
+        for item in range(table.n_items)
+        for band in range(table.plan.bands)
+        if table.keymat[item, band] == qkeys[band]
+    ]
+    return sorted({item for item, _ in cells}), len(cells)
+
 
 class TestProbe:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_probe_equals_brute_force(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        n = data.draw(st.integers(min_value=0, max_value=12))
+        fps = corpus_fingerprints(rng, n)
+        # Duplicate items (every band collides) and near-duplicates (one
+        # band differs) make buckets with several members.
+        for src in data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=4)):
+            if n:
+                twin = fps[src].copy()
+                if data.draw(st.booleans()):
+                    twin[data.draw(st.integers(0, LANES - 1))] ^= np.uint64(1)
+                fps.append(twin)
+        table = LSHTable.build(plan_bands(0.5, LANES), BITS, 0, fps)
+        queries = fps + corpus_fingerprints(rng, 2)
+        for q in queries:
+            cands, retrieved = table.probe(q)
+            want, want_retrieved = brute_probe(table, q)
+            assert cands.dtype == np.int64 and cands.tolist() == want
+            assert retrieved == want_retrieved
+
+    def test_key_shared_across_bands_is_not_a_hit(self):
+        # One 64-bit key planted in two *different* bands: exactness does
+        # not rest on band keys never colliding across bands.
+        plan = BandPlan(bands=4, rows=1, n_lanes=4, threshold=0.5, fn_budget=0.05)
+        query = np.array([1, 2, 3, 4], dtype=np.uint64)
+        qkeys = band_keys(query, plan, 0)
+        keymat = np.arange(100, 112, dtype=np.uint64).reshape(3, 4)
+        keymat[0, 2] = qkeys[1]  # the query's band-1 key, sitting in band 2
+        keymat[1, 0] = qkeys[3]  # ... its band-3 key, in band 0
+        keymat[2, 3] = qkeys[3]  # a true hit, for contrast
+        table = LSHTable(plan, BITS, 0, keymat)
+        cands, retrieved = table.probe(query)
+        assert (cands.tolist(), retrieved) == ([2], 1)
+        assert (cands.tolist(), retrieved) == brute_probe(table, query)
+
+    def test_probe_cost_is_the_deepest_band(self, rng):
+        # bands * log2(most distinct keys any band holds) + retrieved.
+        fps = corpus_fingerprints(rng, 9)
+        fps += [fps[0], fps[0]]  # duplicates share every bucket
+        table = LSHTable.build(plan_bands(0.5, LANES), BITS, 0, fps)
+        deepest = max(
+            np.unique(table.keymat[:, band]).size for band in range(table.plan.bands)
+        )
+        assert table.probe_cost(5) == table.plan.bands * float(np.log2(deepest)) + 5.0
+
+    def test_bad_key_matrix_payload_rejected(self, rng):
+        table = LSHTable.build(plan_bands(0.5, LANES), BITS, 0, corpus_fingerprints(rng, 2))
+        header, params, keymat = table.to_payloads()
+        for bad in (keymat.view(np.int64), keymat[:, :-1], keymat[:1], keymat.ravel(), b"x"):
+            with pytest.raises(ValueError, match="key matrix"):
+                LSHTable.from_payloads([header, params, bad])
+        for bad in ([header[:5], params, keymat], [header, params[:1], keymat]):
+            with pytest.raises(ValueError, match="frame"):
+                LSHTable.from_payloads(bad)
+
     def test_identical_item_always_retrieved(self, rng):
         # Equal fingerprints share every band key, so every stored
         # duplicate of the query is a guaranteed candidate.
@@ -286,6 +423,15 @@ class TestStorePersistence:
         store.append("late", np.unique(rng.integers(0, M, size=50)))
         assert store.lsh_table().equals(store._build_lsh())
         assert IndexStore.open(root).lsh_table().equals(store.lsh_table())
+        # ... and the table *file* is canonical too: a store that got
+        # the surviving genomes in one batch holds the same bytes.
+        fresh = IndexStore.create(
+            root.parent / "fresh", m=M, sketch_size=LANES, sketch_bits=BITS
+        )
+        fresh.append_many([(n, store.load_values(n)) for n in store.names])
+        assert (fresh.root / fresh.lsh_file).read_bytes() == (
+            root / store.lsh_file
+        ).read_bytes()
 
     def test_store_without_lsh_family_has_no_table(self, tmp_path):
         store = IndexStore.create(
@@ -311,6 +457,180 @@ class TestStorePersistence:
 
         with pytest.raises((StoreError, ValueError), match="threshold"):
             IndexStore.create(tmp_path / "bad", m=M, lsh_threshold=0.0)
+
+
+def legacy_payloads(table):
+    """The table-file layout that preceded the key matrix: header and
+    parameters, then per band the sorted unique keys, the CSR offsets
+    and the member positions (``2 + 3 * bands`` frames)."""
+    payloads = table.to_payloads()[:2]
+    for col in table.keymat.T:
+        order = np.argsort(col, kind="stable")
+        uniq, starts = np.unique(col[order], return_index=True)
+        payloads += [
+            uniq, np.append(starts, col.size).astype(np.int64), order.astype(np.int64)
+        ]
+    return payloads
+
+
+class TestTableFile:
+    """What ``IndexStore.lsh_table()`` makes of the bytes in ``lsh-*.bin``."""
+
+    N = 3
+
+    def small_store(self, tmp_path, rng):
+        store = IndexStore.create(
+            tmp_path / "idx", m=M, sketch_size=LANES, sketch_bits=BITS
+        )
+        store.append_many(
+            [
+                (f"g{i}", np.unique(rng.integers(0, M, size=40 + 30 * i)))
+                for i in range(self.N)
+            ]
+        )
+        return store, store.root / store.lsh_file
+
+    @staticmethod
+    def assert_unreadable(root, path):
+        for read in (IndexStore.lsh_table, IndexStore.snapshot):
+            with pytest.raises(StoreError) as err:
+                read(IndexStore.open(root))
+            assert str(path) in str(err.value)
+
+    def test_every_truncation_is_a_store_error(self, tmp_path, rng):
+        store, path = self.small_store(tmp_path, rng)
+        blob = path.read_bytes()
+        assert len(read_records(path)) == 3
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            self.assert_unreadable(store.root, path)
+        path.write_bytes(blob)
+        assert IndexStore.open(store.root).lsh_table().equals(store.lsh_table())
+
+    def test_every_header_field_is_checked(self, tmp_path, rng):
+        store, path = self.small_store(tmp_path, rng)
+        header, params, keymat = store.lsh_table().to_payloads()
+        for field in range(header.size):
+            for delta in (-1, 1):
+                bad = header.copy()
+                bad[field] += delta
+                write_records(path, [bad, params, keymat], "raw")
+                self.assert_unreadable(store.root, path)
+        for field in range(params.size):
+            bad = params.copy()
+            bad[field] /= 2
+            write_records(path, [header, bad, keymat], "raw")
+            self.assert_unreadable(store.root, path)
+
+    def test_wrong_frames_are_store_errors(self, tmp_path, rng):
+        store, path = self.small_store(tmp_path, rng)
+        header, params, keymat = store.lsh_table().to_payloads()
+        fewer = header.copy()
+        fewer[5] -= 1  # consistent with its matrix, not with the manifest
+        for payloads in (
+            [header, params],
+            [header, params, keymat, keymat],
+            [header.astype(np.float64), params, keymat],
+            [header[:5], params, keymat],
+            [header, params.astype(np.float32), keymat],
+            [header, params, keymat.view(np.int64)],
+            [header, params, keymat.astype(np.float64)],
+            [header, params, keymat.astype(np.uint32)],
+            [header, params, keymat[:-1]],
+            [header, params, keymat[:, :-1]],
+            [header, params, keymat.ravel()],
+            [header, params, b"not a matrix"],
+            [fewer, params, keymat[:-1]],
+            legacy_payloads(store.lsh_table())[:-1],
+            [b"junk"] * len(legacy_payloads(store.lsh_table())),
+        ):
+            write_records(path, payloads, "raw")
+            self.assert_unreadable(store.root, path)
+        path.write_bytes(b"\x05\x00\x00\x00\x00\x00\x00\x00RWF1!")  # no frame
+        self.assert_unreadable(store.root, path)
+
+    @pytest.mark.parametrize("codec", ["adaptive", "raw"])
+    def test_legacy_layout_is_rebuilt_then_replaced(self, tmp_path, rng, codec):
+        sets = planted_corpus(rng, n_families=3, copies=3)
+        store = IndexStore.create(
+            tmp_path / "idx", m=M, sketch_size=LANES, codec=codec
+        )
+        store.append_many([(f"g{i}", s) for i, s in enumerate(sets)])
+
+        def answers():
+            out = []
+            for candidates in ("lsh", "lsh_exact"):
+                eng = SimilarityIndex(
+                    IndexStore.open(store.root),
+                    config=SimilarityConfig(query_candidates=candidates),
+                )
+                out += [eng.query(sets[q], threshold=0.5) for q in (0, 4, len(sets) - 1)]
+                out.append(eng.query(sets[1], top_k=3))
+            return out
+
+        fresh = answers()
+        assert any(r.matches for r in fresh)
+        path = store.root / store.lsh_file
+        legacy = legacy_payloads(store.lsh_table())
+        assert len(legacy) == 2 + 3 * store.lsh_table().plan.bands
+        write_records(path, legacy, codec)
+        old = IndexStore.open(store.root)
+        assert old.lsh_table().equals(store.lsh_table())
+        assert answers() == fresh
+        assert len(read_records(path)) == len(legacy)  # reading rewrote nothing
+        old.append("late", sets[0][::2])
+        assert not path.exists() and len(read_records(old.root / old.lsh_file)) == 3
+        assert IndexStore.open(store.root).lsh_table().equals(old._build_lsh())
+
+
+class TestWriteTraffic:
+    """A mutation writes one three-record table file per *touched* band
+    — counted at the byte sink, so a regression to per-bucket frames (or
+    to rewriting untouched bands) fails without a stopwatch."""
+
+    @staticmethod
+    def sized(rng, size):
+        return np.sort(rng.choice(M, size=size, replace=False))
+
+    def test_one_table_file_per_touched_band(self, tmp_path, rng, monkeypatch):
+        service = SimilarityService.create(
+            tmp_path / "idx", m=M,
+            config=SimilarityConfig(
+                store_shards=8, shard_band_policy="uniform", sketch_size=LANES
+            ),
+        )
+        width = (M + 1) // 8 + 1
+        service.add(
+            [(f"b{band}", self.sized(rng, band * width + 50)) for band in range(5)]
+        )
+        real = store_module._atomic_write_bytes
+        log: list[tuple[str, str, int]] = []
+
+        def counting(path, data):
+            real(path, data)
+            if path.name.startswith("lsh-"):
+                log.append((path.parent.name, path.name, len(read_records(path))))
+
+        monkeypatch.setattr(store_module, "_atomic_write_bytes", counting)
+
+        def tables_written(mutation):
+            log.clear()
+            mutation()
+            assert all(n == 3 for _, _, n in log), log
+            return sorted(band for band, _, _ in log)
+
+        batch = [
+            ("x1", self.sized(rng, width + 10)),
+            ("x5", self.sized(rng, 5 * width + 10)),
+            ("y1", self.sized(rng, width + 20)),
+        ]
+        assert tables_written(lambda: service.add(batch)) == ["001", "005"]
+        assert tables_written(lambda: service.remove("b3")) == ["003"]
+        service.remove("x1")
+        service.remove("b0")
+        assert tables_written(service.compact) == ["000", "001", "003"]
+        assert tables_written(service.compact) == []  # nothing to reclaim
+        assert [s.n_genomes for s in service.store.shards] == [0, 2, 1, 0, 1, 1, 0, 0]
 
 
 def planted_corpus(rng, n_families=8, copies=3, size=250, overlap=0.8):

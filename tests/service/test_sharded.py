@@ -328,6 +328,45 @@ class TestFanOut:
         # The overlap is real, not epsilon: >= 2x on 4 balanced bands.
         assert serial / r.simulated_seconds >= 2.0
 
+    def test_fanout_sketches_each_request_once(self, tmp_path, rng, monkeypatch):
+        # Every consulted band gets the same Request object, which
+        # memoises its sketch rows: the query's b-bit fingerprints (the
+        # LSH probe) and its prefilter row are built once per request,
+        # not once per band.
+        import repro.service.cascade as cascade
+        from repro.service.store import LSH_FAMILY
+
+        sets = spread_corpus(rng, per_band=5, bands=4)
+        config = SimilarityConfig(query_candidates="lsh_exact", query_cache_size=0)
+        flat = SimilarityService(build_flat(tmp_path, sets), config=config)
+        service = SimilarityService(build_sharded(tmp_path, sets, 4), config=config)
+        real, built = cascade.sketch_row, []
+
+        def counting(family, *args):
+            built.append(family)
+            return real(family, *args)
+
+        monkeypatch.setattr(cascade, "sketch_row", counting)
+        families = sorted({LSH_FAMILY, service.engine.family})
+        assert len(families) == 2
+
+        query = np.sort(rng.choice(M, size=1400, replace=False))
+        lo, hi = service.store.band_range(int(0.2 * query.size), int(query.size / 0.2))
+        assert hi - lo + 1 >= 3
+        want = flat.query(values=query, threshold=0.2)
+        built.clear()
+        got = service.query(values=query, threshold=0.2)
+        assert sorted(built) == families
+        assert got.n_candidates >= 15 and got.n_after_lsh is not None
+        assert want.matches and matches_of(got) == matches_of(want)
+
+        queries = [np.sort(rng.choice(M, size=900 + 90 * i, replace=False)) for i in range(8)]
+        want = flat.query_batch(queries, threshold=0.2)
+        built.clear()
+        got = service.query_batch(queries, threshold=0.2)
+        assert sorted(built) == sorted(families * 8)
+        assert [matches_of(r) for r in got] == [matches_of(r) for r in want]
+
     def test_plan_reports_fanout(self, tmp_path, rng):
         sh = build_sharded(tmp_path, corpus(rng), 4)
         plan = ShardedSimilarityIndex(sh).plan()
