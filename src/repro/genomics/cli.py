@@ -234,9 +234,9 @@ def build_index_parser() -> argparse.ArgumentParser:
         "--batch-file", type=Path, default=None,
         help=(
             "file listing query FASTA paths (one per line, # comments "
-            "allowed); all queries run through the batched path (one "
-            "size-sorted window + one rectangular popcount block per "
-            "batch) and results match per-query runs exactly"
+            "allowed); all queries run through the batched path "
+            "(admitted batches against one store snapshot) and results "
+            "match per-query runs exactly"
         ),
     )
     query.add_argument(

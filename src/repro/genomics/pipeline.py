@@ -346,8 +346,8 @@ class GenomeAtScale:
         """Batched threshold/top-k queries of many samples at once.
 
         All samples run through the :class:`~repro.service.batch.QueryBatcher`
-        (one size-sorted window + one rectangular popcount block per
-        admitted batch of ``config.query_batch_size``); results come
+        (admitted batches of ``config.query_batch_size`` against one
+        store snapshot); results come
         back in input order and match :meth:`query_index` exactly —
         on a sharded index each query is batched per overlapping band.
         """

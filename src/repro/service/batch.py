@@ -1,11 +1,10 @@
 """Batched query admission: the coalescing front end of the cascade.
 
 Serving thousands of concurrent users one query at a time repeats work
-the cascade can share: the extent-sorted window order is searched, not
-rebuilt, and the surviving (query, candidate) pairs of a whole batch
-verify as one rectangular popcount block instead of pair by pair
-(GPU vector-similarity engines — Joubert et al. — get their throughput
-the same way).  The stages themselves live once, in
+the cascade can share: a batch runs against one pinned snapshot, so the
+extent-sorted window order and the rank-space matrix verify gathers
+from are built once per store version and searched, not rebuilt, by
+every request.  The stages themselves live once, in
 :func:`repro.service.cascade.run_cascade`; the :class:`QueryBatcher` is
 **admission only** — it decides *which requests run together, against
 which store version*:

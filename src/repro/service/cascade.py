@@ -21,11 +21,10 @@ batch):
    score bound is below the threshold (or below the ``k``-th best lower
    bound).  Plain families estimate ``J`` and the measure transforms the
    band; the weighted-MinHash family estimates ``J_w`` directly.
-3. **verify** — exact scores of the survivors, by one of two kernels
-   picked from the batch itself: per-pair sorted intersections (the
-   only kernel weighted Jaccard can use, and the cheaper one when a
-   single request is computed) or one rectangular popcount block over
-   the merged survivors of a multi-request set-measure batch.
+3. **verify** — exact scores of the survivors, for every measure and
+   batch shape by one kernel: the query scattered into the rank space
+   of the snapshot's filtered indicator matrix, the survivors' rank
+   slices gathered from it and summed per candidate.
 
 :func:`run_cascade` is the single implementation: a function of
 ``(plan, snapshot, requests)``.  The :class:`~repro.service.plan.QueryPlan`
@@ -41,20 +40,18 @@ answers are equal by construction.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.baselines.exact import intersection_size_sorted
 from repro.core.sketch import estimate_rows, stack_payloads
 from repro.semantics.measures import SimilarityMeasure, get_measure
 from repro.semantics.weighted import coerce_counts
 from repro.service.errors import QueryError
 from repro.service.plan import QueryPlan
 from repro.service.store import LSH_FAMILY, StoreSnapshot, _int_array, sketch_row
-from repro.sparse.bitmatrix import BitMatrix
-from repro.sparse.spgemm import gram_popcount_blocked
 from repro.util.arrays import sorted_unique
 
 #: Tolerance of the threshold comparisons: protects the exact-equality
@@ -77,17 +74,19 @@ class Request:
     exclude_name: str | None = None
     #: Sketch rows already built for this request, by ``(family, size,
     #: bits, seed)``: a sharded fan-out hands the same request to every
-    #: consulted band.  A row is a pure function of the request, so
-    #: bands racing on a threaded executor at worst build it twice.
+    #: consulted band, and bands racing on a threaded executor wait on
+    #: ``_lock`` for the one build.
     _rows: dict = field(default_factory=dict, compare=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
 
     def sketch_row(self, family: str, size: int, bits: int, seed: int) -> np.ndarray:
         """This request's row of ``family``'s kernel block
         (:func:`repro.service.store.sketch_row`), built once."""
         key = (family, size, bits, seed)
-        if key not in self._rows:
-            self._rows[key] = sketch_row(family, self.vals, self.counts, size, bits, seed)
-        return self._rows[key]
+        with self._lock:
+            if key not in self._rows:
+                self._rows[key] = sketch_row(family, self.vals, self.counts, size, bits, seed)
+            return self._rows[key]
 
 
 def validate_request(
@@ -162,10 +161,7 @@ def run_cascade(
     cands = _apply_window(plan, snapshot, measure, requests, excluded, probes, serving)
     n_after_size = [int(cand.size) for cand in cands]
     cands = _prune_by_sketch(plan, snapshot, measure, requests, cands, serving)
-    if measure.weighted or len(requests) == 1:
-        sims = _verify_pairs(plan, snapshot, measure, requests, cands, serving)
-    else:
-        sims = _verify_block(plan, snapshot, measure, requests, cands, serving)
+    sims = _verify(plan, snapshot, measure, requests, cands, serving)
     outcomes = []
     for i, (req, cand, sim) in enumerate(zip(requests, cands, sims)):
         n_after_sketch = int(cand.size)
@@ -296,112 +292,37 @@ def _prune_by_sketch(
     return survivors
 
 
-def _verify_pairs(
+def _verify(
     plan, snapshot, measure: SimilarityMeasure, requests, cands, serving
 ) -> list[np.ndarray]:
-    """Exact scores, one sorted intersection per (request, survivor) pair.
+    """Exact scores of the survivors, one rank-space gather per request.
 
-    Weighted Jaccard needs min/max mass accumulations over aligned
-    counts, which the popcount block cannot produce; the set measures
-    score the exact intersection counts through the same
-    ``score_from_stats`` the block kernel uses.
+    The snapshot's :class:`~repro.service.store.RankSpace` yields the
+    exact intersections (``Σ min`` of the abundances for weighted
+    Jaccard), which the measure scores from the query's and the
+    candidates' extents — ``Σ max = mass_q + mass_c - Σ min``.  The
+    ledger pays the query's scatter plus the candidates' gathered
+    values per request, and the rank-space build once per store version.
     """
+    extents = snapshot.masses() if measure.weighted else snapshot.sizes()
     sizes = snapshot.sizes()
     sims = []
     flops = 0.0
     for req, cand in zip(requests, cands):
-        names = [snapshot.names[int(i)] for i in cand]
-        if measure.weighted:
-            q_counts = req.counts
-            if q_counts is None:
-                q_counts = np.ones(req.vals.size, dtype=np.int64)
-            sim = np.array(
-                [
-                    measure.exact_pair(
-                        req.vals, snapshot.load_values(g), q_counts, snapshot.load_counts(g)
-                    )
-                    for g in names
-                ],
-                dtype=np.float64,
-            )
-        else:
-            inter = np.array(
-                [intersection_size_sorted(req.vals, snapshot.load_values(g)) for g in names],
-                dtype=np.int64,
-            )
-            sim = np.asarray(
-                measure.score_from_stats(inter, int(req.vals.size), sizes[cand]),
-                dtype=np.float64,
-            )
-        sims.append(sim)
-        if cand.size:
-            flops += float(req.vals.size * cand.size + sizes[cand].sum())
+        if not cand.size:
+            sims.append(np.empty(0, dtype=np.float64))
+            continue
+        space, built = snapshot.rank_space()
+        if built:
+            flops += space.build_flops
+        inter = space.intersections(req.vals, req.counts if measure.weighted else None, cand)
+        q_extent = measure.extent(req.vals, req.counts)
+        sim = measure.score_from_stats(inter, q_extent, extents[cand])
+        sims.append(np.asarray(sim, dtype=np.float64))
+        flops += float(req.vals.size + sizes[cand].sum())
     if flops:
         serving.charge_compute(flops, kernel=plan.kernel("verify"))
     return sims
-
-
-def _verify_block(
-    plan, snapshot, measure: SimilarityMeasure, requests, cands, serving
-) -> list[np.ndarray]:
-    """Exact scores via one rectangular popcount block (set measures).
-
-    One query column per request against the union of every request's
-    survivors, over a bit universe restricted to the union of the
-    *query* values — candidate bits outside it cannot contribute to an
-    intersection, so the word-row count tracks the queries, not ``m``
-    (a hypersparse store packs into a few word rows, not millions).
-    """
-    sizes = snapshot.sizes()
-    queries = [req.vals for req in requests]
-    cand_union = sorted_unique(np.concatenate(cands))
-    universe = sorted_unique(np.concatenate(queries))
-    nq, nc, w = len(queries), int(cand_union.size), int(universe.size)
-    if nc and w:
-        q_rows = np.concatenate([np.searchsorted(universe, v) for v in queries])
-        q_cols = np.concatenate(
-            [np.full(v.size, col, dtype=np.int64) for col, v in enumerate(queries)]
-        )
-        c_rows, c_cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        mapped = 0
-        for col, c in enumerate(cand_union):
-            cvals = snapshot.load_values(snapshot.names[int(c)])
-            mapped += int(cvals.size)
-            pos = np.searchsorted(universe, cvals)
-            hit = universe[np.minimum(pos, w - 1)] == cvals
-            c_rows.append(pos[hit])
-            c_cols.append(np.full(int(hit.sum()), col, dtype=np.int64))
-        q_mat = BitMatrix.from_coo(q_rows, q_cols, w, nq)
-        c_mat = BitMatrix.from_coo(np.concatenate(c_rows), np.concatenate(c_cols), w, nc)
-        kr = gram_popcount_blocked(q_mat, c_mat)
-        inter = kr.value
-        # Modelled cost: like spgemm's gram_popcount, a tuned
-        # implementation picks between the dense word sweep (w * pairs,
-        # what gram_popcount_blocked reports) and a Gustavson-style
-        # input-sparse kernel touching only word pairs where both
-        # operands are nonzero — decisive in the hypersparse regime,
-        # where a candidate's universe-restricted column is almost
-        # entirely empty words.  Packing is one pass over each
-        # operand's values, paid once per union candidate rather than
-        # once per (query, candidate) pair — where batching wins.
-        cx = (q_mat.words != 0).sum(axis=1, dtype=np.float64)
-        cy = (c_mat.words != 0).sum(axis=1, dtype=np.float64)
-        rect_flops = min(kr.flops, 2.0 * float((cx * cy).sum()))
-        serving.charge_compute(
-            rect_flops + float(mapped + sum(v.size for v in queries)),
-            kernel=plan.kernel("verify"),
-        )
-    else:
-        inter = np.zeros((nq, max(nc, 1)), dtype=np.int64)
-    return [
-        np.asarray(
-            measure.score_from_stats(
-                inter[row, np.searchsorted(cand_union, cand)], int(req.vals.size), sizes[cand]
-            ),
-            dtype=np.float64,
-        )
-        for row, (req, cand) in enumerate(zip(requests, cands))
-    ]
 
 
 # ---- sketch estimation ----------------------------------------------------

@@ -6,17 +6,15 @@ what the analytic bound is, and which ledger kernel each stage
 charges.  :func:`compile_plan` builds it from a config and a store;
 the one executor (:func:`repro.service.cascade.run_cascade`) owns the
 loop and runs whatever plan it is handed.  Two flavours exist, differing
-only in the kernel labels (and the nominal verify strategy) they carry:
+only in the kernel labels they carry:
 
 * ``batched=False`` — a single query, i.e. a batch of one: kernel
   labels ``query:size`` / ``query:sketch`` / ``query:verify`` (PR 5's
   labels, kept stable so the committed ``BENCH_query.json`` trajectory
-  stays comparable), survivors verified by per-pair sorted
-  intersections;
+  stays comparable);
 * ``batched=True`` — an admitted batch: kernel labels
   ``query:batch:window`` / ``query:batch:sketch`` /
-  ``query:batch:verify``, the merged survivors of a multi-request
-  batch verified as one rectangular bit-matrix popcount block.
+  ``query:batch:verify``.
 
 Because both flavours run the same stage bodies, batched results equal
 per-query results equal brute force.
@@ -68,13 +66,6 @@ class PlanStage:
 class QueryPlan:
     """The compiled stage pipeline of one query (or query batch).
 
-    ``verify`` names the plan's nominal verification strategy:
-    ``"pairwise"`` (one sorted-array intersection per surviving
-    candidate) or ``"blocked"`` (one rectangular popcount block over the
-    merged survivors of a batch).  Both are exact; only the cost shape
-    differs, and the executor falls back to pairwise whenever a batch
-    computes a single request.
-
     ``candidates`` names the candidate generator (a
     :data:`~repro.core.config.QUERY_CANDIDATES` value): plans compiled
     with ``"lsh"`` / ``"lsh_exact"`` open with an ``lsh`` stage that
@@ -96,7 +87,6 @@ class QueryPlan:
     prefilter: str
     family: str | None
     error_bound: float | None
-    verify: str
     batched: bool
     stages: tuple[PlanStage, ...]
     candidates: str = "scan"
@@ -136,22 +126,19 @@ class QueryPlan:
 
         >>> from repro.service.plan import BATCH_KERNELS, PlanStage, QueryPlan
         >>> plan = QueryPlan(
-        ...     prefilter="size", family=None, error_bound=None,
-        ...     verify="blocked", batched=True,
+        ...     prefilter="size", family=None, error_bound=None, batched=True,
         ...     stages=(
         ...         PlanStage("window", BATCH_KERNELS["window"]),
         ...         PlanStage("verify", BATCH_KERNELS["verify"]),
         ...     ),
         ... )
         >>> plan.describe()
-        'window[query:batch:window] -> verify:blocked[query:batch:verify]'
+        'window[query:batch:window] -> verify[query:batch:verify]'
         """
         parts = []
         for st in self.stages:
             label = st.name
-            if st.name == "verify":
-                label = f"verify:{self.verify}"
-            elif st.name == "lsh" and self.candidates == "lsh_exact":
+            if st.name == "lsh" and self.candidates == "lsh_exact":
                 label = "lsh:audit"
             parts.append(f"{label}[{st.kernel}]")
         described = " -> ".join(parts)
@@ -262,17 +249,10 @@ def compile_plan(
         )
         stages.append(PlanStage("sketch", kernels["sketch"]))
     stages.append(PlanStage("verify", kernels["verify"]))
-    if measure == "weighted_jaccard":
-        # Mass verification needs per-value counts; the blocked popcount
-        # Gram only yields set intersections.
-        verify = "pairwise"
-    else:
-        verify = "blocked" if batched else "pairwise"
     return QueryPlan(
         prefilter=prefilter,
         family=family,
         error_bound=bound,
-        verify=verify,
         batched=batched,
         stages=tuple(stages),
         candidates=candidates,

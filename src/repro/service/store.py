@@ -81,6 +81,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,6 +104,7 @@ from repro.util.arrays import sorted_unique
 __all__ = [
     "GenomeEntry",
     "IndexStore",
+    "RankSpace",
     "StoreError",
     "StoreSnapshot",
 ]
@@ -1029,6 +1031,106 @@ class IndexStore(_WriteAPI):
         )
 
 
+class RankSpace(NamedTuple):
+    """One store version as a filtered indicator matrix, in CSC form.
+
+    ``universe`` is the sorted set of values some live genome holds —
+    the paper's zero-row filter: a value outside it cannot contribute to
+    any intersection.  ``ranks[offsets[i]:offsets[i + 1]]`` are the rows
+    (positions in ``universe``) of live genome ``i``'s values, in value
+    order, so ``universe[ranks[lo:hi]]`` is the genome's stored value
+    column.  ``counts`` is the aligned abundance column, ``None`` when
+    every genome's mass equals its size.  ``lut`` is the value -> rank
+    table (``-1`` = not in the universe) when the ranks came from a
+    counting pass over ``[0, m)``, ``None`` when they came from a sort.
+    """
+
+    universe: np.ndarray
+    ranks: np.ndarray
+    offsets: np.ndarray
+    counts: np.ndarray | None
+    lut: np.ndarray | None
+
+    @classmethod
+    def from_columns(
+        cls, m: int, flat: np.ndarray, offsets: np.ndarray, counts
+    ) -> "RankSpace":
+        """Rank the concatenated value columns ``flat`` (values in
+        ``[0, m)``).  A counting pass when ``m <= len(flat)``, else a
+        sort; both give the same ``(universe, ranks)``."""
+        if m <= flat.size:
+            present = np.zeros(m, dtype=bool)
+            present[flat] = True
+            lut = np.cumsum(present, dtype=np.int32) - 1
+            lut[~present] = -1
+            universe = np.flatnonzero(present)
+            ranks = np.take(lut, flat)
+        else:
+            lut = None
+            universe = sorted_unique(flat)
+            ranks = np.searchsorted(universe, flat).astype(np.int32)
+        return cls(universe, ranks, offsets, counts, lut)
+
+    @property
+    def build_flops(self) -> float:
+        """Modelled cost of :meth:`from_columns`: one pass over the
+        values plus the counting pass over ``[0, m)`` or the sort."""
+        nnz = float(self.ranks.size)
+        if self.lut is not None:
+            return nnz + float(self.lut.size)
+        return nnz + nnz * float(np.log2(max(nnz, 2.0)))
+
+    def column(self, i: int) -> slice:
+        """The slice of genome ``i``'s entries in ``ranks`` / ``counts``."""
+        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+
+    def intersections(self, vals, q_counts, cand: np.ndarray) -> np.ndarray:
+        """Exact ``|Q ∩ C|`` of one query against each genome of ``cand``
+        (``Σ min`` of the abundances when ``q_counts`` is not ``None``).
+
+        The query's values are mapped to ranks (values outside the
+        universe dropped) and scattered into a ``[U]`` scratch column;
+        the candidates' rank slices — one per run of consecutive
+        positions in the sorted ``cand`` — are gathered from it and
+        summed per candidate.
+        """
+        lens = self.offsets[cand + 1] - self.offsets[cand]
+        inter = np.zeros(cand.size, dtype=np.int64)
+        if not lens.any():  # also the only case with an empty universe
+            return inter
+        if self.lut is not None:
+            q_ranks = np.take(self.lut, vals)
+            keep = q_ranks >= 0
+        else:
+            q_ranks = np.searchsorted(self.universe, vals)
+            keep = self.universe[np.minimum(q_ranks, self.universe.size - 1)] == vals
+        q_ranks = q_ranks[keep]
+        if q_counts is None:
+            scratch = np.zeros(self.universe.size, dtype=np.uint8)
+            scratch[q_ranks] = 1
+        else:
+            scratch = np.zeros(self.universe.size, dtype=np.int64)
+            scratch[q_ranks] = q_counts[keep]
+        edges = [0, *(np.flatnonzero(np.diff(cand) != 1) + 1).tolist(), cand.size]
+        off = self.offsets
+        runs = [(off[cand[a]], off[cand[b - 1] + 1]) for a, b in zip(edges, edges[1:])]
+
+        def gather(column: np.ndarray) -> np.ndarray:
+            parts = [column[lo:hi] for lo, hi in runs]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+        hits = np.take(scratch, gather(self.ranks))
+        if q_counts is not None:
+            hits = np.minimum(hits, 1 if self.counts is None else gather(self.counts))
+        # reduceat returns one element, not 0, for an empty segment, and
+        # an empty last segment's start is out of range: sum the
+        # non-empty candidates only (their starts strictly increase).
+        filled = lens > 0
+        starts = np.cumsum(lens) - lens
+        inter[filled] = np.add.reduceat(hits, starts[filled], dtype=np.int64)
+        return inter
+
+
 @dataclass
 class StoreSnapshot:
     """An immutable view of one store version's live genomes.
@@ -1036,11 +1138,12 @@ class StoreSnapshot:
     Carries everything the query cascade reads — names, shard paths,
     exact sizes, the sketch configuration — captured atomically under
     the store lock.  Reads go to the same immutable shard files, and
-    everything derived from them (the name -> position map, decoded
-    values / counts / sketch payloads, the extent-sorted order the
-    window stage searches) is built lazily and memoized here: an engine
-    pins one snapshot per store version, so the snapshot *is* the
-    per-version cache and never needs invalidation.
+    everything derived from them (the name -> position map, the
+    rank-space matrix of the stored values and counts, the stacked
+    sketch payloads, the extent-sorted order the window stage searches)
+    is built lazily and memoized here: an engine pins one snapshot per
+    store version, so the snapshot *is* the per-version cache and never
+    needs invalidation.
     """
 
     root: Path
@@ -1061,10 +1164,12 @@ class StoreSnapshot:
     #: Per-genome total masses; ``None`` (pre-counts constructions)
     #: means every mass equals its support size.
     _masses: np.ndarray | None = None
-    _values: dict = field(default_factory=dict, repr=False, compare=False)
     _payloads: dict = field(default_factory=dict, repr=False, compare=False)
-    _counts: dict = field(default_factory=dict, repr=False, compare=False)
     _orders: dict = field(default_factory=dict, repr=False, compare=False)
+    _ranked: RankSpace | None = field(default=None, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     @property
     def n_genomes(self) -> int:
@@ -1089,9 +1194,6 @@ class StoreSnapshot:
                 f"unknown genome {name!r} at version {self.version}"
             ) from None
 
-    def _shard(self, name: str) -> Path:
-        return self.root / self.shards[self._position(name)]
-
     def extent_order(self, by_mass: bool) -> tuple[np.ndarray, np.ndarray, bool]:
         """The genomes' stable argsort by extent (support size, or total
         mass when ``by_mass``) and the extents in that order.
@@ -1106,10 +1208,51 @@ class StoreSnapshot:
             self._orders[by_mass] = (order, extents[order])
         return (*self._orders[by_mass], built)
 
+    def rank_space(self) -> tuple[RankSpace, bool]:
+        """The live genomes' values (and counts) as a :class:`RankSpace`.
+
+        Built once per snapshot under its lock, however many threads ask
+        at once; the second element says whether this call built it —
+        the cascade charges the build to the ledger exactly then.
+        """
+        with self._lock:
+            built = self._ranked is None
+            if built:
+                self._ranked = self._build_rank_space()
+            return self._ranked, built
+
+    def _build_rank_space(self) -> RankSpace:
+        """Decode every value record (and counts record, where a mass
+        differs from its size) straight into its slice of one column."""
+        offsets = np.zeros(self.n_genomes + 1, dtype=np.int64)
+        np.cumsum(self._sizes, out=offsets[1:])
+        flat = np.empty(int(offsets[-1]), dtype=np.int64)
+        weighted = self.masses() != self._sizes
+        counts = np.ones(flat.size, dtype=np.int64) if weighted.any() else None
+
+        def fill(out: np.ndarray, i: int, index: int) -> None:
+            path = self.root / self.shards[i]
+            col = read_record(path, index)
+            if col.shape != (int(self._sizes[i]),):
+                raise StoreError(
+                    f"{path}: record {index} holds {col.size} entries, "
+                    f"the manifest says {int(self._sizes[i])}"
+                )
+            out[offsets[i] : offsets[i + 1]] = col
+
+        for i in range(self.n_genomes):
+            fill(flat, i, 0)
+            if weighted[i]:
+                fill(counts, i, 1 + len(self.families))
+        if flat.size and (flat.min() < 0 or flat.max() >= self.m):
+            raise StoreError(f"{self.root}: stored values outside [0, {self.m})")
+        return RankSpace.from_columns(self.m, flat, offsets, counts)
+
     def load_values(self, name: str) -> np.ndarray:
-        if name not in self._values:
-            self._values[name] = read_record(self._shard(name), 0)
-        return self._values[name]
+        """A genome's sorted values, read back from :meth:`rank_space`."""
+        i = self._position(name)
+        space, _ = self.rank_space()
+        return space.universe[space.ranks[space.column(i)]]
 
     def family_payloads(self, family: str) -> tuple[np.ndarray, np.ndarray]:
         """One family's stored sketches as the row kernel's stacked block.
@@ -1133,15 +1276,9 @@ class StoreSnapshot:
 
     def load_counts(self, name: str) -> np.ndarray:
         """Abundance counts aligned with :meth:`load_values` (see
-        :meth:`IndexStore.load_counts`)."""
-        if name not in self._counts:
-            i = self._position(name)
-            if int(self.masses()[i]) == int(self._sizes[i]):
-                self._counts[name] = np.ones(
-                    int(self._sizes[i]), dtype=np.int64
-                )
-            else:
-                self._counts[name] = read_record(
-                    self._shard(name), 1 + len(self.families)
-                )
-        return self._counts[name]
+        :meth:`IndexStore.load_counts`), read back from :meth:`rank_space`."""
+        i = self._position(name)
+        space, _ = self.rank_space()
+        if space.counts is None:
+            return np.ones(int(self._sizes[i]), dtype=np.int64)
+        return space.counts[space.column(i)].copy()

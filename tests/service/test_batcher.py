@@ -106,7 +106,6 @@ class TestPlanCompilation:
         assert plan.kernel("sketch") == "query:sketch"
         assert plan.kernel("verify") == "query:verify"
         assert not plan.batched
-        assert plan.verify == "pairwise"
 
     def test_batched_plan_uses_batch_kernels(self, tmp_path):
         store = build_store(tmp_path, [{1, 2}, {2, 3}])
@@ -116,7 +115,6 @@ class TestPlanCompilation:
         assert plan.kernel("sketch") == "query:batch:sketch"
         assert plan.kernel("verify") == "query:batch:verify"
         assert plan.batched
-        assert plan.verify == "blocked"
 
     def test_off_plan_has_verify_only(self, tmp_path):
         store = build_store(tmp_path, [{1, 2}])
@@ -128,9 +126,9 @@ class TestPlanCompilation:
     def test_both_engine_paths_compile_plans(self, tmp_path):
         store = build_store(tmp_path, [{1, 2}, {2, 3}])
         idx = engine(store, prefilter="size")
-        assert idx.plan().describe() == "window[query:size] -> verify:pairwise[query:verify]"
+        assert idx.plan().describe() == "window[query:size] -> verify[query:verify]"
         assert idx.plan(batched=True).describe() == (
-            "window[query:batch:window] -> verify:blocked[query:batch:verify]"
+            "window[query:batch:window] -> verify[query:batch:verify]"
         )
 
 

@@ -1,0 +1,271 @@
+"""The rank-space verify kernel.
+
+``StoreSnapshot.rank_space`` holds one store version as a filtered
+indicator matrix (``universe``, ``ranks``, ``offsets``, ``counts``) and
+``RankSpace.intersections`` is the one verify kernel of every measure
+and batch shape.  Pinned here: the memo reproduces the stored columns
+on both rank builds (counting pass and sort), the kernel scores exactly
+what ``measure.exact_pair`` scores on the inputs a segment sum gets
+wrong (empty stored genomes, empty queries, query values outside the
+universe, an empty candidate last), weighted queries with and without
+counts on either side, and one memo build under concurrent first
+queries.
+"""
+
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.service.cascade as cascade
+import repro.service.store as store_module
+from repro.core.config import SIMILARITY_MEASURES, SimilarityConfig
+from repro.semantics.measures import get_measure
+from repro.service import IndexStore, QueryBatcher, SimilarityIndex
+from repro.service.cascade import validate_request
+from repro.service.query import exact_jaccard
+from repro.util.arrays import sorted_unique
+
+
+def build(root, m, items):
+    store = IndexStore.create(root, m=m, sketch_size=32, families=("minhash",))
+    store.append_many(items)
+    return store
+
+
+def corpus(rng, hi=150):
+    """Values in ``[0, hi)``; empty genomes in the middle and last, and
+    abundance counts on every other genome."""
+    items = []
+    for i in range(12):
+        size = 0 if i in (3, 11) else int(rng.integers(1, 60))
+        vals = np.unique(rng.integers(0, hi, size=size))
+        if i % 2:
+            items.append((f"g{i:02d}", vals, rng.integers(1, 6, size=vals.size)))
+        else:
+            items.append((f"g{i:02d}", vals))
+    return items
+
+
+def engine(store, measure, **config):
+    config.setdefault("query_prefilter", "off")
+    return SimilarityIndex(
+        store,
+        config=SimilarityConfig(similarity=measure, query_cache_size=0, **config),
+    )
+
+
+class TestRankSpace:
+    def test_round_trip_on_both_build_paths(self, tmp_path, rng):
+        items = corpus(rng)
+        nnz = sum(int(np.asarray(item[1]).size) for item in items)
+        # The same corpus embedded in a small attribute space (m <= nnz:
+        # counting pass) and in a large one (m > nnz: sort).
+        counted = build(tmp_path / "counted", 150, items)
+        sorted_ = build(tmp_path / "sorted", 10 * nnz, items)
+        assert 150 <= nnz < 10 * nnz
+        spaces = []
+        for store in (counted, sorted_):
+            snap = store.snapshot()
+            space, built = snap.rank_space()
+            again, rebuilt = snap.rank_space()
+            assert built and again is space and not rebuilt
+            stored = [store.load_values(n) for n in store.names]
+            assert np.array_equal(space.universe, sorted_unique(np.sort(np.concatenate(stored))))
+            assert space.ranks.dtype == np.int32 and space.offsets[-1] == space.ranks.size
+            for i, name in enumerate(store.names):
+                col = space.column(i)
+                assert np.array_equal(space.universe[space.ranks[col]], stored[i])
+                assert np.array_equal(snap.load_values(name), stored[i])
+                assert np.array_equal(space.counts[col], store.load_counts(name))
+                assert np.array_equal(snap.load_counts(name), store.load_counts(name))
+            spaces.append(space)
+        assert spaces[0].lut is not None and spaces[1].lut is None
+        for field in ("universe", "ranks", "offsets", "counts"):
+            assert np.array_equal(getattr(spaces[0], field), getattr(spaces[1], field))
+
+    def test_no_counts_column_without_abundances(self, tmp_path):
+        store = build(tmp_path / "s", 100, [("a", [1, 2]), ("b", [2, 5, 7])])
+        snap = store.snapshot()
+        assert snap.rank_space()[0].counts is None
+        assert np.array_equal(snap.load_counts("b"), [1, 1, 1])
+
+    def test_record_disagreeing_with_manifest_is_a_store_error(self, tmp_path):
+        store = build(tmp_path / "s", 100, [("a", [1, 2]), ("b", [2, 5, 7])])
+        store.entries[1].n_values = 4
+        with pytest.raises(store_module.StoreError, match="manifest says 4"):
+            store.snapshot().rank_space()
+
+
+EDGE_STORE = [
+    ("a", [1, 2, 3, 6]),
+    ("empty", []),
+    ("b", [2, 3, 4, 5, 8]),
+    ("c", [100, 101]),
+    ("last_empty", []),
+]
+
+EDGE_QUERIES = [
+    [],  # the empty query
+    [7, 150, 199],  # every value outside the universe
+    [3, 7, 50, 100, 150],  # some inside, some outside
+    [1, 2, 3, 6, 8, 101],  # hits the last value of every stored genome
+]
+
+
+class TestEdgeCases:
+    # m = 9 drops "c": 9 stored values, a counting pass; m = 200: a sort.
+    @pytest.mark.parametrize("m", [9, 200])
+    def test_intersections_against_sorted_intersections(self, tmp_path, m):
+        items = [(n, v) for n, v in EDGE_STORE if not v or max(v) < m]
+        store = build(tmp_path / "s", m, items)
+        space, _ = store.snapshot().rank_space()
+        assert (space.lut is not None) == (m == 9)
+        stored = [store.load_values(n) for n in store.names]
+        n = len(stored)
+        for q in EDGE_QUERIES:
+            q = np.asarray([v for v in q if v < m], dtype=np.int64)
+            for cand in ([*range(n)], [0, n - 1], [1], [n - 1], []):
+                cand = np.asarray(cand, dtype=np.int64)
+                want = [np.intersect1d(q, stored[i]).size for i in cand]
+                assert space.intersections(q, None, cand).tolist() == want, (q, cand)
+
+    @pytest.mark.parametrize("measure", SIMILARITY_MEASURES)
+    def test_every_measure_equals_exact_pair(self, tmp_path, measure):
+        store = build(tmp_path / "s", 200, EDGE_STORE)
+        scorer = get_measure(measure)
+        stored = {n: store.load_values(n) for n in store.names}
+        idx = engine(store, measure)
+        queries = [np.asarray(q, dtype=np.int64) for q in EDGE_QUERIES]
+        with QueryBatcher(idx, batch_size=len(queries)) as batcher:
+            batched = batcher.query_many(queries, threshold=0.0)
+        for q, res in zip(queries, batched):
+            single = idx.query_values(q, threshold=0.0)
+            assert res.matches == single.matches
+            assert single.n_verified == len(stored)
+            got = {m.name: m.similarity for m in single.matches}
+            assert got == {n: scorer.exact_pair(q, v) for n, v in stored.items()}
+
+
+class TestWeighted:
+    ITEMS = [
+        ("w1", [1, 2, 3, 4], [3, 1, 2, 5]),
+        ("plain", [2, 3, 4]),
+        ("w2", [4, 9], [1, 7]),
+        ("empty", []),
+    ]
+    QUERIES = [
+        ([2, 4, 9, 11], [2, 2, 3, 1]),
+        ([1, 2, 3, 4], [3, 1, 2, 5]),
+        ([2, 3, 4], None),
+        ([0, 50], [2, 4]),
+        ([], None),
+    ]
+
+    # m = 5 drops "w2": 7 stored values, a counting pass; m = 200: a sort.
+    @pytest.mark.parametrize("m", [5, 200])
+    def test_counts_on_either_side(self, tmp_path, m):
+        items = [it for it in self.ITEMS if not it[1] or max(it[1]) < m]
+        store = build(tmp_path / "s", m, items)
+        scorer = get_measure("weighted_jaccard")
+        idx = engine(store, "weighted_jaccard")
+        for q_vals, q_counts in self.QUERIES:
+            keep = np.asarray(q_vals, dtype=np.int64) < m
+            q_vals = np.asarray(q_vals, dtype=np.int64)[keep]
+            if q_counts is not None:
+                q_counts = np.asarray(q_counts, dtype=np.int64)[keep]
+            res = idx.query_values(q_vals, threshold=0.0, counts=q_counts)
+            want = {
+                n: scorer.exact_pair(q_vals, store.load_values(n), q_counts, store.load_counts(n))
+                for n in store.names
+            }
+            assert {m.name: m.similarity for m in res.matches} == want
+        assert (idx.snapshot().rank_space()[0].lut is not None) == (m == 5)
+
+
+def race(workers, fn) -> list:
+    """Run ``fn`` on ``workers`` threads released together, with a short
+    switch interval; returns what each call returned."""
+    start = threading.Barrier(workers)
+    results, errors = [], []
+
+    def run():
+        try:
+            start.wait(timeout=30)
+            results.append(fn())
+        except BaseException as exc:  # re-raised below, in the test's thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors, errors
+    assert len(results) == workers
+    return results
+
+
+class TestConcurrentFirstQuery:
+    def test_one_build_for_racing_first_queries(self, tmp_path, rng, monkeypatch):
+        """A batcher and direct queries race to the first verify of one
+        fresh snapshot: equal answers and one rank-space build (one read
+        per value record).  Each direct query runs on an engine of its
+        own — one machine's cost ledger is not shared across threads."""
+        items = [
+            (f"g{i:02d}", np.unique(rng.integers(0, 400, size=int(rng.integers(20, 80)))))
+            for i in range(20)
+        ]
+        store = build(tmp_path / "s", 400, items)
+        query = items[0][1]
+        scores = [(n, exact_jaccard(query, store.load_values(n))) for n in store.names]
+        want = sorted((p for p in scores if p[1] >= 0.1), key=lambda p: -p[1])
+        real, value_reads = store_module.read_record, []
+
+        def counting(path, index):
+            if index == 0:
+                value_reads.append(path.name)
+            return real(path, index)
+
+        monkeypatch.setattr(store_module, "read_record", counting)
+        shared = engine(store, "jaccard", query_prefilter="size")
+        snapshot = shared.snapshot()  # pinned; nothing built yet
+        calls = iter(range(6))
+
+        with QueryBatcher(shared, batch_size=2, max_wait=0.0) as batcher:
+
+            def first_query():
+                if next(calls) % 2:
+                    return batcher.submit(query, threshold=0.1).result(timeout=30)
+                own = engine(store, "jaccard", query_prefilter="size")
+                request = validate_request(store.m, query, threshold=0.1)
+                return own.execute([request], snapshot, own.plan())[0]
+
+            answers = race(6, first_query)
+        for res in answers:
+            assert res.store_version == snapshot.version
+            assert [(m.name, m.similarity) for m in res.matches] == want
+        assert sorted(value_reads) == sorted(Path(e.shard).name for e in store.entries)
+
+    def test_request_builds_each_sketch_row_once(self, monkeypatch):
+        """Bands racing on a threaded executor share one request; its
+        sketch row is built once."""
+        real, built = cascade.sketch_row, []
+
+        def counting(*args):
+            built.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(cascade, "sketch_row", counting)
+        request = validate_request(3000, np.arange(0, 3000, 3), threshold=0.5)
+        rows = race(8, lambda: request.sketch_row("minhash", 64, 8, 0))
+        assert built == ["minhash"]
+        assert all(row is rows[0] for row in rows)

@@ -23,11 +23,12 @@ over ``tests/data/smoke_fasta``:
   Run twice: over a plain index and over a ``--similarity
   weighted_jaccard`` one, whose stored abundance counts must survive
   the migration (the scores move if they are dropped).
-* ``similarity`` — the measure knob: ``index build`` + per-sample
-  ``index query --similarity containment`` runs whose ``--json``
-  payloads must report the containment measure and its one-sided
-  bound, and whose matches must agree exactly with a fresh in-process
-  containment reference computed straight from the k-mer sets.
+* ``similarity`` — the measure knob: per measure (containment, cosine
+  and weighted Jaccard, the last over short k-mers so that abundances
+  repeat), ``index build`` + per-sample ``index query --similarity``
+  runs whose ``--json`` payloads must report the measure and its bound
+  type, and whose matches must agree exactly with a fresh in-process
+  reference computed straight from the k-mer sets (and counts).
 
 These are the cheapest whole-pipeline checks there are: FASTA parsing,
 k-mer extraction, the distributed engine, the sketch subsystem, the
@@ -299,84 +300,110 @@ def check_shard(
     )
 
 
+#: The ``similarity`` section's legs: measure, k-mer length and the bound
+#: type ``--json`` must report.  The weighted leg uses short k-mers so
+#: that they repeat within a sample and the abundances matter.
+SIMILARITY_LEGS = (
+    ("containment", 31, "one_sided_window"),
+    ("cosine", 31, "symmetric_window"),
+    ("weighted_jaccard", 5, "mass_window"),
+)
+
+
 def check_similarity(
     workdir: Path, threshold: float = 0.1, verbose: bool = False
 ) -> str:
-    """``--similarity containment`` vs a fresh exact in-process reference."""
+    """Each ``--similarity`` leg vs a fresh exact in-process reference."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.genomics.counting import clean_sample
+    from repro.genomics.counting import clean_sample_counts
     from repro.genomics.fasta import read_fasta
     from repro.semantics import get_measure
 
     fastas = sorted(FASTA_DIR.glob("*.fasta"))
     if len(fastas) < 2:
         raise SystemExit(f"need at least two smoke FASTA files in {FASTA_DIR}")
-    index_dir = workdir / "containment_index"
-    if index_dir.exists():
-        shutil.rmtree(index_dir)
-    run_cli(
-        [
-            "index", "build", *map(str, fastas),
-            "--index", str(index_dir), "--similarity", "containment",
-        ]
-    )
-
-    # The reference uses the CLI's own k-mer front end (default -k and
-    # canonicalization) but scores with the measure object directly.
-    measure = get_measure("containment")
-    codes = {
-        p.stem: clean_sample(read_fasta(p), 31)[0] for p in fastas
-    }
-    n_checked = 0
-    for query_fasta in fastas:
-        out_json = workdir / f"containment_{query_fasta.stem}.json"
+    checked = []
+    for similarity, k, bound_type in SIMILARITY_LEGS:
+        index_dir = workdir / f"{similarity}_index"
+        if index_dir.exists():
+            shutil.rmtree(index_dir)
         run_cli(
             [
-                "index", "query", str(query_fasta), "--index", str(index_dir),
-                "--similarity", "containment",
-                "--threshold", str(threshold), "--json", str(out_json),
+                "index", "build", *map(str, fastas), "-k", str(k),
+                "--index", str(index_dir), "--similarity", similarity,
             ]
         )
-        payload = json.loads(out_json.read_text())
-        if payload.get("similarity") != "containment":
+
+        # The reference uses the CLI's own k-mer front end (canonical
+        # k-mers, default cleaning threshold) but scores with the
+        # measure object directly; only weighted Jaccard reads counts.
+        measure = get_measure(similarity)
+        samples = {
+            p.stem: clean_sample_counts(read_fasta(p), k)[:2] for p in fastas
+        }
+        if measure.weighted and all(
+            (counts == 1).all() for _, counts in samples.values()
+        ):
             raise SystemExit(
-                f"--json reports similarity={payload.get('similarity')!r}, "
-                f"expected 'containment'"
+                f"k={k} leaves every abundance at 1: the {similarity} leg "
+                f"would not exercise the counts"
             )
-        if payload.get("bound_type") != "one_sided_window":
-            raise SystemExit(
-                f"--json reports bound_type={payload.get('bound_type')!r}, "
-                f"expected 'one_sided_window'"
+        n_checked = 0
+        for query_fasta in fastas:
+            out_json = workdir / f"{similarity}_{query_fasta.stem}.json"
+            run_cli(
+                [
+                    "index", "query", str(query_fasta),
+                    "--index", str(index_dir), "-k", str(k),
+                    "--similarity", similarity,
+                    "--threshold", str(threshold), "--json", str(out_json),
+                ]
             )
-        q = codes[query_fasta.stem]
-        expected = sorted(
-            (
-                (name, measure.exact_pair(q, c))
-                for name, c in codes.items()
-                if measure.exact_pair(q, c) >= threshold
-            ),
-            key=lambda pair: (-pair[1], pair[0]),
-        )
-        got = [(m["name"], m["similarity"]) for m in payload["matches"]]
-        if verbose:
-            print(f"{query_fasta.stem}: expected {expected}, got {got}")
-        if [n for n, _ in got] != [n for n, _ in expected]:
-            raise SystemExit(
-                f"containment query for {query_fasta.stem} differs from the "
-                f"fresh exact reference: {[n for n, _ in got]} vs "
-                f"{[n for n, _ in expected]}"
-            )
-        for (gn, gs), (_, es) in zip(got, expected):
-            if abs(gs - es) > 1e-9:
+            payload = json.loads(out_json.read_text())
+            if payload.get("similarity") != similarity:
                 raise SystemExit(
-                    f"containment similarity for {query_fasta.stem}/{gn} "
-                    f"differs from the fresh exact reference: {gs!r} vs {es!r}"
+                    f"--json reports similarity="
+                    f"{payload.get('similarity')!r}, expected {similarity!r}"
                 )
-        n_checked += len(got)
+            if payload.get("bound_type") != bound_type:
+                raise SystemExit(
+                    f"--json reports bound_type="
+                    f"{payload.get('bound_type')!r}, expected {bound_type!r}"
+                )
+            q, q_counts = samples[query_fasta.stem]
+            scores = {
+                name: measure.exact_pair(q, c, q_counts, c_counts)
+                for name, (c, c_counts) in samples.items()
+            }
+            expected = sorted(
+                ((n, s) for n, s in scores.items() if s >= threshold),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
+            got = [(m["name"], m["similarity"]) for m in payload["matches"]]
+            if verbose:
+                print(
+                    f"{similarity} {query_fasta.stem}: expected {expected}, "
+                    f"got {got}"
+                )
+            if [n for n, _ in got] != [n for n, _ in expected]:
+                raise SystemExit(
+                    f"{similarity} query for {query_fasta.stem} differs from "
+                    f"the fresh exact reference: {[n for n, _ in got]} vs "
+                    f"{[n for n, _ in expected]}"
+                )
+            for (gn, gs), (_, es) in zip(got, expected):
+                if abs(gs - es) > 1e-9:
+                    raise SystemExit(
+                        f"{similarity} similarity for {query_fasta.stem}/{gn} "
+                        f"differs from the fresh exact reference: "
+                        f"{gs!r} vs {es!r}"
+                    )
+            n_checked += len(got)
+        checked.append(f"{similarity} {n_checked}")
     return (
-        f"cli smoke ok [similarity]: containment queries over "
-        f"{len(fastas)} samples returned {n_checked} match(es) identical "
-        f"to the fresh exact reference (one-sided bound reported)"
+        f"cli smoke ok [similarity]: queries over {len(fastas)} samples "
+        f"returned match(es) ({', '.join(checked)}) identical to the fresh "
+        f"exact reference, each with its bound type reported"
     )
 
 
