@@ -12,8 +12,8 @@ Top-level layout:
 * :mod:`repro.genomics` — the GenomeAtScale tool: FASTA/k-mer pipeline,
   synthetic cohort generators, phylogenetics.
 * :mod:`repro.service`  — the serving layer: persistent on-disk
-  similarity index, incremental border-block updates, the
-  threshold/top-k query cascade, LRU query caching.
+  similarity index, O(delta) adds and removes, the threshold/top-k
+  query cascade, LRU query caching, all-pairs as an on-demand read.
 * :mod:`repro.baselines`— exact, MinHash/Mash, cosine/Libra and
   MapReduce-style comparators.
 * :mod:`repro.analytics`— the paper's §II framings (graphs, documents,

@@ -328,10 +328,8 @@ class SimilarityAtScale:
     ) -> tuple[list, int, int]:
         """Read -> zero-row filter -> bit-pack one batch on the 1-D layout.
 
-        Returns ``(per-rank packed blocks, nnz, surviving rows)``.  The
-        1-D driver and the serving layer's incremental border block
-        (:mod:`repro.service.incremental`) both prepare batches here, so
-        they pay identical ledger charges by construction.
+        Returns ``(per-rank packed blocks, nnz, surviving rows)`` — the
+        ``prepare`` step of the 1-D all-reduce driver's batch loop.
         """
         machine, config, comm = self.machine, self.config, self.machine.world
         chunks, nnz = self._read_batch(comm, source, lo, hi)

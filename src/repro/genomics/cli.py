@@ -9,10 +9,11 @@ Two modes:
 * **index** (``genome-at-scale index build|add|query|shard``): the
   persistent serving layer — build an on-disk similarity index from
   FASTA samples (flat, or size-band sharded with ``--shards``), extend
-  it incrementally (border-block Gram updates), answer threshold/top-k
-  queries through the pruning cascade of :mod:`repro.service.query`
-  (fanned out per band on a sharded index), and migrate an existing
-  flat index into size bands in place (``index shard``).
+  it incrementally (an add writes only the new genomes), answer
+  threshold/top-k queries through the pruning cascade of
+  :mod:`repro.service.query` (fanned out per band on a sharded index),
+  and migrate an existing flat index into size bands in place
+  (``index shard``).
 
 Query knobs are spelled under the canonical ``--query-*`` namespace
 (``--query-prefilter``, ``--query-candidates``, ``--query-batch-size``,
@@ -181,10 +182,7 @@ def build_index_parser() -> argparse.ArgumentParser:
     _add_index_common(build)
     build.add_argument(
         "--wire-codec", choices=list(WIRE_CODECS), default="adaptive",
-        help=(
-            "codec policy of the stored shards and the border-block "
-            "collectives (default adaptive)"
-        ),
+        help="codec policy of the stored shards (default adaptive)",
     )
     build.add_argument(
         "--sketch-size", type=int, default=256,
@@ -363,19 +361,16 @@ def index_main(argv: list[str]) -> int:
         )
         store = tool.build_index(fasta_paths, args.index)
         print(store.summary())
-        print(tool.machine.ledger.report())
         print(f"\nindexed {store.n_genomes} sample(s) into {args.index}")
         return 0
     if args.command == "add":
+        from repro.service import open_store
+
         tool = _index_tool(args)
-        report = tool.extend_index(args.index, fasta_paths)
+        added = [entry.name for entry in tool.extend_index(args.index, fasta_paths)]
         print(
-            f"added {len(report.added)} sample(s) "
-            f"({', '.join(report.added)}): index now holds "
-            f"{report.n_after} genome(s); border block "
-            f"{report.border_shape[0]}x{report.border_shape[1]} over "
-            f"{report.batches} batch(es), simulated "
-            f"{report.simulated_seconds:.6f}s"
+            f"added {len(added)} sample(s) ({', '.join(added)}): index now "
+            f"holds {open_store(args.index).n_genomes} genome(s)"
         )
         return 0
     # query

@@ -236,9 +236,10 @@ class GenomeAtScale:
         facade: ``config.store_shards`` picks the layout (a flat
         :class:`~repro.service.store.IndexStore` or a size-banded
         :class:`~repro.service.sharded.ShardedStore`, banded over the
-        cleaned sample sizes), every sample is appended, and the exact
-        all-pairs Gram is persisted so later :meth:`extend_index` calls
-        only compute border blocks.  Returns the store.
+        cleaned sample sizes) and every sample is appended in one
+        commit.  No similarity is computed: the all-pairs matrix is an
+        on-demand read (``SimilarityService.all_pairs``).  Returns the
+        store.
         """
         from repro.genomics.kmer import kmer_space_size
         from repro.service import SimilarityService
@@ -275,7 +276,7 @@ class GenomeAtScale:
         if store.metadata.get("canonical") != self.canonical:
             # A canonical-mode mismatch puts queries and adds on a
             # different k-mer code space — similarities would be
-            # silently wrong, and an add would corrupt the stored Gram.
+            # silently wrong, and an add would mix the two spaces.
             raise ValueError(
                 f"index at {index_dir} was built with canonical="
                 f"{store.metadata.get('canonical')}, tool is configured "
@@ -297,12 +298,12 @@ class GenomeAtScale:
         fasta_paths: list[str | Path],
         names: list[str] | None = None,
     ):
-        """Incrementally add samples to an existing index.
+        """Add samples to an existing index.
 
-        Only the new-vs-existing border block of the Gram is computed
-        (see :mod:`repro.service.incremental`); the stored result is
-        bit-identical to rebuilding from scratch.  Returns the
-        :class:`~repro.service.incremental.IncrementalReport`.
+        One ``SimilarityService.add``: the new genomes' records, sketch
+        rows and LSH rows land in one commit, and nothing already stored
+        is read back.  Returns their
+        :class:`~repro.service.store.GenomeEntry` list.
         """
         return self._service(index_dir).add(
             self._clean_inputs(fasta_paths, names)

@@ -6,20 +6,18 @@ compress, the sketches (:mod:`repro.core.sketch`) estimate — this
 package **persists and serves**:
 
 * :mod:`repro.service.api` — :class:`SimilarityService`, the **public
-  facade**: one front door over both store layouts, incremental
-  maintenance, and single and batched queries;
+  facade**: one front door over both store layouts, mutations, single
+  and batched queries, and the exact all-pairs matrix as an on-demand
+  read of the batch engine (no mutation maintains it);
 * :mod:`repro.service.store` — a versioned on-disk index of genomes
-  (sorted value columns + sketches as codec frames) with an optional
-  persisted all-pairs Gram result, a store-level lock, and
-  version-consistent snapshots;
+  (sorted value columns + sketches as codec frames), its one write path
+  (validate -> route -> staged band operations -> one transaction), a
+  store-level lock, and version-consistent snapshots;
 * :mod:`repro.service.sharded` — the size-banded sharded layout: a
   top-level manifest maps size bands to shard directories, each shard
   a full :class:`~repro.service.store.IndexStore`; plus the in-place
   flat-to-sharded migration (:func:`shard_store`) and the
   layout-dispatching :func:`open_store` / :func:`create_store`;
-* :mod:`repro.service.incremental` — add genomes by computing only the
-  new-vs-existing border block (bit-identical to a rebuild), per
-  touched band, through the store's one write path;
 * :mod:`repro.service.lsh` — banded MinHash-LSH bucket tables over the
   stored b-bit lane fingerprints: band/row planning from the collision
   curve ``1 - (1 - s^r)^b``, incremental maintenance, and codec-frame
@@ -54,7 +52,6 @@ from repro.service.errors import (
     ServiceError,
     StoreError,
 )
-from repro.service.incremental import IncrementalReport, similarity_from_gram
 from repro.service.lsh import (
     BandPlan,
     LSHTable,
@@ -93,8 +90,6 @@ __all__ = [
     "StoreError",
     "QueryError",
     "ConfigError",
-    "IncrementalReport",
-    "similarity_from_gram",
     "BandPlan",
     "LSHTable",
     "band_keys",

@@ -1,8 +1,8 @@
 """The unified service facade: one front door to the serving layer.
 
 The serving layer grew piecewise — stores (flat, then size-banded
-sharded), incremental maintenance, single and batched queries, LSH
-candidate tables — and every caller had to know which concrete pieces
+sharded), mutations, single and batched queries, LSH candidate
+tables — and every caller had to know which concrete pieces
 to wire together.  :class:`SimilarityService` is the public API
 that hides the wiring:
 
@@ -12,9 +12,11 @@ that hides the wiring:
   ``store.shards`` knob or the on-disk manifest, and build the matching
   query engine (:class:`~repro.service.query.SimilarityIndex` vs the
   band router :class:`~repro.service.query.ShardedSimilarityIndex`);
-* ``add`` / ``remove`` / ``compact`` / ``rebuild`` route mutations
-  through the incremental border-merge machinery, band-routed on a
-  sharded store;
+* ``add`` / ``remove`` / ``compact`` route mutations through the
+  store's one write path (band-routed on a sharded store); none of them
+  computes a similarity;
+* ``all_pairs`` is the exact all-pairs matrix over the live genomes —
+  an on-demand read of the batch engine that writes nothing;
 * ``query`` / ``query_batch`` answer threshold/top-k queries through
   the one cascade executor (:func:`repro.service.cascade.run_cascade`)
   on either layout — a single query is a batch of one, and results are
@@ -33,16 +35,13 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.core.config import SimilarityConfig
+from repro.core.result import SimilarityResult
+from repro.core.similarity import SimilarityAtScale
 from repro.runtime.engine import Machine
 from repro.runtime.executor import SequentialExecutor
 from repro.runtime.machine import laptop
 from repro.service.batch import QueryBatcher
 from repro.service.errors import StoreError
-from repro.service.incremental import (
-    IncrementalReport,
-    add_genomes,
-    rebuild,
-)
 from repro.core.sketch import SKETCH_ESTIMATORS
 from repro.semantics.wminhash import WEIGHTED_MINHASH_FAMILY
 from repro.service.query import (
@@ -56,13 +55,13 @@ from repro.service.sharded import (
     open_store,
     shard_store,
 )
-from repro.service.store import IndexStore
+from repro.service.store import GenomeEntry, IndexStore
 
 __all__ = ["SimilarityService"]
 
 
 class SimilarityService:
-    """One facade over stores, incremental maintenance, and queries.
+    """One facade over stores, mutations, queries and all-pairs reads.
 
     Parameters
     ----------
@@ -71,7 +70,7 @@ class SimilarityService:
         :class:`~repro.service.sharded.ShardedStore`; usually built by
         :meth:`create` / :meth:`open` rather than passed directly.
     machine:
-        The simulated machine every mutation and query charges;
+        The simulated machine every query and all-pairs read charges;
         defaults to a 4-rank laptop.
     config:
         The :class:`~repro.core.config.SimilarityConfig` whose
@@ -170,21 +169,20 @@ class SimilarityService:
 
     # ---- mutations ------------------------------------------------------
 
-    def add(self, named_values) -> IncrementalReport:
-        """Append ``(name, values[, counts])`` items, border-merging the Gram.
+    def add(self, named_values) -> list[GenomeEntry]:
+        """Append ``(name, values[, counts])`` items; returns their entries.
 
-        The batch is validated once, up front
-        (:func:`~repro.service.store.validate_add`: a bad item anywhere
-        raises :class:`~repro.service.errors.StoreError` with nothing
-        written); each genome routes to its size band and only the
-        touched bands pay a border block — a flat store is the one-band
-        case.  One atomic commit on either layout, and the stored Gram
-        stays bit-identical to a from-scratch rebuild.
+        The store's ``append_many``: the batch is validated once, up
+        front (:func:`~repro.service.store.validate_add`: a bad item
+        anywhere raises :class:`~repro.service.errors.StoreError` with
+        nothing written), each genome routes to its size band — a flat
+        store is the one-band case — and the touched bands' records,
+        sketch rows and LSH rows land in one atomic commit.  An empty
+        batch is a :class:`~repro.service.errors.StoreError`.
         """
-        return add_genomes(
-            self.store, named_values, machine=self.machine,
-            config=self.config,
-        )
+        if not named_values:
+            raise StoreError("need at least one genome to add")
+        return self.store.append_many(named_values)
 
     def remove(self, name: str) -> None:
         """Tombstone one genome (space is reclaimed by :meth:`compact`)."""
@@ -198,9 +196,25 @@ class SimilarityService:
         """
         return self.store.compact()
 
-    def rebuild(self):
-        """Recompute and persist the Gram with the exact batch engine."""
-        return rebuild(self.store, machine=self.machine, config=self.config)
+    def all_pairs(self) -> SimilarityResult:
+        """The exact all-pairs result over the live genomes.
+
+        One run of the batch engine
+        (:class:`~repro.core.similarity.SimilarityAtScale`, charged to
+        this service's machine) over the stored sets in ``store.names``
+        order — one result on either layout, whose ``intersections`` /
+        ``sample_sizes`` / ``similarity`` equal a from-scratch
+        :func:`~repro.jaccard_similarity` over the same sets.  Writes
+        nothing.  Raises :class:`~repro.service.errors.StoreError` on
+        an empty store or a non-exact ``config.estimator``.
+        """
+        if self.config.estimator != "exact":
+            raise StoreError(
+                "all_pairs is exact; it requires estimator='exact', "
+                f"got {self.config.estimator!r}"
+            )
+        engine = SimilarityAtScale(machine=self.machine, config=self.config)
+        return engine.run(self.store.as_source())
 
     def shard(
         self, shards: int, band_policy: str = "quantile"

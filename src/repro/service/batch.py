@@ -15,7 +15,7 @@ which store version*:
   when a new request observes a newer store version (a batch never
   mixes versions).  Because shards are append-only, a batch admitted
   under version ``v`` computes correct answers for ``v`` even while
-  ``add_genomes`` moves the store on;
+  ``add`` moves the store on;
 * each flushed batch is handed to the engine's
   :meth:`~repro.service.query.SimilarityIndex.execute` under the
   ``batched=True`` plan, which charges the ``query:batch:*`` kernels

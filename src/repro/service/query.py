@@ -549,8 +549,8 @@ class ShardedSimilarityIndex(_QueryEngine):
     exactly one layer.
 
     The band snapshots and the global positions are pinned together
-    under the store's lock, so a concurrent multi-shard ``add_genomes``
-    can never interleave between per-shard cascades — every answer
+    under the store's lock, so a concurrent multi-shard ``add`` can
+    never interleave between per-shard cascades — every answer
     reflects exactly one store version.
     """
 

@@ -6,12 +6,11 @@ The size-ratio theorem (Eq. 6: ``J(A,B) >= t`` implies
 that: the corpus is partitioned by exact distinct-value count into
 ``n_shards`` contiguous size bands, each band a complete, self-contained
 :class:`~repro.service.store.IndexStore` (its own genome records,
-sketch payloads, banded LSH table, and Gram block) under
-``bands/<id>/``.  A threshold query maps its size-ratio window onto the
-band edges and fans out only over the overlapping shards — the serving
-analogue of the 1-D all-pairs distribution of Özkural & Aykanat — and
-an incremental ``add_genomes`` routes each new genome to its band, so
-only the touched bands recompute border blocks.
+sketch payloads and banded LSH table) under ``bands/<id>/``.  A
+threshold query maps its size-ratio window onto the band edges and fans
+out only over the overlapping shards — the serving analogue of the 1-D
+all-pairs distribution of Özkural & Aykanat — and an ``add`` routes
+each new genome to its band, so only the touched bands write anything.
 
 On-disk layout::
 
@@ -20,7 +19,6 @@ On-disk layout::
                            "sharded", every band's payload embedded
       bands/000/         <- one IndexStore per size band, no manifest
         shards/...
-        gram-*.bin
         lsh-*.bin
       bands/001/
         ...
@@ -44,10 +42,9 @@ referencing only fully written files, on every band.
 
 Migration: :func:`shard_store` upgrades a v1 single-directory store in
 place through that same path — every live genome (values *and* stored
-abundance counts) is routed into a staged band tree, each band's Gram
-block is sliced exactly out of the flat store's current Gram, and the
-one atomic top-level manifest replacement commits the new layout, after
-which the old flat artifacts are unlinked.  An interrupted migration
+abundance counts) is routed into a staged band tree, and the one atomic
+top-level manifest replacement commits the new layout, after which the
+old flat artifacts are unlinked.  An interrupted migration
 leaves the v1 store intact (plus an unreferenced ``bands/`` tree a retry
 clears).  :func:`open_store` / :func:`create_store` dispatch on the
 layout, so callers open or create either transparently.
@@ -71,7 +68,8 @@ from repro.service.store import (
     MANIFEST_NAME,
     IndexStore,
     Transaction,
-    _WriteAPI,
+    _manifest_bytes,
+    _StoreAPI,
     route,
     transaction,
 )
@@ -186,7 +184,7 @@ class ShardedEntry:
 
 
 @dataclass
-class ShardedStore(_WriteAPI):
+class ShardedStore(_StoreAPI):
     """A size-banded collection of :class:`IndexStore` shards.
 
     Shares the flat store's mutation API (``append_many`` / ``remove``
@@ -340,10 +338,7 @@ class ShardedStore(_WriteAPI):
         # The atomic top-level replacement is the ONLY commit point of
         # the whole store (through the flat store's byte sink, so fault
         # injection covers it too).
-        _flat._atomic_write_bytes(
-            self.root / MANIFEST_NAME,
-            (json.dumps(payload, indent=2) + "\n").encode("utf-8"),
-        )
+        _flat._atomic_write_bytes(self.root / MANIFEST_NAME, _manifest_bytes(payload))
 
     # ---- the transaction protocol (see store.transaction) -------------
 
@@ -470,13 +465,6 @@ class ShardedStore(_WriteAPI):
     def total_bytes(self) -> int:
         return sum(shard.total_bytes() for shard in self.shards)
 
-    @property
-    def grams_current(self) -> bool:
-        """Whether every non-empty band's stored Gram is current."""
-        return all(
-            shard.gram_current for shard in self.shards if shard.n_genomes
-        )
-
     def summary(self) -> str:
         occupancy = "/".join(str(s.n_genomes) for s in self.shards)
         return (
@@ -542,9 +530,7 @@ def shard_store(
 
     One transaction on the new layout: every live genome (values and
     stored abundance counts) is routed into a freshly staged band tree
-    — rebuilding sketches and per-band LSH tables — and if the flat
-    store holds a *current* Gram, each band's block is sliced out of it
-    exactly (no similarity is recomputed).  The atomic top-level
+    — rebuilding sketches and per-band LSH tables.  The atomic top-level
     manifest replacement commits the migration, after which the old
     flat artifacts are unlinked.  A crash at any earlier write leaves
     the v1 store fully intact (plus an unreferenced ``bands/`` tree a
@@ -577,7 +563,6 @@ def shard_store(
         families=flat.families, metadata=flat.metadata,
         lsh_threshold=flat.lsh_threshold, lsh_fn_budget=flat.lsh_fn_budget,
     )
-    gram = flat.gram() if flat.gram_current else None
     with transaction(store) as txn:
         txn.touch(store)  # an empty corpus still commits the new layout
         # Stored genomes are already clean triples: a counts record
@@ -590,18 +575,12 @@ def shard_store(
             for e in flat.live_entries
         ]
         for band, group in route(store, clean):
-            entries = band._stage_append(group, txn)
-            if gram is not None:
-                inter, gram_sizes, gram_names = gram
-                idx = [gram_names.index(e.name) for e in entries]
-                band._stage_gram(
-                    inter[np.ix_(idx, idx)], gram_sizes[idx], None, txn
-                )
+            band._stage_append(group, txn)
         # Unreferenced once the top-level manifest lands; a crash during
         # the cleanup merely leaks them.
         txn.stale.extend(root / e.shard for e in flat.entries)
         txn.stale.extend(
-            root / f for f in (flat.gram_file, flat.lsh_file) if f
+            root / f for f in (flat._legacy_gram, flat.lsh_file) if f
         )
     old_records = root / _flat.SHARD_DIR
     if old_records.exists() and not any(old_records.iterdir()):

@@ -1,8 +1,9 @@
 """Versioned on-disk similarity index store (the persistence layer).
 
-The batch engine computes an all-pairs result that dies with the
-process; the serving layer persists it.  An :class:`IndexStore` is a
-directory holding
+The serving layer persists the genomes, not a similarity matrix: the
+all-pairs result is an on-demand read of the batch engine over the
+stored sets (``SimilarityService.all_pairs``), so no mutation pays for
+it.  An :class:`IndexStore` is a directory holding
 
 * ``manifest.json`` — format version, a monotonically increasing
   **store version** (bumped on every mutation; query caches key on it),
@@ -16,10 +17,6 @@ directory holding
   :mod:`repro.runtime.codec` — the store rides the exact varint / RLE /
   adaptive policies the wire uses, so a sorted k-mer column is stored
   delta+varint-compressed, not raw;
-* ``gram-<version>.bin`` — optionally, the persisted all-pairs result:
-  the exact intersection-count matrix ``B`` and size vector ``a-hat``
-  over a recorded genome order (what
-  :mod:`repro.service.incremental` merges border blocks into);
 * ``lsh-<version>.bin`` — when the ``bbit_minhash`` family is stored,
   the banded LSH table of :mod:`repro.service.lsh` over the live
   genomes: three records — header, planning parameters and the
@@ -33,22 +30,24 @@ are self-describing, so a shard can be decoded with no side channel
 beyond the record order, which is fixed per store (values first, then
 one sketch per configured family).
 
-``remove`` only tombstones an entry (and drops its row/column from the
-stored Gram, which is exact); ``compact`` rewrites the store without
-the tombstoned shards.
+``remove`` only tombstones an entry (and drops its LSH row);
+``compact`` rewrites the store without the tombstoned shards.  A
+manifest written when stores still persisted a Gram may name a
+``gram_file``: readers ignore it, and the next commit, whose manifest
+no longer names it, unlinks the file.
 
 The write path is one for both layouts (:mod:`repro.service.sharded`
 adds only size-band routing and its top-level genome list):
 :func:`validate_add` is the only place an add batch is normalised and
 checked; :func:`route` groups it by owning band (a flat store is the
 one-band case); the *staged operations* (``IndexStore._stage_append`` /
-``_stage_remove`` / ``_stage_compact`` / ``_stage_gram``) write fresh
-version-stamped files, update the in-memory state and register the
-files they supersede, never a manifest; and :func:`transaction` is the
-one scope they run in.  Every mutation — ``append_many`` / ``remove`` /
-``compact`` / ``set_gram``, :mod:`repro.service.incremental`'s
-``add_genomes`` / ``rebuild``, the ``shard_store`` migration — is a
-composition of staged operations inside one such scope.
+``_stage_remove`` / ``_stage_compact``) write fresh version-stamped
+files, update the in-memory state and register the files they
+supersede, never a manifest; and :func:`transaction` is the one scope
+they run in.  Every mutation — ``append_many`` / ``remove`` /
+``compact``, the ``shard_store`` migration — is a composition of staged
+operations inside one such scope; ``append_many`` and ``remove`` read
+no other genome's values.
 
 Concurrency: the scope and :meth:`IndexStore.snapshot` hold the same
 re-entrant lock(s), so a snapshot never observes a half-applied batch.
@@ -111,7 +110,9 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
-GRAM_NAME = "gram.bin"
+#: The unversioned Gram file of the oldest layout (a ``gram_names``
+#: manifest entry without a ``gram_file``); only ever unlinked.
+LEGACY_GRAM_NAME = "gram.bin"
 
 #: The sketch family whose stored lane fingerprints the banded LSH
 #: table (:mod:`repro.service.lsh`) is built over.
@@ -134,8 +135,8 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
     Bytes land in a same-directory temp file, fsync'd, then renamed
     over the target: a crash mid-write leaves only the temp file, never
     a torn target.  This is the single byte sink of every store write
-    (shards, Gram, LSH tables, the manifest) — the fault-injection
-    tests monkeypatch it.
+    (shards, LSH tables, the manifest) — the fault-injection tests
+    monkeypatch it.
     """
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as f:
@@ -143,6 +144,12 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
+
+
+def _manifest_bytes(payload: dict) -> bytes:
+    """A manifest payload as a commit writes it: compact JSON, which
+    keeps ``json`` on its C encoder (``indent`` forces the Python one)."""
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 # ---- length-prefixed frame records ---------------------------------------
@@ -165,9 +172,24 @@ def write_records(path: Path, payloads: list, policy: str) -> int:
     return len(blob)
 
 
+def _decode_record(path: Path, offset: int, body: bytes) -> np.ndarray:
+    """One record's frame as an array; :class:`StoreError` naming the
+    file unless it decodes to one (every store record is an array)."""
+    try:
+        payload = decode_frame(body)
+    except ValueError as exc:  # a CodecError included
+        raise StoreError(f"{path}: unreadable record at {offset}: {exc}") from None
+    if not isinstance(payload, np.ndarray):
+        raise StoreError(f"{path}: the record at {offset} holds no array")
+    return payload
+
+
 def read_records(path: Path) -> list:
-    """Decode every length-prefixed frame record of a shard file."""
+    """Decode every length-prefixed frame record of a shard file (every
+    store file holds at least one)."""
     blob = path.read_bytes()
+    if not blob:
+        raise StoreError(f"{path}: holds no record")
     out = []
     offset = 0
     while offset < len(blob):
@@ -177,7 +199,7 @@ def read_records(path: Path) -> list:
         offset += _LEN.size
         if offset + length > len(blob):
             raise StoreError(f"{path}: truncated record body at {offset}")
-        out.append(decode_frame(bytes(blob[offset : offset + length])))
+        out.append(_decode_record(path, offset, blob[offset : offset + length]))
         offset += length
     return out
 
@@ -190,25 +212,25 @@ def read_record(path: Path, index: int):
     column.
     """
     with path.open("rb") as f:
-        for skipped in range(index):
+        size = os.fstat(f.fileno()).st_size
+        offset = 0
+        for position in range(index + 1):
             header = f.read(_LEN.size)
             if len(header) < _LEN.size:
                 raise StoreError(
-                    f"{path}: holds only {skipped} record(s), "
+                    f"{path}: holds only {position} record(s), "
                     f"need index {index}"
                 )
             (length,) = _LEN.unpack(header)
-            f.seek(length, 1)
-        header = f.read(_LEN.size)
-        if len(header) < _LEN.size:
-            raise StoreError(
-                f"{path}: holds only {index} record(s), need index {index}"
-            )
-        (length,) = _LEN.unpack(header)
-        body = f.read(length)
-        if len(body) < length:
-            raise StoreError(f"{path}: truncated record body at {f.tell()}")
-        return decode_frame(body)
+            offset += _LEN.size
+            # Checked before seeking or reading: a corrupt prefix must
+            # not turn into a huge seek or allocation.
+            if offset + length > size:
+                raise StoreError(f"{path}: truncated record body at {offset}")
+            if position < index:
+                f.seek(length, 1)
+                offset += length
+        return _decode_record(path, offset, f.read(length))
 
 
 def sketch_row(
@@ -338,9 +360,11 @@ def transaction(store):
     store is its own only band).  If any touched a band, the scope bumps
     the touched bands' and the store's versions and replaces the store's
     manifest — the single atomic commit — then unlinks the superseded
-    files.  On failure every store is restored in place, leaving the
-    staged (unreferenced) files orphaned: exactly the state an
-    interrupted process leaves, and one ``open`` reads past.
+    files, including any Gram file a manifest of an older layout named
+    (the new manifest names none, on any band).  On failure every store
+    is restored in place, leaving the staged (unreferenced) files
+    orphaned: exactly the state an interrupted process leaves, and one
+    ``open`` reads past.
     """
     owners = [store, *(b for b in store._bands if b is not store)]
     with ExitStack() as locks:
@@ -355,6 +379,10 @@ def transaction(store):
                 for owner in txn.touched.values():
                     owner.version += 1
                 store._save_manifest()  # the atomic replace is the commit
+                for band in store._bands:
+                    if band._legacy_gram is not None:
+                        txn.stale.append(band.root / band._legacy_gram)
+                        band._legacy_gram = None
         except BaseException:
             for owner, state in saved:
                 owner._restore(state)
@@ -363,9 +391,10 @@ def transaction(store):
             path.unlink(missing_ok=True)
 
 
-class _WriteAPI:
-    """The public mutations, defined once for both store layouts: each
-    is staged operations inside one :func:`transaction`."""
+class _StoreAPI:
+    """The public mutations, defined once for both store layouts (each
+    is staged operations inside one :func:`transaction`), and the bridge
+    to the batch engine."""
 
     def append(self, name: str, values) -> "GenomeEntry":
         """Persist one genome's values + sketches as a new shard."""
@@ -399,7 +428,7 @@ class _WriteAPI:
             return [staged[name] for name, _, _ in clean]
 
     def remove(self, name: str) -> None:
-        """Tombstone a genome; its Gram row/column is dropped exactly.
+        """Tombstone a genome.
 
         The owning band's LSH table (if maintained) drops the genome's
         position incrementally — later live positions shift down by
@@ -418,6 +447,16 @@ class _WriteAPI:
         """
         with transaction(self) as txn:
             return self._stage_compact(txn)
+
+    def as_source(self):
+        """A batched indicator source over the live genomes, in
+        :attr:`names` order — what the batch engine's all-pairs run
+        reads."""
+        from repro.core.indicator import SetSource
+
+        if not self.n_genomes:
+            raise StoreError("index store is empty")
+        return SetSource([self.load_values(n) for n in self.names], m=self.m)
 
 
 @dataclass
@@ -464,7 +503,7 @@ class GenomeEntry:
 
 
 @dataclass
-class IndexStore(_WriteAPI):
+class IndexStore(_StoreAPI):
     """A directory of codec-framed genome shards plus a manifest.
 
     ``families`` names the sketch estimators persisted per genome (in
@@ -483,10 +522,6 @@ class IndexStore(_WriteAPI):
     entries: list[GenomeEntry] = field(default_factory=list)
     version: int = 0
     next_shard: int = 0
-    gram_names: list[str] | None = None
-    #: Version-stamped Gram artifact (``gram-<v>.bin``); ``None`` until
-    #: a Gram is stored.  Legacy manifests fall back to ``gram.bin``.
-    gram_file: str | None = None
     #: Banded-LSH planning target + false-negative budget (see
     #: :func:`repro.service.lsh.plan_bands`) and the version-stamped
     #: table artifact (``lsh-<v>.bin``); the table exists iff the
@@ -495,6 +530,11 @@ class IndexStore(_WriteAPI):
     lsh_fn_budget: float = 0.05
     lsh_file: str | None = None
     _lsh: "LSHTable | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The Gram file a manifest of an older layout names; never read,
+    #: unlinked by the next commit (see :func:`transaction`).
+    _legacy_gram: str | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _lock: threading.RLock = field(
@@ -600,16 +640,8 @@ class IndexStore(_WriteAPI):
         authoritative — bands write no manifest of their own, and one
         left in a band directory by an older layout is never read.
         """
-        gram_names = (
-            list(meta["gram_names"])
-            if meta.get("gram_names") is not None
-            else None
-        )
-        gram_file = meta.get("gram_file")
-        if gram_file is None and gram_names is not None:
-            gram_file = GRAM_NAME  # pre-versioned-artifact layout
         lsh = meta.get("lsh") or {}
-        return cls(
+        store = cls(
             root=root,
             m=int(meta["m"]),
             codec=str(meta["codec"]),
@@ -621,12 +653,14 @@ class IndexStore(_WriteAPI):
             entries=[GenomeEntry.from_json(e) for e in meta["genomes"]],
             version=int(meta["version"]),
             next_shard=int(meta["next_shard"]),
-            gram_names=gram_names,
-            gram_file=gram_file,
             lsh_threshold=float(lsh.get("threshold", 0.5)),
             lsh_fn_budget=float(lsh.get("fn_budget", 0.05)),
             lsh_file=lsh.get("file"),
         )
+        store._legacy_gram = meta.get("gram_file") or (
+            LEGACY_GRAM_NAME if meta.get("gram_names") is not None else None
+        )
+        return store
 
     def _manifest_payload(self) -> dict:
         """The JSON manifest payload for the current in-memory state.
@@ -648,8 +682,6 @@ class IndexStore(_WriteAPI):
             "metadata": self.metadata,
             "genomes": [e.to_json() for e in self.entries],
             "next_shard": self.next_shard,
-            "gram_names": self.gram_names,
-            "gram_file": self.gram_file,
             "lsh": {
                 "threshold": self.lsh_threshold,
                 "fn_budget": self.lsh_fn_budget,
@@ -658,12 +690,10 @@ class IndexStore(_WriteAPI):
         }
 
     def _save_manifest(self) -> None:
-        payload = self._manifest_payload()
         # The atomic manifest replacement is every mutation's commit
         # point: older bytes are never partially overwritten.
         _atomic_write_bytes(
-            self.root / MANIFEST_NAME,
-            (json.dumps(payload, indent=2) + "\n").encode("utf-8"),
+            self.root / MANIFEST_NAME, _manifest_bytes(self._manifest_payload())
         )
 
     # ---- the banded LSH table -----------------------------------------
@@ -761,8 +791,6 @@ class IndexStore(_WriteAPI):
             [e.removed for e in self.entries],
             self.version,
             self.next_shard,
-            list(self.gram_names) if self.gram_names is not None else None,
-            self.gram_file,
             self.lsh_file,
             self._lsh,
         )
@@ -770,7 +798,7 @@ class IndexStore(_WriteAPI):
     def _restore(self, state: tuple) -> None:
         (
             self.entries, flags, self.version, self.next_shard,
-            self.gram_names, self.gram_file, self.lsh_file, self._lsh,
+            self.lsh_file, self._lsh,
         ) = state
         for entry, removed in zip(self.entries, flags):
             entry.removed = removed
@@ -818,7 +846,7 @@ class IndexStore(_WriteAPI):
         Taken under the store lock, so it never observes a mutation
         half-applied.  Because shards are append-only and immutable,
         the snapshot's reads stay valid across later ``append_many`` /
-        ``remove`` / ``set_gram`` calls — this is what lets a query
+        ``remove`` calls — this is what lets a query
         batch admitted under version ``v`` finish correctly while the
         store has already moved on.
         """
@@ -920,19 +948,11 @@ class IndexStore(_WriteAPI):
         )
 
     def _stage_remove(self, name: str, txn: Transaction) -> None:
-        """Stage a tombstone, the Gram minus the genome's row/column,
-        and the LSH table minus its position."""
+        """Stage a tombstone and the LSH table minus its position."""
         entry = self._entry(name)
         position = self.names.index(name)
         table = self.lsh_table()
         txn.touch(self)
-        if self.gram_names is not None and name in self.gram_names:
-            inter, sizes, names = self._read_gram()
-            keep = [i for i, n in enumerate(names) if n != name]
-            self._stage_gram(
-                inter[np.ix_(keep, keep)], sizes[keep],
-                [names[i] for i in keep], txn,
-            )
         if table is not None:
             self._stage_lsh(table.with_removed(position), txn)
         entry.removed = True
@@ -950,84 +970,12 @@ class IndexStore(_WriteAPI):
             self._stage_lsh(self._build_lsh(), txn)
         return len(dead)
 
-    # ---- the persisted all-pairs result -------------------------------
-
-    def set_gram(
-        self,
-        intersections: np.ndarray,
-        sizes: np.ndarray,
-        names: list[str] | None = None,
-    ) -> None:
-        """Persist the exact all-pairs intersection matrix + sizes."""
-        with transaction(self) as txn:
-            self._stage_gram(intersections, sizes, names, txn)
-
-    def _stage_gram(
-        self, intersections, sizes, names, txn: Transaction
-    ) -> None:
-        """Stage ``gram-<version+1>.bin`` over ``names`` (default: the
-        live genomes); shapes are checked before anything is written."""
-        names = list(names) if names is not None else self.names
-        inter = np.ascontiguousarray(intersections, dtype=np.int64)
-        szs = np.ascontiguousarray(sizes, dtype=np.int64)
-        n = len(names)
-        if inter.shape != (n, n):
-            raise StoreError(
-                f"intersections shape {inter.shape} does not match "
-                f"{n} genome(s)"
-            )
-        if szs.shape != (n,):
-            raise StoreError(
-                f"sizes shape {szs.shape} does not match {n} genome(s)"
-            )
-        txn.touch(self)
-        if self.gram_file is not None:
-            txn.stale.append(self.root / self.gram_file)
-        fname = f"gram-{self.version + 1:06d}.bin"
-        write_records(self.root / fname, [inter, szs], self.codec)
-        self.gram_file = fname
-        self.gram_names = names
-
-    def _read_gram(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        if self.gram_names is None or self.gram_file is None:
-            raise StoreError("store holds no persisted Gram result")
-        inter, sizes = read_records(self.root / self.gram_file)
-        return inter, sizes, list(self.gram_names)
-
-    def gram(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """The stored ``(intersections, sizes, names)`` triple."""
-        return self._read_gram()
-
-    @property
-    def has_gram(self) -> bool:
-        return self.gram_names is not None
-
-    @property
-    def gram_current(self) -> bool:
-        """Whether the stored Gram covers exactly the live genomes."""
-        return self.gram_names is not None and self.gram_names == self.names
-
-    # ---- engine bridge -------------------------------------------------
-
-    def as_source(self):
-        """A batched indicator source over the live genomes."""
-        from repro.core.indicator import SetSource
-
-        if not self.live_entries:
-            raise StoreError("index store is empty")
-        return SetSource(
-            [self.load_values(n) for n in self.names], m=self.m
-        )
-
     def summary(self) -> str:
-        gram = "current" if self.gram_current else (
-            "stale" if self.has_gram else "absent"
-        )
         return (
             f"IndexStore at {self.root}: {self.n_genomes} genome(s), "
             f"m={self.m}, codec={self.codec}, "
             f"families={'/'.join(self.families)}, version={self.version}, "
-            f"gram {gram}, {self.total_bytes()} shard byte(s)"
+            f"{self.total_bytes()} shard byte(s)"
         )
 
 
@@ -1267,11 +1215,15 @@ class StoreSnapshot:
             )
         if family not in self._payloads:
             idx = 1 + self.families.index(family)
-            self._payloads[family] = stack_payloads(
-                family,
-                [read_record(self.root / shard, idx) for shard in self.shards],
-                self.sketch_size, self.sketch_bits,
-            )
+            rows = [read_record(self.root / shard, idx) for shard in self.shards]
+            try:
+                self._payloads[family] = stack_payloads(
+                    family, rows, self.sketch_size, self.sketch_bits
+                )
+            except ValueError as exc:
+                raise StoreError(
+                    f"{self.root}: stored {family!r} sketches do not stack: {exc}"
+                ) from None
         return self._payloads[family]
 
     def load_counts(self, name: str) -> np.ndarray:

@@ -9,6 +9,7 @@ from repro.genomics.kmer import kmer_set
 from repro.genomics.pipeline import GenomeAtScale
 from repro.genomics.simulate import kingsford_like, simulate_cohort, with_reads
 from repro.runtime import Machine, laptop
+from repro.service import open_store
 
 
 @pytest.fixture(scope="module")
@@ -131,9 +132,10 @@ class TestIndexMethods:
         tool = GenomeAtScale(machine=Machine(laptop(2)), k=19)
         index = tmp_path / "idx"
         store = tool.build_index(paths[:-1], index)
-        assert store.gram_current
-        report = tool.extend_index(index, [paths[-1]])
-        assert report.n_after == len(paths)
+        assert store.names == [p.stem for p in paths[:-1]]
+        added = tool.extend_index(index, [paths[-1]])
+        assert [e.name for e in added] == [paths[-1].stem]
+        assert open_store(index).n_genomes == len(paths)
         result = tool.query_index(index, paths[0], threshold=0.99)
         assert paths[0].stem in result.names  # the stored copy, J = 1
 
@@ -153,8 +155,8 @@ class TestIndexMethods:
             GenomeAtScale(k=19, min_count=2).query_index(
                 index, paths[0], threshold=0.5
             )
-        # A canonical mismatch must also refuse to extend (it would
-        # corrupt the stored Gram).
+        # A canonical mismatch must also refuse to extend (it would mix
+        # two k-mer code spaces in one index).
         with pytest.raises(ValueError, match="canonical"):
             GenomeAtScale(k=19, canonical=False).extend_index(
                 index, [paths[2]]

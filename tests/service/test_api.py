@@ -1,8 +1,8 @@
 """Tests for the :class:`~repro.service.api.SimilarityService` facade.
 
 The facade is the public API: these tests pin that every flow —
-create/open, add/remove/compact/rebuild, single and batched queries,
-migration, stats — works identically on both store layouts.
+create/open, add/remove/compact, all-pairs reads, single and batched
+queries, migration, stats — works identically on both store layouts.
 """
 
 import numpy as np
@@ -52,14 +52,6 @@ def matches_of(result):
     return [(m.name, m.index, m.similarity) for m in result.matches]
 
 
-def gram_current(store):
-    # Flat and sharded stores spell the Gram-currency check differently
-    # (one Gram vs one per shard + border blocks).
-    if isinstance(store, ShardedStore):
-        return store.grams_current
-    return store.gram_current
-
-
 class TestLifecycle:
     def test_create_flat_by_default(self, tmp_path):
         svc = SimilarityService.create(tmp_path / "idx", m=M)
@@ -99,31 +91,43 @@ class TestLifecycle:
 
 class TestMutations:
     @pytest.mark.parametrize("layout", ["flat", "sharded"])
-    def test_add_remove_compact_rebuild(self, tmp_path, rng, layout):
+    def test_add_remove_compact_all_pairs(self, tmp_path, rng, layout):
         sets = sets_for(rng, n=8)
         svc = (
             flat_service(tmp_path, sets) if layout == "flat"
             else sharded_service(tmp_path, sets)
         )
-        report = svc.add(
+        added = svc.add(
             [("extra", np.sort(rng.choice(M, size=100, replace=False)))]
         )
-        assert report.added == ("extra",)
-        assert report.n_after == len(sets) + 1
+        assert [e.name for e in added] == ["extra"]
+        assert svc.store.n_genomes == len(sets) + 1
         svc.remove("extra")
         assert "extra" not in svc.store.names
-        assert svc.compact() >= 0
+        assert svc.compact() == 1
         assert "extra" not in svc.store.names
-        svc.rebuild()
-        assert gram_current(svc.store)
+        result = svc.all_pairs()
+        assert result.n == len(sets)
+        assert np.array_equal(result.sample_sizes, [v.size for _, v in sets])
+
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    def test_add_empty_batch_rejected(self, tmp_path, rng, layout):
+        sets = sets_for(rng, n=4)
+        svc = (
+            flat_service(tmp_path, sets) if layout == "flat"
+            else sharded_service(tmp_path, sets)
+        )
+        version = svc.store.version
+        with pytest.raises(StoreError, match="need at least one genome to add"):
+            svc.add([])
+        assert svc.store.version == version
 
     @pytest.mark.parametrize("layout", ["flat", "sharded"])
     def test_add_normalises_each_item_once(
         self, tmp_path, rng, layout, monkeypatch
     ):
         # One front door: the per-item normalisation (np.unique /
-        # coerce_counts) runs once per item per add — not once in the
-        # incremental layer and again in each store's append.
+        # coerce_counts) runs once per item per add.
         import repro.service.store as store_module
 
         sets = sets_for(rng, n=8)

@@ -3,7 +3,7 @@
 The invariant everything here defends: a batched answer equals the
 per-query engine's answer, which equals brute force — for any batch
 composition (duplicates, stored genomes, mixed threshold/top-k), any
-prefilter depth, under concurrent submission, and while ``add_genomes``
+prefilter depth, under concurrent submission, and while ``add``
 moves the store version mid-flight (each response is exact for the
 version it reports).
 """
@@ -27,11 +27,11 @@ from repro.service import (
     IndexStore,
     QueryBatcher,
     SimilarityIndex,
+    SimilarityService,
     compile_plan,
     result_cache_key,
 )
 from repro.service.cache import counts_cache_digest
-from repro.service.incremental import add_genomes
 from repro.service.query import exact_jaccard
 from tests.helpers import without_modelled_cost
 
@@ -527,7 +527,7 @@ class TestConcurrencyStress:
     QUERIES_PER_THREAD = 8
 
     def test_concurrent_submits_across_version_bumps(self, tmp_path, rng):
-        """Mixed queries from N threads while add_genomes moves the store.
+        """Mixed queries from N threads while ``add`` moves the store.
 
         Every response must be exact for the store version it reports:
         we map each observed ``store_version`` back to the corpus at
@@ -543,13 +543,10 @@ class TestConcurrencyStress:
 
         initial = random_sets(10)
         store = IndexStore.create(tmp_path / "idx", m=m, sketch_size=32)
-        add_genomes(
-            store,
-            [(f"g{i}", s) for i, s in enumerate(initial)],
-            machine=Machine(laptop(4)),
-        )
+        svc = SimilarityService(store)
+        svc.add([(f"g{i}", s) for i, s in enumerate(initial)])
         corpus = [(n, store.load_values(n)) for n in store.names]
-        # add_genomes is one commit: exactly one version per corpus.
+        # add is one commit: exactly one version per corpus.
         version_map = {store.version: list(corpus)}
 
         idx = engine(store, prefilter="cascade", query_cache_size=0)
@@ -564,11 +561,7 @@ class TestConcurrencyStress:
             try:
                 for b in range(3):
                     new = random_sets(2)
-                    add_genomes(
-                        store,
-                        [(f"w{b}_{i}", s) for i, s in enumerate(new)],
-                        machine=Machine(laptop(4)),
-                    )
+                    svc.add([(f"w{b}_{i}", s) for i, s in enumerate(new)])
                     snap = [(n, store.load_values(n)) for n in store.names]
                     with outcomes_lock:
                         version_map[store.version] = snap

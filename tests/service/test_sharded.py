@@ -3,7 +3,7 @@
 The central invariant (the PR's acceptance criterion): a sharded
 store's threshold/top-k answers are **bit-identical** to the flat
 store's — at 1, 4, and 8 shards, under every query shape, including
-while a concurrent ``add_genomes`` mutates the store.
+while a concurrent ``add`` mutates the store.
 """
 
 import threading
@@ -29,7 +29,6 @@ from repro.service import (
     plan_size_bands,
     shard_store,
 )
-from repro.service.incremental import add_genomes, rebuild
 from repro.service.query import exact_jaccard
 from tests.helpers import without_modelled_cost
 
@@ -386,22 +385,24 @@ class TestFanOut:
 
 
 class TestIncrementalSharded:
-    def test_add_routes_borders_per_band(self, tmp_path, rng):
+    def test_add_routes_per_band(self, tmp_path, rng):
         sets = corpus(rng)
         flat = build_flat(tmp_path, sets)
         sh = build_sharded(tmp_path, sets, 4)
-        rebuild(flat)
-        rebuild(sh)
         new = [
             ("n0", np.unique(rng.integers(0, M, size=30))),
             ("n1", np.unique(rng.integers(0, M, size=400))),
         ]
-        report_flat = add_genomes(flat, list(new))
-        report_sh = add_genomes(sh, list(new))
-        assert report_sh.added == report_flat.added
-        assert report_sh.n_after == report_flat.n_after
+        before = [shard.version for shard in sh.shards]
+        added_flat = flat.append_many(list(new))
+        added_sh = sh.append_many(list(new))
+        assert [e.name for e in added_sh] == [e.name for e in added_flat]
         assert sh.names == flat.names
-        # Untouched bands never paid a border: answers still equal.
+        # Only the bands the new genomes route to were written.
+        owners = {sh.band_of(v.size) for _, v in new}
+        assert [shard.version for shard in sh.shards] == [
+            v + (b in owners) for b, v in enumerate(before)
+        ]
         r_flat = SimilarityIndex(flat).query_values(
             new[0][1], threshold=0.0
         )
@@ -409,17 +410,6 @@ class TestIncrementalSharded:
             new[0][1], threshold=0.0
         )
         assert matches_of(r_flat) == matches_of(r_sh)
-        # Per-band Grams stay exact: rebuild is a no-op change.
-        for shard in sh.shards:
-            if shard.n_genomes:
-                assert shard.gram_current
-
-    def test_add_empty_batch_raises(self, tmp_path, rng):
-        sh = build_sharded(tmp_path, corpus(rng), 4)
-        with pytest.raises(
-            StoreError, match="need at least one genome to add"
-        ):
-            add_genomes(sh, [])
 
     def test_queries_under_concurrent_adds_stay_exact(
         self, tmp_path, rng
@@ -433,7 +423,6 @@ class TestIncrementalSharded:
         """
         sets = corpus(rng, n=16)
         sh = build_sharded(tmp_path, sets, 4)
-        rebuild(sh)
         eng = ShardedSimilarityIndex(
             sh, config=SimilarityConfig(query_cache_size=0)
         )
@@ -470,7 +459,7 @@ class TestIncrementalSharded:
         t.start()
         try:
             for batch in batches:
-                add_genomes(sh, batch)
+                sh.append_many(batch)
         finally:
             stop.set()
             t.join()
@@ -495,7 +484,6 @@ class TestMigration:
     def test_shard_store_preserves_everything(self, tmp_path, rng):
         sets = corpus(rng)
         flat = build_flat(tmp_path, sets)
-        rebuild(flat)
         q = np.unique(rng.integers(0, M, size=150))
         before = SimilarityIndex(flat).query_values(q, threshold=0.02)
         sh = shard_store(flat.root, 4)
@@ -503,12 +491,8 @@ class TestMigration:
         assert sh.names == [f"g{i:02d}" for i in range(len(sets))]
         after = ShardedSimilarityIndex(sh).query_values(q, threshold=0.02)
         assert matches_of(before) == matches_of(after)
-        # The migrated per-band Grams are slices of the flat Gram.
-        for shard in sh.shards:
-            if shard.n_genomes:
-                assert shard.gram_current
-        # Incremental adds work immediately after migration.
-        add_genomes(sh, [("post", np.unique(rng.integers(0, M, 50)))])
+        # Adds work immediately after migration.
+        sh.append_many([("post", np.unique(rng.integers(0, M, 50)))])
         assert "post" in sh.names
 
         # Abundance counts migrate with the values: masses, stored

@@ -1,5 +1,7 @@
 """Tests for the on-disk index store: round trips under every codec."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,7 +138,6 @@ class TestEmptyStore:
         assert reopened.names == []
         assert reopened.n_genomes == 0
         assert reopened.sizes().size == 0
-        assert not reopened.has_gram
 
     def test_as_source_rejected(self, tmp_path):
         store = make_store(tmp_path)
@@ -235,50 +236,6 @@ class TestMutations:
         assert len(list((store.root / "shards").iterdir())) == 1
 
 
-class TestGramArtifact:
-    def test_round_trip_and_currency(self, tmp_path):
-        store = make_store(tmp_path)
-        store.append("a", [1, 2, 3])
-        store.append("b", [2, 3])
-        inter = np.array([[3, 2], [2, 2]], dtype=np.int64)
-        sizes = np.array([3, 2], dtype=np.int64)
-        store.set_gram(inter, sizes)
-        assert store.gram_current
-        got_inter, got_sizes, names = IndexStore.open(tmp_path / "idx").gram()
-        assert np.array_equal(got_inter, inter)
-        assert np.array_equal(got_sizes, sizes)
-        assert names == ["a", "b"]
-
-    def test_append_staleness(self, tmp_path):
-        store = make_store(tmp_path)
-        store.append("a", [1])
-        store.set_gram(np.array([[1]]), np.array([1]))
-        store.append("b", [2])
-        assert store.has_gram and not store.gram_current
-
-    def test_remove_drops_row_and_column(self, tmp_path):
-        store = make_store(tmp_path)
-        store.append("a", [1, 2, 3])
-        store.append("b", [2, 3])
-        store.append("c", [9])
-        inter = np.array(
-            [[3, 2, 0], [2, 2, 0], [0, 0, 1]], dtype=np.int64
-        )
-        store.set_gram(inter, np.array([3, 2, 1]))
-        store.remove("b")
-        assert store.gram_current
-        got_inter, got_sizes, names = store.gram()
-        assert names == ["a", "c"]
-        assert np.array_equal(got_inter, [[3, 0], [0, 1]])
-        assert np.array_equal(got_sizes, [3, 1])
-
-    def test_shape_validation(self, tmp_path):
-        store = make_store(tmp_path)
-        store.append("a", [1])
-        with pytest.raises(StoreError, match="shape"):
-            store.set_gram(np.zeros((2, 2), dtype=np.int64), np.array([1]))
-
-
 SMALL = np.array([1, 2, 3], dtype=np.int64)
 # M // 3 = 3333: on three uniform bands the mid band starts there.
 MID = np.arange(3400, 7000, dtype=np.int64)
@@ -300,8 +257,8 @@ class TestCrashConsistency:
     ``repro.service.store._atomic_write_bytes``.  The injector below
     simulates a crash during the N-th write of a mutation: a torn temp
     file lands on disk, the target is never replaced, and the mutation
-    raises.  Whatever N (mid-record, mid-Gram, mid-LSH-table, between
-    two bands' files, mid-manifest), the live store must roll back in
+    raises.  Whatever N (mid-record, mid-LSH-table, between two bands'
+    files, mid-manifest), the live store must roll back in
     memory — in place, so a service's engines keep serving it — and a
     fresh ``open`` must see the previous committed version intact on
     every band; the retried mutation must then succeed.  One table
@@ -319,9 +276,7 @@ class TestCrashConsistency:
             band_policy="uniform", sketch_size=64,
         )
         store.append_many([("small", SMALL), ("mid", MID), ("large", LARGE)])
-        service = SimilarityService(store)
-        service.rebuild()  # a current Gram on every band
-        return service
+        return SimilarityService(store)
 
     @staticmethod
     def _state(store):
@@ -330,7 +285,7 @@ class TestCrashConsistency:
             store.names,
             {n: store.load_values(n).tolist() for n in store.names},
             [
-                (b.version, b.names, b.gram_file, b.gram_current, b.lsh_file)
+                (b.version, b.names, b.lsh_file)
                 for b in bands_of(store)
             ],
         )
@@ -367,21 +322,14 @@ class TestCrashConsistency:
     # points between bands, not just within one.
     MUTATIONS = {
         "append_many": (None, lambda svc: svc.store.append_many([X, Y])),
-        "add_genomes": (None, lambda svc: svc.add([X, Y])),
+        "add": (None, lambda svc: svc.add([X, Y])),
         "remove": (None, lambda svc: svc.remove("mid")),
         "compact": (
             lambda svc: (svc.remove("small"), svc.remove("large")),
             lambda svc: svc.compact(),
         ),
-        "rebuild": (None, lambda svc: svc.rebuild()),
     }
     FLAT_ONLY = {
-        "set_gram": (
-            None,
-            lambda svc: svc.store.set_gram(
-                np.eye(3, dtype=np.int64), svc.store.sizes()
-            ),
-        ),
         "shard_store": (None, lambda svc: svc.shard(3, band_policy="uniform")),
     }
     ROWS = {
@@ -433,7 +381,7 @@ class TestCrashConsistency:
             # The live store rolled back in memory...
             assert self._state(service.store) == committed
             # ...and a fresh open sees the previous committed version,
-            # top level AND every band, Gram currency included.
+            # top level AND every band.
             reopened = open_store(root)
             assert self._state(reopened) == committed
             for store in (service.store, reopened):
@@ -453,20 +401,20 @@ class TestCrashConsistency:
     @pytest.mark.parametrize(
         "layout, mutate, n_writes, touched",
         [
-            # records + LSH table + Gram, then the manifest
-            ("flat", lambda svc: svc.add([X]), 4, [0]),
-            # band 0: 1 record + LSH + Gram; band 1: 3 records + LSH +
-            # Gram; then the one top-level manifest
+            # record + LSH table, then the manifest
+            ("flat", lambda svc: svc.add([X]), 3, [0]),
+            # band 0: 1 record + LSH; band 1: 3 records + LSH; then the
+            # one top-level manifest
             (
                 "sharded",
                 lambda svc: svc.add(
                     [X, Y, ("y2", Y[1][1:]), ("y3", Y[1][2:])]
                 ),
-                9,
+                7,
                 [0, 1],
             ),
-            # the band's Gram and LSH table, then the manifest
-            ("sharded", lambda svc: svc.remove("mid"), 3, [1]),
+            # the band's LSH table, then the manifest
+            ("sharded", lambda svc: svc.remove("mid"), 2, [1]),
         ],
         ids=["flat-add", "sharded-add-two-bands", "sharded-remove"],
     )
@@ -485,6 +433,15 @@ class TestCrashConsistency:
         assert [b.version for b in bands] == [
             v + (i in touched) for i, v in enumerate(before)
         ]
+
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    def test_all_pairs_writes_nothing(self, tmp_path, monkeypatch, layout):
+        service = self._baseline(tmp_path, "read", layout)
+        committed = self._state(service.store)
+        log = self._install_injector(monkeypatch, fail_on=0)
+        assert service.all_pairs().n == 3
+        assert log == []
+        assert self._state(service.store) == committed
 
     def test_torn_manifest_never_observed(self, tmp_path, monkeypatch):
         # The injected crash lands during the manifest write itself:
@@ -533,7 +490,7 @@ class TestShardedCrashConsistency:
 
         sweep = TestCrashConsistency()
         n_writes = len(
-            sweep._write_log(tmp_path, monkeypatch, "sh-add_genomes")
+            sweep._write_log(tmp_path, monkeypatch, "sh-add")
         )
         service = sweep._baseline(tmp_path, "stale-engine", "sharded")
         bands = list(service.store.shards)
@@ -568,7 +525,7 @@ class TestShardedCrashConsistency:
         want = [service.query(values=q, top_k=5) for q in (SMALL, MID)]
         stale, ahead, _ = service.store.shards
         payload = stale._manifest_payload()
-        payload.update(version=0, genomes=[], gram_names=None, gram_file=None)
+        payload.update(version=0, genomes=[])
         (stale.root / "manifest.json").write_text(json.dumps(payload))
         payload = ahead._manifest_payload()
         payload["version"] += 2
@@ -586,3 +543,154 @@ class TestShardedCrashConsistency:
         # ...and the next mutation commits past them without touching them.
         reopened.add([X, Y])
         assert "ghost" not in SimilarityService.open(root).store.names
+
+
+class TestLegacyGramManifest:
+    """Stores written while every mutation maintained a Gram name it in
+    their manifests: ``gram_names`` plus a versioned ``gram_file`` per
+    band, or (the oldest layout) ``gram_names`` over an unversioned
+    ``gram.bin``.  Readers ignore both; the next commit unlinks the files
+    its manifest no longer names."""
+
+    @staticmethod
+    def _legacy_root(tmp_path, layout):
+        import json
+
+        root = TestCrashConsistency._baseline(tmp_path, "legacy", layout).store.root
+        meta = json.loads((root / "manifest.json").read_text())
+        if layout == "sharded":
+            bands = [(root / sh["dir"], sh["manifest"]) for sh in meta["shards"]]
+        else:
+            bands = [(root, meta)]
+        for i, (band_dir, payload) in enumerate(bands):
+            payload["gram_names"] = [g["name"] for g in payload["genomes"]]
+            fname = "gram.bin" if i % 2 else f"gram-{payload['version']:06d}.bin"
+            if not i % 2:
+                payload["gram_file"] = fname
+            (band_dir / fname).write_bytes(b"a Gram no reader may open")
+        (root / "manifest.json").write_text(json.dumps(meta, indent=2))
+        return root
+
+    @pytest.mark.parametrize(
+        "layout, mutate",
+        [
+            ("flat", lambda svc: svc.add([X])),
+            ("flat", lambda svc: svc.shard(3, band_policy="uniform")),
+            ("sharded", lambda svc: svc.add([X])),
+        ],
+        ids=["flat-add", "flat-shard", "sharded-add"],
+    )
+    def test_open_answers_then_next_commit_unlinks(self, tmp_path, layout, mutate):
+        from repro.service import SimilarityService
+        from tests.helpers import without_modelled_cost
+
+        root = self._legacy_root(tmp_path, layout)
+        fresh = TestCrashConsistency._baseline(tmp_path, "fresh", layout)
+        legacy = SimilarityService.open(root)
+        for query in (SMALL, MID, np.array([7, 8, 9])):
+            assert without_modelled_cost(
+                legacy.query(values=query, top_k=5)
+            ) == without_modelled_cost(fresh.query(values=query, top_k=5))
+        assert np.array_equal(
+            legacy.all_pairs().intersections, fresh.all_pairs().intersections
+        )
+        assert list(root.rglob("gram*.bin"))  # reading wrote nothing
+        mutate(legacy)
+        assert not list(root.rglob("gram*.bin"))
+        assert "gram" not in (root / "manifest.json").read_text()
+        mutate(fresh)
+        reopened = SimilarityService.open(root)
+        assert without_modelled_cost(
+            reopened.query(values=SMALL, top_k=5)
+        ) == without_modelled_cost(fresh.query(values=SMALL, top_k=5))
+
+
+class TestRecordFileErrors:
+    """Hostile bytes in a genome's record file: every reader raises a
+    :class:`StoreError` or answers — never another exception."""
+
+    @staticmethod
+    def _service(tmp_path):
+        from repro.core.config import SimilarityConfig
+        from repro.service import SimilarityService
+
+        service = SimilarityService.create(
+            tmp_path / "idx", m=M,
+            config=SimilarityConfig(sketch_size=16, query_cache_size=0),
+        )
+        service.add(
+            [("a", SMALL), ("b", np.arange(10, 60)), ("c", np.arange(40, 90))]
+        )
+        return service
+
+    @staticmethod
+    def _readers(root, name, query):
+        """``load_values``, every family's stacked payloads and a query,
+        each from a fresh open; the values (or ``None`` on StoreError)."""
+        from repro.service import SimilarityService
+        from tests.helpers import without_modelled_cost
+
+        store = IndexStore.open(root)
+        calls = [lambda: store.load_values(name)]
+        calls += [
+            lambda f=f: store.snapshot().family_payloads(f)
+            for f in store.families
+        ]
+        calls.append(
+            lambda: without_modelled_cost(
+                SimilarityService.open(root).query(values=query, top_k=3)
+            )
+        )
+        out = []
+        for call in calls:
+            try:
+                out.append(call())
+            except StoreError:
+                out.append(None)
+        return out
+
+    def test_flipped_length_prefixes_and_frame_headers(self, tmp_path):
+        from repro.runtime.codec import HEADER_NBYTES
+
+        service = self._service(tmp_path)
+        path = service.store.root / service.store._entry("b").shard
+        blob = path.read_bytes()
+        positions, offset = [], 0
+        while offset < len(blob):
+            (length,) = struct.unpack_from("<Q", blob, offset)
+            positions.extend(range(offset, offset + 8 + HEADER_NBYTES))
+            offset += 8 + length
+        assert len(positions) == 4 * (8 + HEADER_NBYTES)  # values + 3 sketches
+        for position in positions:
+            for flip in (0xFF, 0x01):
+                corrupt = bytearray(blob)
+                corrupt[position] ^= flip
+                path.write_bytes(bytes(corrupt))
+                self._readers(service.store.root, "b", SMALL)
+
+    def test_every_truncation_is_a_store_error(self, tmp_path):
+        service = self._service(tmp_path)
+        root = service.store.root
+        path = root / service.store._entry("b").shard
+        blob = path.read_bytes()
+        records = read_records(path)
+        intact = self._readers(root, "b", SMALL)
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            # A cut at a record boundary leaves whole records (a file
+            # cannot tell it held more); anywhere else the file is torn.
+            try:
+                kept = read_records(path)
+            except StoreError as exc:
+                assert path.name in str(exc)
+            else:
+                assert 0 < len(kept) < len(records)
+                for got, want in zip(kept, records):
+                    assert np.array_equal(got, want)
+            values, *payloads, answer = self._readers(root, "b", SMALL)
+            # The last record is the last family's sketch, so that
+            # family never reads; every other reader gets intact records
+            # or a typed error.
+            assert payloads[-1] is None
+            assert values is None or np.array_equal(values, intact[0])
+            assert answer is None or answer == intact[-1]

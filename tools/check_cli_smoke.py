@@ -12,7 +12,9 @@ over ``tests/data/smoke_fasta``:
   ``index add`` of the fourth, then ``index query --threshold`` of one
   sample against the four-genome index; the query's matches must agree
   exactly with a fresh batch-engine exact run over the same four
-  samples (same qualifying set, same similarities).  A second query
+  samples (same qualifying set, same similarities), and so must the
+  index's whole all-pairs matrix (``SimilarityService.all_pairs``, in
+  the same sample order).  A second query
   pass feeds every sample through ``index query --batch-file`` and
   requires each batched answer to equal the per-query answer for the
   same sample, name for name and similarity for similarity.
@@ -32,8 +34,8 @@ over ``tests/data/smoke_fasta``:
 
 These are the cheapest whole-pipeline checks there are: FASTA parsing,
 k-mer extraction, the distributed engine, the sketch subsystem, the
-persistent store, the incremental border-block update, the query
-cascade, and the result writers all have to work for them to pass.
+persistent store, the incremental add, the query cascade, and the
+result writers all have to work for them to pass.
 
 Run:  python tools/check_cli_smoke.py [--section all|estimator|index]
 """
@@ -53,6 +55,7 @@ from pathlib import Path
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 FASTA_DIR = REPO_ROOT / "tests" / "data" / "smoke_fasta"
 
@@ -156,6 +159,17 @@ def check_index(
     )
     similarity = np.load(exact_dir / "similarity.npy")
     names = [p.stem for p in fastas]
+    from repro.service import SimilarityService
+
+    service = SimilarityService.open(index_dir)
+    if service.store.names != names:
+        raise SystemExit(f"index holds {service.store.names}, the exact run {names}")
+    matrix = service.all_pairs().similarity
+    if not np.array_equal(matrix, similarity):
+        raise SystemExit(
+            f"index all_pairs() differs from the fresh exact run: max "
+            f"|diff| = {float(np.abs(matrix - similarity).max()):.3g}"
+        )
     qi = names.index(query_fasta.stem)
     expected = sorted(
         (
@@ -230,8 +244,9 @@ def check_index(
                 )
     return (
         f"cli smoke ok [index]: build({len(fastas) - 1}) -> add(1) -> "
+        f"all_pairs() equal to the fresh exact run; "
         f"query t={threshold:g} returned {len(got)} match(es) identical "
-        f"to the fresh exact run "
+        f"to it "
         f"({result['n_candidates']} candidate(s), "
         f"{result['n_verified']} verified); --batch-file over "
         f"{len(fastas)} queries matched the per-query path"
@@ -314,7 +329,6 @@ def check_similarity(
     workdir: Path, threshold: float = 0.1, verbose: bool = False
 ) -> str:
     """Each ``--similarity`` leg vs a fresh exact in-process reference."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.genomics.counting import clean_sample_counts
     from repro.genomics.fasta import read_fasta
     from repro.semantics import get_measure
