@@ -1,117 +1,63 @@
 #!/usr/bin/env python3
-"""Persistent kernel-policy and pipeline-schedule benchmark harness.
+"""Modelled-cost report: the α-β ledger's predictions for every layer.
 
-Runs the paper-shaped Fig. 2a/2b/3 workloads under every kernel policy
-(``adaptive`` plus the three fixed kernels) and appends the measurements
-to ``BENCH_kernels.json`` at the repo root, so every future PR has a
-performance trajectory to beat.  For each (workload, policy) pair it
-records:
+Runs the paper-shaped Fig. 2a/2b workloads (the dense Kingsford-like and
+the hypersparse BIGSI-like cohort) through each layer of the stack and
+appends one entry per section to ``<out-dir>/BENCH_<section>.json``.
+Every recorded figure is a quantity of the simulated distributed
+machine — modelled seconds, wire bytes, candidate counts, error against
+the exact matrix, exactness flags — never a stopwatch reading: ``bench/``
+is the repo's wall-clock benchmark.  ``tools/check_bench.py`` gates the
+same files against ``benchmarks/thresholds.json``.
 
-* the *simulated* wall clock of the modelled distributed machine (the
-  ledger makespan — the number the paper's figures plot),
-* mean simulated seconds per batch and the ``spgemm`` phase seconds,
-* *real* process wall clock of the run (the kernels genuinely execute),
-* the kernel the dispatcher chose per batch and the planner's a-priori
-  prediction.
+The sections of :data:`SECTIONS`, in run order:
 
-The summary per workload names the worst fixed policy and the adaptive
-policy's speedup over it — the headline the adaptive dispatch layer has
-to keep earning.
+* ``kernels`` — every kernel policy (``adaptive`` and the three fixed
+  kernels): modelled wall clock, the kernel dispatch chose per batch,
+  adaptive's speedup over the worst fixed kernel, plus a Fig. 3
+  sparsity sweep across the blocked/outer crossover.
+* ``pipeline`` — ``pipeline="off"`` vs ``"double_buffer"``: the overlap
+  the double buffer hides and the resulting speedup (the results are
+  bit-identical; only the schedule differs).
+* ``wire`` — every wire codec: raw vs encoded wire bytes, and every
+  codec's similarity matrix checked bit for bit against ``raw``.
+* ``sketch`` — the error-vs-wire-bytes frontier of ``minhash`` /
+  ``bbit_minhash`` / ``hll`` against the exact adaptive-codec run (the
+  wire section's, handed over), and the best estimator within a 2 %
+  mean-error budget.
+* ``query`` — an on-disk index queried with each sample's values through
+  the pruning cascade and by brute force: candidate pruning, exactness,
+  modelled speedup.
+* ``service`` — the batched front end (``QueryBatcher``) against the
+  per-query engine: modelled throughput and exactness.
+* ``lsh`` — the banded MinHash-LSH probe against the size-ratio scan:
+  candidate reduction, measured recall against the plan's analytic bound
+  ``1 - (1 - t^r)^b``, and ``lsh_exact`` == brute force.
+* ``shards`` — the store migrated in place to 1/4/8 quantile size bands
+  and served by the per-band fan-out: modelled speedup over flat,
+  band-selection pruning, answers bit-identical to flat.
+* ``semantics`` — every similarity measure over abundance-annotated
+  corpora: per-measure pruning and exactness against a per-pair
+  brute-force reference.
 
-A second section runs the same Fig. 2 workloads under both batch
-schedules (``pipeline="off"`` vs ``"double_buffer"``, adaptive kernels)
-and appends to ``BENCH_pipeline.json``: modelled wall clock per mode,
-the overlap seconds the double buffer hid, and the off/double_buffer
-speedup — the headline the pipelined engine has to keep earning
-(results are bit-identical between modes; only the schedule differs).
-
-A third section runs the same workloads under every wire codec
-(``wire_codec="raw"`` plus the three codec policies) and appends to
-``BENCH_wire.json``: the modelled wire bytes (raw vs encoded, with the
-per-codec breakdown), the total communication volume, and a bit-exactness
-check of every policy's similarity matrix against the ``raw`` run — the
-headline the codec layer has to keep earning is the raw/adaptive
-wire-byte reduction.
-
-A fourth section maps the error-vs-wire-bytes frontier of the sketch
-estimators (``minhash`` / ``bbit_minhash`` / ``hll``) against the exact
-adaptive-codec path on the same Fig. 2 workloads and appends to
-``BENCH_sketch.json``: per estimator the encoded wire bytes, the mean /
-max absolute Jaccard error against the exact similarity matrix, the
-analytic 95%% bound, and the wire-byte reduction vs exact.  The summary
-names the best estimator meeting the 2%% mean-error budget — the
-headline the sketch engine has to keep earning is a >=10x wire cut at
-<=2%% mean error on the Fig. 2a workload.  Smoke mode exercises every
-estimator at reduced sketch sizes so the CI bench-regression gate
-covers them without full-size runs.
-
-A fifth section benchmarks the serving layer (``repro.service``): the
-Fig. 2 workloads are persisted into an on-disk index and every sample
-is issued as a threshold query, once through the pruning cascade
-(size-ratio bound -> sketch prefilter -> exact verify) and once
-brute-force (exact verification of every candidate).  Appends to
-``BENCH_query.json``: the candidate pruning ratio, an exactness flag
-(the cascade must return exactly the brute-force pairs), and real/
-modelled query latency for both paths.  The headline the query engine
-has to keep earning is a >=5x candidate pruning ratio at exact
-results on at least one Fig. 2 workload.
-
-A seventh section benchmarks the banded MinHash-LSH candidate index
-(``repro.service.lsh``): each Fig. 2 workload is persisted with the
-``bbit_minhash`` family and served at t=0.3 through the size-ratio
-scan, the LSH probe (``query_candidates="lsh"``), and the auditing
-union (``"lsh_exact"``).  Appends to ``BENCH_lsh.json``: the
-candidate-set reduction of the probe vs the size-ratio scan, the
-measured recall over the brute-force true matches against the plan's
-analytic collision bound ``1 - (1 - t^r)^b``, an exactness flag for
-``lsh_exact`` vs brute force, and the modelled cost of both paths.
-The headline the LSH index has to keep earning is a candidate-set
-reduction over the size scan at exact ``lsh_exact`` results with the
-measured recall meeting the analytic bound on both Fig. 2 workloads.
-
-An eighth section benchmarks the size-banded sharded store
-(``repro.service.sharded``): each Fig. 2 workload is persisted flat,
-migrated in place to 1/4/8 quantile size bands (``shard_store``), and
-served through the per-band fan-out engine with each band's cascade
-pinned to its own machine rank.  Appends to ``BENCH_shards.json``:
-modelled serving seconds per shard count, the fan-out speedup of the
-8-band store over the flat engine (overlapped rank clocks: makespan =
-slowest band, not the sum), the candidate pruning from consulting only
-the size-ratio-overlapping bands, and an exactness flag (every sharded
-answer must equal the flat answer bit for bit).  The headline the
-sharded layout has to keep earning is a >=2x modelled fan-out speedup
-at 8 bands with exact results on both Fig. 2 workloads.
-
-A ninth section benchmarks the similarity-semantics subsystem
-(``repro.semantics``): each Fig. 2 workload is persisted with synthetic
-k-mer abundance counts (plain sketch families plus ``weighted_minhash``)
-and served at t=0.3 under every registered measure — ``jaccard``,
-``weighted_jaccard``, ``containment``, ``cosine`` — through the full
-cascade.  Appends to ``BENCH_semantics.json``: per measure the
-candidate pruning ratio of that measure's own bound (symmetric window /
-one-sided containment bound / mass window) and an exactness flag
-against a per-pair ``SimilarityMeasure.exact_pair`` brute-force
-reference.  The headline the semantics layer has to keep earning is
-exact results under every measure on both Fig. 2 workloads.
-
-Run:  python benchmarks/harness.py            # full sizes, appends to
-                                              # BENCH_kernels.json +
-                                              # BENCH_pipeline.json +
-                                              # BENCH_wire.json +
-                                              # BENCH_sketch.json +
-                                              # BENCH_query.json + ...
-      python benchmarks/harness.py --smoke    # tiny sizes (CI), writes
-                                              # nothing unless --output/
-                                              # --pipeline-output/
-                                              # --wire-output/...
+Run:  python benchmarks/harness.py                     # full sizes; appends
+                                                       # to BENCH_<section>.json
+                                                       # at the repo root
+      python benchmarks/harness.py --smoke --out-dir /tmp/bench_smoke
+                                                       # tiny sizes (CI); a smoke
+                                                       # run writes nothing
+                                                       # without --out-dir
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -120,122 +66,167 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro import SimilarityConfig, jaccard_similarity  # noqa: E402
-from repro.core.indicator import SyntheticSource  # noqa: E402
-from repro.runtime import WIRE_CODECS, Machine, laptop, stampede2_knl  # noqa: E402
-from repro.sparse.dispatch import KERNEL_POLICIES  # noqa: E402
+from repro import SimilarityConfig, jaccard_similarity
+from repro.core.config import SIMILARITY_MEASURES
+from repro.core.indicator import SyntheticSource
+from repro.runtime import WIRE_CODECS, Machine, laptop, stampede2_knl
+from repro.semantics import get_measure
+from repro.semantics.wminhash import WEIGHTED_MINHASH_FAMILY
+from repro.service import (
+    IndexStore,
+    QueryBatcher,
+    ShardedSimilarityIndex,
+    SimilarityIndex,
+    shard_store,
+)
+from repro.sparse.dispatch import KERNEL_POLICIES
 
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_kernels.json"
-DEFAULT_PIPELINE_OUTPUT = REPO_ROOT / "BENCH_pipeline.json"
-DEFAULT_WIRE_OUTPUT = REPO_ROOT / "BENCH_wire.json"
-DEFAULT_SKETCH_OUTPUT = REPO_ROOT / "BENCH_sketch.json"
-DEFAULT_QUERY_OUTPUT = REPO_ROOT / "BENCH_query.json"
-DEFAULT_SERVICE_OUTPUT = REPO_ROOT / "BENCH_service.json"
-DEFAULT_LSH_OUTPUT = REPO_ROOT / "BENCH_lsh.json"
-DEFAULT_SHARDS_OUTPUT = REPO_ROOT / "BENCH_shards.json"
-DEFAULT_SEMANTICS_OUTPUT = REPO_ROOT / "BENCH_semantics.json"
-
-POLICIES = KERNEL_POLICIES
-FIXED_POLICIES = tuple(p for p in POLICIES if p != "adaptive")
-
-#: Batch schedules the pipeline section compares.
-PIPELINE_MODES = ("off", "double_buffer")
-
-#: Batch counts for the pipeline comparison: more batches than the
-#: kernel section so the non-overlappable first prepare / last Gram
-#: amortize, as they would on the paper's full-size runs (hundreds of
-#: batches, §V-B).
-PIPELINE_BATCHES = 8
-SMOKE_PIPELINE_BATCHES = 3
+# Every size table below is a ``(full, smoke)`` pair, indexed by the
+# ``smoke`` flag itself.
 
 #: The two Fig. 2 regimes, scaled so the kernels genuinely execute in
 #: seconds while preserving the paper's density contrast: the
 #: Kingsford-like cohort is dense after zero-row filtering (the Eq. 7
 #: popcount regime), the BIGSI-like cohort hypersparse and heavy-tailed
 #: (most sample pairs share nothing).
-WORKLOADS = {
-    "fig2a_kingsford_like": dict(
-        figure="Fig. 2a (dense regime)",
-        m=12_000, n=256, density=0.35, skew=None, seed=11,
-        nodes=2, ranks_per_node=4, batch_count=4,
+WORKLOADS = (
+    {
+        "fig2a_kingsford_like": dict(
+            figure="Fig. 2a (dense regime)",
+            m=12_000, n=256, density=0.35, skew=None, seed=11,
+            nodes=2, ranks_per_node=4, batch_count=4,
+        ),
+        "fig2b_bigsi_like": dict(
+            figure="Fig. 2b (hypersparse regime)",
+            m=2_000_000, n=512, density=2e-5, skew=1.5, seed=13,
+            nodes=4, ranks_per_node=4, batch_count=4,
+        ),
+    },
+    {
+        "fig2a_kingsford_like": dict(
+            figure="Fig. 2a (dense regime)",
+            m=2_000, n=64, density=0.2, skew=None, seed=11,
+            nodes=1, ranks_per_node=4, batch_count=2,
+        ),
+        "fig2b_bigsi_like": dict(
+            figure="Fig. 2b (hypersparse regime)",
+            m=50_000, n=128, density=1e-4, skew=1.5, seed=13,
+            nodes=1, ranks_per_node=4, batch_count=2,
+        ),
+    },
+)
+
+FIXED_POLICIES = tuple(p for p in KERNEL_POLICIES if p != "adaptive")
+
+#: Fig. 3-style sparsity sweep ``(densities, shape)``: densities
+#: straddling the blocked/outer crossover, adaptive policy only.
+SWEEP = (
+    (
+        (1e-4, 1e-3, 5e-3, 2e-2, 5e-2, 0.15),
+        dict(m=30_000, n=128, nodes=2, ranks_per_node=4, batch_count=2, seed=17),
     ),
-    "fig2b_bigsi_like": dict(
-        figure="Fig. 2b (hypersparse regime)",
-        m=2_000_000, n=512, density=2e-5, skew=1.5, seed=13,
-        nodes=4, ranks_per_node=4, batch_count=4,
+    (
+        (1e-3, 5e-2),
+        dict(m=3_000, n=64, nodes=1, ranks_per_node=4, batch_count=2, seed=17),
     ),
-}
+)
 
-SMOKE_WORKLOADS = {
-    "fig2a_kingsford_like": dict(
-        figure="Fig. 2a (dense regime)",
-        m=2_000, n=64, density=0.2, skew=None, seed=11,
-        nodes=1, ranks_per_node=4, batch_count=2,
-    ),
-    "fig2b_bigsi_like": dict(
-        figure="Fig. 2b (hypersparse regime)",
-        m=50_000, n=128, density=1e-4, skew=1.5, seed=13,
-        nodes=1, ranks_per_node=4, batch_count=2,
-    ),
-}
+#: Batch count of the pipeline comparison: more batches than the kernel
+#: section so the non-overlappable first prepare / last Gram amortize,
+#: as they would on the paper's full-size runs (hundreds of batches,
+#: §V-B).
+PIPELINE_BATCHES = (8, 3)
 
-#: Sketch configurations of the error-vs-wire-bytes frontier: every
-#: estimator the config accepts, sized so the b-bit path lands inside
-#: the 2% mean-error budget on the dense Fig. 2a regime (the bound
-#: shrinks as 1/sqrt(size); b=8 keeps the wire at one byte per lane).
-SKETCH_CONFIGS = {
-    "minhash": dict(sketch_size=512),
-    "bbit_minhash": dict(sketch_size=512, sketch_bits=8),
-    "hll": dict(sketch_size=4096),
-}
-SMOKE_SKETCH_CONFIGS = {
-    "minhash": dict(sketch_size=128),
-    "bbit_minhash": dict(sketch_size=256, sketch_bits=8),
-    "hll": dict(sketch_size=512),
-}
+#: The sketch frontier: every estimator the config accepts, sized so the
+#: b-bit path lands inside the 2 % mean-error budget on the dense Fig. 2a
+#: regime (the bound shrinks as 1/sqrt(size); b=8 keeps the wire at one
+#: byte per lane).
+SKETCH_CONFIGS = (
+    {
+        "minhash": dict(sketch_size=512),
+        "bbit_minhash": dict(sketch_size=512, sketch_bits=8),
+        "hll": dict(sketch_size=4096),
+    },
+    {
+        "minhash": dict(sketch_size=128),
+        "bbit_minhash": dict(sketch_size=256, sketch_bits=8),
+        "hll": dict(sketch_size=512),
+    },
+)
 
-#: Fig. 3-style sparsity sweep: densities straddling the blocked/outer
-#: crossover, run under the adaptive policy only.
-SWEEP_DENSITIES = (1e-4, 1e-3, 5e-3, 2e-2, 5e-2, 0.15)
-SWEEP_SHAPE = dict(m=30_000, n=128, nodes=2, ranks_per_node=4,
-                   batch_count=2, seed=17)
-SMOKE_SWEEP_DENSITIES = (1e-3, 5e-2)
-SMOKE_SWEEP_SHAPE = dict(m=3_000, n=64, nodes=1, ranks_per_node=4,
-                         batch_count=2, seed=17)
+#: The threshold every serving section answers at: above the workloads'
+#: background similarity, so the pruning stages have something to prune,
+#: while every query still matches its own stored copy (queries go by
+#: values, so the self pair must survive the whole cascade with J = 1).
+#: The LSH tables are *planned* at the store default t=0.5; the recall
+#: bound the lsh section reports is the plan's curve evaluated at this
+#: threshold, the valid lower bound for every true match.
+THRESHOLD = 0.3
+
+#: Queries issued per workload; the semantics section checks every
+#: answer against a per-pair Python reference, so it issues fewer.
+N_QUERIES = {"fig2a_kingsford_like": (48, 12), "fig2b_bigsi_like": (64, 16)}
+SEMANTICS_QUERIES = {"fig2a_kingsford_like": (24, 8), "fig2b_bigsi_like": (32, 10)}
+
+#: Batch sizes of the service section; 1 is the serial-through-the-
+#: batcher control.
+BATCH_SIZES = ((1, 8, 32), (1, 8))
+
+#: Band counts of the shards section: the degenerate single band (must
+#: behave exactly like the flat store), the balanced mid case, and the
+#: gated 8-band fan-out.
+SHARD_COUNTS = (1, 4, 8)
 
 
-def _machine(nodes: int, ranks_per_node: int) -> Machine:
-    if nodes <= 1 and ranks_per_node <= 4:
-        return Machine(laptop(ranks_per_node))
-    return Machine(stampede2_knl(nodes, ranks_per_node=ranks_per_node))
+def _machine(spec: dict) -> Machine:
+    if spec["nodes"] <= 1 and spec["ranks_per_node"] <= 4:
+        return Machine(laptop(spec["ranks_per_node"]))
+    return Machine(stampede2_knl(spec["nodes"], ranks_per_node=spec["ranks_per_node"]))
 
 
 def _source(spec: dict) -> SyntheticSource:
-    kwargs = dict(
-        m=spec["m"], n=spec["n"], density=spec["density"], seed=spec["seed"]
-    )
+    kwargs = dict(m=spec["m"], n=spec["n"], density=spec["density"], seed=spec["seed"])
     if spec.get("skew"):
         kwargs["density_skew"] = spec["skew"]
     return SyntheticSource(**kwargs)
 
 
-def run_policy(spec: dict, policy: str) -> dict:
-    """One (workload, policy) measurement."""
-    source = _source(spec)
-    machine = _machine(spec["nodes"], spec["ranks_per_node"])
-    config = SimilarityConfig(
-        batch_count=spec["batch_count"], gather_result=False,
-        compute_distance=False, kernel_policy=policy,
+def _run(spec: dict, gather: bool = False, batch_count: int | None = None, **config):
+    """One all-pairs run of a workload on its own modelled machine."""
+    return jaccard_similarity(
+        _source(spec),
+        machine=_machine(spec),
+        config=SimilarityConfig(
+            batch_count=batch_count or spec["batch_count"],
+            gather_result=gather, compute_distance=False, **config,
+        ),
     )
-    t0 = time.perf_counter()
-    result = jaccard_similarity(source, machine=machine, config=config)
-    real = time.perf_counter() - t0
+
+
+def section(title: str, workload):
+    """A section runner: ``workload(name, spec, smoke)`` per Fig. 2 workload."""
+
+    def run(smoke: bool) -> dict:
+        records = {}
+        for name, spec in WORKLOADS[smoke].items():
+            print(f"== {name} ({spec['figure']}) {title} ==")
+            records[name] = workload(name, dict(spec), smoke)
+        return records
+
+    return run
+
+
+# ---- all-pairs sections -----------------------------------------------------
+
+
+def run_policy(spec: dict, policy: str) -> dict:
+    """One (workload, kernel policy) measurement."""
+    result = _run(spec, kernel_policy=policy)
     spgemm = result.cost.phases.get("spgemm")
     return {
         "simulated_seconds": result.simulated_seconds,
         "mean_batch_seconds": result.mean_batch_seconds,
         "spgemm_seconds": spgemm.seconds if spgemm else 0.0,
-        "real_seconds": real,
         "kernels": [b.kernel for b in result.batches],
         "batch_densities": [round(b.density, 6) for b in result.batches],
         "planned_kernel": result.planned_kernel,
@@ -243,26 +234,23 @@ def run_policy(spec: dict, policy: str) -> dict:
     }
 
 
-def run_workload(name: str, spec: dict) -> dict:
-    """All policies on one workload, plus the adaptive-vs-fixed summary."""
+def kernels_workload(name: str, spec: dict, smoke: bool) -> dict:
+    """Every kernel policy on one workload, plus adaptive vs fixed."""
     policies = {}
-    for policy in POLICIES:
-        policies[policy] = run_policy(spec, policy)
+    for policy in KERNEL_POLICIES:
+        rec = policies[policy] = run_policy(spec, policy)
         print(
-            f"  {name:<24} {policy:<10} "
-            f"sim {policies[policy]['simulated_seconds']:.4f}s  "
-            f"real {policies[policy]['real_seconds']:.2f}s  "
-            f"kernels {'/'.join(sorted(set(policies[policy]['kernels'])))}"
+            f"  {name:<24} {policy:<10} sim {rec['simulated_seconds']:.4f}s  "
+            f"kernels {'/'.join(sorted(set(rec['kernels'])))}"
         )
     adaptive = policies["adaptive"]["simulated_seconds"]
     fixed = {p: policies[p]["simulated_seconds"] for p in FIXED_POLICIES}
     worst = max(fixed, key=fixed.get)
-    best = min(fixed, key=fixed.get)
     summary = {
         "adaptive_simulated_seconds": adaptive,
         "worst_fixed_policy": worst,
         "worst_fixed_simulated_seconds": fixed[worst],
-        "best_fixed_policy": best,
+        "best_fixed_policy": min(fixed, key=fixed.get),
         "adaptive_speedup_vs_worst_fixed": (
             fixed[worst] / adaptive if adaptive > 0 else float("inf")
         ),
@@ -275,12 +263,14 @@ def run_workload(name: str, spec: dict) -> dict:
     return {"params": spec, "policies": policies, "summary": summary}
 
 
-def run_sweep(densities, shape) -> list[dict]:
-    """Adaptive-policy sparsity sweep across the kernel crossover."""
+def run_kernels(smoke: bool) -> dict:
+    """The kernel section: every workload, then the Fig. 3 sweep."""
+    records = section("kernel policies", kernels_workload)(smoke)
+    print("== fig3_sparsity_sweep ==")
+    densities, shape = SWEEP[smoke]
     points = []
     for density in densities:
-        spec = dict(shape, density=density, skew=None)
-        res = run_policy(spec, "adaptive")
+        res = run_policy(dict(shape, density=density, skew=None), "adaptive")
         points.append(
             {
                 "density": density,
@@ -289,59 +279,37 @@ def run_sweep(densities, shape) -> list[dict]:
                 "simulated_seconds": res["simulated_seconds"],
             }
         )
-        print(
-            f"  sweep density {density:<8g} -> "
-            f"{'/'.join(sorted(set(res['kernels'])))}"
-        )
-    return points
+        print(f"  sweep density {density:<8g} -> {'/'.join(sorted(set(res['kernels'])))}")
+    records["fig3_sparsity_sweep"] = {"points": points}
+    return records
 
 
-def run_pipeline_mode(spec: dict, mode: str, batch_count: int) -> dict:
-    """One (workload, pipeline mode) measurement under adaptive kernels."""
-    source = _source(spec)
-    machine = _machine(spec["nodes"], spec["ranks_per_node"])
-    config = SimilarityConfig(
-        batch_count=batch_count, gather_result=False,
-        compute_distance=False, pipeline=mode,
-    )
-    t0 = time.perf_counter()
-    result = jaccard_similarity(source, machine=machine, config=config)
-    real = time.perf_counter() - t0
-    return {
-        "simulated_seconds": result.simulated_seconds,
-        "mean_batch_seconds": result.mean_batch_seconds,
-        "overlap_saved_seconds": result.overlap_saved_seconds,
-        "real_seconds": real,
-        "batch_prepare_seconds": [
-            round(b.prepare_seconds, 6) for b in result.batches
-        ],
-        "batch_gram_seconds": [
-            round(b.gram_seconds, 6) for b in result.batches
-        ],
-        "batch_overlap_saved_seconds": [
-            round(b.overlap_saved_seconds, 6) for b in result.batches
-        ],
-    }
-
-
-def run_pipeline_workload(name: str, spec: dict, batch_count: int) -> dict:
-    """Both schedules on one workload, plus the off-vs-double summary."""
+def pipeline_workload(name: str, spec: dict, smoke: bool) -> dict:
+    """Both batch schedules on one workload, plus off vs double buffer."""
+    batch_count = PIPELINE_BATCHES[smoke]
     modes = {}
-    for mode in PIPELINE_MODES:
-        modes[mode] = run_pipeline_mode(spec, mode, batch_count)
+    for mode in ("off", "double_buffer"):
+        result = _run(spec, batch_count=batch_count, pipeline=mode)
+        modes[mode] = {
+            "simulated_seconds": result.simulated_seconds,
+            "mean_batch_seconds": result.mean_batch_seconds,
+            "overlap_saved_seconds": result.overlap_saved_seconds,
+            "batch_prepare_seconds": [round(b.prepare_seconds, 6) for b in result.batches],
+            "batch_gram_seconds": [round(b.gram_seconds, 6) for b in result.batches],
+            "batch_overlap_saved_seconds": [
+                round(b.overlap_saved_seconds, 6) for b in result.batches
+            ],
+        }
         print(
-            f"  {name:<24} {mode:<14} "
-            f"sim {modes[mode]['simulated_seconds']:.4f}s  "
-            f"overlap hid {modes[mode]['overlap_saved_seconds']:.4f}s"
+            f"  {name:<24} {mode:<14} sim {result.simulated_seconds:.4f}s  "
+            f"overlap hid {result.overlap_saved_seconds:.4f}s"
         )
     serial = modes["off"]["simulated_seconds"]
     piped = modes["double_buffer"]["simulated_seconds"]
     summary = {
         "serial_simulated_seconds": serial,
         "double_buffer_simulated_seconds": piped,
-        "overlap_saved_seconds": modes["double_buffer"][
-            "overlap_saved_seconds"
-        ],
+        "overlap_saved_seconds": modes["double_buffer"]["overlap_saved_seconds"],
         "speedup": serial / piped if piped > 0 else float("inf"),
     }
     print(f"  -> double_buffer {summary['speedup']:.2f}x over serial")
@@ -352,39 +320,15 @@ def run_pipeline_workload(name: str, spec: dict, batch_count: int) -> dict:
     }
 
 
-def run_pipeline_harness(smoke: bool = False) -> dict:
-    """The pipeline-schedule section: one trajectory entry."""
-    workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
-    batch_count = SMOKE_PIPELINE_BATCHES if smoke else PIPELINE_BATCHES
-    entry = {
-        "label": "smoke" if smoke else "full",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "workloads": {},
-    }
-    for name, spec in workloads.items():
-        print(f"== {name} ({spec['figure']}) pipeline ==")
-        entry["workloads"][name] = run_pipeline_workload(
-            name, dict(spec), batch_count
-        )
-    return entry
+#: Each workload's exact adaptive-codec run ``(record, similarity)``,
+#: left by the wire section for the sketch section (one exact run per
+#: workload instead of two).
+_exact_runs: dict[tuple[bool, str], tuple[dict, np.ndarray]] = {}
 
 
-def run_wire_policy(spec: dict, policy: str) -> tuple[dict, object]:
-    """One (workload, wire codec) measurement under adaptive kernels.
-
-    Returns the record and the gathered similarity matrix (used by the
-    caller's bit-exactness check, not persisted).
-    """
-    source = _source(spec)
-    machine = _machine(spec["nodes"], spec["ranks_per_node"])
-    config = SimilarityConfig(
-        batch_count=spec["batch_count"], gather_result=True,
-        compute_distance=False, wire_codec=policy,
-    )
-    t0 = time.perf_counter()
-    result = jaccard_similarity(source, machine=machine, config=config)
-    real = time.perf_counter() - t0
+def run_wire_policy(spec: dict, policy: str) -> tuple[dict, np.ndarray]:
+    """One (workload, wire codec) run: its record and gathered matrix."""
+    result = _run(spec, gather=True, wire_codec=policy)
     record = {
         "simulated_seconds": result.simulated_seconds,
         "communication_bytes": result.cost.communication_bytes,
@@ -394,45 +338,36 @@ def run_wire_policy(spec: dict, policy: str) -> tuple[dict, object]:
             name: {"raw_bytes": raw, "encoded_bytes": enc}
             for name, (raw, enc) in result.cost.wire_codec_totals.items()
         },
-        "real_seconds": real,
     }
     return record, result.similarity
 
 
-def run_wire_workload(name: str, spec: dict) -> tuple[dict, object]:
-    """All wire codecs on one workload, plus the raw-vs-adaptive summary.
-
-    Also returns the (bit-exact) similarity matrix so the sketch
-    section can reuse this workload's exact adaptive run as its
-    baseline instead of recomputing it.
-    """
+def wire_workload(name: str, spec: dict, smoke: bool) -> dict:
+    """Every wire codec on one workload, plus raw vs adaptive."""
     policies = {}
     reference = None
-    bit_exact = True
     for policy in WIRE_CODECS:
         record, similarity = run_wire_policy(spec, policy)
         if policy == "raw":
             reference = similarity
         else:
-            record["bit_exact_vs_raw"] = bool(
-                np.array_equal(reference, similarity)
-            )
-            bit_exact = bit_exact and record["bit_exact_vs_raw"]
+            record["bit_exact_vs_raw"] = bool(np.array_equal(reference, similarity))
         policies[policy] = record
         enc = record["wire_encoded_bytes"]
         ratio = record["wire_raw_bytes"] / enc if enc else 1.0
         print(
             f"  {name:<24} {policy:<10} "
             f"comm {record['communication_bytes']:.3g} B  "
-            f"wire {record['wire_raw_bytes']:.3g} -> "
-            f"{enc:.3g} B ({ratio:.2f}x)"
+            f"wire {record['wire_raw_bytes']:.3g} -> {enc:.3g} B ({ratio:.2f}x)"
         )
     adaptive = policies["adaptive"]
+    _exact_runs[smoke, name] = (adaptive, reference)
     reduction = (
         adaptive["wire_raw_bytes"] / adaptive["wire_encoded_bytes"]
         if adaptive["wire_encoded_bytes"]
         else 1.0
     )
+    bit_exact = all(r.get("bit_exact_vs_raw", True) for r in policies.values())
     summary = {
         "raw_communication_bytes": policies["raw"]["communication_bytes"],
         "adaptive_communication_bytes": adaptive["communication_bytes"],
@@ -441,104 +376,42 @@ def run_wire_workload(name: str, spec: dict) -> tuple[dict, object]:
         "wire_reduction_raw_vs_adaptive": reduction,
         "all_policies_bit_exact": bit_exact,
     }
-    print(
-        f"  -> adaptive keeps {reduction:.2f}x off the wire "
-        f"(bit-exact: {bit_exact})"
+    print(f"  -> adaptive keeps {reduction:.2f}x off the wire (bit-exact: {bit_exact})")
+    return {"params": spec, "policies": policies, "summary": summary}
+
+
+def sketch_workload(name: str, spec: dict, smoke: bool) -> dict:
+    """Every sketch estimator vs the exact adaptive-codec run."""
+    exact_record, exact = _exact_runs.pop((smoke, name), None) or run_wire_policy(
+        spec, "adaptive"
     )
-    record = {"params": spec, "policies": policies, "summary": summary}
-    return record, reference
-
-
-def run_wire_harness(smoke: bool = False) -> tuple[dict, dict]:
-    """The wire-codec section: one trajectory entry.
-
-    Returns ``(entry, baselines)`` where ``baselines[name]`` carries
-    each workload's exact adaptive record and similarity matrix for
-    the sketch section to reuse.
-    """
-    workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
-    entry = {
-        "label": "smoke" if smoke else "full",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "workloads": {},
-    }
-    baselines = {}
-    for name, spec in workloads.items():
-        print(f"== {name} ({spec['figure']}) wire codecs ==")
-        record, similarity = run_wire_workload(name, dict(spec))
-        entry["workloads"][name] = record
-        baselines[name] = (record["policies"]["adaptive"], similarity)
-    return entry, baselines
-
-
-def run_sketch_estimator(
-    spec: dict, estimator: str, sketch_kwargs: dict, exact_similarity
-) -> dict:
-    """One (workload, estimator) point of the error/wire frontier."""
-    source = _source(spec)
-    machine = _machine(spec["nodes"], spec["ranks_per_node"])
-    config = SimilarityConfig(
-        batch_count=spec["batch_count"], gather_result=True,
-        compute_distance=False, wire_codec="adaptive",
-        estimator=estimator, **sketch_kwargs,
-    )
-    t0 = time.perf_counter()
-    result = jaccard_similarity(source, machine=machine, config=config)
-    real = time.perf_counter() - t0
-    off_diag = ~np.eye(result.n, dtype=bool)
-    err = np.abs(result.similarity - exact_similarity)[off_diag]
-    return {
-        "sketch_params": dict(sketch_kwargs),
-        "simulated_seconds": result.simulated_seconds,
-        "communication_bytes": result.cost.communication_bytes,
-        "wire_raw_bytes": result.wire_raw_bytes,
-        "wire_encoded_bytes": result.wire_encoded_bytes,
-        "sketch_payload_bytes": result.sketch_payload_bytes,
-        "mean_abs_error": float(err.mean()),
-        "max_abs_error": float(err.max()),
-        "error_bound_95": result.error_bound,
-        "real_seconds": real,
-    }
-
-
-def run_sketch_workload(
-    name: str, spec: dict, configs: dict, baseline: tuple | None = None
-) -> dict:
-    """Every estimator vs the exact adaptive-codec path on one workload.
-
-    ``baseline`` is the ``(record, similarity)`` pair of this
-    workload's exact adaptive run when the wire section already
-    executed it (one full-size exact run per workload instead of two);
-    when absent the baseline is computed here.
-    """
-    if baseline is None:
-        baseline = run_wire_policy(spec, "adaptive")
-    exact_record, exact_similarity = baseline
     exact_wire = exact_record["wire_encoded_bytes"]
-    print(
-        f"  {name:<24} {'exact':<14} "
-        f"wire {exact_wire:.3g} B (adaptive codec baseline)"
-    )
+    print(f"  {name:<24} {'exact':<14} wire {exact_wire:.3g} B (adaptive codec baseline)")
     estimators = {}
-    for estimator, kwargs in configs.items():
-        record = run_sketch_estimator(spec, estimator, kwargs, exact_similarity)
-        record["wire_reduction_vs_exact"] = (
-            exact_wire / record["wire_encoded_bytes"]
-            if record["wire_encoded_bytes"]
-            else float("inf")
+    for estimator, kwargs in SKETCH_CONFIGS[smoke].items():
+        result = _run(
+            spec, gather=True, wire_codec="adaptive", estimator=estimator, **kwargs
         )
-        estimators[estimator] = record
+        err = np.abs(result.similarity - exact)[~np.eye(result.n, dtype=bool)]
+        enc = result.wire_encoded_bytes
+        rec = estimators[estimator] = {
+            "sketch_params": dict(kwargs),
+            "simulated_seconds": result.simulated_seconds,
+            "communication_bytes": result.cost.communication_bytes,
+            "wire_raw_bytes": result.wire_raw_bytes,
+            "wire_encoded_bytes": enc,
+            "sketch_payload_bytes": result.sketch_payload_bytes,
+            "mean_abs_error": float(err.mean()),
+            "max_abs_error": float(err.max()),
+            "error_bound_95": result.error_bound,
+            "wire_reduction_vs_exact": exact_wire / enc if enc else float("inf"),
+        }
         print(
-            f"  {name:<24} {estimator:<14} "
-            f"wire {record['wire_encoded_bytes']:.3g} B "
-            f"({record['wire_reduction_vs_exact']:.1f}x less)  "
-            f"mae {record['mean_abs_error']:.4f} "
-            f"(bound {record['error_bound_95']:.4f})"
+            f"  {name:<24} {estimator:<14} wire {enc:.3g} B "
+            f"({rec['wire_reduction_vs_exact']:.1f}x less)  "
+            f"mae {rec['mean_abs_error']:.4f} (bound {rec['error_bound_95']:.4f})"
         )
-    in_budget = {
-        e: r for e, r in estimators.items() if r["mean_abs_error"] <= 0.02
-    }
+    in_budget = {e: r for e, r in estimators.items() if r["mean_abs_error"] <= 0.02}
     best = (
         max(in_budget, key=lambda e: in_budget[e]["wire_reduction_vs_exact"])
         if in_budget
@@ -551,62 +424,19 @@ def run_sketch_workload(
         "best_wire_reduction_vs_exact": (
             in_budget[best]["wire_reduction_vs_exact"] if best else 0.0
         ),
-        "best_mean_abs_error": (
-            in_budget[best]["mean_abs_error"] if best else 1.0
-        ),
+        "best_mean_abs_error": in_budget[best]["mean_abs_error"] if best else 1.0,
     }
     if best:
         print(
-            f"  -> {best} keeps "
-            f"{summary['best_wire_reduction_vs_exact']:.1f}x off the wire "
-            f"at {summary['best_mean_abs_error']:.4f} mean error"
+            f"  -> {best} keeps {summary['best_wire_reduction_vs_exact']:.1f}x "
+            f"off the wire at {summary['best_mean_abs_error']:.4f} mean error"
         )
     else:
         print("  -> no estimator met the 2% mean-error budget")
     return {"params": spec, "estimators": estimators, "summary": summary}
 
 
-def run_sketch_harness(
-    smoke: bool = False, baselines: dict | None = None
-) -> dict:
-    """The sketch-estimator section: one trajectory entry.
-
-    Every estimator runs in smoke mode too (at reduced sketch sizes),
-    so the CI regression gate covers the whole family without
-    full-size runs.  ``baselines`` (from :func:`run_wire_harness`)
-    supplies the exact adaptive runs so they are not recomputed.
-    """
-    workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
-    configs = SMOKE_SKETCH_CONFIGS if smoke else SKETCH_CONFIGS
-    entry = {
-        "label": "smoke" if smoke else "full",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "workloads": {},
-    }
-    for name, spec in workloads.items():
-        print(f"== {name} ({spec['figure']}) sketch estimators ==")
-        entry["workloads"][name] = run_sketch_workload(
-            name, dict(spec), configs,
-            baseline=(baselines or {}).get(name),
-        )
-    return entry
-
-
-#: Query-section parameters: the threshold each workload is served at
-#: and how many of its samples are issued as queries.  Thresholds sit
-#: above the workloads' background similarity so the cascade has
-#: something to prune; every query still matches at least its own
-#: stored copy (queries go by values, so the self pair must survive
-#: the whole cascade with J = 1).
-QUERY_SPECS = {
-    "fig2a_kingsford_like": dict(threshold=0.3, n_queries=48),
-    "fig2b_bigsi_like": dict(threshold=0.3, n_queries=64),
-}
-SMOKE_QUERY_SPECS = {
-    "fig2a_kingsford_like": dict(threshold=0.3, n_queries=12),
-    "fig2b_bigsi_like": dict(threshold=0.3, n_queries=16),
-}
+# ---- serving sections -------------------------------------------------------
 
 
 def _materialize_values(source) -> list[np.ndarray]:
@@ -617,346 +447,202 @@ def _materialize_values(source) -> list[np.ndarray]:
         coo = source.read_batch(0, source.m, r, n_readers)
         for j in np.unique(coo.cols):
             per_sample[int(j)] = np.unique(coo.rows[coo.cols == j])
-    return [
-        per_sample.get(j, np.empty(0, dtype=np.int64))
-        for j in range(source.n)
-    ]
+    return [per_sample.get(j, np.empty(0, dtype=np.int64)) for j in range(source.n)]
 
 
-def run_query_workload(name: str, spec: dict, qspec: dict, root) -> dict:
-    """Serve one workload from an on-disk index: cascade vs brute force."""
-    from repro.core.config import SimilarityConfig as _Config
-    from repro.service import IndexStore, SimilarityIndex
+@contextmanager
+def _indexed(spec: dict, families=("minhash",), weighted: bool = False):
+    """The workload's samples persisted into a temporary on-disk index.
 
-    source = _source(spec)
-    values = _materialize_values(source)
-    store = IndexStore.create(
-        root, m=spec["m"], codec="adaptive", families=("minhash",),
-        sketch_size=256,
-    )
-    store.append_many(
-        [(f"s{j:05d}", vals) for j, vals in enumerate(values)]
-    )
-    threshold = qspec["threshold"]
-    queries = list(range(min(qspec["n_queries"], source.n)))
-
-    machine = _machine(spec["nodes"], spec["ranks_per_node"])
-    cascade = SimilarityIndex(
-        store, machine=machine,
-        config=_Config(query_prefilter="cascade", query_cache_size=0),
-    )
-    brute = SimilarityIndex(
-        store, machine=machine,
-        config=_Config(query_prefilter="off", query_cache_size=0),
-    )
-    candidates = verified = 0
-    cascade_real = brute_real = 0.0
-    cascade_sim = brute_sim = 0.0
-    matches = 0
-    exact = True
-    for j in queries:
-        t0 = time.perf_counter()
-        res = cascade.query_values(values[j], threshold=threshold)
-        cascade_real += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        ref = brute.query_values(values[j], threshold=threshold)
-        brute_real += time.perf_counter() - t0
-        cascade_sim += res.simulated_seconds
-        brute_sim += ref.simulated_seconds
-        candidates += res.n_candidates
-        verified += res.n_verified
-        matches += len(res.matches)
-        exact = exact and (
-            [(m.name, m.similarity) for m in res.matches]
-            == [(m.name, m.similarity) for m in ref.matches]
+    Yields ``(store, values, counts)``: genome ``s{j:05d}`` holds the
+    sorted value set ``values[j]``; ``counts`` are synthetic k-mer
+    abundances when ``weighted``, else ``None``.
+    """
+    values = _materialize_values(_source(spec))
+    genomes = [(f"s{j:05d}", vals) for j, vals in enumerate(values)]
+    counts = None
+    if weighted:
+        rng = np.random.default_rng(spec["seed"] + 101)
+        counts = [rng.integers(1, 6, size=v.size).astype(np.int64) for v in values]
+        genomes = [g + (c,) for g, c in zip(genomes, counts)]
+    with tempfile.TemporaryDirectory(prefix="bench_index_") as tmp:
+        store = IndexStore.create(
+            Path(tmp) / "index", m=spec["m"], codec="adaptive",
+            families=families, sketch_size=256,
         )
-    q = len(queries)
-    pruning = candidates / max(verified, 1)
-    summary = {
-        "threshold": threshold,
-        "n_queries": q,
-        "n_genomes": source.n,
-        "total_candidates": candidates,
-        "total_verified": verified,
-        "total_matches": matches,
-        "pruning_ratio": pruning,
-        "exact_vs_bruteforce": bool(exact),
-        "mean_query_seconds_cascade": cascade_real / q,
-        "mean_query_seconds_bruteforce": brute_real / q,
-        "mean_simulated_seconds_cascade": cascade_sim / q,
-        "mean_simulated_seconds_bruteforce": brute_sim / q,
-        "latency_speedup_vs_bruteforce": (
-            brute_real / cascade_real if cascade_real > 0 else float("inf")
-        ),
-        "simulated_speedup_vs_bruteforce": (
-            brute_sim / cascade_sim if cascade_sim > 0 else float("inf")
-        ),
-        "store_bytes": store.total_bytes(),
-    }
+        store.append_many(genomes)
+        yield store, values, counts
+
+
+def _engine(store, machine: Machine, **config) -> SimilarityIndex:
+    """A query engine over ``store`` with its result cache off."""
+    return SimilarityIndex(
+        store, machine=machine, config=SimilarityConfig(query_cache_size=0, **config)
+    )
+
+
+def _hits(result) -> list[tuple[str, float]]:
+    return [(m.name, m.similarity) for m in result.matches]
+
+
+def _serving(name: str, smoke: bool, queries: dict = N_QUERIES) -> dict:
+    """The serving parameters a section adds to a workload's params."""
+    return {"threshold": THRESHOLD, "n_queries": queries[name][smoke]}
+
+
+def query_workload(name: str, spec: dict, smoke: bool) -> dict:
+    """Serve one workload from an on-disk index: cascade vs brute force."""
+    qspec = _serving(name, smoke)
+    with _indexed(spec) as (store, values, _):
+        machine = _machine(spec)
+        cascade = _engine(store, machine, query_prefilter="cascade")
+        brute = _engine(store, machine, query_prefilter="off")
+        q = min(qspec["n_queries"], spec["n"])
+        candidates = verified = matches = 0
+        cascade_sim = brute_sim = 0.0
+        exact = True
+        for vals in values[:q]:
+            res = cascade.query_values(vals, threshold=THRESHOLD)
+            ref = brute.query_values(vals, threshold=THRESHOLD)
+            cascade_sim += res.simulated_seconds
+            brute_sim += ref.simulated_seconds
+            candidates += res.n_candidates
+            verified += res.n_verified
+            matches += len(res.matches)
+            exact = exact and _hits(res) == _hits(ref)
+        pruning = candidates / max(verified, 1)
+        summary = {
+            "threshold": THRESHOLD,
+            "n_queries": q,
+            "n_genomes": spec["n"],
+            "total_candidates": candidates,
+            "total_verified": verified,
+            "total_matches": matches,
+            "pruning_ratio": pruning,
+            "exact_vs_bruteforce": bool(exact),
+            "mean_simulated_seconds_cascade": cascade_sim / q,
+            "mean_simulated_seconds_bruteforce": brute_sim / q,
+            "simulated_speedup_vs_bruteforce": (
+                brute_sim / cascade_sim if cascade_sim > 0 else float("inf")
+            ),
+            "store_bytes": store.total_bytes(),
+        }
     print(
-        f"  {name:<24} t={threshold:<5g} {q} queries: "
+        f"  {name:<24} t={THRESHOLD:<5g} {q} queries: "
         f"{pruning:.1f}x pruning ({candidates} -> {verified} verified), "
         f"{matches} match(es), exact={exact}, modelled "
-        f"{summary['simulated_speedup_vs_bruteforce']:.1f}x over brute "
-        f"force ({summary['latency_speedup_vs_bruteforce']:.1f}x real)"
+        f"{summary['simulated_speedup_vs_bruteforce']:.1f}x over brute force"
     )
     return {"params": dict(spec, **qspec), "summary": summary}
 
 
-def run_query_harness(smoke: bool = False) -> dict:
-    """The query-engine section: one trajectory entry."""
-    import tempfile
+def service_workload(name: str, spec: dict, smoke: bool) -> dict:
+    """Batched vs serial queries over one index, at the ``size`` prefilter.
 
-    workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
-    qspecs = SMOKE_QUERY_SPECS if smoke else QUERY_SPECS
-    entry = {
-        "label": "smoke" if smoke else "full",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "workloads": {},
-    }
-    for name, spec in workloads.items():
-        print(f"== {name} ({spec['figure']}) threshold queries ==")
-        with tempfile.TemporaryDirectory(prefix="bench_index_") as tmp:
-            entry["workloads"][name] = run_query_workload(
-                name, dict(spec), qspecs[name], Path(tmp) / "index"
+    Blocked verification makes exact checks cheap, so a per-query,
+    unamortizable sketch pass would cap the very amortization this
+    section measures (see docs/service.md).
+    """
+    sspec = dict(_serving(name, smoke), batch_sizes=BATCH_SIZES[smoke])
+    with _indexed(spec) as (store, values, _):
+        queries = values[: sspec["n_queries"]]
+        q = len(queries)
+        # Serial reference: the per-query engine, one query at a time.
+        serial = _engine(store, _machine(spec), query_prefilter="size")
+        serial_results = [serial.query_values(v, threshold=THRESHOLD) for v in queries]
+        serial_sim = sum(r.simulated_seconds for r in serial_results)
+        serial_keys = [_hits(r) for r in serial_results]
+        # Brute force pins exactness independently of the size window.
+        brute = _engine(store, _machine(spec), query_prefilter="off")
+        exact_vs_bruteforce = all(
+            _hits(brute.query_values(v, threshold=THRESHOLD)) == keys
+            for v, keys in zip(queries, serial_keys)
+        )
+        by_batch = {}
+        for batch_size in sspec["batch_sizes"]:
+            engine = _engine(store, _machine(spec), query_prefilter="size")
+            with QueryBatcher(engine, batch_size=batch_size) as batcher:
+                results = batcher.query_many(queries, threshold=THRESHOLD)
+            sim = sum(r.simulated_seconds for r in results)
+            exact = all(_hits(r) == keys for r, keys in zip(results, serial_keys))
+            rec = by_batch[str(batch_size)] = {
+                "simulated_seconds": sim,
+                "queries_per_simulated_second": q / sim if sim > 0 else 0.0,
+                "batched_speedup_vs_serial": serial_sim / sim if sim > 0 else float("inf"),
+                "n_batches": batcher.n_batches,
+                "exact_vs_perquery": exact,
+            }
+            print(
+                f"  {name:<24} batch={batch_size:<3d} "
+                f"{rec['batched_speedup_vs_serial']:.2f}x modelled over serial "
+                f"({rec['queries_per_simulated_second']:.0f} q/sim-s, exact={exact})"
             )
-    return entry
-
-
-#: Service-section parameters: the batched front end served at the
-#: ``"size"`` prefilter (blocked verification makes exact checks cheap,
-#: so paying a per-query, unamortizable sketch pass would cap the very
-#: amortization this section measures — see docs/service.md), with
-#: batch size 1 as the serial-through-the-batcher control.
-SERVICE_SPECS = {
-    "fig2a_kingsford_like": dict(
-        threshold=0.3, n_queries=48, batch_sizes=(1, 8, 32)
-    ),
-    "fig2b_bigsi_like": dict(
-        threshold=0.3, n_queries=64, batch_sizes=(1, 8, 32)
-    ),
-}
-SMOKE_SERVICE_SPECS = {
-    "fig2a_kingsford_like": dict(
-        threshold=0.3, n_queries=12, batch_sizes=(1, 8)
-    ),
-    "fig2b_bigsi_like": dict(
-        threshold=0.3, n_queries=16, batch_sizes=(1, 8)
-    ),
-}
-
-
-def run_service_workload(name: str, spec: dict, sspec: dict, root) -> dict:
-    """Batched vs serial query throughput over one on-disk index."""
-    from repro.core.config import SimilarityConfig as _Config
-    from repro.service import IndexStore, QueryBatcher, SimilarityIndex
-
-    source = _source(spec)
-    values = _materialize_values(source)
-    store = IndexStore.create(
-        root, m=spec["m"], codec="adaptive", families=("minhash",),
-        sketch_size=256,
-    )
-    store.append_many(
-        [(f"s{j:05d}", vals) for j, vals in enumerate(values)]
-    )
-    threshold = sspec["threshold"]
-    queries = [values[j] for j in range(min(sspec["n_queries"], source.n))]
-    q = len(queries)
-    config = _Config(query_prefilter="size", query_cache_size=0)
-
-    # Serial reference: the per-query engine, one query at a time.
-    serial = SimilarityIndex(
-        store, machine=_machine(spec["nodes"], spec["ranks_per_node"]),
-        config=config,
-    )
-    t0 = time.perf_counter()
-    serial_results = [
-        serial.query_values(vals, threshold=threshold) for vals in queries
-    ]
-    serial_real = time.perf_counter() - t0
-    serial_sim = sum(r.simulated_seconds for r in serial_results)
-    serial_keys = [
-        [(m.name, m.similarity) for m in r.matches] for r in serial_results
-    ]
-
-    # Brute force pins exactness independently of the size window.
-    brute = SimilarityIndex(
-        store, machine=_machine(spec["nodes"], spec["ranks_per_node"]),
-        config=_Config(query_prefilter="off", query_cache_size=0),
-    )
-    exact_vs_bruteforce = all(
-        [(m.name, m.similarity)
-         for m in brute.query_values(vals, threshold=threshold).matches]
-        == keys
-        for vals, keys in zip(queries, serial_keys)
-    )
-
-    by_batch = {}
-    exact_vs_perquery = True
-    for batch_size in sspec["batch_sizes"]:
-        engine = SimilarityIndex(
-            store,
-            machine=_machine(spec["nodes"], spec["ranks_per_node"]),
-            config=config,
-        )
-        with QueryBatcher(engine, batch_size=batch_size) as batcher:
-            t0 = time.perf_counter()
-            results = batcher.query_many(queries, threshold=threshold)
-            real = time.perf_counter() - t0
-        sim = sum(r.simulated_seconds for r in results)
-        exact = all(
-            [(m.name, m.similarity) for m in r.matches] == keys
-            for r, keys in zip(results, serial_keys)
-        )
-        exact_vs_perquery = exact_vs_perquery and exact
-        by_batch[str(batch_size)] = {
-            "simulated_seconds": sim,
-            "real_seconds": real,
-            "queries_per_simulated_second": q / sim if sim > 0 else 0.0,
-            "batched_speedup_vs_serial": (
-                serial_sim / sim if sim > 0 else float("inf")
-            ),
-            "n_batches": batcher.n_batches,
-            "exact_vs_perquery": bool(exact),
-        }
-        print(
-            f"  {name:<24} batch={batch_size:<3d} "
-            f"{by_batch[str(batch_size)]['batched_speedup_vs_serial']:.2f}x "
-            f"modelled over serial "
-            f"({q / sim if sim > 0 else 0.0:.0f} q/sim-s, exact={exact})"
-        )
     speedups = [
-        b["batched_speedup_vs_serial"]
-        for size, b in by_batch.items()
-        if int(size) >= 8
+        b["batched_speedup_vs_serial"] for size, b in by_batch.items() if int(size) >= 8
     ]
     summary = {
-        "threshold": threshold,
+        "threshold": THRESHOLD,
         "n_queries": q,
-        "n_genomes": source.n,
+        "n_genomes": spec["n"],
         "prefilter": "size",
         "serial_simulated_seconds": serial_sim,
-        "serial_real_seconds": serial_real,
-        "serial_queries_per_simulated_second": (
-            q / serial_sim if serial_sim > 0 else 0.0
-        ),
+        "serial_queries_per_simulated_second": q / serial_sim if serial_sim > 0 else 0.0,
         "by_batch_size": by_batch,
         "batched_speedup_at_8_plus": min(speedups) if speedups else 0.0,
-        "exact_vs_perquery": bool(exact_vs_perquery),
-        "exact_vs_bruteforce": bool(exact_vs_bruteforce),
+        "exact_vs_perquery": all(b["exact_vs_perquery"] for b in by_batch.values()),
+        "exact_vs_bruteforce": exact_vs_bruteforce,
     }
     return {"params": dict(spec, **sspec), "summary": summary}
 
 
-def run_service_harness(smoke: bool = False) -> dict:
-    """The batched-service section: one trajectory entry."""
-    import tempfile
-
-    workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
-    sspecs = SMOKE_SERVICE_SPECS if smoke else SERVICE_SPECS
-    entry = {
-        "label": "smoke" if smoke else "full",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "workloads": {},
-    }
-    for name, spec in workloads.items():
-        print(f"== {name} ({spec['figure']}) batched queries ==")
-        with tempfile.TemporaryDirectory(prefix="bench_service_") as tmp:
-            entry["workloads"][name] = run_service_workload(
-                name, dict(spec), sspecs[name], Path(tmp) / "index"
-            )
-    return entry
-
-
-#: LSH-section parameters.  Queries run at t=0.3 (the Fig. 2 serving
-#: threshold) against stores whose LSH tables were *planned* at the
-#: store-level default t=0.5 — the analytic recall bound reported is
-#: the plan's curve evaluated at the query threshold, which is the
-#: valid lower bound for every true match with J >= 0.3.
-LSH_SPECS = {
-    "fig2a_kingsford_like": dict(threshold=0.3, n_queries=48),
-    "fig2b_bigsi_like": dict(threshold=0.3, n_queries=64),
-}
-SMOKE_LSH_SPECS = {
-    "fig2a_kingsford_like": dict(threshold=0.3, n_queries=12),
-    "fig2b_bigsi_like": dict(threshold=0.3, n_queries=16),
-}
-
-
-def run_lsh_workload(name: str, spec: dict, lspec: dict, root) -> dict:
+def lsh_workload(name: str, spec: dict, smoke: bool) -> dict:
     """LSH probe vs size-ratio scan vs brute force over one index."""
-    from repro.core.config import SimilarityConfig as _Config
-    from repro.service import IndexStore, SimilarityIndex
+    lspec = _serving(name, smoke)
+    with _indexed(spec, families=("minhash", "bbit_minhash")) as (store, values, _):
+        plan = store.lsh_table().plan
 
-    source = _source(spec)
-    values = _materialize_values(source)
-    store = IndexStore.create(
-        root, m=spec["m"], codec="adaptive",
-        families=("minhash", "bbit_minhash"), sketch_size=256,
-    )
-    store.append_many(
-        [(f"s{j:05d}", vals) for j, vals in enumerate(values)]
-    )
-    plan = store.lsh_table().plan
-    threshold = lspec["threshold"]
-    queries = list(range(min(lspec["n_queries"], source.n)))
-
-    def engine(prefilter, candidates):
-        return SimilarityIndex(
-            store,
-            machine=_machine(spec["nodes"], spec["ranks_per_node"]),
-            config=_Config(
+        def engine(prefilter, candidates):
+            return _engine(
+                store, _machine(spec),
                 query_prefilter=prefilter, query_candidates=candidates,
-                query_cache_size=0,
-            ),
-        )
+            )
 
-    scan = engine("size", "scan")
-    probe = engine("size", "lsh")
-    audit = engine("size", "lsh_exact")
-    brute = engine("off", "scan")
-
-    scan_after_size = lsh_after_size = lsh_probed = 0
-    scan_sim = lsh_sim = 0.0
-    true_matches = retrieved_true = 0
-    audit_exact = True
-    for j in queries:
-        ref = brute.query_values(values[j], threshold=threshold)
-        s = scan.query_values(values[j], threshold=threshold)
-        p = probe.query_values(values[j], threshold=threshold)
-        a = audit.query_values(values[j], threshold=threshold)
-        scan_after_size += s.n_after_size
-        lsh_after_size += p.n_after_size
-        lsh_probed += p.n_after_lsh or 0
-        scan_sim += s.simulated_seconds
-        lsh_sim += p.simulated_seconds
-        got = {m.name for m in p.matches}
-        for m in ref.matches:
-            true_matches += 1
-            retrieved_true += m.name in got
-        audit_exact = audit_exact and (
-            [(m.name, m.similarity) for m in a.matches]
-            == [(m.name, m.similarity) for m in ref.matches]
-        )
-    q = len(queries)
-    bound = plan.recall_at(threshold)
+        scan = engine("size", "scan")
+        probe = engine("size", "lsh")
+        audit = engine("size", "lsh_exact")
+        brute = engine("off", "scan")
+        q = min(lspec["n_queries"], spec["n"])
+        scan_after_size = lsh_after_size = lsh_probed = 0
+        scan_sim = lsh_sim = 0.0
+        true_matches = retrieved_true = 0
+        audit_exact = True
+        for vals in values[:q]:
+            ref = brute.query_values(vals, threshold=THRESHOLD)
+            s = scan.query_values(vals, threshold=THRESHOLD)
+            p = probe.query_values(vals, threshold=THRESHOLD)
+            a = audit.query_values(vals, threshold=THRESHOLD)
+            scan_after_size += s.n_after_size
+            lsh_after_size += p.n_after_size
+            lsh_probed += p.n_after_lsh or 0
+            scan_sim += s.simulated_seconds
+            lsh_sim += p.simulated_seconds
+            got = {m.name for m in p.matches}
+            true_matches += len(ref.matches)
+            retrieved_true += sum(m.name in got for m in ref.matches)
+            audit_exact = audit_exact and _hits(a) == _hits(ref)
+    bound = plan.recall_at(THRESHOLD)
     measured = retrieved_true / true_matches if true_matches else 1.0
     summary = {
-        "threshold": threshold,
+        "threshold": THRESHOLD,
         "n_queries": q,
-        "n_genomes": source.n,
+        "n_genomes": spec["n"],
         "bands": plan.bands,
         "rows": plan.rows,
         "lsh_threshold": plan.threshold,
         "scan_candidates_after_size": scan_after_size,
         "lsh_candidates_after_probe": lsh_probed,
         "lsh_candidates_after_size": lsh_after_size,
-        "candidate_reduction_vs_scan": (
-            scan_after_size / max(lsh_after_size, 1)
-        ),
+        "candidate_reduction_vs_scan": scan_after_size / max(lsh_after_size, 1),
         "analytic_recall_bound": bound,
         "true_matches": true_matches,
         "measured_recall": measured,
@@ -964,161 +650,77 @@ def run_lsh_workload(name: str, spec: dict, lspec: dict, root) -> dict:
         "lsh_exact_vs_bruteforce": bool(audit_exact),
         "simulated_seconds_scan": scan_sim,
         "simulated_seconds_lsh": lsh_sim,
-        "modelled_speedup_vs_scan": (
-            scan_sim / lsh_sim if lsh_sim > 0 else float("inf")
-        ),
+        "modelled_speedup_vs_scan": scan_sim / lsh_sim if lsh_sim > 0 else float("inf"),
     }
     print(
-        f"  {name:<24} t={threshold:<5g} {q} queries: LSH keeps "
+        f"  {name:<24} t={THRESHOLD:<5g} {q} queries: LSH keeps "
         f"{lsh_after_size} of {scan_after_size} scan candidate(s) "
         f"({summary['candidate_reduction_vs_scan']:.1f}x reduction), "
         f"recall {measured:.3f} >= bound {bound:.3f}: "
-        f"{summary['recall_meets_analytic_bound']}, "
-        f"lsh_exact==brute: {audit_exact}"
+        f"{summary['recall_meets_analytic_bound']}, lsh_exact==brute: {audit_exact}"
     )
     return {"params": dict(spec, **lspec), "summary": summary}
 
 
-def run_lsh_harness(smoke: bool = False) -> dict:
-    """The LSH candidate-index section: one trajectory entry."""
-    import tempfile
-
-    workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
-    lspecs = SMOKE_LSH_SPECS if smoke else LSH_SPECS
-    entry = {
-        "label": "smoke" if smoke else "full",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "workloads": {},
-    }
-    for name, spec in workloads.items():
-        print(f"== {name} ({spec['figure']}) LSH candidate index ==")
-        with tempfile.TemporaryDirectory(prefix="bench_lsh_") as tmp:
-            entry["workloads"][name] = run_lsh_workload(
-                name, dict(spec), lspecs[name], Path(tmp) / "index"
-            )
-    return entry
-
-
-#: Shards-section parameters: the same Fig. 2 serving threshold as the
-#: query/LSH sections; shard counts cover the degenerate single band
-#: (must behave exactly like the flat store), the balanced mid case,
-#: and the gated 8-band fan-out.
-SHARD_SPECS = {
-    "fig2a_kingsford_like": dict(
-        threshold=0.3, n_queries=48, shard_counts=(1, 4, 8)
-    ),
-    "fig2b_bigsi_like": dict(
-        threshold=0.3, n_queries=64, shard_counts=(1, 4, 8)
-    ),
-}
-SMOKE_SHARD_SPECS = {
-    "fig2a_kingsford_like": dict(
-        threshold=0.3, n_queries=12, shard_counts=(1, 4, 8)
-    ),
-    "fig2b_bigsi_like": dict(
-        threshold=0.3, n_queries=16, shard_counts=(1, 4, 8)
-    ),
-}
-
-
-def run_shards_workload(name: str, spec: dict, shspec: dict, root) -> dict:
+def shards_workload(name: str, spec: dict, smoke: bool) -> dict:
     """Flat vs 1/4/8-band sharded serving over one migrated index."""
-    import shutil
-
-    from repro.core.config import SimilarityConfig as _Config
-    from repro.service import (
-        IndexStore,
-        ShardedSimilarityIndex,
-        SimilarityIndex,
-        shard_store,
-    )
-
-    source = _source(spec)
-    values = _materialize_values(source)
-    flat_root = Path(root) / "flat"
-    store = IndexStore.create(
-        flat_root, m=spec["m"], codec="adaptive", families=("minhash",),
-        sketch_size=256,
-    )
-    store.append_many(
-        [(f"s{j:05d}", vals) for j, vals in enumerate(values)]
-    )
-    threshold = shspec["threshold"]
-    queries = list(range(min(shspec["n_queries"], source.n)))
-
-    # Every engine gets its own fresh machine: simulated_seconds is a
-    # makespan delta on that machine's rank clocks, so sharing one
-    # machine across engines would telescope the comparisons.
-    flat_engine = SimilarityIndex(
-        store,
-        machine=_machine(spec["nodes"], spec["ranks_per_node"]),
-        config=_Config(query_cache_size=0),
-    )
-    flat_sim = 0.0
-    flat_candidates = 0
-    flat_matches = []
-    flat_real = 0.0
-    for j in queries:
-        t0 = time.perf_counter()
-        r = flat_engine.query_values(values[j], threshold=threshold)
-        flat_real += time.perf_counter() - t0
-        flat_sim += r.simulated_seconds
-        flat_candidates += r.n_candidates
-        flat_matches.append([(m.name, m.similarity) for m in r.matches])
-
-    per_shards = {}
-    exact_all = True
-    for n_shards in shspec["shard_counts"]:
-        sh_root = Path(root) / f"sh{n_shards}"
-        shutil.copytree(flat_root, sh_root)
-        sh = shard_store(sh_root, n_shards)  # quantile bands, in place
-        engine = ShardedSimilarityIndex(
-            sh,
-            machine=_machine(spec["nodes"], spec["ranks_per_node"]),
-            config=_Config(query_cache_size=0),
-        )
-        sim = real = 0.0
-        candidates = 0
-        exact = True
-        for j, ref in zip(queries, flat_matches):
-            t0 = time.perf_counter()
-            r = engine.query_values(values[j], threshold=threshold)
-            real += time.perf_counter() - t0
-            sim += r.simulated_seconds
-            candidates += r.n_candidates
-            exact = exact and (
-                [(m.name, m.similarity) for m in r.matches] == ref
+    shspec = dict(_serving(name, smoke), shard_counts=SHARD_COUNTS)
+    with _indexed(spec) as (store, values, _):
+        queries = values[: shspec["n_queries"]]
+        # Every engine gets its own fresh machine: simulated_seconds is a
+        # makespan delta on that machine's rank clocks, so sharing one
+        # machine across engines would telescope the comparisons.
+        flat = _engine(store, _machine(spec))
+        flat_sim = 0.0
+        flat_candidates = 0
+        flat_matches = []
+        for vals in queries:
+            r = flat.query_values(vals, threshold=THRESHOLD)
+            flat_sim += r.simulated_seconds
+            flat_candidates += r.n_candidates
+            flat_matches.append(_hits(r))
+        per_shards = {}
+        for n_shards in SHARD_COUNTS:
+            sh_root = store.root.parent / f"sh{n_shards}"
+            shutil.copytree(store.root, sh_root)
+            sh = shard_store(sh_root, n_shards)  # quantile bands, in place
+            engine = ShardedSimilarityIndex(
+                sh, machine=_machine(spec), config=SimilarityConfig(query_cache_size=0)
             )
-        exact_all = exact_all and exact
-        per_shards[str(n_shards)] = {
-            "simulated_seconds": sim,
-            "real_seconds": real,
-            "total_candidates": candidates,
-            "exact_vs_flat": bool(exact),
-            "shard_occupancy": [s.n_genomes for s in sh.shards],
-        }
-    at8 = per_shards[str(max(shspec["shard_counts"]))]
+            sim = 0.0
+            candidates = 0
+            exact = True
+            for vals, ref in zip(queries, flat_matches):
+                r = engine.query_values(vals, threshold=THRESHOLD)
+                sim += r.simulated_seconds
+                candidates += r.n_candidates
+                exact = exact and _hits(r) == ref
+            per_shards[str(n_shards)] = {
+                "simulated_seconds": sim,
+                "total_candidates": candidates,
+                "exact_vs_flat": bool(exact),
+                "shard_occupancy": [s.n_genomes for s in sh.shards],
+            }
+    at8 = per_shards[str(max(SHARD_COUNTS))]
+    exact_all = all(s["exact_vs_flat"] for s in per_shards.values())
     summary = {
-        "threshold": threshold,
+        "threshold": THRESHOLD,
         "n_queries": len(queries),
-        "n_genomes": source.n,
-        "shard_counts": list(shspec["shard_counts"]),
+        "n_genomes": spec["n"],
+        "shard_counts": list(SHARD_COUNTS),
         "flat_simulated_seconds": flat_sim,
-        "flat_real_seconds": flat_real,
         "flat_total_candidates": flat_candidates,
         "per_shards": per_shards,
         "fanout_speedup_at_8": (
             flat_sim / at8["simulated_seconds"]
-            if at8["simulated_seconds"] > 0 else float("inf")
+            if at8["simulated_seconds"] > 0
+            else float("inf")
         ),
-        "candidate_pruning_at_8": (
-            flat_candidates / max(at8["total_candidates"], 1)
-        ),
-        "exact_at_all_shard_counts": bool(exact_all),
+        "candidate_pruning_at_8": flat_candidates / max(at8["total_candidates"], 1),
+        "exact_at_all_shard_counts": exact_all,
     }
     print(
-        f"  {name:<24} t={threshold:<5g} {len(queries)} queries: "
+        f"  {name:<24} t={THRESHOLD:<5g} {len(queries)} queries: "
         f"8-band fan-out {summary['fanout_speedup_at_8']:.2f}x modelled "
         f"over flat, band selection keeps "
         f"{at8['total_candidates']} of {flat_candidates} candidate(s) "
@@ -1128,190 +730,92 @@ def run_shards_workload(name: str, spec: dict, shspec: dict, root) -> dict:
     return {"params": dict(spec, **shspec), "summary": summary}
 
 
-def run_shards_harness(smoke: bool = False) -> dict:
-    """The sharded-store section: one trajectory entry."""
-    import tempfile
-
-    workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
-    shspecs = SMOKE_SHARD_SPECS if smoke else SHARD_SPECS
-    entry = {
-        "label": "smoke" if smoke else "full",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "workloads": {},
-    }
-    for name, spec in workloads.items():
-        print(f"== {name} ({spec['figure']}) sharded fan-out ==")
-        with tempfile.TemporaryDirectory(prefix="bench_shards_") as tmp:
-            entry["workloads"][name] = run_shards_workload(
-                name, dict(spec), shspecs[name], Path(tmp)
-            )
-    return entry
-
-
-#: Semantics-section parameters: every registered measure served at the
-#: query section's threshold over abundance-annotated Fig. 2 corpora.
-SEMANTICS_SPECS = {
-    "fig2a_kingsford_like": dict(threshold=0.3, n_queries=24),
-    "fig2b_bigsi_like": dict(threshold=0.3, n_queries=32),
-}
-SMOKE_SEMANTICS_SPECS = {
-    "fig2a_kingsford_like": dict(threshold=0.3, n_queries=8),
-    "fig2b_bigsi_like": dict(threshold=0.3, n_queries=10),
-}
-
-
-def run_semantics_workload(name: str, spec: dict, sespec: dict, root) -> dict:
+def semantics_workload(name: str, spec: dict, smoke: bool) -> dict:
     """Every similarity measure's cascade vs per-pair brute force."""
-    from repro.core.config import SIMILARITY_MEASURES
-    from repro.core.config import SimilarityConfig as _Config
-    from repro.semantics import get_measure
-    from repro.semantics.wminhash import WEIGHTED_MINHASH_FAMILY
-    from repro.service import IndexStore, SimilarityIndex
-
-    source = _source(spec)
-    values = _materialize_values(source)
-    rng = np.random.default_rng(spec["seed"] + 101)
-    counts = [
-        rng.integers(1, 6, size=vals.size).astype(np.int64)
-        for vals in values
-    ]
-    store = IndexStore.create(
-        root, m=spec["m"], codec="adaptive",
-        families=("minhash", WEIGHTED_MINHASH_FAMILY), sketch_size=256,
-    )
-    store.append_many(
-        [
-            (f"s{j:05d}", vals, cnts)
-            for j, (vals, cnts) in enumerate(zip(values, counts))
-        ]
-    )
-    threshold = sespec["threshold"]
-    queries = list(range(min(sespec["n_queries"], source.n)))
-    machine = _machine(spec["nodes"], spec["ranks_per_node"])
-
-    summary: dict = {"threshold": threshold, "n_queries": len(queries)}
-    per_measure = {}
-    for measure_name in SIMILARITY_MEASURES:
-        measure = get_measure(measure_name)
-        engine = SimilarityIndex(
-            store, machine=machine,
-            config=_Config(
-                similarity=measure_name, query_prefilter="cascade",
-                query_cache_size=0,
-            ),
-        )
-        weighted = measure.weighted
-        candidates = verified = matches = 0
-        exact = True
-        real = sim = 0.0
-        for j in queries:
-            q_counts = counts[j] if weighted else None
-            t0 = time.perf_counter()
-            res = engine.query_values(
-                values[j], threshold=threshold, counts=q_counts
+    sespec = _serving(name, smoke, SEMANTICS_QUERIES)
+    families = ("minhash", WEIGHTED_MINHASH_FAMILY)
+    with _indexed(spec, families=families, weighted=True) as (store, values, counts):
+        q = min(sespec["n_queries"], spec["n"])
+        machine = _machine(spec)
+        summary: dict = {"threshold": THRESHOLD, "n_queries": q}
+        per_measure = {}
+        for measure_name in SIMILARITY_MEASURES:
+            measure = get_measure(measure_name)
+            engine = _engine(
+                store, machine, similarity=measure_name, query_prefilter="cascade"
             )
-            real += time.perf_counter() - t0
-            sim += res.simulated_seconds
-            candidates += res.n_candidates
-            verified += res.n_verified
-            matches += len(res.matches)
-            # Independent per-pair reference straight off the measure.
-            ref = []
-            for i, (vals, cnts) in enumerate(zip(values, counts)):
-                score = (
-                    measure.exact_pair(values[j], vals, counts[j], cnts)
-                    if weighted
-                    else measure.exact_pair(values[j], vals)
+            weighted = measure.weighted
+            candidates = verified = matches = 0
+            exact = True
+            sim = 0.0
+            for j in range(q):
+                res = engine.query_values(
+                    values[j], threshold=THRESHOLD, counts=counts[j] if weighted else None
                 )
-                if score >= threshold:
-                    ref.append((f"s{i:05d}", score))
-            ref.sort(key=lambda kv: (-kv[1], kv[0]))
-            got = [(m.name, m.similarity) for m in res.matches]
-            exact = exact and (
-                [n for n, _ in got] == [n for n, _ in ref]
-                and all(
-                    abs(a - b) < 1e-9
-                    for (_, a), (_, b) in zip(got, ref)
+                sim += res.simulated_seconds
+                candidates += res.n_candidates
+                verified += res.n_verified
+                matches += len(res.matches)
+                # Independent per-pair reference straight off the measure.
+                ref = []
+                for i, (vals, cnts) in enumerate(zip(values, counts)):
+                    score = (
+                        measure.exact_pair(values[j], vals, counts[j], cnts)
+                        if weighted
+                        else measure.exact_pair(values[j], vals)
+                    )
+                    if score >= THRESHOLD:
+                        ref.append((f"s{i:05d}", score))
+                ref.sort(key=lambda kv: (-kv[1], kv[0]))
+                got = _hits(res)
+                exact = exact and (
+                    [n for n, _ in got] == [n for n, _ in ref]
+                    and all(abs(a - b) < 1e-9 for (_, a), (_, b) in zip(got, ref))
                 )
+            pruning = candidates / max(verified, 1)
+            per_measure[measure_name] = {
+                "bound_type": measure.bound_type,
+                "total_candidates": candidates,
+                "total_verified": verified,
+                "total_matches": matches,
+                "pruning_ratio": pruning,
+                "exact_vs_bruteforce": bool(exact),
+                "mean_simulated_seconds": sim / q,
+            }
+            summary[f"pruning_{measure_name}"] = pruning
+            summary[f"exact_{measure_name}"] = bool(exact)
+            print(
+                f"  {name:<24} {measure_name:<17} "
+                f"({measure.bound_type}): {pruning:.1f}x pruning "
+                f"({candidates} -> {verified} verified), {matches} match(es), "
+                f"exact={exact}"
             )
-        pruning = candidates / max(verified, 1)
-        per_measure[measure_name] = {
-            "bound_type": measure.bound_type,
-            "total_candidates": candidates,
-            "total_verified": verified,
-            "total_matches": matches,
-            "pruning_ratio": pruning,
-            "exact_vs_bruteforce": bool(exact),
-            "mean_query_seconds": real / len(queries),
-            "mean_simulated_seconds": sim / len(queries),
-        }
-        summary[f"pruning_{measure_name}"] = pruning
-        summary[f"exact_{measure_name}"] = bool(exact)
-        print(
-            f"  {name:<24} {measure_name:<17} "
-            f"({measure.bound_type}): {pruning:.1f}x pruning "
-            f"({candidates} -> {verified} verified), {matches} match(es), "
-            f"exact={exact}"
-        )
     summary["all_measures_exact"] = all(
-        per_measure[m]["exact_vs_bruteforce"] for m in per_measure
+        m["exact_vs_bruteforce"] for m in per_measure.values()
     )
-    return {
-        "params": dict(spec, **sespec),
-        "measures": per_measure,
-        "summary": summary,
-    }
+    return {"params": dict(spec, **sespec), "measures": per_measure, "summary": summary}
 
 
-def run_semantics_harness(smoke: bool = False) -> dict:
-    """The similarity-semantics section: one trajectory entry."""
-    import tempfile
-
-    workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
-    sespecs = SMOKE_SEMANTICS_SPECS if smoke else SEMANTICS_SPECS
-    entry = {
-        "label": "smoke" if smoke else "full",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "workloads": {},
-    }
-    for name, spec in workloads.items():
-        print(f"== {name} ({spec['figure']}) similarity measures ==")
-        with tempfile.TemporaryDirectory(prefix="bench_semantics_") as tmp:
-            entry["workloads"][name] = run_semantics_workload(
-                name, dict(spec), sespecs[name], Path(tmp) / "index"
-            )
-    return entry
-
-
-def run_harness(smoke: bool = False) -> dict:
-    """Run every workload under every policy; return one trajectory entry."""
-    workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
-    entry = {
-        "label": "smoke" if smoke else "full",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "workloads": {},
-    }
-    for name, spec in workloads.items():
-        print(f"== {name} ({spec['figure']}) ==")
-        entry["workloads"][name] = run_workload(name, dict(spec))
-    print("== fig3_sparsity_sweep ==")
-    if smoke:
-        points = run_sweep(SMOKE_SWEEP_DENSITIES, SMOKE_SWEEP_SHAPE)
-    else:
-        points = run_sweep(SWEEP_DENSITIES, SWEEP_SHAPE)
-    entry["workloads"]["fig3_sparsity_sweep"] = {"points": points}
-    return entry
+#: The report: section name -> ``run(smoke) -> {workload: record}``, in
+#: run order (``wire`` hands its exact runs to ``sketch``).  Section
+#: ``x`` appends to ``BENCH_x.json``, the file ``tools/check_bench.py``
+#: gates for it.
+SECTIONS = {
+    "kernels": run_kernels,
+    "pipeline": section("batch schedules", pipeline_workload),
+    "wire": section("wire codecs", wire_workload),
+    "sketch": section("sketch estimators", sketch_workload),
+    "query": section("threshold queries", query_workload),
+    "service": section("batched queries", service_workload),
+    "lsh": section("LSH candidate index", lsh_workload),
+    "shards": section("sharded fan-out", shards_workload),
+    "semantics": section("similarity measures", semantics_workload),
+}
 
 
 def append_entry(entry: dict, output: Path) -> None:
-    """Append one trajectory entry to the persistent benchmark file."""
-    if output.exists():
-        data = json.loads(output.read_text())
-    else:
-        data = {"schema": 1, "runs": []}
+    """Append one trajectory entry to a persistent benchmark file."""
+    data = json.loads(output.read_text()) if output.exists() else {"schema": 1, "runs": []}
     data["runs"].append(entry)
     output.write_text(json.dumps(data, indent=2) + "\n")
     print(f"wrote {output} ({len(data['runs'])} run(s) recorded)")
@@ -1321,254 +825,26 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="tiny sizes for CI; skips writing unless --output is given",
+        help="tiny sizes (CI); writes nothing unless --out-dir is given",
     )
     parser.add_argument(
-        "--output", type=Path, default=None,
-        help=f"kernel trajectory file to append to (default {DEFAULT_OUTPUT})",
-    )
-    parser.add_argument(
-        "--pipeline-output", type=Path, default=None,
-        help=(
-            f"pipeline trajectory file to append to (default "
-            f"{DEFAULT_PIPELINE_OUTPUT}; redirecting --output without "
-            f"this flag skips the pipeline file so a redirected run "
-            f"never touches the committed trajectories)"
-        ),
-    )
-    parser.add_argument(
-        "--wire-output", type=Path, default=None,
-        help=(
-            f"wire-codec trajectory file to append to (default "
-            f"{DEFAULT_WIRE_OUTPUT}; same redirect rule as "
-            f"--pipeline-output)"
-        ),
-    )
-    parser.add_argument(
-        "--sketch-output", type=Path, default=None,
-        help=(
-            f"sketch-estimator trajectory file to append to (default "
-            f"{DEFAULT_SKETCH_OUTPUT}; same redirect rule as "
-            f"--pipeline-output)"
-        ),
-    )
-    parser.add_argument(
-        "--query-output", type=Path, default=None,
-        help=(
-            f"query-engine trajectory file to append to (default "
-            f"{DEFAULT_QUERY_OUTPUT}; same redirect rule as "
-            f"--pipeline-output)"
-        ),
-    )
-    parser.add_argument(
-        "--service-output", type=Path, default=None,
-        help=(
-            f"batched-service trajectory file to append to (default "
-            f"{DEFAULT_SERVICE_OUTPUT}; same redirect rule as "
-            f"--pipeline-output)"
-        ),
-    )
-    parser.add_argument(
-        "--lsh-output", type=Path, default=None,
-        help=(
-            f"LSH candidate-index trajectory file to append to (default "
-            f"{DEFAULT_LSH_OUTPUT}; same redirect rule as "
-            f"--pipeline-output)"
-        ),
-    )
-    parser.add_argument(
-        "--shards-output", type=Path, default=None,
-        help=(
-            f"sharded-store trajectory file to append to (default "
-            f"{DEFAULT_SHARDS_OUTPUT}; same redirect rule as "
-            f"--pipeline-output)"
-        ),
-    )
-    parser.add_argument(
-        "--semantics-output", type=Path, default=None,
-        help=(
-            f"similarity-semantics trajectory file to append to (default "
-            f"{DEFAULT_SEMANTICS_OUTPUT}; same redirect rule as "
-            f"--pipeline-output)"
-        ),
+        "--out-dir", type=Path, default=None,
+        help="directory of the BENCH_<section>.json files to append to "
+        f"(default for a full run: {REPO_ROOT})",
     )
     args = parser.parse_args(argv)
-    entry = run_harness(smoke=args.smoke)
-    output = args.output
-    if output is None and not args.smoke:
-        output = DEFAULT_OUTPUT
-    if output is not None:
-        append_entry(entry, output)
-    pipeline_entry = run_pipeline_harness(smoke=args.smoke)
-    pipeline_output = args.pipeline_output
-    # Redirecting --output signals "don't touch the committed
-    # trajectories", so only default the pipeline file when the kernel
-    # file also went to its default.
-    if pipeline_output is None and not args.smoke and args.output is None:
-        pipeline_output = DEFAULT_PIPELINE_OUTPUT
-    if pipeline_output is not None:
-        append_entry(pipeline_entry, pipeline_output)
-    elif not args.smoke:
-        print(
-            "pipeline trajectory not written (--output was redirected; "
-            "pass --pipeline-output to record it)"
-        )
-    wire_entry, wire_baselines = run_wire_harness(smoke=args.smoke)
-    wire_output = args.wire_output
-    if wire_output is None and not args.smoke and args.output is None:
-        wire_output = DEFAULT_WIRE_OUTPUT
-    if wire_output is not None:
-        append_entry(wire_entry, wire_output)
-    elif not args.smoke:
-        print(
-            "wire trajectory not written (--output was redirected; "
-            "pass --wire-output to record it)"
-        )
-    sketch_entry = run_sketch_harness(
-        smoke=args.smoke, baselines=wire_baselines
-    )
-    sketch_output = args.sketch_output
-    if sketch_output is None and not args.smoke and args.output is None:
-        sketch_output = DEFAULT_SKETCH_OUTPUT
-    if sketch_output is not None:
-        append_entry(sketch_entry, sketch_output)
-    elif not args.smoke:
-        print(
-            "sketch trajectory not written (--output was redirected; "
-            "pass --sketch-output to record it)"
-        )
-    query_entry = run_query_harness(smoke=args.smoke)
-    query_output = args.query_output
-    if query_output is None and not args.smoke and args.output is None:
-        query_output = DEFAULT_QUERY_OUTPUT
-    if query_output is not None:
-        append_entry(query_entry, query_output)
-    elif not args.smoke:
-        print(
-            "query trajectory not written (--output was redirected; "
-            "pass --query-output to record it)"
-        )
-    service_entry = run_service_harness(smoke=args.smoke)
-    service_output = args.service_output
-    if service_output is None and not args.smoke and args.output is None:
-        service_output = DEFAULT_SERVICE_OUTPUT
-    if service_output is not None:
-        append_entry(service_entry, service_output)
-    elif not args.smoke:
-        print(
-            "service trajectory not written (--output was redirected; "
-            "pass --service-output to record it)"
-        )
-    lsh_entry = run_lsh_harness(smoke=args.smoke)
-    lsh_output = args.lsh_output
-    if lsh_output is None and not args.smoke and args.output is None:
-        lsh_output = DEFAULT_LSH_OUTPUT
-    if lsh_output is not None:
-        append_entry(lsh_entry, lsh_output)
-    elif not args.smoke:
-        print(
-            "lsh trajectory not written (--output was redirected; "
-            "pass --lsh-output to record it)"
-        )
-    shards_entry = run_shards_harness(smoke=args.smoke)
-    shards_output = args.shards_output
-    if shards_output is None and not args.smoke and args.output is None:
-        shards_output = DEFAULT_SHARDS_OUTPUT
-    if shards_output is not None:
-        append_entry(shards_entry, shards_output)
-    elif not args.smoke:
-        print(
-            "shards trajectory not written (--output was redirected; "
-            "pass --shards-output to record it)"
-        )
-    semantics_entry = run_semantics_harness(smoke=args.smoke)
-    semantics_output = args.semantics_output
-    if semantics_output is None and not args.smoke and args.output is None:
-        semantics_output = DEFAULT_SEMANTICS_OUTPUT
-    if semantics_output is not None:
-        append_entry(semantics_entry, semantics_output)
-    elif not args.smoke:
-        print(
-            "semantics trajectory not written (--output was redirected; "
-            "pass --semantics-output to record it)"
-        )
-    for name, wl in entry["workloads"].items():
-        if "summary" not in wl:
-            continue
-        s = wl["summary"]
-        print(
-            f"{name}: adaptive uses {'/'.join(s['adaptive_kernels'])}, "
-            f"{s['adaptive_speedup_vs_worst_fixed']:.2f}x over worst fixed "
-            f"({s['worst_fixed_policy']})"
-        )
-    for name, wl in pipeline_entry["workloads"].items():
-        s = wl["summary"]
-        print(
-            f"{name}: double_buffer {s['speedup']:.2f}x over serial "
-            f"(hid {s['overlap_saved_seconds']:.4f}s of "
-            f"{s['serial_simulated_seconds']:.4f}s)"
-        )
-    for name, wl in wire_entry["workloads"].items():
-        s = wl["summary"]
-        print(
-            f"{name}: adaptive codec keeps "
-            f"{s['wire_reduction_raw_vs_adaptive']:.2f}x off the wire "
-            f"(bit-exact: {s['all_policies_bit_exact']})"
-        )
-    for name, wl in sketch_entry["workloads"].items():
-        s = wl["summary"]
-        if s["best_estimator_within_2pct"]:
-            print(
-                f"{name}: {s['best_estimator_within_2pct']} keeps "
-                f"{s['best_wire_reduction_vs_exact']:.1f}x off the wire vs "
-                f"exact at {s['best_mean_abs_error']:.4f} mean error"
-            )
-        else:
-            print(f"{name}: no estimator met the 2% mean-error budget")
-    for name, wl in query_entry["workloads"].items():
-        s = wl["summary"]
-        print(
-            f"{name}: query cascade prunes {s['pruning_ratio']:.1f}x of "
-            f"candidates at t={s['threshold']:g} "
-            f"(exact: {s['exact_vs_bruteforce']}, modelled "
-            f"{s['simulated_speedup_vs_bruteforce']:.1f}x over brute force)"
-        )
-    for name, wl in service_entry["workloads"].items():
-        s = wl["summary"]
-        print(
-            f"{name}: batched service {s['batched_speedup_at_8_plus']:.1f}x "
-            f"modelled over serial at batch >= 8 "
-            f"(exact vs per-query: {s['exact_vs_perquery']}, "
-            f"vs brute force: {s['exact_vs_bruteforce']})"
-        )
-    for name, wl in lsh_entry["workloads"].items():
-        s = wl["summary"]
-        print(
-            f"{name}: LSH probe cuts candidates "
-            f"{s['candidate_reduction_vs_scan']:.1f}x vs the size scan "
-            f"(recall {s['measured_recall']:.3f} >= "
-            f"{s['analytic_recall_bound']:.3f}: "
-            f"{s['recall_meets_analytic_bound']}, lsh_exact==brute: "
-            f"{s['lsh_exact_vs_bruteforce']})"
-        )
-    for name, wl in shards_entry["workloads"].items():
-        s = wl["summary"]
-        print(
-            f"{name}: 8-band fan-out {s['fanout_speedup_at_8']:.2f}x "
-            f"modelled over flat, {s['candidate_pruning_at_8']:.1f}x "
-            f"candidate pruning (exact at {s['shard_counts']}: "
-            f"{s['exact_at_all_shard_counts']})"
-        )
-    for name, wl in semantics_entry["workloads"].items():
-        s = wl["summary"]
-        prunes = "/".join(
-            f"{s[f'pruning_{m}']:.1f}x"
-            for m in ("jaccard", "weighted_jaccard", "containment", "cosine")
-        )
-        print(
-            f"{name}: measures J/Jw/C/cos prune {prunes} at "
-            f"t={s['threshold']:g} (all exact: {s['all_measures_exact']})"
-        )
+    out_dir = args.out_dir or (None if args.smoke else REPO_ROOT)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    for name, run in SECTIONS.items():
+        entry = {
+            "label": "smoke" if args.smoke else "full",
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "numpy": np.__version__,
+            "workloads": run(args.smoke),
+        }
+        if out_dir is not None:
+            append_entry(entry, out_dir / f"BENCH_{name}.json")
     return 0
 
 

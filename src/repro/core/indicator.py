@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.sparse.coo import CooMatrix
 from repro.util.arrays import sorted_unique
+from repro.util.partition import round_robin_indices
 from repro.util.prng import rng_for
 
 
@@ -64,12 +65,6 @@ class IndicatorSource(Protocol):
         ...
 
 
-def _reader_samples(n: int, rank: int, n_readers: int) -> np.ndarray:
-    if not 0 <= rank < n_readers:
-        raise IndexError(f"reader rank {rank} out of range for {n_readers}")
-    return np.arange(rank, n, n_readers, dtype=np.int64)
-
-
 class SortedSampleSource:
     """Batched reads over one sorted, duplicate-free value array per sample.
 
@@ -95,7 +90,7 @@ class SortedSampleSource:
         return memo[2]
 
     def read_batch(self, lo: int, hi: int, rank: int, n_readers: int) -> CooMatrix:
-        samples = _reader_samples(self.n, rank, n_readers)
+        samples = round_robin_indices(self.n, n_readers, rank)
         bounds = self._window_table(lo, hi)[samples]
         parts = [
             self._load(j)[a:b]
@@ -106,7 +101,7 @@ class SortedSampleSource:
         return CooMatrix(rows, cols, (hi - lo, self.n))
 
     def read_bytes(self, lo: int, hi: int, rank: int, n_readers: int) -> int:
-        bounds = self._window_table(lo, hi)[_reader_samples(self.n, rank, n_readers)]
+        bounds = self._window_table(lo, hi)[round_robin_indices(self.n, n_readers, rank)]
         return int((bounds[:, 1] - bounds[:, 0]).sum()) * 8
 
 
@@ -272,7 +267,7 @@ class SyntheticSource:
     def read_batch(self, lo: int, hi: int, rank: int, n_readers: int) -> CooMatrix:
         span = hi - lo
         rows_parts, cols_parts = [], []
-        for j in _reader_samples(self.n, rank, n_readers):
+        for j in round_robin_indices(self.n, n_readers, rank):
             rng = rng_for(self.seed, "cell", j, lo, hi)
             count = rng.binomial(span, self._col_density[j])
             if count:
@@ -284,7 +279,7 @@ class SyntheticSource:
         return CooMatrix(rows, cols, (span, self.n))
 
     def read_bytes(self, lo: int, hi: int, rank: int, n_readers: int) -> int:
-        samples = _reader_samples(self.n, rank, n_readers)
+        samples = round_robin_indices(self.n, n_readers, rank)
         expected = float((hi - lo) * self._col_density[samples].sum())
         return int(expected * 8)
 

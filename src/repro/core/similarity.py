@@ -52,11 +52,7 @@ from repro.runtime.pipeline import StageTiming, run_batches
 from repro.runtime.topology import ProcessorGrid
 from repro.sparse.dispatch import DispatchDecision, choose_kernel
 from repro.sparse.distributed import DistDenseMatrix, DistVector
-from repro.sparse.sketch_exchange import (
-    SketchFamily,
-    exchange_and_estimate,
-    owned_samples,
-)
+from repro.sparse.sketch_exchange import SketchFamily, exchange_and_estimate
 from repro.sparse.summa import (
     colsums_2d,
     fiber_reduce,
@@ -65,6 +61,7 @@ from repro.sparse.summa import (
     summa_gram_2d,
 )
 from repro.util.arrays import sorted_unique
+from repro.util.partition import round_robin_indices
 
 
 @dataclass(frozen=True)
@@ -504,7 +501,7 @@ class SimilarityAtScale:
         families = [
             SketchFamily(
                 estimator=config.estimator,
-                sample_ids=owned_samples(n, r, comm.size),
+                sample_ids=round_robin_indices(n, comm.size, r),
                 size=config.sketch_size,
                 bits=config.sketch_bits,
                 seed=config.sketch_seed,

@@ -8,13 +8,13 @@ data distribution.  This package re-implements that subset:
 * :mod:`~repro.sparse.semiring` — monoid/semiring abstraction, including
   the ``(max, x)`` structure used for the filter vector and the
   popcount-AND structure used for the compressed product;
-* :mod:`~repro.sparse.coo`, :mod:`~repro.sparse.csr` — minimal boolean /
-  integer sparse formats tailored to hypersparse indicator matrices;
+* :mod:`~repro.sparse.coo` — a minimal boolean / integer coordinate
+  format tailored to hypersparse indicator matrices;
 * :mod:`~repro.sparse.bitmatrix` — the b-bit packed column-block format
   of §III-B technique (3);
 * :mod:`~repro.sparse.spgemm` — local Gram kernels ``B = A^T A``
   (dense-word popcount sweeps, the word-tiled blocked fast path, and
-  hypersparse row-outer-product variants);
+  the hypersparse row-outer-product kernel);
 * :mod:`~repro.sparse.dispatch` — density-adaptive routing between the
   local kernels, driven by post-filter batch statistics;
 * :mod:`~repro.sparse.distributed` — block-distributed matrices over
@@ -29,7 +29,6 @@ data distribution.  This package re-implements that subset:
 
 from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.coo import CooMatrix
-from repro.sparse.csr import CsrMatrix
 from repro.sparse.dispatch import (
     GRAM_KERNELS,
     KERNEL_POLICIES,
@@ -49,13 +48,10 @@ from repro.sparse.sketch_exchange import (
     ExchangeOutcome,
     SketchFamily,
     exchange_and_estimate,
-    owned_samples,
 )
 from repro.sparse.spgemm import (
     colsum_bitpacked,
-    colsum_csr,
     gram_bitpacked,
-    gram_csr_outer,
     gram_outer_pair,
     gram_popcount_blocked,
 )
@@ -63,7 +59,6 @@ from repro.sparse.spgemm import (
 __all__ = [
     "BitMatrix",
     "CooMatrix",
-    "CsrMatrix",
     "Semiring",
     "ARITHMETIC",
     "BOOLEAN",
@@ -76,13 +71,10 @@ __all__ = [
     "predict_kernel_ops",
     "resolve_kernel",
     "gram_bitpacked",
-    "gram_csr_outer",
     "gram_outer_pair",
     "gram_popcount_blocked",
     "colsum_bitpacked",
-    "colsum_csr",
     "ExchangeOutcome",
     "SketchFamily",
     "exchange_and_estimate",
-    "owned_samples",
 ]

@@ -3,7 +3,7 @@
 COO is the construction format of the pipeline: ranks read ``(value,
 sample)`` pairs from input files and accumulate them as ``(row, col)``
 coordinates; filtering, compaction and redistribution all operate on raw
-coordinate arrays before the batch is frozen into CSR or a packed
+coordinate arrays before the batch is frozen into a packed
 :class:`~repro.sparse.bitmatrix.BitMatrix`.
 
 Boolean matrices (the indicator ``A``) carry ``data=None`` — every stored
@@ -172,19 +172,6 @@ class CooMatrix:
         else:
             np.add.at(out, (self.rows, self.cols), self.data.astype(dtype))
         return out
-
-    def to_csr(self) -> "CsrMatrix":
-        from repro.sparse.csr import CsrMatrix
-
-        dedup = self.deduplicate()
-        order = np.lexsort((dedup.cols, dedup.rows))
-        rows = dedup.rows[order]
-        cols = dedup.cols[order]
-        data = dedup.data[order] if dedup.data is not None else None
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return CsrMatrix(indptr=indptr, indices=cols, shape=self.shape, data=data)
 
     def concatenate(self, other: "CooMatrix") -> "CooMatrix":
         """Union of coordinate lists (shapes must match)."""

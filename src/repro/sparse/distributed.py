@@ -17,11 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.runtime.codec import WireCodec
 from repro.runtime.topology import ProcessorGrid
 from repro.sparse.bitmatrix import BitMatrix
-from repro.sparse.coo import CooMatrix
-from repro.util.arrays import merge_messages, split_by_destination
 from repro.util.partition import block_bounds
 
 
@@ -48,7 +45,8 @@ class DistWordMatrix:
     """A bit-packed matrix distributed over one grid layer's face.
 
     ``blocks[(s, t)]`` is the :class:`BitMatrix` with bit rows
-    ``row_bounds[s]`` and columns ``col_bounds[t]``.
+    ``row_bounds[s]`` and columns ``col_bounds[t]``.  Built, one per
+    replication layer, by :func:`repro.core.bitmask.distribute_and_pack`.
     """
 
     grid: ProcessorGrid
@@ -85,67 +83,6 @@ class DistWordMatrix:
             clo, chi = self.col_bounds[t]
             out[rlo:rhi, clo:chi] = blk.to_dense()
         return out
-
-    @classmethod
-    def from_coo_chunks(
-        cls,
-        grid: ProcessorGrid,
-        layer: int,
-        chunks: list[CooMatrix],
-        n_rows_bits: int,
-        n_cols: int,
-        bit_width: int = 64,
-        codec: WireCodec | None = None,
-    ) -> "DistWordMatrix":
-        """Redistribute per-rank COO chunks into the 2-D block layout.
-
-        ``chunks[r]`` holds the coordinates currently resident on the
-        layer's local rank ``r`` (in *global* batch coordinates).  One
-        all-to-all moves every nonzero to its owner block, then each owner
-        packs its block locally — mirroring the paper's write of the
-        masked entries into the distributed Cyclops matrix.  ``codec``
-        routes the coordinate payloads through the wire-format codec
-        (sorted index stacks are the delta+varint codec's home turf).
-        """
-        comm = grid.layer_comm(layer)
-        q = grid.rows
-        if len(chunks) != comm.size:
-            raise ValueError(
-                f"need one chunk per layer rank ({comm.size}), got {len(chunks)}"
-            )
-        row_bounds = word_aligned_row_bounds(n_rows_bits, q, bit_width)
-        col_bounds = [block_bounds(n_cols, grid.cols, t) for t in range(grid.cols)]
-        row_hi = np.array([hi for _, hi in row_bounds], dtype=np.int64)
-        col_hi = np.array([hi for _, hi in col_bounds], dtype=np.int64)
-        send = [
-            split_by_destination(
-                np.searchsorted(row_hi, coo.rows, side="right") * grid.cols
-                + np.searchsorted(col_hi, coo.cols, side="right"),
-                coo.rows, coo.cols, comm.size,
-            )
-            for coo in chunks
-        ]
-        received = comm.alltoallv(send, codec=codec)
-
-        matrix = cls(
-            grid=grid,
-            layer=layer,
-            row_bounds=row_bounds,
-            col_bounds=col_bounds,
-            bit_width=bit_width,
-        )
-        flops = []
-        for local_rank in range(comm.size):
-            s, t = divmod(local_rank, grid.cols)
-            rlo, rhi = row_bounds[s]
-            clo, chi = col_bounds[t]
-            rows, cols = merge_messages(received[local_rank])
-            matrix.blocks[(s, t)] = BitMatrix.from_coo(
-                rows - rlo, cols - clo, rhi - rlo, chi - clo, bit_width
-            )
-            flops.append(float(rows.size))
-        comm.charge_compute(flops)
-        return matrix
 
 
 @dataclass

@@ -5,9 +5,10 @@ The exact pipeline ships packed indicator *tiles*; this module ships
 independent of ``m`` (attribute universe) and linear in ``n`` (samples).
 The exchange pattern is deliberately simple and communication-minimal:
 
-1. every rank builds sketches for the samples it owns (cyclic
-   assignment ``j % p == r``, matching the reader layout of
-   :mod:`repro.core.indicator`), streamed batch by batch;
+1. every rank builds sketches for the samples it owns (the cyclic
+   assignment ``j % p == r`` of
+   :func:`repro.util.partition.round_robin_indices`, matching the reader
+   layout of :mod:`repro.core.indicator`), streamed batch by batch;
 2. per-rank sketch payloads are **gathered** to the root through
    :meth:`~repro.runtime.comm.Communicator.gatherv`, riding the PR-3
    wire codecs — packed b-bit words and HLL registers travel as RLE/raw
@@ -50,11 +51,6 @@ from repro.core.sketch import (
 from repro.runtime.codec import WireCodec
 from repro.runtime.comm import Communicator
 from repro.sparse.coo import CooMatrix
-
-
-def owned_samples(n: int, rank: int, n_ranks: int) -> np.ndarray:
-    """Global sample ids owned by ``rank`` (cyclic reader assignment)."""
-    return np.arange(rank, n, n_ranks, dtype=np.int64)
 
 
 @dataclass

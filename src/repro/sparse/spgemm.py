@@ -1,6 +1,6 @@
 """Local Gram kernels: ``B = X^T Y`` over Jaccard-relevant semirings.
 
-Four kernels cover the density regimes the paper evaluates:
+Three kernels cover the density regimes the paper evaluates:
 
 * :func:`gram_bitpacked` — the Eq. 7 popcount kernel on bit-packed
   matrices.  Cost ``O(w * n_x * n_y)`` word operations where ``w`` is the
@@ -12,14 +12,13 @@ Four kernels cover the density regimes the paper evaluates:
   cache-resident word tiles.  Same result as :func:`gram_bitpacked`,
   roughly half the modelled word operations (one pass instead of
   materialize-then-reduce).
-* :func:`gram_csr_outer` — hypersparse row-outer-product accumulation:
-  every nonzero row ``k`` with column set ``c_k`` adds 1 to ``B[c_k x
-  c_k]``; cost ``O(sum_k |c_k|^2)``, independent of ``n^2`` — the right
-  choice for BIGSI-like inputs where most pairs of samples share nothing.
-* :func:`gram_outer_pair` — the pairwise (``X^T Y``) form of the outer
-  kernel operating directly on bit-packed blocks, which is what the
-  distributed SUMMA layer needs when the dispatcher routes a hypersparse
-  batch away from the popcount sweeps.
+* :func:`gram_outer_pair` — hypersparse row-outer-product accumulation
+  on bit-packed blocks: every row ``k`` present in both operands adds 1
+  to ``B[c_k^x x c_k^y]``; cost ``O(sum_k |c_k^x| * |c_k^y|)``,
+  independent of ``n^2`` — the right choice for BIGSI-like inputs where
+  most pairs of samples share nothing, and what the distributed SUMMA
+  layer runs when the dispatcher routes a hypersparse batch away from the
+  popcount sweeps.
 
 All kernels produce the same dense int64 Gram matrix; tests assert exact
 agreement with a dense boolean reference on random inputs.  The
@@ -39,7 +38,6 @@ from typing import Any
 import numpy as np
 
 from repro.sparse.bitmatrix import BitMatrix
-from repro.sparse.csr import CsrMatrix
 
 #: Soft cap on the temporary expansion a blocked kernel may allocate.
 DEFAULT_BLOCK_BYTES = 64 * 2**20
@@ -212,9 +210,8 @@ def gram_outer_pair(
     Extracts bit-level coordinates from both operands (cheap exactly when
     the blocks are hypersparse), groups them by row, and accumulates the
     outer product ``B[c_k^x times c_k^y] += 1`` for every row ``k``
-    present in both.  With ``y is None`` this reduces to the symmetric
-    :func:`gram_csr_outer` accumulation and produces bit-identical
-    results to the popcount kernels.
+    present in both.  With ``y is None`` it computes the symmetric
+    ``x^T x``; results are bit-identical to the popcount kernels.
 
     Cost ``O(sum_k |c_k^x| * |c_k^y|)`` scatter-adds, independent of
     ``n_x * n_y``; chunks are bounded by ``block_bytes // 16`` index
@@ -304,54 +301,8 @@ def _scatter_row_pairs(
     np.add.at(out, (left, yc[yi]), 1)
 
 
-def gram_csr_outer(
-    a: CsrMatrix,
-    block_pairs: int = DEFAULT_BLOCK_BYTES // 16,
-) -> KernelResult:
-    """Hypersparse Gram via row outer products.
-
-    For every stored row ``k`` with column indices ``c_k``, accumulates
-    ``B[c_k x c_k] += 1`` (boolean inputs; weighted CSR uses the product
-    of the two stored values).  Rows are processed grouped by degree so
-    the pair expansion vectorizes; chunks are bounded by ``block_pairs``
-    index pairs at a time.
-    """
-    n = a.shape[1]
-    out = np.zeros((n, n), dtype=np.int64)
-    degrees = a.row_degrees()
-    nz_rows = np.flatnonzero(degrees > 0)
-    if nz_rows.size == 0:
-        return KernelResult(out, 0.0, 0.0)
-    flops = float(np.square(degrees[nz_rows], dtype=np.float64).sum())
-    for d in np.unique(degrees[nz_rows]):
-        rows_d = nz_rows[degrees[nz_rows] == d]
-        rows_per_chunk = max(1, block_pairs // int(d * d))
-        for lo in range(0, rows_d.size, rows_per_chunk):
-            chunk = rows_d[lo : lo + rows_per_chunk]
-            # Gather the column lists of this degree class: (R, d).
-            gather = (
-                a.indptr[chunk][:, None] + np.arange(d, dtype=np.int64)[None, :]
-            )
-            cols = a.indices[gather]
-            left = np.broadcast_to(cols[:, :, None], (chunk.size, d, d))
-            right = np.broadcast_to(cols[:, None, :], (chunk.size, d, d))
-            if a.is_boolean:
-                np.add.at(out, (left.ravel(), right.ravel()), 1)
-            else:
-                vals = a.data[gather]
-                prod = (vals[:, :, None] * vals[:, None, :]).astype(np.int64)
-                np.add.at(out, (left.ravel(), right.ravel()), prod.ravel())
-    working_set = float(a.nbytes + out.nbytes)
-    return KernelResult(out, flops, working_set)
-
-
 def colsum_bitpacked(x: BitMatrix) -> KernelResult:
     """Column popcounts — one batch's contribution to ``a-hat`` (Eq. 4)."""
     sums = x.column_popcounts()
     return KernelResult(sums, float(x.words.size), float(x.nbytes))
 
-
-def colsum_csr(a: CsrMatrix) -> KernelResult:
-    """Column sums of a CSR matrix."""
-    sums = a.column_sums()
-    return KernelResult(sums, float(a.nnz), float(a.nbytes))

@@ -57,6 +57,15 @@ class TestSetSource:
             cols.extend(src.read_batch(0, 5, r, 3).cols.tolist())
         assert sorted(cols) == [0, 1, 2, 3]
 
+    def test_bad_reader_rank_raises(self):
+        sources = [SetSource([{1}, {2}], m=5), SyntheticSource(m=5, n=2, density=0.5)]
+        for src in sources:
+            for rank in (-1, 3):
+                with pytest.raises(IndexError):
+                    src.read_batch(0, 5, rank, 3)
+                with pytest.raises(IndexError):
+                    src.read_bytes(0, 5, rank, 3)
+
     def test_read_bytes_proportional_to_values(self):
         src = SetSource([set(range(20)), set()], m=30)
         assert src.read_bytes(0, 30, 0, 2) == 20 * 8

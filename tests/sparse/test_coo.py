@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.coo import CooMatrix
 
 
@@ -126,11 +127,15 @@ class TestTransformations:
             a.concatenate(b)
 
     @settings(max_examples=40)
-    @given(seed=st.integers(0, 10_000))
-    def test_csr_roundtrip(self, seed):
+    @given(seed=st.integers(0, 10_000), width=st.sampled_from([8, 16, 32, 64]))
+    def test_bitmatrix_roundtrip(self, seed, width):
+        # A batch is frozen into a packed BitMatrix straight from its COO
+        # coordinates; duplicates collapse in the pack.
         dense = random_dense(seed)
         coo = CooMatrix.from_dense(dense)
-        assert np.array_equal(coo.to_csr().to_dense(), dense)
+        doubled = coo.concatenate(coo)
+        packed = BitMatrix.from_coo(doubled.rows, doubled.cols, *coo.shape, width)
+        assert np.array_equal(packed.to_dense(), dense)
 
     def test_nbytes_positive(self):
         coo = CooMatrix.from_dense(random_dense(4))

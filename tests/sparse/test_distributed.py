@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.bitmask import distribute_and_pack
 from repro.runtime import Machine, laptop
+from repro.runtime.codec import WireCodec
 from repro.runtime.topology import ProcessorGrid
 from repro.sparse.coo import CooMatrix
 from repro.sparse.distributed import (
     DistDenseMatrix,
     DistVector,
-    DistWordMatrix,
     word_aligned_row_bounds,
 )
 
@@ -41,14 +42,20 @@ def build_grid(p, rows, cols, layers=1):
     return ProcessorGrid(Machine(laptop(p)).world, rows, cols, layers)
 
 
+def pack(grid, chunks, n_rows, n_cols, bit_width=64):
+    """The word matrix of a single-layer grid, packed from per-rank chunks."""
+    (mat,) = distribute_and_pack(grid.comm, grid, chunks, n_rows, n_cols, bit_width)
+    return mat
+
+
 class TestDistWordMatrix:
-    def test_from_coo_chunks_assembles(self, rng):
+    def test_distribute_and_pack_assembles(self, rng):
         dense = rng.random((130, 10)) < 0.2
         coo = CooMatrix.from_dense(dense)
         grid = build_grid(4, 2, 2)
         idx = np.array_split(np.arange(coo.nnz), 4)
         chunks = [CooMatrix(coo.rows[i], coo.cols[i], coo.shape) for i in idx]
-        mat = DistWordMatrix.from_coo_chunks(grid, 0, chunks, 130, 10, 32)
+        mat = pack(grid, chunks, 130, 10, 32)
         assert np.array_equal(mat.to_local(), dense)
         assert mat.nnz == coo.nnz
 
@@ -58,7 +65,7 @@ class TestDistWordMatrix:
         grid = build_grid(4, 2, 2)
         chunks = [coo, CooMatrix.empty(coo.shape), CooMatrix.empty(coo.shape),
                   CooMatrix.empty(coo.shape)]
-        mat = DistWordMatrix.from_coo_chunks(grid, 0, chunks, 100, 9, 64)
+        mat = pack(grid, chunks, 100, 9, 64)
         for t in range(2):
             clo, chi = mat.col_bounds[t]
             for s in range(2):
@@ -67,14 +74,42 @@ class TestDistWordMatrix:
     def test_chunk_count_validated(self):
         grid = build_grid(4, 2, 2)
         with pytest.raises(ValueError, match="one chunk per"):
-            DistWordMatrix.from_coo_chunks(grid, 0, [], 10, 4)
+            distribute_and_pack(grid.comm, grid, [], 10, 4)
 
     def test_empty_matrix(self):
         grid = build_grid(4, 2, 2)
         chunks = [CooMatrix.empty((50, 6)) for _ in range(4)]
-        mat = DistWordMatrix.from_coo_chunks(grid, 0, chunks, 50, 6)
+        mat = pack(grid, chunks, 50, 6)
         assert mat.nnz == 0
         assert not mat.to_local().any()
+
+    def test_codec_packs_the_same_matrix(self, rng):
+        dense = rng.random((200, 7)) < 0.1
+        coo = CooMatrix.from_dense(dense)
+        grid = build_grid(4, 2, 2)
+        idx = np.array_split(np.arange(coo.nnz), 4)
+        chunks = [CooMatrix(coo.rows[i], coo.cols[i], coo.shape) for i in idx]
+        (mat,) = distribute_and_pack(
+            grid.comm, grid, chunks, 200, 7, codec=WireCodec("adaptive")
+        )
+        assert np.array_equal(mat.to_local(), dense)
+
+    def test_layers_stack_to_the_input(self, rng):
+        dense = rng.random((300, 6)) < 0.2
+        coo = CooMatrix.from_dense(dense)
+        grid = build_grid(8, 2, 2, layers=2)
+        idx = np.array_split(np.arange(coo.nnz), 8)
+        chunks = [CooMatrix(coo.rows[i], coo.cols[i], coo.shape) for i in idx]
+        mats = distribute_and_pack(grid.comm, grid, chunks, 300, 6)
+        assert [m.layer for m in mats] == [0, 1]
+        assert np.array_equal(np.vstack([m.to_local() for m in mats]), dense)
+
+    def test_communicator_must_match_grid(self):
+        grid = build_grid(4, 2, 2)
+        comm = Machine(laptop(8)).world
+        chunks = [CooMatrix.empty((10, 4)) for _ in range(8)]
+        with pytest.raises(ValueError, match="does not match grid"):
+            distribute_and_pack(comm, grid, chunks, 10, 4)
 
 
 class TestDistDenseMatrix:

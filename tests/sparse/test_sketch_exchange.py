@@ -8,11 +8,8 @@ from repro.core.sketch import SKETCH_ESTIMATORS, estimate_rows
 from repro.runtime.engine import Machine
 from repro.runtime.machine import laptop
 from repro.sparse.coo import CooMatrix
-from repro.sparse.sketch_exchange import (
-    SketchFamily,
-    exchange_and_estimate,
-    owned_samples,
-)
+from repro.sparse.sketch_exchange import SketchFamily, exchange_and_estimate
+from repro.util.partition import round_robin_indices
 
 
 def family_sets():
@@ -38,13 +35,15 @@ def exact_matrix(sets):
 
 
 class TestOwnedSamples:
+    """Ranks own samples cyclically, the reader layout of the sources."""
+
     def test_cyclic_partition(self):
-        parts = [owned_samples(10, r, 4) for r in range(4)]
+        parts = [round_robin_indices(10, 4, r) for r in range(4)]
         assert sorted(np.concatenate(parts).tolist()) == list(range(10))
         assert parts[1].tolist() == [1, 5, 9]
 
     def test_more_ranks_than_samples(self):
-        assert owned_samples(2, 3, 4).size == 0
+        assert round_robin_indices(2, 4, 3).size == 0
 
 
 class TestSketchFamily:
@@ -113,7 +112,7 @@ class TestEstimators:
         n = len(sets)
         fams = []
         for r in range(ranks):
-            ids = owned_samples(n, r, ranks)
+            ids = round_robin_indices(n, ranks, r)
             fam = SketchFamily(
                 estimator=estimator, sample_ids=ids, size=32, bits=6, seed=3
             )
@@ -143,7 +142,7 @@ class TestExchange:
         fams = [
             SketchFamily(
                 estimator="minhash",
-                sample_ids=owned_samples(4, r, 2),
+                sample_ids=round_robin_indices(4, 2, r),
                 size=8, bits=8, seed=0,
             )
             for r in range(2)
@@ -156,7 +155,7 @@ class TestExchange:
         fams = [
             SketchFamily(
                 estimator="bbit_minhash",
-                sample_ids=owned_samples(4, r, 2),
+                sample_ids=round_robin_indices(4, 2, r),
                 size=256 if r == 0 else 128, bits=8, seed=0,
             )
             for r in range(2)
@@ -169,7 +168,7 @@ class TestExchange:
         sets = family_sets()
         fams = []
         for r in range(2):
-            ids = owned_samples(len(sets), r, 2)
+            ids = round_robin_indices(len(sets), 2, r)
             fam = SketchFamily(
                 estimator="minhash", sample_ids=ids,
                 size=2048, bits=8, seed=0,

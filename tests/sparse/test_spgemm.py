@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparse.bitmatrix import BitMatrix
-from repro.sparse.coo import CooMatrix
 from repro.sparse.spgemm import (
     colsum_bitpacked,
-    colsum_csr,
     gram_bitpacked,
-    gram_csr_outer,
     gram_dense_reference,
+    gram_outer_pair,
+    gram_popcount_blocked,
 )
+
+#: Every Gram kernel the dispatcher can route a batch to.
+KERNELS = [gram_bitpacked, gram_popcount_blocked, gram_outer_pair]
 
 
 def random_dense(seed, max_m=150, max_n=12, density=None):
@@ -81,40 +83,31 @@ class TestGramBitpacked:
         res = gram_bitpacked(BitMatrix.from_dense(dense))
         assert np.array_equal(np.diag(res.value), dense.sum(axis=0))
 
+    def test_flops_at_most_the_dense_word_sweep(self, rng):
+        bm = BitMatrix.from_dense(rng.random((640, 9)) < 0.6)
+        pairs = 9 * 10 // 2
+        assert gram_bitpacked(bm).flops <= 2.0 * bm.n_word_rows * pairs
 
-class TestGramCsrOuter:
-    @settings(max_examples=50)
-    @given(seed=st.integers(0, 10_000))
-    def test_matches_reference(self, seed):
-        dense = random_dense(seed)
-        csr = CooMatrix.from_dense(dense).to_csr()
-        res = gram_csr_outer(csr)
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
+class TestKernelsAgree:
+    """The kernels differ in cost, never in value."""
+
+    @pytest.mark.parametrize("density", [0.01, 0.2, 0.7])
+    def test_symmetric_matches_reference(self, kernel, density, rng):
+        dense = rng.random((333, 10)) < density
+        res = kernel(BitMatrix.from_dense(dense))
+        assert res.value.dtype == np.int64
         assert np.array_equal(res.value, gram_dense_reference(dense))
 
-    def test_chunking_invariance(self, rng):
-        dense = rng.random((300, 10)) < 0.15
-        csr = CooMatrix.from_dense(dense).to_csr()
-        full = gram_csr_outer(csr).value
-        for bp in (16, 128, 1 << 20):
-            assert np.array_equal(gram_csr_outer(csr, block_pairs=bp).value, full)
+    def test_pair_form_matches_symmetric_form(self, kernel, rng):
+        bm = BitMatrix.from_dense(rng.random((200, 7)) < 0.3, 32)
+        assert np.array_equal(kernel(bm, bm).value, kernel(bm).value)
 
-    def test_weighted_rows(self):
-        dense = np.array([[2, 3], [0, 1]])
-        csr = CooMatrix.from_dense(dense).to_csr()
-        res = gram_csr_outer(csr)
-        assert np.array_equal(res.value, dense.T @ dense)
-
-    def test_empty(self):
-        csr = CooMatrix.empty((10, 4)).to_csr()
-        res = gram_csr_outer(csr)
+    def test_no_rows(self, kernel):
+        res = kernel(BitMatrix.zeros(0, 4))
         assert np.array_equal(res.value, np.zeros((4, 4), dtype=np.int64))
-
-    def test_flops_is_sum_of_squared_degrees(self, rng):
-        dense = rng.random((50, 6)) < 0.3
-        csr = CooMatrix.from_dense(dense).to_csr()
-        res = gram_csr_outer(csr)
-        degrees = dense.sum(axis=1)
-        assert res.flops == float((degrees.astype(np.int64) ** 2).sum())
+        assert res.flops == 0.0
 
 
 class TestColsums:
@@ -123,8 +116,13 @@ class TestColsums:
         res = colsum_bitpacked(BitMatrix.from_dense(dense))
         assert np.array_equal(res.value, dense.sum(axis=0))
 
-    def test_csr(self, rng):
-        dense = rng.random((70, 5)) < 0.4
-        res = colsum_csr(CooMatrix.from_dense(dense).to_csr())
-        assert np.array_equal(res.value, dense.sum(axis=0))
+    def test_equals_gram_diagonal(self, rng):
+        bm = BitMatrix.from_dense(rng.random((150, 6)) < 0.25, 16)
+        assert np.array_equal(
+            colsum_bitpacked(bm).value, np.diag(gram_bitpacked(bm).value)
+        )
+
+    def test_no_rows(self):
+        res = colsum_bitpacked(BitMatrix.zeros(0, 3))
+        assert np.array_equal(res.value, np.zeros(3, dtype=np.int64))
 

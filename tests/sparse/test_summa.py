@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.bitmask import distribute_and_pack
 from repro.runtime import Machine, laptop
 from repro.runtime.topology import ProcessorGrid
 from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.coo import CooMatrix
-from repro.sparse.distributed import (
-    DistDenseMatrix,
-    DistWordMatrix,
-    word_aligned_row_bounds,
-)
+from repro.sparse.distributed import DistDenseMatrix, word_aligned_row_bounds
 from repro.sparse.spgemm import gram_dense_reference
 from repro.sparse.summa import (
     colsums_2d,
@@ -27,12 +24,18 @@ def scatter_coo(coo, parts):
     return [CooMatrix(coo.rows[i], coo.cols[i], coo.shape) for i in idx]
 
 
-def dist_matrix(dense, grid, layer=0, bit_width=64):
+def dist_layers(dense, grid, bit_width=64):
+    """``dense`` scattered over every rank, then packed per grid layer."""
     coo = CooMatrix.from_dense(dense)
-    chunks = scatter_coo(coo, grid.rows * grid.cols)
-    return DistWordMatrix.from_coo_chunks(
-        grid, layer, chunks, dense.shape[0], dense.shape[1], bit_width
+    chunks = scatter_coo(coo, grid.comm.size)
+    return distribute_and_pack(
+        grid.comm, grid, chunks, dense.shape[0], dense.shape[1], bit_width
     )
+
+
+def dist_matrix(dense, grid, bit_width=64):
+    (mat,) = dist_layers(dense, grid, bit_width)
+    return mat
 
 
 class TestSumma2d:
@@ -78,10 +81,9 @@ class Test25D:
         dense = rng.random((256, 9)) < 0.2
         machine = Machine(laptop(8))
         grid = ProcessorGrid(machine.world, 2, 2, 2)
-        layer_bounds = word_aligned_row_bounds(256, 2, 64)
         partials, vecs = [], []
-        for layer, (lo, hi) in enumerate(layer_bounds):
-            mat = dist_matrix(dense[lo:hi], grid, layer=layer)
+        for layer, mat in enumerate(dist_layers(dense, grid)):
+            assert mat.layer == layer
             out = DistDenseMatrix.zeros(grid, layer, 9, 9)
             summa_gram_2d(mat, out)
             partials.append(out)

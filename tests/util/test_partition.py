@@ -75,3 +75,12 @@ class TestChunks:
     def test_round_robin_bad_rank(self):
         with pytest.raises(IndexError):
             round_robin_indices(10, 4, 4)
+
+    def test_round_robin_negative_rank(self):
+        # np.arange(-1, 10, 4) would silently hand out [-1, 3, 7].
+        with pytest.raises(IndexError):
+            round_robin_indices(10, 4, -1)
+
+    def test_round_robin_invalid_parts(self):
+        with pytest.raises(ValueError, match="positive"):
+            round_robin_indices(10, 0, 0)

@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark regression gate: compare BENCH_*.json against floors.
 
-Each benchmark trajectory file (``BENCH_kernels.json``,
-``BENCH_pipeline.json``, ``BENCH_wire.json``, ``BENCH_sketch.json``,
-``BENCH_query.json``, ``BENCH_service.json``, ``BENCH_lsh.json``,
-``BENCH_shards.json``, ``BENCH_semantics.json``)
-records one summary per workload per run.  This gate takes the *latest*
-run with the requested label (``full`` for the committed trajectories,
-``smoke`` for the CI harness run) and checks every metric named in
-``benchmarks/thresholds.json`` against its committed floor:
+``benchmarks/harness.py`` appends one run per section to
+``<dir>/BENCH_<section>.json``.  For every section the requested label
+names in ``benchmarks/thresholds.json``, this gate reads that file, takes
+the *latest* run with the label (``full`` for the committed trajectories
+at the repo root, ``smoke`` for the CI harness run) and checks every
+metric named in the thresholds against its committed floor:
 
 * plain numeric thresholds are **floors** — the measured value must be
   greater than or equal (speedups, compression ratios);
@@ -19,13 +17,9 @@ run with the requested label (``full`` for the committed trajectories,
 A missing file, run label, workload, or metric is a failure: the gate
 exists so a refactor cannot silently drop a benchmark section.
 
-Run:  python tools/check_bench.py --label smoke \\
-          --kernels /tmp/bench_smoke.json \\
-          --pipeline /tmp/bench_pipeline_smoke.json \\
-          --wire /tmp/bench_wire_smoke.json \\
-          --sketch /tmp/bench_sketch_smoke.json \\
-          --query /tmp/bench_query_smoke.json
-      python tools/check_bench.py --label full   # committed trajectories
+Run:  python tools/check_bench.py --label full   # committed trajectories
+      python benchmarks/harness.py --smoke --out-dir /tmp/bench_smoke
+      python tools/check_bench.py --label smoke --dir /tmp/bench_smoke
 """
 
 from __future__ import annotations
@@ -38,19 +32,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 DEFAULT_THRESHOLDS = REPO_ROOT / "benchmarks" / "thresholds.json"
-
-#: Gate sections mapped to their default (committed) trajectory files.
-SECTIONS = {
-    "kernels": REPO_ROOT / "BENCH_kernels.json",
-    "pipeline": REPO_ROOT / "BENCH_pipeline.json",
-    "wire": REPO_ROOT / "BENCH_wire.json",
-    "sketch": REPO_ROOT / "BENCH_sketch.json",
-    "query": REPO_ROOT / "BENCH_query.json",
-    "service": REPO_ROOT / "BENCH_service.json",
-    "lsh": REPO_ROOT / "BENCH_lsh.json",
-    "shards": REPO_ROOT / "BENCH_shards.json",
-    "semantics": REPO_ROOT / "BENCH_semantics.json",
-}
 
 
 def latest_run(data: dict, label: str) -> dict | None:
@@ -72,10 +53,7 @@ def check_workload(
         ceiling = key.endswith("_max")
         metric = key[:-4] if ceiling else key
         if metric not in summary:
-            problems.append(
-                f"{section}/{workload}: metric {metric!r} missing "
-                f"from the run summary"
-            )
+            problems.append(f"{section}/{workload}: metric {metric!r} missing from the run summary")
             continue
         value = summary[metric]
         if isinstance(floor, bool):
@@ -100,16 +78,11 @@ def check_section(
     section: str,
     path: Path,
     label: str,
-    thresholds: dict,
+    floors_by_workload: dict,
     problems: list[str],
     verbose: bool = False,
 ) -> None:
     """Gate one trajectory file against one thresholds section."""
-    floors_by_workload = thresholds.get(section, {})
-    if not floors_by_workload:
-        if verbose:
-            print(f"  {section}: no thresholds committed, skipped")
-        return
     if not path.exists():
         problems.append(f"{section}: trajectory file {path} does not exist")
         return
@@ -125,22 +98,18 @@ def check_section(
     for workload, floors in floors_by_workload.items():
         wl = run.get("workloads", {}).get(workload)
         if wl is None or "summary" not in wl:
-            problems.append(
-                f"{section}/{workload}: workload missing from the "
-                f"latest {label!r} run"
-            )
+            problems.append(f"{section}/{workload}: workload missing from the latest {label!r} run")
             continue
         check_workload(section, workload, wl["summary"], floors, problems, verbose)
 
 
 def run_gate(
     label: str,
-    paths: dict[str, Path],
+    bench_dir: Path = REPO_ROOT,
     thresholds_path: Path = DEFAULT_THRESHOLDS,
     verbose: bool = False,
 ) -> list[str]:
-    """Run the whole gate; returns the list of regressions (empty = ok)."""
-    problems: list[str] = []
+    """Gate every section of ``label`` in ``bench_dir``; returns the regressions."""
     try:
         thresholds_doc = json.loads(thresholds_path.read_text())
     except FileNotFoundError:
@@ -150,8 +119,10 @@ def run_gate(
     thresholds = thresholds_doc.get("labels", {}).get(label)
     if thresholds is None:
         return [f"{thresholds_path} commits no thresholds for label {label!r}"]
-    for section, path in paths.items():
-        check_section(section, path, label, thresholds, problems, verbose)
+    problems: list[str] = []
+    for section, floors_by_workload in thresholds.items():
+        path = Path(bench_dir) / f"BENCH_{section}.json"
+        check_section(section, path, label, floors_by_workload, problems, verbose)
     return problems
 
 
@@ -169,27 +140,21 @@ def main(argv: list[str] | None = None) -> int:
         default=DEFAULT_THRESHOLDS,
         help=f"thresholds file (default {DEFAULT_THRESHOLDS})",
     )
-    for section, default in SECTIONS.items():
-        parser.add_argument(
-            f"--{section}",
-            type=Path,
-            default=default,
-            help=f"{section} trajectory file (default {default})",
-        )
     parser.add_argument(
-        "--verbose", action="store_true", help="list every passing check"
+        "--dir",
+        type=Path,
+        default=REPO_ROOT,
+        help=f"directory holding the BENCH_<section>.json files (default {REPO_ROOT})",
     )
+    parser.add_argument("--verbose", action="store_true", help="list every passing check")
     args = parser.parse_args(argv)
-    paths = {section: getattr(args, section) for section in SECTIONS}
-    problems = run_gate(
-        args.label, paths, thresholds_path=args.thresholds, verbose=args.verbose
-    )
+    problems = run_gate(args.label, args.dir, thresholds_path=args.thresholds, verbose=args.verbose)
     if problems:
         print(f"\n{len(problems)} benchmark regression(s) [{args.label}]:")
         for p in problems:
             print(f"- {p}")
         return 1
-    print(f"bench gate ok: label={args.label}, {len(paths)} section(s)")
+    print(f"bench gate ok: label={args.label}, dir={args.dir}")
     return 0
 
 
