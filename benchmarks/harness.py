@@ -28,8 +28,8 @@ The sections of :data:`SECTIONS`, in run order:
 * ``query`` — an on-disk index queried with each sample's values through
   the pruning cascade and by brute force: candidate pruning, exactness,
   modelled speedup.
-* ``service`` — the batched front end (``QueryBatcher``) against the
-  per-query engine: modelled throughput and exactness.
+* ``service`` — one ``query_batch`` against the same queries one by one:
+  modelled cost and exactness.
 * ``lsh`` — the banded MinHash-LSH probe against the size-ratio scan:
   candidate reduction, measured recall against the plan's analytic bound
   ``1 - (1 - t^r)^b``, and ``lsh_exact`` == brute force.
@@ -74,7 +74,6 @@ from repro.semantics import get_measure
 from repro.semantics.wminhash import WEIGHTED_MINHASH_FAMILY
 from repro.service import (
     IndexStore,
-    QueryBatcher,
     ShardedSimilarityIndex,
     SimilarityIndex,
     shard_store,
@@ -167,10 +166,6 @@ THRESHOLD = 0.3
 #: answer against a per-pair Python reference, so it issues fewer.
 N_QUERIES = {"fig2a_kingsford_like": (48, 12), "fig2b_bigsi_like": (64, 16)}
 SEMANTICS_QUERIES = {"fig2a_kingsford_like": (24, 8), "fig2b_bigsi_like": (32, 10)}
-
-#: Batch sizes of the service section; 1 is the serial-through-the-
-#: batcher control.
-BATCH_SIZES = ((1, 8, 32), (1, 8))
 
 #: Band counts of the shards section: the degenerate single band (must
 #: behave exactly like the flat store), the balanced mid case, and the
@@ -537,13 +532,9 @@ def query_workload(name: str, spec: dict, smoke: bool) -> dict:
 
 
 def service_workload(name: str, spec: dict, smoke: bool) -> dict:
-    """Batched vs serial queries over one index, at the ``size`` prefilter.
-
-    Blocked verification makes exact checks cheap, so a per-query,
-    unamortizable sketch pass would cap the very amortization this
-    section measures (see docs/service.md).
-    """
-    sspec = dict(_serving(name, smoke), batch_sizes=BATCH_SIZES[smoke])
+    """One ``query_batch`` vs the same queries one by one, over one index
+    at the ``size`` prefilter, both pinned to brute force."""
+    sspec = _serving(name, smoke)
     with _indexed(spec) as (store, values, _):
         queries = values[: sspec["n_queries"]]
         q = len(queries)
@@ -558,28 +549,12 @@ def service_workload(name: str, spec: dict, smoke: bool) -> dict:
             _hits(brute.query_values(v, threshold=THRESHOLD)) == keys
             for v, keys in zip(queries, serial_keys)
         )
-        by_batch = {}
-        for batch_size in sspec["batch_sizes"]:
-            engine = _engine(store, _machine(spec), query_prefilter="size")
-            with QueryBatcher(engine, batch_size=batch_size) as batcher:
-                results = batcher.query_many(queries, threshold=THRESHOLD)
-            sim = sum(r.simulated_seconds for r in results)
-            exact = all(_hits(r) == keys for r, keys in zip(results, serial_keys))
-            rec = by_batch[str(batch_size)] = {
-                "simulated_seconds": sim,
-                "queries_per_simulated_second": q / sim if sim > 0 else 0.0,
-                "batched_speedup_vs_serial": serial_sim / sim if sim > 0 else float("inf"),
-                "n_batches": batcher.n_batches,
-                "exact_vs_perquery": exact,
-            }
-            print(
-                f"  {name:<24} batch={batch_size:<3d} "
-                f"{rec['batched_speedup_vs_serial']:.2f}x modelled over serial "
-                f"({rec['queries_per_simulated_second']:.0f} q/sim-s, exact={exact})"
-            )
-    speedups = [
-        b["batched_speedup_vs_serial"] for size, b in by_batch.items() if int(size) >= 8
-    ]
+        batch = _engine(store, _machine(spec), query_prefilter="size")
+        results = batch.query_batch(queries, threshold=THRESHOLD)
+        batch_sim = sum(r.simulated_seconds for r in results)
+        exact_vs_perquery = all(
+            _hits(r) == keys for r, keys in zip(results, serial_keys)
+        )
     summary = {
         "threshold": THRESHOLD,
         "n_queries": q,
@@ -587,11 +562,16 @@ def service_workload(name: str, spec: dict, smoke: bool) -> dict:
         "prefilter": "size",
         "serial_simulated_seconds": serial_sim,
         "serial_queries_per_simulated_second": q / serial_sim if serial_sim > 0 else 0.0,
-        "by_batch_size": by_batch,
-        "batched_speedup_at_8_plus": min(speedups) if speedups else 0.0,
-        "exact_vs_perquery": all(b["exact_vs_perquery"] for b in by_batch.values()),
+        "batch_simulated_seconds": batch_sim,
+        "batched_speedup_vs_serial": serial_sim / batch_sim if batch_sim > 0 else 0.0,
+        "exact_vs_perquery": exact_vs_perquery,
         "exact_vs_bruteforce": exact_vs_bruteforce,
     }
+    print(
+        f"  {name:<24} {q} queries in one batch: "
+        f"{summary['batched_speedup_vs_serial']:.2f}x modelled over serial, "
+        f"exact={exact_vs_perquery and exact_vs_bruteforce}"
+    )
     return {"params": dict(spec, **sspec), "summary": summary}
 
 

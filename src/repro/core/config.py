@@ -64,8 +64,6 @@ _NAMESPACED_KNOBS = {
     "query.prefilter": "query_prefilter",
     "query.candidates": "query_candidates",
     "query.cache_size": "query_cache_size",
-    "query.batch_size": "query_batch_size",
-    "query.max_wait": "query_max_wait",
     "store.shards": "store_shards",
     "store.band_policy": "shard_band_policy",
 }
@@ -187,18 +185,9 @@ class SimilarityConfig:
         ``bbit_minhash`` family.
     query_cache_size:
         Entry capacity of the service layer's LRU query/result cache;
-        0 disables caching (every query recomputes).
-    query_batch_size:
-        Admission capacity of the service layer's
-        :class:`~repro.service.batch.QueryBatcher`: a pending batch is
-        executed as soon as this many requests have coalesced (or
-        earlier, on ``query_max_wait`` expiry or a store-version
-        change).  1 degenerates to per-query execution through the
-        batched code path.
-    query_max_wait:
-        Longest wall-clock time (seconds) an admitted request may wait
-        for its batch to fill before the batch is flushed anyway; 0
-        flushes after every admission (no coalescing across callers).
+        0 disables caching (every query recomputes).  A
+        ``query_batch`` call needs no knob of its own: it answers all
+        its queries in one cascade pass over one store snapshot.
     store_shards:
         Number of size-banded shards a newly created store is split
         into (canonical knob name ``store.shards``).  1 (default) keeps
@@ -242,8 +231,6 @@ class SimilarityConfig:
     query_prefilter: str = "cascade"
     query_candidates: str = "scan"
     query_cache_size: int = 128
-    query_batch_size: int = 32
-    query_max_wait: float = 0.01
     store_shards: int = 1
     shard_band_policy: str = "geometric"
     reduce_every_batch: bool = False
@@ -320,15 +307,6 @@ class SimilarityConfig:
         if self.query_cache_size < 0:
             raise ValueError(
                 f"query_cache_size must be >= 0, got {self.query_cache_size}"
-            )
-        if self.query_batch_size <= 0:
-            raise ValueError(
-                f"query_batch_size must be positive, "
-                f"got {self.query_batch_size}"
-            )
-        if self.query_max_wait < 0:
-            raise ValueError(
-                f"query_max_wait must be >= 0, got {self.query_max_wait}"
             )
         if self.store_shards < 1:
             raise ValueError(

@@ -16,9 +16,7 @@ Two modes:
   (``index shard``).
 
 Query knobs are spelled under the canonical ``--query-*`` namespace
-(``--query-prefilter``, ``--query-candidates``, ``--query-batch-size``,
-``--query-max-wait``); the legacy flat spellings remain accepted as
-aliases for one release.
+(``--query-prefilter``, ``--query-candidates``).
 """
 
 from __future__ import annotations
@@ -232,25 +230,8 @@ def build_index_parser() -> argparse.ArgumentParser:
         "--batch-file", type=Path, default=None,
         help=(
             "file listing query FASTA paths (one per line, # comments "
-            "allowed); all queries run through the batched path "
-            "(admitted batches against one store snapshot) and results "
-            "match per-query runs exactly"
-        ),
-    )
-    query.add_argument(
-        "--query-batch-size", "--batch-size", dest="query_batch_size",
-        type=int, default=None,
-        help=(
-            "queries coalesced per batch (default: config, 32; "
-            "--batch-size is the deprecated alias)"
-        ),
-    )
-    query.add_argument(
-        "--query-max-wait", "--max-wait", dest="query_max_wait",
-        type=float, default=None,
-        help=(
-            "batch admission wait in seconds (default: config, 0.01; "
-            "--max-wait is the deprecated alias)"
+            "allowed); all queries run as one batch against one store "
+            "snapshot and results match per-query runs exactly"
         ),
     )
     query.add_argument(
@@ -262,26 +243,24 @@ def build_index_parser() -> argparse.ArgumentParser:
         help="return the k most similar genomes",
     )
     query.add_argument(
-        "--query-prefilter", "--prefilter", dest="query_prefilter",
-        choices=list(QUERY_PREFILTERS), default="cascade",
+        "--query-prefilter", choices=list(QUERY_PREFILTERS),
+        default="cascade",
         help=(
             "cascade depth: off = brute-force exact; size = size-ratio "
             "bound only; cascade (default) adds the conservative sketch "
-            "prefilter before exact verification (--prefilter is the "
-            "deprecated alias)"
+            "prefilter before exact verification"
         ),
     )
     query.add_argument(
-        "--query-candidates", "--candidates", dest="query_candidates",
-        choices=list(QUERY_CANDIDATES), default="scan",
+        "--query-candidates", choices=list(QUERY_CANDIDATES),
+        default="scan",
         help=(
             "candidate generator: scan (default) = every stored genome "
             "enters the cascade; lsh = probe the store's banded "
             "MinHash-LSH buckets first (sub-linear, approximate "
             "recall bounded by the band plan); lsh_exact = probe the "
             "buckets but keep the full scan (exact answers, LSH "
-            "recall auditable from the counters; --candidates is the "
-            "deprecated alias)"
+            "recall auditable from the counters)"
         ),
     )
     query.add_argument(
@@ -376,15 +355,10 @@ def index_main(argv: list[str]) -> int:
     # query
     if args.threshold is None and args.top_k is None:
         raise SystemExit("index query requires --threshold and/or --top-k")
-    overrides = dict(
-        query_prefilter=args.query_prefilter, estimator=args.estimator,
+    tool = _index_tool(
+        args, query_prefilter=args.query_prefilter, estimator=args.estimator,
         query_candidates=args.query_candidates,
     )
-    if args.query_batch_size is not None:
-        overrides["query_batch_size"] = args.query_batch_size
-    if args.query_max_wait is not None:
-        overrides["query_max_wait"] = args.query_max_wait
-    tool = _index_tool(args, **overrides)
     if args.batch_file is not None:
         if fasta_paths:
             raise SystemExit(
@@ -482,7 +456,6 @@ def _query_payload(path: Path, result) -> dict:
         "n_verified": result.n_verified,
         "pruning_ratio": result.pruning_ratio,
         "store_version": result.store_version,
-        "batch_size": result.batch_size,
         "matches": [
             {"name": m.name, "index": m.index,
              "similarity": m.similarity}

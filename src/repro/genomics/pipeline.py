@@ -346,13 +346,12 @@ class GenomeAtScale:
     ):
         """Batched threshold/top-k queries of many samples at once.
 
-        All samples run through the :class:`~repro.service.batch.QueryBatcher`
-        (admitted batches of ``config.query_batch_size`` against one
-        store snapshot); results come
-        back in input order and match :meth:`query_index` exactly —
-        on a sharded index each query is batched per overlapping band.
+        One ``SimilarityService.query_batch``: every sample is answered
+        against one store snapshot; results come back in input order and
+        match :meth:`query_index` exactly — on a sharded index each query
+        is batched per overlapping band.
         """
-        from repro.service.batch import BatchQuery
+        from repro.service import BatchQuery
 
         cleaned = self._clean_inputs(fasta_paths, None)
         if self._weighted:

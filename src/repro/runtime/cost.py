@@ -19,13 +19,23 @@ serialized per-component seconds).  These answer "how much data moved
 in the filter phase?" regardless of overlap.  Phase ``wall_seconds``
 records how much the makespan advanced while the phase was active —
 the number to read for per-phase time.
+
+Threads
+-------
+One ledger may be charged from several threads at once (concurrent
+service queries, a threaded band fan-out).  A re-entrant lock guards
+every read-modify-write of the phases, kernel tallies and clocks, and
+every read that iterates them (:meth:`CostLedger.snapshot`,
+:meth:`CostLedger.diff`, :attr:`CostLedger.total`), so no charge is
+lost and no reader sees a dict change size under it.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -145,6 +155,9 @@ class CostLedger:
     _phase_stack: list[str] = field(default_factory=list)
     _clocks: np.ndarray | None = field(default=None, repr=False)
     _makespan_override: float | None = field(default=None, repr=False)
+    _lock: Any = field(
+        default_factory=threading.RLock, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n_ranks is not None:
@@ -168,8 +181,9 @@ class CostLedger:
         idx = np.asarray(list(ranks), dtype=np.int64)
         if idx.size == 0:
             return
-        start = self._clocks[idx].max()
-        self._clocks[idx] = start + seconds
+        with self._lock:
+            start = self._clocks[idx].max()
+            self._clocks[idx] = start + seconds
 
     def local_advance(
         self, ranks: Sequence[int], seconds: float | Sequence[float]
@@ -180,7 +194,8 @@ class CostLedger:
         idx = np.asarray(list(ranks), dtype=np.int64)
         if idx.size == 0:
             return
-        self._clocks[idx] += np.asarray(seconds, dtype=np.float64)
+        with self._lock:
+            self._clocks[idx] += np.asarray(seconds, dtype=np.float64)
 
     def rank_clocks(self) -> np.ndarray | None:
         """A copy of the per-rank clocks (``None`` for a bare ledger).
@@ -214,10 +229,11 @@ class CostLedger:
             )
         if np.any(credit < 0):
             raise ValueError("overlap credits must be non-negative")
-        before = self.makespan
-        self._clocks -= credit
-        saved = before - self.makespan
-        self.overlap_credited_seconds += saved
+        with self._lock:
+            before = self.makespan
+            self._clocks -= credit
+            saved = before - self.makespan
+            self.overlap_credited_seconds += saved
         return saved
 
     # ---- phases ------------------------------------------------------------
@@ -234,20 +250,24 @@ class CostLedger:
         is attributed to every frame on the stack, so use flat phases
         for clean breakdowns.
         """
-        self._phase_stack.append(name)
-        entered = self.makespan if self._clocks is not None else 0.0
+        with self._lock:
+            self._phase_stack.append(name)
+            entered = self.makespan if self._clocks is not None else 0.0
+            cost = self._get(name)
         try:
-            yield self._get(name)
+            yield cost
         finally:
-            self._phase_stack.pop()
-            if self._clocks is not None:
-                self._get(name).wall_seconds += self.makespan - entered
+            with self._lock:
+                self._phase_stack.pop()
+                if self._clocks is not None:
+                    self._get(name).wall_seconds += self.makespan - entered
 
     def _get(self, name: str | None = None) -> PhaseCost:
-        key = name if name is not None else self.current_phase
-        if key not in self.phases:
-            self.phases[key] = PhaseCost()
-        return self.phases[key]
+        with self._lock:
+            key = name if name is not None else self.current_phase
+            if key not in self.phases:
+                self.phases[key] = PhaseCost()
+            return self.phases[key]
 
     # ---- charging API -------------------------------------------------
 
@@ -266,19 +286,20 @@ class CostLedger:
         ranks: Sequence[int] | None = None,
     ) -> None:
         """Charge one logical communication step (possibly multi-round)."""
-        pc = self._get(phase)
-        pc.supersteps += rounds
-        pc.alpha_seconds += alpha_seconds
-        pc.comm_seconds += comm_seconds
-        pc.compute_seconds += compute_seconds
-        pc.total_bytes += total_bytes
-        pc.max_rank_bytes += max_rank_bytes
-        pc.messages += messages
-        pc.total_flops += total_flops
-        if ranks is not None:
-            self.sync_advance(
-                ranks, alpha_seconds + comm_seconds + compute_seconds
-            )
+        with self._lock:
+            pc = self._get(phase)
+            pc.supersteps += rounds
+            pc.alpha_seconds += alpha_seconds
+            pc.comm_seconds += comm_seconds
+            pc.compute_seconds += compute_seconds
+            pc.total_bytes += total_bytes
+            pc.max_rank_bytes += max_rank_bytes
+            pc.messages += messages
+            pc.total_flops += total_flops
+            if ranks is not None:
+                self.sync_advance(
+                    ranks, alpha_seconds + comm_seconds + compute_seconds
+                )
 
     def charge_compute(
         self,
@@ -296,16 +317,17 @@ class CostLedger:
         ``kernel`` additionally tallies the charge under that kernel name
         in the phase's per-kernel breakdown.
         """
-        pc = self._get(phase)
-        pc.compute_seconds += seconds
-        pc.total_flops += flops
-        if kernel is not None:
-            pc.charge_kernel(kernel, seconds, flops)
-        if ranks is not None:
-            self.local_advance(
-                ranks,
-                per_rank_seconds if per_rank_seconds is not None else seconds,
-            )
+        with self._lock:
+            pc = self._get(phase)
+            pc.compute_seconds += seconds
+            pc.total_flops += flops
+            if kernel is not None:
+                pc.charge_kernel(kernel, seconds, flops)
+            if ranks is not None:
+                self.local_advance(
+                    ranks,
+                    per_rank_seconds if per_rank_seconds is not None else seconds,
+                )
 
     def record_wire(
         self,
@@ -320,7 +342,8 @@ class CostLedger:
         own (encoded-size) charge; this counter answers "how many bytes
         did the codec keep off the wire?" per phase and per codec.
         """
-        self._get(phase).record_wire(codec, raw_bytes, encoded_bytes)
+        with self._lock:
+            self._get(phase).record_wire(codec, raw_bytes, encoded_bytes)
 
     def charge_io(
         self,
@@ -330,21 +353,23 @@ class CostLedger:
         per_rank_seconds: Sequence[float] | None = None,
     ) -> None:
         """Charge file-system time."""
-        pc = self._get(phase)
-        pc.io_seconds += seconds
-        if ranks is not None:
-            self.local_advance(
-                ranks,
-                per_rank_seconds if per_rank_seconds is not None else seconds,
-            )
+        with self._lock:
+            pc = self._get(phase)
+            pc.io_seconds += seconds
+            if ranks is not None:
+                self.local_advance(
+                    ranks,
+                    per_rank_seconds if per_rank_seconds is not None else seconds,
+                )
 
     # ---- aggregate views ----------------------------------------------
 
     @property
     def total(self) -> PhaseCost:
         agg = PhaseCost()
-        for pc in self.phases.values():
-            agg.merge(pc)
+        with self._lock:
+            for pc in self.phases.values():
+                agg.merge(pc)
         return agg
 
     @property
@@ -402,81 +427,84 @@ class CostLedger:
     def snapshot(self) -> dict:
         """State marker for later :meth:`diff` (phases + makespan)."""
         out: dict[str, PhaseCost] = {}
-        for name, pc in self.phases.items():
-            copy = PhaseCost()
-            copy.merge(pc)
-            out[name] = copy
-        return {
-            "phases": out,
-            "makespan": self.makespan,
-            "overlap_credited": self.overlap_credited_seconds,
-        }
+        with self._lock:
+            for name, pc in self.phases.items():
+                copy = PhaseCost()
+                copy.merge(pc)
+                out[name] = copy
+            return {
+                "phases": out,
+                "makespan": self.makespan,
+                "overlap_credited": self.overlap_credited_seconds,
+            }
 
     def reset(self) -> None:
-        self.phases.clear()
-        self.overlap_credited_seconds = 0.0
-        if self._clocks is not None:
-            self._clocks[:] = 0.0
-        self._makespan_override = None
+        with self._lock:
+            self.phases.clear()
+            self.overlap_credited_seconds = 0.0
+            if self._clocks is not None:
+                self._clocks[:] = 0.0
+            self._makespan_override = None
 
     def diff(self, before: dict) -> "CostLedger":
         """A ledger holding only the charges accrued since ``before``."""
         prev_phases: dict[str, PhaseCost] = before.get("phases", {})
         out = CostLedger()
-        for name, pc in self.phases.items():
-            prev = prev_phases.get(name, PhaseCost())
-            kernel_flops = {
-                k: f - prev.kernel_flops.get(k, 0.0)
-                for k, f in pc.kernel_flops.items()
-                if f - prev.kernel_flops.get(k, 0.0) != 0.0
-            }
-            kernel_seconds = {
-                k: s - prev.kernel_seconds.get(k, 0.0)
-                for k, s in pc.kernel_seconds.items()
-                if s - prev.kernel_seconds.get(k, 0.0) != 0.0
-            }
-            codec_raw = {
-                k: b - prev.codec_raw_bytes.get(k, 0.0)
-                for k, b in pc.codec_raw_bytes.items()
-                if b - prev.codec_raw_bytes.get(k, 0.0) != 0.0
-            }
-            codec_encoded = {
-                k: b - prev.codec_encoded_bytes.get(k, 0.0)
-                for k, b in pc.codec_encoded_bytes.items()
-                if b - prev.codec_encoded_bytes.get(k, 0.0) != 0.0
-            }
-            delta = PhaseCost(
-                supersteps=pc.supersteps - prev.supersteps,
-                wall_seconds=pc.wall_seconds - prev.wall_seconds,
-                alpha_seconds=pc.alpha_seconds - prev.alpha_seconds,
-                comm_seconds=pc.comm_seconds - prev.comm_seconds,
-                compute_seconds=pc.compute_seconds - prev.compute_seconds,
-                io_seconds=pc.io_seconds - prev.io_seconds,
-                total_bytes=pc.total_bytes - prev.total_bytes,
-                max_rank_bytes=pc.max_rank_bytes - prev.max_rank_bytes,
-                messages=pc.messages - prev.messages,
-                total_flops=pc.total_flops - prev.total_flops,
-                kernel_flops=kernel_flops,
-                kernel_seconds=kernel_seconds,
-                wire_raw_bytes=pc.wire_raw_bytes - prev.wire_raw_bytes,
-                wire_encoded_bytes=(
-                    pc.wire_encoded_bytes - prev.wire_encoded_bytes
-                ),
-                codec_raw_bytes=codec_raw,
-                codec_encoded_bytes=codec_encoded,
+        with self._lock:
+            for name, pc in self.phases.items():
+                prev = prev_phases.get(name, PhaseCost())
+                kernel_flops = {
+                    k: f - prev.kernel_flops.get(k, 0.0)
+                    for k, f in pc.kernel_flops.items()
+                    if f - prev.kernel_flops.get(k, 0.0) != 0.0
+                }
+                kernel_seconds = {
+                    k: s - prev.kernel_seconds.get(k, 0.0)
+                    for k, s in pc.kernel_seconds.items()
+                    if s - prev.kernel_seconds.get(k, 0.0) != 0.0
+                }
+                codec_raw = {
+                    k: b - prev.codec_raw_bytes.get(k, 0.0)
+                    for k, b in pc.codec_raw_bytes.items()
+                    if b - prev.codec_raw_bytes.get(k, 0.0) != 0.0
+                }
+                codec_encoded = {
+                    k: b - prev.codec_encoded_bytes.get(k, 0.0)
+                    for k, b in pc.codec_encoded_bytes.items()
+                    if b - prev.codec_encoded_bytes.get(k, 0.0) != 0.0
+                }
+                delta = PhaseCost(
+                    supersteps=pc.supersteps - prev.supersteps,
+                    wall_seconds=pc.wall_seconds - prev.wall_seconds,
+                    alpha_seconds=pc.alpha_seconds - prev.alpha_seconds,
+                    comm_seconds=pc.comm_seconds - prev.comm_seconds,
+                    compute_seconds=pc.compute_seconds - prev.compute_seconds,
+                    io_seconds=pc.io_seconds - prev.io_seconds,
+                    total_bytes=pc.total_bytes - prev.total_bytes,
+                    max_rank_bytes=pc.max_rank_bytes - prev.max_rank_bytes,
+                    messages=pc.messages - prev.messages,
+                    total_flops=pc.total_flops - prev.total_flops,
+                    kernel_flops=kernel_flops,
+                    kernel_seconds=kernel_seconds,
+                    wire_raw_bytes=pc.wire_raw_bytes - prev.wire_raw_bytes,
+                    wire_encoded_bytes=(
+                        pc.wire_encoded_bytes - prev.wire_encoded_bytes
+                    ),
+                    codec_raw_bytes=codec_raw,
+                    codec_encoded_bytes=codec_encoded,
+                )
+                if (
+                    delta.supersteps
+                    or delta.seconds
+                    or delta.total_bytes
+                    or delta.total_flops
+                    or delta.wire_raw_bytes
+                ):
+                    out.phases[name] = delta
+            out._makespan_override = self.makespan - before.get("makespan", 0.0)
+            out.overlap_credited_seconds = (
+                self.overlap_credited_seconds - before.get("overlap_credited", 0.0)
             )
-            if (
-                delta.supersteps
-                or delta.seconds
-                or delta.total_bytes
-                or delta.total_flops
-                or delta.wire_raw_bytes
-            ):
-                out.phases[name] = delta
-        out._makespan_override = self.makespan - before.get("makespan", 0.0)
-        out.overlap_credited_seconds = (
-            self.overlap_credited_seconds - before.get("overlap_credited", 0.0)
-        )
         return out
 
     def report(self) -> str:

@@ -30,21 +30,18 @@ package **persists and serves**:
 * :mod:`repro.service.query` — the threshold/top-k query engines
   around the executor: the flat engine (snapshot pin, result cache,
   cost split) and the sharded band router that runs it per size band
-  and merges exactly;
-* :mod:`repro.service.batch` — the coalescing :class:`QueryBatcher`
-  front end: admission only (which requests run together, against
-  which store version);
+  and merges exactly; ``query_batch`` answers many queries in one
+  pass over one snapshot;
 * :mod:`repro.service.cache` — the LRU query/result cache, shared by
   every entry point through one topology-aware key schema;
 * :mod:`repro.service.errors` — the :class:`ServiceError` hierarchy
   every service-layer failure raises under.
 
 See ``docs/service.md`` for the store layouts, the cascade correctness
-argument, the batched admission model, and the facade contract.
+argument, batched queries, and the facade contract.
 """
 
 from repro.service.api import SimilarityService
-from repro.service.batch import BatchQuery, QueryBatcher
 from repro.service.cache import CacheStats, QueryCache, result_cache_key
 from repro.service.errors import (
     ConfigError,
@@ -61,6 +58,7 @@ from repro.service.lsh import (
 )
 from repro.service.plan import PlanStage, QueryPlan, compile_plan
 from repro.service.query import (
+    BatchQuery,
     QueryMatch,
     QueryResult,
     ShardedSimilarityIndex,
@@ -82,7 +80,6 @@ from repro.service.store import GenomeEntry, IndexStore, StoreSnapshot
 __all__ = [
     "SimilarityService",
     "BatchQuery",
-    "QueryBatcher",
     "CacheStats",
     "QueryCache",
     "result_cache_key",

@@ -32,15 +32,14 @@ See ``docs/service.md`` for the full API contract.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.core.config import SimilarityConfig
 from repro.core.result import SimilarityResult
 from repro.core.similarity import SimilarityAtScale
 from repro.runtime.engine import Machine
-from repro.runtime.executor import SequentialExecutor
 from repro.runtime.machine import laptop
-from repro.service.batch import QueryBatcher
 from repro.service.errors import StoreError
 from repro.core.sketch import SKETCH_ESTIMATORS
 from repro.semantics.wminhash import WEIGHTED_MINHASH_FAMILY
@@ -264,32 +263,34 @@ class SimilarityService:
         threshold: float | None = None,
         top_k: int | None = None,
     ) -> list[QueryResult]:
-        """Many queries through the batched path, in input order.
+        """Many queries against one store version, in input order.
 
         Items are raw value arrays (taking the call-level ``threshold``
-        / ``top_k``) or :class:`~repro.service.batch.BatchQuery`
-        instances; all are validated before anything runs.  The
-        :class:`~repro.service.batch.QueryBatcher` chunks them into
-        batches of ``query.batch_size`` and hands each to the engine:
-        on a flat store one cascade pass per batch (one searched window
-        order, one rectangular popcount verify block), on a sharded
-        store the band router sends each request to the shards its
-        extent window overlaps and merges the per-shard answers.
-        Results equal :meth:`query` exactly on both layouts.
+        / ``top_k``) or :class:`~repro.service.query.BatchQuery`
+        instances; all are validated before anything runs.  Then one
+        cascade pass answers them all over one snapshot: on a flat store
+        each request searches the same window order and gathers from the
+        same rank-space matrix, on a sharded store the band router sends
+        each request to the shards its extent window overlaps and merges
+        the per-shard answers.  Results equal :meth:`query` exactly on
+        both layouts.
         """
-        with QueryBatcher(
-            self.engine, executor=SequentialExecutor()
-        ) as batcher:
-            return batcher.query_many(
-                queries, threshold=threshold, top_k=top_k
-            )
+        return self.engine.query_batch(
+            queries, threshold=threshold, top_k=top_k
+        )
 
     # ---- introspection --------------------------------------------------
 
     def stats(self) -> dict:
-        """One health/introspection snapshot of the store and engine."""
+        """One health/introspection snapshot of the store and engine.
+
+        ``cache`` holds the result cache's counters as numbers: ``hits``,
+        ``misses``, ``evictions``, ``size``, ``capacity`` and
+        ``hit_rate``.
+        """
         store = self.store
         sharded = isinstance(store, ShardedStore)
+        cache = self.engine.cache.stats
         out = {
             "layout": "sharded" if sharded else "flat",
             "root": str(store.root),
@@ -298,7 +299,7 @@ class SimilarityService:
             "version": store.version,
             "total_bytes": store.total_bytes(),
             "families": list(store.families),
-            "cache": str(self.engine.cache.stats),
+            "cache": dict(asdict(cache), hit_rate=cache.hit_rate),
             "plan": self.engine.plan().describe(),
             "summary": store.summary(),
         }

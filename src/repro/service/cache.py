@@ -9,15 +9,13 @@ hit rate in ``QueryResult.summary()``.
 
 The key schema lives in exactly one place — :func:`result_cache_key` —
 and deliberately contains **no batch context**: keys are built in one
-spot (the engines' ``execute``), whether the query arrived alone or
-through the :class:`~repro.service.batch.QueryBatcher`, so an entry
-written through either entry point is served to the other.
-``tests/service/test_batcher.py`` pins this schema with a regression
-test.
+spot (the engines' ``execute``), whether the query arrived alone or in a
+``query_batch``, so an entry written through either entry point is
+served to the other.  ``tests/service/test_batcher.py`` pins this schema
+with a regression test.
 
-The cache is internally locked: the batcher's worker threads and the
-owning thread's single queries may probe one shared cache
-concurrently.
+The cache is internally locked: threads querying one shared engine may
+probe it concurrently.
 """
 
 from __future__ import annotations
@@ -128,7 +126,7 @@ class QueryCache:
     configuration still reports its miss traffic.
 
     All operations hold an internal lock, so one cache may be shared
-    between the single-query engine and a concurrent batcher.
+    by concurrent callers.
     """
 
     def __init__(self, capacity: int):

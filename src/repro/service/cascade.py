@@ -31,10 +31,10 @@ batch):
 says which stages run and which ledger kernel each one charges; the
 :class:`~repro.service.store.StoreSnapshot` is the one store version
 every read goes to (and the per-version memo of everything loaded from
-it); the requests come from :func:`validate_request`.  The flat engine,
-the batcher and the sharded band router in :mod:`repro.service.query` /
-:mod:`repro.service.batch` all end here, so serial, batched and sharded
-answers are equal by construction.
+it); the requests come from :func:`validate_request`.  The flat engine
+and the sharded band router in :mod:`repro.service.query` both end here,
+for one query or a batch, so single, batched and sharded answers are
+equal by construction.
 """
 
 from __future__ import annotations
@@ -111,10 +111,6 @@ def validate_request(
             raise QueryError(f"query {exc}") from None
     else:
         vals = sorted_unique(vals)
-        # A request can wait in the batcher's admission queue: it owns
-        # its values, so an already-clean caller array is copied.
-        if isinstance(values, np.ndarray) and np.may_share_memory(vals, values):
-            vals = vals.copy()
     if vals.size and (vals[0] < 0 or vals[-1] >= m):
         raise QueryError(f"query values outside [0, {m})")
     if threshold is None and top_k is None:

@@ -5,19 +5,10 @@ verify) as pure data: which stages run, which sketch family estimates,
 what the analytic bound is, and which ledger kernel each stage
 charges.  :func:`compile_plan` builds it from a config and a store;
 the one executor (:func:`repro.service.cascade.run_cascade`) owns the
-loop and runs whatever plan it is handed.  Two flavours exist, differing
-only in the kernel labels they carry:
-
-* ``batched=False`` — a single query, i.e. a batch of one: kernel
-  labels ``query:size`` / ``query:sketch`` / ``query:verify`` (PR 5's
-  labels, kept stable so the committed ``BENCH_query.json`` trajectory
-  stays comparable);
-* ``batched=True`` — an admitted batch: kernel labels
-  ``query:batch:window`` / ``query:batch:sketch`` /
-  ``query:batch:verify``.
-
-Because both flavours run the same stage bodies, batched results equal
-per-query results equal brute force.
+loop and runs whatever plan it is handed — for one query or for many,
+which are more columns of the same product and charge the same
+``query:lsh`` / ``query:size`` / ``query:sketch`` / ``query:verify``
+kernels.
 """
 
 from __future__ import annotations
@@ -34,24 +25,14 @@ from repro.service.store import LSH_FAMILY, StoreError
 #: Stage names in execution order (not every plan runs every stage).
 PLAN_STAGES = ("lsh", "window", "sketch", "verify")
 
-#: Kernel labels of a single query's plan (PR 5's labels, kept stable).
-SINGLE_KERNELS = {
+#: The ledger kernel label each stage charges (kept stable so the
+#: committed ``BENCH_query.json`` trajectory stays comparable).
+STAGE_KERNELS = {
     "lsh": "query:lsh",
     "window": "query:size",
     "sketch": "query:sketch",
     "verify": "query:verify",
 }
-
-#: Kernel labels of an admitted batch's plan.
-BATCH_KERNELS = {
-    "lsh": "query:batch:lsh",
-    "window": "query:batch:window",
-    "sketch": "query:batch:sketch",
-    "verify": "query:batch:verify",
-}
-
-#: Kernel label of batch admission bookkeeping (charged per request).
-ADMIT_KERNEL = "query:batch:admit"
 
 
 @dataclass(frozen=True)
@@ -64,7 +45,7 @@ class PlanStage:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """The compiled stage pipeline of one query (or query batch).
+    """The compiled stage pipeline of a query batch (one query included).
 
     ``candidates`` names the candidate generator (a
     :data:`~repro.core.config.QUERY_CANDIDATES` value): plans compiled
@@ -87,7 +68,6 @@ class QueryPlan:
     prefilter: str
     family: str | None
     error_bound: float | None
-    batched: bool
     stages: tuple[PlanStage, ...]
     candidates: str = "scan"
     fanout: int = 1
@@ -124,16 +104,16 @@ class QueryPlan:
     def describe(self) -> str:
         """A one-line human rendering of the stage pipeline.
 
-        >>> from repro.service.plan import BATCH_KERNELS, PlanStage, QueryPlan
+        >>> from repro.service.plan import STAGE_KERNELS, PlanStage, QueryPlan
         >>> plan = QueryPlan(
-        ...     prefilter="size", family=None, error_bound=None, batched=True,
+        ...     prefilter="size", family=None, error_bound=None,
         ...     stages=(
-        ...         PlanStage("window", BATCH_KERNELS["window"]),
-        ...         PlanStage("verify", BATCH_KERNELS["verify"]),
+        ...         PlanStage("window", STAGE_KERNELS["window"]),
+        ...         PlanStage("verify", STAGE_KERNELS["verify"]),
         ...     ),
         ... )
         >>> plan.describe()
-        'window[query:batch:window] -> verify[query:batch:verify]'
+        'window[query:size] -> verify[query:verify]'
         """
         parts = []
         for st in self.stages:
@@ -165,9 +145,7 @@ def resolve_family(estimator: str, families: tuple[str, ...]) -> str:
     return families[0]
 
 
-def compile_plan(
-    config, store, batched: bool = False, shards: int = 1
-) -> QueryPlan:
+def compile_plan(config, store, shards: int = 1) -> QueryPlan:
     """Compile a config + store (or snapshot) into a :class:`QueryPlan`.
 
     ``store`` only needs ``families`` / ``sketch_size`` / ``sketch_bits``
@@ -223,12 +201,11 @@ def compile_plan(
             f"their error bounds.  Re-add the genomes under the new seed "
             f"or query with sketch_seed={store.sketch_seed}."
         )
-    kernels = BATCH_KERNELS if batched else SINGLE_KERNELS
     stages: list[PlanStage] = []
     if candidates != "scan":
-        stages.append(PlanStage("lsh", kernels["lsh"]))
+        stages.append(PlanStage("lsh", STAGE_KERNELS["lsh"]))
     if prefilter in ("size", "cascade"):
-        stages.append(PlanStage("window", kernels["window"]))
+        stages.append(PlanStage("window", STAGE_KERNELS["window"]))
     family: str | None = None
     bound: float | None = None
     if wants_sketch:
@@ -247,13 +224,12 @@ def compile_plan(
         bound = sketch_error_bound(
             family, store.sketch_size, store.sketch_bits
         )
-        stages.append(PlanStage("sketch", kernels["sketch"]))
-    stages.append(PlanStage("verify", kernels["verify"]))
+        stages.append(PlanStage("sketch", STAGE_KERNELS["sketch"]))
+    stages.append(PlanStage("verify", STAGE_KERNELS["verify"]))
     return QueryPlan(
         prefilter=prefilter,
         family=family,
         error_bound=bound,
-        batched=batched,
         stages=tuple(stages),
         candidates=candidates,
         fanout=int(shards),

@@ -16,24 +16,24 @@ around it:
   the LRU :class:`~repro.service.cache.QueryCache` (keyed on the query
   digest and the store version, so any mutation invalidates every
   cached answer), hands the misses to the cascade, and splits the
-  ledger cost the stages charged (``query:*`` / ``query:batch:*``
-  kernels, named by the compiled :class:`~repro.service.plan.QueryPlan`)
-  across them;
+  ledger cost the stages charged (the ``query:*`` kernels named by the
+  compiled :class:`~repro.service.plan.QueryPlan`) across them;
 * :class:`ShardedSimilarityIndex` — the band router over a
   :class:`~repro.service.sharded.ShardedStore`: it maps each request's
-  extent window onto the size bands, runs the per-band engines on the
+  extent window onto the size bands, runs the per-band cascades on the
   overlapping ones, and merges their answers exactly
   (:func:`merge_shard_results`).
 
-A single query is a batch of one: ``query_values`` and the batched
-front end (:class:`~repro.service.batch.QueryBatcher`) both call
-:meth:`execute`, on either engine.
+A single query is a batch of one: ``query_values`` and ``query_batch``
+both make one :meth:`execute` call over one snapshot, on either engine.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from repro.service.cache import (
 from repro.service.cascade import Request, run_cascade, validate_request
 from repro.service.cascade import sketch_estimates  # noqa: F401 - public from this module
 from repro.service.errors import ConfigError, QueryError
-from repro.service.plan import ADMIT_KERNEL, QueryPlan, compile_plan, resolve_family
+from repro.service.plan import QueryPlan, compile_plan, resolve_family
 from repro.service.sharded import ShardedStore
 from repro.service.store import IndexStore, StoreSnapshot
 
@@ -146,10 +146,6 @@ class QueryResult:
     n_after_lsh: int | None = None
     from_cache: bool = False
     cache_stats: CacheStats | None = field(default=None, compare=False)
-    #: How many coalesced queries shared the batch this answer came
-    #: from (1 = a single query).  Excluded from equality so a
-    #: batched answer compares equal to its per-query twin.
-    batch_size: int = field(default=1, compare=False)
     #: The similarity semantics the scores were computed under (a
     #: :data:`~repro.core.config.SIMILARITY_MEASURES` value) and the
     #: shape of its pruning bound (``"symmetric_window"``,
@@ -198,16 +194,29 @@ class QueryResult:
             f"({self.pruning_ratio:.1f}x pruning)",
             f"store version {self.store_version}, simulated "
             f"{self.simulated_seconds:.6f}s"
-            + (
-                f" [batched x{self.batch_size}]"
-                if self.batch_size > 1
-                else ""
-            )
             + (" [served from cache]" if self.from_cache else ""),
         ]
         if self.cache_stats is not None:
             lines.append(f"cache: {self.cache_stats}")
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class BatchQuery:
+    """One item of ``query_batch``: values plus its own parameters.
+
+    ``query_batch`` accepts raw value arrays (which take the call-level
+    defaults) or explicit ``BatchQuery`` items, so one batch may mix
+    threshold and top-k requests freely.
+    """
+
+    values: Any
+    threshold: float | None = None
+    top_k: int | None = None
+    exclude_name: str | None = None
+    #: Aligned per-value abundances; only consulted under
+    #: ``similarity="weighted_jaccard"``.
+    counts: Any = None
 
 
 # ---- the engines ----------------------------------------------------------
@@ -234,11 +243,11 @@ def _result(plan: QueryPlan, matches, threshold, top_k, store_version, **counter
 class _QueryEngine:
     """What the flat engine and the band router share.
 
-    The public front door (``query`` / ``query_name`` / ``query_values``),
-    the per-version snapshot pin, and :meth:`execute` — cache probe,
-    compute the misses together, split their modelled cost, cache the
-    answers.  A subclass supplies ``plan``, ``_take_snapshot`` and
-    ``_compute``.
+    The public front door (``query`` / ``query_name`` / ``query_values``
+    / ``query_batch``), the per-version snapshot pin, and :meth:`execute`
+    — cache probe, compute the misses together, split their modelled
+    cost, cache the answers.  A subclass supplies ``plan``,
+    ``_take_snapshot`` and ``_compute``.
     """
 
     #: Shard-layout component of this engine's cache keys.
@@ -255,6 +264,7 @@ class _QueryEngine:
             )
         self.cache = QueryCache(self.config.query_cache_size)
         self._pinned = None
+        self._pin_lock = threading.Lock()
 
     # ---- configuration ------------------------------------------------
 
@@ -276,12 +286,14 @@ class _QueryEngine:
         """The pinned view of the store's current version.
 
         Re-taken only when ``store.version`` has moved, so everything
-        the cascade loads is memoized for as long as the version lives.
+        the cascade loads is memoized for as long as the version lives;
+        concurrent callers share the one pin.
         """
-        pinned = self._pinned
-        if pinned is None or pinned.version != self.store.version:
-            pinned = self._pinned = self._take_snapshot()
-        return pinned
+        with self._pin_lock:
+            pinned = self._pinned
+            if pinned is None or pinned.version != self.store.version:
+                pinned = self._pinned = self._take_snapshot()
+            return pinned
 
     # ---- public API ----------------------------------------------------
 
@@ -336,10 +348,37 @@ class _QueryEngine:
         counts=None,
     ) -> QueryResult:
         """Answer one query set of attribute values: a batch of one."""
-        request = validate_request(
-            self.store.m, values, threshold, top_k, counts, exclude_name
-        )
-        return self.execute([request], self.snapshot(), self.plan())[0]
+        return self.query_batch(
+            [BatchQuery(values, threshold, top_k, exclude_name, counts)]
+        )[0]
+
+    def query_batch(
+        self,
+        queries: Sequence,
+        threshold: float | None = None,
+        top_k: int | None = None,
+    ) -> list[QueryResult]:
+        """Answer many queries against one store version, in input order.
+
+        Items are raw value arrays (taking the call-level ``threshold`` /
+        ``top_k``) or :class:`BatchQuery` instances.  Every item is
+        validated before anything runs; then one :meth:`execute` answers
+        them all over one snapshot.  :meth:`query_values` is the batch
+        of one.
+        """
+        items = [
+            q if isinstance(q, BatchQuery)
+            else BatchQuery(q, threshold=threshold, top_k=top_k)
+            for q in queries
+        ]
+        requests = [
+            validate_request(
+                self.store.m, item.values, item.threshold, item.top_k,
+                item.counts, item.exclude_name,
+            )
+            for item in items
+        ]
+        return self.execute(requests, self.snapshot(), self.plan())
 
     def execute(
         self, requests: list[Request], snapshot, plan: QueryPlan
@@ -383,11 +422,7 @@ class _QueryEngine:
             )
             cost = self.machine.ledger.diff(before).simulated_seconds
             for i, result in zip(misses, computed):
-                bare = replace(
-                    result,
-                    simulated_seconds=cost / len(misses),
-                    batch_size=len(requests) if plan.batched else 1,
-                )
+                bare = replace(result, simulated_seconds=cost / len(misses))
                 self.cache.put(keys[i], bare)
                 results[i] = replace(bare, cache_stats=self.cache.stats)
         return results  # type: ignore[return-value]
@@ -428,9 +463,9 @@ class SimilarityIndex(_QueryEngine):
         # makespan, not the sum, is the modelled fan-out cost).
         self.serving_rank = serving_rank % self.machine.world.size
 
-    def plan(self, batched: bool = False) -> QueryPlan:
+    def plan(self) -> QueryPlan:
         """The :class:`QueryPlan` this engine's config compiles to."""
-        return compile_plan(self.config, self.store, batched=batched)
+        return compile_plan(self.config, self.store)
 
     def _take_snapshot(self) -> StoreSnapshot:
         return self.store.snapshot()
@@ -439,11 +474,7 @@ class SimilarityIndex(_QueryEngine):
         self, requests: list[Request], snapshot: StoreSnapshot, plan: QueryPlan
     ) -> list[QueryResult]:
         serving = self.machine.world.sub([self.serving_rank])
-        with self.machine.phase("query_batch" if plan.batched else "query"):
-            if plan.batched:
-                serving.charge_compute(
-                    float(len(requests)), kernel=ADMIT_KERNEL
-                )
+        with self.machine.phase("query"):
             outcomes = run_cascade(plan, snapshot, requests, serving)
         return [
             _result(
@@ -545,8 +576,8 @@ class ShardedSimilarityIndex(_QueryEngine):
     :class:`~repro.runtime.executor.SequentialExecutor`; parallelism is
     *modelled* by the rank assignment either way).  Results are cached
     at this level — keyed with the store's shard topology — while the
-    per-shard engines run cache-less, so one mutation invalidates
-    exactly one layer.
+    per-shard engines run only the bare cascade, so one mutation
+    invalidates exactly one layer.
 
     The band snapshots and the global positions are pinned together
     under the store's lock, so a concurrent multi-shard ``add`` can
@@ -576,11 +607,8 @@ class ShardedSimilarityIndex(_QueryEngine):
             for i, shard in enumerate(store.shards)
         ]
 
-    def plan(self, batched: bool = False) -> QueryPlan:
-        return compile_plan(
-            self.config, self.store, batched=batched,
-            shards=self.store.n_shards,
-        )
+    def plan(self) -> QueryPlan:
+        return compile_plan(self.config, self.store, shards=self.store.n_shards)
 
     def _take_snapshot(self) -> ShardedSnapshot:
         with self.store._lock:
@@ -627,8 +655,11 @@ class ShardedSimilarityIndex(_QueryEngine):
             )
         bands = sorted(routed)
         band_plan = replace(plan, fanout=1)
+        # Each band runs the bare cascade: this router caches, keys and
+        # costs the merged answers, so the per-band cache probe and cost
+        # split would only be thrown away.
         answers = self.executor.map(
-            lambda band: self.engines[band].execute(
+            lambda band: self.engines[band]._compute(
                 [requests[i] for i in routed[band]],
                 snapshot.bands[band],
                 band_plan,

@@ -51,8 +51,8 @@ no other genome's values.
 
 Concurrency: the scope and :meth:`IndexStore.snapshot` hold the same
 re-entrant lock(s), so a snapshot never observes a half-applied batch.
-A :class:`StoreSnapshot` is the frozen view a query batch is admitted
-under: shard files are append-only and immutable, so a snapshot stays
+A :class:`StoreSnapshot` is the frozen view a query batch runs
+against: shard files are append-only and immutable, so a snapshot stays
 readable after later appends — only ``compact`` (which unlinks shards)
 invalidates older snapshots, and running it with queries in flight is
 unsupported.
@@ -847,7 +847,7 @@ class IndexStore(_StoreAPI):
         half-applied.  Because shards are append-only and immutable,
         the snapshot's reads stay valid across later ``append_many`` /
         ``remove`` calls — this is what lets a query
-        batch admitted under version ``v`` finish correctly while the
+        batch started under version ``v`` finish correctly while the
         store has already moved on.
         """
         with self._lock:
@@ -1147,14 +1147,16 @@ class StoreSnapshot:
         mass when ``by_mass``) and the extents in that order.
 
         The third element says whether this call built the order — the
-        cascade charges the sort to the ledger exactly then.
+        cascade charges the sort to the ledger exactly then, so racing
+        first queries build it under the snapshot's lock.
         """
-        built = by_mass not in self._orders
-        if built:
-            extents = self.masses() if by_mass else self._sizes
-            order = np.argsort(extents, kind="stable")
-            self._orders[by_mass] = (order, extents[order])
-        return (*self._orders[by_mass], built)
+        with self._lock:
+            built = by_mass not in self._orders
+            if built:
+                extents = self.masses() if by_mass else self._sizes
+                order = np.argsort(extents, kind="stable")
+                self._orders[by_mass] = (order, extents[order])
+            return (*self._orders[by_mass], built)
 
     def rank_space(self) -> tuple[RankSpace, bool]:
         """The live genomes' values (and counts) as a :class:`RankSpace`.

@@ -79,8 +79,6 @@ class TestKnobNamespace:
         "query.prefilter": "query_prefilter",
         "query.candidates": "query_candidates",
         "query.cache_size": "query_cache_size",
-        "query.batch_size": "query_batch_size",
-        "query.max_wait": "query_max_wait",
         "store.shards": "store_shards",
         "store.band_policy": "shard_band_policy",
     }
@@ -121,6 +119,11 @@ class TestKnobNamespace:
     def test_unknown_knob_rejected(self):
         with pytest.raises(ValueError, match="unknown config knob"):
             SimilarityConfig.from_dict({"query.bogus": 1})
+        # A query batch is one call over one snapshot: no batching knobs.
+        for gone in ("query.batch_size", "query.max_wait"):
+            with pytest.raises(ValueError, match="unknown config knob"):
+                SimilarityConfig.from_dict({gone: 1})
+        assert len(dataclasses.fields(SimilarityConfig)) == 23
 
     def test_shard_knob_validation(self):
         with pytest.raises(ValueError, match="store_shards"):

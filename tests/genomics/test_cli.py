@@ -178,6 +178,25 @@ class TestIndexSubcommands:
                  "--index", str(index), "-k", "31", "--threshold", "0.5"]
             )
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--prefilter", "size"),
+            ("--candidates", "lsh"),
+            ("--batch-size", "8"),
+            ("--query-batch-size", "8"),
+            ("--max-wait", "0.1"),
+            ("--query-max-wait", "0.1"),
+        ],
+    )
+    def test_removed_query_spellings_exit_2(self, tmp_path, capsys, flag, value):
+        argv = ["index", "query", str(self.FASTAS[0]),
+                "--index", str(tmp_path / "idx"), "--threshold", "0.5"]
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, flag, value])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_query_rejects_directory_input(self, tmp_path, capsys):
         index = tmp_path / "idx"
         assert main(

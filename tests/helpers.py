@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 
@@ -31,14 +29,3 @@ def random_sets(rng: np.random.Generator, n: int, m: int, max_size: int) -> list
         set(rng.integers(0, m, size=rng.integers(0, max_size + 1)).tolist())
         for _ in range(n)
     ]
-
-
-def without_modelled_cost(result):
-    """A ``QueryResult`` with its ledger seconds zeroed, for ``==``.
-
-    A batch of one runs the single query's code under the
-    ``query:batch:*`` kernel labels plus one admission unit, so the
-    modelled cost is the only field allowed to differ between
-    ``query_batch([q])[0]`` and ``query(values=q)``.
-    """
-    return replace(result, simulated_seconds=0.0)

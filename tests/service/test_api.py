@@ -5,6 +5,8 @@ create/open, add/remove/compact, all-pairs reads, single and batched
 queries, migration, stats — works identically on both store layouts.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,23 @@ class TestStats:
         ):
             assert key in stats
         assert stats["n_genomes"] == len(sets)
+
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    def test_cache_counters_are_data(self, tmp_path, rng, layout):
+        sets = sets_for(rng, n=6)
+        svc = (
+            flat_service(tmp_path, sets) if layout == "flat"
+            else sharded_service(tmp_path, sets)
+        )
+        q = np.sort(rng.choice(M, size=300, replace=False))
+        for _ in range(3):
+            svc.query(values=q, top_k=2)
+        cache = svc.stats()["cache"]
+        assert cache == {
+            "hits": 2, "misses": 1, "evictions": 0, "size": 1,
+            "capacity": svc.config.query_cache_size, "hit_rate": 2 / 3,
+        }
+        json.dumps(cache)  # plain numbers, ready for a metrics sink
 
     def test_sharded_extras(self, tmp_path, rng):
         svc = sharded_service(tmp_path, sets_for(rng, n=8))

@@ -1,11 +1,11 @@
-"""Concurrency/property battery for the batched query front end.
+"""Concurrency/property battery for ``query_batch``.
 
 The invariant everything here defends: a batched answer equals the
 per-query engine's answer, which equals brute force — for any batch
 composition (duplicates, stored genomes, mixed threshold/top-k), any
-prefilter depth, under concurrent submission, and while ``add``
-moves the store version mid-flight (each response is exact for the
-version it reports).
+prefilter depth, under concurrent callers, and while ``add`` moves the
+store version mid-flight (each response is exact for the version it
+reports).  One ``query_batch`` call answers for exactly one version.
 """
 
 import hashlib
@@ -20,12 +20,10 @@ from hypothesis import strategies as st
 
 from repro.core.config import SimilarityConfig
 from repro.runtime.engine import Machine
-from repro.runtime.executor import SequentialExecutor
 from repro.runtime.machine import laptop
 from repro.service import (
     BatchQuery,
     IndexStore,
-    QueryBatcher,
     SimilarityIndex,
     SimilarityService,
     compile_plan,
@@ -33,7 +31,6 @@ from repro.service import (
 )
 from repro.service.cache import counts_cache_digest
 from repro.service.query import exact_jaccard
-from tests.helpers import without_modelled_cost
 
 M = 2_000
 
@@ -81,6 +78,15 @@ def assert_matches(result, expected, label=""):
         assert gj == pytest.approx(ej, abs=1e-9), f"{label}: J for {gn}"
 
 
+def assert_batch_of_one_is_single(store, queries, **kwargs):
+    """Two fresh engines in lockstep, one per entry point: a batch of one
+    is the single query field for field, modelled cost included."""
+    single, batched = (engine(store, **kwargs) for _ in range(2))
+    for q, params in queries:
+        (alone,) = batched.query_batch([q], **params)
+        assert alone == single.query_values(q, **params), params
+
+
 @pytest.fixture
 def clustered_sets(rng):
     """A few tight families plus background noise (like test_query)."""
@@ -105,16 +111,6 @@ class TestPlanCompilation:
         assert plan.kernel("window") == "query:size"
         assert plan.kernel("sketch") == "query:sketch"
         assert plan.kernel("verify") == "query:verify"
-        assert not plan.batched
-
-    def test_batched_plan_uses_batch_kernels(self, tmp_path):
-        store = build_store(tmp_path, [{1, 2}, {2, 3}])
-        config = SimilarityConfig(query_prefilter="cascade")
-        plan = compile_plan(config, store, batched=True)
-        assert plan.kernel("window") == "query:batch:window"
-        assert plan.kernel("sketch") == "query:batch:sketch"
-        assert plan.kernel("verify") == "query:batch:verify"
-        assert plan.batched
 
     def test_off_plan_has_verify_only(self, tmp_path):
         store = build_store(tmp_path, [{1, 2}])
@@ -127,9 +123,6 @@ class TestPlanCompilation:
         store = build_store(tmp_path, [{1, 2}, {2, 3}])
         idx = engine(store, prefilter="size")
         assert idx.plan().describe() == "window[query:size] -> verify[query:verify]"
-        assert idx.plan(batched=True).describe() == (
-            "window[query:batch:window] -> verify[query:batch:verify]"
-        )
 
 
 class TestBatchedExactness:
@@ -142,8 +135,7 @@ class TestBatchedExactness:
         idx = engine(store, prefilter=prefilter, query_cache_size=0)
         queries = [as_vals(s) for s in clustered_sets[::2]]
         queries += [as_vals({7, 8, 9}), np.empty(0, dtype=np.int64)]
-        with QueryBatcher(idx, batch_size=4) as batcher:
-            batched = batcher.query_many(queries, threshold=0.25)
+        batched = idx.query_batch(queries, threshold=0.25)
         for q, res in zip(queries, batched):
             single = idx.query_values(q, threshold=0.25)
             expected = brute_force(corpus, q, threshold=0.25)
@@ -162,8 +154,7 @@ class TestBatchedExactness:
             BatchQuery(as_vals(clustered_sets[2]), threshold=0.1, top_k=2),
             BatchQuery(as_vals(clustered_sets[0]), threshold=0.3),  # dup
         ]
-        with QueryBatcher(idx, batch_size=len(items)) as batcher:
-            results = batcher.query_many(items)
+        results = idx.query_batch(items)
         for item, res in zip(items, results):
             expected = brute_force(
                 corpus, item.values if isinstance(item.values, np.ndarray)
@@ -174,125 +165,77 @@ class TestBatchedExactness:
         # The duplicate query must answer identically to its twin.
         assert results[3].matches == results[0].matches
 
-    def test_batch_charges_batch_kernels(self, tmp_path, clustered_sets):
+    def test_batch_charges_the_single_query_kernels(
+        self, tmp_path, clustered_sets
+    ):
         store = build_store(tmp_path, clustered_sets)
-        idx = engine(store, prefilter="cascade", query_cache_size=0)
-        with QueryBatcher(idx, batch_size=8) as batcher:
-            results = batcher.query_many(
-                [as_vals(s) for s in clustered_sets[:8]], threshold=0.2
-            )
-        kernels = idx.machine.ledger.kernel_totals
-        for kernel in (
-            "query:batch:admit",
-            "query:batch:window",
-            "query:batch:sketch",
-            "query:batch:verify",
-        ):
-            assert kernel in kernels, f"{kernel} missing from the ledger"
-            assert kernels[kernel][1] > 0
-        # The single-path kernels must not be charged by the batcher.
-        assert "query:verify" not in kernels
-        for res in results:
-            assert res.batch_size == 8
-            assert res.simulated_seconds > 0
-            assert "[batched x8]" in res.summary()
+        queries = [as_vals(s) for s in clustered_sets[:8]]
+        totals = []
+        for run in ("batch", "one by one"):
+            idx = engine(store, prefilter="cascade", query_cache_size=0)
+            if run == "batch":
+                results = idx.query_batch(queries, threshold=0.2)
+            else:
+                results = [idx.query_values(q, threshold=0.2) for q in queries]
+            assert all(r.simulated_seconds > 0 for r in results)
+            assert set(idx.machine.ledger.phases) == {"query"}
+            totals.append(idx.machine.ledger.kernel_totals)
+        assert set(totals[0]) == {"query:size", "query:sketch", "query:verify"}
+        for kernel, (_, flops) in totals[0].items():
+            assert flops == pytest.approx(totals[1][kernel][1], rel=1e-12)
 
     def test_exclude_name_in_batch(self, tmp_path, clustered_sets):
         store = build_store(tmp_path, clustered_sets)
         idx = engine(store, query_cache_size=0)
         name = store.names[0]
         qvals = store.load_values(name)
-        with QueryBatcher(idx, batch_size=2) as batcher:
-            (res,) = batcher.query_many(
-                [BatchQuery(qvals, threshold=0.0, exclude_name=name)]
-            )
+        (res,) = idx.query_batch(
+            [BatchQuery(qvals, threshold=0.0, exclude_name=name)]
+        )
         single = idx.query_values(qvals, threshold=0.0, exclude_name=name)
         assert res.matches == single.matches
         assert name not in res.names
         assert res.n_candidates == store.n_genomes - 1
 
-    def test_submit_timer_flush(self, tmp_path, clustered_sets):
+    def test_one_call_answers_for_one_version(
+        self, tmp_path, clustered_sets, monkeypatch
+    ):
+        # A genome lands while the call computes: every answer of the
+        # call still reports, and is exact for, the version it started
+        # under — however many requests the call carries.
         store = build_store(tmp_path, clustered_sets)
-        idx = engine(store, query_cache_size=0)
-        batcher = QueryBatcher(idx, batch_size=64, max_wait=0.02)
-        try:
-            fut = batcher.submit(as_vals(clustered_sets[0]), threshold=0.3)
-            res = fut.result(timeout=30)  # resolved by the timer, not flush
-            corpus = [(n, store.load_values(n)) for n in store.names]
-            assert_matches(
-                res, brute_force(corpus, as_vals(clustered_sets[0]), 0.3)
-            )
-            assert batcher.n_batches == 1
-        finally:
-            batcher.close()
-
-    def test_version_change_flushes_pending_batch(self, tmp_path):
-        sets = [{1, 2, 3}, {2, 3, 4}, {10, 11}]
-        store = build_store(tmp_path, sets)
+        corpus = [(n, store.load_values(n)) for n in store.names]
         idx = engine(store, prefilter="size", query_cache_size=0)
-        q = as_vals({1, 2, 3})
-        # max_wait high enough that only the version change can flush
-        # the first batch before the explicit flush() at the end.
-        batcher = QueryBatcher(idx, batch_size=64, max_wait=60.0)
-        try:
-            fut_old = batcher.submit(q, threshold=0.0)
-            store.append("late", {1, 2, 3})
-            fut_new = batcher.submit(q, threshold=0.0)
-            res_old = fut_old.result(timeout=30)
-            batcher.flush()
-            res_new = fut_new.result(timeout=30)
-        finally:
-            batcher.close()
-        assert res_old.store_version < res_new.store_version
-        assert "late" not in res_old.names
-        assert "late" in res_new.names
-        assert batcher.n_batches == 2
+        compute = idx._compute
 
-    def test_queued_request_owns_its_values(self, tmp_path, clustered_sets):
-        # A request can sit in the admission queue until max_wait: the
-        # caller may reuse its buffer meanwhile without changing the
-        # answer (validation used to copy via np.unique; the sort-based
-        # dedup returns a clean array as is, so validate_request copies).
-        store = build_store(tmp_path, clustered_sets)
-        idx = engine(store, query_cache_size=0)
-        mine = as_vals(clustered_sets[0])
-        want = idx.query_values(mine.copy(), threshold=0.3).matches
-        batcher = QueryBatcher(idx, batch_size=64, max_wait=60.0)
-        try:
-            fut = batcher.submit(mine, threshold=0.3)
-            mine[:] = M - 1
-            batcher.flush()
-            assert fut.result(timeout=30).matches == want
-        finally:
-            batcher.close()
+        def compute_then_add(requests, snapshot, plan):
+            out = compute(requests, snapshot, plan)
+            store.append(f"late{store.version}", clustered_sets[0])
+            return out
+
+        monkeypatch.setattr(idx, "_compute", compute_then_add)
+        queries = [as_vals(clustered_sets[i % 4]) for i in range(40)]
+        version = store.version
+        results = idx.query_batch(queries, threshold=0.3)
+        assert store.version == version + 1
+        assert {r.store_version for r in results} == {version}
+        for q, res in zip(queries, results):
+            assert_matches(res, brute_force(corpus, q, threshold=0.3))
 
     def test_invalid_requests_raise_synchronously(self, tmp_path):
         store = build_store(tmp_path, [{1, 2}])
         idx = engine(store)
-        with QueryBatcher(idx) as batcher:
-            with pytest.raises(ValueError, match="threshold, top_k"):
-                batcher.submit(np.array([1]))
-            with pytest.raises(ValueError, match="outside"):
-                batcher.submit(np.array([M + 5]), threshold=0.5)
-            with pytest.raises(ValueError, match="top_k"):
-                batcher.submit(np.array([1]), top_k=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            QueryBatcher(idx, batch_size=0)
-        with pytest.raises(ValueError, match="max_wait"):
-            QueryBatcher(idx, max_wait=-1.0)
-
-    def test_sequential_executor_runs_inline(self, tmp_path, clustered_sets):
-        store = build_store(tmp_path, clustered_sets)
-        idx = engine(store, query_cache_size=0)
-        batcher = QueryBatcher(
-            idx, executor=SequentialExecutor(), batch_size=2, max_wait=60.0
-        )
-        f1 = batcher.submit(as_vals(clustered_sets[0]), threshold=0.3)
-        f2 = batcher.submit(as_vals(clustered_sets[1]), threshold=0.3)
-        # batch_size reached -> executed inline on the admitting thread
-        assert f1.done() and f2.done()
-        assert f1.result().batch_size == 2
-        batcher.close()
+        before = idx.machine.ledger.snapshot()
+        good = np.array([1, 2])
+        with pytest.raises(ValueError, match="threshold, top_k"):
+            idx.query_batch([good, np.array([1])], threshold=None)
+        with pytest.raises(ValueError, match="outside"):
+            idx.query_batch([good, np.array([M + 5])], threshold=0.5)
+        with pytest.raises(ValueError, match="top_k"):
+            idx.query_batch([BatchQuery(good, threshold=0.5), np.array([1])], top_k=0)
+        # Every item is validated before anything runs.
+        assert idx.machine.ledger.diff(before).phases == {}
+        assert idx.cache.stats.lookups == 0
 
 
 class TestHypothesisProperties:
@@ -301,10 +244,9 @@ class TestHypothesisProperties:
         data=st.data(),
         prefilter=st.sampled_from(["off", "size", "cascade"]),
         threshold=st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
-        batch_size=st.sampled_from([1, 2, 3, 8]),
     )
     def test_batched_equals_perquery_equals_bruteforce(
-        self, data, prefilter, threshold, batch_size
+        self, data, prefilter, threshold
     ):
         m = 200
         sets = data.draw(
@@ -336,25 +278,21 @@ class TestHypothesisProperties:
             store = build_store(tmp, sets, m=m, sketch_size=32)
             corpus = [(n, store.load_values(n)) for n in store.names]
             idx = engine(store, prefilter=prefilter, query_cache_size=0)
-            with QueryBatcher(idx, batch_size=batch_size) as batcher:
-                batched = batcher.query_many(queries, threshold=threshold)
-                for q, res in zip(queries, batched):
-                    single = idx.query_values(q, threshold=threshold)
-                    assert res.matches == single.matches
-                    assert_matches(
-                        res, brute_force(corpus, q, threshold=threshold)
-                    )
-                    # A batch of one is the single query, field for field.
-                    (alone,) = batcher.query_many([q], threshold=threshold)
-                    assert without_modelled_cost(alone) == without_modelled_cost(single)
+            batched = idx.query_batch(queries, threshold=threshold)
+            for q, res in zip(queries, batched):
+                single = idx.query_values(q, threshold=threshold)
+                assert res.matches == single.matches
+                assert_matches(
+                    res, brute_force(corpus, q, threshold=threshold)
+                )
+            assert_batch_of_one_is_single(
+                store, [(q, {"threshold": threshold}) for q in queries],
+                prefilter=prefilter, query_cache_size=0,
+            )
 
     @settings(max_examples=15, deadline=None)
-    @given(
-        data=st.data(),
-        top_k=st.integers(min_value=1, max_value=5),
-        batch_size=st.sampled_from([1, 2, 4]),
-    )
-    def test_topk_batches_match_bruteforce(self, data, top_k, batch_size):
+    @given(data=st.data(), top_k=st.integers(min_value=1, max_value=5))
+    def test_topk_batches_match_bruteforce(self, data, top_k):
         m = 150
         sets = data.draw(
             st.lists(
@@ -377,14 +315,15 @@ class TestHypothesisProperties:
             store = build_store(tmp, sets, m=m, sketch_size=32)
             corpus = [(n, store.load_values(n)) for n in store.names]
             idx = engine(store, query_cache_size=0)
-            with QueryBatcher(idx, batch_size=batch_size) as batcher:
-                batched = batcher.query_many(qvals, top_k=top_k)
-                for q, res in zip(qvals, batched):
-                    single = idx.query_values(q, top_k=top_k)
-                    assert res.matches == single.matches
-                    assert_matches(res, brute_force(corpus, q, top_k=top_k))
-                    (alone,) = batcher.query_many([q], top_k=top_k)
-                    assert without_modelled_cost(alone) == without_modelled_cost(single)
+            batched = idx.query_batch(qvals, top_k=top_k)
+            for q, res in zip(qvals, batched):
+                single = idx.query_values(q, top_k=top_k)
+                assert res.matches == single.matches
+                assert_matches(res, brute_force(corpus, q, top_k=top_k))
+            assert_batch_of_one_is_single(
+                store, [(q, {"top_k": top_k}) for q in qvals],
+                query_cache_size=0,
+            )
 
 
 class TestCacheUnderBatching:
@@ -396,10 +335,9 @@ class TestCacheUnderBatching:
         q_hot = as_vals(clustered_sets[0])
         q_cold = as_vals(clustered_sets[4])
         warm = idx.query_values(q_hot, threshold=0.3)  # single path writes
-        with QueryBatcher(idx, batch_size=2) as batcher:
-            before = idx.machine.ledger.snapshot()
-            hot, cold = batcher.query_many([q_hot, q_cold], threshold=0.3)
-            diff = idx.machine.ledger.diff(before)
+        before = idx.machine.ledger.snapshot()
+        hot, cold = idx.query_batch([q_hot, q_cold], threshold=0.3)
+        diff = idx.machine.ledger.diff(before)
         assert hot.from_cache
         assert hot.matches == warm.matches
         assert not cold.from_cache
@@ -416,11 +354,10 @@ class TestCacheUnderBatching:
         store = build_store(tmp_path, clustered_sets)
         idx = engine(store, query_cache_size=16)
         queries = [as_vals(s) for s in clustered_sets[:3]]
-        with QueryBatcher(idx, batch_size=4) as batcher:
-            batcher.query_many(queries, threshold=0.3)
-            before = idx.machine.ledger.snapshot()
-            again = batcher.query_many(queries, threshold=0.3)
-            diff = idx.machine.ledger.diff(before)
+        idx.query_batch(queries, threshold=0.3)
+        before = idx.machine.ledger.snapshot()
+        again = idx.query_batch(queries, threshold=0.3)
+        diff = idx.machine.ledger.diff(before)
         assert all(r.from_cache for r in again)
         assert diff.simulated_seconds == 0.0
 
@@ -429,8 +366,7 @@ class TestCacheUnderBatching:
         store = build_store(tmp_path, clustered_sets)
         idx = engine(store, query_cache_size=16)
         q = as_vals(clustered_sets[1])
-        with QueryBatcher(idx, batch_size=1) as batcher:
-            (batched,) = batcher.query_many([q], threshold=0.25)
+        (batched,) = idx.query_batch([q], threshold=0.25)
         single = idx.query_values(q, threshold=0.25)
         assert single.from_cache
         assert single.matches == batched.matches
@@ -441,8 +377,7 @@ class TestCacheUnderBatching:
         idx = engine(store, query_cache_size=16)
         q = as_vals(clustered_sets[1])
         single = idx.query_values(q, top_k=2)
-        with QueryBatcher(idx, batch_size=1) as batcher:
-            (batched,) = batcher.query_many([q], top_k=2)
+        (batched,) = idx.query_batch([q], top_k=2)
         assert batched.from_cache
         assert batched.matches == single.matches
 
@@ -527,12 +462,17 @@ class TestConcurrencyStress:
     QUERIES_PER_THREAD = 8
 
     def test_concurrent_submits_across_version_bumps(self, tmp_path, rng):
-        """Mixed queries from N threads while ``add`` moves the store.
+        """Readers call ``query`` / ``query_batch`` on the service a writer
+        is adding to, flat and sharded.
 
         Every response must be exact for the store version it reports:
         we map each observed ``store_version`` back to the corpus at
         that version and compare against brute force over it.
         """
+        for shards in (1, 3):
+            self._stress(tmp_path / f"shards{shards}", rng, shards)
+
+    def _stress(self, root, rng, shards):
         m = 1_200
 
         def random_sets(k):
@@ -542,15 +482,18 @@ class TestConcurrencyStress:
             ]
 
         initial = random_sets(10)
-        store = IndexStore.create(tmp_path / "idx", m=m, sketch_size=32)
-        svc = SimilarityService(store)
+        svc = SimilarityService.create(
+            root, m=m,
+            config=SimilarityConfig(
+                sketch_size=32, query_cache_size=0, store_shards=shards,
+                shard_band_policy="uniform",
+            ),
+        )
+        store = svc.store
         svc.add([(f"g{i}", s) for i, s in enumerate(initial)])
         corpus = [(n, store.load_values(n)) for n in store.names]
         # add is one commit: exactly one version per corpus.
         version_map = {store.version: list(corpus)}
-
-        idx = engine(store, prefilter="cascade", query_cache_size=0)
-        batcher = QueryBatcher(idx, batch_size=4, max_wait=0.005)
 
         pool = [as_vals(s) for s in initial + random_sets(6)]
         errors: list[BaseException] = []
@@ -570,19 +513,26 @@ class TestConcurrencyStress:
 
         def reader(tid):
             try:
-                futures = []
+                asked = []
                 for j in range(self.QUERIES_PER_THREAD):
                     q = pool[(tid * 7 + j * 3) % len(pool)]
-                    if (tid + j) % 3 == 0:
-                        fut = batcher.submit(q, top_k=3)
-                        futures.append((q, None, 3, fut))
-                    else:
-                        fut = batcher.submit(q, threshold=0.2)
-                        futures.append((q, 0.2, None, fut))
-                for q, t, k, fut in futures:
-                    res = fut.result(timeout=60)
-                    with outcomes_lock:
-                        outcomes.append((q, t, k, res))
+                    asked.append(
+                        (q, None, 3) if (tid + j) % 3 == 0 else (q, 0.2, None)
+                    )
+                half = len(asked) // 2
+                answers = [
+                    svc.query(values=q, threshold=t, top_k=k)
+                    for q, t, k in asked[:half]
+                ]
+                answers += svc.query_batch(
+                    [BatchQuery(q, threshold=t, top_k=k) for q, t, k in asked[half:]]
+                )
+                batch_versions = {r.store_version for r in answers[half:]}
+                assert len(batch_versions) == 1, batch_versions
+                with outcomes_lock:
+                    outcomes.extend(
+                        (q, t, k, res) for (q, t, k), res in zip(asked, answers)
+                    )
             except BaseException as exc:  # pragma: no cover - diagnostics
                 errors.append(exc)
 
@@ -595,7 +545,7 @@ class TestConcurrencyStress:
             t.start()
         for t in threads:
             t.join(timeout=120)
-        batcher.close()
+        assert not any(t.is_alive() for t in threads)
 
         assert not errors, f"worker raised: {errors[0]!r}"
         assert len(outcomes) == self.N_THREADS * self.QUERIES_PER_THREAD
@@ -605,8 +555,6 @@ class TestConcurrencyStress:
             assert_matches(
                 res, expected, f"v{res.store_version} t={t} k={k}"
             )
-        assert batcher.n_requests == len(outcomes)
-        assert batcher.n_batches >= 1
 
 
 class TestBatchedLsh:
@@ -617,11 +565,9 @@ class TestBatchedLsh:
         cfg = SimilarityConfig(
             query_prefilter="size", query_candidates="lsh"
         )
-        plan = compile_plan(cfg, store, batched=True)
+        plan = compile_plan(cfg, store)
         assert [s.name for s in plan.stages] == ["lsh", "window", "verify"]
-        assert plan.kernel("lsh") == "query:batch:lsh"
-        single = compile_plan(cfg, store)
-        assert single.kernel("lsh") == "query:lsh"
+        assert plan.kernel("lsh") == "query:lsh"
         audit = compile_plan(
             SimilarityConfig(
                 query_prefilter="size", query_candidates="lsh_exact"
@@ -641,16 +587,17 @@ class TestBatchedLsh:
         )
         queries = [as_vals(s) for s in clustered_sets[::2]]
         queries.append(np.empty(0, dtype=np.int64))
-        with QueryBatcher(idx, batch_size=4) as batcher:
-            batched = batcher.query_many(queries, threshold=0.3)
-            for q, res in zip(queries, batched):
-                single = idx.query_values(q, threshold=0.3)
-                assert res.matches == single.matches
-                assert res.n_after_lsh == single.n_after_lsh
-                assert res.n_after_size == single.n_after_size
-                assert res.candidates == candidates
-                (alone,) = batcher.query_many([q], threshold=0.3)
-                assert without_modelled_cost(alone) == without_modelled_cost(single)
+        batched = idx.query_batch(queries, threshold=0.3)
+        for q, res in zip(queries, batched):
+            single = idx.query_values(q, threshold=0.3)
+            assert res.matches == single.matches
+            assert res.n_after_lsh == single.n_after_lsh
+            assert res.n_after_size == single.n_after_size
+            assert res.candidates == candidates
+        assert_batch_of_one_is_single(
+            store, [(q, {"threshold": 0.3}) for q in queries],
+            prefilter="size", query_candidates=candidates, query_cache_size=0,
+        )
 
     def test_lsh_exact_batch_equals_bruteforce(
         self, tmp_path, clustered_sets
@@ -662,8 +609,7 @@ class TestBatchedLsh:
             query_cache_size=0,
         )
         queries = [as_vals(s) for s in clustered_sets]
-        with QueryBatcher(idx, batch_size=5) as batcher:
-            results = batcher.query_many(queries, threshold=0.25)
+        results = idx.query_batch(queries, threshold=0.25)
         for q, res in zip(queries, results):
             assert_matches(
                 res, brute_force(corpus, q, threshold=0.25), "lsh_exact"
@@ -675,29 +621,26 @@ class TestBatchedLsh:
             store, prefilter="size", query_candidates="lsh",
             query_cache_size=0,
         )
-        with QueryBatcher(idx, batch_size=4) as batcher:
-            batcher.query_many(
-                [as_vals(s) for s in clustered_sets[:4]], threshold=0.3
-            )
+        idx.query_batch(
+            [as_vals(s) for s in clustered_sets[:4]], threshold=0.3
+        )
         kernels = idx.machine.ledger.kernel_totals
-        assert "query:batch:lsh" in kernels
-        assert kernels["query:batch:lsh"][1] > 0
-        assert "query:lsh" not in kernels
+        assert "query:lsh" in kernels
+        assert kernels["query:lsh"][1] > 0
 
     def test_scan_batch_charges_no_lsh_kernel(
         self, tmp_path, clustered_sets
     ):
         store = build_store(tmp_path, clustered_sets)
         idx = engine(store, prefilter="size", query_cache_size=0)
-        with QueryBatcher(idx, batch_size=4) as batcher:
-            batcher.query_many(
-                [as_vals(s) for s in clustered_sets[:4]], threshold=0.3
-            )
-        assert "query:batch:lsh" not in idx.machine.ledger.kernel_totals
+        idx.query_batch(
+            [as_vals(s) for s in clustered_sets[:4]], threshold=0.3
+        )
+        assert "query:lsh" not in idx.machine.ledger.kernel_totals
 
 
 class TestBatchedEdgeCases:
-    """The single-path degenerate inputs, swept through the batcher."""
+    """The single-path degenerate inputs, swept through ``query_batch``."""
 
     CANDIDATES = ["scan", "lsh", "lsh_exact"]
 
@@ -707,9 +650,8 @@ class TestBatchedEdgeCases:
     ):
         store = build_store(tmp_path, clustered_sets)
         idx = engine(store, prefilter="size", query_candidates=candidates)
-        with QueryBatcher(idx, batch_size=2) as batcher:
-            with pytest.raises(ValueError, match="top_k"):
-                batcher.submit(as_vals(clustered_sets[0]), top_k=0)
+        with pytest.raises(ValueError, match="top_k"):
+            idx.query_batch([as_vals(clustered_sets[0])], top_k=0)
 
     @pytest.mark.parametrize("candidates", CANDIDATES)
     def test_top_k_exceeds_corpus(self, tmp_path, clustered_sets, candidates):
@@ -718,10 +660,7 @@ class TestBatchedEdgeCases:
             store, prefilter="size", query_candidates=candidates,
             query_cache_size=0,
         )
-        with QueryBatcher(idx, batch_size=2) as batcher:
-            (res,) = batcher.query_many(
-                [as_vals(clustered_sets[0])], top_k=10_000
-            )
+        (res,) = idx.query_batch([as_vals(clustered_sets[0])], top_k=10_000)
         assert len(res.matches) <= len(clustered_sets)
         single = idx.query_values(as_vals(clustered_sets[0]), top_k=10_000)
         assert res.matches == single.matches
@@ -737,8 +676,7 @@ class TestBatchedEdgeCases:
             query_cache_size=0,
         )
         queries = [as_vals(clustered_sets[0]), np.empty(0, dtype=np.int64)]
-        with QueryBatcher(idx, batch_size=2) as batcher:
-            results = batcher.query_many(queries, threshold=threshold)
+        results = idx.query_batch(queries, threshold=threshold)
         for q, res in zip(queries, results):
             single = idx.query_values(q, threshold=threshold)
             assert res.matches == single.matches
@@ -750,12 +688,10 @@ class TestBatchedEdgeCases:
             store, prefilter="size", query_candidates=candidates,
             query_cache_size=0,
         )
-        with QueryBatcher(idx, batch_size=2) as batcher:
-            results = batcher.query_many(
-                [np.array([1, 2], dtype=np.int64),
-                 np.empty(0, dtype=np.int64)],
-                threshold=0.5,
-            )
+        results = idx.query_batch(
+            [np.array([1, 2], dtype=np.int64), np.empty(0, dtype=np.int64)],
+            threshold=0.5,
+        )
         for res in results:
             assert list(res.matches) == []
             assert res.n_candidates == 0
@@ -770,8 +706,47 @@ class TestBatchedEdgeCases:
             store, prefilter="size", query_candidates=candidates,
             query_cache_size=0,
         )
-        with QueryBatcher(idx, batch_size=1) as batcher:
-            (res,) = batcher.query_many(
-                [np.empty(0, dtype=np.int64)], threshold=0.5
-            )
+        (res,) = idx.query_batch([np.empty(0, dtype=np.int64)], threshold=0.5)
         assert res.names == [f"g{len(clustered_sets) - 1}"]
+
+
+class TestBatchOfOne:
+    """``query_batch([q])[0] == query(values=q)`` as whole results —
+    matches, funnel counters, store version, plan labels, modelled cost
+    and the rendered summary — on both layouts and every candidate
+    generator.  Each entry point runs on its own freshly opened service,
+    so both see the same ledger history."""
+
+    @pytest.mark.parametrize("shards", [1, 4], ids=["flat", "sharded"])
+    @pytest.mark.parametrize("candidates", ["scan", "lsh", "lsh_exact"])
+    def test_equals_the_single_query(self, tmp_path, rng, shards, candidates):
+        sets = [
+            np.unique(rng.integers(0, M, size=int(rng.integers(5, 300))))
+            for _ in range(24)
+        ]
+        root = tmp_path / "idx"
+        SimilarityService.create(
+            root, m=M,
+            config=SimilarityConfig(
+                sketch_size=64, store_shards=shards,
+                shard_band_policy="quantile",
+            ),
+            size_hint=np.array([s.size for s in sets]),
+        ).add([(f"g{i:02d}", s) for i, s in enumerate(sets)])
+        config = SimilarityConfig(query_candidates=candidates)
+        single, batched = (
+            SimilarityService.open(root, config=config) for _ in range(2)
+        )
+        cases = [
+            (sets[3], {"threshold": 0.3}),
+            (sets[7][::2], {"top_k": 4}),
+            (sets[11], {"threshold": 0.05, "top_k": 3}),
+            (sets[3], {"threshold": 0.3}),  # served from the cache
+        ]
+        for q, params in cases:
+            want = single.query(values=q, **params)
+            (got,) = batched.query_batch([q], **params)
+            assert got == want, params
+            assert got.summary() == want.summary(), params
+            assert got.simulated_seconds == want.simulated_seconds
+        assert want.from_cache and want.matches

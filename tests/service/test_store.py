@@ -1,6 +1,7 @@
 """Tests for the on-disk index store: round trips under every codec."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ value_sets = st.sets(st.integers(min_value=0, max_value=M - 1), max_size=200)
 
 def make_store(tmp_path, codec="adaptive", **kwargs):
     return IndexStore.create(tmp_path / "idx", m=M, codec=codec, **kwargs)
+
+
+def answered(result):
+    """A query result without its modelled cost: two services that lived
+    through different mutations and queries charge their ledgers from
+    different clocks, but must answer alike."""
+    return replace(result, simulated_seconds=0.0)
 
 
 class TestRecordFraming:
@@ -358,7 +366,6 @@ class TestCrashConsistency:
         self, tmp_path, monkeypatch, row
     ):
         from repro.service import SimilarityService, open_store
-        from tests.helpers import without_modelled_cost
 
         layout, prep, mutate = self.ROWS[row]
         log = self._write_log(tmp_path, monkeypatch, row)
@@ -394,9 +401,9 @@ class TestCrashConsistency:
             assert self._state(open_store(root)) == self._state(service.store)
             fresh = SimilarityService.open(root)
             for query in (np.array([7, 8, 9]), MID):
-                assert without_modelled_cost(
-                    service.query(values=query, top_k=5)
-                ) == without_modelled_cost(fresh.query(values=query, top_k=5))
+                assert answered(service.query(values=query, top_k=5)) == answered(
+                    fresh.query(values=query, top_k=5)
+                )
 
     @pytest.mark.parametrize(
         "layout, mutate, n_writes, touched",
@@ -486,7 +493,6 @@ class TestShardedCrashConsistency:
         # serve the rolled-back genomes after the next successful
         # mutation.
         from repro.service import SimilarityService
-        from tests.helpers import without_modelled_cost
 
         sweep = TestCrashConsistency()
         n_writes = len(
@@ -505,7 +511,7 @@ class TestShardedCrashConsistency:
         for query in (np.array([7, 8, 9]), MID):
             got = service.query(values=query, top_k=5)
             want = fresh.query(values=query, top_k=5)
-            assert without_modelled_cost(got) == without_modelled_cost(want)
+            assert answered(got) == answered(want)
             assert "x" not in got.names and "y" not in got.names
 
     def test_band_manifests_of_an_older_layout_are_never_read(self, tmp_path):
@@ -516,7 +522,6 @@ class TestShardedCrashConsistency:
         import json
 
         from repro.service import SimilarityService
-        from tests.helpers import without_modelled_cost
 
         service = TestCrashConsistency._baseline(tmp_path, "legacy", "sharded")
         root = service.store.root
@@ -537,9 +542,7 @@ class TestShardedCrashConsistency:
         reopened = SimilarityService.open(root)
         assert TestCrashConsistency._state(reopened.store) == committed
         got = [reopened.query(values=q, top_k=5) for q in (SMALL, MID)]
-        assert [without_modelled_cost(r) for r in got] == [
-            without_modelled_cost(r) for r in want
-        ]
+        assert [answered(r) for r in got] == [answered(r) for r in want]
         # ...and the next mutation commits past them without touching them.
         reopened.add([X, Y])
         assert "ghost" not in SimilarityService.open(root).store.names
@@ -582,15 +585,14 @@ class TestLegacyGramManifest:
     )
     def test_open_answers_then_next_commit_unlinks(self, tmp_path, layout, mutate):
         from repro.service import SimilarityService
-        from tests.helpers import without_modelled_cost
 
         root = self._legacy_root(tmp_path, layout)
         fresh = TestCrashConsistency._baseline(tmp_path, "fresh", layout)
         legacy = SimilarityService.open(root)
         for query in (SMALL, MID, np.array([7, 8, 9])):
-            assert without_modelled_cost(
-                legacy.query(values=query, top_k=5)
-            ) == without_modelled_cost(fresh.query(values=query, top_k=5))
+            assert answered(legacy.query(values=query, top_k=5)) == answered(
+                fresh.query(values=query, top_k=5)
+            )
         assert np.array_equal(
             legacy.all_pairs().intersections, fresh.all_pairs().intersections
         )
@@ -600,9 +602,9 @@ class TestLegacyGramManifest:
         assert "gram" not in (root / "manifest.json").read_text()
         mutate(fresh)
         reopened = SimilarityService.open(root)
-        assert without_modelled_cost(
-            reopened.query(values=SMALL, top_k=5)
-        ) == without_modelled_cost(fresh.query(values=SMALL, top_k=5))
+        assert answered(reopened.query(values=SMALL, top_k=5)) == answered(
+            fresh.query(values=SMALL, top_k=5)
+        )
 
 
 class TestRecordFileErrors:
@@ -628,7 +630,6 @@ class TestRecordFileErrors:
         """``load_values``, every family's stacked payloads and a query,
         each from a fresh open; the values (or ``None`` on StoreError)."""
         from repro.service import SimilarityService
-        from tests.helpers import without_modelled_cost
 
         store = IndexStore.open(root)
         calls = [lambda: store.load_values(name)]
@@ -637,9 +638,7 @@ class TestRecordFileErrors:
             for f in store.families
         ]
         calls.append(
-            lambda: without_modelled_cost(
-                SimilarityService.open(root).query(values=query, top_k=3)
-            )
+            lambda: SimilarityService.open(root).query(values=query, top_k=3)
         )
         out = []
         for call in calls:

@@ -8,8 +8,8 @@ on both rank builds (counting pass and sort), the kernel scores exactly
 what ``measure.exact_pair`` scores on the inputs a segment sum gets
 wrong (empty stored genomes, empty queries, query values outside the
 universe, an empty candidate last), weighted queries with and without
-counts on either side, and one memo build under concurrent first
-queries.
+counts on either side, one memo build under concurrent first queries,
+and a cost ledger that racing queries charge exactly.
 """
 
 import sys
@@ -22,8 +22,9 @@ import pytest
 import repro.service.cascade as cascade
 import repro.service.store as store_module
 from repro.core.config import SIMILARITY_MEASURES, SimilarityConfig
+from repro.runtime.executor import ThreadedExecutor
 from repro.semantics.measures import get_measure
-from repro.service import IndexStore, QueryBatcher, SimilarityIndex
+from repro.service import IndexStore, SimilarityIndex, SimilarityService
 from repro.service.cascade import validate_request
 from repro.service.query import exact_jaccard
 from repro.util.arrays import sorted_unique
@@ -139,8 +140,7 @@ class TestEdgeCases:
         stored = {n: store.load_values(n) for n in store.names}
         idx = engine(store, measure)
         queries = [np.asarray(q, dtype=np.int64) for q in EDGE_QUERIES]
-        with QueryBatcher(idx, batch_size=len(queries)) as batcher:
-            batched = batcher.query_many(queries, threshold=0.0)
+        batched = idx.query_batch(queries, threshold=0.0)
         for q, res in zip(queries, batched):
             single = idx.query_values(q, threshold=0.0)
             assert res.matches == single.matches
@@ -216,10 +216,9 @@ def race(workers, fn) -> list:
 
 class TestConcurrentFirstQuery:
     def test_one_build_for_racing_first_queries(self, tmp_path, rng, monkeypatch):
-        """A batcher and direct queries race to the first verify of one
-        fresh snapshot: equal answers and one rank-space build (one read
-        per value record).  Each direct query runs on an engine of its
-        own — one machine's cost ledger is not shared across threads."""
+        """Batches of one and single queries race on one shared engine to
+        the first verify of one fresh snapshot: equal answers and one
+        rank-space build (one read per value record)."""
         items = [
             (f"g{i:02d}", np.unique(rng.integers(0, 400, size=int(rng.integers(20, 80)))))
             for i in range(20)
@@ -240,20 +239,67 @@ class TestConcurrentFirstQuery:
         snapshot = shared.snapshot()  # pinned; nothing built yet
         calls = iter(range(6))
 
-        with QueryBatcher(shared, batch_size=2, max_wait=0.0) as batcher:
+        def first_query():
+            if next(calls) % 2:
+                return shared.query_batch([query], threshold=0.1)[0]
+            return shared.query_values(query, threshold=0.1)
 
-            def first_query():
-                if next(calls) % 2:
-                    return batcher.submit(query, threshold=0.1).result(timeout=30)
-                own = engine(store, "jaccard", query_prefilter="size")
-                request = validate_request(store.m, query, threshold=0.1)
-                return own.execute([request], snapshot, own.plan())[0]
-
-            answers = race(6, first_query)
+        answers = race(6, first_query)
         for res in answers:
             assert res.store_version == snapshot.version
             assert [(m.name, m.similarity) for m in res.matches] == want
         assert sorted(value_reads) == sorted(Path(e.shard).name for e in store.entries)
+
+    @pytest.mark.parametrize("shards", [1, 4], ids=["flat", "sharded"])
+    def test_racing_queries_charge_what_sequential_ones_do(self, tmp_path, rng, shards):
+        """Threads querying one service share its machine's cost ledger
+        (and, sharded, fan out on a thread pool): nothing raises, and the
+        ledger ends up charged exactly what the same queries charge one
+        after another on a fresh service — no update is lost."""
+        workers, rounds, repeats = 4, 20, 8
+        items = [
+            (f"g{i:02d}", np.unique(rng.integers(0, 3000, size=int(rng.integers(10, 400)))))
+            for i in range(32)
+        ]
+        root = tmp_path / "idx"
+        SimilarityService.create(
+            root, m=3000,
+            config=SimilarityConfig(
+                sketch_size=32, store_shards=shards, shard_band_policy="quantile"
+            ),
+            size_hint=np.array([v.size for _, v in items]),
+        ).add(items)
+        config = SimilarityConfig(query_cache_size=0, query_candidates="lsh_exact")
+        queries = [
+            (items[i][1], {"threshold": 0.05} if i % 2 else {"top_k": 5})
+            for i in range(workers)
+        ]
+
+        def flops(svc):
+            return {k: f for k, (_, f) in svc.machine.ledger.kernel_totals.items()}
+
+        sequential = SimilarityService.open(root, config=config)
+        want = [
+            [sequential.query(values=q, **kw).matches for _ in range(repeats)]
+            for q, kw in queries
+        ]
+        want_flops = flops(sequential)
+        with ThreadedExecutor(4) as pool:
+            for _ in range(rounds):
+                svc = SimilarityService.open(root, config=config, executor=pool)
+                turns = iter(range(workers))
+
+                def one():
+                    i = next(turns)
+                    q, kw = queries[i]
+                    return i, [svc.query(values=q, **kw).matches for _ in range(repeats)]
+
+                got = dict(race(workers, one))
+                assert [got[i] for i in range(workers)] == want
+                charged = flops(svc)
+                assert charged.keys() == want_flops.keys()
+                for kernel, f in want_flops.items():
+                    assert charged[kernel] == pytest.approx(f, rel=1e-12), kernel
 
     def test_request_builds_each_sketch_row_once(self, monkeypatch):
         """Bands racing on a threaded executor share one request; its
