@@ -10,7 +10,8 @@ first into ``c`` replication-layer slices (each layer contributes
 ``1/c`` of the batch's rows, per §III-C), then into ``q`` word-row
 blocks within the layer's face.  A single all-to-all over the active
 communicator moves every coordinate to its destination; each owner then
-packs its block locally with an ``OR``-scatter.
+packs its block locally (:meth:`BitMatrix.from_coo`: a boolean scatter
+plus ``np.packbits``).
 """
 
 from __future__ import annotations

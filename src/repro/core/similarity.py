@@ -443,11 +443,12 @@ class SimilarityAtScale:
             )
 
         def accumulate(idx: int, prep: _PreparedBatch) -> None:
-            nonlocal b_total, ahat
+            nonlocal ahat
             blocks = prep.payload
             with machine.phase("spgemm"):
-                b_total += gram_1d_allreduce(
-                    comm, blocks, kernel=prep.decision.kernel, codec=codec
+                gram_1d_allreduce(
+                    comm, blocks, kernel=prep.decision.kernel, codec=codec,
+                    out=b_total,
                 )
                 partial = [blk.column_popcounts() for blk in blocks]
                 comm.charge_compute([float(b.words.size) for b in blocks])

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.util.arrays import split_by_destination
 from repro.util.bits import WORD_DTYPES, unpack_bits, words_needed
+
+#: Bytes of boolean scratch one column tile of :meth:`BitMatrix.from_coo`
+#: scatters into (8x the words it packs to).
+PACK_TILE_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -67,7 +72,15 @@ class BitMatrix:
         n_cols: int,
         bit_width: int = 64,
     ) -> "BitMatrix":
-        """Pack coordinates; duplicates collapse through the OR."""
+        """Pack coordinates, in any order; duplicates collapse.
+
+        Column tile by column tile: the tile's coordinates are scattered
+        into a column-major boolean scratch (one row of padded bit rows
+        per column, at most :data:`PACK_TILE_BYTES` or one column, reused
+        by every tile) and packed with ``np.packbits(bitorder="little")``,
+        whose bytes, read as little-endian words, are the columns' words.
+        Tiles without a coordinate are never touched.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
@@ -75,12 +88,28 @@ class BitMatrix:
         if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("column index out of bounds")
         out = cls.zeros(n_rows, n_cols, bit_width)
-        if rows.size:
-            word_rows = rows // bit_width
-            dtype = WORD_DTYPES[bit_width]
-            bits = (rows % bit_width).astype(dtype)
-            masks = (dtype.type(1) << bits).astype(dtype)
-            np.bitwise_or.at(out.words, (word_rows, cols), masks)
+        if rows.size == 0:
+            return out
+        padded = out.n_word_rows * bit_width
+        tile = max(1, min(n_cols, PACK_TILE_BYTES // padded))
+        n_tiles = -(-n_cols // tile)
+        if n_tiles == 1:
+            groups = [(0, rows, cols)]
+        else:
+            messages = split_by_destination(cols // tile, rows, cols, n_tiles)
+            groups = [
+                (t * tile, *coords)
+                for t, coords in enumerate(messages) if coords is not None
+            ]
+        little = out.words.dtype.newbyteorder("<")
+        scratch = np.empty(tile * padded, dtype=bool)
+        for lo, tile_rows, tile_cols in groups:
+            hi = min(lo + tile, n_cols)
+            part = scratch[: (hi - lo) * padded]
+            part.fill(False)
+            part[(tile_cols - lo) * padded + tile_rows] = True
+            packed = np.packbits(part, bitorder="little").view(little)
+            out.words[:, lo:hi] = packed.reshape(hi - lo, -1).T
         return out
 
     @classmethod

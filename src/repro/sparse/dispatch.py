@@ -72,7 +72,7 @@ KERNEL_NAMES = ("bitpacked", "blocked", "outer")
 OUTER_OP_WEIGHT = 8.0
 
 #: Pairwise Gram implementations, keyed by kernel name.  All share the
-#: ``(x, y=None, block_bytes=...)`` calling convention on
+#: ``(x, y=None, block_bytes=..., out=None)`` calling convention on
 #: :class:`~repro.sparse.bitmatrix.BitMatrix` operands.
 GRAM_KERNELS = {
     "bitpacked": gram_bitpacked,

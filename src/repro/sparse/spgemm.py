@@ -6,12 +6,13 @@ Three kernels cover the density regimes the paper evaluates:
   matrices.  Cost ``O(w * n_x * n_y)`` word operations where ``w`` is the
   number of word rows; the reference popcount path once zero rows are
   filtered and segments packed.
-* :func:`gram_popcount_blocked` — the word-tiled popcount fast path for
-  the dense regime (Kingsford-like densities): a single fused
-  AND+popcount+accumulate sweep (``np.bitwise_count``) over
-  cache-resident word tiles.  Same result as :func:`gram_bitpacked`,
-  roughly half the modelled word operations (one pass instead of
-  materialize-then-reduce).
+* :func:`gram_popcount_blocked` — the dense-regime fast path
+  (Kingsford-like densities).  It is *modelled* as Eq. 7's fused
+  AND+popcount+accumulate sweep over word tiles — one word operation per
+  (word row, column pair), half the reference sweep — and *executed* as
+  one float32 GEMM per word-row tile of the operands unpacked to 0/1
+  values, which is exact (see the kernel) and far faster than a popcount
+  sweep in NumPy.  Joubert et al. run the same comparison as a GEMM.
 * :func:`gram_outer_pair` — hypersparse row-outer-product accumulation
   on bit-packed blocks: every row ``k`` present in both operands adds 1
   to ``B[c_k^x x c_k^y]``; cost ``O(sum_k |c_k^x| * |c_k^y|)``,
@@ -21,9 +22,11 @@ Three kernels cover the density regimes the paper evaluates:
   popcount sweeps.
 
 All kernels produce the same dense int64 Gram matrix; tests assert exact
-agreement with a dense boolean reference on random inputs.  The
-density-adaptive choice between them lives in
-:mod:`repro.sparse.dispatch`.
+agreement with a dense boolean reference on random inputs.  Each takes an
+optional ``out``: an int64 ``(n_x, n_y)`` array the product is *added*
+into (``B += X^T Y``), which is how the distributed layer accumulates a
+batch into its output blocks without a temporary.  The density-adaptive
+choice between them lives in :mod:`repro.sparse.dispatch`.
 
 Kernels return a :class:`KernelResult` carrying the value together with
 the modelled operation count, which the distributed layer charges to the
@@ -46,11 +49,15 @@ DEFAULT_BLOCK_BYTES = 64 * 2**20
 #: ``working_set_bytes`` the machine model is charged with).
 DEFAULT_WORD_TILE = 128
 
-#: Bytes of the AND temporary one *executed* step of the blocked kernel
-#: materialises.  The modelled tile above can reach ``block_bytes``
-#: (64 MiB — main memory, not cache); the sweep really runs in steps of
-#: this size so the AND -> popcount -> reduce chain stays L2-resident.
-EXEC_TILE_BYTES = 256 * 2**10
+#: Bytes of the float32 operand tiles one *executed* GEMM step of the
+#: blocked kernel unpacks (both operands together; at least one word row
+#: per step, whatever the column count).
+EXEC_TILE_BYTES = 4 * 2**20
+
+#: float32 holds every integer up to 2^24 exactly.  A GEMM step spanning
+#: fewer bit rows sums 0/1 products whose every partial sum is such an
+#: integer, in any order, so the product is exact.
+EXACT_FLOAT32_ROWS = 2**24
 
 
 @dataclass(frozen=True)
@@ -68,15 +75,29 @@ def gram_dense_reference(dense: np.ndarray) -> np.ndarray:
     return a.T @ a
 
 
+def _accumulator(out: np.ndarray | None, n_x: int, n_y: int) -> np.ndarray:
+    """The int64 ``(n_x, n_y)`` array a kernel adds its product into."""
+    if out is None:
+        return np.zeros((n_x, n_y), dtype=np.int64)
+    if out.shape != (n_x, n_y) or out.dtype != np.int64:
+        raise ValueError(
+            f"out must be int64 of shape {(n_x, n_y)}, got {out.dtype} "
+            f"{out.shape}"
+        )
+    return out
+
+
 def gram_bitpacked(
     x: BitMatrix,
     y: BitMatrix | None = None,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
+    out: np.ndarray | None = None,
 ) -> KernelResult:
     """Popcount Gram ``B[i, j] = sum_w popcount(x[:, i] & y[:, j])``.
 
     Blocked over columns of ``x`` so the broadcast temporary stays within
     ``block_bytes``.  With ``y is None`` computes the symmetric ``x^T x``.
+    With ``out`` the product is added into it.
     """
     symmetric = y is None
     if y is None:
@@ -89,9 +110,10 @@ def gram_bitpacked(
         )
     w = x.n_word_rows
     n_x, n_y = x.n_cols, y.n_cols
-    out = np.zeros((n_x, n_y), dtype=np.int64)
+    out = _accumulator(out, n_x, n_y)
     if w == 0 or n_x == 0 or n_y == 0:
         return KernelResult(out, 0.0, 0.0)
+    gram = np.zeros((n_x, n_y), dtype=np.int64)
     itemsize = x.words.dtype.itemsize
     per_col = max(1, w * n_y * itemsize)
     block = int(max(1, min(n_x, block_bytes // per_col)))
@@ -103,15 +125,16 @@ def gram_bitpacked(
             # Only columns >= lo can land in the upper triangle.
             anded = xw[:, lo:hi, None] & yw[:, None, lo:]
             counts = np.bitwise_count(anded).sum(axis=0, dtype=np.int64)
-            out[lo:hi, lo:] = counts
+            gram[lo:hi, lo:] = counts
         else:
             anded = xw[:, lo:hi, None] & yw[:, None, :]
-            out[lo:hi, :] = np.bitwise_count(anded).sum(axis=0, dtype=np.int64)
+            gram[lo:hi, :] = np.bitwise_count(anded).sum(axis=0, dtype=np.int64)
     if symmetric:
         # Blocks covered all (i, j) with j >= block start; only j >= i is
         # valid, so keep the upper triangle and mirror it.
-        out = np.triu(out)
-        out = out + np.triu(out, k=1).T
+        gram = np.triu(gram)
+        gram += np.triu(gram, k=1).T
+    out += gram
     # Modelled cost: a tuned implementation (as in Cyclops) picks between
     # the dense word sweep — 2 word ops per (word-row, column pair) — and
     # a Gustavson-style input-sparse kernel that only touches word pairs
@@ -129,25 +152,45 @@ def gram_bitpacked(
     return KernelResult(out, flops, working_set)
 
 
+def _unpack_tile(words: np.ndarray) -> np.ndarray:
+    """Word rows ``(t, n)`` -> float32 ``(n, t * bit_width)`` of 0/1 bits.
+
+    Row ``j`` holds column ``j``'s bits in word order, LSB first within a
+    word (the little-endian byte view keeps that order on any host).
+    """
+    little = np.ascontiguousarray(words.T, dtype=words.dtype.newbyteorder("<"))
+    bits = np.unpackbits(little.view(np.uint8), axis=1, bitorder="little")
+    return bits.astype(np.float32)
+
+
 def gram_popcount_blocked(
     x: BitMatrix,
     y: BitMatrix | None = None,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
     word_tile: int = DEFAULT_WORD_TILE,
+    out: np.ndarray | None = None,
 ) -> KernelResult:
-    """Word-tiled popcount Gram — the dense-regime fast path.
+    """Dense-regime Gram: modelled as the word-tiled popcount sweep,
+    executed as one float32 GEMM per word-row tile.
 
     Computes the same ``B[i, j] = sum_w popcount(x[:, i] & y[:, j])`` as
-    :func:`gram_bitpacked`, but tiles the word-row dimension so the AND
-    temporary of each step stays cache-resident, and fuses the popcount
-    (``np.bitwise_count``) and accumulation into a single sweep over
-    every tile.  Each executed step is one 3-D AND of at most
-    :data:`EXEC_TILE_BYTES`, cut out of the modelled ``word_tile`` x
-    ``block_bytes`` tile.
+    :func:`gram_bitpacked`.  Each executed step unpacks a word-row tile
+    of both operands to float32 0/1 matrices of at most
+    :data:`EXEC_TILE_BYTES` (one word row at least), multiplies them with
+    one ``np.matmul`` and adds the product into the int64 result (``out``
+    when given, so ``B += X^T Y`` needs no temporary).  The product is
+    exact: a step spans fewer than :data:`EXACT_FLOAT32_ROWS` bit rows, so
+    every partial sum of 0/1 products is an integer float32 represents
+    exactly, in whatever order the BLAS adds them.  ``y is x`` and
+    ``y=None`` still run a real GEMM on two unpacked buffers — NumPy's
+    ``a @ a.T`` SYRK path measured slower on both all-pairs workloads'
+    block shapes.
 
-    Modelled cost: one word operation per (word-row, column pair) — half
-    the two-pass reference sweep — with a per-tile working set, which is
-    what makes the dispatcher prefer this kernel on dense batches.
+    Modelled cost — what the ledger charges, independent of the GEMM that
+    runs: Eq. 7's one word operation per (word row, column pair), half
+    the two-pass reference sweep, over ``word_tile`` x ``block_bytes``
+    tiles whose size sets ``working_set_bytes``.  That is what makes the
+    dispatcher prefer this kernel on dense batches.
     """
     symmetric = y is None
     if y is None:
@@ -160,36 +203,23 @@ def gram_popcount_blocked(
         )
     w = x.n_word_rows
     n_x, n_y = x.n_cols, y.n_cols
-    out = np.zeros((n_x, n_y), dtype=np.int64)
+    out = _accumulator(out, n_x, n_y)
     if w == 0 or n_x == 0 or n_y == 0:
         return KernelResult(out, 0.0, 0.0)
+    step = int(max(1, min(
+        w,
+        EXEC_TILE_BYTES // ((n_x + n_y) * x.bit_width * 4),
+        (EXACT_FLOAT32_ROWS - 1) // x.bit_width,
+    )))
+    for lo in range(0, w, step):
+        # Two unpacks even when y is x: two buffers keep matmul on GEMM.
+        xb = _unpack_tile(x.words[lo : lo + step])
+        yb = _unpack_tile(y.words[lo : lo + step])
+        np.add(out, xb @ yb.T, out=out, dtype=np.int64, casting="unsafe")
     itemsize = x.words.dtype.itemsize
     tile = int(max(1, min(w, word_tile)))
     per_col = max(1, tile * n_y * itemsize)
     block = int(max(1, min(n_x, block_bytes // per_col)))
-    # The executed step: as many word rows of the modelled tile, then as
-    # many x columns of the modelled block, as EXEC_TILE_BYTES holds.
-    row_bytes = n_y * itemsize
-    step_w = int(max(1, min(tile, EXEC_TILE_BYTES // row_bytes)))
-    step_x = int(max(1, min(block, EXEC_TILE_BYTES // (step_w * row_bytes))))
-    xw = x.words
-    yw = y.words
-    for wlo in range(0, w, step_w):
-        xt = xw[wlo : wlo + step_w]
-        yt = yw[wlo : wlo + step_w]
-        for lo in range(0, n_x, step_x):
-            hi = min(lo + step_x, n_x)
-            # Only columns >= lo can land in the upper triangle.
-            clo = lo if symmetric else 0
-            anded = xt[:, lo:hi, None] & yt[:, None, clo:]
-            # A step spans < 2^32 bit rows, so uint32 partial sums are
-            # exact and reduce faster than widening every count to int64.
-            out[lo:hi, clo:] += np.bitwise_count(anded).sum(
-                axis=0, dtype=np.uint32
-            )
-    if symmetric:
-        out = np.triu(out)
-        out = out + np.triu(out, k=1).T
     pair_count = (n_x * n_y) if not symmetric else (n_x * (n_x + 1)) // 2
     flops = float(w) * pair_count
     working_set = float(
@@ -204,14 +234,16 @@ def gram_outer_pair(
     x: BitMatrix,
     y: BitMatrix | None = None,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
+    out: np.ndarray | None = None,
 ) -> KernelResult:
     """Hypersparse pairwise Gram ``B = X^T Y`` on bit-packed operands.
 
     Extracts bit-level coordinates from both operands (cheap exactly when
     the blocks are hypersparse), groups them by row, and accumulates the
     outer product ``B[c_k^x times c_k^y] += 1`` for every row ``k``
-    present in both.  With ``y is None`` it computes the symmetric
-    ``x^T x``; results are bit-identical to the popcount kernels.
+    present in both — into ``out`` when given.  With ``y is None`` it
+    computes the symmetric ``x^T x``; results are bit-identical to the
+    popcount kernels.
 
     Cost ``O(sum_k |c_k^x| * |c_k^y|)`` scatter-adds, independent of
     ``n_x * n_y``; chunks are bounded by ``block_bytes // 16`` index
@@ -227,7 +259,7 @@ def gram_outer_pair(
             f"word-row counts differ: {x.n_word_rows} vs {y.n_word_rows}"
         )
     n_x, n_y = x.n_cols, y.n_cols
-    out = np.zeros((n_x, n_y), dtype=np.int64)
+    out = _accumulator(out, n_x, n_y)
     working_set = float(x.nbytes + y.nbytes + out.nbytes)
     xr, xc = x.nonzero_bits()
     if xr.size == 0:

@@ -82,15 +82,17 @@ def summa_gram_2d(
         for i in range(q):
             row = grid.row_comm(i, layer)
             row.bcast_from(matrix.block(s, i), root=i, codec=codec)
-        # (3) local gram on every face rank, through the dispatched kernel.
+        # (3) local gram on every face rank, through the dispatched kernel,
+        # accumulated straight into the rank's output block.
         flops = []
         working = 0.0
         for i in range(q):
             left = matrix.block(s, i)
             for j in range(q):
                 right = matrix.block(s, j)
-                res = kernel_fn(left, right, **kernel_kwargs)
-                out.blocks[(i, j)] += res.value
+                res = kernel_fn(
+                    left, right, out=out.blocks[(i, j)], **kernel_kwargs
+                )
                 flops.append(res.flops)
                 working = max(working, res.working_set_bytes)
         grid.layer_comm(layer).charge_compute(
@@ -188,6 +190,7 @@ def gram_1d_allreduce(
     local_blocks: list[BitMatrix],
     kernel: str = "bitpacked",
     codec: WireCodec | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Communication-inefficient baseline: local grams + full allreduce.
 
@@ -195,7 +198,8 @@ def gram_1d_allreduce(
     participates in an ``n^2``-sized all-reduce — the allreduce-over-
     reducers pattern (§I) whose communication volume does not shrink with
     ``sqrt(p)``.  Functionally identical to SUMMA; the local Gram runs
-    through the named dispatch kernel.
+    through the named dispatch kernel.  The reduced Gram is returned, or
+    added into ``out`` (the caller's running ``B``) and ``out`` returned.
     """
     if len(local_blocks) != comm.size:
         raise ValueError(
@@ -212,4 +216,8 @@ def gram_1d_allreduce(
         partials.append(res.value)
         flops.append(res.flops)
     comm.charge_compute(flops, kernel=kernel)
-    return comm.allreduce(partials, op="sum", codec=codec)[0]
+    reduced = comm.allreduce(partials, op="sum", codec=codec)[0]
+    if out is None:
+        return reduced
+    out += reduced
+    return out

@@ -121,12 +121,26 @@ class TestPlannerPrediction:
 
 class TestBlockedKernel:
     @settings(max_examples=40)
-    @given(seed=st.integers(0, 10_000), width=st.sampled_from([8, 16, 32, 64]))
-    def test_matches_reference(self, seed, width):
+    @given(
+        seed=st.integers(0, 10_000),
+        width=st.sampled_from([8, 16, 32, 64]),
+        form=st.sampled_from(["none", "same", "pair"]),
+    )
+    def test_matches_reference(self, seed, width, form):
         rng = np.random.default_rng(seed)
-        dense = rng.random((int(rng.integers(1, 200)), int(rng.integers(1, 12)))) < 0.3
-        res = gram_popcount_blocked(BitMatrix.from_dense(dense, width))
-        assert np.array_equal(res.value, gram_dense_reference(dense))
+        m = int(rng.integers(1, 200))
+        dense = rng.random((m, int(rng.integers(1, 12)))) < 0.3
+        x = BitMatrix.from_dense(dense, width)
+        if form == "pair":
+            other = rng.random((m, int(rng.integers(1, 12)))) < 0.3
+            y = BitMatrix.from_dense(other, width)
+            want = dense.astype(np.int64).T @ other.astype(np.int64)
+        else:
+            y = None if form == "none" else x
+            want = gram_dense_reference(dense)
+        res = gram_popcount_blocked(x, y)
+        assert np.array_equal(res.value, want)
+        assert np.array_equal(res.value, gram_bitpacked(x, y).value)
 
     def test_tiling_invariance(self, rng):
         x = rng.random((700, 7)) < 0.25
@@ -141,8 +155,9 @@ class TestBlockedKernel:
 
     @staticmethod
     def _one_tile_per_step(x, y=None, block_bytes=64 * 2**20, word_tile=128):
-        """The kernel as it ran before its executed step was cache-sized:
-        every step materialises a whole modelled (tile x block) AND."""
+        """The kernel as Eq. 7 models it: one popcount-AND sweep per
+        modelled (tile x block) step — the value, flops and working set
+        the executed GEMM body must reproduce."""
         symmetric = y is None
         y = x if y is None else y
         w, n_x, n_y = x.n_word_rows, x.n_cols, y.n_cols
@@ -191,6 +206,8 @@ class TestBlockedKernel:
     def test_cache_sized_steps_change_neither_value_nor_model(
         self, rng, rows, n_x, n_y, width, kwargs
     ):
+        """The executed float32 GEMM steps change neither the Gram nor
+        what the ledger is charged for the modelled popcount sweep."""
         x = BitMatrix.from_dense(rng.random((rows, n_x)) < 0.35, width)
         y = (
             None if n_y is None

@@ -155,3 +155,74 @@ def test_ledger_and_result_are_bit_identical_to_the_recording(key):
         digest,
     )
     assert got == GOLDEN[key]
+
+
+#: Recorded at the commit before the blocked kernel became a float32 GEMM
+#: and ``from_coo`` a boolean scatter + ``np.packbits``: what the kernels
+#: execute changed, what the ledger is charged must not.  The SUMMA rows
+#: run a 2 x 2 x 2 grid (``replication=2`` on 8 ranks: pair-form blocks,
+#: off-diagonal panels and a fiber reduction).
+#: (Gram algorithm, kernel policy) -> (kernel_totals as
+#: {kernel: (seconds as float.hex, flops)}, total flops, raw wire bytes,
+#: encoded wire bytes, simulated_seconds as float.hex)
+CODEC_KERNELS = {
+    "codec:mixed": ("0x1.3bdbeae98a0e8p-23", 441.25),
+    "codec:raw": ("0x1.c7443b8805366p-23", 636.0),
+    "codec:rle": ("0x1.e192bdc380aefp-23", 672.75),
+    "codec:varint": ("0x1.35066f2d069b8p-19", 12547.25),
+}
+CODEC_KERNELS_1D = {
+    "codec:mixed": ("0x1.d87247702c0cfp-23", 2635.75),
+    "codec:varint": ("0x1.de32056c310c1p-20", 15518.0),
+}
+GOLDEN_KERNELS = {
+    ("summa", "blocked"): (
+        {"blocked": ("0x1.5be4711d12794p-21", 3888.0), **CODEC_KERNELS},
+        46980.25, 41584.0, 15609.0, "0x1.39c5b338e121ep-11",
+    ),
+    ("summa", "bitpacked"): (
+        {"bitpacked": ("0x1.4c8086726fae6p-20", 6202.0), **CODEC_KERNELS},
+        49294.25, 41584.0, 15609.0, "0x1.39f0a656a582fp-11",
+    ),
+    ("summa", "outer"): (
+        {"outer": ("0x1.1d9d85f385af7p-20", 3521.0), **CODEC_KERNELS},
+        46613.25, 41584.0, 15609.0, "0x1.39e609a0e43e3p-11",
+    ),
+    ("1d_allreduce", "blocked"): (
+        {"blocked": ("0x1.4f01e82ef5585p-22", 2106.0), **CODEC_KERNELS_1D},
+        63862.75, 119792.0, 22536.0, "0x1.f7239c047cdf9p-12",
+    ),
+    ("1d_allreduce", "bitpacked"): (
+        {"bitpacked": ("0x1.144f3f8070a5dp-21", 3388.0), **CODEC_KERNELS_1D},
+        65144.75, 119792.0, 22536.0, "0x1.f75a032a315a8p-12",
+    ),
+    ("1d_allreduce", "outer"): (
+        {"outer": ("0x1.32bb7496356c8p-21", 3521.0), **CODEC_KERNELS_1D},
+        65277.75, 119792.0, 22536.0, "0x1.f7693944bc3cep-12",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_KERNELS), ids="-".join)
+def test_kernel_ledger_is_identical_to_the_recording(key):
+    algorithm, policy = key
+    result = jaccard_similarity(
+        _source("set"),
+        Machine(stampede2_knl(2, ranks_per_node=4)),
+        SimilarityConfig(
+            batch_count=3, wire_codec="adaptive", gram_algorithm=algorithm,
+            kernel_policy=policy, replication=2,
+        ),
+    )
+    if algorithm == "summa":
+        assert (result.grid_q, result.grid_c) == (2, 2)
+    cost = result.cost
+    total = cost.total
+    got = (
+        {k: (float(s).hex(), f) for k, (s, f) in cost.kernel_totals.items()},
+        total.total_flops,
+        total.wire_raw_bytes,
+        total.wire_encoded_bytes,
+        float(cost.simulated_seconds).hex(),
+    )
+    assert got == GOLDEN_KERNELS[key]

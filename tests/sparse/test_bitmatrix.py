@@ -1,12 +1,15 @@
 """Tests for bit-packed matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sparse import bitmatrix
 from repro.sparse.bitmatrix import BitMatrix
-from repro.util.bits import SUPPORTED_WIDTHS
+from repro.util.bits import SUPPORTED_WIDTHS, WORD_DTYPES, words_needed
 
 
 class TestConstruction:
@@ -22,11 +25,18 @@ class TestConstruction:
         )
         assert bm.nnz == 1
 
-    def test_from_coo_bounds(self):
-        with pytest.raises(ValueError, match="row index"):
-            BitMatrix.from_coo(np.array([8]), np.array([0]), 8, 1, 8)
-        with pytest.raises(ValueError, match="column index"):
-            BitMatrix.from_coo(np.array([0]), np.array([1]), 8, 1, 8)
+    @pytest.mark.parametrize(
+        "rows, cols, match",
+        [
+            ([8], [0], "row index out of bounds"),
+            ([-1], [0], "row index out of bounds"),
+            ([0], [1], "column index out of bounds"),
+            ([0], [-1], "column index out of bounds"),
+        ],
+    )
+    def test_from_coo_bounds(self, rows, cols, match):
+        with pytest.raises(ValueError, match=match):
+            BitMatrix.from_coo(np.array(rows), np.array(cols), 8, 1, 8)
 
     def test_word_count_validated(self):
         with pytest.raises(ValueError, match="word rows"):
@@ -47,6 +57,81 @@ class TestConstruction:
         bm = BitMatrix.from_dense(dense, width)
         assert np.array_equal(bm.to_dense(), dense)
         assert bm.nnz == int(dense.sum())
+
+
+def or_scatter(rows, cols, n_rows, n_cols, width):
+    """The packing rule spelled out: row ``r`` of column ``c`` is bit
+    ``r % width`` of word ``(r // width, c)``, OR-ed in one at a time."""
+    dtype = WORD_DTYPES[width]
+    words = np.zeros((words_needed(n_rows, width), n_cols), dtype=dtype)
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        words[r // width, c] |= dtype.type(1) << dtype.type(r % width)
+    return words
+
+
+def coordinates(rng, n_rows, n_cols, count, order):
+    """``count`` coordinates with duplicates, in the named order."""
+    rows = rng.integers(0, n_rows, size=count)
+    cols = rng.integers(0, n_cols, size=count)
+    rows = np.concatenate([rows, rows[: count // 4]])  # duplicates
+    cols = np.concatenate([cols, cols[: count // 4]])
+    if order == "column-grouped":
+        keep = np.lexsort((rows, cols))
+    elif order == "row-grouped":
+        keep = np.lexsort((cols, rows))
+    else:
+        keep = rng.permutation(rows.size)
+    return rows[keep], cols[keep]
+
+
+class TestFromCoo:
+    """``from_coo`` words are byte-equal to the OR-scatter reference."""
+
+    @pytest.mark.parametrize("width", SUPPORTED_WIDTHS)
+    @pytest.mark.parametrize("order", ["random", "column-grouped", "row-grouped"])
+    def test_byte_equal_to_or_scatter(self, width, order, rng):
+        n_rows, n_cols = 5 * width + 3, 9
+        rows, cols = coordinates(rng, n_rows, n_cols, 120, order)
+        got = BitMatrix.from_coo(rows, cols, n_rows, n_cols, width).words
+        want = or_scatter(rows, cols, n_rows, n_cols, width)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tile_cols", [1, 2, 3, 7, 8])
+    def test_column_tile_boundaries(self, monkeypatch, tile_cols, rng):
+        # 7 columns cut into tiles of tile_cols: ragged last tile, and
+        # column 4 left empty so some tile can hold no coordinate.
+        n_rows, n_cols, width = 100, 7, 32
+        rows, cols = coordinates(rng, n_rows, n_cols, 200, "random")
+        rows, cols = rows[cols != 4], cols[cols != 4]
+        padded = words_needed(n_rows, width) * width
+        monkeypatch.setattr(bitmatrix, "PACK_TILE_BYTES", tile_cols * padded)
+        got = BitMatrix.from_coo(rows, cols, n_rows, n_cols, width).words
+        want = or_scatter(rows, cols, n_rows, n_cols, width)
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_coordinates(self):
+        bm = BitMatrix.from_coo(np.array([]), np.array([]), 70, 3, 16)
+        assert bm.words.shape == (5, 3)
+        assert bm.nnz == 0
+
+    def test_scratch_is_tiled_on_a_hypersparse_wide_block(self, rng):
+        # Untiled, the boolean scratch alone would be n_rows * n_cols
+        # bytes = 64 MiB, eight times the packed words.
+        n_rows, n_cols = 2**14, 4096
+        rows = rng.integers(0, n_rows, size=1000)
+        cols = rng.integers(0, n_cols, size=1000)
+        tracemalloc.start()
+        try:
+            bm = BitMatrix.from_coo(rows, cols, n_rows, n_cols, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bm.nbytes == 8 * 2**20
+        assert peak < bm.nbytes + 2 * bitmatrix.PACK_TILE_BYTES
+        assert bm.words.tobytes() == or_scatter(
+            rows, cols, n_rows, n_cols, 64
+        ).tobytes()
 
 
 class TestOperations:

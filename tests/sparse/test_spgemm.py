@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sparse import spgemm
 from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.spgemm import (
     colsum_bitpacked,
@@ -108,6 +109,96 @@ class TestKernelsAgree:
         res = kernel(BitMatrix.zeros(0, 4))
         assert np.array_equal(res.value, np.zeros((4, 4), dtype=np.int64))
         assert res.flops == 0.0
+
+    @pytest.mark.parametrize("form", ["none", "same", "pair"])
+    def test_out_accumulates(self, kernel, form, rng):
+        x = rng.random((150, 6)) < 0.3
+        y = x if form != "pair" else rng.random((150, 9)) < 0.3
+        bx = BitMatrix.from_dense(x, 16)
+        by = {"none": None, "same": bx, "pair": BitMatrix.from_dense(y, 16)}[form]
+        fresh = kernel(bx, by)
+        prior = rng.integers(-50, 50, size=fresh.value.shape)
+        out = prior.copy()
+        res = kernel(bx, by, out=out)
+        assert res.value is out
+        # B += X^T Y, not B = X^T Y; the model does not see out.
+        assert np.array_equal(out, prior + x.astype(np.int64).T @ y)
+        assert (res.flops, res.working_set_bytes) == (
+            fresh.flops, fresh.working_set_bytes
+        )
+
+    def test_out_accumulates_nothing_from_empty_operands(self, kernel):
+        out = np.full((3, 2), 7, dtype=np.int64)
+        res = kernel(BitMatrix.zeros(64, 3), BitMatrix.zeros(64, 2), out=out)
+        assert res.value is out
+        assert np.array_equal(out, np.full((3, 2), 7))
+
+    @pytest.mark.parametrize(
+        "bad", [np.zeros((4, 3), np.int64), np.zeros((3, 3), np.float64)]
+    )
+    def test_out_shape_and_dtype_checked(self, kernel, bad):
+        with pytest.raises(ValueError, match="out must be int64"):
+            kernel(BitMatrix.zeros(64, 3), out=bad)
+
+
+class TestBlockedGemm:
+    """The blocked kernel's executed body — float32 GEMM per word-row tile
+    — against the dense reference and the popcount reference kernel."""
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    @pytest.mark.parametrize("form", ["none", "same", "pair"])
+    def test_exact_for_every_width_and_form(self, width, form, rng):
+        rows = 7 * width + 3  # ragged trailing word
+        x = rng.random((rows, 13)) < 0.4
+        y = x if form != "pair" else rng.random((rows, 5)) < 0.4
+        bx = BitMatrix.from_dense(x, width)
+        by = {"none": None, "same": bx, "pair": BitMatrix.from_dense(y, width)}[form]
+        res = gram_popcount_blocked(bx, by)
+        assert res.value.dtype == np.int64
+        assert np.array_equal(res.value, x.astype(np.int64).T @ y)
+        assert np.array_equal(res.value, gram_bitpacked(bx, by).value)
+        if form != "pair":
+            assert np.array_equal(res.value, gram_dense_reference(x))
+
+    @pytest.mark.parametrize(
+        "tile_bytes, exact_rows",
+        [(1, 2**24), (3 * 20 * 64 * 4, 2**24), (2**30, 2 * 64 + 1)],
+        ids=["one-word-steps", "three-word-steps", "exactness-capped"],
+    )
+    def test_several_gemm_tiles(self, monkeypatch, tile_bytes, exact_rows, rng):
+        x = rng.random((11 * 64 + 5, 12)) < 0.5
+        y = rng.random((11 * 64 + 5, 8)) < 0.5
+        bx, by = BitMatrix.from_dense(x), BitMatrix.from_dense(y)
+        one_tile = gram_popcount_blocked(bx, by)
+        monkeypatch.setattr(spgemm, "EXEC_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(spgemm, "EXACT_FLOAT32_ROWS", exact_rows)
+        calls = []
+        real_unpack = spgemm._unpack_tile
+
+        def unpack(words):
+            calls.append(words.shape[0])
+            return real_unpack(words)
+
+        monkeypatch.setattr(spgemm, "_unpack_tile", unpack)
+        res = gram_popcount_blocked(bx, by)
+        assert len(calls) > 2  # more than one GEMM step (two unpacks each)
+        assert max(calls) * 64 < exact_rows
+        assert np.array_equal(res.value, x.astype(np.int64).T @ y)
+        assert (res.flops, res.working_set_bytes) == (
+            one_tile.flops, one_tile.working_set_bytes
+        )
+
+    @pytest.mark.parametrize(
+        "rows, n_x, n_y", [(0, 4, 4), (64, 0, 3), (64, 3, 0)],
+        ids=["no-word-rows", "no-x-columns", "no-y-columns"],
+    )
+    def test_empty_shapes(self, rows, n_x, n_y):
+        res = gram_popcount_blocked(
+            BitMatrix.zeros(rows, n_x), BitMatrix.zeros(rows, n_y)
+        )
+        assert res.value.shape == (n_x, n_y)
+        assert res.value.dtype == np.int64
+        assert (res.flops, res.working_set_bytes) == (0.0, 0.0)
 
 
 class TestColsums:

@@ -48,14 +48,20 @@ class TestSumma2d:
         summa_gram_2d(mat, out)
         assert np.array_equal(out.to_local(), gram_dense_reference(dense))
 
-    def test_accumulates_over_calls(self, rng):
+    @pytest.mark.parametrize("q,p", [(1, 1), (2, 4)])
+    @pytest.mark.parametrize("kernel", ["bitpacked", "blocked", "outer"])
+    def test_accumulates_over_calls(self, q, p, kernel, rng):
+        # q = 1 hands every kernel the same block as x and y.
         dense = rng.random((64, 6)) < 0.3
-        grid = ProcessorGrid(Machine(laptop(4)).world, 2, 2, 1)
+        grid = ProcessorGrid(Machine(laptop(p)).world, q, q, 1)
         mat = dist_matrix(dense, grid)
         out = DistDenseMatrix.zeros(grid, 0, 6, 6)
-        summa_gram_2d(mat, out)
-        summa_gram_2d(mat, out)
+        blocks = dict(out.blocks)
+        summa_gram_2d(mat, out, kernel=kernel)
+        summa_gram_2d(mat, out, kernel=kernel)
         assert np.array_equal(out.to_local(), 2 * gram_dense_reference(dense))
+        # In place: every rank's output block is still the same array.
+        assert all(out.blocks[k] is blk for k, blk in blocks.items())
 
     def test_rejects_rectangular_face(self, rng):
         grid = ProcessorGrid(Machine(laptop(6)).world, 2, 3, 1)
@@ -123,6 +129,17 @@ class TestGram1d:
         ]
         out = gram_1d_allreduce(machine.world, blocks)
         assert np.array_equal(out, gram_dense_reference(dense))
+
+    def test_accumulates_into_out(self, rng):
+        dense = rng.random((256, 10)) < 0.2
+        bounds = word_aligned_row_bounds(256, 4, 64)
+        blocks = [BitMatrix.from_dense(dense[lo:hi]) for lo, hi in bounds]
+        total = np.full((10, 10), 3, dtype=np.int64)
+        got = gram_1d_allreduce(
+            Machine(laptop(4)).world, blocks, kernel="blocked", out=total
+        )
+        assert got is total
+        assert np.array_equal(total, 3 + gram_dense_reference(dense))
 
     def test_moves_more_bytes_than_summa(self, rng):
         # The point of the paper: allreduce-style reduction communicates
