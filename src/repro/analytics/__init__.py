@@ -10,9 +10,9 @@ onto the indicator matrix.  This package provides those framings:
 * :mod:`~repro.analytics.documents` — document similarity over word or
   shingle sets, plagiarism detection (§II-G);
 * :mod:`~repro.analytics.clustering` — Jaccard k-medoids for
-  categorical data, hierarchical clustering, threshold clustering via
-  the query engine's size-ratio pruning bound, proximity-based outlier
-  detection (§II-C, §II-D);
+  categorical data, hierarchical clustering, threshold clustering as
+  an exact rank-space self-join (the query engine's window and verify
+  kernel), proximity-based outlier detection (§II-C, §II-D);
 * :mod:`~repro.analytics.iou` — bounding-box intersection-over-union as
   a Jaccard instance (§II-E).
 """

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.core.similarity import jaccard_similarity
 from repro.runtime.engine import Machine
+from repro.util.arrays import sorted_unique
 from repro.util.prng import rng_for
 
 
@@ -37,9 +38,7 @@ def jaccard_kmedoids(
     samples = list(samples)
     n = len(samples)
     if not 1 <= n_clusters <= n:
-        raise ValueError(
-            f"n_clusters must be in [1, {n}], got {n_clusters}"
-        )
+        raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     d = _distance_matrix(samples, machine)
     rng = rng_for(seed, "kmedoids")
     medoids = rng.choice(n, size=n_clusters, replace=False)
@@ -53,9 +52,7 @@ def jaccard_kmedoids(
             within = d[np.ix_(members, members)].sum(axis=1)
             new_medoids[c] = members[np.argmin(within)]
         new_labels = np.argmin(d[:, new_medoids], axis=1)
-        if np.array_equal(new_medoids, medoids) and np.array_equal(
-            new_labels, labels
-        ):
+        if np.array_equal(new_medoids, medoids) and np.array_equal(new_labels, labels):
             break
         medoids, labels = new_medoids, new_labels
     return labels, medoids
@@ -72,9 +69,7 @@ def hierarchical_clusters(
     Supports single / complete / average linkage; returns cluster labels.
     """
     if linkage not in ("single", "complete", "average"):
-        raise ValueError(
-            f"linkage must be single/complete/average, got {linkage!r}"
-        )
+        raise ValueError(f"linkage must be single/complete/average, got {linkage!r}")
     samples = list(samples)
     n = len(samples)
     if not 1 <= n_clusters <= n:
@@ -127,48 +122,52 @@ def threshold_clusters(
     per-sample abundance vectors, aligned with ``samples``) feeds
     ``weighted_jaccard``; omitted counts mean multiplicity-free samples.
 
-    Candidate pairs come from the query engine's candidate generators
-    instead of all ``n^2`` pairs:
+    The graph is an exact self-join of the corpus in rank space — the
+    query engine's verify stage, run once per sample.  All samples
+    become one :class:`~repro.service.store.RankSpace` (the paper's
+    zero-row-filtered indicator matrix), ordered by extent (set size,
+    or total mass for the weighted measure).  Each sample then scores
+    its partners *later* in that order with one
+    :meth:`~repro.service.store.RankSpace.intersections` call; a later
+    partner is never smaller, so containment's ``inter / extent`` is
+    already the either-direction maximum.  Which partners are scored:
 
-    * ``candidates="scan"`` (default) — the measure's exact pruning
-      bound (:meth:`~repro.semantics.measures.SimilarityMeasure.window`):
-      sorted by extent (set size, or total mass for the weighted
-      measure), sample ``i`` is only verified against samples whose
-      extent falls inside its window; every pair outside provably
-      scores below ``t``.  Containment's either-direction edge has no
-      such bound (a tiny sample sits fully inside an arbitrarily large
-      one), so its sweep verifies every pair.  Exact for every measure.
-    * ``candidates="lsh"`` — a banded MinHash-LSH table
+    * ``candidates="scan"`` (default) — every later sample inside the
+      measure's exact pruning bound
+      (:meth:`~repro.semantics.measures.SimilarityMeasure.window`): one
+      consecutive run of the extent order, bounded by one
+      ``searchsorted``; every pair outside provably scores below ``t``.
+      Containment's window has no upper edge, so it scores every later
+      sample.  Exact for every measure.
+    * ``candidates="lsh"`` — only the in-window partners that share a
+      bucket with the sample in a banded MinHash-LSH table
       (:mod:`repro.service.lsh`) built in memory over b-bit lane
-      fingerprints; only co-bucketed pairs inside the size window are
-      verified.  Sub-quadratic but *approximate*: an edge at exactly
-      ``J = t`` is missed with probability at most ``(1 - t^r)^b``
-      (the plan's curve at the clustering threshold), which can split
-      a cluster.
-    * ``candidates="lsh_exact"`` — both generators unioned; exact,
-      with the LSH probes exercised (for recall auditing).
+      fingerprints.  Sub-quadratic but *approximate*: an edge at
+      exactly ``J = t`` is missed with probability at most
+      ``(1 - t^r)^b`` (the plan's curve at the clustering threshold),
+      which can split a ``scan`` cluster but never merge two.
+    * ``candidates="lsh_exact"`` — accepted for symmetry with the query
+      engine's modes and runs the scan: the probe cannot add an edge
+      the window misses.
 
     The LSH modes require ``similarity="jaccard"``: the band plan's
     collision curve is calibrated against plain Jaccard resemblance
     and bounds nothing about the other measures' scores.
 
-    Only surviving candidates pay for an exact intersection; every
-    reported edge is exact in all modes.  Returns cluster labels
-    (``0..k-1``, numbered by first appearance).
+    Every reported edge is an exact ``score >= threshold`` in all
+    modes.  Clusters are the connected components of the edge arrays.
+    Returns cluster labels (``0..k-1``, numbered by first appearance).
     """
     from repro.core.config import QUERY_CANDIDATES
     from repro.semantics import coerce_counts, get_measure
+    from repro.service.lsh import LSHTable, plan_bands
+    from repro.service.store import LSH_FAMILY, RankSpace, sketch_row
 
     measure = get_measure(similarity)
     if not 0.0 < threshold <= 1.0:
-        raise ValueError(
-            f"threshold must be in (0, 1], got {threshold}"
-        )
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if candidates not in QUERY_CANDIDATES:
-        raise ValueError(
-            f"candidates must be one of {QUERY_CANDIDATES}, "
-            f"got {candidates!r}"
-        )
+        raise ValueError(f"candidates must be one of {QUERY_CANDIDATES}, got {candidates!r}")
     if candidates != "scan" and similarity != "jaccard":
         raise ValueError(
             "lsh candidate generation is calibrated for plain Jaccard "
@@ -178,112 +177,82 @@ def threshold_clusters(
     samples = list(samples)
     if counts is not None:
         if not measure.weighted:
-            raise ValueError(
-                "counts only apply to similarity='weighted_jaccard'"
-            )
+            raise ValueError("counts only apply to similarity='weighted_jaccard'")
         if len(counts) != len(samples):
-            raise ValueError(
-                f"{len(counts)} counts vectors for {len(samples)} samples"
-            )
+            raise ValueError(f"{len(counts)} counts vectors for {len(samples)} samples")
         # coerce_counts aligns counts positionally with the sample's
         # values as given, then sorts/merges — never pre-sort here.
-        normalized = [
-            coerce_counts(s, c) for s, c in zip(samples, counts)
-        ]
+        normalized = [coerce_counts(s, c) for s, c in zip(samples, counts)]
         arrays = [v for v, _ in normalized]
         cnts: list | None = [c for _, c in normalized]
     else:
         arrays = [
-            np.unique(np.asarray(sorted(s), dtype=np.int64)) for s in samples
+            sorted_unique(np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64))
+            for s in samples
         ]
         cnts = None
     n = len(arrays)
     extents = np.array(
-        [
-            measure.extent(a, cnts[i] if cnts is not None else None)
-            for i, a in enumerate(arrays)
-        ],
+        [measure.extent(a, None if cnts is None else cnts[i]) for i, a in enumerate(arrays)],
         dtype=np.int64,
     )
-    sizes = np.array([a.size for a in arrays], dtype=np.int64)
     order = np.argsort(extents, kind="stable")
+    ext = extents[order]
+    cols = [arrays[i] for i in order]
+    col_counts = None if cnts is None else [cnts[i] for i in order]
+    empty = np.empty(0, dtype=np.int64)
+    flat = np.concatenate([empty, *cols])
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([c.size for c in cols])
+    # from_columns counts over [0, m) when m <= len(flat) and sorts
+    # otherwise; any other value range (negative, or sparse far beyond
+    # the corpus size) takes the sort.
+    m = int(flat.max()) + 1 if flat.size and flat.min() >= 0 else np.iinfo(np.int64).max
+    space = RankSpace.from_columns(
+        m, flat, offsets, None if col_counts is None else np.concatenate([empty, *col_counts])
+    )
+    # Samples of equal extent sort adjacently, so the in-window partners
+    # of position p are exactly the positions p + 1 .. ends[p] - 1.
+    ends = np.searchsorted(ext, [measure.window(int(e), threshold)[1] for e in ext], side="right")
+    if candidates == "lsh":
+        fps = [sketch_row(LSH_FAMILY, c, None, sketch_size, sketch_bits, seed) for c in cols]
+        table = LSHTable.build(plan_bands(threshold, sketch_size), sketch_bits, seed, fps)
 
-    parent = np.arange(n, dtype=np.int64)
+    src, dst = [empty], [empty]
+    for p in range(n):
+        if candidates == "lsh":
+            probed, _ = table.probe(fps[p])
+            cand = probed[(probed > p) & (probed < ends[p])]
+        else:
+            cand = np.arange(p + 1, ends[p])
+        if not cand.size:
+            continue
+        inter = space.intersections(cols[p], None if col_counts is None else col_counts[p], cand)
+        hit = cand[measure.score_from_stats(inter, int(ext[p]), ext[cand]) >= threshold]
+        src.append(np.full(hit.size, p))
+        dst.append(hit)
+    return _components(n, order[np.concatenate(src)], order[np.concatenate(dst)])
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = int(parent[x])
-        return x
 
-    def pair_score(i: int, j: int) -> float:
-        ci = cnts[i] if cnts is not None else None
-        cj = cnts[j] if cnts is not None else None
-        score = measure.exact_pair(arrays[i], arrays[j], ci, cj)
-        if measure.name == "containment":
-            # Either-direction edge: the asymmetric score is taken in
-            # the qualifying direction (small-inside-large).
-            score = max(score, measure.exact_pair(arrays[j], arrays[i]))
-        return score
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Labels of the connected components of the graph on ``0..n-1``
+    with edges ``(u[k], v[k])``, numbered by first appearance.
 
-    def try_union(i: int, j: int) -> None:
-        if find(i) == find(j):
-            return
-        if pair_score(i, j) >= threshold:
-            parent[find(j)] = find(i)
-
-    if candidates in ("lsh", "lsh_exact"):
-        from repro.core.sketch import make_sketch
-        from repro.service.lsh import LSHTable, plan_bands
-        from repro.service.query import size_ratio_window
-
-        fps = []
-        for arr in arrays:
-            sk = make_sketch("bbit_minhash", sketch_size, sketch_bits, seed)
-            sk.update(arr)
-            fps.append(sk.fingerprints())
-        table = LSHTable.build(
-            plan_bands(threshold, sketch_size), sketch_bits, seed, fps
-        )
-        for i in range(n):
-            probed, _ = table.probe(fps[i])
-            lo, hi = size_ratio_window(int(sizes[i]), threshold)
-            for j in probed:
-                j = int(j)
-                if j <= i or not lo <= sizes[j] <= hi:
-                    continue
-                try_union(i, j)
-
-    if candidates in ("scan", "lsh_exact"):
-        # Extent-sorted sweep: for each sample (ascending extent), the
-        # measure's window caps how much larger a partner's extent may
-        # be, so the inner scan stops at the first extent outside the
-        # window.  Containment's either-direction edge admits partners
-        # of any size, so its window never breaks the sweep.
-        sorted_extents = extents[order]
-        one_sided = measure.bound_type == "one_sided_window"
-        for pos in range(n):
-            i = int(order[pos])
-            if one_sided:
-                hi = np.iinfo(np.int64).max
-            else:
-                _, hi = measure.window(int(extents[i]), threshold)
-            for pos2 in range(pos + 1, n):
-                if sorted_extents[pos2] > hi:
-                    break
-                try_union(i, int(order[pos2]))
-            # Samples of equal extent sort adjacently, so the break
-            # above never skips an in-window partner.
-
-    labels = np.full(n, -1, dtype=np.int64)
-    next_label = 0
-    for i in range(n):
-        root = find(i)
-        if labels[root] < 0:
-            labels[root] = next_label
-            next_label += 1
-        labels[i] = labels[root]
-    return labels
+    Min-label propagation: each node's label is the smallest node it is
+    known to reach.  A round pulls the smaller label across every edge,
+    then replaces each label by that node's own label, until nothing
+    moves; a component ends up labelled by its first node.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        low = np.minimum(label[u], label[v])
+        moved = label.copy()
+        np.minimum.at(moved, u, low)
+        np.minimum.at(moved, v, low)
+        moved = moved[moved]
+        if np.array_equal(moved, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = moved
 
 
 def proximity_outliers(
@@ -301,9 +270,7 @@ def proximity_outliers(
     samples = list(samples)
     n = len(samples)
     if not 1 <= k_neighbors < max(n, 2):
-        raise ValueError(
-            f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}"
-        )
+        raise ValueError(f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}")
     d = _distance_matrix(samples, machine).copy()
     np.fill_diagonal(d, np.inf)
     nearest = np.sort(d, axis=1)[:, :k_neighbors]

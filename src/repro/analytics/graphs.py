@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import networkx as nx
 
+from repro.analytics.clustering import threshold_clusters
 from repro.core.config import SimilarityConfig
 from repro.core.result import SimilarityResult
 from repro.core.similarity import SimilarityAtScale
@@ -25,9 +26,7 @@ def adjacency_sets(graph: nx.Graph) -> tuple[list[set], list]:
     """
     nodes = sorted(graph.nodes, key=str)
     index = {v: i for i, v in enumerate(nodes)}
-    sets = [
-        {index[u] for u in graph.neighbors(v)} for v in nodes
-    ]
+    sets = [{index[u] for u in graph.neighbors(v)} for v in nodes]
     return sets, nodes
 
 
@@ -47,32 +46,31 @@ def vertex_similarity(
     return result, nodes
 
 
-def jarvis_patrick_clusters(
-    graph: nx.Graph,
-    similarity_threshold: float = 0.25,
-    machine: Machine | None = None,
-) -> list[set]:
+def jarvis_patrick_clusters(graph: nx.Graph, similarity_threshold: float = 0.25) -> list[set]:
     """Jarvis–Patrick clustering [50]: similarity decides co-membership.
 
     Two vertices belong to the same cluster when their neighborhood
     Jaccard similarity reaches the threshold; clusters are the connected
-    components of that relation.
+    components of that relation, listed in the order of their first
+    vertex in :func:`adjacency_sets`' node order.  The relation is the
+    thresholded self-join of the neighborhoods
+    (:func:`~repro.analytics.clustering.threshold_clusters`), which
+    scores only the pairs inside the size window instead of forming
+    the n×n similarity matrix.  At threshold 0 every pair qualifies:
+    one cluster of all vertices.
     """
     if not 0.0 <= similarity_threshold <= 1.0:
-        raise ValueError(
-            f"similarity_threshold must be in [0, 1], got "
-            f"{similarity_threshold}"
-        )
-    result, nodes = vertex_similarity(graph, machine=machine)
-    s = result.similarity
-    relation = nx.Graph()
-    relation.add_nodes_from(nodes)
-    n = len(nodes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if s[i, j] >= similarity_threshold:
-                relation.add_edge(nodes[i], nodes[j])
-    return [set(c) for c in nx.connected_components(relation)]
+        raise ValueError(f"similarity_threshold must be in [0, 1], got {similarity_threshold}")
+    if graph.number_of_nodes() == 0:
+        raise ValueError("graph has no nodes")
+    sets, nodes = adjacency_sets(graph)
+    if similarity_threshold == 0.0:
+        return [set(nodes)]
+    labels = threshold_clusters(sets, similarity_threshold)
+    clusters = [set() for _ in range(int(labels.max()) + 1)]
+    for node, label in zip(nodes, labels.tolist()):
+        clusters[label].add(node)
+    return clusters
 
 
 def predict_links(

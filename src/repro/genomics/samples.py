@@ -52,13 +52,18 @@ class SampleStore:
         manifest = root / MANIFEST_NAME
         if not manifest.exists():
             raise FileNotFoundError(f"no sample store at {root}")
-        meta = json.loads(manifest.read_text())
-        return cls(
-            root=root,
-            k=int(meta["k"]),
-            canonical=bool(meta["canonical"]),
-            names=list(meta["names"]),
-        )
+        try:
+            meta = json.loads(manifest.read_text(encoding="utf-8"))
+            return cls(
+                root=root,
+                k=int(meta["k"]),
+                canonical=bool(meta["canonical"]),
+                names=list(meta["names"]),
+            )
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"{manifest}: corrupt sample store manifest ({type(exc).__name__}: {exc})"
+            ) from None
 
     def _write_manifest(self) -> None:
         payload = {"k": self.k, "canonical": self.canonical, "names": self.names}

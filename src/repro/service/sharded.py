@@ -52,7 +52,6 @@ layout, so callers open or create either transparently.
 
 from __future__ import annotations
 
-import json
 import shutil
 import threading
 from dataclasses import dataclass, field
@@ -69,7 +68,9 @@ from repro.service.store import (
     IndexStore,
     Transaction,
     _manifest_bytes,
+    _manifest_fields,
     _StoreAPI,
+    read_manifest,
     route,
     transaction,
 )
@@ -269,10 +270,11 @@ class ShardedStore(_StoreAPI):
     @classmethod
     def open(cls, root: str | Path) -> "ShardedStore":
         root = Path(root)
-        manifest = root / MANIFEST_NAME
-        if not manifest.exists():
-            raise StoreError(f"no index store at {root}")
-        meta = json.loads(manifest.read_text())
+        return cls._open(root, read_manifest(root))
+
+    @classmethod
+    def _open(cls, root: Path, meta: dict) -> "ShardedStore":
+        """Open ``root`` from its already-read manifest payload."""
         if (
             meta.get("format_version") != SHARDED_FORMAT_VERSION
             or meta.get("layout") != "sharded"
@@ -281,30 +283,31 @@ class ShardedStore(_StoreAPI):
                 f"{root}: not a sharded store "
                 f"(format {meta.get('format_version')!r})"
             )
-        # The embedded payloads are authoritative: a manifest file an
-        # older layout left in a band directory is never read.
-        bands = [
-            IndexStore._from_payload(root / sh["dir"], sh["manifest"])
-            for sh in meta["shards"]
-        ]
-        lsh = meta.get("lsh") or {}
-        return cls(
-            root=root,
-            m=int(meta["m"]),
-            codec=str(meta["codec"]),
-            sketch_size=int(meta["sketch"]["size"]),
-            sketch_bits=int(meta["sketch"]["bits"]),
-            sketch_seed=int(meta["sketch"]["seed"]),
-            families=tuple(meta["families"]),
-            metadata=dict(meta["metadata"]),
-            band_policy=str(meta["band_policy"]),
-            band_edges=np.array(meta["band_edges"], dtype=np.int64),
-            shards=bands,
-            genomes=[ShardedEntry.from_json(g) for g in meta["genomes"]],
-            version=int(meta["version"]),
-            lsh_threshold=float(lsh.get("threshold", 0.5)),
-            lsh_fn_budget=float(lsh.get("fn_budget", 0.05)),
-        )
+        with _manifest_fields(root):
+            # The embedded payloads are authoritative: a manifest file
+            # an older layout left in a band directory is never read.
+            bands = [
+                IndexStore._from_payload(root / sh["dir"], sh["manifest"])
+                for sh in meta["shards"]
+            ]
+            lsh = meta.get("lsh") or {}
+            return cls(
+                root=root,
+                m=int(meta["m"]),
+                codec=str(meta["codec"]),
+                sketch_size=int(meta["sketch"]["size"]),
+                sketch_bits=int(meta["sketch"]["bits"]),
+                sketch_seed=int(meta["sketch"]["seed"]),
+                families=tuple(meta["families"]),
+                metadata=dict(meta["metadata"]),
+                band_policy=str(meta["band_policy"]),
+                band_edges=np.array(meta["band_edges"], dtype=np.int64),
+                shards=bands,
+                genomes=[ShardedEntry.from_json(g) for g in meta["genomes"]],
+                version=int(meta["version"]),
+                lsh_threshold=float(lsh.get("threshold", 0.5)),
+                lsh_fn_budget=float(lsh.get("fn_budget", 0.05)),
+            )
 
     def _save_manifest(self) -> None:
         payload = {
@@ -485,14 +488,11 @@ def open_store(root: str | Path) -> "IndexStore | ShardedStore":
     :class:`~repro.service.api.SimilarityService` facade uses.
     """
     root = Path(root)
-    manifest = root / MANIFEST_NAME
-    if not manifest.exists():
-        raise StoreError(f"no index store at {root}")
-    meta = json.loads(manifest.read_text())
+    meta = read_manifest(root)
     if meta.get("layout") == "sharded":
-        return ShardedStore.open(root)
+        return ShardedStore._open(root, meta)
     if meta.get("format_version") == FORMAT_VERSION:
-        return IndexStore.open(root)
+        return IndexStore._open(root, meta)
     raise StoreError(
         f"{root}: unsupported store format "
         f"{meta.get('format_version')!r}"
@@ -541,12 +541,10 @@ def shard_store(
     the sizes are tightly concentrated.
     """
     root = Path(root)
-    manifest = root / MANIFEST_NAME
-    if manifest.exists():
-        meta = json.loads(manifest.read_text())
-        if meta.get("layout") == "sharded":
-            raise StoreError(f"{root} is already a sharded store")
-    flat = IndexStore.open(root)
+    meta = read_manifest(root)
+    if meta.get("layout") == "sharded":
+        raise StoreError(f"{root} is already a sharded store")
+    flat = IndexStore._open(root, meta)
     sizes = flat.sizes()
     edges = plan_size_bands(
         flat.m, shards, band_policy,

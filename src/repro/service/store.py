@@ -152,6 +152,39 @@ def _manifest_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+def read_manifest(root: Path) -> dict:
+    """The parsed manifest of the store at ``root``: the one manifest
+    reader of every opener, flat or sharded.
+
+    Raises :class:`StoreError` naming the file when it is missing,
+    unreadable, not UTF-8 JSON, or anything but a JSON object.
+    """
+    manifest = root / MANIFEST_NAME
+    if not manifest.exists():
+        raise StoreError(f"no index store at {root}")
+    try:
+        meta = json.loads(manifest.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise StoreError(f"{manifest}: unreadable manifest ({exc})") from None
+    if not isinstance(meta, dict):
+        raise StoreError(f"{manifest}: manifest is a JSON {type(meta).__name__}, not an object")
+    return meta
+
+
+@contextmanager
+def _manifest_fields(root: Path):
+    """Report a missing or mistyped field read from ``root``'s manifest
+    inside the block as a :class:`StoreError` naming the file."""
+    try:
+        yield
+    except StoreError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StoreError(
+            f"{root / MANIFEST_NAME}: malformed manifest ({type(exc).__name__}: {exc})"
+        ) from None
+
+
 # ---- length-prefixed frame records ---------------------------------------
 
 
@@ -613,10 +646,11 @@ class IndexStore(_StoreAPI):
     @classmethod
     def open(cls, root: str | Path) -> "IndexStore":
         root = Path(root)
-        manifest = root / MANIFEST_NAME
-        if not manifest.exists():
-            raise StoreError(f"no index store at {root}")
-        meta = json.loads(manifest.read_text())
+        return cls._open(root, read_manifest(root))
+
+    @classmethod
+    def _open(cls, root: Path, meta: dict) -> "IndexStore":
+        """Open ``root`` from its already-read manifest payload."""
         if meta.get("format_version") != FORMAT_VERSION:
             hint = (
                 "; this is a sharded store — open it with "
@@ -629,7 +663,8 @@ class IndexStore(_StoreAPI):
                 f"{meta.get('format_version')!r} (expected {FORMAT_VERSION})"
                 f"{hint}"
             )
-        return cls._from_payload(root, meta)
+        with _manifest_fields(root):
+            return cls._from_payload(root, meta)
 
     @classmethod
     def _from_payload(cls, root: Path, meta: dict) -> "IndexStore":

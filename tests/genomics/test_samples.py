@@ -58,3 +58,42 @@ class TestSampleStore:
         store = SampleStore.create(tmp_path / "s", k=3)
         store.add_sample("a", np.arange(10))
         assert store.total_bytes() > 0
+
+
+class TestCorruptManifest:
+    """A corrupt manifest raises ValueError naming the file."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        store = SampleStore.create(tmp_path / "s", k=5)
+        store.add_samples([("a", np.array([1, 2])), ("b", np.array([3]))])
+        return store.root
+
+    def _raises_naming_the_file(self, root):
+        with pytest.raises(ValueError) as info:
+            SampleStore.open(root)
+        assert str(root / "manifest.json") in str(info.value)
+
+    def test_every_prefix(self, root):
+        manifest = root / "manifest.json"
+        data = manifest.read_bytes()
+        for k in range(len(data)):
+            manifest.write_bytes(data[:k])
+            self._raises_naming_the_file(root)
+        manifest.write_bytes(data)
+        assert SampleStore.open(root).names == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff{}",
+            b"[]",
+            b"7",
+            b'{"k": 5, "canonical": true}',
+            b'{"k": "x", "canonical": true, "names": []}',
+        ],
+        ids=["invalid_utf8", "json_list", "json_number", "missing_names", "k_not_a_number"],
+    )
+    def test_corruptions(self, root, content):
+        (root / "manifest.json").write_bytes(content)
+        self._raises_naming_the_file(root)
