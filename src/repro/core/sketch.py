@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -625,26 +626,78 @@ def stack_payloads(
     return rows, np.full(n, rows.shape[1], dtype=np.int64)
 
 
-def _bottom_s_rows(
-    query: np.ndarray, rows: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Mash estimator per row: shared fraction of the union's bottom-``s``.
+class PostingIndex(NamedTuple):
+    """The bottom-``s`` row kernel's search structure: the valid entries
+    of a stacked ``(rows, lengths)`` block as postings sorted by hash,
+    each with its row and its column.
 
-    One ``searchsorted`` of the block into the query's sorted hashes
-    gives every row element its membership in the query and — with its
-    column and the shared elements before it — its rank in the pair's
-    union, so each union's bottom-``s`` falls out without being built.
+    A row is a set: an entry equal to its left neighbour is not posted,
+    ``columns`` count only the row's distinct hashes, and ``lengths``
+    holds each row's distinct count.
     """
-    s = rows.shape[1]
-    columns = np.arange(s)
-    below = np.searchsorted(query, rows)  # query hashes < each element
-    shared = np.zeros(rows.shape, dtype=bool)
-    if query.size:
-        hit = query[np.minimum(below, query.size - 1)] == rows
-        shared = hit & (columns < lengths[:, None])
-    rank = columns + below - (np.cumsum(shared, axis=1) - shared)
-    n_union = np.minimum(s, query.size + lengths - shared.sum(axis=1))
-    return (shared & (rank < s)).sum(axis=1) / np.maximum(n_union, 1)
+
+    width: int
+    hashes: np.ndarray
+    rows: np.ndarray
+    columns: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def build(cls, rows: np.ndarray, lengths: np.ndarray) -> "PostingIndex":
+        n, width = rows.shape
+        valid = np.arange(width) < np.asarray(lengths)[:, None]
+        valid[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+        distinct = valid.sum(axis=1)
+        owner = np.repeat(np.arange(n), distinct)
+        # A row's k-th distinct entry sits at column k.
+        columns = np.arange(owner.size) - np.repeat(np.cumsum(distinct) - distinct, distinct)
+        hashes = rows[valid]
+        # Ties need no order: a hash is posted at most once per row.
+        by_hash = np.argsort(hashes)
+        # Rows and columns in their narrowest types: grouping hits by
+        # row is then a radix sort.
+        return cls(
+            width,
+            hashes[by_hash],
+            owner[by_hash].astype(np.min_scalar_type(n)),
+            columns[by_hash].astype(np.min_scalar_type(width)),
+            distinct,
+        )
+
+    def estimate(
+        self,
+        query: np.ndarray,
+        q_size: int,
+        cand: np.ndarray,
+        row_sizes: np.ndarray,
+    ) -> np.ndarray:
+        """The Mash estimate of ``query`` against each block row ``cand``.
+
+        Per match (a query hash posted in a row) the rank in the pair's
+        union is ``column + query index - shared entries before it in
+        the row``; each row's estimate is the count of its matches
+        ranked below ``width`` over ``min(width, |union|)``.  Only the
+        postings of the query's hashes are read.  ``q_size`` /
+        ``row_sizes`` apply :func:`estimate_rows`'s empty-set rule.
+        """
+        q = sorted_unique(np.asarray(query, dtype=np.uint64))
+        first = np.searchsorted(self.hashes, q, side="left")
+        counts = np.searchsorted(self.hashes, q, side="right") - first
+        # Hit range j is postings first[j] : first[j] + counts[j]; all in
+        # one gather, one run per query hash.
+        hits = np.repeat(first - (np.cumsum(counts) - counts), counts)
+        hits += np.arange(hits.size)
+        qidx = np.repeat(np.arange(q.size), counts)
+        # A stable sort by row groups the hits by row, query index rising.
+        row = self.rows[hits]
+        by_row = np.argsort(row, kind="stable")
+        hits, qidx, row = hits[by_row], qidx[by_row], row[by_row]
+        shared = np.bincount(row, minlength=self.lengths.size)
+        before = np.arange(hits.size) - (np.cumsum(shared) - shared)[row]
+        union_rank = self.columns[hits] + qidx - before
+        inside = np.bincount(row[union_rank < self.width], minlength=self.lengths.size)
+        n_union = np.minimum(self.width, q.size + self.lengths[cand] - shared[cand])
+        return _empty_set_rule(inside[cand] / np.maximum(n_union, 1), q_size, row_sizes)
 
 
 def estimate_rows(
@@ -666,8 +719,10 @@ def estimate_rows(
     """
     row_sizes = np.asarray(row_sizes)
     if family in BOTTOM_S_FAMILIES:
-        est = _bottom_s_rows(query, rows, lengths)
-    elif family == "bbit_minhash":
+        return PostingIndex.build(rows, lengths).estimate(
+            query, q_size, np.arange(rows.shape[0]), row_sizes
+        )
+    if family == "bbit_minhash":
         est = estimate_bbit_jaccard((rows == query).mean(axis=1), bits)
     elif family == "hll":
         unions = np.maximum(
@@ -677,9 +732,15 @@ def estimate_rows(
         est = np.clip(inter / unions, 0.0, 1.0)
     else:
         raise ValueError(f"unknown sketch family {family!r}")
+    return _empty_set_rule(est, q_size, row_sizes)
+
+
+def _empty_set_rule(est: np.ndarray, q_size: int, row_sizes) -> np.ndarray:
+    """``J(0, 0) = 1`` and ``J(0, B) = 0``, whatever the sketches say."""
+    empty = np.asarray(row_sizes) == 0
     if q_size == 0:
-        return (row_sizes == 0).astype(np.float64)
-    return np.where(row_sizes == 0, 0.0, est)
+        return empty.astype(np.float64)
+    return np.where(empty, 0.0, est)
 
 
 # ---- factory --------------------------------------------------------------

@@ -20,7 +20,10 @@ batch):
    with an analytic 95% bound prunes a candidate only when its upper
    score bound is below the threshold (or below the ``k``-th best lower
    bound).  Plain families estimate ``J`` and the measure transforms the
-   band; the weighted-MinHash family estimates ``J_w`` directly.
+   band; the weighted-MinHash family estimates ``J_w`` directly.  The
+   bottom-``s`` families read the snapshot's posting index (built once
+   per store version), touching only the postings of the query's own
+   hashes; the ledger still charges the row sweep, ``pairs x s``.
 3. **verify** — exact scores of the survivors, for every measure and
    batch shape by one kernel: the query scattered into the rank space
    of the snapshot's filtered indicator matrix, the survivors' rank
@@ -50,6 +53,7 @@ from repro.core.sketch import estimate_rows, stack_payloads
 from repro.semantics.measures import SimilarityMeasure, get_measure
 from repro.semantics.weighted import coerce_counts
 from repro.service.errors import QueryError
+from repro.service.lsh import BandPlan, band_keys
 from repro.service.plan import QueryPlan
 from repro.service.store import LSH_FAMILY, StoreSnapshot, _int_array, sketch_row
 from repro.util.arrays import sorted_unique
@@ -72,21 +76,34 @@ class Request:
     threshold: float | None = None
     top_k: int | None = None
     exclude_name: str | None = None
-    #: Sketch rows already built for this request, by ``(family, size,
-    #: bits, seed)``: a sharded fan-out hands the same request to every
-    #: consulted band, and bands racing on a threaded executor wait on
-    #: ``_lock`` for the one build.
-    _rows: dict = field(default_factory=dict, compare=False, repr=False)
+    #: Sketch rows (by ``(family, size, bits, seed)``) and LSH band keys
+    #: (by ``(plan, size, bits, seed)``) already built for this request:
+    #: a sharded fan-out hands the same request to every consulted band,
+    #: and bands racing on a threaded executor wait on ``_lock`` for the
+    #: one build.
+    _built: dict = field(default_factory=dict, compare=False, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
+
+    def _once(self, key: tuple, build) -> np.ndarray:
+        with self._lock:
+            if key not in self._built:
+                self._built[key] = build()
+            return self._built[key]
 
     def sketch_row(self, family: str, size: int, bits: int, seed: int) -> np.ndarray:
         """This request's row of ``family``'s kernel block
         (:func:`repro.service.store.sketch_row`), built once."""
-        key = (family, size, bits, seed)
-        with self._lock:
-            if key not in self._rows:
-                self._rows[key] = sketch_row(family, self.vals, self.counts, size, bits, seed)
-            return self._rows[key]
+        return self._once(
+            (family, size, bits, seed),
+            lambda: sketch_row(family, self.vals, self.counts, size, bits, seed),
+        )
+
+    def band_keys(self, plan: BandPlan, size: int, bits: int, seed: int) -> np.ndarray:
+        """This request's bucket keys under ``plan``
+        (:func:`repro.service.lsh.band_keys` of its :data:`LSH_FAMILY`
+        row), hashed once: the bands of a sharded store share one plan."""
+        fingerprints = self.sketch_row(LSH_FAMILY, size, bits, seed)
+        return self._once((plan, size, bits, seed), lambda: band_keys(fingerprints, plan, seed))
 
 
 def validate_request(
@@ -195,10 +212,10 @@ def _probe_lsh(plan, snapshot, requests, excluded, serving) -> list[np.ndarray |
     for i, (req, excl) in enumerate(zip(requests, excluded)):
         if snapshot.n_genomes - (excl >= 0) == 0:
             continue
-        fingerprints = req.sketch_row(
-            LSH_FAMILY, snapshot.sketch_size, snapshot.sketch_bits, snapshot.sketch_seed
+        keys = req.band_keys(
+            table.plan, snapshot.sketch_size, snapshot.sketch_bits, snapshot.sketch_seed
         )
-        probed, retrieved = table.probe(fingerprints)
+        probed, retrieved = table.probe_keys(keys)
         flops += table.probe_cost(retrieved)
         probes[i] = probed[probed != excl]
     if flops:
@@ -262,20 +279,12 @@ def _prune_by_sketch(
     pairs = 0
     for req, cand in zip(requests, cands):
         if cand.size:
-            rows, lengths = snapshot.family_payloads(family)
-            est = estimate_rows(
-                family,
-                req.sketch_row(family, size, bits, seed),
-                int(req.vals.size),
-                rows[cand],
-                sizes[cand],
-                lengths[cand],
-                bits,
+            q_size = int(req.vals.size)
+            est = snapshot.sketch_estimates(
+                family, req.sketch_row(family, size, bits, seed), q_size, cand
             )
             pairs += int(cand.size)
-            s_lo, s_hi = measure.sketch_score_bounds(
-                est, plan.error_bound, int(req.vals.size), sizes[cand]
-            )
+            s_lo, s_hi = measure.sketch_score_bounds(est, plan.error_bound, q_size, sizes[cand])
             if req.threshold is not None:
                 keep = s_hi >= req.threshold - _EPS
                 cand, s_lo, s_hi = cand[keep], s_lo[keep], s_hi[keep]
@@ -339,7 +348,8 @@ def sketch_estimates(
     ``payloads`` is indexed by store position (one stored payload per
     live genome, as :meth:`IndexStore.load_sketch_payload` returns
     them); ``cand`` selects the candidates to estimate.  The cascade
-    itself runs the same row kernel on the snapshot's stacked block.
+    itself gets the same estimates from
+    :meth:`~repro.service.store.StoreSnapshot.sketch_estimates`.
     """
     rows, lengths = stack_payloads(
         family, [payloads[int(i)] for i in cand], sketch_size, sketch_bits

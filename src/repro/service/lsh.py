@@ -302,9 +302,13 @@ class LSHTable:
         probe's modelled cost; the control part is ``bands`` binary
         searches).
         """
+        return self.probe_keys(band_keys(fingerprints, self.plan, self.seed))
+
+    def probe_keys(self, qkeys: np.ndarray) -> tuple[np.ndarray, int]:
+        """:meth:`probe` for a query already hashed into its bucket keys
+        (:func:`band_keys` under this table's plan and seed)."""
         bands = self.plan.bands
         cells, keys = self._index
-        qkeys = band_keys(fingerprints, self.plan, self.seed)
         lo = np.searchsorted(keys, qkeys, side="left")
         counts = np.searchsorted(keys, qkeys, side="right") - lo
         # Hit range j is cells[lo[j] : lo[j] + counts[j]]; all of them in one gather.

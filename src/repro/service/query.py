@@ -388,23 +388,27 @@ class _QueryEngine:
         Cache hits are served as stored and charged nothing; the misses
         are computed together and split the modelled cost they charged
         evenly.  The cache key carries no batch context, so an entry
-        written through any entry point serves every other.
+        written through any entry point serves every other.  A cache
+        that retains nothing is probed with no key: every request still
+        counts one miss, and no query is hashed for it.
         """
-        keys = [
-            result_cache_key(
-                req.vals, req.threshold, req.top_k, plan.prefilter,
-                plan.family, plan.candidates, req.exclude_name,
-                snapshot.version,
-                topology=self._topology,
-                similarity=plan.measure,
-                counts_digest=(
-                    counts_cache_digest(req.counts)
-                    if plan.measure == "weighted_jaccard"
-                    else None
-                ),
-            )
-            for req in requests
-        ]
+        keys: list = [None] * len(requests)
+        if self.cache.capacity:
+            keys = [
+                result_cache_key(
+                    req.vals, req.threshold, req.top_k, plan.prefilter,
+                    plan.family, plan.candidates, req.exclude_name,
+                    snapshot.version,
+                    topology=self._topology,
+                    similarity=plan.measure,
+                    counts_digest=(
+                        counts_cache_digest(req.counts)
+                        if plan.measure == "weighted_jaccard"
+                        else None
+                    ),
+                )
+                for req in requests
+            ]
         results: list[QueryResult | None] = [None] * len(requests)
         misses: list[int] = []
         for i, key in enumerate(keys):

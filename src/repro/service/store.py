@@ -85,7 +85,10 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.sketch import (
+    BOTTOM_S_FAMILIES,
     SKETCH_ESTIMATORS,
+    PostingIndex,
+    estimate_rows,
     make_sketch,
     pack_lanes,
     stack_payloads,
@@ -1123,10 +1126,10 @@ class StoreSnapshot:
     the store lock.  Reads go to the same immutable shard files, and
     everything derived from them (the name -> position map, the
     rank-space matrix of the stored values and counts, the stacked
-    sketch payloads, the extent-sorted order the window stage searches)
-    is built lazily and memoized here: an engine pins one snapshot per
-    store version, so the snapshot *is* the per-version cache and never
-    needs invalidation.
+    sketch payloads and their posting indexes, the extent-sorted order
+    the window stage searches) is built lazily and memoized here: an
+    engine pins one snapshot per store version, so the snapshot *is*
+    the per-version cache and never needs invalidation.
     """
 
     root: Path
@@ -1149,6 +1152,7 @@ class StoreSnapshot:
     _masses: np.ndarray | None = None
     _payloads: dict = field(default_factory=dict, repr=False, compare=False)
     _orders: dict = field(default_factory=dict, repr=False, compare=False)
+    _postings: dict = field(default_factory=dict, repr=False, compare=False)
     _ranked: RankSpace | None = field(default=None, repr=False, compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -1246,22 +1250,51 @@ class StoreSnapshot:
         (see :func:`repro.core.sketch.stack_payloads`) — decoded and
         stacked once per store version.
         """
+        if family not in self._payloads:
+            self._payloads[family] = self._stack(family)
+        return self._payloads[family]
+
+    def _stack(self, family: str) -> tuple[np.ndarray, np.ndarray]:
         if family not in self.families:
             raise StoreError(
                 f"family {family!r} not stored (store holds {self.families})"
             )
-        if family not in self._payloads:
-            idx = 1 + self.families.index(family)
-            rows = [read_record(self.root / shard, idx) for shard in self.shards]
-            try:
-                self._payloads[family] = stack_payloads(
-                    family, rows, self.sketch_size, self.sketch_bits
-                )
-            except ValueError as exc:
-                raise StoreError(
-                    f"{self.root}: stored {family!r} sketches do not stack: {exc}"
-                ) from None
-        return self._payloads[family]
+        idx = 1 + self.families.index(family)
+        rows = [read_record(self.root / shard, idx) for shard in self.shards]
+        try:
+            return stack_payloads(family, rows, self.sketch_size, self.sketch_bits)
+        except ValueError as exc:
+            raise StoreError(
+                f"{self.root}: stored {family!r} sketches do not stack: {exc}"
+            ) from None
+
+    def posting_index(self, family: str) -> PostingIndex:
+        """A bottom-``s`` family's stored sketches as the row kernel's
+        :class:`~repro.core.sketch.PostingIndex`.
+
+        Built once per snapshot under its lock, however many threads ask
+        at once, from a stacked block it does not keep.
+        """
+        with self._lock:
+            if family not in self._postings:
+                self._postings[family] = PostingIndex.build(*self._stack(family))
+            return self._postings[family]
+
+    def sketch_estimates(
+        self, family: str, query: np.ndarray, q_size: int, cand: np.ndarray
+    ) -> np.ndarray:
+        """The row kernel's estimates of a query — its own ``family`` row
+        (:func:`sketch_row`) and exact size ``q_size`` — against the
+        stored genomes at positions ``cand``: from :meth:`posting_index`
+        for the bottom-``s`` families, from :meth:`family_payloads`
+        otherwise."""
+        sizes = self._sizes[cand]
+        if family in BOTTOM_S_FAMILIES:
+            return self.posting_index(family).estimate(query, q_size, cand, sizes)
+        rows, _ = self.family_payloads(family)
+        return estimate_rows(
+            family, query, q_size, rows[cand], sizes, bits=self.sketch_bits
+        )
 
     def load_counts(self, name: str) -> np.ndarray:
         """Abundance counts aligned with :meth:`load_values` (see

@@ -15,7 +15,8 @@ The load-bearing invariants, property-tested with Hypothesis:
 * measured recall over true matches is no worse than the analytic
   collision bound ``1 - (1 - s^r)^b`` minus a statistical tolerance;
 * ``query_candidates="lsh_exact"`` returns exactly the brute-force
-  answer (the probe only audits; it never narrows).
+  answer under the exact prefilters (the probe only audits; it never
+  narrows), and a subset of it, exactly scored, under the cascade.
 """
 
 import doctest
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.service.cascade as cascade_module
 import repro.service.lsh
 import repro.service.store as store_module
 from repro.core.config import SimilarityConfig
@@ -691,24 +693,25 @@ class TestRecallBound:
 
 
 class TestLshExactEqualsBruteForce:
-    @given(seed=st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=8, deadline=None)
-    def test_lsh_exact_matches_brute_force(self, tmp_path_factory, seed):
-        rng = np.random.default_rng(seed)
-        sets = planted_corpus(rng, n_families=4, copies=2)
-        root = tmp_path_factory.mktemp("eng") / "idx"
+    """``lsh_exact`` only audits, so each prefilter answers as it would
+    over a scan: ``off`` and ``size`` exactly the brute-force matches,
+    ``cascade`` a subset of them with exact scores (its sketch band
+    prunes a true match at ``J`` close to ``t`` about 2.5 % of the
+    time, by design)."""
+
+    THRESHOLD = 0.5
+
+    def answers(self, root, seed):
+        sets = planted_corpus(np.random.default_rng(seed), n_families=4, copies=2)
         store = IndexStore.create(root, m=M, sketch_size=LANES)
         for i, s in enumerate(sets):
             store.append(f"g{i}", s)
-        threshold = 0.5
         query = sets[0]
         brute = {
             f"g{i}": exact_jaccard(np.asarray(query), np.asarray(s))
             for i, s in enumerate(sets)
         }
-        expect = sorted(
-            (name for name, j in brute.items() if j >= threshold),
-        )
+        expect = sorted(name for name, j in brute.items() if j >= self.THRESHOLD)
         for prefilter in ("off", "size", "cascade"):
             eng = SimilarityIndex(
                 store,
@@ -716,12 +719,30 @@ class TestLshExactEqualsBruteForce:
                     query_prefilter=prefilter, query_candidates="lsh_exact"
                 ),
             )
-            result = eng.query(query, threshold=threshold)
-            assert sorted(m.name for m in result.matches) == expect
-            for m in result.matches:
-                assert m.similarity == pytest.approx(brute[m.name])
+            result = eng.query(query, threshold=self.THRESHOLD)
             assert result.candidates == "lsh_exact"
             assert result.n_after_lsh is not None
+            for m in result.matches:
+                assert m.similarity == pytest.approx(brute[m.name])
+            yield prefilter, sorted(m.name for m in result.matches), expect
+
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=8, deadline=None)
+    def test_lsh_exact_matches_brute_force(self, tmp_path_factory, seed):
+        root = tmp_path_factory.mktemp("eng") / "idx"
+        for prefilter, got, expect in self.answers(root, seed):
+            if prefilter == "cascade":
+                assert set(got) <= set(expect)
+            else:
+                assert got == expect
+
+    def test_exact_prefilters_keep_a_match_at_the_threshold(self, tmp_path):
+        # Seed 25982 plants g1 at J = 0.5104 against t = 0.5: the
+        # cascade's sketch band prunes it, the exact prefilters keep it.
+        for prefilter, got, expect in self.answers(tmp_path / "idx", 25982):
+            assert "g1" in expect
+            if prefilter != "cascade":
+                assert got == expect
 
     def test_lsh_mode_returns_subset_of_brute_force(self, tmp_path, rng):
         # "lsh" may miss sub-threshold-recall matches but must never
@@ -745,3 +766,35 @@ class TestLshExactEqualsBruteForce:
                 )
                 assert m.similarity == pytest.approx(j)
                 assert j >= threshold
+
+
+def test_a_sharded_probe_hashes_each_query_once(tmp_path, rng, monkeypatch):
+    # Every band of a sharded store shares one plan, so the bands a
+    # query consults reuse its memoised keys, and the fan-out answers as
+    # the flat store did.
+    sets = planted_corpus(rng, n_families=4, copies=3)
+    service = SimilarityService.create(
+        tmp_path / "idx", m=M,
+        config=SimilarityConfig(sketch_size=LANES, query_candidates="lsh_exact"),
+    )
+    service.add([(f"g{i}", s) for i, s in enumerate(sets)])
+    queries = [sets[i] for i in (0, 5, 9)]
+
+    def answers():
+        return [
+            (r.names, r.n_after_lsh, r.n_after_size)
+            for r in (service.query(values=q, top_k=5) for q in queries)
+        ]
+
+    flat = answers()
+    service.shard(4)
+    real = cascade_module.band_keys
+    hashed = []
+
+    def counting(fingerprints, plan, seed):
+        hashed.append(plan)
+        return real(fingerprints, plan, seed)
+
+    monkeypatch.setattr(cascade_module, "band_keys", counting)
+    assert answers() == flat
+    assert len(hashed) == len(queries)

@@ -15,6 +15,7 @@ from repro.core.sketch import estimate_rows
 from repro.runtime.engine import Machine
 from repro.runtime.machine import laptop
 from repro.service import IndexStore, SimilarityIndex
+from repro.service import query as query_module
 from repro.service import store as store_module
 from repro.service.query import (
     exact_jaccard,
@@ -364,12 +365,16 @@ class TestCaching:
         assert again.store_version == version + 1
         assert "late" in again.names
 
-    def test_cache_disabled(self, tmp_path, family_sets):
+    def test_cache_disabled(self, tmp_path, family_sets, monkeypatch):
+        # A cache that retains nothing hashes no query for a key, yet
+        # still counts every request as a miss.
         store = build_index(tmp_path, family_sets)
         eng = engine(store, query_cache_size=0)
+        monkeypatch.setattr(query_module, "result_cache_key", None)
         eng.query_values(family_sets[0], threshold=0.5)
         res = eng.query_values(family_sets[0], threshold=0.5)
         assert not res.from_cache
+        assert (res.cache_stats.hits, res.cache_stats.misses) == (0, 2)
 
     def test_summary_surfaces_cache_stats(self, tmp_path, family_sets):
         store = build_index(tmp_path, family_sets)
