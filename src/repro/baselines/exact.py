@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.arrays import sorted_unique
+
 
 def jaccard_pairwise_sets(sets) -> np.ndarray:
     """All-pairs Jaccard over Python sets (reference implementation)."""
@@ -48,7 +50,7 @@ def jaccard_pairwise_sorted(arrays) -> np.ndarray:
     does; used as the measured "DSM-like" baseline in the Table II
     bench.
     """
-    arrs = [np.unique(np.asarray(a, dtype=np.int64)) for a in arrays]
+    arrs = [sorted_unique(np.asarray(a, dtype=np.int64)) for a in arrays]
     n = len(arrs)
     sizes = np.array([a.size for a in arrs], dtype=np.int64)
     out = np.eye(n, dtype=np.float64)

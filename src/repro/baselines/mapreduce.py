@@ -30,6 +30,7 @@ from repro.core.config import SimilarityConfig
 from repro.runtime.engine import Machine
 from repro.runtime.machine import laptop
 from repro.sparse.coo import CooMatrix
+from repro.util.arrays import sorted_unique
 
 
 def _pairs_from_chunk(chunk: CooMatrix) -> np.ndarray:
@@ -101,7 +102,7 @@ def mapreduce_jaccard(
             for chunk in chunks:
                 dests = chunk.rows % p
                 msgs: list[np.ndarray | None] = [None] * p
-                for d in np.unique(dests):
+                for d in sorted_unique(dests):
                     sel = dests == d
                     msgs[int(d)] = np.stack([chunk.rows[sel], chunk.cols[sel]])
                 row_chunks.append(msgs)
@@ -128,7 +129,7 @@ def mapreduce_jaccard(
             for records in pair_records:
                 key = (records[0] * n + records[1]) % p
                 msgs = [None] * p
-                for d in np.unique(key):
+                for d in sorted_unique(key):
                     msgs[int(d)] = records[:, key == d]
                 send.append(msgs)
             received = comm.alltoallv(send)

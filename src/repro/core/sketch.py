@@ -16,11 +16,14 @@ parts).
     ``sqrt(J(1-J)/s)``.
 
 ``bbit_minhash`` — :class:`BBitMinHashSketch`
-    ``k`` independent one-permutation lanes, each keeping only the low
-    ``b`` bits of a fingerprint of its minimum hash (Li & König).  Wire
-    size is ``k*b`` bits per sample — 8x smaller than bottom-k at
-    ``b=8`` — at the price of a known collision floor ``C = 2^-b``
-    corrected out by the unbiased estimator ``(m - C) / (1 - C)``.
+    One-permutation hashing (Li, Owen & Zhang) into ``k`` bins with
+    optimal densification (Shrivastava) of the bins a small set leaves
+    empty, each lane keeping only the low ``b`` bits of a fingerprint of
+    its minimum hash (Li & König).  One hash per value: a build costs
+    ``O(|S| + k)``.  Wire size is ``k*b`` bits per sample — 8x smaller
+    than bottom-k at ``b=8`` — at the price of a known collision floor
+    ``C = 2^-b`` corrected out by the unbiased estimator
+    ``(m - C) / (1 - C)``.
 
 ``hll`` — :class:`HyperLogLogSketch`
     HyperLogLog union-cardinality registers.  Merge is an elementwise
@@ -64,6 +67,8 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
+_SHIFT_27, _SHIFT_30, _SHIFT_31, _SHIFT_32 = (np.uint64(n) for n in (27, 30, 31, 32))
+
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 _TWO_64 = 2.0**64
 
@@ -79,25 +84,28 @@ def _clamp_union_count(estimate: float, a: int, b: int) -> int:
     return int(min(a + b, max(a, b, round(estimate))))
 
 
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 in place on a uint64 array (array ufuncs wrap silently;
+    only NumPy *scalar* arithmetic warns on overflow)."""
+    x += _GOLDEN
+    x ^= x >> _SHIFT_30
+    x *= _MIX_1
+    x ^= x >> _SHIFT_27
+    x *= _MIX_2
+    x ^= x >> _SHIFT_31
+    return x
+
+
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer: a cheap, well-mixed 64-bit hash."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x += _GOLDEN
-        x ^= x >> np.uint64(30)
-        x *= _MIX_1
-        x ^= x >> np.uint64(27)
-        x *= _MIX_2
-        x ^= x >> np.uint64(31)
-    return x
+    return _mix(np.array(x, dtype=np.uint64))
 
 
 def hash_values(values: np.ndarray, seed: int = 0) -> np.ndarray:
     """Hash integer attribute values to uniform 64-bit keys."""
-    vals = np.asarray(values, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        salted = vals + np.uint64(seed) * _GOLDEN
-    return splitmix64(salted)
+    x = np.array(values, dtype=np.uint64)
+    x += np.uint64(int(seed) * int(_GOLDEN) % 2**64)
+    return _mix(x)
 
 
 def _as_value_array(values) -> np.ndarray:
@@ -302,12 +310,15 @@ class KMinValuesSketch(BottomSSketch):
 
 @dataclass
 class BBitMinHashSketch:
-    """``k`` one-value-per-lane MinHash lanes, truncated to ``b`` bits.
+    """``k`` one-permutation MinHash lanes, truncated to ``b`` bits.
 
-    During accumulation every lane keeps its full 64-bit minimum
-    (streaming updates stay exact); :meth:`fingerprints` rehashes the
-    minima and keeps the low ``b`` bits — the only part that ever
-    crosses the wire, packed by :func:`pack_lanes`.
+    Every value is hashed once; the hash's high 32 bits pick its bin
+    (multiply-high, so any ``k`` works) and each bin keeps the smallest
+    full 64-bit hash that landed in it, ``_U64_MAX`` while empty — so
+    streaming updates and merges stay exact.  :meth:`fingerprints`
+    densifies the empty bins, rehashes the minima and keeps the low
+    ``b`` bits — the only part that ever crosses the wire, packed by
+    :func:`pack_lanes`.
     """
 
     size: int
@@ -338,52 +349,34 @@ class BBitMinHashSketch:
         sk.update(values)
         return sk
 
-    def _lane_salts(self) -> np.ndarray:
-        rng_seed = derive_seed(self.seed, "bbit", "lanes")
-        with np.errstate(over="ignore"):
-            return splitmix64(
-                np.arange(self.size, dtype=np.uint64)
-                + np.uint64(rng_seed)
-            )
-
     def update(self, values) -> "BBitMinHashSketch":
         """Fold more attribute values in (streaming insertion)."""
         vals = _as_value_array(values)
         if vals.size == 0:
             return self
         self.n_values += vals.size
-        base = hash_values(vals, self.seed)
-        salts = self._lane_salts()
-        # One well-mixed hash per value, re-keyed per lane by xor-salt +
-        # multiply: h_l(v) = splitmix-style mix of (h(v) xor salt_l).
-        # Chunk lanes so the (values x lanes) table stays cache-sized.
-        step = max(1, 1 << 22 >> max(1, vals.size).bit_length())
-        for lo in range(0, self.size, step):
-            sl = salts[lo : lo + step]
-            with np.errstate(over="ignore"):
-                table = (base[:, None] ^ sl[None, :]) * _MIX_1
-                table ^= table >> np.uint64(29)
-                table *= _MIX_2
-            np.minimum(
-                self.mins[lo : lo + sl.size],
-                table.min(axis=0),
-                out=self.mins[lo : lo + sl.size],
-            )
+        h = hash_values(vals, self.seed)
+        bins = ((h >> _SHIFT_32) * np.uint64(self.size)) >> _SHIFT_32
+        np.minimum.at(self.mins, bins.astype(np.intp), h)
         return self
 
     def merge(self, other: "BBitMinHashSketch") -> "BBitMinHashSketch":
-        """Sketch of the union: elementwise lane minima.
+        """Sketch of the union: elementwise bin minima.
 
-        The merged ``n_values`` is estimated from the lane minima (the
-        minimum of ``n`` uniform draws averages ``1/(n+1)``, so
-        ``n ≈ k / sum(min_i) - 1``), clamped to the exact
+        The merged ``n_values`` is estimated from where each bin's
+        minimum sits inside its bin (the minimum of ``n`` uniform draws
+        averages ``1/(n+1)``; an empty bin counts as 1), so with ``k``
+        bins ``n ≈ k (k / sum(frac_i) - 1)``, clamped to the exact
         ``[max, sum]`` window the part counts imply.
         """
         self._check_compatible(other)
         out = BBitMinHashSketch(size=self.size, bits=self.bits, seed=self.seed)
         out.mins = np.minimum(self.mins, other.mins)
-        normalized = float((out.mins / _TWO_64).sum())
-        estimate = self.size / normalized - 1 if normalized > 0 else 0.0
+        k = self.size
+        frac = out.mins / _TWO_64 * k - np.arange(k)
+        frac[out.mins == _U64_MAX] = 1.0
+        total = float(frac.sum())
+        estimate = k * (k / total - 1) if total > 0 else 0.0
         out.n_values = _clamp_union_count(
             estimate, self.n_values, other.n_values
         )
@@ -404,12 +397,34 @@ class BBitMinHashSketch:
     def fingerprints(self) -> np.ndarray:
         """Low-``b``-bit lane fingerprints (what travels on the wire).
 
-        The minima are rehashed before truncation so two *different*
-        lane minima collide with probability ``2^-b`` regardless of the
-        structure of the raw hash values.
+        Empty bins are densified first (Shrivastava's optimal
+        densification): empty bin ``i`` borrows the minimum of the
+        filled bin ``f`` with the smallest ``splitmix64(key_i ^ f)``,
+        where ``key_i`` depends on the seed and ``i`` only — never on
+        the set — so two sets that both leave bin ``i`` empty borrow
+        alike.  That is ``|empty| * |filled| <= k^2 / 4`` hashes,
+        whatever the set size.  The minima are then rehashed before
+        truncation, so two *different* minima collide with probability
+        ``2^-b`` regardless of the structure of the raw hash values.
         """
+        mins = self.mins
+        empty = mins == _U64_MAX
+        holes = np.flatnonzero(empty)
+        if 0 < holes.size < self.size:
+            filled = np.flatnonzero(~empty)
+            # key_i ^ f = salt ^ (i << 32 | f): one distinct input per pair.
+            salt = np.uint64(derive_seed(self.seed, "bbit", "densify"))
+            keys = (holes.astype(np.uint64) << _SHIFT_32) ^ salt
+            bins = filled.astype(np.uint64)
+            mins = mins.copy()
+            # Rows of holes at a time, so the score table stays ~1M cells.
+            step = max(1, (1 << 20) // filled.size)
+            for lo in range(0, holes.size, step):
+                rows = slice(lo, lo + step)
+                scores = _mix(keys[rows, None] ^ bins)
+                mins[holes[rows]] = mins[filled[scores.argmin(axis=1)]]
         mask = (np.uint64(1) << np.uint64(self.bits)) - np.uint64(1)
-        return splitmix64(self.mins) & mask
+        return splitmix64(mins) & mask
 
     def packed(self) -> np.ndarray:
         """The b-bit-packed wire payload (see :func:`pack_lanes`)."""

@@ -6,14 +6,15 @@ Two modes:
   pipeline on a directory of FASTA files against a configurable
   simulated machine and writes the similarity/distance matrices, a
   PHYLIP export, a Newick tree, and the BSP cost report.
-* **index** (``genome-at-scale index build|add|query|shard``): the
-  persistent serving layer — build an on-disk similarity index from
+* **index** (``genome-at-scale index build|add|query|shard|migrate``):
+  the persistent serving layer — build an on-disk similarity index from
   FASTA samples (flat, or size-band sharded with ``--shards``), extend
   it incrementally (an add writes only the new genomes), answer
   threshold/top-k queries through the pruning cascade of
   :mod:`repro.service.query` (fanned out per band on a sharded index),
-  and migrate an existing flat index into size bands in place
-  (``index shard``).
+  migrate an existing flat index into size bands in place
+  (``index shard``), and upgrade an index written in an older store
+  format once (``index migrate``).
 
 Query knobs are spelled under the canonical ``--query-*`` namespace
 (``--query-prefilter``, ``--query-candidates``).
@@ -297,6 +298,16 @@ def build_index_parser() -> argparse.ArgumentParser:
             "(default quantile = equal-count bands)"
         ),
     )
+
+    migrate = sub.add_parser(
+        "migrate",
+        help=(
+            "upgrade an index written in an older store format in place, "
+            "one way: its sketches are rebuilt from the stored values"
+        ),
+    )
+    migrate.add_argument("--index", type=Path, required=True,
+                         help="index store directory")
     return parser
 
 
@@ -320,6 +331,14 @@ def index_main(argv: list[str]) -> int:
     args = build_index_parser().parse_args(argv)
     inputs = getattr(args, "inputs", None)
     fasta_paths = collect_inputs(inputs) if inputs else []
+    if args.command == "migrate":
+        from repro.service import migrate_store
+        from repro.service.store import FORMAT_VERSION
+
+        store = migrate_store(args.index)
+        print(store.summary())
+        print(f"\n{args.index} is in store format {FORMAT_VERSION}")
+        return 0
     if args.command == "shard":
         from repro.service import shard_store
 
@@ -486,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     # "index" still reaches the batch parser.
     if argv[:1] == ["index"] and (
         len(argv) == 1
-        or argv[1] in ("build", "add", "query", "shard", "-h", "--help")
+        or argv[1] in ("build", "add", "query", "shard", "migrate", "-h", "--help")
     ):
         return index_main(argv[1:])
     args = build_parser().parse_args(argv)

@@ -102,9 +102,17 @@ class SampleStore:
             self._write_manifest()
 
     def load_sample(self, name: str) -> np.ndarray:
+        """One sample's sorted k-mer codes; ``ValueError`` naming the
+        file when it is missing or holds no readable ``.npy`` array."""
         if name not in self.names:
             raise KeyError(f"unknown sample {name!r}")
-        return np.load(self._path(name))
+        path = self._path(name)
+        try:
+            return np.load(path)
+        except (OSError, EOFError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: unreadable sample file ({type(exc).__name__}: {exc})"
+            ) from None
 
     @property
     def n_samples(self) -> int:

@@ -16,7 +16,8 @@ package **persists and serves**:
 * :mod:`repro.service.sharded` — the size-banded sharded layout: a
   top-level manifest maps size bands to shard directories, each shard
   a full :class:`~repro.service.store.IndexStore`; plus the in-place
-  flat-to-sharded migration (:func:`shard_store`) and the
+  flat-to-sharded migration (:func:`shard_store`), the one-way
+  format-1 upgrade of either layout (:func:`migrate_store`) and the
   layout-dispatching :func:`open_store` / :func:`create_store`;
 * :mod:`repro.service.lsh` — banded MinHash-LSH bucket tables over the
   stored b-bit lane fingerprints: band/row planning from the collision
@@ -71,6 +72,7 @@ from repro.service.sharded import (
     ShardedEntry,
     ShardedStore,
     create_store,
+    migrate_store,
     open_store,
     plan_size_bands,
     shard_store,
@@ -108,6 +110,7 @@ __all__ = [
     "ShardedEntry",
     "ShardedStore",
     "create_store",
+    "migrate_store",
     "open_store",
     "plan_size_bands",
     "shard_store",

@@ -157,9 +157,11 @@ class SimilarityService:
     ) -> "SimilarityService":
         """Open an existing index, whatever its layout.
 
-        The on-disk manifest decides: a v1 flat store gets the classic
+        The on-disk manifest decides: a flat store gets the classic
         single-store engine, a sharded store the fan-out engine — the
-        caller never branches on layout.
+        caller never branches on layout.  A store written before store
+        format 2 raises :class:`~repro.service.errors.StoreError` until
+        :func:`~repro.service.sharded.migrate_store` upgraded it.
         """
         return cls(
             open_store(root), machine=machine, config=config,

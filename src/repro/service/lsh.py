@@ -14,7 +14,12 @@ so the pair is retrieved with probability at least
 
     ``P(s) = 1 - (1 - s^r)^b``
 
-— the classic LSH S-curve.  :func:`plan_bands` picks ``(b, r)`` from
+— the classic LSH S-curve.  The curve treats the lanes as independent
+MinHash draws; the stored lanes are bins of one permutation, densified
+(:class:`~repro.core.sketch.BBitMinHashSketch`), so it is an assumption
+that the measured recall checks (``TestRecallBound`` in
+``tests/service/test_lsh.py``, the harness's LSH recall flags and
+``lsh.recall`` in ``bench/``), not a theorem.  :func:`plan_bands` picks ``(b, r)`` from
 this curve for a target threshold and false-negative budget;
 :func:`collision_probability` evaluated at a query's threshold is the
 analytic per-match recall bound the benchmarks audit against.

@@ -40,13 +40,16 @@ older layout left inside a band directory — stale or ahead — is never
 read.  A crash at any write leaves the previous top-level manifest
 referencing only fully written files, on every band.
 
-Migration: :func:`shard_store` upgrades a v1 single-directory store in
-place through that same path — every live genome (values *and* stored
+Migrations: :func:`shard_store` rebands a flat (single-directory) store
+in place through that same path — every live genome (values *and* stored
 abundance counts) is routed into a staged band tree, and the one atomic
 top-level manifest replacement commits the new layout, after which the
 old flat artifacts are unlinked.  An interrupted migration
-leaves the v1 store intact (plus an unreferenced ``bands/`` tree a retry
-clears).  :func:`open_store` / :func:`create_store` dispatch on the
+leaves the flat store intact (plus an unreferenced ``bands/`` tree a
+retry clears).  :func:`migrate_store` upgrades a store of either layout
+written in store format 1 (see
+:data:`~repro.service.store.FORMAT_VERSION`) by re-sketching it in one
+transaction.  :func:`open_store` / :func:`create_store` dispatch on the
 layout, so callers open or create either transparently.
 """
 
@@ -70,6 +73,7 @@ from repro.service.store import (
     _manifest_bytes,
     _manifest_fields,
     _StoreAPI,
+    check_format,
     read_manifest,
     route,
     transaction,
@@ -81,6 +85,7 @@ __all__ = [
     "ShardedEntry",
     "ShardedStore",
     "create_store",
+    "migrate_store",
     "open_store",
     "plan_size_bands",
     "shard_store",
@@ -88,7 +93,7 @@ __all__ = [
 
 #: Directory (under the store root) holding one IndexStore per band.
 #: Distinct from the flat store's ``shards/`` record directory, so a
-#: band tree can coexist with a v1 store mid-migration.
+#: band tree can coexist with a flat store mid-migration.
 BAND_DIR = "bands"
 
 #: On-disk layout revision of the sharded (two-level) store.
@@ -283,6 +288,15 @@ class ShardedStore(_StoreAPI):
                 f"{root}: not a sharded store "
                 f"(format {meta.get('format_version')!r})"
             )
+        with _manifest_fields(root):
+            for sh in meta["shards"]:
+                check_format(root, sh["manifest"])
+            return cls._from_payload(root, meta)
+
+    @classmethod
+    def _from_payload(cls, root: Path, meta: dict) -> "ShardedStore":
+        """Materialize a store from an already-parsed top-level manifest
+        whose band payloads may be of any format (the caller checks)."""
         with _manifest_fields(root):
             # The embedded payloads are authoritative: a manifest file
             # an older layout left in a band directory is never read.
@@ -482,21 +496,18 @@ class ShardedStore(_StoreAPI):
 def open_store(root: str | Path) -> "IndexStore | ShardedStore":
     """Open a store of either layout, dispatching on its manifest.
 
-    A v1 single-directory store is read in compat mode (as a plain
-    :class:`IndexStore`); a v2 sharded store opens as a
-    :class:`ShardedStore`.  This is the one opener the
-    :class:`~repro.service.api.SimilarityService` facade uses.
+    A flat (single-directory) store opens as a plain
+    :class:`IndexStore`, a sharded one as a :class:`ShardedStore`.
+    This is the one opener the
+    :class:`~repro.service.api.SimilarityService` facade uses.  A store
+    written before :data:`~repro.service.store.FORMAT_VERSION` raises
+    :class:`StoreError` naming :func:`migrate_store`'s CLI.
     """
     root = Path(root)
     meta = read_manifest(root)
     if meta.get("layout") == "sharded":
         return ShardedStore._open(root, meta)
-    if meta.get("format_version") == FORMAT_VERSION:
-        return IndexStore._open(root, meta)
-    raise StoreError(
-        f"{root}: unsupported store format "
-        f"{meta.get('format_version')!r}"
-    )
+    return IndexStore._open(root, meta)
 
 
 def create_store(
@@ -526,14 +537,14 @@ def shard_store(
     shards: int,
     band_policy: str = "quantile",
 ) -> ShardedStore:
-    """Upgrade a v1 single-directory store to a sharded store, in place.
+    """Upgrade a flat (single-directory) store to a sharded store, in place.
 
     One transaction on the new layout: every live genome (values and
     stored abundance counts) is routed into a freshly staged band tree
     — rebuilding sketches and per-band LSH tables.  The atomic top-level
     manifest replacement commits the migration, after which the old
     flat artifacts are unlinked.  A crash at any earlier write leaves
-    the v1 store fully intact (plus an unreferenced ``bands/`` tree a
+    the flat store fully intact (plus an unreferenced ``bands/`` tree a
     retry clears and rebuilds).
 
     The default ``"quantile"`` policy plans the band edges from the
@@ -552,7 +563,7 @@ def shard_store(
     )
     if (root / BAND_DIR).exists():
         # Leftovers of an interrupted migration: unreferenced by the
-        # committed v1 manifest, safe to clear and rebuild.
+        # committed flat manifest, safe to clear and rebuild.
         shutil.rmtree(root / BAND_DIR)
     store = ShardedStore._stage_create(
         root, flat.m, edges, band_policy, version=flat.version,
@@ -583,4 +594,35 @@ def shard_store(
     old_records = root / _flat.SHARD_DIR
     if old_records.exists() and not any(old_records.iterdir()):
         old_records.rmdir()
+    return store
+
+
+def migrate_store(root: str | Path) -> "IndexStore | ShardedStore":
+    """Upgrade a format-1 store of either layout to
+    :data:`~repro.service.store.FORMAT_VERSION`, in place and one way.
+
+    Every sketch is a pure function of the stored values, so the
+    migration is one transaction that rewrites each live genome's record
+    file with freshly built sketches (the one-permutation
+    ``bbit_minhash`` lanes among them) and rebuilds each band's LSH
+    table; the atomic manifest replacement commits it, after which the
+    old files are unlinked.  A crash before the commit leaves the
+    format-1 store as it was.  A store already in the current format is
+    opened and returned untouched.
+    """
+    root = Path(root)
+    meta = read_manifest(root)
+    sharded = meta.get("layout") == "sharded"
+    with _manifest_fields(root):
+        payloads = [sh["manifest"] for sh in meta["shards"]] if sharded else [meta]
+        found = {p.get("format_version") for p in payloads}
+    if found == {FORMAT_VERSION}:
+        return open_store(root)
+    if not found <= {1, FORMAT_VERSION}:
+        raise StoreError(f"{root}: cannot migrate store format(s) {sorted(map(repr, found))}")
+    with _manifest_fields(root):
+        store = (ShardedStore if sharded else IndexStore)._from_payload(root, meta)
+    with transaction(store) as txn:
+        for band in store._bands:
+            band._stage_resketch(txn)
     return store

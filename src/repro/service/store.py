@@ -77,7 +77,7 @@ import os
 import struct
 import threading
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -127,7 +127,10 @@ LSH_FAMILY = "bbit_minhash"
 STORE_FAMILIES = SKETCH_ESTIMATORS + (WEIGHTED_MINHASH_FAMILY,)
 
 #: On-disk layout revision of the store itself (not the store version).
-FORMAT_VERSION = 1
+#: Format 2 stores one-permutation ``bbit_minhash`` lanes, and LSH keys
+#: over them; a format-1 store opens only after :func:`migrate_store
+#: <repro.service.sharded.migrate_store>` re-sketched it.
+FORMAT_VERSION = 2
 
 _LEN = struct.Struct("<Q")
 
@@ -172,6 +175,25 @@ def read_manifest(root: Path) -> dict:
     if not isinstance(meta, dict):
         raise StoreError(f"{manifest}: manifest is a JSON {type(meta).__name__}, not an object")
     return meta
+
+
+def check_format(root: Path, payload: dict) -> None:
+    """:class:`StoreError` unless a flat manifest, or a band payload
+    embedded in ``root``'s sharded one, is in :data:`FORMAT_VERSION`;
+    a format-1 payload names the migration that upgrades it."""
+    found = payload.get("format_version")
+    if found == FORMAT_VERSION:
+        return
+    if found == 1:
+        raise StoreError(
+            f"{root / MANIFEST_NAME}: store format 1 predates the one-permutation "
+            f"bbit_minhash lanes of format {FORMAT_VERSION}; upgrade it once with "
+            f"`genome-at-scale index migrate --index {root}` "
+            "(repro.service.migrate_store)"
+        )
+    raise StoreError(
+        f"{root}: unsupported store format {found!r} (expected {FORMAT_VERSION})"
+    )
 
 
 @contextmanager
@@ -654,19 +676,13 @@ class IndexStore(_StoreAPI):
     @classmethod
     def _open(cls, root: Path, meta: dict) -> "IndexStore":
         """Open ``root`` from its already-read manifest payload."""
-        if meta.get("format_version") != FORMAT_VERSION:
-            hint = (
-                "; this is a sharded store — open it with "
-                "repro.service.open_store or ShardedStore.open"
-                if meta.get("layout") == "sharded"
-                else ""
-            )
+        if meta.get("layout") == "sharded":
             raise StoreError(
-                f"{root}: unsupported store format "
-                f"{meta.get('format_version')!r} (expected {FORMAT_VERSION})"
-                f"{hint}"
+                f"{root}: this is a sharded store — open it with "
+                "repro.service.open_store or ShardedStore.open"
             )
         with _manifest_fields(root):
+            check_format(root, meta)
             return cls._from_payload(root, meta)
 
     @classmethod
@@ -927,32 +943,65 @@ class IndexStore(_StoreAPI):
         new_entries = []
         new_fps: list[np.ndarray] = []
         for name, vals, cnts in clean:
-            payloads: list = [vals]
-            for fam in self.families:
-                # Stored payload = the sketch's kernel row, the b-bit
-                # lanes packed.
-                row = sketch_row(
-                    fam, vals, cnts, self.sketch_size,
-                    self.sketch_bits, self.sketch_seed,
-                )
-                if fam == LSH_FAMILY:
-                    new_fps.append(row)
-                    row = pack_lanes(row, self.sketch_bits)
-                payloads.append(row)
-            if cnts is not None:
-                payloads.append(cnts)
-            shard = f"{SHARD_DIR}/{self.next_shard:06d}.bin"
-            write_records(self.root / shard, payloads, self.codec)
+            shard, fps = self._write_record_file(vals, cnts)
+            if fps is not None:
+                new_fps.append(fps)
             entry = GenomeEntry(
                 name=name, shard=shard, n_values=int(vals.size),
                 mass=int(vals.size if cnts is None else cnts.sum()),
             )
             self.entries.append(entry)
-            self.next_shard += 1
             new_entries.append(entry)
         if table is not None:
             self._stage_lsh(table.with_added(new_fps), txn)
         return new_entries
+
+    def _write_record_file(self, vals, cnts) -> tuple[str, np.ndarray | None]:
+        """Write one genome's record file under a fresh name: its values,
+        one sketch row per family, then any counts.  Returns the file
+        name and the lane fingerprints (``None`` without the
+        :data:`LSH_FAMILY`)."""
+        payloads: list = [vals]
+        fps = None
+        for fam in self.families:
+            # Stored payload = the sketch's kernel row, the b-bit lanes
+            # packed.
+            row = sketch_row(
+                fam, vals, cnts, self.sketch_size,
+                self.sketch_bits, self.sketch_seed,
+            )
+            if fam == LSH_FAMILY:
+                fps = row
+                row = pack_lanes(row, self.sketch_bits)
+            payloads.append(row)
+        if cnts is not None:
+            payloads.append(cnts)
+        shard = f"{SHARD_DIR}/{self.next_shard:06d}.bin"
+        write_records(self.root / shard, payloads, self.codec)
+        self.next_shard += 1
+        return shard, fps
+
+    def _stage_resketch(self, txn: Transaction) -> None:
+        """Stage every live genome's record file rebuilt from its stored
+        values and counts, and the LSH table rebuilt over the new lanes
+        (the step :func:`~repro.service.sharded.migrate_store` runs per
+        band).  The old record files go stale; a tombstoned entry keeps
+        its file, which no reader opens, until ``compact``."""
+        txn.touch(self)
+        entries = []
+        for entry in self.entries:
+            if not entry.removed:
+                path = self.root / entry.shard
+                cnts = None
+                if entry.total_mass != entry.n_values:
+                    cnts = read_record(path, 1 + len(self.families))
+                shard, _ = self._write_record_file(read_record(path, 0), cnts)
+                txn.stale.append(path)
+                entry = replace(entry, shard=shard)
+            entries.append(entry)
+        self.entries = entries
+        if self.has_lsh:
+            self._stage_lsh(self._build_lsh(), txn)
 
     def load_values(self, name: str) -> np.ndarray:
         """A genome's sorted attribute values (decoded from its shard)."""

@@ -168,12 +168,82 @@ class TestKMinValues:
         )
 
 
+def lcg_values(seed: int, n: int) -> np.ndarray:
+    """``n`` distinct values from integer LCGs (independent of NumPy's
+    generators): 64 streams, each seeded by a splitmix64 of ``seed`` and
+    its index, advance in lockstep, one row of draws per step."""
+    state = splitmix64(np.arange(64, dtype=np.uint64) + np.uint64(64 * seed))
+    rows = []
+    for _ in range(-(-(2 * n + 64) // 64)):
+        state = state * np.uint64(6364136223846793005) + np.uint64(1442695040888963407)
+        rows.append(state >> np.uint64(33))
+    out = np.concatenate(rows).astype(np.int64)
+    first = np.sort(np.unique(out, return_index=True)[1])
+    return out[first[:n]]
+
+
 class TestBBitMinHash:
     def test_empty_rules(self):
         empty = BBitMinHashSketch.from_values([], 64)
         other = BBitMinHashSketch.from_values(range(100), 64)
         assert empty.jaccard(BBitMinHashSketch.from_values([], 64)) == 1.0
         assert empty.jaccard(other) == 0.0
+        assert other.jaccard(empty) == 0.0
+        assert (empty.mins == np.iinfo(np.uint64).max).all()
+
+    def test_one_value_fills_every_lane_alike(self):
+        sk = BBitMinHashSketch.from_values([12345], 256, bits=16)
+        assert (sk.mins != np.iinfo(np.uint64).max).sum() == 1
+        fps = sk.fingerprints()
+        assert (fps == fps[0]).all()
+
+    @given(values=st.sets(st.integers(0, 10**6), min_size=1, max_size=40),
+           seed=st.integers(0, 50), k=st.sampled_from([64, 96, 256]))
+    @settings(max_examples=30, deadline=None)
+    def test_identical_sets_densify_alike(self, values, seed, k):
+        # Mostly-empty bins borrow by a key that depends on the seed and
+        # the bin only, so equal sets get equal lanes however they were
+        # built.
+        a = BBitMinHashSketch.from_values(values, k, seed=seed)
+        b = BBitMinHashSketch(size=k, seed=seed)
+        for v in sorted(values, reverse=True):
+            b.update([v])
+        assert np.array_equal(a.fingerprints(), b.fingerprints())
+        assert a.jaccard(b) == 1.0
+
+    def test_bins_cover_a_k_that_is_not_a_power_of_two(self):
+        sk = BBitMinHashSketch.from_values(range(20_000), 96)
+        assert sk.mins.shape == (96,)
+        assert (sk.mins != np.iinfo(np.uint64).max).all()
+        # Bin i holds hashes from the i-th 96th of the 64-bit range.
+        frac = sk.mins / 2.0**64 * 96 - np.arange(96)
+        assert ((frac >= 0) & (frac < 1)).all()
+        half = BBitMinHashSketch.from_values(range(10_000), 96)
+        rest = BBitMinHashSketch.from_values(range(10_000, 20_000), 96)
+        assert np.array_equal(half.merge(rest).fingerprints(), sk.fingerprints())
+
+    @pytest.mark.parametrize("n", [5, 20, 300, 7000])
+    def test_accuracy_within_the_error_bound(self, n):
+        # Pairs of an n-value and an ~1.2n-value set at J ~ 0.1 / 0.5 /
+        # 0.8 from an integer LCG: the estimates are unbiased and, as
+        # the 95% bound says, at least 9 in 10 of them land within
+        # error_bound().
+        k, nb = 256, n + max(1, n // 5)
+        errors = []
+        for target in (0.1, 0.5, 0.8):
+            shared = round((n + nb) * target / (1 + target))
+            truth = shared / (n + nb - shared)
+            for rep in range(40):
+                pool = lcg_values(1000 * n + 100 * round(10 * target) + rep, n + nb - shared)
+                a = BBitMinHashSketch.from_values(pool[:n], k, seed=rep)
+                b = BBitMinHashSketch.from_values(
+                    np.concatenate((pool[:shared], pool[n:])), k, seed=rep
+                )
+                errors.append(a.jaccard(b) - truth)
+        errors = np.array(errors)
+        bound = BBitMinHashSketch(size=k).error_bound()
+        assert np.mean(np.abs(errors) <= bound) >= 0.9
+        assert abs(errors.mean()) <= 0.01
 
     def test_identical_sets_estimate_one(self):
         a = BBitMinHashSketch.from_values(range(500), 128)
@@ -189,6 +259,7 @@ class TestBBitMinHash:
         for r in range(4):
             streamed.update(arr[r::4])
         assert np.array_equal(one_shot.mins, streamed.mins)
+        assert np.array_equal(one_shot.fingerprints(), streamed.fingerprints())
 
     def test_merge_is_union_sketch(self):
         a, b = set(range(200)), set(range(150, 400))
@@ -197,6 +268,7 @@ class TestBBitMinHash:
         direct = BBitMinHashSketch.from_values(a | b, 64)
         merged = sa.merge(sb)
         assert np.array_equal(merged.mins, direct.mins)
+        assert np.array_equal(merged.fingerprints(), direct.fingerprints())
         assert len(a | b) - 150 <= merged.n_values <= len(a) + len(b)
 
     @given(seed=st.integers(min_value=0, max_value=200))

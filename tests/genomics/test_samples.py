@@ -97,3 +97,34 @@ class TestCorruptManifest:
     def test_corruptions(self, root, content):
         (root / "manifest.json").write_bytes(content)
         self._raises_naming_the_file(root)
+
+
+class TestHostileSampleBytes:
+    """A sample file ``np.load`` cannot read raises ValueError naming it."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data[: len(data) // 2],
+            lambda data: data[:20],
+            lambda data: b"",
+            lambda data: b"not an npy file at all",
+        ],
+        ids=["truncated_body", "truncated_header", "empty", "garbage"],
+    )
+    def test_unreadable_sample_names_the_file(self, tmp_path, corrupt):
+        store = SampleStore.create(tmp_path / "s", k=5)
+        store.add_samples([("a", np.arange(100)), ("b", np.array([3]))])
+        path = store.root / "a.npy"
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError) as info:
+            store.load_sample("a")
+        assert str(path) in str(info.value)
+        assert store.load_sample("b").tolist() == [3]
+
+    def test_missing_sample_file_names_the_file(self, tmp_path):
+        store = SampleStore.create(tmp_path / "s", k=5)
+        store.add_sample("a", np.arange(10))
+        (store.root / "a.npy").unlink()
+        with pytest.raises(ValueError, match="a.npy"):
+            store.load_sample("a")

@@ -1,4 +1,5 @@
-"""Shared test utilities: brute-force references and generators."""
+"""Shared test utilities: brute-force references, generators and the
+store's torn-write injector."""
 
 from __future__ import annotations
 
@@ -29,3 +30,27 @@ def random_sets(rng: np.random.Generator, n: int, m: int, max_size: int) -> list
         set(rng.integers(0, m, size=rng.integers(0, max_size + 1)).tolist())
         for _ in range(n)
     ]
+
+
+def install_torn_writes(monkeypatch, fail_on: int) -> list[str]:
+    """Route the store's one byte sink through a crash injector.
+
+    Every write's file name is logged; the ``fail_on``-th (counted from
+    1, so 0 never fails) leaves half its bytes in the temp file and
+    raises ``OSError``, as a crash mid-write would.  Returns the log.
+    """
+    import repro.service.store as store_module
+
+    real = store_module._atomic_write_bytes
+    log: list[str] = []
+
+    def torn(path, data):
+        log.append(path.name)
+        if len(log) == fail_on:
+            torn_tmp = path.with_name(path.name + ".tmp")
+            torn_tmp.write_bytes(data[: max(1, len(data) // 2)])
+            raise OSError(f"injected crash during write #{fail_on} ({path.name})")
+        real(path, data)
+
+    monkeypatch.setattr(store_module, "_atomic_write_bytes", torn)
+    return log

@@ -1,5 +1,14 @@
-"""Golden answers of the LSH-backed cascade, recorded at the commit
-*before* the key-matrix table (PR 20) and asserted with ``==``.
+"""Golden answers of the LSH-backed cascade, asserted with ``==``.
+
+First recorded at the commit before the key-matrix table; re-recorded
+once when the ``bbit_minhash`` lanes became one-permutation bins
+(store format 2), which changes every stored lane fingerprint and so
+every band key.  At that re-record every ``lsh_exact`` match list and
+``n_after_size`` / ``n_verified`` stayed equal; only ``n_after_lsh``,
+the modelled ``simulated_seconds`` and, in one ``lsh`` row per
+scenario, which match below the 0.5 planning threshold the probe misses
+moved (62 and 63 ``lsh`` matches before and after, as at the previous
+record).
 
 The table representation, its file layout and the probe are free to
 change; what a query reports is not.  For one flat and one 3-band

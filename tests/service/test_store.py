@@ -17,6 +17,7 @@ from repro.service.store import (
     read_records,
     write_records,
 )
+from tests.helpers import install_torn_writes
 
 M = 10_000
 
@@ -302,26 +303,7 @@ class TestCrashConsistency:
     def _tables(store):
         return [b.lsh_table() for b in bands_of(store)]
 
-    @staticmethod
-    def _install_injector(monkeypatch, fail_on):
-        import repro.service.store as store_module
-
-        real = store_module._atomic_write_bytes
-        log: list[str] = []
-
-        def torn(path, data):
-            log.append(path.name)
-            if len(log) == fail_on:
-                torn_tmp = path.with_name(path.name + ".tmp")
-                torn_tmp.write_bytes(data[: max(1, len(data) // 2)])
-                raise OSError(
-                    f"injected crash during write #{fail_on} "
-                    f"({path.name})"
-                )
-            real(path, data)
-
-        monkeypatch.setattr(store_module, "_atomic_write_bytes", torn)
-        return log
+    _install_injector = staticmethod(install_torn_writes)
 
     # Each row is (prep, mutation) over a SimilarityService: prep
     # commits normally, the mutation is the single transaction the

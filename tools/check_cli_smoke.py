@@ -17,7 +17,10 @@ over ``tests/data/smoke_fasta``:
   the same sample order).  A second query
   pass feeds every sample through ``index query --batch-file`` and
   requires each batched answer to equal the per-query answer for the
-  same sample, name for name and similarity for similarity.
+  same sample, name for name and similarity for similarity.  Last,
+  ``index migrate`` upgrades a copy of the committed format-1 flat
+  store (``tests/data/store_v1_flat``), which refuses to open before
+  and answers after; a second ``index migrate`` changes no byte.
 * ``shard`` — the migration path: ``index build`` over every sample,
   per-sample baseline queries, then ``index shard --shards 2``
   upgrades the flat index into size bands in place; every re-run
@@ -58,6 +61,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 FASTA_DIR = REPO_ROOT / "tests" / "data" / "smoke_fasta"
+V1_FLAT_STORE = REPO_ROOT / "tests" / "data" / "store_v1_flat"
 
 #: The bound line ``result.summary()`` prints for sketch runs.
 BOUND_RE = re.compile(r"estimated J \+/- ([0-9.]+) at 95%")
@@ -242,6 +246,7 @@ def check_index(
                     f"batched similarity for {stem}/{bn} differs from the "
                     f"per-query path: {bs!r} vs {ss!r}"
                 )
+    migrated = check_migrate(workdir / "migrate")
     return (
         f"cli smoke ok [index]: build({len(fastas) - 1}) -> add(1) -> "
         f"all_pairs() equal to the fresh exact run; "
@@ -249,8 +254,34 @@ def check_index(
         f"to it "
         f"({result['n_candidates']} candidate(s), "
         f"{result['n_verified']} verified); --batch-file over "
-        f"{len(fastas)} queries matched the per-query path"
+        f"{len(fastas)} queries matched the per-query path; {migrated}"
     )
+
+
+def check_migrate(index_dir: Path) -> str:
+    """``index migrate`` on a copy of the format-1 flat fixture."""
+    from repro.service import SimilarityService, StoreError
+
+    shutil.rmtree(index_dir, ignore_errors=True)
+    shutil.copytree(V1_FLAT_STORE, index_dir)
+    try:
+        SimilarityService.open(index_dir)
+    except StoreError as exc:
+        if "index migrate" not in str(exc):
+            raise SystemExit(f"the format-1 store's open error names no migration: {exc}")
+    else:
+        raise SystemExit(f"the format-1 store at {index_dir} opened unmigrated")
+    run_cli(["index", "migrate", "--index", str(index_dir)])
+    service = SimilarityService.open(index_dir)
+    name = service.store.names[0]
+    top = service.query(values=service.store.load_values(name), top_k=1)
+    if [m.name for m in top.matches] != [name] or top.matches[0].similarity != 1.0:
+        raise SystemExit(f"the migrated store does not find {name} as its own best match")
+    files = {p: p.read_bytes() for p in index_dir.rglob("*") if p.is_file()}
+    run_cli(["index", "migrate", "--index", str(index_dir)])
+    if {p: p.read_bytes() for p in index_dir.rglob("*") if p.is_file()} != files:
+        raise SystemExit("a second index migrate rewrote the store")
+    return f"index migrate upgraded the format-1 store ({service.store.n_genomes} genomes)"
 
 
 def check_shard(
