@@ -130,7 +130,12 @@ def threshold_clusters(
     its partners *later* in that order with one
     :meth:`~repro.service.store.RankSpace.intersections` call; a later
     partner is never smaller, so containment's ``inter / extent`` is
-    already the either-direction maximum.  Which partners are scored:
+    already the either-direction maximum.  That call gathers the
+    partners' ranks, or — once the wide calls have gathered the corpus
+    once over, and where the packed layout is no larger than the rank
+    column — ANDs and popcounts their packed bit rows (unweighted
+    measures only); both give the same integers.  Which partners are
+    scored:
 
     * ``candidates="scan"`` (default) — every later sample inside the
       measure's exact pruning bound

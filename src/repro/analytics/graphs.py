@@ -9,13 +9,16 @@ Jarvis–Patrick clustering [50] and missing-link prediction [28].
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.analytics.clustering import threshold_clusters
 from repro.core.config import SimilarityConfig
 from repro.core.result import SimilarityResult
 from repro.core.similarity import SimilarityAtScale
 from repro.runtime.engine import Machine
+
+if TYPE_CHECKING:  # the caller's graph is a networkx one; nothing here builds one
+    import networkx as nx
 
 
 def adjacency_sets(graph: nx.Graph) -> tuple[list[set], list]:

@@ -199,13 +199,29 @@ class FileSource(SortedSampleSource):
         return self._m
 
     def _load(self, j: int) -> np.ndarray:
+        """Sample ``j``'s sorted distinct values; ``ValueError`` naming
+        the file when it is unreadable (missing, empty, truncated,
+        garbage), not one 1-D integer array, or out of range."""
         if j not in self._cache:
             path = self.paths[j]
-            if path.suffix == ".npy":
-                vals = np.load(path)
-            else:
-                vals = np.loadtxt(path, dtype=np.int64, ndmin=1)
-            vals = sorted_unique(np.asarray(vals, dtype=np.int64))
+            try:
+                if path.suffix == ".npy":
+                    vals = np.load(path)
+                else:
+                    vals = np.loadtxt(path, dtype=np.int64, ndmin=1)
+            except (OSError, EOFError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: unreadable sample file ({type(exc).__name__}: {exc})"
+                ) from None
+            if not isinstance(vals, np.ndarray):  # an open .npz archive
+                vals.close()
+                raise ValueError(f"{path}: not a sample file (an .npz archive)")
+            if vals.ndim != 1 or vals.dtype.kind not in "iu":
+                raise ValueError(
+                    f"{path}: a sample file holds one 1-D integer array, "
+                    f"got {vals.dtype} of shape {vals.shape}"
+                )
+            vals = sorted_unique(vals.astype(np.int64, copy=False))
             if vals.size and (vals[0] < 0 or vals[-1] >= self._m):
                 raise ValueError(
                     f"{path}: values outside [0, {self._m}): "

@@ -11,8 +11,25 @@ Robinson–Foulds).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+
+def require_networkx():
+    """The ``networkx`` module, imported on first use: only the tree
+    functions need it, so the NumPy-only core imports without it."""
+    try:
+        import networkx
+    except ImportError as exc:
+        raise ImportError(
+            "phylogenetic trees need networkx, which the NumPy-only core "
+            "does not install (pip install networkx)"
+        ) from exc
+    return networkx
 
 
 def _check_distance_matrix(d: np.ndarray, names: list[str]) -> np.ndarray:
@@ -41,7 +58,7 @@ def neighbor_joining(distances: np.ndarray, names: list[str]) -> nx.Graph:
     """
     d = _check_distance_matrix(distances, names).copy()
     n = len(names)
-    tree = nx.Graph()
+    tree = require_networkx().Graph()
     tree.add_nodes_from(names)
     if n == 1:
         tree.graph["root"] = names[0]
@@ -91,7 +108,7 @@ def upgma(distances: np.ndarray, names: list[str]) -> nx.Graph:
     """
     d = _check_distance_matrix(distances, names).copy()
     n = len(names)
-    tree = nx.Graph()
+    tree = require_networkx().Graph()
     tree.add_nodes_from(names)
     if n == 1:
         tree.graph["root"] = names[0]
@@ -132,7 +149,7 @@ def cophenetic_distances(tree: nx.Graph, names: list[str]) -> np.ndarray:
     n = len(names)
     out = np.zeros((n, n), dtype=np.float64)
     lengths = dict(
-        nx.all_pairs_dijkstra_path_length(tree, weight="length")
+        require_networkx().all_pairs_dijkstra_path_length(tree, weight="length")
     )
     for i, a in enumerate(names):
         for j, b in enumerate(names):
@@ -143,6 +160,7 @@ def cophenetic_distances(tree: nx.Graph, names: list[str]) -> np.ndarray:
 
 def _leaf_bipartitions(tree: nx.Graph, leaves: frozenset) -> set[frozenset]:
     """Non-trivial leaf splits induced by internal edges."""
+    nx = require_networkx()
     splits = set()
     for u, v in tree.edges:
         pruned = tree.copy()

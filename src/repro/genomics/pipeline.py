@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.core.config import SimilarityConfig
@@ -32,6 +32,9 @@ from repro.genomics.fasta import read_fasta
 from repro.genomics.phylogeny import jaccard_tree
 from repro.genomics.samples import SampleStore
 from repro.runtime.engine import Machine
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass

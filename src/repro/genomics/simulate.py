@@ -23,12 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
+from repro.genomics.phylogeny import require_networkx
 from repro.genomics.sequence import ALPHABET, SequenceRecord, reverse_complement
 from repro.util.prng import rng_for
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def random_genome(rng: np.random.Generator, length: int, gc: float = 0.5) -> str:
@@ -72,7 +76,7 @@ def random_phylogeny(
     """
     if not names:
         raise ValueError("need at least one leaf")
-    tree = nx.Graph()
+    tree = require_networkx().Graph()
     active = list(names)
     tree.add_nodes_from(active)
     counter = 0
@@ -96,7 +100,7 @@ def evolve_down_tree(
     """Evolve a root genome down the phylogeny; returns node -> genome."""
     root = tree.graph["root"]
     genomes = {root: root_genome}
-    for parent, child in nx.bfs_edges(tree, root):
+    for parent, child in require_networkx().bfs_edges(tree, root):
         rate = min(0.75, tree.edges[parent, child]["length"])
         genomes[child] = mutate(rng, genomes[parent], rate)
     return genomes

@@ -1,5 +1,7 @@
 """Tests for indicator-matrix sources."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,18 @@ from repro.core.indicator import (
     SyntheticSource,
 )
 from repro.sparse.coo import CooMatrix
+
+
+def _npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+def _npz_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, values=array)
+    return buf.getvalue()
 
 
 def assemble(source, batch_bounds, n_readers):
@@ -190,6 +204,39 @@ class TestFileSource:
     def test_requires_files(self):
         with pytest.raises(ValueError, match="at least one"):
             FileSource([], m=10)
+
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("s.npy", lambda data: data[: len(data) // 2]),
+            ("s.npy", lambda data: data[:20]),
+            ("s.npy", lambda data: b""),
+            ("s.npy", lambda data: b"not an npy file at all"),
+            ("s.npy", lambda data: _npy_bytes(np.arange(6).reshape(2, 3))),
+            ("s.npy", lambda data: _npy_bytes(np.array([1.5, 2.0]))),
+            ("s.npy", lambda data: _npy_bytes(np.array([{1}], dtype=object))),
+            ("s.npy", lambda data: _npz_bytes(np.arange(3))),
+            ("s.txt", lambda data: b"1\nabc\n"),
+            ("s.txt", lambda data: b"1 2\n3 4\n"),
+            ("s.txt", lambda data: b"1.5\n"),
+            ("missing.npy", None),
+        ],
+        ids=[
+            "truncated_body", "truncated_header", "empty", "garbage", "2d", "float",
+            "pickled", "npz", "text_garbage", "text_2d", "text_float", "missing",
+        ],
+    )
+    def test_hostile_sample_bytes_name_the_file(self, tmp_path, name, corrupt):
+        good = tmp_path / "good.npy"
+        np.save(good, np.array([3, 7]))
+        path = tmp_path / name
+        if corrupt is not None:
+            path.write_bytes(corrupt(good.read_bytes()))
+        src = FileSource([good, path], m=100)
+        with pytest.raises(ValueError) as info:
+            src.read_batch(0, 100, 0, 1)
+        assert str(path) in str(info.value)
+        assert FileSource([good], m=100).read_batch(0, 100, 0, 1).rows.tolist() == [3, 7]
 
     def test_nnz_estimate(self, sample_dir):
         paths, sets = sample_dir

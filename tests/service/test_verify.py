@@ -9,15 +9,23 @@ what ``measure.exact_pair`` scores on the inputs a segment sum gets
 wrong (empty stored genomes, empty queries, query values outside the
 universe, an empty candidate last), weighted queries with and without
 counts on either side, one memo build under concurrent first queries,
-and a cost ledger that racing queries charge exactly.
+and a cost ledger that racing queries charge exactly.  The packed-row
+layout (AND + popcount) equals the gather and brute force bit for bit,
+is never used for weighted requests, is built only once the gathers
+have touched ``nnz`` ranks and only when it is no larger than the rank
+column, and is built once by racing wide queries.
 """
 
 import sys
 import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.service.cascade as cascade
 import repro.service.store as store_module
@@ -315,3 +323,204 @@ class TestConcurrentFirstQuery:
         rows = race(8, lambda: request.sketch_row("minhash", 64, 8, 0))
         assert built == ["minhash"]
         assert all(row is rows[0] for row in rows)
+
+
+def columns_space(m, cols):
+    """A :class:`RankSpace` straight from value columns (no store)."""
+    offsets = np.zeros(len(cols) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(c) for c in cols])
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *map(np.asarray, cols)])
+    return store_module.RankSpace.from_columns(m, flat.astype(np.int64), offsets, None)
+
+
+@contextmanager
+def patched(name, value):
+    """``store_module.<name>`` set to ``value`` for a while."""
+    real = getattr(store_module, name)
+    setattr(store_module, name, value)
+    try:
+        yield
+    finally:
+        setattr(store_module, name, real)
+
+
+def with_cost(word_cost):
+    """Every request wide (``0``) or narrow (a huge cost) for a while."""
+    return patched("PACKED_WORD_COST", word_cost)
+
+
+@st.composite
+def packed_cases(draw):
+    """A universe of exactly ``U`` values (the even numbers below ``2U``;
+    the odd ones are outside it), genomes over it (empty ones included,
+    and always an empty one last), queries and candidate lists."""
+    u = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    universe = 2 * np.arange(u, dtype=np.int64)
+    members = st.lists(st.integers(0, u - 1), max_size=u).map(
+        lambda idx: universe[np.unique(np.asarray(idx, dtype=np.int64))]
+    )
+    # The universe twice over: every value is held, and nnz >= 2U lets
+    # m = 2U take the counting pass.
+    cols = [universe, universe, *draw(st.lists(members, max_size=6)), universe[:0]]
+    n = len(cols)
+    query = st.lists(st.integers(0, 2 * u - 1), max_size=2 * u).map(
+        lambda q: np.unique(np.asarray(q, dtype=np.int64))
+    )
+    queries = [universe[:0], universe + 1, universe, *draw(st.lists(query, min_size=1, max_size=3))]
+    subset = st.lists(st.integers(0, n - 1), min_size=1, max_size=n).map(
+        lambda c: np.unique(np.asarray(c, dtype=np.int64))
+    )
+    cands = [
+        np.arange(n),
+        np.array([draw(st.integers(0, n - 1))]),
+        np.array([0, n - 1]),
+        np.array([n - 1]),
+        *draw(st.lists(subset, min_size=1, max_size=3)),
+    ]
+    return u, cols, queries, cands
+
+
+class TestPackedRows:
+    """The packed-row layout: bit-exact against the gather and brute
+    force, built once, only when it is small enough and has paid for
+    itself, and never used for weighted requests."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=packed_cases())
+    def test_packed_equals_gather_equals_exact_pair(self, case):
+        u, cols, queries, cands = case
+        jaccard = get_measure("jaccard")
+        sizes = np.array([len(c) for c in cols])
+        for m in (2 * u, 10**12):  # the counting pass, then the sort
+            gather, packed = columns_space(m, cols), columns_space(m, cols)
+            assert (gather.lut is not None) == (m == 2 * u)
+            assert gather.universe.size == u and gather.words == -(-u // 64)
+            # Bit r % 64 of word r // 64 is set iff the genome holds rank
+            # r; the pad bits past U are zero.  Built a row, three rows
+            # and the whole layout per step.
+            want_bits = np.zeros((len(cols), 64 * gather.words), dtype=np.uint8)
+            for i in range(len(cols)):
+                want_bits[i, gather.ranks[gather.column(i)]] = 1
+            for chunk in (1, 3 * 64 * gather.words, store_module.PACK_CHUNK_BITS):
+                with patched("PACK_CHUNK_BITS", chunk):
+                    rows = packed._pack_rows()
+                assert rows.shape == (len(cols), gather.words)
+                bits = np.unpackbits(rows.astype("<u8").view(np.uint8), bitorder="little")
+                assert np.array_equal(bits.reshape(len(cols), -1), want_bits), chunk
+            packed._rows = rows
+            for q in queries:
+                for cand in cands:
+                    with with_cost(1e18):
+                        got_gather = gather.intersections(q, None, cand)
+                    with with_cost(0.0):
+                        got_packed = packed.intersections(q, None, cand)
+                    want = [np.intersect1d(q, cols[i]).size for i in cand]
+                    assert got_gather.tolist() == want, (q, cand)
+                    assert got_packed.tolist() == want, (q, cand)
+                    scores = jaccard.score_from_stats(got_packed, q.size, sizes[cand])
+                    exact = [jaccard.exact_pair(q, cols[i]) for i in cand]
+                    assert np.asarray(scores, dtype=float).tolist() == exact
+            assert gather._rows is None
+
+    @staticmethod
+    def dense_space(rng, n=20, hi=400):
+        """Genomes of 20-80 values below ``hi``: ``n·⌈U/64⌉`` words fit in
+        half the rank column, and a request over every genome is wide."""
+        cols = [np.unique(rng.integers(0, hi, size=int(rng.integers(20, 80)))) for _ in range(n)]
+        space = columns_space(hi, cols)
+        assert 2 * n * space.words <= space.ranks.size
+        return space, cols
+
+    def test_built_once_the_gathers_have_touched_nnz_ranks(self, rng):
+        space, cols = self.dense_space(rng)
+        nnz, n = space.ranks.size, len(cols)
+        half = np.arange(n // 2)
+        touched = int(space.offsets[n // 2])
+        q = cols[0]
+        calls = 0
+        while calls * touched < nnz:
+            assert space._rows is None
+            got = space.intersections(q, None, half)
+            assert got.tolist() == [np.intersect1d(q, cols[i]).size for i in half]
+            calls += 1
+        assert space._rows is None and calls >= 2
+        # Narrow requests neither build nor count.
+        one = np.array([0])
+        for _ in range(3):
+            with with_cost(1e18):
+                space.intersections(q, None, one)
+        assert space._rows is None and space._gathered == calls * touched
+        got = space.intersections(q, None, half)
+        assert space._rows is not None
+        assert got.tolist() == [np.intersect1d(q, cols[i]).size for i in half]
+
+    def test_weighted_requests_never_take_the_packed_path(self, rng):
+        space, cols = self.dense_space(rng)
+        cand = np.arange(len(cols))
+        q = cols[3]
+        q_counts = rng.integers(1, 5, size=q.size)
+        want = [np.intersect1d(q, c).size for c in cols]
+        for _ in range(3):  # 3 x nnz gathered: would have built it
+            assert space.intersections(q, q_counts, cand).tolist() == want
+        assert space._rows is None and space._gathered == 0
+        # Rows that are all ones: a weighted request reading them would
+        # score every candidate at |Q|.
+        space._rows = np.full((len(cols), space.words), ~np.uint64(0))
+        with with_cost(0.0):
+            assert space.intersections(q, q_counts, cand).tolist() == want
+
+    def test_never_built_larger_than_the_rank_column(self, rng):
+        """64 genomes of 16 values over a universe of 640: 640 words are
+        cheaper than the 1024 ranks of a request over every genome
+        (1.25 x 640 < 1024) but take more than half the rank column."""
+        universe = np.arange(640)
+        perm = rng.permutation(640)
+        cols = [np.sort(np.concatenate([universe[perm[10 * i : 10 * i + 10]],
+                                        rng.choice(640, 6, replace=False)]))
+                for i in range(64)]
+        cols = [np.unique(c) for c in cols]
+        space = columns_space(640, cols)
+        n, nnz = len(cols), space.ranks.size
+        cand = np.arange(n)
+        assert space.universe.size == 640
+        assert n * space.words * store_module.PACKED_WORD_COST < nnz < 2 * n * space.words
+        for q in cols[:6]:
+            got = space.intersections(q, None, cand)
+            assert got.tolist() == [np.intersect1d(q, c).size for c in cols]
+        assert space._rows is None
+
+    def test_racing_first_wide_queries_build_it_once(self, tmp_path, rng, monkeypatch):
+        """Top-k queries race on one shared engine over a fresh snapshot:
+        the gathers pass ``nnz`` mid-race and the layout is built exactly
+        once (the build is slowed so that racers overlap it)."""
+        items = [
+            (f"g{i:02d}", np.unique(rng.integers(0, 400, size=int(rng.integers(20, 80)))))
+            for i in range(20)
+        ]
+        store = build(tmp_path / "s", 400, items)
+        real, builds = store_module.RankSpace._pack_rows, []
+
+        def slow_build(space):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)
+            return real(space)
+
+        monkeypatch.setattr(store_module.RankSpace, "_pack_rows", slow_build)
+        shared = engine(store, "jaccard")
+        queries = [items[i][1] for i in range(6)]
+        want = {}
+        for i, q in enumerate(queries):
+            scores = [(n, exact_jaccard(q, store.load_values(n))) for n in store.names]
+            want[i] = sorted(scores, key=lambda p: (-p[1], p[0]))[:5]
+        turns = iter(range(6))
+
+        def wide_queries():
+            i = next(turns)
+            return i, [shared.query_values(queries[i], top_k=5) for _ in range(4)]
+
+        for i, results in race(6, wide_queries):
+            for res in results:
+                assert [(m.name, m.similarity) for m in res.matches] == want[i]
+        assert len(builds) == 1
+        space, _ = shared.snapshot().rank_space()
+        assert space._rows is not None

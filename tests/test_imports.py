@@ -41,3 +41,18 @@ def test_imports_first_in_a_fresh_interpreter(module):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_core_runs_without_networkx():
+    """``setup.py`` installs NumPy only: with networkx blocked, the
+    genomics pipeline and the serving layer import and run, and the
+    tree functions that need networkx say so (``tools/check_core_only.py``,
+    which CI also runs against a no-extras install)."""
+    script = SRC.parent / "tools" / "check_core_only.py"
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "core-only ok"
