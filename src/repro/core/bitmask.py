@@ -9,9 +9,19 @@ The row space is carved hierarchically, always on word boundaries:
 first into ``c`` replication-layer slices (each layer contributes
 ``1/c`` of the batch's rows, per §III-C), then into ``q`` word-row
 blocks within the layer's face.  A single all-to-all over the active
-communicator moves every coordinate to its destination; each owner then
-packs its block locally (:meth:`BitMatrix.from_coo`: a boolean scatter
-plus ``np.packbits``).
+communicator moves every coordinate to its destination.
+
+Routing is a few streaming passes per coordinate.  Because every block
+bound is a word boundary, a row's owner is one lookup in a table with
+one entry per word (``row >> log2(b)``), plus one lookup in a column
+table when the face has several column blocks.  Each sender's
+coordinates are grouped by owner in sender order
+(:func:`~repro.util.arrays.split_by_destination`, all senders into one
+gathered array), and a message's rows are made relative to its layer by
+one subtract per message.  Each owner packs its block straight from the
+messages it received (:meth:`BitMatrix.from_messages`: a boolean
+scatter with the block origin folded into the index, then
+``np.packbits``), without concatenating them.
 """
 
 from __future__ import annotations
@@ -24,7 +34,8 @@ from repro.runtime.topology import ProcessorGrid
 from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.coo import CooMatrix
 from repro.sparse.distributed import DistWordMatrix, word_aligned_row_bounds
-from repro.util.arrays import merge_messages, split_by_destination
+from repro.util.arrays import split_by_destination
+from repro.util.bits import WORD_DTYPES
 from repro.util.partition import block_bounds
 
 
@@ -43,50 +54,35 @@ def distribute_and_pack(
     ``l`` covers a word-aligned slice of the compacted batch rows
     (re-indexed to start at 0 within the layer).
     """
-    if len(chunks) != comm.size:
-        raise ValueError(
-            f"need one chunk per active rank ({comm.size}), got {len(chunks)}"
-        )
     if comm.size != grid.rows * grid.cols * grid.layers:
         raise ValueError("communicator size does not match grid")
+    _check_chunks(comm, chunks, n_rows, n_cols, bit_width)
     q = grid.rows
-    layers = grid.layers
-
-    layer_bounds = word_aligned_row_bounds(n_rows, layers, bit_width)
-    layer_los = np.array([lo for lo, _ in layer_bounds], dtype=np.int64)
+    layer_bounds = word_aligned_row_bounds(n_rows, grid.layers, bit_width)
     # Per-layer face blocking, in rows relative to the layer start.
-    face_row_bounds = [
-        word_aligned_row_bounds(hi - lo, q, bit_width) for lo, hi in layer_bounds
-    ]
-    # The same blocking as one monotone list of global upper bounds:
-    # entry ``l * q + s`` closes word-row block ``s`` of layer ``l``, so a
-    # single search places a row in its (layer, block) at once.
-    block_his = np.array(
-        [lo + hi for (lo, _), face in zip(layer_bounds, face_row_bounds)
-         for _, hi in face],
-        dtype=np.int64,
-    )
+    face_row_bounds = [word_aligned_row_bounds(hi - lo, q, bit_width) for lo, hi in layer_bounds]
     col_bounds = [block_bounds(n_cols, grid.cols, t) for t in range(grid.cols)]
-    col_his = np.array([hi for _, hi in col_bounds], dtype=np.int64)
 
-    send: list[list[np.ndarray | None]] = []
-    for chunk in chunks:
-        block_ids = np.searchsorted(block_his, chunk.rows, side="right")
-        col_ids = np.searchsorted(col_his, chunk.cols, side="right")
-        send.append(
-            split_by_destination(
-                block_ids * grid.cols + col_ids,
-                chunk.rows - layer_los[block_ids // q],
-                chunk.cols,
-                comm.size,
-            )
-        )
+    owners = []
+    layer_lo = np.empty(comm.size, dtype=np.int64)
+    for l, (lo, _) in enumerate(layer_bounds):
+        for s, (rlo, rhi) in enumerate(face_row_bounds[l]):
+            rank = grid.local_rank(s, 0, l)
+            owners.append((lo + rlo, lo + rhi, rank))
+            layer_lo[rank : rank + grid.cols] = lo
+    col_dest = None
+    if grid.cols > 1:
+        col_dest = np.empty(n_cols, dtype=np.min_scalar_type(grid.cols - 1))
+        for t, (clo, chi) in enumerate(col_bounds):
+            col_dest[clo:chi] = t
+    word_dest = _word_table(n_rows, bit_width, comm.size, owners)
+    send = _route(chunks, word_dest, col_dest, layer_lo, bit_width)
     comm.charge_compute([float(c.nnz) for c in chunks])
     received = comm.alltoallv(send, codec=codec)
 
     matrices: list[DistWordMatrix] = []
     pack_flops: list[float] = [0.0] * comm.size
-    for l in range(layers):
+    for l in range(grid.layers):
         mat = DistWordMatrix(
             grid=grid,
             layer=l,
@@ -94,16 +90,13 @@ def distribute_and_pack(
             col_bounds=col_bounds,
             bit_width=bit_width,
         )
-        for s in range(q):
-            rlo, rhi = face_row_bounds[l][s]
-            for t in range(grid.cols):
-                clo, chi = col_bounds[t]
-                local_rank = grid.local_rank(s, t, l)
-                rows, cols = merge_messages(received[local_rank])
-                mat.blocks[(s, t)] = BitMatrix.from_coo(
-                    rows - rlo, cols - clo, rhi - rlo, chi - clo, bit_width
+        for s, (rlo, rhi) in enumerate(face_row_bounds[l]):
+            for t, (clo, chi) in enumerate(col_bounds):
+                rank = grid.local_rank(s, t, l)
+                mat.blocks[(s, t)] = BitMatrix.from_messages(
+                    received[rank], rhi - rlo, chi - clo, bit_width, (rlo, clo)
                 )
-                pack_flops[local_rank] = float(rows.size)
+                pack_flops[rank] = float(_count(received[rank]))
         matrices.append(mat)
     comm.charge_compute(pack_flops)
     return matrices
@@ -122,29 +115,87 @@ def distribute_and_pack_1d(
     Every rank receives one word-aligned row slice spanning *all*
     columns; the Gram step then needs a full ``n x n`` all-reduce.
     """
-    if len(chunks) != comm.size:
-        raise ValueError(
-            f"need one chunk per rank ({comm.size}), got {len(chunks)}"
-        )
+    _check_chunks(comm, chunks, n_rows, n_cols, bit_width)
     bounds = word_aligned_row_bounds(n_rows, comm.size, bit_width)
-    his = np.array([hi for _, hi in bounds], dtype=np.int64)
-    send = [
-        split_by_destination(
-            np.searchsorted(his, chunk.rows, side="right"),
-            chunk.rows, chunk.cols, comm.size,
-        )
-        for chunk in chunks
-    ]
+    owners = [(lo, hi, r) for r, (lo, hi) in enumerate(bounds)]
+    word_dest = _word_table(n_rows, bit_width, comm.size, owners)
+    no_offset = np.zeros(comm.size, dtype=np.int64)
+    send = _route(chunks, word_dest, None, no_offset, bit_width)
     comm.charge_compute([float(c.nnz) for c in chunks])
     received = comm.alltoallv(send, codec=codec)
-    blocks = []
-    flops = []
-    for r in range(comm.size):
-        rlo, rhi = bounds[r]
-        rows, cols = merge_messages(received[r])
-        blocks.append(
-            BitMatrix.from_coo(rows - rlo, cols, rhi - rlo, n_cols, bit_width)
-        )
-        flops.append(float(rows.size))
-    comm.charge_compute(flops)
+    blocks = [
+        BitMatrix.from_messages(received[r], hi - lo, n_cols, bit_width, (lo, 0))
+        for r, (lo, hi) in enumerate(bounds)
+    ]
+    comm.charge_compute([float(_count(received[r])) for r in range(comm.size)])
     return blocks
+
+
+def _check_chunks(
+    comm: Communicator,
+    chunks: list[CooMatrix],
+    n_rows: int,
+    n_cols: int,
+    bit_width: int,
+) -> None:
+    """One chunk per rank, each shaped like the batch: the routing tables
+    are indexed by a chunk's coordinates, which its shape bounds."""
+    if len(chunks) != comm.size:
+        raise ValueError(f"need one chunk per rank ({comm.size}), got {len(chunks)}")
+    if bit_width not in WORD_DTYPES:
+        raise ValueError(f"unsupported bit width {bit_width}")
+    for r, chunk in enumerate(chunks):
+        if tuple(chunk.shape) != (n_rows, n_cols):
+            raise ValueError(
+                f"chunk {r} has shape {tuple(chunk.shape)}, but the batch is {n_rows} x {n_cols}"
+            )
+
+
+def _word_table(
+    n_rows: int, bit_width: int, size: int, owners: list[tuple[int, int, int]]
+) -> np.ndarray:
+    """The owner of every word of the batch, in the narrowest type that
+    holds ``size - 1``; ``owners`` lists word-aligned ``(lo, hi, rank)``
+    row ranges that cover ``[0, n_rows)``."""
+    table = np.empty(-(-n_rows // bit_width), dtype=np.min_scalar_type(size - 1))
+    for lo, hi, rank in owners:
+        if hi > lo:
+            table[lo // bit_width : -(-hi // bit_width)] = rank
+    return table
+
+
+def _route(
+    chunks: list[CooMatrix],
+    word_dest: np.ndarray,
+    col_dest: np.ndarray | None,
+    layer_lo: np.ndarray,
+    bit_width: int,
+) -> list[list[np.ndarray | None]]:
+    """Every sender's messages: its coordinates grouped by owner, rows
+    made relative to the owner's layer (one subtract per message)."""
+    total = sum(chunk.nnz for chunk in chunks)
+    grouped = np.empty((2, total), dtype=np.int64)
+    words = np.empty(max((chunk.nnz for chunk in chunks), default=0), np.int64)
+    shift = bit_width.bit_length() - 1
+    send = []
+    lo = 0
+    for chunk in chunks:
+        hi = lo + chunk.nnz
+        word = np.right_shift(chunk.rows, shift, out=words[: chunk.nnz])
+        dests = word_dest[word]
+        if col_dest is not None:
+            dests += col_dest[chunk.cols]
+        messages = split_by_destination(
+            dests, chunk.rows, chunk.cols, layer_lo.size, out=grouped[:, lo:hi]
+        )
+        for d, message in enumerate(messages):
+            if message is not None and layer_lo[d]:
+                message[0] -= layer_lo[d]
+        send.append(messages)
+        lo = hi
+    return send
+
+
+def _count(messages: list[np.ndarray | None]) -> int:
+    """Coordinates in one owner's received messages."""
+    return sum(m.shape[1] for m in messages if m is not None)

@@ -74,12 +74,8 @@ class BitMatrix:
     ) -> "BitMatrix":
         """Pack coordinates, in any order; duplicates collapse.
 
-        Column tile by column tile: the tile's coordinates are scattered
-        into a column-major boolean scratch (one row of padded bit rows
-        per column, at most :data:`PACK_TILE_BYTES` or one column, reused
-        by every tile) and packed with ``np.packbits(bitorder="little")``,
-        whose bytes, read as little-endian words, are the columns' words.
-        Tiles without a coordinate are never touched.
+        The one-message case of :meth:`from_messages`, at origin
+        ``(0, 0)``.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -87,27 +83,93 @@ class BitMatrix:
             raise ValueError("row index out of bounds")
         if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("column index out of bounds")
+        parts = [(rows, cols)] if rows.size else []
+        return cls._scatter(parts, n_rows, n_cols, bit_width, (0, 0))
+
+    @classmethod
+    def from_messages(
+        cls,
+        messages: list[np.ndarray | None],
+        n_rows: int,
+        n_cols: int,
+        bit_width: int = 64,
+        origin: tuple[int, int] = (0, 0),
+    ) -> "BitMatrix":
+        """Pack several ``(2, k)`` row/column stacks as one block.
+
+        The coordinates of every message (``None`` = nothing), in any
+        order, lie in ``[r0, r0 + n_rows) x [c0, c0 + n_cols)`` for
+        ``origin = (r0, c0)``; duplicates collapse.  Equal to
+        :meth:`from_coo` of the concatenated messages less the origin,
+        which is never built: each message is scattered as it is.
+        """
+        r0, c0 = origin
+        parts = []
+        for message in messages:
+            if message is None:
+                continue
+            message = np.asarray(message, dtype=np.int64)
+            if message.shape[1] == 0:
+                continue
+            lo, hi = message.min(axis=1), message.max(axis=1)
+            if lo[0] < r0 or hi[0] >= r0 + n_rows:
+                raise ValueError("row index out of bounds")
+            if lo[1] < c0 or hi[1] >= c0 + n_cols:
+                raise ValueError("column index out of bounds")
+            parts.append(message)
+        return cls._scatter(parts, n_rows, n_cols, bit_width, origin)
+
+    @classmethod
+    def _scatter(
+        cls,
+        parts: list,
+        n_rows: int,
+        n_cols: int,
+        bit_width: int,
+        origin: tuple[int, int],
+    ) -> "BitMatrix":
+        """Pack checked ``(rows, cols)`` parts, offset by ``origin``.
+
+        Column tile by column tile, every part is scattered straight into
+        a column-major boolean scratch (one row of padded bit rows per
+        column, at most :data:`PACK_TILE_BYTES` or one column, reused by
+        every tile), the origin folded into the scatter index, and the
+        tile is packed with ``np.packbits(bitorder="little")``, whose
+        bytes, read as little-endian words, are the columns' words.
+        Tiles without a coordinate are never touched.
+        """
         out = cls.zeros(n_rows, n_cols, bit_width)
-        if rows.size == 0:
+        if not parts:
             return out
+        r0, c0 = origin
         padded = out.n_word_rows * bit_width
         tile = max(1, min(n_cols, PACK_TILE_BYTES // padded))
         n_tiles = -(-n_cols // tile)
         if n_tiles == 1:
-            groups = [(0, rows, cols)]
+            groups = [(0, parts)]
         else:
-            messages = split_by_destination(cols // tile, rows, cols, n_tiles)
+            split = [
+                split_by_destination((cols - c0) // tile, rows, cols, n_tiles)
+                for rows, cols in parts
+            ]
             groups = [
-                (t * tile, *coords)
-                for t, coords in enumerate(messages) if coords is not None
+                (t * tile, [m[t] for m in split if m[t] is not None]) for t in range(n_tiles)
             ]
         little = out.words.dtype.newbyteorder("<")
         scratch = np.empty(tile * padded, dtype=bool)
-        for lo, tile_rows, tile_cols in groups:
+        for lo, tile_parts in groups:
+            if not tile_parts:
+                continue
             hi = min(lo + tile, n_cols)
             part = scratch[: (hi - lo) * padded]
             part.fill(False)
-            part[(tile_cols - lo) * padded + tile_rows] = True
+            base = (c0 + lo) * padded + r0
+            for rows, cols in tile_parts:
+                flat = cols * padded
+                flat += rows
+                if base:
+                    flat -= base
+                part[flat] = True
             packed = np.packbits(part, bitorder="little").view(little)
             out.words[:, lo:hi] = packed.reshape(hi - lo, -1).T
         return out

@@ -6,7 +6,7 @@ that every other subpackage (``runtime``, ``sparse``, ``core``, ...) can
 depend on them without import cycles.
 """
 
-from repro.util.arrays import merge_messages, sorted_unique, split_by_destination
+from repro.util.arrays import sorted_unique, split_by_destination
 from repro.util.bits import (
     pack_bits,
     popcount,
@@ -30,7 +30,6 @@ __all__ = [
     "popcount_words",
     "unpack_bits",
     "words_needed",
-    "merge_messages",
     "sorted_unique",
     "split_by_destination",
     "block_bounds",

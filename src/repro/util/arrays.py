@@ -5,7 +5,9 @@ bit-pack) is meant to be a linear streaming pass over sorted data
 (paper §III-B, §IV).  The two helpers here are the only places that
 pipeline deduplicates values or groups coordinates by destination, and
 both are one sort plus one scan — never a hash set, never one boolean
-mask per destination.  :func:`merge_messages` is the receiving end.
+mask per destination.  The receiving end needs no helper: an owner
+packs straight from its messages
+(:meth:`repro.sparse.bitmatrix.BitMatrix.from_messages`).
 """
 
 from __future__ import annotations
@@ -36,39 +38,42 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def split_by_destination(
-    dests: np.ndarray, rows: np.ndarray, cols: np.ndarray, size: int
+    dests: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    size: int,
+    out: np.ndarray | None = None,
 ) -> list[np.ndarray | None]:
     """Group ``(row, col)`` coordinates into one message per destination.
 
     ``dests[k]`` in ``[0, size)`` is the rank coordinate ``k`` travels
-    to.  Message ``d`` is the ``(2, count_d)`` stack of the rows and
-    columns bound for ``d`` in their original relative order (the varint
-    codec's frame size depends on it); destinations that receive nothing
-    get ``None``.  One stable argsort of the destination ids (narrowed
-    to the smallest integer type that holds them, which makes it a radix
-    sort) and one ``bincount`` for the offsets, whatever ``size`` is; the
-    messages are views into a single gathered int64 array.
+    to; any other id raises :class:`ValueError`, checked before the ids
+    are narrowed.  Message ``d`` is the ``(2, count_d)`` stack of the
+    rows and columns bound for ``d`` in their original relative order
+    (the varint codec's frame size depends on it); destinations that
+    receive nothing get ``None``.  The messages are views into one
+    gathered int64 array: ``out`` (a ``(2, len(dests))`` view, so that
+    several senders can share one allocation) or a fresh one.
+
+    One stable argsort of the ids, narrowed once to the smallest integer
+    type that holds ``size - 1`` (a radix sort up to 2^16 ranks);
+    the message bounds are a binary search of the sorted ids, so no
+    ``bincount`` pass; then one gather per coordinate row.
     """
     messages: list[np.ndarray | None] = [None] * size
     if dests.size == 0:
         return messages
-    counts = np.bincount(dests, minlength=size)
-    if counts.size > size:
+    if dests.min() < 0 or dests.max() >= size:
         raise ValueError(f"destination id out of range for {size} ranks")
-    order = np.argsort(dests.astype(np.min_scalar_type(size - 1)), kind="stable")
-    grouped = np.empty((2, dests.size), dtype=np.int64)
-    np.take(rows, order, out=grouped[0])
-    np.take(cols, order, out=grouped[1])
-    ends = np.cumsum(counts)
-    for d in np.flatnonzero(counts):
-        messages[d] = grouped[:, ends[d] - counts[d] : ends[d]]
+    keys = dests.astype(np.min_scalar_type(size - 1), copy=False)
+    order = np.argsort(keys, kind="stable")
+    firsts = np.searchsorted(keys[order], np.arange(size, dtype=keys.dtype))
+    bounds = np.append(firsts, dests.size)
+    grouped = np.empty((2, dests.size), dtype=np.int64) if out is None else out
+    # ``order`` is a permutation, so "clip" never clips; it lets numpy
+    # gather straight into ``grouped`` ("raise" gathers into a copy).
+    np.take(rows, order, out=grouped[0], mode="clip")
+    np.take(cols, order, out=grouped[1], mode="clip")
+    for d in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        messages[d] = grouped[:, bounds[d] : bounds[d + 1]]
     return messages
-
-
-def merge_messages(messages: list[np.ndarray | None]) -> np.ndarray:
-    """The ``(2, k)`` coordinate stack one owner received, in sender order
-    (what :func:`split_by_destination` sent it, ``None`` = nothing)."""
-    parts = [a for a in messages if a is not None]
-    if not parts:
-        return np.empty((2, 0), dtype=np.int64)
-    return np.concatenate(parts, axis=1)

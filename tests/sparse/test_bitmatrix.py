@@ -134,6 +134,48 @@ class TestFromCoo:
         ).tobytes()
 
 
+class TestFromMessages:
+    """``from_messages`` equals ``from_coo`` of the concatenated messages
+    less the origin, tiled or not, without building the concatenation."""
+
+    @staticmethod
+    def messages(rows, cols, origin, rng):
+        """The coordinates moved to ``origin`` and cut into uneven
+        ``(2, k)`` stacks, with an empty one and a ``None``."""
+        stacked = np.stack([rows + origin[0], cols + origin[1]])
+        cuts = np.sort(rng.integers(0, rows.size + 1, size=3))
+        return [None] + np.split(stacked, cuts, axis=1)
+
+    @pytest.mark.parametrize("width", SUPPORTED_WIDTHS)
+    @pytest.mark.parametrize("tile_cols", [1, 3, 7])
+    @pytest.mark.parametrize("origin", [(0, 0), (5 * 64, 0), (128, 11)])
+    def test_equals_from_coo(self, monkeypatch, width, tile_cols, origin, rng):
+        n_rows, n_cols = 3 * width + 5, 7
+        rows, cols = coordinates(rng, n_rows, n_cols, 150, "column-grouped")
+        padded = words_needed(n_rows, width) * width
+        monkeypatch.setattr(bitmatrix, "PACK_TILE_BYTES", tile_cols * padded)
+        msgs = self.messages(rows, cols, origin, rng)
+        got = BitMatrix.from_messages(msgs, n_rows, n_cols, width, origin)
+        want = BitMatrix.from_coo(rows, cols, n_rows, n_cols, width)
+        assert got.n_rows == n_rows
+        assert got.words.tobytes() == want.words.tobytes()
+
+    def test_nothing_received(self):
+        bm = BitMatrix.from_messages([None, np.empty((2, 0), np.int64)], 70, 3, 16, (64, 2))
+        assert bm.words.shape == (5, 3)
+        assert bm.nnz == 0
+
+    @pytest.mark.parametrize(
+        "row, col, match",
+        [(63, 2, "row"), (134, 2, "row"), (64, 1, "column"), (64, 5, "column")],
+    )
+    def test_coordinates_outside_the_block_rejected(self, row, col, match):
+        # The block is rows [64, 134) x columns [2, 5).
+        msgs = [np.array([[64], [2]]), np.array([[row], [col]])]
+        with pytest.raises(ValueError, match=f"{match} index out of bounds"):
+            BitMatrix.from_messages(msgs, 70, 3, 16, (64, 2))
+
+
 class TestOperations:
     def test_column_popcounts(self, rng):
         dense = rng.random((77, 6)) < 0.4

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bitmask import distribute_and_pack
+from repro.core.bitmask import distribute_and_pack, distribute_and_pack_1d
 from repro.runtime import Machine, laptop
 from repro.runtime.codec import WireCodec
 from repro.runtime.topology import ProcessorGrid
@@ -103,6 +103,25 @@ class TestDistWordMatrix:
         mats = distribute_and_pack(grid.comm, grid, chunks, 300, 6)
         assert [m.layer for m in mats] == [0, 1]
         assert np.array_equal(np.vstack([m.to_local() for m in mats]), dense)
+
+    @pytest.mark.parametrize(
+        "shape, row, col",
+        [
+            ((129, 9), 128, 0),  # a row at n_rows: was a bare IndexError
+            ((128, 10), 5, 9),  # a column at n_cols: was sent to the next row block
+            ((64, 9), 5, 0),  # a smaller chunk is a mismatch too
+        ],
+    )
+    def test_chunk_shape_must_match_the_batch(self, shape, row, col):
+        grid = build_grid(4, 2, 2)
+        chunks = [CooMatrix.empty((128, 9)) for _ in range(4)]
+        chunks[2] = CooMatrix(np.array([row]), np.array([col]), shape)
+        before = grid.comm.ledger.snapshot()
+        with pytest.raises(ValueError, match=r"chunk 2 has shape .* 128 x 9"):
+            distribute_and_pack(grid.comm, grid, chunks, 128, 9)
+        assert grid.comm.ledger.snapshot() == before  # nothing charged
+        with pytest.raises(ValueError, match=r"chunk 2 has shape .* 128 x 9"):
+            distribute_and_pack_1d(grid.comm, chunks, 128, 9)
 
     def test_communicator_must_match_grid(self):
         grid = build_grid(4, 2, 2)

@@ -105,3 +105,11 @@ class TestSplitByDestination:
             split_by_destination(np.array([4]), z, z, 4)
         with pytest.raises(ValueError):
             split_by_destination(np.array([-1]), z, z, 4)
+        # Ids the narrowing cast would wrap to 1 (uint8, uint16 and
+        # uint32 keys): the check must see them before the cast.
+        for dest, size in [(257, 4), (65_537, 300), (2**32 + 1, 70_001)]:
+            with pytest.raises(ValueError):
+                split_by_destination(np.array([dest]), z, z, size)
+        # ... while an id past 2**16 that is in range is kept.
+        got = split_by_destination(np.array([65_537]), z, z + 7, 70_001)
+        assert got[65_537].tolist() == [[0], [7]] and got[1] is None
