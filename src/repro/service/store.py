@@ -55,7 +55,10 @@ A :class:`StoreSnapshot` is the frozen view a query batch runs
 against: shard files are append-only and immutable, so a snapshot stays
 readable after later appends — only ``compact`` (which unlinks shards)
 invalidates older snapshots, and running it with queries in flight is
-unsupported.
+unsupported.  A record file name is never reused once committed, so
+each snapshot takes what the store's previous one decoded (value
+columns, counts and sketch rows) by shard name: the first read after a
+mutation decodes only the new shards, the first after ``open`` all.
 
 Crash consistency: every file lands via write-to-temp + ``os.replace``
 (:func:`_atomic_write_bytes`) under a *fresh name*, and the scope
@@ -76,6 +79,7 @@ import json
 import os
 import struct
 import threading
+import weakref
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -598,6 +602,11 @@ class IndexStore(_StoreAPI):
         default_factory=threading.RLock, init=False, repr=False,
         compare=False,
     )
+    #: The last snapshot :meth:`snapshot` returned, weakly: the next one
+    #: inherits what it decoded (see :meth:`StoreSnapshot._handoff`).
+    _last: "weakref.ref[StoreSnapshot] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ---- lifecycle ----------------------------------------------------
 
@@ -846,12 +855,13 @@ class IndexStore(_StoreAPI):
             self.next_shard,
             self.lsh_file,
             self._lsh,
+            self._last,
         )
 
     def _restore(self, state: tuple) -> None:
         (
             self.entries, flags, self.version, self.next_shard,
-            self.lsh_file, self._lsh,
+            self.lsh_file, self._lsh, self._last,
         ) = state
         for entry, removed in zip(self.entries, flags):
             entry.removed = removed
@@ -902,10 +912,17 @@ class IndexStore(_StoreAPI):
         ``remove`` calls — this is what lets a query
         batch started under version ``v`` finish correctly while the
         store has already moved on.
+
+        The new snapshot is seeded with what the previous one decoded:
+        a record file name is never reused once committed (``next_shard``
+        only grows; a rolled-back staging restores the previous seed with
+        the rest of the state), so a shard both hold has the same content
+        and a version bump decodes only the new shards.
         """
         with self._lock:
             live = self.live_entries
-            return StoreSnapshot(
+            last = self._last() if self._last is not None else None
+            snap = StoreSnapshot(
                 root=self.root,
                 m=self.m,
                 version=self.version,
@@ -923,6 +940,10 @@ class IndexStore(_StoreAPI):
                 families=self.families,
                 lsh=self.lsh_table(),
             )
+            if last is not None:
+                snap._seed = last._handoff()
+            self._last = weakref.ref(snap)
+            return snap
 
     def total_bytes(self) -> int:
         """On-disk footprint of the live shards (encoded frames)."""
@@ -1258,11 +1279,19 @@ class StoreSnapshot:
     exact sizes, the sketch configuration — captured atomically under
     the store lock.  Reads go to the same immutable shard files, and
     everything derived from them (the name -> position map, the
-    rank-space matrix of the stored values and counts, the stacked
-    sketch payloads and their posting indexes, the extent-sorted order
-    the window stage searches) is built lazily and memoized here: an
-    engine pins one snapshot per store version, so the snapshot *is*
-    the per-version cache and never needs invalidation.
+    rank-space matrix of the stored values and counts, the decoded
+    sketch rows, their stacked block and posting indexes, the
+    extent-sorted order the window stage searches) is built lazily and
+    memoized here: an engine pins one snapshot per store version, so the
+    snapshot *is* the per-version cache and never needs invalidation.
+
+    It also seeds its successor.  ``_seed`` holds what the store's
+    previous snapshot decoded — its rank space with its shard names,
+    and its decoded sketch rows by shard name — never that snapshot
+    itself, so snapshots form no chain.  A build takes a shard's column
+    or row from the seed when the seed holds that shard and decodes
+    only the others; each seed part is dropped once the part built from
+    it is.
     """
 
     root: Path
@@ -1283,6 +1312,10 @@ class StoreSnapshot:
     #: Per-genome total masses; ``None`` (pre-counts constructions)
     #: means every mass equals its support size.
     _masses: np.ndarray | None = None
+    #: ``(rank, rows)``: ``rank`` is ``(shards, RankSpace)`` or ``None``,
+    #: ``rows`` maps a family to ``{shard: decoded row}``.
+    _seed: tuple = field(default_factory=lambda: (None, {}), repr=False, compare=False)
+    _decoded: dict = field(default_factory=dict, repr=False, compare=False)
     _payloads: dict = field(default_factory=dict, repr=False, compare=False)
     _orders: dict = field(default_factory=dict, repr=False, compare=False)
     _postings: dict = field(default_factory=dict, repr=False, compare=False)
@@ -1341,20 +1374,38 @@ class StoreSnapshot:
             built = self._ranked is None
             if built:
                 self._ranked = self._build_rank_space()
+                self._seed = (None, self._seed[1])
             return self._ranked, built
 
+    def _handoff(self) -> tuple:
+        """The seed of the store's next snapshot: each part this snapshot
+        has built, else the part it was seeded with."""
+        rank, rows = self._seed
+        if self._ranked is not None:
+            rank = (self.shards, self._ranked)
+        return rank, {**rows, **self._decoded}
+
     def _build_rank_space(self) -> RankSpace:
-        """Decode every value record (and counts record, where a mass
-        differs from its size) straight into its slice of one column."""
+        """Fill one column with each genome's values (and counts, where a
+        mass differs from its size): copied from the seeded rank space
+        when it holds the genome's shard, else decoded from its record."""
         offsets = np.zeros(self.n_genomes + 1, dtype=np.int64)
         np.cumsum(self._sizes, out=offsets[1:])
         flat = np.empty(int(offsets[-1]), dtype=np.int64)
         weighted = self.masses() != self._sizes
         counts = np.ones(flat.size, dtype=np.int64) if weighted.any() else None
+        old_shards, old = self._seed[0] or ((), None)
+        held = {shard: j for j, shard in enumerate(old_shards)}
 
         def fill(out: np.ndarray, i: int, index: int) -> None:
             path = self.root / self.shards[i]
-            col = read_record(path, index)
+            j = held.get(self.shards[i])
+            if j is None:
+                col = read_record(path, index)
+            elif index == 0:
+                col = old.universe[old.ranks[old.column(j)]]
+            else:
+                col = old.counts[old.column(j)]
             if col.shape != (int(self._sizes[i]),):
                 raise StoreError(
                     f"{path}: record {index} holds {col.size} entries, "
@@ -1381,19 +1432,31 @@ class StoreSnapshot:
 
         ``(rows, lengths)`` with one row per live genome, by position
         (see :func:`repro.core.sketch.stack_payloads`) — decoded and
-        stacked once per store version.
+        stacked once per store version, under the snapshot's lock.
         """
-        if family not in self._payloads:
-            self._payloads[family] = self._stack(family)
-        return self._payloads[family]
+        with self._lock:
+            if family not in self._payloads:
+                self._payloads[family] = self._stack(family)
+            return self._payloads[family]
 
     def _stack(self, family: str) -> tuple[np.ndarray, np.ndarray]:
+        """Stack the family's decoded rows, memoized by shard name: a row
+        the seed holds is taken from it, any other decoded from its
+        record.  The caller holds the snapshot's lock."""
         if family not in self.families:
             raise StoreError(
                 f"family {family!r} not stored (store holds {self.families})"
             )
-        idx = 1 + self.families.index(family)
-        rows = [read_record(self.root / shard, idx) for shard in self.shards]
+        if family not in self._decoded:
+            idx = 1 + self.families.index(family)
+            rank, seeded = self._seed
+            old = seeded.get(family, {})
+            self._decoded[family] = {
+                shard: old[shard] if shard in old else read_record(self.root / shard, idx)
+                for shard in self.shards
+            }
+            self._seed = (rank, {f: r for f, r in seeded.items() if f != family})
+        rows = list(self._decoded[family].values())
         try:
             return stack_payloads(family, rows, self.sketch_size, self.sketch_bits)
         except ValueError as exc:
@@ -1406,7 +1469,8 @@ class StoreSnapshot:
         :class:`~repro.core.sketch.PostingIndex`.
 
         Built once per snapshot under its lock, however many threads ask
-        at once, from a stacked block it does not keep.
+        at once, from the decoded rows :meth:`family_payloads` stacks too
+        (the stacked block itself is not kept).
         """
         with self._lock:
             if family not in self._postings:

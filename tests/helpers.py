@@ -1,7 +1,10 @@
-"""Shared test utilities: brute-force references, generators and the
-store's torn-write injector."""
+"""Shared test utilities: brute-force references, generators, the
+store's torn-write injector and a thread race."""
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 
@@ -54,3 +57,32 @@ def install_torn_writes(monkeypatch, fail_on: int) -> list[str]:
 
     monkeypatch.setattr(store_module, "_atomic_write_bytes", torn)
     return log
+
+
+def race(workers, fn) -> list:
+    """Run ``fn`` on ``workers`` threads released together, with a short
+    switch interval; returns what each call returned."""
+    start = threading.Barrier(workers)
+    results, errors = [], []
+
+    def run():
+        try:
+            start.wait(timeout=30)
+            results.append(fn())
+        except BaseException as exc:  # re-raised below, in the test's thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors, errors
+    assert len(results) == workers
+    return results

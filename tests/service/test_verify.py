@@ -16,7 +16,6 @@ have touched ``nnz`` ranks and only when it is no larger than the rank
 column, and is built once by racing wide queries.
 """
 
-import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -36,6 +35,7 @@ from repro.service import IndexStore, SimilarityIndex, SimilarityService
 from repro.service.cascade import validate_request
 from repro.service.query import exact_jaccard
 from repro.util.arrays import sorted_unique
+from tests.helpers import race
 
 
 def build(root, m, items):
@@ -191,35 +191,6 @@ class TestWeighted:
             }
             assert {m.name: m.similarity for m in res.matches} == want
         assert (idx.snapshot().rank_space()[0].lut is not None) == (m == 5)
-
-
-def race(workers, fn) -> list:
-    """Run ``fn`` on ``workers`` threads released together, with a short
-    switch interval; returns what each call returned."""
-    start = threading.Barrier(workers)
-    results, errors = [], []
-
-    def run():
-        try:
-            start.wait(timeout=30)
-            results.append(fn())
-        except BaseException as exc:  # re-raised below, in the test's thread
-            errors.append(exc)
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run) for _ in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not errors, errors
-    assert len(results) == workers
-    return results
 
 
 class TestConcurrentFirstQuery:
