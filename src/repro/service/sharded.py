@@ -16,7 +16,8 @@ On-disk layout::
 
     root/
       manifest.json     <- the ONLY manifest: format_version 2, layout
-                           "sharded", every band's payload embedded
+                           "sharded", band edges, the genome -> band
+                           list and every band's payload embedded
       bands/000/         <- one IndexStore per size band, no manifest
         shards/...
         lsh-*.bin
@@ -35,10 +36,10 @@ list), the same staged band operations, and the same
 :func:`~repro.service.store.transaction`, whose single commit here is
 the atomic replacement of the top-level manifest.  Bands write no
 manifest of their own; ``ShardedStore.open`` rebuilds every band from
-the payloads embedded in the top-level one, so a ``manifest.json`` an
-older layout left inside a band directory — stale or ahead — is never
-read.  A crash at any write leaves the previous top-level manifest
-referencing only fully written files, on every band.
+the payloads embedded in the top-level one, the one copy of the store
+settings (``m``, codec, sketches, families, metadata, LSH planning),
+equal in every band.  A crash at any write leaves the previous
+top-level manifest referencing only fully written files, on every band.
 
 Migrations: :func:`shard_store` rebands a flat (single-directory) store
 in place through that same path — every live genome (values *and* stored
@@ -49,8 +50,9 @@ leaves the flat store intact (plus an unreferenced ``bands/`` tree a
 retry clears).  :func:`migrate_store` upgrades a store of either layout
 written in store format 1 (see
 :data:`~repro.service.store.FORMAT_VERSION`) by re-sketching it in one
-transaction.  :func:`open_store` / :func:`create_store` dispatch on the
-layout, so callers open or create either transparently.
+transaction, the one reader of format-1 payloads and of what older
+releases left in them.  :func:`open_store` / :func:`create_store`
+dispatch on the layout, so callers open or create either transparently.
 """
 
 from __future__ import annotations
@@ -189,6 +191,12 @@ class ShardedEntry:
         )
 
 
+def _band_setting(name: str) -> property:
+    """A store setting of a sharded store: its first band's, which every
+    band shares."""
+    return property(lambda self: getattr(self.shards[0], name))
+
+
 @dataclass
 class ShardedStore(_StoreAPI):
     """A size-banded collection of :class:`IndexStore` shards.
@@ -197,28 +205,27 @@ class ShardedStore(_StoreAPI):
     / ``compact``, one definition) and mirrors its read API (``names``
     / ``sizes`` / ``load_*``), routing by size band; every mutation is
     one transaction committed by the atomic top-level manifest
-    replacement.
+    replacement.  Its store settings are its bands'.
     """
 
     root: Path
-    m: int
-    codec: str
-    sketch_size: int
-    sketch_bits: int
-    sketch_seed: int
-    families: tuple[str, ...]
-    metadata: dict
     band_policy: str
     band_edges: np.ndarray
     shards: list[IndexStore]
     genomes: list[ShardedEntry] = field(default_factory=list)
     version: int = 0
-    lsh_threshold: float = 0.5
-    lsh_fn_budget: float = 0.05
     _lock: threading.RLock = field(
         default_factory=threading.RLock, init=False, repr=False,
         compare=False,
     )
+
+    m = _band_setting("m")
+    codec = _band_setting("codec")
+    sketch_size = _band_setting("sketch_size")
+    sketch_bits = _band_setting("sketch_bits")
+    sketch_seed = _band_setting("sketch_seed")
+    families = _band_setting("families")
+    metadata = _band_setting("metadata")
 
     # ---- lifecycle ----------------------------------------------------
 
@@ -261,15 +268,9 @@ class ShardedStore(_StoreAPI):
             )
             for i in range(len(edges))
         ]
-        first = bands[0]
         return cls(
-            root=root, m=first.m, codec=first.codec,
-            sketch_size=first.sketch_size, sketch_bits=first.sketch_bits,
-            sketch_seed=first.sketch_seed, families=first.families,
-            metadata=dict(first.metadata), band_policy=band_policy,
-            band_edges=edges, shards=bands, version=version,
-            lsh_threshold=first.lsh_threshold,
-            lsh_fn_budget=first.lsh_fn_budget,
+            root=root, band_policy=band_policy, band_edges=edges,
+            shards=bands, version=version,
         )
 
     @classmethod
@@ -280,14 +281,7 @@ class ShardedStore(_StoreAPI):
     @classmethod
     def _open(cls, root: Path, meta: dict) -> "ShardedStore":
         """Open ``root`` from its already-read manifest payload."""
-        if (
-            meta.get("format_version") != SHARDED_FORMAT_VERSION
-            or meta.get("layout") != "sharded"
-        ):
-            raise StoreError(
-                f"{root}: not a sharded store "
-                f"(format {meta.get('format_version')!r})"
-            )
+        _check_sharded(root, meta)
         with _manifest_fields(root):
             for sh in meta["shards"]:
                 check_format(root, sh["manifest"])
@@ -296,31 +290,24 @@ class ShardedStore(_StoreAPI):
     @classmethod
     def _from_payload(cls, root: Path, meta: dict) -> "ShardedStore":
         """Materialize a store from an already-parsed top-level manifest
-        whose band payloads may be of any format (the caller checks)."""
+        whose band payloads may be of any format (the caller checks) and
+        must agree on the settings; top-level copies an earlier release
+        wrote are not read."""
         with _manifest_fields(root):
-            # The embedded payloads are authoritative: a manifest file
-            # an older layout left in a band directory is never read.
             bands = [
                 IndexStore._from_payload(root / sh["dir"], sh["manifest"])
                 for sh in meta["shards"]
             ]
-            lsh = meta.get("lsh") or {}
+            first, *rest = bands  # a ValueError when there is no band
+            if any((b.m, b._settings()) != (first.m, first._settings()) for b in rest):
+                raise ValueError("the band payloads disagree on the store settings")
             return cls(
                 root=root,
-                m=int(meta["m"]),
-                codec=str(meta["codec"]),
-                sketch_size=int(meta["sketch"]["size"]),
-                sketch_bits=int(meta["sketch"]["bits"]),
-                sketch_seed=int(meta["sketch"]["seed"]),
-                families=tuple(meta["families"]),
-                metadata=dict(meta["metadata"]),
                 band_policy=str(meta["band_policy"]),
                 band_edges=np.array(meta["band_edges"], dtype=np.int64),
                 shards=bands,
                 genomes=[ShardedEntry.from_json(g) for g in meta["genomes"]],
                 version=int(meta["version"]),
-                lsh_threshold=float(lsh.get("threshold", 0.5)),
-                lsh_fn_budget=float(lsh.get("fn_budget", 0.05)),
             )
 
     def _save_manifest(self) -> None:
@@ -328,15 +315,6 @@ class ShardedStore(_StoreAPI):
             "format_version": SHARDED_FORMAT_VERSION,
             "layout": "sharded",
             "version": self.version,
-            "m": self.m,
-            "codec": self.codec,
-            "sketch": {
-                "size": self.sketch_size,
-                "bits": self.sketch_bits,
-                "seed": self.sketch_seed,
-            },
-            "families": list(self.families),
-            "metadata": self.metadata,
             "band_policy": self.band_policy,
             "band_edges": [int(e) for e in self.band_edges],
             "genomes": [g.to_json() for g in self.genomes],
@@ -347,10 +325,6 @@ class ShardedStore(_StoreAPI):
                 }
                 for i, shard in enumerate(self.shards)
             ],
-            "lsh": {
-                "threshold": self.lsh_threshold,
-                "fn_budget": self.lsh_fn_budget,
-            },
         }
         # The atomic top-level replacement is the ONLY commit point of
         # the whole store (through the flat store's byte sink, so fault
@@ -440,17 +414,15 @@ class ShardedStore(_StoreAPI):
                 return g
         raise KeyError(f"unknown genome {name!r}")
 
+    def _live(self, attr: str) -> np.ndarray:
+        """One integer field of the live genomes' band entries, in
+        global insertion order."""
+        by_name = {e.name: getattr(e, attr) for b in self.shards for e in b.live_entries}
+        return np.array([by_name[name] for name in self.names], dtype=np.int64)
+
     def sizes(self) -> np.ndarray:
         """Exact distinct-value counts, in global insertion order."""
-        by_name = {
-            e.name: e.n_values
-            for shard in self.shards
-            for e in shard.live_entries
-        }
-        return np.array(
-            [by_name[g.name] for g in self.genomes if not g.removed],
-            dtype=np.int64,
-        )
+        return self._live("n_values")
 
     def positions(self) -> dict[str, int]:
         """Live name -> global insertion position (merge tie-break)."""
@@ -458,15 +430,7 @@ class ShardedStore(_StoreAPI):
 
     def masses(self) -> np.ndarray:
         """Total k-mer masses, in global insertion order."""
-        by_name = {
-            e.name: e.total_mass
-            for shard in self.shards
-            for e in shard.live_entries
-        }
-        return np.array(
-            [by_name[g.name] for g in self.genomes if not g.removed],
-            dtype=np.int64,
-        )
+        return self._live("mass")
 
     def load_values(self, name: str) -> np.ndarray:
         return self.shards[self._entry(name).band].load_values(name)
@@ -490,6 +454,17 @@ class ShardedStore(_StoreAPI):
             f"m={self.m}, codec={self.codec}, "
             f"policy={self.band_policy}, version={self.version}, "
             f"{self.total_bytes()} shard byte(s)"
+        )
+
+
+def _check_sharded(root: Path, meta: dict) -> None:
+    """:class:`StoreError` naming the manifest unless it is a sharded one
+    in :data:`SHARDED_FORMAT_VERSION` (the top level's own revision)."""
+    found = meta.get("format_version")
+    if meta.get("layout") != "sharded" or found != SHARDED_FORMAT_VERSION:
+        raise StoreError(
+            f"{root / MANIFEST_NAME}: not a sharded store of format "
+            f"{SHARDED_FORMAT_VERSION} (format {found!r})"
         )
 
 
@@ -567,10 +542,7 @@ def shard_store(
         shutil.rmtree(root / BAND_DIR)
     store = ShardedStore._stage_create(
         root, flat.m, edges, band_policy, version=flat.version,
-        codec=flat.codec, sketch_size=flat.sketch_size,
-        sketch_bits=flat.sketch_bits, sketch_seed=flat.sketch_seed,
-        families=flat.families, metadata=flat.metadata,
-        lsh_threshold=flat.lsh_threshold, lsh_fn_budget=flat.lsh_fn_budget,
+        **flat._settings(),
     )
     with transaction(store) as txn:
         txn.touch(store)  # an empty corpus still commits the new layout
@@ -579,7 +551,7 @@ def shard_store(
         clean = [
             (
                 e.name, flat.load_values(e.name),
-                None if e.total_mass == e.n_values else flat.load_counts(e.name),
+                None if e.mass == e.n_values else flat.load_counts(e.name),
             )
             for e in flat.live_entries
         ]
@@ -588,13 +560,27 @@ def shard_store(
         # Unreferenced once the top-level manifest lands; a crash during
         # the cleanup merely leaks them.
         txn.stale.extend(root / e.shard for e in flat.entries)
-        txn.stale.extend(
-            root / f for f in (flat._legacy_gram, flat.lsh_file) if f
-        )
+        if flat.lsh_file is not None:
+            txn.stale.append(root / flat.lsh_file)
     old_records = root / _flat.SHARD_DIR
     if old_records.exists() and not any(old_records.iterdir()):
         old_records.rmdir()
     return store
+
+
+def _upgrade_payload(payload: dict, band_root: Path) -> Path | None:
+    """Give a format-1 payload written before LSH tables or abundance
+    counts the ``lsh`` block and genome ``mass`` of that time; return the
+    Gram file it names (a ``gram_file``, or oldest ``gram_names`` over
+    ``gram.bin``), if any."""
+    defaults = {"threshold": 0.5, "fn_budget": 0.05, "file": None}
+    payload["lsh"] = {**defaults, **(payload.get("lsh") or {})}
+    for genome in payload["genomes"]:
+        genome.setdefault("mass", genome["n_values"])
+    gram = payload.get("gram_file")
+    if gram is None and payload.get("gram_names") is not None:
+        gram = "gram.bin"
+    return None if gram is None else band_root / gram
 
 
 def migrate_store(root: str | Path) -> "IndexStore | ShardedStore":
@@ -606,23 +592,35 @@ def migrate_store(root: str | Path) -> "IndexStore | ShardedStore":
     file with freshly built sketches (the one-permutation
     ``bbit_minhash`` lanes among them) and rebuilds each band's LSH
     table; the atomic manifest replacement commits it, after which the
-    old files are unlinked.  A crash before the commit leaves the
-    format-1 store as it was.  A store already in the current format is
-    opened and returned untouched.
+    old files — record files, LSH tables in any layout, Gram files — are
+    unlinked.  A crash before the commit leaves the format-1 store as it
+    was.  A store already in the current format is opened and returned
+    untouched.
     """
     root = Path(root)
     meta = read_manifest(root)
     sharded = meta.get("layout") == "sharded"
+    if sharded:
+        _check_sharded(root, meta)
     with _manifest_fields(root):
-        payloads = [sh["manifest"] for sh in meta["shards"]] if sharded else [meta]
-        found = {p.get("format_version") for p in payloads}
-    if found == {FORMAT_VERSION}:
-        return open_store(root)
-    if not found <= {1, FORMAT_VERSION}:
-        raise StoreError(f"{root}: cannot migrate store format(s) {sorted(map(repr, found))}")
-    with _manifest_fields(root):
+        shards = meta["shards"] if sharded else [{"dir": ".", "manifest": meta}]
+        bands = [(root / sh["dir"], sh["manifest"]) for sh in shards]
+        found = {payload.get("format_version") for _, payload in bands}
+        if found == {FORMAT_VERSION}:
+            return open_store(root)
+        if not found <= {1, FORMAT_VERSION}:
+            raise StoreError(
+                f"{root / MANIFEST_NAME}: cannot migrate store format(s) "
+                f"{sorted(map(repr, found))}"
+            )
+        grams = [
+            _upgrade_payload(payload, band_root)
+            for band_root, payload in bands
+            if payload.get("format_version") == 1
+        ]
         store = (ShardedStore if sharded else IndexStore)._from_payload(root, meta)
     with transaction(store) as txn:
         for band in store._bands:
             band._stage_resketch(txn)
+        txn.stale.extend(gram for gram in grams if gram is not None)
     return store

@@ -10,7 +10,7 @@ it.  An :class:`IndexStore` is a directory holding
   the attribute-space size ``m``, the wire-codec policy, the sketch
   configuration, arbitrary metadata (e.g. ``k`` for genomic stores),
   and one entry per genome (name, shard file, exact distinct-value
-  count, tombstone flag);
+  count, total mass, tombstone flag);
 * ``shards/<id>.bin`` — one shard per genome: the genome's sorted
   attribute values (its packed indicator column) followed by its
   sketches, each persisted as a **codec frame** from
@@ -31,10 +31,10 @@ beyond the record order, which is fixed per store (values first, then
 one sketch per configured family).
 
 ``remove`` only tombstones an entry (and drops its LSH row);
-``compact`` rewrites the store without the tombstoned shards.  A
-manifest written when stores still persisted a Gram may name a
-``gram_file``: readers ignore it, and the next commit, whose manifest
-no longer names it, unlinks the file.
+``compact`` rewrites the store without the tombstoned shards.  Only
+format 2 opens, strictly: a manifest field it lacks is malformed, and
+what older releases wrote differently is left to
+:func:`~repro.service.sharded.migrate_store`.
 
 The write path is one for both layouts (:mod:`repro.service.sharded`
 adds only size-band routing and its top-level genome list):
@@ -116,9 +116,6 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
-#: The unversioned Gram file of the oldest layout (a ``gram_names``
-#: manifest entry without a ``gram_file``); only ever unlinked.
-LEGACY_GRAM_NAME = "gram.bin"
 
 #: The sketch family whose stored lane fingerprints the banded LSH
 #: table (:mod:`repro.service.lsh`) is built over.
@@ -182,10 +179,16 @@ def read_manifest(root: Path) -> dict:
 
 def check_format(root: Path, payload: dict) -> None:
     """:class:`StoreError` unless a flat manifest, or a band payload
-    embedded in ``root``'s sharded one, is in :data:`FORMAT_VERSION`;
-    a format-1 payload names the migration that upgrades it."""
+    embedded in ``root``'s sharded one, is in :data:`FORMAT_VERSION`
+    and, holding the :data:`LSH_FAMILY`, names its table file; a
+    format-1 payload names the migration that upgrades it."""
     found = payload.get("format_version")
     if found == FORMAT_VERSION:
+        if LSH_FAMILY in payload["families"] and payload["lsh"]["file"] is None:
+            raise StoreError(
+                f"{root / MANIFEST_NAME}: malformed manifest (a {LSH_FAMILY} "
+                "store names no LSH table file)"
+            )
         return
     if found == 1:
         raise StoreError(
@@ -195,7 +198,7 @@ def check_format(root: Path, payload: dict) -> None:
             "(repro.service.migrate_store)"
         )
     raise StoreError(
-        f"{root}: unsupported store format {found!r} (expected {FORMAT_VERSION})"
+        f"{root / MANIFEST_NAME}: unsupported store format {found!r} (expected {FORMAT_VERSION})"
     )
 
 
@@ -421,11 +424,9 @@ def transaction(store):
     store is its own only band).  If any touched a band, the scope bumps
     the touched bands' and the store's versions and replaces the store's
     manifest — the single atomic commit — then unlinks the superseded
-    files, including any Gram file a manifest of an older layout named
-    (the new manifest names none, on any band).  On failure every store
-    is restored in place, leaving the staged (unreferenced) files
-    orphaned: exactly the state an interrupted process leaves, and one
-    ``open`` reads past.
+    files.  On failure every store is restored in place, leaving the
+    staged (unreferenced) files orphaned: exactly the state an
+    interrupted process leaves, and one ``open`` reads past.
     """
     owners = [store, *(b for b in store._bands if b is not store)]
     with ExitStack() as locks:
@@ -440,10 +441,6 @@ def transaction(store):
                 for owner in txn.touched.values():
                     owner.version += 1
                 store._save_manifest()  # the atomic replace is the commit
-                for band in store._bands:
-                    if band._legacy_gram is not None:
-                        txn.stale.append(band.root / band._legacy_gram)
-                        band._legacy_gram = None
         except BaseException:
             for owner, state in saved:
                 owner._restore(state)
@@ -525,23 +522,16 @@ class GenomeEntry:
     """One genome's manifest record.
 
     ``mass`` is the total k-mer abundance (``sum`` of the stored
-    counts); ``None`` — and every manifest written before counts
-    existed — means "no abundance stored", in which case the mass
-    equals the support size ``n_values``.  The invariant the readers
-    rely on: a counts record exists on disk iff
-    ``total_mass != n_values``.
+    counts), the support size ``n_values`` when no abundance is stored.
+    The invariant the readers rely on: a counts record exists on disk
+    iff ``mass != n_values``.
     """
 
     name: str
     shard: str
     n_values: int
+    mass: int
     removed: bool = False
-    mass: int | None = None
-
-    @property
-    def total_mass(self) -> int:
-        """Total abundance; the support size when no counts are stored."""
-        return self.n_values if self.mass is None else self.mass
 
     def to_json(self) -> dict:
         return {
@@ -549,7 +539,7 @@ class GenomeEntry:
             "shard": self.shard,
             "n_values": self.n_values,
             "removed": self.removed,
-            "mass": self.total_mass,
+            "mass": self.mass,
         }
 
     @classmethod
@@ -559,7 +549,7 @@ class GenomeEntry:
             shard=str(data["shard"]),
             n_values=int(data["n_values"]),
             removed=bool(data["removed"]),
-            mass=int(data.get("mass", data["n_values"])),
+            mass=int(data["mass"]),
         )
 
 
@@ -591,11 +581,6 @@ class IndexStore(_StoreAPI):
     lsh_fn_budget: float = 0.05
     lsh_file: str | None = None
     _lsh: "LSHTable | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: The Gram file a manifest of an older layout names; never read,
-    #: unlinked by the next commit (see :func:`transaction`).
-    _legacy_gram: str | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _lock: threading.RLock = field(
@@ -698,12 +683,11 @@ class IndexStore(_StoreAPI):
         """Materialize a store from an already-parsed manifest payload.
 
         This is how :class:`~repro.service.sharded.ShardedStore` opens
-        its bands: the payloads embedded in the *top-level* manifest are
-        authoritative — bands write no manifest of their own, and one
-        left in a band directory by an older layout is never read.
+        its bands, from the payloads embedded in its top-level manifest
+        (bands write no manifest of their own).
         """
-        lsh = meta.get("lsh") or {}
-        store = cls(
+        lsh = meta["lsh"]
+        return cls(
             root=root,
             m=int(meta["m"]),
             codec=str(meta["codec"]),
@@ -715,14 +699,10 @@ class IndexStore(_StoreAPI):
             entries=[GenomeEntry.from_json(e) for e in meta["genomes"]],
             version=int(meta["version"]),
             next_shard=int(meta["next_shard"]),
-            lsh_threshold=float(lsh.get("threshold", 0.5)),
-            lsh_fn_budget=float(lsh.get("fn_budget", 0.05)),
-            lsh_file=lsh.get("file"),
+            lsh_threshold=float(lsh["threshold"]),
+            lsh_fn_budget=float(lsh["fn_budget"]),
+            lsh_file=lsh["file"],
         )
-        store._legacy_gram = meta.get("gram_file") or (
-            LEGACY_GRAM_NAME if meta.get("gram_names") is not None else None
-        )
-        return store
 
     def _manifest_payload(self) -> dict:
         """The JSON manifest payload for the current in-memory state.
@@ -751,6 +731,16 @@ class IndexStore(_StoreAPI):
             },
         }
 
+    def _settings(self) -> dict:
+        """The settings :meth:`_stage_create` takes besides ``m`` — what
+        every band of a sharded store shares."""
+        return {
+            "codec": self.codec, "sketch_size": self.sketch_size,
+            "sketch_bits": self.sketch_bits, "sketch_seed": self.sketch_seed,
+            "families": self.families, "metadata": self.metadata,
+            "lsh_threshold": self.lsh_threshold, "lsh_fn_budget": self.lsh_fn_budget,
+        }
+
     def _save_manifest(self) -> None:
         # The atomic manifest replacement is every mutation's commit
         # point: older bytes are never partially overwritten.
@@ -769,30 +759,19 @@ class IndexStore(_StoreAPI):
         """The current banded LSH table (``None`` without the family).
 
         Loaded lazily from ``lsh-<version>.bin`` and cached; mutations
-        replace the cache with the table they persist.  A store written
-        before LSH existed (no ``lsh`` manifest entry), or whose table
-        file is in the layout that preceded the key matrix, is rebuilt
-        from its stored fingerprints in memory, without mutating the
-        store — the next mutation writes the current layout.
+        replace the cache with the table they persist.
         """
         with self._lock:
-            if not self.has_lsh:
-                return None
-            if self._lsh is None:
-                self._lsh = self._read_lsh() or self._build_lsh()
+            if self.has_lsh and self._lsh is None:
+                self._lsh = self._read_lsh()
             return self._lsh
 
     def _lsh_plan(self) -> BandPlan:
         return plan_bands(self.lsh_threshold, self.sketch_size, self.lsh_fn_budget)
 
-    def _read_lsh(self) -> "LSHTable | None":
+    def _read_lsh(self) -> "LSHTable":
         """The table in ``lsh_file``; :class:`StoreError` naming the file
-        unless it holds exactly this store version's table.  ``None``
-        when the caller has to rebuild: no file, or one in the layout
-        that preceded the key matrix (this header, then three arrays per
-        band), recognised by its record count and never decoded."""
-        if self.lsh_file is None:
-            return None
+        unless it holds exactly this store version's table."""
         path = self.root / self.lsh_file
         expected = (self._lsh_plan(), self.sketch_bits, self.sketch_seed, self.n_genomes)
         try:
@@ -802,8 +781,6 @@ class IndexStore(_StoreAPI):
                     "its header does not describe this store's plan, sketch "
                     f"configuration and {self.n_genomes} live genome(s)"
                 )
-            if len(records) == 2 + 3 * expected[0].bands:
-                return None
             return LSHTable.from_payloads(records)
         except StoreError:
             raise
@@ -894,7 +871,7 @@ class IndexStore(_StoreAPI):
         :meth:`sizes` for genomes stored without abundance counts.
         """
         return np.array(
-            [e.total_mass for e in self.live_entries], dtype=np.int64
+            [e.mass for e in self.live_entries], dtype=np.int64
         )
 
     def _entry(self, name: str) -> GenomeEntry:
@@ -931,9 +908,7 @@ class IndexStore(_StoreAPI):
                 _sizes=np.array(
                     [e.n_values for e in live], dtype=np.int64
                 ),
-                _masses=np.array(
-                    [e.total_mass for e in live], dtype=np.int64
-                ),
+                _masses=np.array([e.mass for e in live], dtype=np.int64),
                 sketch_size=self.sketch_size,
                 sketch_bits=self.sketch_bits,
                 sketch_seed=self.sketch_seed,
@@ -1013,7 +988,7 @@ class IndexStore(_StoreAPI):
             if not entry.removed:
                 path = self.root / entry.shard
                 cnts = None
-                if entry.total_mass != entry.n_values:
+                if entry.mass != entry.n_values:
                     cnts = read_record(path, 1 + len(self.families))
                 shard, _ = self._write_record_file(read_record(path, 0), cnts)
                 txn.stale.append(path)
@@ -1043,12 +1018,12 @@ class IndexStore(_StoreAPI):
     def load_counts(self, name: str) -> np.ndarray:
         """A genome's abundance counts, aligned with :meth:`load_values`.
 
-        Genomes stored without counts (``total_mass == n_values``)
+        Genomes stored without counts (``mass == n_values``)
         return all-ones without touching disk; otherwise the counts
         record (the one after the sketch records) is decoded.
         """
         entry = self._entry(name)
-        if entry.total_mass == entry.n_values:
+        if entry.mass == entry.n_values:
             return np.ones(entry.n_values, dtype=np.int64)
         return read_record(
             self.root / entry.shard, 1 + len(self.families)
@@ -1300,6 +1275,8 @@ class StoreSnapshot:
     names: tuple[str, ...]
     shards: tuple[str, ...]
     _sizes: np.ndarray
+    #: Per-genome total masses (see :attr:`GenomeEntry.mass`).
+    _masses: np.ndarray
     sketch_size: int
     sketch_bits: int
     sketch_seed: int
@@ -1309,9 +1286,6 @@ class StoreSnapshot:
     #: are immutable value objects, so the snapshot stays frozen while
     #: the store's own table moves on.
     lsh: "LSHTable | None" = None
-    #: Per-genome total masses; ``None`` (pre-counts constructions)
-    #: means every mass equals its support size.
-    _masses: np.ndarray | None = None
     #: ``(rank, rows)``: ``rank`` is ``(shards, RankSpace)`` or ``None``,
     #: ``rows`` maps a family to ``{shard: decoded row}``.
     _seed: tuple = field(default_factory=lambda: (None, {}), repr=False, compare=False)
@@ -1332,7 +1306,7 @@ class StoreSnapshot:
         return self._sizes
 
     def masses(self) -> np.ndarray:
-        return self._sizes if self._masses is None else self._masses
+        return self._masses
 
     @cached_property
     def positions(self) -> dict[str, int]:
@@ -1358,7 +1332,7 @@ class StoreSnapshot:
         with self._lock:
             built = by_mass not in self._orders
             if built:
-                extents = self.masses() if by_mass else self._sizes
+                extents = self._masses if by_mass else self._sizes
                 order = np.argsort(extents, kind="stable")
                 self._orders[by_mass] = (order, extents[order])
             return (*self._orders[by_mass], built)
@@ -1392,7 +1366,7 @@ class StoreSnapshot:
         offsets = np.zeros(self.n_genomes + 1, dtype=np.int64)
         np.cumsum(self._sizes, out=offsets[1:])
         flat = np.empty(int(offsets[-1]), dtype=np.int64)
-        weighted = self.masses() != self._sizes
+        weighted = self._masses != self._sizes
         counts = np.ones(flat.size, dtype=np.int64) if weighted.any() else None
         old_shards, old = self._seed[0] or ((), None)
         held = {shard: j for j, shard in enumerate(old_shards)}

@@ -1,5 +1,6 @@
 """Shared test utilities: brute-force references, generators, the
-store's torn-write injector and a thread race."""
+store's torn-write injector, a thread race and the LSH table-file layout
+that preceded the key matrix."""
 
 from __future__ import annotations
 
@@ -86,3 +87,17 @@ def race(workers, fn) -> list:
     assert not errors, errors
     assert len(results) == workers
     return results
+
+
+def legacy_payloads(table):
+    """An LSH table in the file layout that preceded the key matrix:
+    header and parameters, then per band the sorted unique keys, the CSR
+    offsets and the member positions (``2 + 3 * bands`` frames)."""
+    payloads = table.to_payloads()[:2]
+    for col in table.keymat.T:
+        order = np.argsort(col, kind="stable")
+        uniq, starts = np.unique(col[order], return_index=True)
+        payloads += [
+            uniq, np.append(starts, col.size).astype(np.int64), order.astype(np.int64)
+        ]
+    return payloads

@@ -74,23 +74,5 @@ def test_true_counts_survive_but_add_one_record(tmp_path):
     shard_a = tmp_path / "a" / a.entries[0].shard
     shard_b = tmp_path / "b" / b.entries[0].shard
     assert shard_a.stat().st_size > shard_b.stat().st_size
-    assert a.entries[0].total_mass == 4
-    assert b.entries[0].total_mass == 3
-
-
-def test_mass_manifest_back_compat(tmp_path):
-    """Old manifests without a mass field read as mass == n_values."""
-    store = IndexStore.create(tmp_path / "s", m=64)
-    store.append_many([("g", np.array([1, 2], dtype=np.int64))])
-    manifest = tmp_path / "s" / "manifest.json"
-    import json
-
-    data = json.loads(manifest.read_text())
-    for entry in data["genomes"]:
-        entry.pop("mass", None)
-    manifest.write_text(json.dumps(data))
-    reopened = IndexStore.open(tmp_path / "s")
-    assert int(reopened.masses()[0]) == 2
-    assert np.array_equal(
-        reopened.load_counts("g"), np.ones(2, dtype=np.int64)
-    )
+    assert a.entries[0].mass == 4
+    assert b.entries[0].mass == 3

@@ -41,6 +41,7 @@ from repro.service.lsh import (
 )
 from repro.service.query import exact_jaccard
 from repro.service.store import LSH_FAMILY, read_records, write_records
+from tests.helpers import legacy_payloads
 
 M = 20_000
 LANES = 64
@@ -461,20 +462,6 @@ class TestStorePersistence:
             IndexStore.create(tmp_path / "bad", m=M, lsh_threshold=0.0)
 
 
-def legacy_payloads(table):
-    """The table-file layout that preceded the key matrix: header and
-    parameters, then per band the sorted unique keys, the CSR offsets
-    and the member positions (``2 + 3 * bands`` frames)."""
-    payloads = table.to_payloads()[:2]
-    for col in table.keymat.T:
-        order = np.argsort(col, kind="stable")
-        uniq, starts = np.unique(col[order], return_index=True)
-        payloads += [
-            uniq, np.append(starts, col.size).astype(np.int64), order.astype(np.int64)
-        ]
-    return payloads
-
-
 class TestTableFile:
     """What ``IndexStore.lsh_table()`` makes of the bytes in ``lsh-*.bin``."""
 
@@ -543,6 +530,7 @@ class TestTableFile:
             [header, params, keymat.ravel()],
             [header, params, b"not a matrix"],
             [fewer, params, keymat[:-1]],
+            legacy_payloads(store.lsh_table()),
             legacy_payloads(store.lsh_table())[:-1],
             [b"junk"] * len(legacy_payloads(store.lsh_table())),
         ):
@@ -550,39 +538,6 @@ class TestTableFile:
             self.assert_unreadable(store.root, path)
         path.write_bytes(b"\x05\x00\x00\x00\x00\x00\x00\x00RWF1!")  # no frame
         self.assert_unreadable(store.root, path)
-
-    @pytest.mark.parametrize("codec", ["adaptive", "raw"])
-    def test_legacy_layout_is_rebuilt_then_replaced(self, tmp_path, rng, codec):
-        sets = planted_corpus(rng, n_families=3, copies=3)
-        store = IndexStore.create(
-            tmp_path / "idx", m=M, sketch_size=LANES, codec=codec
-        )
-        store.append_many([(f"g{i}", s) for i, s in enumerate(sets)])
-
-        def answers():
-            out = []
-            for candidates in ("lsh", "lsh_exact"):
-                eng = SimilarityIndex(
-                    IndexStore.open(store.root),
-                    config=SimilarityConfig(query_candidates=candidates),
-                )
-                out += [eng.query(sets[q], threshold=0.5) for q in (0, 4, len(sets) - 1)]
-                out.append(eng.query(sets[1], top_k=3))
-            return out
-
-        fresh = answers()
-        assert any(r.matches for r in fresh)
-        path = store.root / store.lsh_file
-        legacy = legacy_payloads(store.lsh_table())
-        assert len(legacy) == 2 + 3 * store.lsh_table().plan.bands
-        write_records(path, legacy, codec)
-        old = IndexStore.open(store.root)
-        assert old.lsh_table().equals(store.lsh_table())
-        assert answers() == fresh
-        assert len(read_records(path)) == len(legacy)  # reading rewrote nothing
-        old.append("late", sets[0][::2])
-        assert not path.exists() and len(read_records(old.root / old.lsh_file)) == 3
-        assert IndexStore.open(store.root).lsh_table().equals(old._build_lsh())
 
 
 class TestWriteTraffic:

@@ -10,6 +10,7 @@ naming the file from ``IndexStore.open``, ``ShardedStore.open``,
 
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,10 @@ FLAT_FIELDS = {
     "genome_a_string": _set(["g0"], "genomes"),
     "lsh_a_list": _set([1], "lsh"),
     "metadata_a_string": _set("meta", "metadata"),
+    # What only format 1 may lack; migrate_store fills it in there.
+    "missing_lsh": _delete("lsh"),
+    "lsh_file_null": _set(None, "lsh", "file"),
+    "genome_missing_mass": lambda meta: meta["genomes"][0].pop("mass"),
 }
 
 
@@ -156,7 +161,7 @@ def test_flat_field_errors(flat, field):
 
 
 SHARDED_FIELDS = {
-    "missing_m": _delete("m"),
+    "missing_version": _delete("version"),
     "missing_shards": _delete("shards"),
     "missing_band_policy": _delete("band_policy"),
     "band_edges_strings": _set(["a", "b"], "band_edges"),
@@ -165,6 +170,11 @@ SHARDED_FIELDS = {
     "band_manifest_a_list": lambda meta: meta["shards"][1].update(manifest=[]),
     "band_missing_m": lambda meta: meta["shards"][0]["manifest"].pop("m"),
     "band_genomes_a_number": lambda meta: meta["shards"][1]["manifest"].update(genomes=3),
+    "band_missing_lsh": lambda meta: meta["shards"][0]["manifest"].pop("lsh"),
+    "band_lsh_file_null": lambda meta: meta["shards"][1]["manifest"]["lsh"].update(file=None),
+    "band_genome_missing_mass": lambda meta: meta["shards"][1]["manifest"]["genomes"][0].pop("mass"),
+    "bands_disagree": lambda meta: meta["shards"][1]["manifest"].update(codec="raw"),
+    "no_band": _set([], "shards"),
 }
 
 
@@ -200,3 +210,63 @@ def test_open_store_reads_the_manifest_once(layout, request, monkeypatch):
     store = open_store(root)
     assert reads == [root / MANIFEST_NAME]
     assert store.names == [name for name, _ in _genomes()]
+
+
+@pytest.mark.parametrize(
+    "layout, change",
+    [
+        ("flat", _set(99, "format_version")),
+        ("sharded", lambda meta: meta["shards"][1]["manifest"].update(format_version=99)),
+        ("sharded", _set(99, "format_version")),
+    ],
+    ids=["flat", "band", "sharded-top-level"],
+)
+def test_an_unsupported_format_names_the_manifest(request, layout, change):
+    root = request.getfixturevalue(layout)
+    _edit(root, change)
+    for opener in FLAT_OPENERS if layout == "flat" else SHARDED_OPENERS:
+        assert "format 99" in _raises_naming_the_file(opener, root)
+
+
+#: The store settings a sharded manifest's top level carried before its
+#: band payloads became their only copy.
+TOP_LEVEL_SETTINGS = ("m", "codec", "sketch", "families", "metadata", "lsh")
+
+
+def test_sharded_settings_are_written_once_in_the_bands(sharded):
+    meta = json.loads((sharded / MANIFEST_NAME).read_text())
+    assert not set(TOP_LEVEL_SETTINGS) & set(meta)
+    store = ShardedStore.open(sharded)
+    band = store.shards[0]
+    assert (store.m, store.codec, store.families, store.metadata) == (
+        M, band.codec, band.families, band.metadata
+    )
+    assert (store.sketch_size, store.sketch_bits, store.sketch_seed) == (
+        band.sketch_size, band.sketch_bits, band.sketch_seed
+    )
+
+
+def test_top_level_settings_of_an_earlier_release_are_not_read(sharded):
+    from repro.service import SimilarityService
+
+    def answers(service):
+        return [
+            replace(service.query(values=values, top_k=3), cache_stats=None)
+            for _, values in _genomes()
+        ]
+
+    want = answers(SimilarityService.open(sharded))
+
+    def carry_old_settings(meta):
+        # An earlier release's copies; the wrong values prove none is read.
+        meta.update(m=7, codec="raw", sketch={"size": 1, "bits": 1, "seed": 9},
+                    families=["hll"], metadata={"k": 3},
+                    lsh={"threshold": 0.9, "fn_budget": 0.5})
+
+    _edit(sharded, carry_old_settings)
+    service = SimilarityService.open(sharded)
+    assert service.store.m == M
+    assert answers(service) == want
+    service.remove("g0")
+    meta = json.loads((sharded / MANIFEST_NAME).read_text())
+    assert not set(TOP_LEVEL_SETTINGS) & set(meta)

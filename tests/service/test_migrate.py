@@ -13,6 +13,7 @@ Re-record (only at a commit that still writes format 1):
 ``PYTHONPATH=src python tests/service/test_migrate.py``.
 """
 
+import json
 import shutil
 import sys
 import tempfile
@@ -24,6 +25,9 @@ import pytest
 
 from repro.core.config import SimilarityConfig
 from repro.service import SimilarityService, StoreError
+from repro.service.lsh import LSHTable
+from repro.service.store import read_records, write_records
+from tests.helpers import legacy_payloads
 
 M = 5_000
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -190,6 +194,111 @@ def test_a_crash_at_any_write_leaves_the_format_1_store(tmp_path, monkeypatch, l
             SimilarityService.open(root)
         migrate_store(root)
         assert _answers(root, layout, queries) == want
+
+
+def _payloads(meta: dict, root: Path) -> list[tuple[Path, dict]]:
+    """``(band directory, payload)`` for each band of a parsed manifest."""
+    if "shards" in meta:
+        return [(root / sh["dir"], sh["manifest"]) for sh in meta["shards"]]
+    return [(root, meta)]
+
+
+def _gram(band_dir: Path, payload: dict, fname: str | None) -> list[Path]:
+    """What a release that maintained a Gram wrote: ``gram_names``, over
+    a versioned ``gram_file`` (``fname``) or, oldest, over ``gram.bin``."""
+    payload["gram_names"] = [g["name"] for g in payload["genomes"]]
+    if fname is not None:
+        payload["gram_file"] = fname
+    path = band_dir / (fname or "gram.bin")
+    path.write_bytes(b"a Gram no reader may open")
+    return [path]
+
+
+def _pre_key_matrix_table(band_dir: Path, payload: dict) -> list[Path]:
+    path = band_dir / payload["lsh"]["file"]
+    table = LSHTable.from_payloads(read_records(path))
+    write_records(path, legacy_payloads(table), payload["codec"])
+    return [path]
+
+
+def _no_lsh(band_dir: Path, payload: dict) -> list[Path]:
+    # Written before LSH tables: neither the block nor the file.
+    (band_dir / payload.pop("lsh")["file"]).unlink()
+    return []
+
+
+def _no_mass(band_dir: Path, payload: dict) -> list[Path]:
+    # Written before abundance counts, when no genome had any.
+    for genome in payload["genomes"]:
+        if genome["mass"] == genome["n_values"]:
+            del genome["mass"]
+    return []
+
+
+#: What a format-1 payload of an older release may hold, injected into
+#: every band's; each returns the files the migration must unlink.
+OLDER_ARTIFACTS = {
+    "gram_file": lambda d, p: _gram(d, p, f"gram-{p['version']:06d}.bin"),
+    "gram_bin": lambda d, p: _gram(d, p, None),
+    "pre_key_matrix_table": _pre_key_matrix_table,
+    "no_lsh": _no_lsh,
+    "no_mass": _no_mass,
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(OLDER_ARTIFACTS))
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_migrate_upgrades_what_older_releases_left(tmp_path, layout, artifact):
+    from repro.service import migrate_store, open_store
+
+    _, _, queries = corpus()
+    root = _fixture(tmp_path, layout)
+    manifest = root / "manifest.json"
+    meta = json.loads(manifest.read_text())
+    old = [
+        path
+        for band_dir, payload in _payloads(meta, root)
+        for path in OLDER_ARTIFACTS[artifact](band_dir, payload)
+    ]
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(StoreError, match="index migrate"):
+        open_store(root)
+    migrate_store(root)
+    build(tmp_path / "fresh", layout)
+    assert _answers(root, layout, queries) == _answers(tmp_path / "fresh", layout, queries)
+    assert not [path for path in old if path.exists()]
+    text = manifest.read_text()
+    assert "gram" not in text
+    named = {
+        band_dir / name
+        for band_dir, payload in _payloads(json.loads(text), root)
+        for name in [payload["lsh"]["file"], *(g["shard"] for g in payload["genomes"])]
+    }
+    assert not named & set(old)
+
+
+@pytest.mark.parametrize(
+    "layout, band, message",
+    [
+        ("sharded", None, r"not a sharded store of format 2 \(format 99\)"),
+        ("sharded", 0, "cannot migrate store format"),
+        ("flat", None, "cannot migrate store format"),
+    ],
+    ids=["sharded-top-level", "band", "flat"],
+)
+def test_migrate_refuses_an_unknown_format_naming_the_manifest(tmp_path, layout, band, message):
+    from repro.service import migrate_store
+
+    root = _fixture(tmp_path, layout)
+    manifest = root / "manifest.json"
+    meta = json.loads(manifest.read_text())
+    (meta if band is None else meta["shards"][band]["manifest"])["format_version"] = 99
+    manifest.write_text(json.dumps(meta))
+    before = _files(root)
+    with pytest.raises(StoreError, match=message) as info:
+        migrate_store(root)
+    assert str(manifest) in str(info.value)
+    assert _files(root) == before
 
 
 if __name__ == "__main__":

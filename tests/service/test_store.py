@@ -530,65 +530,6 @@ class TestShardedCrashConsistency:
         assert "ghost" not in SimilarityService.open(root).store.names
 
 
-class TestLegacyGramManifest:
-    """Stores written while every mutation maintained a Gram name it in
-    their manifests: ``gram_names`` plus a versioned ``gram_file`` per
-    band, or (the oldest layout) ``gram_names`` over an unversioned
-    ``gram.bin``.  Readers ignore both; the next commit unlinks the files
-    its manifest no longer names."""
-
-    @staticmethod
-    def _legacy_root(tmp_path, layout):
-        import json
-
-        root = TestCrashConsistency._baseline(tmp_path, "legacy", layout).store.root
-        meta = json.loads((root / "manifest.json").read_text())
-        if layout == "sharded":
-            bands = [(root / sh["dir"], sh["manifest"]) for sh in meta["shards"]]
-        else:
-            bands = [(root, meta)]
-        for i, (band_dir, payload) in enumerate(bands):
-            payload["gram_names"] = [g["name"] for g in payload["genomes"]]
-            fname = "gram.bin" if i % 2 else f"gram-{payload['version']:06d}.bin"
-            if not i % 2:
-                payload["gram_file"] = fname
-            (band_dir / fname).write_bytes(b"a Gram no reader may open")
-        (root / "manifest.json").write_text(json.dumps(meta, indent=2))
-        return root
-
-    @pytest.mark.parametrize(
-        "layout, mutate",
-        [
-            ("flat", lambda svc: svc.add([X])),
-            ("flat", lambda svc: svc.shard(3, band_policy="uniform")),
-            ("sharded", lambda svc: svc.add([X])),
-        ],
-        ids=["flat-add", "flat-shard", "sharded-add"],
-    )
-    def test_open_answers_then_next_commit_unlinks(self, tmp_path, layout, mutate):
-        from repro.service import SimilarityService
-
-        root = self._legacy_root(tmp_path, layout)
-        fresh = TestCrashConsistency._baseline(tmp_path, "fresh", layout)
-        legacy = SimilarityService.open(root)
-        for query in (SMALL, MID, np.array([7, 8, 9])):
-            assert answered(legacy.query(values=query, top_k=5)) == answered(
-                fresh.query(values=query, top_k=5)
-            )
-        assert np.array_equal(
-            legacy.all_pairs().intersections, fresh.all_pairs().intersections
-        )
-        assert list(root.rglob("gram*.bin"))  # reading wrote nothing
-        mutate(legacy)
-        assert not list(root.rglob("gram*.bin"))
-        assert "gram" not in (root / "manifest.json").read_text()
-        mutate(fresh)
-        reopened = SimilarityService.open(root)
-        assert answered(reopened.query(values=SMALL, top_k=5)) == answered(
-            fresh.query(values=SMALL, top_k=5)
-        )
-
-
 class TestRecordFileErrors:
     """Hostile bytes in a genome's record file: every reader raises a
     :class:`StoreError` or answers — never another exception."""

@@ -18,9 +18,10 @@ over ``tests/data/smoke_fasta``:
   pass feeds every sample through ``index query --batch-file`` and
   requires each batched answer to equal the per-query answer for the
   same sample, name for name and similarity for similarity.  Last,
-  ``index migrate`` upgrades a copy of the committed format-1 flat
-  store (``tests/data/store_v1_flat``), which refuses to open before
-  and answers after; a second ``index migrate`` changes no byte.
+  ``index migrate`` upgrades a copy of each committed format-1 store,
+  flat and sharded (``tests/data/store_v1_{flat,sharded}``), which
+  refuses to open before and answers after; a second ``index migrate``
+  changes no byte.
 * ``shard`` — the migration path: ``index build`` over every sample,
   per-sample baseline queries, then ``index shard --shards 2``
   upgrades the flat index into size bands in place; every re-run
@@ -61,7 +62,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 FASTA_DIR = REPO_ROOT / "tests" / "data" / "smoke_fasta"
-V1_FLAT_STORE = REPO_ROOT / "tests" / "data" / "store_v1_flat"
+#: The committed format-1 stores, one per layout: ``index migrate`` is
+#: the only reader of format-1 payloads, so both go through it.
+V1_STORES = [REPO_ROOT / "tests" / "data" / f"store_v1_{kind}" for kind in ("flat", "sharded")]
 
 #: The bound line ``result.summary()`` prints for sketch runs.
 BOUND_RE = re.compile(r"estimated J \+/- ([0-9.]+) at 95%")
@@ -246,7 +249,7 @@ def check_index(
                     f"batched similarity for {stem}/{bn} differs from the "
                     f"per-query path: {bs!r} vs {ss!r}"
                 )
-    migrated = check_migrate(workdir / "migrate")
+    migrated = "; ".join(check_migrate(workdir / "migrate", v1) for v1 in V1_STORES)
     return (
         f"cli smoke ok [index]: build({len(fastas) - 1}) -> add(1) -> "
         f"all_pairs() equal to the fresh exact run; "
@@ -258,12 +261,12 @@ def check_index(
     )
 
 
-def check_migrate(index_dir: Path) -> str:
-    """``index migrate`` on a copy of the format-1 flat fixture."""
+def check_migrate(index_dir: Path, v1_store: Path) -> str:
+    """``index migrate`` on a copy of a committed format-1 store."""
     from repro.service import SimilarityService, StoreError
 
     shutil.rmtree(index_dir, ignore_errors=True)
-    shutil.copytree(V1_FLAT_STORE, index_dir)
+    shutil.copytree(v1_store, index_dir)
     try:
         SimilarityService.open(index_dir)
     except StoreError as exc:
@@ -281,7 +284,7 @@ def check_migrate(index_dir: Path) -> str:
     run_cli(["index", "migrate", "--index", str(index_dir)])
     if {p: p.read_bytes() for p in index_dir.rglob("*") if p.is_file()} != files:
         raise SystemExit("a second index migrate rewrote the store")
-    return f"index migrate upgraded the format-1 store ({service.store.n_genomes} genomes)"
+    return f"index migrate upgraded {v1_store.name} ({service.store.n_genomes} genomes)"
 
 
 def check_shard(
