@@ -18,9 +18,7 @@ Three layers, each usable on its own:
   lost or double-counted at a boundary;
 * :func:`stream_sample_kmers` — chunked FASTA -> iterator of per-chunk
   k-mer code batches (this is the "k-mer batches as an iterator" feed
-  of the pipelined engine; with an executor that supports ``submit``,
-  the next chunk's extraction is prefetched while the caller consumes
-  the current one);
+  of the pipelined engine);
 * :class:`StreamingKmerSource` — a full
   :class:`~repro.core.indicator.IndicatorSource` over FASTA files,
   plugging straight into :class:`~repro.core.similarity.SimilarityAtScale`
@@ -103,7 +101,6 @@ def stream_sample_kmers(
     k: int,
     canonical: bool = True,
     chunk_bases: int = DEFAULT_CHUNK_BASES,
-    executor=None,
 ) -> Iterator[np.ndarray]:
     """Yield one sorted, deduplicated k-mer code batch per FASTA chunk.
 
@@ -112,26 +109,9 @@ def stream_sample_kmers(
     :func:`stream_kmer_set`.  A chunk containing no valid window (all
     bases ambiguous, or segments shorter than ``k``) yields an empty
     array rather than being skipped, so consumers can count chunks.
-
-    ``executor`` may be any object with ``submit(fn, *args)`` returning
-    a future (both runtime executors qualify); when given, the next
-    chunk's extraction runs on it while the caller processes the
-    current batch — genuine read/compute overlap for the ingestion
-    front end under a :class:`~repro.runtime.executor.ThreadedExecutor`.
     """
-    chunks = iter_sequence_chunks(iter_fasta(path), k, chunk_bases)
-    if executor is None:
-        for segments in chunks:
-            yield kmer_set(segments, k, canonical)
-        return
-    pending = None
-    for segments in chunks:
-        nxt = executor.submit(kmer_set, segments, k, canonical)
-        if pending is not None:
-            yield pending.result()
-        pending = nxt
-    if pending is not None:
-        yield pending.result()
+    for segments in iter_sequence_chunks(iter_fasta(path), k, chunk_bases):
+        yield kmer_set(segments, k, canonical)
 
 
 def stream_kmer_set(
@@ -139,7 +119,6 @@ def stream_kmer_set(
     k: int,
     canonical: bool = True,
     chunk_bases: int = DEFAULT_CHUNK_BASES,
-    executor=None,
 ) -> np.ndarray:
     """The sample's full sorted k-mer set, built by incremental merge.
 
@@ -153,7 +132,7 @@ def stream_kmer_set(
     merged = np.empty(0, dtype=np.int64)
     pending: list[np.ndarray] = []
     pending_n = 0
-    for batch in stream_sample_kmers(path, k, canonical, chunk_bases, executor):
+    for batch in stream_sample_kmers(path, k, canonical, chunk_bases):
         if not batch.size:
             continue
         pending.append(batch)
@@ -176,9 +155,6 @@ class StreamingKmerSource(SortedSampleSource):
     bounded by one chunk plus the deduplicated set) and cached, then
     row-window reads serve the engine's batches via ``searchsorted``.
     Attribute rows are the k-mer codes, so ``m = 4^k``.
-
-    ``executor`` (optional) prefetches chunk extraction during
-    assembly; see :func:`stream_sample_kmers`.
     """
 
     def __init__(
@@ -187,7 +163,6 @@ class StreamingKmerSource(SortedSampleSource):
         k: int,
         canonical: bool = True,
         chunk_bases: int = DEFAULT_CHUNK_BASES,
-        executor=None,
     ):
         self.paths = [Path(p) for p in paths]
         if not self.paths:
@@ -199,7 +174,6 @@ class StreamingKmerSource(SortedSampleSource):
         self.k = int(k)
         self.canonical = canonical
         self.chunk_bases = int(chunk_bases)
-        self.executor = executor
         self._m = kmer_space_size(self.k)
         self._cache: dict[int, np.ndarray] = {}
 
@@ -219,8 +193,7 @@ class StreamingKmerSource(SortedSampleSource):
     def _load(self, j: int) -> np.ndarray:
         if j not in self._cache:
             self._cache[j] = stream_kmer_set(
-                self.paths[j], self.k, self.canonical, self.chunk_bases,
-                self.executor,
+                self.paths[j], self.k, self.canonical, self.chunk_bases
             )
         return self._cache[j]
 

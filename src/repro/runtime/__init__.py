@@ -8,7 +8,7 @@ substrate (see DESIGN.md §2).  It provides:
   per-rank memory, cache behaviour, I/O bandwidth), with a preset mirroring
   the paper's Stampede2 KNL configuration;
 * :class:`~repro.runtime.engine.Machine` — the execution engine holding a
-  cost ledger and a local-compute executor;
+  cost ledger; ranks' local kernels run one after another, in rank order;
 * :class:`~repro.runtime.comm.Communicator` — the SPMD communication
   façade: MPI-like collectives whose *functional* result is computed
   exactly and whose *cost* is charged to the ledger under the Bulk

@@ -1,8 +1,12 @@
-"""MPI-style collectives over the simulated machine.
+"""MPI-style collectives over the simulated machine: their BSP prices.
 
-Each collective computes its *functional* result exactly (bit-identical to
-what an MPI program would produce) and returns the BSP *charge* of a
-standard implementation algorithm:
+Every collective is charged as a standard implementation algorithm.
+``bcast``, ``allreduce``, ``alltoallv`` and ``gatherv`` carry wire-codec
+frames, so this module only *prices* them (``*_charge``, on the byte
+sizes that actually travel); their one body lives in
+:class:`~repro.runtime.comm.Communicator`.  The others compute their
+*functional* result here exactly (bit-identical to what an MPI program
+would produce) and return it with their charge:
 
 ===============  ===========================  =============================
 collective       algorithm                     BSP cost (group size ``s``)
@@ -174,18 +178,6 @@ def bcast_charge(
     )
 
 
-def bcast(
-    spec: MachineSpec, group: Sequence[int], values: list, root: int
-) -> tuple[list, Charge]:
-    """Binomial-tree broadcast of ``values[root]`` to every group member."""
-    s = len(group)
-    if not 0 <= root < s:
-        raise IndexError(f"root {root} out of range for group of {s}")
-    payload = values[root]
-    charge = bcast_charge(spec, group, payload_nbytes(payload))
-    return [payload] * s, charge
-
-
 def reduce(
     spec: MachineSpec,
     group: Sequence[int],
@@ -223,7 +215,7 @@ def resolve_allreduce_algorithm(nbytes: float, algorithm: str = "auto") -> str:
     """Resolve ``"auto"`` to a concrete all-reduce algorithm by size.
 
     Callers comparing two charges of the same collective (e.g. the
-    codec path's raw-vs-encoded wire counters) must resolve once and
+    communicator's raw-vs-encoded wire counters) must resolve once and
     pass the explicit name to both, or the comparison would straddle
     the size threshold and mix algorithms.
     """
@@ -242,8 +234,8 @@ def allreduce_charge(
     """BSP charge of an all-reduce moving ``nbytes`` per member.
 
     ``combine_nbytes`` sizes the reduction arithmetic separately from
-    the wire traffic — the codec path passes the *decoded* payload size
-    there, since ranks combine decoded values while (in the model)
+    the wire traffic — the communicator passes the *decoded* payload
+    size there, since ranks combine decoded values while (in the model)
     forwarding encoded frames.
     """
     s = len(group)
@@ -288,24 +280,6 @@ def allreduce_charge(
     )
 
 
-def allreduce(
-    spec: MachineSpec,
-    group: Sequence[int],
-    values: list,
-    op: str | ReduceOp,
-    algorithm: str = "auto",
-) -> tuple[list, Charge]:
-    """All-reduce; every member receives the combined value."""
-    s = len(group)
-    fn = resolve_op(op)
-    acc = values[0]
-    for v in values[1:]:
-        acc = fn(acc, v)
-    nbytes = max((payload_nbytes(v) for v in values), default=0)
-    charge = allreduce_charge(spec, group, nbytes, algorithm)
-    return [acc] * s, charge
-
-
 def allgather(
     spec: MachineSpec, group: Sequence[int], values: list
 ) -> tuple[list, Charge]:
@@ -328,34 +302,13 @@ def allgather(
     return [gathered] * s, charge
 
 
-def alltoallv(
-    spec: MachineSpec, group: Sequence[int], chunks: list[list]
-) -> tuple[list[list], Charge]:
-    """Personalized all-to-all: ``chunks[i][j]`` goes from rank i to j.
-
-    Charged as a single BSP h-relation: ``alpha + max_i h_i * beta`` where
-    ``h_i = max(sent_i, received_i)``.
-    """
-    s = len(group)
-    if len(chunks) != s or any(len(row) != s for row in chunks):
-        raise ValueError(
-            f"alltoallv expects an {s}x{s} chunk matrix, got "
-            f"{len(chunks)}x{[len(r) for r in chunks]}"
-        )
-    sizes = [[payload_nbytes(c) for c in row] for row in chunks]
-    charge = alltoallv_charge(spec, group, sizes)
-    received = [[chunks[i][j] for i in range(s)] for j in range(s)]
-    return received, charge
-
-
 def alltoallv_charge(
     spec: MachineSpec, group: Sequence[int], sizes: Sequence[Sequence[float]]
 ) -> Charge:
     """BSP h-relation charge for an all-to-all with the given byte matrix.
 
-    ``sizes[i][j]`` is what rank ``i`` sends to rank ``j`` — the codec
-    path passes frame sizes here while the payload matrix itself holds
-    the decoded values.
+    ``sizes[i][j]`` is what rank ``i`` sends to rank ``j``: a frame's
+    size for a framed message, the payload's for a raw one.
     """
     s = len(group)
     sent = [sum(row) for row in sizes]
@@ -393,21 +346,6 @@ def gatherv_charge(
         max_rank_bytes=incoming,
         messages=s - 1,
     )
-
-
-def gatherv(
-    spec: MachineSpec, group: Sequence[int], values: list, root: int
-) -> tuple[list, Charge]:
-    """Gather all contributions at ``root``; non-roots receive ``None``."""
-    s = len(group)
-    if not 0 <= root < s:
-        raise IndexError(f"root {root} out of range for group of {s}")
-    sizes = [payload_nbytes(v) for v in values]
-    incoming = sum(sz for i, sz in enumerate(sizes) if i != root)
-    charge = gatherv_charge(spec, group, incoming)
-    results: list = [None] * s
-    results[root] = list(values)
-    return results, charge
 
 
 def scatterv(

@@ -3,10 +3,13 @@
 A :class:`Communicator` represents a group of simulated ranks, analogous
 to an ``MPI_Comm``.  Algorithms written against it look like coordinator
 code: per-rank local state lives in Python lists indexed by group-local
-rank, local kernels run through :meth:`run_local` (optionally on a thread
-pool), and data exchange goes through the collective methods, which
-produce exact functional results while charging BSP costs to the machine's
-ledger.
+rank, local kernels run through :meth:`run_local` (one rank after another,
+in rank order), and data exchange goes through the collective methods,
+which produce exact functional results while charging BSP costs to the
+machine's ledger.  A wire codec changes only what one message costs: each
+payload that crosses the wire is framed iff the codec supports it
+(:meth:`Communicator._send`), and the collective is charged once, on the
+sizes that actually travel.
 
 Example
 -------
@@ -86,7 +89,7 @@ class Communicator:
     # ---- local compute --------------------------------------------------
 
     def run_local(self, fn: Callable[..., Any], *per_rank_args: Sequence) -> list:
-        """Run ``fn(local_rank, *args_i)`` for every rank in the group.
+        """Run ``fn(local_rank, *args_i)`` for every rank, in rank order.
 
         Results are returned as a list indexed by group-local rank.  Pure
         execution — charge modelled compute separately via
@@ -94,7 +97,7 @@ class Communicator:
         """
         for args in per_rank_args:
             self._check_values(args, "run_local")
-        return self.machine.executor.map(fn, range(self.size), *per_rank_args)
+        return [fn(*args) for args in zip(range(self.size), *per_rank_args)]
 
     def charge_compute(
         self,
@@ -140,25 +143,57 @@ class Communicator:
 
     # ---- wire codec ------------------------------------------------------
 
+    @staticmethod
+    def _send(
+        codec: "WireCodec | None", value: Any
+    ) -> tuple[Any, int, "Frame | None"]:
+        """Put one message on the wire: framed iff ``codec.supports`` it.
+
+        This is the codec rule of every collective, decided per payload.
+        Returns what the receiver holds (the bit-exact decode of the
+        frame, or ``value`` itself), the bytes that travel, and the frame
+        (``None`` for a raw send).
+        """
+        if codec is None or not codec.supports(value):
+            return value, payload_nbytes(value), None
+        frame = codec.encode(value)
+        return codec.decode(frame), frame.nbytes, frame
+
     def _charge_codec(
-        self, codec_name: str, per_rank_flops: Sequence[float]
-    ) -> None:
-        """Charge encode/decode work, tallied under ``codec:<name>``."""
+        self, frames: Sequence["Frame"], per_rank_flops: Sequence[float]
+    ) -> str:
+        """Charge encode/decode work, tallied under ``codec:<name>``.
+
+        ``<name>`` is the one codec that ran on every frame, or
+        ``"mixed"``; it is returned for the caller's wire tally.
+        """
+        names = {f.codec for f in frames}
+        name = names.pop() if len(names) == 1 else "mixed"
         per_rank = [self.spec.compute_seconds(f) for f in per_rank_flops]
         self.ledger.charge_compute(
             max(per_rank, default=0.0),
             flops=sum(per_rank_flops),
             ranks=self.ranks,
             per_rank_seconds=per_rank,
-            kernel=f"codec:{codec_name}",
+            kernel=f"codec:{name}",
         )
+        return name
 
-    def _roundtrip(
-        self, codec: "WireCodec", value: Any
-    ) -> tuple["Frame", Any]:
-        """Genuinely encode + decode one payload (bit-exact by test)."""
-        frame = codec.encode(value)
-        return frame, codec.decode(frame)
+    def _record_frames(self, frames: Sequence["Frame"]) -> None:
+        """Tally point-to-point frames' raw vs. encoded bytes per codec."""
+        wire: dict[str, list[float]] = {}
+        for frame in frames:
+            tally = wire.setdefault(frame.codec, [0.0, 0.0])
+            tally[0] += frame.raw_nbytes
+            tally[1] += frame.nbytes
+        for name, (raw, enc) in wire.items():
+            self.ledger.record_wire(name, raw, enc)
+
+    def _check_root(self, root: int) -> None:
+        if not 0 <= root < self.size:
+            raise IndexError(
+                f"root {root} out of range for group of {self.size}"
+            )
 
     # ---- collectives -----------------------------------------------------
 
@@ -172,30 +207,21 @@ class Communicator:
         codec: "WireCodec | None" = None,
     ) -> list:
         vals = self._check_values(values, "bcast")
+        self._check_root(root)
         # A single-rank group's "broadcast" never touches the wire, so
         # the codec (and its flop cost) is rightly skipped.
-        if codec is not None and self.size > 1 and codec.supports(vals[root]):
-            return self._bcast_encoded(vals, root, codec)
-        out, charge = coll.bcast(self.spec, self.ranks, vals, root)
+        payload, nbytes, frame = self._send(
+            codec if self.size > 1 else None, vals[root]
+        )
+        charge = coll.bcast_charge(self.spec, self.ranks, nbytes)
         charge.apply(self.ledger, self.ranks)
-        return out
-
-    def _bcast_encoded(
-        self, vals: list, root: int, codec: "WireCodec"
-    ) -> list:
-        if not 0 <= root < self.size:
-            raise IndexError(
-                f"root {root} out of range for group of {self.size}"
-            )
-        frame, decoded = self._roundtrip(codec, vals[root])
-        enc = coll.bcast_charge(self.spec, self.ranks, frame.nbytes)
-        raw = coll.bcast_charge(self.spec, self.ranks, frame.raw_nbytes)
-        enc.apply(self.ledger, self.ranks)
-        flops = [codec.decode_flops(frame)] * self.size
-        flops[root] = codec.encode_flops(frame)
-        self._charge_codec(frame.codec, flops)
-        self.ledger.record_wire(frame.codec, raw.total_bytes, enc.total_bytes)
-        return [decoded] * self.size
+        if frame is not None:
+            flops = [codec.decode_flops(frame)] * self.size
+            flops[root] = codec.encode_flops(frame)
+            name = self._charge_codec([frame], flops)
+            raw = coll.bcast_charge(self.spec, self.ranks, frame.raw_nbytes)
+            self.ledger.record_wire(name, raw.total_bytes, charge.total_bytes)
+        return [payload] * self.size
 
     def bcast_from(
         self,
@@ -222,50 +248,38 @@ class Communicator:
         codec: "WireCodec | None" = None,
     ) -> list:
         vals = self._check_values(values, "allreduce")
-        if (
-            codec is not None
-            and self.size > 1
-            and all(codec.supports(v) for v in vals)
-        ):
-            return self._allreduce_encoded(vals, op, algorithm, codec)
-        out, charge = coll.allreduce(self.spec, self.ranks, vals, op, algorithm)
-        charge.apply(self.ledger, self.ranks)
-        return out
-
-    def _allreduce_encoded(
-        self,
-        vals: list,
-        op: str | ReduceOp,
-        algorithm: str,
-        codec: "WireCodec",
-    ) -> list:
-        pairs = [self._roundtrip(codec, v) for v in vals]
-        frames = [f for f, _ in pairs]
+        # As in bcast, a single-rank group never touches the wire.
+        wire = codec if self.size > 1 else None
+        sends = [self._send(wire, v) for v in vals]
         fn = coll.resolve_op(op)
-        acc = pairs[0][1]
-        for _, v in pairs[1:]:
+        acc = sends[0][0]
+        for v, _, _ in sends[1:]:
             acc = fn(acc, v)
-        enc_nbytes = max(f.nbytes for f in frames)
-        raw_nbytes = max(f.raw_nbytes for f in frames)
-        # Resolve "auto" once, from what actually travels (the frames):
-        # costing raw and encoded under different algorithms would make
-        # the wire counters compare algorithm shapes, not compression.
-        algorithm = coll.resolve_allreduce_algorithm(enc_nbytes, algorithm)
-        enc = coll.allreduce_charge(
-            self.spec, self.ranks, enc_nbytes, algorithm,
+        frames = [f for _, _, f in sends if f is not None]
+        nbytes = max(n for _, n, _ in sends)
+        raw_nbytes = max(payload_nbytes(v) for v in vals)
+        # Resolve "auto" once, from what actually travels: costing raw
+        # and encoded under different algorithms would make the wire
+        # counters compare algorithm shapes, not compression.  Ranks
+        # combine decoded values, so the arithmetic is sized raw.
+        algorithm = coll.resolve_allreduce_algorithm(nbytes, algorithm)
+        charge = coll.allreduce_charge(
+            self.spec, self.ranks, nbytes, algorithm,
             combine_nbytes=raw_nbytes,
         )
-        raw = coll.allreduce_charge(
-            self.spec, self.ranks, raw_nbytes, algorithm
-        )
-        enc.apply(self.ledger, self.ranks)
-        names = {f.codec for f in frames}
-        name = names.pop() if len(names) == 1 else "mixed"
-        self._charge_codec(
-            name,
-            [codec.encode_flops(f) + codec.decode_flops(f) for f in frames],
-        )
-        self.ledger.record_wire(name, raw.total_bytes, enc.total_bytes)
+        charge.apply(self.ledger, self.ranks)
+        if frames:
+            name = self._charge_codec(
+                frames,
+                [
+                    codec.encode_flops(f) + codec.decode_flops(f) if f else 0.0
+                    for _, _, f in sends
+                ],
+            )
+            raw = coll.allreduce_charge(
+                self.spec, self.ranks, raw_nbytes, algorithm
+            )
+            self.ledger.record_wire(name, raw.total_bytes, charge.total_bytes)
         return [acc] * self.size
 
     def allgather(self, values: Sequence) -> list[list]:
@@ -279,50 +293,33 @@ class Communicator:
         chunks: Sequence[Sequence],
         codec: "WireCodec | None" = None,
     ) -> list[list]:
+        """Personalized all-to-all: ``chunks[i][j]`` goes from rank i to j."""
         rows = [list(row) for row in chunks]
-        self._check_values(rows, "alltoallv")
-        if any(len(row) != self.size for row in rows):
-            raise ValueError(
-                f"alltoallv expects an {self.size}x{self.size} chunk "
-                f"matrix, got rows of {[len(r) for r in rows]}"
-            )
-        if codec is not None and all(
-            c is None or codec.supports(c) for row in rows for c in row
-        ):
-            return self._alltoallv_encoded(rows, codec)
-        out, charge = coll.alltoallv(self.spec, self.ranks, rows)
-        charge.apply(self.ledger, self.ranks)
-        return out
-
-    def _alltoallv_encoded(
-        self, rows: list[list], codec: "WireCodec"
-    ) -> list[list]:
         s = self.size
-        enc_sizes = [[0.0] * s for _ in range(s)]
-        enc_flops = [0.0] * s
-        wire: dict[str, list[float]] = {}
+        if len(rows) != s or any(len(row) != s for row in rows):
+            raise ValueError(
+                f"alltoallv expects an {s}x{s} chunk matrix, got "
+                f"{len(rows)}x{[len(r) for r in rows]}"
+            )
+        sizes = [[0] * s for _ in range(s)]
+        flops = [0.0] * s
+        frames = []
         for i in range(s):
             for j in range(s):
-                chunk = rows[i][j]
-                if i == j or chunk is None:
-                    # Self-chunks never cross the wire; keep them as-is.
-                    enc_sizes[i][j] = payload_nbytes(chunk)
-                    continue
-                frame, decoded = self._roundtrip(codec, chunk)
-                rows[i][j] = decoded
-                enc_sizes[i][j] = frame.nbytes
-                enc_flops[i] += codec.encode_flops(frame)
-                enc_flops[j] += codec.decode_flops(frame)
-                tally = wire.setdefault(frame.codec, [0.0, 0.0])
-                tally[0] += frame.raw_nbytes
-                tally[1] += frame.nbytes
-        charge = coll.alltoallv_charge(self.spec, self.ranks, enc_sizes)
-        charge.apply(self.ledger, self.ranks)
-        if any(enc_flops):
-            self._charge_codec("mixed" if len(wire) > 1 else
-                               next(iter(wire)), enc_flops)
-        for name, (raw, enc) in wire.items():
-            self.ledger.record_wire(name, raw, enc)
+                # Self-chunks never cross the wire; keep them as-is.
+                rows[i][j], sizes[i][j], frame = self._send(
+                    codec if i != j else None, rows[i][j]
+                )
+                if frame is not None:
+                    frames.append(frame)
+                    flops[i] += codec.encode_flops(frame)
+                    flops[j] += codec.decode_flops(frame)
+        coll.alltoallv_charge(self.spec, self.ranks, sizes).apply(
+            self.ledger, self.ranks
+        )
+        if frames:
+            self._charge_codec(frames, flops)
+            self._record_frames(frames)
         return [[rows[i][j] for i in range(s)] for j in range(s)]
 
     def gatherv(
@@ -331,50 +328,28 @@ class Communicator:
         root: int = 0,
         codec: "WireCodec | None" = None,
     ) -> list:
-        vals = self._check_values(values, "gatherv")
-        if codec is not None and all(
-            v is None or codec.supports(v)
-            for i, v in enumerate(vals)
-            if i != root
-        ):
-            return self._gatherv_encoded(vals, root, codec)
-        out, charge = coll.gatherv(self.spec, self.ranks, vals, root)
-        charge.apply(self.ledger, self.ranks)
-        return out
-
-    def _gatherv_encoded(
-        self, vals: list, root: int, codec: "WireCodec"
-    ) -> list:
-        if not 0 <= root < self.size:
-            raise IndexError(
-                f"root {root} out of range for group of {self.size}"
-            )
-        gathered = list(vals)
+        """Gather all contributions at ``root``; non-roots receive ``None``."""
+        gathered = self._check_values(values, "gatherv")
+        self._check_root(root)
         flops = [0.0] * self.size
-        wire: dict[str, list[float]] = {}
-        enc_incoming = raw_incoming = 0.0
-        for i, v in enumerate(vals):
-            if i == root or v is None:
-                # The root's own part (and an empty slot) never crosses
-                # the wire.
+        frames = []
+        incoming = 0
+        for i, v in enumerate(gathered):
+            if i == root:
+                # The root's own part never crosses the wire.
                 continue
-            frame, decoded = self._roundtrip(codec, v)
-            gathered[i] = decoded
-            enc_incoming += frame.nbytes
-            raw_incoming += frame.raw_nbytes
-            flops[i] += codec.encode_flops(frame)
-            flops[root] += codec.decode_flops(frame)
-            tally = wire.setdefault(frame.codec, [0.0, 0.0])
-            tally[0] += frame.raw_nbytes
-            tally[1] += frame.nbytes
-        charge = coll.gatherv_charge(self.spec, self.ranks, enc_incoming)
-        charge.apply(self.ledger, self.ranks)
-        if any(flops):
-            self._charge_codec(
-                "mixed" if len(wire) > 1 else next(iter(wire)), flops
-            )
-        for name, (raw, enc) in wire.items():
-            self.ledger.record_wire(name, raw, enc)
+            gathered[i], nbytes, frame = self._send(codec, v)
+            incoming += nbytes
+            if frame is not None:
+                frames.append(frame)
+                flops[i] += codec.encode_flops(frame)
+                flops[root] += codec.decode_flops(frame)
+        coll.gatherv_charge(self.spec, self.ranks, incoming).apply(
+            self.ledger, self.ranks
+        )
+        if frames:
+            self._charge_codec(frames, flops)
+            self._record_frames(frames)
         results: list = [None] * self.size
         results[root] = gathered
         return results

@@ -1,4 +1,4 @@
-"""The simulation engine: machine spec + cost ledger + executor.
+"""The simulation engine: machine spec + cost ledger.
 
 A :class:`Machine` owns everything mutable about one simulated run.  All
 distributed objects and algorithms hold a reference to a machine (usually
@@ -13,21 +13,15 @@ from typing import Iterator
 
 from repro.runtime.comm import Communicator
 from repro.runtime.cost import CostLedger, PhaseCost
-from repro.runtime.executor import SequentialExecutor, ThreadedExecutor
 from repro.runtime.machine import MachineSpec
 
 
 class Machine:
     """A simulated distributed-memory machine executing one program."""
 
-    def __init__(
-        self,
-        spec: MachineSpec,
-        executor: SequentialExecutor | ThreadedExecutor | None = None,
-    ):
+    def __init__(self, spec: MachineSpec):
         self.spec = spec
         self.ledger = CostLedger(n_ranks=spec.p)
-        self.executor = executor if executor is not None else SequentialExecutor()
         self._world: Communicator | None = None
 
     @property

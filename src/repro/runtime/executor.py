@@ -1,12 +1,12 @@
-"""Local-compute executors.
+"""Executors for the sharded service's band fan-out.
 
-The simulated machine runs each rank's *local* kernel as ordinary Python.
-The :class:`SequentialExecutor` runs ranks one after another (fully
-deterministic, best for debugging); the :class:`ThreadedExecutor` runs
-them on a thread pool — NumPy kernels release the GIL, so rank-local work
-genuinely overlaps, giving real wall-clock speedups for large problems
-without changing any result (kernels are pure functions of their rank's
-inputs).
+Both executors map a function over per-band inputs and return the
+results in input order.  The :class:`SequentialExecutor` runs them one
+after another (fully deterministic, the default); the
+:class:`ThreadedExecutor` runs them on a bounded thread pool — NumPy
+kernels release the GIL, so band-local work can overlap without
+changing any result.  The simulated machine itself needs neither: its
+ranks always run in rank order.
 """
 
 from __future__ import annotations
@@ -18,34 +18,20 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-class _ImmediateFuture:
-    """A completed future: `submit` result of the sequential executor."""
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        return self._value
-
-
 class SequentialExecutor:
-    """Runs per-rank kernels one at a time, in rank order."""
+    """Runs each item one at a time, in order."""
 
     def map(self, fn: Callable[..., R], *iterables: Iterable) -> list[R]:
-        # One argument list per rank: a ragged zip means a caller lost a
-        # rank's inputs somewhere, so fail loudly instead of truncating.
+        # One argument list per item: a ragged zip means a caller lost an
+        # item's inputs somewhere, so fail loudly instead of truncating.
         return [fn(*args) for args in zip(*iterables, strict=True)]
-
-    def submit(self, fn: Callable[..., R], *args) -> _ImmediateFuture:
-        """Run ``fn(*args)`` now; returns a completed future."""
-        return _ImmediateFuture(fn(*args))
 
     def shutdown(self) -> None:  # symmetry with ThreadedExecutor
         pass
 
 
 class ThreadedExecutor:
-    """Runs per-rank kernels concurrently on a bounded thread pool."""
+    """Runs items concurrently on a bounded thread pool."""
 
     def __init__(self, max_workers: int = 4):
         if max_workers <= 0:
@@ -68,14 +54,6 @@ class ThreadedExecutor:
                     f"{sorted(lengths)}"
                 )
         return list(self._pool.map(fn, *seqs))
-
-    def submit(self, fn: Callable[..., R], *args):
-        """Schedule ``fn(*args)`` on the pool; returns its future.
-
-        Used by streaming producers to prefetch the next chunk's parse
-        while the consumer works on the current one.
-        """
-        return self._pool.submit(fn, *args)
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)

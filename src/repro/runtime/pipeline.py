@@ -30,9 +30,8 @@ model**: after each overlapped pair the scheduler credits every rank
 (:meth:`~repro.runtime.cost.CostLedger.credit_overlap`), which turns
 the serial per-rank time ``prepare + accumulate`` into the pipelined
 ``max(prepare, accumulate)``.  Rank-local kernels inside either stage
-still run through the machine's executor, so a
-:class:`~repro.runtime.executor.ThreadedExecutor` additionally overlaps
-rank-local work in real wall-clock time.
+run one rank after another, as every
+:meth:`~repro.runtime.comm.Communicator.run_local` does.
 
 Only one prepared batch is in flight beyond the one being accumulated,
 so peak memory matches the serial schedule plus a single batch's packed

@@ -184,28 +184,6 @@ class ExchangeOutcome:
     total_values: int
 
 
-def _maybe(arr: np.ndarray) -> np.ndarray | None:
-    """Empty arrays travel as ``None`` so the codec path stays engaged."""
-    return arr if arr.size else None
-
-
-def _gather_arrays(
-    comm: Communicator,
-    per_rank: list[np.ndarray],
-    codec: WireCodec | None,
-) -> list[np.ndarray] | None:
-    """Gather one payload array per rank to root 0, codec-mediated."""
-    gathered = comm.gatherv(
-        [_maybe(a) for a in per_rank], root=0, codec=codec
-    )[0]
-    if gathered is None:
-        return None
-    return [
-        g if g is not None else np.empty(0, dtype=a.dtype)
-        for g, a in zip(gathered, per_rank)
-    ]
-
-
 def exchange_and_estimate(
     comm: Communicator,
     families: list[SketchFamily],
@@ -239,11 +217,10 @@ def exchange_and_estimate(
                 f"{other.seed})"
             )
     payloads = [f.payloads() for f in families]
-    gathered: dict[str, list[np.ndarray]] = {}
-    for key in payloads[0]:
-        gathered[key] = _gather_arrays(
-            comm, [p[key] for p in payloads], codec
-        )
+    gathered: dict[str, list[np.ndarray]] = {
+        key: comm.gatherv([p[key] for p in payloads], root=0, codec=codec)[0]
+        for key in payloads[0]
+    }
 
     # Global totals every rank learns (allreduce): values hashed and
     # payload bytes contributed.

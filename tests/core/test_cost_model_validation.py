@@ -6,7 +6,6 @@ on *trends* (slopes in p, z and c), which is the reproduction's core
 soundness check (DESIGN.md §5).
 """
 
-import numpy as np
 import pytest
 
 from repro import jaccard_similarity
@@ -121,20 +120,3 @@ class TestPhaseAccounting:
                 assert pc.io_seconds == 0.0, name
         assert result.cost.phases["read"].io_seconds > 0.0
 
-
-class TestExecutorEquivalence:
-    def test_threaded_executor_same_results_and_costs(self):
-        from repro.runtime import ThreadedExecutor
-
-        source = SyntheticSource(m=20_000, n=64, density=0.02, seed=23)
-        seq_machine = Machine(stampede2_knl(1, ranks_per_node=4))
-        seq = jaccard_similarity(source, machine=seq_machine)
-        with ThreadedExecutor(max_workers=4) as pool:
-            thr_machine = Machine(
-                stampede2_knl(1, ranks_per_node=4), executor=pool
-            )
-            thr = jaccard_similarity(source, machine=thr_machine)
-        assert np.array_equal(seq.similarity, thr.similarity)
-        assert seq.simulated_seconds == pytest.approx(
-            thr.simulated_seconds, rel=1e-9
-        )

@@ -14,7 +14,7 @@ from repro.genomics.stream import (
     stream_kmer_set,
     stream_sample_kmers,
 )
-from repro.runtime import Machine, ThreadedExecutor, laptop
+from repro.runtime import Machine, laptop
 from tests.helpers import exact_jaccard
 
 
@@ -123,14 +123,6 @@ class TestStreamSampleKmers:
         assert len(batches) >= 1
         assert all(b.size == 0 for b in batches)
         assert stream_kmer_set(path, 5, chunk_bases=4).size == 0
-
-    def test_threaded_prefetch_matches_sequential(self, rng, tmp_path):
-        k = 7
-        path = write_sample(tmp_path / "t.fasta", random_records(rng, 5))
-        ref = stream_kmer_set(path, k, chunk_bases=33)
-        with ThreadedExecutor(max_workers=2) as ex:
-            got = stream_kmer_set(path, k, chunk_bases=33, executor=ex)
-        assert np.array_equal(ref, got)
 
 
 class TestStreamingKmerSource:

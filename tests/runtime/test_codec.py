@@ -347,49 +347,6 @@ class TestCodecCollectives:
         assert comm.ledger.total.wire_raw_bytes == 0.0
 
 
-class TestChargeBuilders:
-    """The extracted charge builders must agree with the functional ops."""
-
-    def test_bcast_charge_matches(self):
-        spec = laptop(8)
-        payload = np.zeros(100)
-        _, charge = __import__("repro.runtime.collectives", fromlist=["x"]).bcast(
-            spec, list(range(8)), [payload] * 8, 0
-        )
-        from repro.runtime.collectives import bcast_charge
-
-        assert bcast_charge(spec, list(range(8)), payload.nbytes) == charge
-
-    def test_allreduce_charge_matches(self):
-        from repro.runtime import collectives as coll
-
-        spec = laptop(8)
-        vals = [np.zeros(100) for _ in range(8)]
-        _, charge = coll.allreduce(spec, list(range(8)), vals, "sum")
-        assert coll.allreduce_charge(
-            spec, list(range(8)), vals[0].nbytes
-        ) == charge
-
-    def test_alltoallv_charge_matches(self):
-        from repro.runtime import collectives as coll
-
-        spec = laptop(4)
-        chunks = [[np.zeros(i + j) for j in range(4)] for i in range(4)]
-        _, charge = coll.alltoallv(spec, list(range(4)), chunks)
-        sizes = [[c.nbytes for c in row] for row in chunks]
-        assert coll.alltoallv_charge(spec, list(range(4)), sizes) == charge
-
-    def test_gatherv_charge_matches(self):
-        from repro.runtime import collectives as coll
-
-        spec = laptop(4)
-        vals = [np.zeros(10) for _ in range(4)]
-        _, charge = coll.gatherv(spec, list(range(4)), vals, 0)
-        assert coll.gatherv_charge(
-            spec, list(range(4)), 3 * vals[0].nbytes
-        ) == charge
-
-
 class TestAllreduceAutoAlgorithm:
     def test_raw_and_encoded_charges_use_one_algorithm(self):
         """Straddling the 64 KiB auto threshold must not flip algorithms

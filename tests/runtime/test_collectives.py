@@ -1,4 +1,10 @@
-"""Tests for the collective operations: functional results and costs."""
+"""Tests for the collective operations: functional results and costs.
+
+``bcast``, ``allreduce``, ``alltoallv`` and ``gatherv`` have one body, in
+:class:`~repro.runtime.comm.Communicator`; their results are checked
+there, with the charge read back from the machine's ledger, and their
+prices through the ``*_charge`` builders.
+"""
 
 import math
 
@@ -7,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime import Machine
 from repro.runtime import collectives as coll
 from repro.runtime.machine import laptop, stampede2_knl
 
@@ -15,6 +22,11 @@ SPEC = laptop(32)
 
 def group(s):
     return list(range(s))
+
+
+def comm_of(s):
+    """A fresh ``s``-rank communicator on ``SPEC``; its ledger starts at 0."""
+    return Machine(SPEC).world.sub(group(s))
 
 
 class TestPayloadNbytes:
@@ -71,23 +83,26 @@ class TestResolveOp:
 
 class TestBcast:
     def test_all_ranks_receive_root_value(self):
-        out, charge = coll.bcast(SPEC, group(4), [10, 20, 30, 40], root=2)
+        comm = comm_of(4)
+        out = comm.bcast([10, 20, 30, 40], root=2)
         assert out == [30, 30, 30, 30]
-        assert charge.rounds == 2  # ceil(log2 4)
+        assert comm.ledger.total.supersteps == 2  # ceil(log2 4)
 
     def test_single_rank_free(self):
-        out, charge = coll.bcast(SPEC, group(1), ["x"], root=0)
+        comm = comm_of(1)
+        out = comm.bcast(["x"], root=0)
         assert out == ["x"]
-        assert charge.comm_seconds == 0.0
+        assert comm.ledger.total.comm_seconds == 0.0
 
     def test_bad_root(self):
         with pytest.raises(IndexError):
-            coll.bcast(SPEC, group(2), [1, 2], root=2)
+            comm_of(2).bcast([1, 2], root=2)
 
     def test_total_bytes_counts_recipients(self):
         payload = np.zeros(100, dtype=np.float64)
-        _, charge = coll.bcast(SPEC, group(8), [payload] * 8, root=0)
-        assert charge.total_bytes == 7 * payload.nbytes
+        comm = comm_of(8)
+        comm.bcast([payload] * 8, root=0)
+        assert comm.ledger.total.total_bytes == 7 * payload.nbytes
 
 
 class TestReduce:
@@ -105,31 +120,32 @@ class TestAllreduce:
     @pytest.mark.parametrize("alg", ["recursive_doubling", "rabenseifner", "ring"])
     def test_all_algorithms_agree(self, alg):
         vals = [np.arange(5) * i for i in range(6)]
-        out, _ = coll.allreduce(SPEC, group(6), vals, "sum", algorithm=alg)
+        out = comm_of(6).allreduce(vals, "sum", algorithm=alg)
         expect = np.arange(5) * 15
         for o in out:
             assert np.array_equal(o, expect)
 
     def test_max(self):
-        out, _ = coll.allreduce(SPEC, group(3), [5, 9, 2], "max")
+        out = comm_of(3).allreduce([5, 9, 2], "max")
         assert out == [9, 9, 9]
 
     def test_auto_picks_bandwidth_algorithm_for_large(self):
         big = [np.zeros(1 << 16) for _ in range(4)]
-        _, charge_auto = coll.allreduce(SPEC, group(4), big, "sum")
-        _, charge_rd = coll.allreduce(
-            SPEC, group(4), big, "sum", algorithm="recursive_doubling"
+        auto, rd = comm_of(4), comm_of(4)
+        auto.allreduce(big, "sum")
+        rd.allreduce(big, "sum", algorithm="recursive_doubling")
+        assert (
+            auto.ledger.total.comm_seconds < rd.ledger.total.comm_seconds
         )
-        assert charge_auto.comm_seconds < charge_rd.comm_seconds
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown allreduce"):
-            coll.allreduce(SPEC, group(2), [1, 2], "sum", algorithm="magic")
+            comm_of(2).allreduce([1, 2], "sum", algorithm="magic")
 
     @settings(max_examples=30)
     @given(vals=st.lists(st.integers(-100, 100), min_size=1, max_size=16))
     def test_matches_python_sum(self, vals):
-        out, _ = coll.allreduce(SPEC, group(len(vals)), vals, "sum")
+        out = comm_of(len(vals)).allreduce(vals, "sum")
         assert out[0] == sum(vals)
 
 
@@ -150,14 +166,15 @@ class TestAlltoallv:
     def test_transpose_semantics(self):
         s = 3
         chunks = [[(i, j) for j in range(s)] for i in range(s)]
-        out, _ = coll.alltoallv(SPEC, group(s), chunks)
+        out = comm_of(s).alltoallv(chunks)
         for j in range(s):
             assert out[j] == [(i, j) for i in range(s)]
 
     def test_single_superstep(self):
         chunks = [[np.zeros(4)] * 2 for _ in range(2)]
-        _, charge = coll.alltoallv(SPEC, group(2), chunks)
-        assert charge.rounds == 1
+        comm = comm_of(2)
+        comm.alltoallv(chunks)
+        assert comm.ledger.total.supersteps == 1
 
     def test_off_diagonal_bytes_only(self):
         payload = np.zeros(16, dtype=np.int64)
@@ -165,12 +182,14 @@ class TestAlltoallv:
             [payload, None],
             [None, payload],
         ]
-        _, charge = coll.alltoallv(SPEC, group(2), chunks)
-        assert charge.total_bytes == 0  # diagonal traffic stays on-rank
+        comm = comm_of(2)
+        comm.alltoallv(chunks)
+        # diagonal traffic stays on-rank
+        assert comm.ledger.total.total_bytes == 0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="chunk matrix"):
-            coll.alltoallv(SPEC, group(2), [[None]])
+            comm_of(2).alltoallv([[None]])
 
     def test_h_relation_uses_max_rank(self):
         big = np.zeros(1000)
@@ -178,13 +197,14 @@ class TestAlltoallv:
             [None, big],
             [None, None],
         ]
-        _, charge = coll.alltoallv(SPEC, group(2), chunks)
-        assert charge.max_rank_bytes == big.nbytes
+        comm = comm_of(2)
+        comm.alltoallv(chunks)
+        assert comm.ledger.total.max_rank_bytes == big.nbytes
 
 
 class TestGatherScatter:
     def test_gatherv(self):
-        out, _ = coll.gatherv(SPEC, group(3), [10, 11, 12], root=1)
+        out = comm_of(3).gatherv([10, 11, 12], root=1)
         assert out == [None, [10, 11, 12], None]
 
     def test_scatterv(self):
@@ -221,7 +241,7 @@ class TestScan:
 class TestCostModelShape:
     def test_log_rounds(self):
         for s in (2, 4, 8, 16):
-            _, charge = coll.bcast(SPEC, group(s), [1] * s, root=0)
+            charge = coll.bcast_charge(SPEC, group(s), coll.payload_nbytes(1))
             assert charge.rounds == int(math.log2(s))
 
     def test_barrier_cost(self):
@@ -233,8 +253,8 @@ class TestCostModelShape:
         payload = np.zeros(1 << 14)
         intra = list(range(4))
         inter = [0, spec.ranks_per_node]
-        _, c_intra = coll.bcast(spec, intra, [payload] * 4, root=0)
-        _, c_inter = coll.bcast(spec, inter, [payload] * 2, root=0)
+        c_intra = coll.bcast_charge(spec, intra, payload.nbytes)
+        c_inter = coll.bcast_charge(spec, inter, payload.nbytes)
         # One inter-node hop moves the same bytes more slowly than two
         # intra-node rounds.
         assert c_inter.comm_seconds > c_intra.comm_seconds / 2

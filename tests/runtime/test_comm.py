@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime import Machine, laptop
+from repro.runtime import Machine, WireCodec, laptop
 from repro.runtime.comm import Communicator
 
 
@@ -103,3 +103,68 @@ class TestCollectiveFacade:
         before = machine.simulated_seconds
         sub.allgather([1, 2])
         assert machine.simulated_seconds > before
+
+
+
+class TestCodecPerPayload:
+    """The codec frames each payload it supports, whatever its neighbours.
+
+    An empty array has nothing to frame, so it travels raw at zero
+    bytes, exactly like an empty (``None``) slot; the other messages of
+    the same collective stay framed.
+    """
+
+    @staticmethod
+    def _charged(collective, *args, **kwargs):
+        machine = Machine(laptop(4))
+        getattr(machine.world, collective)(
+            *args, codec=WireCodec("varint"), **kwargs
+        )
+        total = machine.ledger.total
+        return total.total_bytes, total.wire_encoded_bytes
+
+    def test_alltoallv_empty_chunk_is_an_empty_slot(self):
+        def charged(hole):
+            chunks = [
+                [
+                    np.arange(1000 * (i + 1) * (j + 1), dtype=np.int64) * 3
+                    for j in range(4)
+                ]
+                for i in range(4)
+            ]
+            chunks[1][2] = hole
+            return self._charged("alltoallv", chunks)
+
+        empty = charged(np.empty(0, np.int64))
+        assert empty == charged(None)
+        # Every off-diagonal message but the hole is framed; one raw
+        # empty array used to send all of them raw (512 000 B, nothing
+        # encoded).
+        assert empty == (64_264.0, 64_264.0)
+
+    def test_gatherv_empty_part_is_an_empty_slot(self):
+        def charged(hole):
+            vals = [
+                np.arange(2000 * (i + 1), dtype=np.int64) * 5
+                for i in range(4)
+            ]
+            vals[2] = hole
+            return self._charged("gatherv", vals, root=0)
+
+        empty = charged(np.empty(0, np.int64))
+        assert empty == charged(None)
+        # One raw empty part used to send every part raw (96 000 B).
+        assert empty == (12_048.0, 12_048.0)
+
+    def test_alltoallv_frames_supported_payloads_beside_unsupported(self):
+        machine = Machine(laptop(2))
+        payload = np.arange(4096, dtype=np.int64)
+        out = machine.world.alltoallv(
+            [[None, payload], [("tuple", 1), None]],
+            codec=WireCodec("varint"),
+        )
+        assert np.array_equal(out[1][0], payload)
+        assert out[0][1] == ("tuple", 1)
+        total = machine.ledger.total
+        assert total.wire_raw_bytes == payload.nbytes
+        assert 0 < total.wire_encoded_bytes < payload.nbytes

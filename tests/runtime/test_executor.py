@@ -22,12 +22,6 @@ class TestSequentialExecutor:
         with pytest.raises(ValueError):
             ex.map(lambda a, b: a + b, [1, 2, 3], [10, 20])
 
-    def test_submit_runs_immediately(self):
-        calls = []
-        future = SequentialExecutor().submit(lambda x: calls.append(x) or x, 7)
-        assert calls == [7]
-        assert future.result() == 7
-
 
 class TestThreadedExecutor:
     def test_matches_sequential(self):
@@ -58,7 +52,3 @@ class TestThreadedExecutor:
         with ThreadedExecutor(max_workers=2) as ex:
             with pytest.raises(ValueError, match="equally sized"):
                 ex.map(lambda a, b: a + b, (x for x in [1, 2, 3]), [10, 20])
-
-    def test_submit_returns_future(self):
-        with ThreadedExecutor(max_workers=2) as ex:
-            assert ex.submit(lambda a, b: a * b, 6, 7).result() == 42

@@ -7,7 +7,10 @@ over ``tests/data/smoke_fasta``:
 * ``estimator`` — the batch engine: one ``--estimator exact`` run and
   one ``--estimator minhash`` run must exit 0, write similarity
   matrices of equal shape, and agree within the analytic 95% bound the
-  sketch run prints in its cost report.
+  sketch run prints in its cost report.  A third, exact run ingests by
+  streaming (``--stream --chunk-bases 64``) and sends every collective
+  through ``--wire-codec adaptive``; its matrix must equal the first
+  run's bit for bit, and its cost report must show the wire volume.
 * ``index`` — the serving layer: ``index build`` over three samples,
   ``index add`` of the fourth, then ``index query --threshold`` of one
   sample against the four-genome index; the query's matches must agree
@@ -68,6 +71,7 @@ V1_STORES = [REPO_ROOT / "tests" / "data" / f"store_v1_{kind}" for kind in ("fla
 
 #: The bound line ``result.summary()`` prints for sketch runs.
 BOUND_RE = re.compile(r"estimated J \+/- ([0-9.]+) at 95%")
+WIRE_RE = re.compile(r"wire codec=adaptive \((raw .* on the wire)")
 
 SECTIONS = ("estimator", "index", "shard", "similarity")
 
@@ -92,6 +96,7 @@ def check_estimator(
     """Run both batch CLI modes and compare; returns a summary line."""
     exact_dir = workdir / "exact"
     sketch_dir = workdir / "minhash"
+    stream_dir = workdir / "stream"
     run_cli(
         [str(FASTA_DIR), "-o", str(exact_dir), "--tree", "none",
          "--estimator", "exact"]
@@ -100,7 +105,21 @@ def check_estimator(
         [str(FASTA_DIR), "-o", str(sketch_dir), "--tree", "none",
          "--estimator", "minhash", "--sketch-size", str(sketch_size)]
     )
+    run_cli(
+        [str(FASTA_DIR), "-o", str(stream_dir), "--tree", "none",
+         "--estimator", "exact", "--stream", "--chunk-bases", "64",
+         "--wire-codec", "adaptive"]
+    )
     exact = np.load(exact_dir / "similarity.npy")
+    if not np.array_equal(exact, np.load(stream_dir / "similarity.npy")):
+        raise SystemExit(
+            "streamed, codec-framed exact run disagrees with the exact run"
+        )
+    wire = WIRE_RE.search((stream_dir / "cost_report.txt").read_text())
+    if wire is None:
+        raise SystemExit(
+            "streamed run's cost report prints no 'wire codec=adaptive' line"
+        )
     approx = np.load(sketch_dir / "similarity.npy")
     if exact.shape != approx.shape:
         raise SystemExit(
@@ -124,7 +143,8 @@ def check_estimator(
         )
     return (
         f"cli smoke ok [estimator]: {exact.shape[0]} samples, "
-        f"max |exact - minhash| = {diff:.4f} <= printed bound {bound:.4f}"
+        f"max |exact - minhash| = {diff:.4f} <= printed bound {bound:.4f}; "
+        f"--stream --wire-codec adaptive equal to exact ({wire.group(1)})"
     )
 
 
