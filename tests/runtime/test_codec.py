@@ -347,6 +347,71 @@ class TestCodecCollectives:
         assert comm.ledger.total.wire_raw_bytes == 0.0
 
 
+class TestChargeBuilders:
+    """The charge builders must price what the communicator charges."""
+
+    @staticmethod
+    def charged(comm):
+        from repro.runtime.collectives import Charge
+
+        t = comm.ledger.total
+        return Charge(
+            rounds=t.supersteps,
+            alpha_seconds=t.alpha_seconds,
+            comm_seconds=t.comm_seconds,
+            compute_seconds=t.compute_seconds,
+            total_bytes=t.total_bytes,
+            max_rank_bytes=t.max_rank_bytes,
+            messages=t.messages,
+            flops=t.total_flops,
+        )
+
+    def test_bcast_charge_matches(self):
+        from repro.runtime.collectives import bcast_charge
+
+        spec = laptop(8)
+        payload = np.zeros(100)
+        comm = Machine(spec).world
+        comm.bcast([payload] * 8, 0)
+        assert bcast_charge(spec, list(range(8)), payload.nbytes) == (
+            self.charged(comm)
+        )
+
+    def test_allreduce_charge_matches(self):
+        from repro.runtime import collectives as coll
+
+        spec = laptop(8)
+        vals = [np.zeros(100) for _ in range(8)]
+        comm = Machine(spec).world
+        comm.allreduce(vals, "sum")
+        assert coll.allreduce_charge(
+            spec, list(range(8)), vals[0].nbytes
+        ) == self.charged(comm)
+
+    def test_alltoallv_charge_matches(self):
+        from repro.runtime import collectives as coll
+
+        spec = laptop(4)
+        chunks = [[np.zeros(i + j) for j in range(4)] for i in range(4)]
+        comm = Machine(spec).world
+        comm.alltoallv(chunks)
+        sizes = [[c.nbytes for c in row] for row in chunks]
+        assert coll.alltoallv_charge(
+            spec, list(range(4)), sizes
+        ) == self.charged(comm)
+
+    def test_gatherv_charge_matches(self):
+        from repro.runtime import collectives as coll
+
+        spec = laptop(4)
+        vals = [np.zeros(10) for _ in range(4)]
+        comm = Machine(spec).world
+        comm.gatherv(vals, 0)
+        assert coll.gatherv_charge(
+            spec, list(range(4)), 3 * vals[0].nbytes
+        ) == self.charged(comm)
+
+
 class TestAllreduceAutoAlgorithm:
     def test_raw_and_encoded_charges_use_one_algorithm(self):
         """Straddling the 64 KiB auto threshold must not flip algorithms

@@ -191,6 +191,10 @@ class TestAlltoallv:
         with pytest.raises(ValueError, match="chunk matrix"):
             comm_of(2).alltoallv([[None]])
 
+    def test_ragged_row_names_the_chunk_matrix(self):
+        with pytest.raises(ValueError, match="chunk matrix"):
+            comm_of(2).alltoallv([[None, None], [None]])
+
     def test_h_relation_uses_max_rank(self):
         big = np.zeros(1000)
         chunks = [

@@ -51,6 +51,13 @@ class TestLocalExecution:
         out = comm.run_local(lambda r, x: r + x, [10, 20])
         assert out == [10, 21]
 
+    def test_run_local_calls_ranks_in_rank_order(self, machine):
+        calls = []
+        machine.world.sub([5, 2, 7]).run_local(
+            lambda r, x: calls.append((r, x)), ["a", "b", "c"]
+        )
+        assert calls == [(0, "a"), (1, "b"), (2, "c")]
+
     def test_run_local_arg_count_mismatch(self, machine):
         with pytest.raises(ValueError, match="one value per rank"):
             machine.world.run_local(lambda r, x: x, [1, 2])
