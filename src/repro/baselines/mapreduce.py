@@ -149,7 +149,7 @@ def mapreduce_jaccard(
             comm.charge_compute(flops)
             # The allreduce-over-reducers pattern the paper criticizes:
             # every rank ends up holding the combined n x n matrix.
-            combined = comm.allreduce(partials, op="sum")[0]
+            combined = comm.allreduce(partials)[0]
         intersections += combined
         batches.append(
             BatchStats(

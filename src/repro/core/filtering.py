@@ -156,7 +156,7 @@ def _filter_transpose(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
 
     # (3) Exclusive scan over counts assigns each owner its id offset.
     counts = [int(a.size) for a in owned_rows]
-    offsets = comm.exscan(counts, op="sum", identity=0)
+    offsets = comm.exscan(counts)
     total = counts[-1] + offsets[-1] if p else 0
 
     # (4) Owners send (row -> compacted id) pairs back to requesters.

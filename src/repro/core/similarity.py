@@ -350,7 +350,7 @@ class SimilarityAtScale:
             # operand reaches rank (i, j) via a row broadcast from (i, i).
             row_parts: dict[int, np.ndarray] = {}
             for i in range(q):
-                out = grid.row_comm(i, 0).bcast_from(ahat.parts[i], root=i)
+                out = grid.row_comm(i, 0).bcast(ahat.parts[i], root=i)
                 row_parts[i] = out[0]
             sim = DistDenseMatrix(
                 grid=grid, layer=0, row_bounds=b_main.row_bounds,
@@ -452,7 +452,7 @@ class SimilarityAtScale:
                 )
                 partial = [blk.column_popcounts() for blk in blocks]
                 comm.charge_compute([float(b.words.size) for b in blocks])
-                ahat += comm.allreduce(partial, op="sum", codec=codec)[0]
+                ahat += comm.allreduce(partial, codec=codec)[0]
             prepared_meta.append(prep)
 
         timings = run_batches(

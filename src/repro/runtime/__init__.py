@@ -10,11 +10,17 @@ substrate (see DESIGN.md §2).  It provides:
 * :class:`~repro.runtime.engine.Machine` — the execution engine holding a
   cost ledger; ranks' local kernels run one after another, in rank order;
 * :class:`~repro.runtime.comm.Communicator` — the SPMD communication
-  façade: MPI-like collectives whose *functional* result is computed
-  exactly and whose *cost* is charged to the ledger under the Bulk
-  Synchronous Parallel model used by the paper's §III-C analysis;
-* :class:`~repro.runtime.topology.ProcessorGrid` — 2-D and 3-D
-  (``sqrt(p/c) x sqrt(p/c) x c``) processor grids with row/column/layer
+  façade: the collectives the paper's §III-C analysis charges (``bcast``,
+  ``allreduce`` (a sum), ``allgather``, ``alltoallv``, ``gatherv``,
+  ``exscan``), each with one body that computes its *functional* result
+  exactly and charges its *cost* to the ledger under the Bulk
+  Synchronous Parallel model;
+* :mod:`~repro.runtime.collectives` — the price list: one ``*_charge``
+  builder per collective (the allreduce algorithm is chosen by payload
+  size alone);
+* :class:`~repro.runtime.topology.ProcessorGrid` — the
+  ``sqrt(p/c) x sqrt(p/c) x c`` processor grid (shaped by
+  :func:`repro.core.batching.plan_grid`) with row/column/layer/fiber
   sub-communicators, as used by SUMMA and the 2.5D replication scheme;
 * :mod:`~repro.runtime.codec` — lossless wire-format codecs
   (delta+varint, zero-word RLE, and an adaptive per-payload policy)
@@ -40,7 +46,7 @@ from repro.runtime.engine import Machine
 from repro.runtime.executor import SequentialExecutor, ThreadedExecutor
 from repro.runtime.machine import CacheModel, MachineSpec, laptop, stampede2_knl
 from repro.runtime.pipeline import PIPELINE_MODES, StageTiming, run_batches
-from repro.runtime.topology import ProcessorGrid, choose_grid_2d, choose_grid_3d
+from repro.runtime.topology import ProcessorGrid
 
 __all__ = [
     "WIRE_CODECS",
@@ -63,6 +69,4 @@ __all__ = [
     "laptop",
     "stampede2_knl",
     "ProcessorGrid",
-    "choose_grid_2d",
-    "choose_grid_3d",
 ]

@@ -278,10 +278,6 @@ class Frame:
     def nbytes(self) -> int:
         return len(self.data)
 
-    @property
-    def body_nbytes(self) -> int:
-        return len(self.data) - HEADER_NBYTES
-
 
 def _pack_frame(
     codec: str, kind: int, dtype_code: int, flags: int,

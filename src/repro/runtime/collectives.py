@@ -1,74 +1,40 @@
-"""MPI-style collectives over the simulated machine: their BSP prices.
+"""The BSP price list of the simulated collectives.
 
-Every collective is charged as a standard implementation algorithm.
-``bcast``, ``allreduce``, ``alltoallv`` and ``gatherv`` carry wire-codec
-frames, so this module only *prices* them (``*_charge``, on the byte
-sizes that actually travel); their one body lives in
-:class:`~repro.runtime.comm.Communicator`.  The others compute their
-*functional* result here exactly (bit-identical to what an MPI program
-would produce) and return it with their charge:
+Each collective has one body, in :class:`~repro.runtime.comm.Communicator`,
+which computes its functional result exactly (bit-identical to what an MPI
+program would produce) and charges the ledger through the ``*_charge``
+builder here, on the byte sizes that actually travel.  Every collective is
+priced as a standard implementation algorithm:
 
-===============  ===========================  =============================
-collective       algorithm                     BSP cost (group size ``s``)
-===============  ===========================  =============================
-barrier          dissemination                 ``ceil(log2 s) * alpha``
-bcast            binomial tree                 ``log2 s * (alpha + n*beta)``
-reduce           binomial tree                 ``log2 s * (alpha + n*beta)`` + combine flops
-allreduce        recursive doubling            ``log2 s * (alpha + n*beta)`` + combine flops
-allreduce        Rabenseifner (large n)        ``2 log2 s * alpha + 2 n beta`` + flops
-allgather(v)     recursive doubling            ``log2 s * alpha + (S - n_i) * beta``
-alltoallv        single h-relation             ``alpha + max_i h_i * beta``
-gatherv          binomial tree                 ``log2 s * alpha + S_root * beta``
-scatterv         binomial tree                 ``log2 s * alpha + S_root * beta``
-scan / exscan    Hillis–Steele doubling        ``log2 s * (alpha + n*beta)`` + flops
-===============  ===========================  =============================
+==========  ==================================  =====================================
+collective  algorithm                           BSP cost (group size ``s``)
+==========  ==================================  =====================================
+bcast       binomial tree                       ``log2 s * (alpha + n*beta)``
+allreduce   recursive doubling (n <= 64 KiB)    ``log2 s * (alpha + n*beta)`` + flops
+allreduce   Rabenseifner (n > 64 KiB)           ``2 log2 s * alpha + 2 n beta`` + flops
+allgather   recursive doubling                  ``log2 s * alpha + (S - n_i) * beta``
+alltoallv   single h-relation                   ``alpha + max_i h_i * beta``
+gatherv     binomial tree                       ``log2 s * alpha + S_root * beta``
+exscan      Hillis–Steele doubling              ``log2 s * (alpha + n*beta)`` + flops
+==========  ==================================  =====================================
 
 where ``n`` is the per-rank payload, ``S`` the aggregate payload, and
-``h_i`` rank ``i``'s max(send, recv) traffic.  These match the collective
-cost assumptions of the paper's §III-C analysis (e.g. the prefix sum of
-the filter vector costing ``O(alpha + p*beta)``).
-
-Results that are NumPy arrays may be shared between ranks to avoid
-simulation-side copies; callers must treat collective outputs as
-read-only (copy before mutating), exactly as they would an MPI receive
-buffer handed to multiple consumers.
+``h_i`` rank ``i``'s max(send, recv) traffic.  The allreduce algorithm is
+picked by payload size alone.  These match the collective cost assumptions
+of the paper's §III-C analysis (e.g. the prefix sum of the filter vector
+costing ``O(alpha + p*beta)``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.runtime.cost import CostLedger
 from repro.runtime.machine import MachineSpec
-
-ReduceOp = Callable[[Any, Any], Any]
-
-#: Named reduction operators accepted everywhere an ``op`` is expected.
-NAMED_OPS: dict[str, ReduceOp] = {
-    "sum": lambda a, b: a + b,
-    "prod": lambda a, b: a * b,
-    "max": lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b),
-    "min": lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b),
-    "bor": lambda a, b: a | b,
-    "band": lambda a, b: a & b,
-}
-
-
-def resolve_op(op: str | ReduceOp) -> ReduceOp:
-    """Map an operator name or callable to a binary callable."""
-    if callable(op):
-        return op
-    try:
-        return NAMED_OPS[op]
-    except KeyError:
-        raise ValueError(
-            f"unknown reduce op {op!r}; expected one of {sorted(NAMED_OPS)} "
-            "or a callable"
-        ) from None
 
 
 def payload_nbytes(obj: Any) -> int:
@@ -126,16 +92,7 @@ class Charge:
     messages: int = 0
     flops: float = 0.0
 
-    @property
-    def seconds(self) -> float:
-        return self.alpha_seconds + self.comm_seconds + self.compute_seconds
-
-    def apply(
-        self,
-        ledger: CostLedger,
-        ranks: Sequence[int] | None = None,
-        phase: str | None = None,
-    ) -> None:
+    def apply(self, ledger: CostLedger, ranks: Sequence[int]) -> None:
         """Record volume stats and advance the group's clocks."""
         ledger.charge_superstep(
             alpha_seconds=self.alpha_seconds,
@@ -146,19 +103,8 @@ class Charge:
             messages=self.messages,
             total_flops=self.flops,
             rounds=self.rounds,
-            phase=phase,
             ranks=ranks,
         )
-
-
-def barrier_charge(spec: MachineSpec, group: Sequence[int]) -> Charge:
-    rounds = max(1, _log2_ceil(len(group)))
-    return Charge(
-        rounds=rounds,
-        alpha_seconds=rounds * spec.alpha,
-        comm_seconds=0.0,
-        messages=len(group) * rounds if len(group) > 1 else 0,
-    )
 
 
 def bcast_charge(
@@ -178,72 +124,39 @@ def bcast_charge(
     )
 
 
-def reduce(
-    spec: MachineSpec,
-    group: Sequence[int],
-    values: list,
-    op: str | ReduceOp,
-    root: int,
-) -> tuple[list, Charge]:
-    """Binomial-tree reduction to ``root``; non-roots receive ``None``."""
-    s = len(group)
-    if not 0 <= root < s:
-        raise IndexError(f"root {root} out of range for group of {s}")
-    fn = resolve_op(op)
-    acc = values[0]
-    for v in values[1:]:
-        acc = fn(acc, v)
-    nbytes = payload_nbytes(values[root])
-    rounds = _log2_ceil(s)
-    beta = spec.beta_for_group(group)
-    charge = Charge(
-        rounds=rounds,
-        alpha_seconds=rounds * spec.alpha,
-        comm_seconds=rounds * nbytes * beta,
-        compute_seconds=spec.compute_seconds(rounds * _combine_flops(nbytes)),
-        total_bytes=(s - 1) * nbytes,
-        max_rank_bytes=rounds * nbytes,
-        messages=s - 1,
-        flops=(s - 1) * _combine_flops(nbytes),
-    )
-    results: list = [None] * s
-    results[root] = acc
-    return results, charge
+def resolve_allreduce_algorithm(nbytes: float) -> str:
+    """The all-reduce algorithm for ``nbytes`` per member, by size alone.
 
-
-def resolve_allreduce_algorithm(nbytes: float, algorithm: str = "auto") -> str:
-    """Resolve ``"auto"`` to a concrete all-reduce algorithm by size.
-
-    Callers comparing two charges of the same collective (e.g. the
-    communicator's raw-vs-encoded wire counters) must resolve once and
-    pass the explicit name to both, or the comparison would straddle
-    the size threshold and mix algorithms.
+    Recursive doubling up to 64 KiB, Rabenseifner above.
     """
-    if algorithm == "auto":
-        return "recursive_doubling" if nbytes <= 65536 else "rabenseifner"
-    return algorithm
+    return "recursive_doubling" if nbytes <= 65536 else "rabenseifner"
 
 
 def allreduce_charge(
     spec: MachineSpec,
     group: Sequence[int],
     nbytes: float,
-    algorithm: str = "auto",
+    algorithm: str | None = None,
     combine_nbytes: float | None = None,
 ) -> Charge:
-    """BSP charge of an all-reduce moving ``nbytes`` per member.
+    """BSP charge of an all-reduce (a sum) moving ``nbytes`` per member.
 
-    ``combine_nbytes`` sizes the reduction arithmetic separately from
-    the wire traffic — the communicator passes the *decoded* payload
-    size there, since ranks combine decoded values while (in the model)
-    forwarding encoded frames.
+    ``algorithm`` defaults to the one ``nbytes`` picks.  The communicator
+    names it to price its raw wire tally on the algorithm the encoded
+    payload picked: pricing raw and encoded under different algorithms
+    would make the wire counters compare algorithm shapes, not
+    compression.  ``combine_nbytes`` sizes the reduction arithmetic
+    separately from the wire traffic — the communicator passes the
+    *decoded* payload size there, since ranks combine decoded values
+    while (in the model) forwarding encoded frames.
     """
     s = len(group)
     if combine_nbytes is None:
         combine_nbytes = nbytes
+    if algorithm is None:
+        algorithm = resolve_allreduce_algorithm(nbytes)
     log_s = _log2_ceil(s)
     beta = spec.beta_for_group(group)
-    algorithm = resolve_allreduce_algorithm(nbytes, algorithm)
     if algorithm == "recursive_doubling":
         rounds = log_s
         comm = rounds * nbytes * beta
@@ -252,14 +165,6 @@ def allreduce_charge(
     elif algorithm == "rabenseifner":
         # Reduce-scatter + allgather: each rank moves ~2*nbytes total.
         rounds = 2 * log_s
-        effective = 2.0 * nbytes * (s - 1) / s if s > 1 else 0.0
-        comm = effective * beta
-        total_bytes = s * effective
-        flops = (
-            _combine_flops(combine_nbytes) * (s - 1) / s if s > 1 else 0.0
-        )
-    elif algorithm == "ring":
-        rounds = 2 * (s - 1)
         effective = 2.0 * nbytes * (s - 1) / s if s > 1 else 0.0
         comm = effective * beta
         total_bytes = s * effective
@@ -280,17 +185,16 @@ def allreduce_charge(
     )
 
 
-def allgather(
-    spec: MachineSpec, group: Sequence[int], values: list
-) -> tuple[list, Charge]:
-    """All-gather; every member receives the list of all contributions."""
+def allgather_charge(
+    spec: MachineSpec, group: Sequence[int], sizes: Sequence[float]
+) -> Charge:
+    """BSP charge of an all-gather; ``sizes[i]`` is member ``i``'s part."""
     s = len(group)
-    sizes = [payload_nbytes(v) for v in values]
     total = sum(sizes)
     rounds = _log2_ceil(s)
     beta = spec.beta_for_group(group)
     max_recv = max((total - sz for sz in sizes), default=0)
-    charge = Charge(
+    return Charge(
         rounds=rounds,
         alpha_seconds=rounds * spec.alpha,
         comm_seconds=max_recv * beta,
@@ -298,8 +202,6 @@ def allgather(
         max_rank_bytes=max_recv,
         messages=s * max(1, rounds) if s > 1 else 0,
     )
-    gathered = list(values)
-    return [gathered] * s, charge
 
 
 def alltoallv_charge(
@@ -348,60 +250,18 @@ def gatherv_charge(
     )
 
 
-def scatterv(
-    spec: MachineSpec, group: Sequence[int], parts: list, root: int
-) -> tuple[list, Charge]:
-    """Scatter ``parts`` (held at ``root``) so member ``i`` gets ``parts[i]``."""
-    s = len(group)
-    if not 0 <= root < s:
-        raise IndexError(f"root {root} out of range for group of {s}")
-    if len(parts) != s:
-        raise ValueError(f"scatterv needs {s} parts, got {len(parts)}")
-    sizes = [payload_nbytes(v) for v in parts]
-    outgoing = sum(sz for i, sz in enumerate(sizes) if i != root)
-    rounds = _log2_ceil(s)
-    beta = spec.beta_for_group(group)
-    charge = Charge(
-        rounds=rounds,
-        alpha_seconds=rounds * spec.alpha,
-        comm_seconds=outgoing * beta,
-        total_bytes=outgoing,
-        max_rank_bytes=outgoing,
-        messages=s - 1,
-    )
-    return list(parts), charge
-
-
-def scan(
-    spec: MachineSpec,
-    group: Sequence[int],
-    values: list,
-    op: str | ReduceOp,
-    exclusive: bool = False,
-    identity: Any = None,
-) -> tuple[list, Charge]:
-    """(Ex)clusive prefix reduction across group ranks.
+def exscan_charge(
+    spec: MachineSpec, group: Sequence[int], nbytes: float
+) -> Charge:
+    """BSP charge of an exclusive prefix sum of ``nbytes`` per member.
 
     This is the collective behind the paper's filter-vector prefix sum
     (§III-C: BSP cost ``O(alpha + p*beta)``).
     """
     s = len(group)
-    fn = resolve_op(op)
-    inclusive: list = []
-    acc = None
-    for v in values:
-        acc = v if acc is None else fn(acc, v)
-        inclusive.append(acc)
-    if exclusive:
-        if identity is None and s > 0:
-            raise ValueError("exclusive scan requires an identity element")
-        results = [identity] + inclusive[:-1] if s > 0 else []
-    else:
-        results = inclusive
-    nbytes = max((payload_nbytes(v) for v in values), default=0)
     rounds = _log2_ceil(s)
     beta = spec.beta_for_group(group)
-    charge = Charge(
+    return Charge(
         rounds=rounds,
         alpha_seconds=rounds * spec.alpha,
         comm_seconds=rounds * nbytes * beta,
@@ -411,4 +271,3 @@ def scan(
         messages=s * max(1, rounds) if s > 1 else 0,
         flops=s * rounds * _combine_flops(nbytes),
     )
-    return results, charge

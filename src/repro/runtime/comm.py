@@ -4,12 +4,20 @@ A :class:`Communicator` represents a group of simulated ranks, analogous
 to an ``MPI_Comm``.  Algorithms written against it look like coordinator
 code: per-rank local state lives in Python lists indexed by group-local
 rank, local kernels run through :meth:`run_local` (one rank after another,
-in rank order), and data exchange goes through the collective methods,
-which produce exact functional results while charging BSP costs to the
-machine's ledger.  A wire codec changes only what one message costs: each
-payload that crosses the wire is framed iff the codec supports it
-(:meth:`Communicator._send`), and the collective is charged once, on the
-sizes that actually travel.
+in rank order), and data exchange goes through the collectives the
+paper's §III-C analysis charges — ``bcast``, ``allreduce`` (a sum),
+``allgather``, ``alltoallv``, ``gatherv`` and ``exscan`` (an exclusive
+prefix sum).  Each has one body here, which produces the exact functional
+result and charges the BSP price that :mod:`repro.runtime.collectives`
+lists to the machine's ledger.  A wire codec changes only what one
+message costs: each payload that crosses the wire is framed iff the codec
+supports it (:meth:`Communicator._send`), and the collective is charged
+once, on the sizes that actually travel.
+
+Results that are NumPy arrays may be shared between ranks to avoid
+simulation-side copies; callers must treat collective outputs as
+read-only (copy before mutating), exactly as they would an MPI receive
+buffer handed to multiple consumers.
 
 Example
 -------
@@ -17,8 +25,10 @@ Example
 >>> mach = Machine(laptop(4))
 >>> comm = mach.world
 >>> partials = comm.run_local(lambda rank: rank + 1)
->>> comm.allreduce(partials, op="sum")[0]
+>>> comm.allreduce(partials)[0]
 10
+>>> comm.exscan(partials)
+[0, 1, 3, 6]
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from typing import Any, Callable, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.runtime import collectives as coll
-from repro.runtime.collectives import ReduceOp, payload_nbytes
+from repro.runtime.collectives import payload_nbytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.codec import Frame, WireCodec
@@ -66,17 +76,6 @@ class Communicator:
     def sub(self, local_indices: Sequence[int]) -> "Communicator":
         """Sub-communicator from group-local indices."""
         return Communicator(self.machine, [self.ranks[i] for i in local_indices])
-
-    def split(self, colors: Sequence[int]) -> dict[int, "Communicator"]:
-        """MPI_Comm_split: one sub-communicator per distinct color."""
-        if len(colors) != self.size:
-            raise ValueError(
-                f"need one color per rank ({self.size}), got {len(colors)}"
-            )
-        groups: dict[int, list[int]] = {}
-        for i, c in enumerate(colors):
-            groups.setdefault(int(c), []).append(i)
-        return {c: self.sub(idx) for c, idx in groups.items()}
 
     def _check_values(self, values: Sequence, what: str) -> list:
         if len(values) != self.size:
@@ -197,21 +196,18 @@ class Communicator:
 
     # ---- collectives -----------------------------------------------------
 
-    def barrier(self) -> None:
-        coll.barrier_charge(self.spec, self.ranks).apply(self.ledger, self.ranks)
-
     def bcast(
         self,
-        values: Sequence,
+        value: Any,
         root: int = 0,
         codec: "WireCodec | None" = None,
     ) -> list:
-        vals = self._check_values(values, "bcast")
+        """Broadcast ``value``, held by ``root``, to every rank."""
         self._check_root(root)
         # A single-rank group's "broadcast" never touches the wire, so
         # the codec (and its flop cost) is rightly skipped.
         payload, nbytes, frame = self._send(
-            codec if self.size > 1 else None, vals[root]
+            codec if self.size > 1 else None, value
         )
         charge = coll.bcast_charge(self.spec, self.ranks, nbytes)
         charge.apply(self.ledger, self.ranks)
@@ -223,46 +219,26 @@ class Communicator:
             self.ledger.record_wire(name, raw.total_bytes, charge.total_bytes)
         return [payload] * self.size
 
-    def bcast_from(
-        self,
-        value: Any,
-        root: int = 0,
-        codec: "WireCodec | None" = None,
-    ) -> list:
-        """Broadcast a single root-held value (sugar over :meth:`bcast`)."""
-        vals: list = [None] * self.size
-        vals[root] = value
-        return self.bcast(vals, root=root, codec=codec)
-
-    def reduce(self, values: Sequence, op: str | ReduceOp, root: int = 0) -> list:
-        vals = self._check_values(values, "reduce")
-        out, charge = coll.reduce(self.spec, self.ranks, vals, op, root)
-        charge.apply(self.ledger, self.ranks)
-        return out
-
     def allreduce(
         self,
         values: Sequence,
-        op: str | ReduceOp,
-        algorithm: str = "auto",
         codec: "WireCodec | None" = None,
     ) -> list:
+        """Sum one value per rank; every rank receives the total."""
         vals = self._check_values(values, "allreduce")
         # As in bcast, a single-rank group never touches the wire.
         wire = codec if self.size > 1 else None
         sends = [self._send(wire, v) for v in vals]
-        fn = coll.resolve_op(op)
         acc = sends[0][0]
         for v, _, _ in sends[1:]:
-            acc = fn(acc, v)
+            acc = acc + v
         frames = [f for _, _, f in sends if f is not None]
         nbytes = max(n for _, n, _ in sends)
         raw_nbytes = max(payload_nbytes(v) for v in vals)
-        # Resolve "auto" once, from what actually travels: costing raw
-        # and encoded under different algorithms would make the wire
-        # counters compare algorithm shapes, not compression.  Ranks
-        # combine decoded values, so the arithmetic is sized raw.
-        algorithm = coll.resolve_allreduce_algorithm(nbytes, algorithm)
+        # The algorithm is picked once, from what actually travels, and
+        # the raw wire tally is priced on it too.  Ranks combine decoded
+        # values, so the arithmetic is sized raw.
+        algorithm = coll.resolve_allreduce_algorithm(nbytes)
         charge = coll.allreduce_charge(
             self.spec, self.ranks, nbytes, algorithm,
             combine_nbytes=raw_nbytes,
@@ -283,10 +259,12 @@ class Communicator:
         return [acc] * self.size
 
     def allgather(self, values: Sequence) -> list[list]:
+        """Every rank receives the list of all ranks' values."""
         vals = self._check_values(values, "allgather")
-        out, charge = coll.allgather(self.spec, self.ranks, vals)
-        charge.apply(self.ledger, self.ranks)
-        return out
+        coll.allgather_charge(
+            self.spec, self.ranks, [payload_nbytes(v) for v in vals]
+        ).apply(self.ledger, self.ranks)
+        return [vals] * self.size
 
     def alltoallv(
         self,
@@ -354,29 +332,19 @@ class Communicator:
         results[root] = gathered
         return results
 
-    def scatterv(self, parts: Sequence, root: int = 0) -> list:
-        out, charge = coll.scatterv(self.spec, self.ranks, list(parts), root)
-        charge.apply(self.ledger, self.ranks)
-        return out
-
-    def scan(self, values: Sequence, op: str | ReduceOp) -> list:
-        vals = self._check_values(values, "scan")
-        out, charge = coll.scan(self.spec, self.ranks, vals, op, exclusive=False)
-        charge.apply(self.ledger, self.ranks)
-        return out
-
-    def exscan(self, values: Sequence, op: str | ReduceOp, identity: Any) -> list:
+    def exscan(self, values: Sequence) -> list:
+        """Exclusive prefix sum: rank ``i`` receives the sum of the
+        values of ranks ``0 .. i-1`` (rank 0 receives ``0``)."""
         vals = self._check_values(values, "exscan")
-        out, charge = coll.scan(
-            self.spec, self.ranks, vals, op, exclusive=True, identity=identity
-        )
-        charge.apply(self.ledger, self.ranks)
+        coll.exscan_charge(
+            self.spec, self.ranks,
+            max((payload_nbytes(v) for v in vals), default=0),
+        ).apply(self.ledger, self.ranks)
+        out, acc = [], 0
+        for v in vals:
+            out.append(acc)
+            acc = acc + v
         return out
-
-    # ---- convenience -----------------------------------------------------
-
-    def payload_nbytes(self, obj: Any) -> int:
-        return payload_nbytes(obj)
 
     def __repr__(self) -> str:
         return f"Communicator(size={self.size}, machine={self.spec.name!r})"

@@ -46,10 +46,6 @@ class Machine:
     def simulated_seconds(self) -> float:
         return self.ledger.simulated_seconds
 
-    def reset_costs(self) -> None:
-        """Clear the ledger (e.g. between benchmark repetitions)."""
-        self.ledger.reset()
-
     def __repr__(self) -> str:
         return (
             f"Machine(spec={self.spec.name!r}, p={self.p}, "

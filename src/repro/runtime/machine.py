@@ -14,7 +14,7 @@ ratios, not the absolute constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,12 @@ class MachineSpec:
             )
         if min(self.alpha, self.beta_inter, self.beta_intra, self.gamma) <= 0:
             raise ValueError("alpha, beta and gamma must all be positive")
+        # The batch planner sizes batches from the memory budget and the
+        # I/O charge divides by the bandwidth: neither has a meaning at 0.
+        for name in ("memory_per_rank", "io_bandwidth_per_rank"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         # The paper's alpha >= beta >= gamma ordering is stated in abstract
         # word units; in per-byte/per-flop units the binding constraint is
         # that synchronization dominates a single transfer/operation.
@@ -112,12 +118,6 @@ class MachineSpec:
         if not 0 <= rank < self.p:
             raise IndexError(f"rank {rank} out of range for p={self.p}")
         return rank // self.ranks_per_node
-
-    def beta_between(self, rank_a: int, rank_b: int) -> float:
-        """Per-byte cost of a message between two ranks."""
-        if self.node_of(rank_a) == self.node_of(rank_b):
-            return self.beta_intra
-        return self.beta_inter
 
     def beta_for_group(self, ranks: tuple[int, ...] | list[int]) -> float:
         """Per-byte cost charged to collectives over a rank group.
@@ -140,18 +140,6 @@ class MachineSpec:
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
         return nbytes / self.io_bandwidth_per_rank
-
-    def with_nodes(self, n_nodes: int) -> "MachineSpec":
-        """Same machine scaled to a different node count."""
-        return replace(self, n_nodes=n_nodes)
-
-    def without_fast_cache(self) -> "MachineSpec":
-        """The §V-D ablation: MCDRAM used as plain storage, not as L3."""
-        return replace(
-            self,
-            cache=replace(self.cache, use_fast_cache=False),
-            name=self.name + "-no-mcdram",
-        )
 
 
 def stampede2_knl(

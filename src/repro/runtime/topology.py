@@ -5,55 +5,15 @@ processor grid (§III-C): each of the ``c`` replication layers owns a copy
 of the output and a slice of the input rows; within a layer, a 2-D SUMMA
 runs over the ``sqrt(p/c) x sqrt(p/c)`` face.  This module maps ranks to
 grid coordinates and builds the row / column / layer / fiber
-sub-communicators those algorithms need.
+sub-communicators those algorithms need.  The grid's shape is planned
+by the driver (:func:`repro.core.batching.plan_grid`), not here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.runtime.comm import Communicator
-
-
-def factor_near_square(p: int) -> tuple[int, int]:
-    """Factor ``p = a * b`` with ``a <= b`` and ``b - a`` minimal."""
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    a = int(math.isqrt(p))
-    while a > 1 and p % a != 0:
-        a -= 1
-    return a, p // a
-
-
-def choose_grid_2d(p: int) -> tuple[int, int]:
-    """A near-square 2-D grid ``(rows, cols)`` with ``rows * cols == p``."""
-    a, b = factor_near_square(p)
-    return a, b
-
-
-def choose_grid_3d(p: int, c: int | None = None, memory_words: float | None = None,
-                   n: int | None = None) -> tuple[int, int, int]:
-    """A ``(rows, cols, layers)`` grid with ``rows*cols*layers == p``.
-
-    If ``c`` is given it is clamped to the largest divisor of ``p`` not
-    exceeding it.  Otherwise, when ``memory_words`` (per-rank words ``M``)
-    and the sample count ``n`` are supplied, replication is chosen per the
-    paper's rule ``c = Theta(min(p, M p / n^2))`` — replicate the output as
-    much as memory allows; with neither given, ``c = 1``.
-    """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    if c is None:
-        if memory_words is not None and n is not None and n > 0:
-            c = max(1, min(p, int(memory_words * p / float(n) ** 2)))
-        else:
-            c = 1
-    c = max(1, min(int(c), p))
-    while p % c != 0:
-        c -= 1
-    rows, cols = choose_grid_2d(p // c)
-    return rows, cols, c
 
 
 @dataclass(frozen=True)
@@ -89,22 +49,6 @@ class ProcessorGrid:
         self.cols = cols
         self.layers = layers
         self._cache: dict[tuple, Communicator] = {}
-
-    @classmethod
-    def build_2d(cls, comm: Communicator) -> "ProcessorGrid":
-        r, c = choose_grid_2d(comm.size)
-        return cls(comm, r, c, 1)
-
-    @classmethod
-    def build_3d(
-        cls,
-        comm: Communicator,
-        c: int | None = None,
-        memory_words: float | None = None,
-        n: int | None = None,
-    ) -> "ProcessorGrid":
-        r, q, layers = choose_grid_3d(comm.size, c, memory_words, n)
-        return cls(comm, r, q, layers)
 
     # ---- rank <-> coordinates -------------------------------------------
 

@@ -43,6 +43,7 @@ equal by construction.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -132,10 +133,17 @@ def validate_request(
         raise QueryError(f"query values outside [0, {m})")
     if threshold is None and top_k is None:
         raise QueryError("pass threshold, top_k, or both")
-    if threshold is not None and not 0.0 <= threshold <= 1.0:
-        raise QueryError(f"threshold must be in [0, 1], got {threshold}")
-    if top_k is not None and top_k <= 0:
-        raise QueryError(f"top_k must be positive, got {top_k}")
+    # A bool is an int to Python; as a cutoff or a count it is a mistake.
+    if threshold is not None:
+        if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+            raise QueryError(f"threshold must be a real number, got {threshold!r}")
+        if not 0.0 <= threshold <= 1.0:
+            raise QueryError(f"threshold must be in [0, 1], got {threshold}")
+    if top_k is not None:
+        if isinstance(top_k, bool) or not isinstance(top_k, numbers.Integral):
+            raise QueryError(f"top_k must be an integer, got {top_k!r}")
+        if top_k <= 0:
+            raise QueryError(f"top_k must be positive, got {top_k}")
     return Request(vals, counts, threshold, top_k, exclude_name)
 
 

@@ -235,7 +235,6 @@ def exchange_and_estimate(
             )
             for p in payloads
         ],
-        op="sum",
         codec=codec,
     )[0]
 

@@ -77,11 +77,11 @@ def summa_gram_2d(
         # (1) column broadcasts of panel s: owner (s, t) -> column t.
         for t in range(q):
             col = grid.col_comm(t, layer)
-            col.bcast_from(matrix.block(s, t), root=s, codec=codec)
+            col.bcast(matrix.block(s, t), root=s, codec=codec)
         # (2) row broadcasts from the diagonal: (i, i) -> row i.
         for i in range(q):
             row = grid.row_comm(i, layer)
-            row.bcast_from(matrix.block(s, i), root=i, codec=codec)
+            row.bcast(matrix.block(s, i), root=i, codec=codec)
         # (3) local gram on every face rank, through the dispatched kernel,
         # accumulated straight into the rank's output block.
         flops = []
@@ -129,9 +129,7 @@ def fiber_reduce(
         for j in range(grid.cols):
             fiber = grid.fiber_comm(i, j)
             vals = [p.blocks[(i, j)] for p in partials]
-            result.blocks[(i, j)] = fiber.allreduce(
-                vals, op="sum", codec=codec
-            )[0]
+            result.blocks[(i, j)] = fiber.allreduce(vals, codec=codec)[0]
     return result
 
 
@@ -155,7 +153,7 @@ def colsums_2d(
             partials.append(res.value)
             flops.append(res.flops)
         col = grid.col_comm(t, layer)
-        out.parts[t] = col.allreduce(partials, op="sum", codec=codec)[0]
+        out.parts[t] = col.allreduce(partials, codec=codec)[0]
     grid.layer_comm(layer).charge_compute(flops)
     return out
 
@@ -181,7 +179,7 @@ def fiber_reduce_vector(
         # replicated down columns so a single fiber reduction suffices.
         fiber = grid.fiber_comm(0, t)
         vals = [p.parts[t] for p in partials]
-        result.parts[t] = fiber.allreduce(vals, op="sum", codec=codec)[0]
+        result.parts[t] = fiber.allreduce(vals, codec=codec)[0]
     return result
 
 
@@ -216,7 +214,7 @@ def gram_1d_allreduce(
         partials.append(res.value)
         flops.append(res.flops)
     comm.charge_compute(flops, kernel=kernel)
-    reduced = comm.allreduce(partials, op="sum", codec=codec)[0]
+    reduced = comm.allreduce(partials, codec=codec)[0]
     if out is None:
         return reduced
     out += reduced

@@ -152,7 +152,7 @@ class TestBitMatrixFrames:
         mat = BitMatrix.from_dense(np.eye(16), bit_width=8)
         frame = encode_frame(mat, "rle")
         assert frame.data[:4] == MAGIC
-        assert frame.nbytes == HEADER_NBYTES + frame.body_nbytes
+        assert frame.nbytes == len(frame.data) > HEADER_NBYTES
 
     def test_raw_nbytes_is_payload_size(self):
         mat = BitMatrix.from_dense(np.eye(64))
@@ -286,7 +286,7 @@ class TestCodecCollectives:
         frame = codec.encode(mat)
 
         comm = make_comm()
-        out = comm.bcast_from(mat, root=1, codec=codec)
+        out = comm.bcast(mat, root=1, codec=codec)
         assert all(np.array_equal(o.words, mat.words) for o in out)
         pc = comm.ledger.total
         assert pc.wire_encoded_bytes < pc.wire_raw_bytes
@@ -299,16 +299,16 @@ class TestCodecCollectives:
     def test_bcast_without_codec_unchanged(self):
         comm = make_comm()
         payload = np.arange(16)
-        out = comm.bcast_from(payload, root=0)
+        out = comm.bcast(payload, root=0)
         assert np.array_equal(out[2], payload)
         assert comm.ledger.total.wire_raw_bytes == 0.0
 
     def test_allreduce_matches_raw(self):
         rng = np.random.default_rng(13)
         vals = [rng.integers(0, 50, 64) for _ in range(4)]
-        expect = make_comm().allreduce(vals, op="sum")[0]
+        expect = make_comm().allreduce(vals)[0]
         comm = make_comm()
-        got = comm.allreduce(vals, op="sum", codec=WireCodec("adaptive"))[0]
+        got = comm.allreduce(vals, codec=WireCodec("adaptive"))[0]
         assert np.array_equal(got, expect)
         assert comm.ledger.total.wire_encoded_bytes > 0.0
 
@@ -342,7 +342,7 @@ class TestCodecCollectives:
 
     def test_unsupported_payload_falls_back(self):
         comm = make_comm()
-        out = comm.bcast_from(("tuple", 1), root=0, codec=WireCodec("rle"))
+        out = comm.bcast(("tuple", 1), root=0, codec=WireCodec("rle"))
         assert out[3] == ("tuple", 1)
         assert comm.ledger.total.wire_raw_bytes == 0.0
 
@@ -372,7 +372,7 @@ class TestChargeBuilders:
         spec = laptop(8)
         payload = np.zeros(100)
         comm = Machine(spec).world
-        comm.bcast([payload] * 8, 0)
+        comm.bcast(payload, 0)
         assert bcast_charge(spec, list(range(8)), payload.nbytes) == (
             self.charged(comm)
         )
@@ -383,7 +383,7 @@ class TestChargeBuilders:
         spec = laptop(8)
         vals = [np.zeros(100) for _ in range(8)]
         comm = Machine(spec).world
-        comm.allreduce(vals, "sum")
+        comm.allreduce(vals)
         assert coll.allreduce_charge(
             spec, list(range(8)), vals[0].nbytes
         ) == self.charged(comm)
@@ -411,6 +411,50 @@ class TestChargeBuilders:
             spec, list(range(4)), 3 * vals[0].nbytes
         ) == self.charged(comm)
 
+    #: Groups of 1, 3 and 8 ranks on two 4-rank nodes; the last two span
+    #: both nodes, so they are charged ``beta_inter``.
+    GROUPS = {
+        "one": [0],
+        "three-intra": [0, 1, 2],
+        "three-inter": [2, 3, 4],
+        "eight-inter": list(range(8)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_allgather_charge_matches(self, name):
+        from repro.runtime import collectives as coll
+        from repro.runtime.machine import stampede2_knl
+
+        spec = stampede2_knl(2, ranks_per_node=4)
+        comm = Machine(spec).world.sub(self.GROUPS[name])
+        vals = [np.zeros(3 * i + 1) for i in range(comm.size)]
+        comm.allgather(vals)
+        assert coll.allgather_charge(
+            spec, comm.ranks, [v.nbytes for v in vals]
+        ) == self.charged(comm)
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_exscan_charge_matches(self, name):
+        from repro.runtime import collectives as coll
+        from repro.runtime.machine import stampede2_knl
+
+        spec = stampede2_knl(2, ranks_per_node=4)
+        comm = Machine(spec).world.sub(self.GROUPS[name])
+        comm.exscan(list(range(comm.size)))
+        assert coll.exscan_charge(spec, comm.ranks, 8) == self.charged(comm)
+
+    def test_spanning_groups_charge_beta_inter(self):
+        from repro.runtime.machine import stampede2_knl
+
+        spec = stampede2_knl(2, ranks_per_node=4)
+        betas = {n: spec.beta_for_group(g) for n, g in self.GROUPS.items()}
+        assert betas == {
+            "one": spec.beta_intra,
+            "three-intra": spec.beta_intra,
+            "three-inter": spec.beta_inter,
+            "eight-inter": spec.beta_inter,
+        }
+
 
 class TestAllreduceAutoAlgorithm:
     def test_raw_and_encoded_charges_use_one_algorithm(self):
@@ -421,8 +465,8 @@ class TestAllreduceAutoAlgorithm:
         # ~128 KiB raw int64 payload that varints to well under 64 KiB.
         vals = [rng.integers(0, 100, 16_000) for _ in range(4)]
         comm = make_comm()
-        got = comm.allreduce(vals, op="sum", codec=WireCodec("adaptive"))[0]
-        assert np.array_equal(got, make_comm().allreduce(vals, "sum")[0])
+        got = comm.allreduce(vals, codec=WireCodec("adaptive"))[0]
+        assert np.array_equal(got, make_comm().allreduce(vals)[0])
         pc = comm.ledger.total
         assert pc.wire_encoded_bytes < pc.wire_raw_bytes
 
@@ -432,7 +476,7 @@ class TestAllreduceAutoAlgorithm:
         sparse = np.zeros(4096, dtype=np.int64)     # adaptive -> rle
         sparse[:3] = 7
         comm = make_comm(2)
-        comm.allreduce([dense, sparse], op="sum", codec=WireCodec("adaptive"))
+        comm.allreduce([dense, sparse], codec=WireCodec("adaptive"))
         assert "mixed" in comm.ledger.total.codec_raw_bytes
 
     def test_ragged_chunk_matrix_rejected_with_codec(self):

@@ -5,50 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.runtime import Machine, laptop
-from repro.runtime.topology import (
-    ProcessorGrid,
-    choose_grid_2d,
-    choose_grid_3d,
-    factor_near_square,
-)
-
-
-class TestFactorization:
-    @given(p=st.integers(min_value=1, max_value=4096))
-    def test_factors_multiply_back(self, p):
-        a, b = factor_near_square(p)
-        assert a * b == p
-        assert a <= b
-
-    def test_square(self):
-        assert choose_grid_2d(64) == (8, 8)
-
-    def test_prime_degenerates_to_1d(self):
-        assert choose_grid_2d(13) == (1, 13)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            choose_grid_2d(0)
-
-
-class TestChooseGrid3d:
-    def test_explicit_replication(self):
-        assert choose_grid_3d(32, c=2) == (4, 4, 2)
-
-    def test_replication_clamped_to_divisor(self):
-        rows, cols, c = choose_grid_3d(32, c=3)
-        assert rows * cols * c == 32
-        assert c <= 3
-
-    def test_default_no_replication(self):
-        assert choose_grid_3d(16) == (4, 4, 1)
-
-    def test_memory_rule(self):
-        # c = Theta(min(p, M p / n^2)): plentiful memory -> replicate.
-        rows, cols, c = choose_grid_3d(16, memory_words=1e9, n=100)
-        assert c > 1
-        # scarce memory -> no replication.
-        assert choose_grid_3d(16, memory_words=100, n=10000)[2] == 1
+from repro.runtime.topology import ProcessorGrid
 
 
 class TestProcessorGrid:
@@ -105,12 +62,3 @@ class TestProcessorGrid:
         for layer in range(4):
             seen.update(grid.layer_comm(layer).ranks)
         assert seen == set(range(24))
-
-    def test_build_2d(self):
-        grid = ProcessorGrid.build_2d(Machine(laptop(12)).world)
-        assert grid.rows * grid.cols == 12
-        assert grid.layers == 1
-
-    def test_build_3d(self):
-        grid = ProcessorGrid.build_3d(Machine(laptop(32)).world, c=2)
-        assert (grid.rows, grid.cols, grid.layers) == (4, 4, 2)

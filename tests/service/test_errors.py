@@ -306,6 +306,25 @@ BAD_QUERY_COUNTS = {
 }
 
 
+
+#: ``top_k`` must be an integer and ``threshold`` a real number.
+#: ``top_k=2.5`` used to escape from inside the cascade as NumPy's
+#: ``TypeError``, the strings as a bare ``TypeError``, and ``top_k=True``
+#: was answered as ``top_k=1``.
+BAD_QUERY_PARAMS = {
+    "float-top_k": ({"top_k": 2.5}, r"top_k must be an integer, got 2\.5"),
+    "str-top_k": ({"top_k": "2"}, r"top_k must be an integer, got '2'"),
+    "bool-top_k": ({"top_k": True}, r"top_k must be an integer, got True"),
+    "str-threshold": (
+        {"threshold": "0.5"},
+        r"threshold must be a real number, got '0\.5'",
+    ),
+    "bool-threshold": (
+        {"threshold": True},
+        r"threshold must be a real number, got True",
+    ),
+}
+
 class TestQueryValidation:
     """``validate_request`` is the query-side twin of ``validate_add``:
     the same integer check, the same message shape, ``QueryError``.  A
@@ -352,6 +371,32 @@ class TestQueryValidation:
             service.query_batch(
                 [[1, 2], BatchQuery([1, 2, 3], counts=bad)], threshold=0.1
             )
+
+    @pytest.mark.parametrize("shards", [1, 3], ids=["flat", "sharded"])
+    @pytest.mark.parametrize("case", sorted(BAD_QUERY_PARAMS))
+    def test_bad_top_k_and_threshold_rejected(self, tmp_path, shards, case):
+        params, message = BAD_QUERY_PARAMS[case]
+        service = SimilarityService.create(
+            tmp_path / "idx", m=M,
+            config=SimilarityConfig(
+                store_shards=shards, shard_band_policy="uniform"
+            ),
+        )
+        service.add([("a", [1, 2]), ("b", [2, 3, 4])])
+        with pytest.raises(QueryError, match=message):
+            service.query(values=[1, 2, 3], **params)
+        with pytest.raises(QueryError, match=message):
+            service.query_batch([[1, 2], [2, 3]], **params)
+
+    def test_numpy_top_k_and_threshold_are_still_answered(self, tmp_path):
+        service = SimilarityService.create(tmp_path / "idx", m=M)
+        service.add([("a", [1, 2]), ("b", [2, 3, 4])])
+        want = service.query(values=[1, 2, 3], threshold=0.5, top_k=1)
+        got = service.query(
+            values=[1, 2, 3], threshold=np.float32(0.5), top_k=np.int64(1)
+        )
+        assert [m.name for m in want.matches] == ["a"]
+        assert got.matches == want.matches
 
     @pytest.mark.parametrize("shards", [1, 3], ids=["flat", "sharded"])
     def test_integer_counts_are_still_answered(self, tmp_path, shards):

@@ -2,11 +2,13 @@
 
 Every fenced python block in README/docs must compile (and doctest
 blocks must pass), every relative link — markdown or ``[[wiki]]`` style
-— must resolve, and every docs/*.md page must be reachable from the
-documentation hubs (README.md or docs/architecture.md), so the docs
+— must resolve, every docs/*.md page must be reachable from the
+documentation hubs (README.md or docs/architecture.md), and every
+``>>>`` example in a ``src/repro`` docstring must pass, so the docs
 suite cannot rot or sprout orphan pages silently as the code moves.
 """
 
+import doctest
 import sys
 from pathlib import Path
 
@@ -25,6 +27,29 @@ def test_checker_covers_the_docs_suite():
     names = {p.name for p in check_docs.doc_files()}
     assert {"README.md", "architecture.md", "pipeline.md",
             "reproducing.md", "wire_format.md", "cost_model.md"} <= names
+
+
+def test_checker_runs_the_source_docstring_examples():
+    names = {t.name for t in check_docs.module_doctests()}
+    assert {
+        "repro.runtime.comm",
+        "repro.semantics.measures",
+        "repro.semantics.weighted.weighted_jaccard_pair",
+        "repro.service.lsh",
+        "repro.service.query.size_ratio_window",
+        "repro.service.plan.QueryPlan.describe",
+        "repro.core.similarity.jaccard_similarity",
+    } <= names
+
+
+def test_failing_source_docstring_example_reported(monkeypatch):
+    broken = doctest.DocTestParser().get_doctest(
+        ">>> 1 + 1\n3\n", {}, "repro.fake.example", "fake.py", 0
+    )
+    monkeypatch.setattr(check_docs, "module_doctests", lambda root: [broken])
+    errors = []
+    check_docs.check_module_doctests(errors, verbose=False)
+    assert len(errors) == 1 and "repro.fake.example" in errors[0]
 
 
 def make_repo(tmp_path, readme="", pages=None):

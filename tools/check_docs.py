@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Docs checker: keep README/docs code blocks and links from rotting.
 
-Five checks over ``README.md`` and every ``docs/*.md``:
+Five checks over ``README.md`` and every ``docs/*.md``, and a sixth over
+the source:
 
 1. **doctest** — fenced ``python`` blocks containing ``>>>`` prompts are
    executed with :mod:`doctest` (with ``src`` on the path), so every
@@ -16,7 +17,10 @@ Five checks over ``README.md`` and every ``docs/*.md``:
    an existing file (``target`` or ``target.md``);
 5. **orphans** — every ``docs/*.md`` page must be reachable from the
    documentation hubs (linked from ``README.md`` or
-   ``docs/architecture.md``), so new pages cannot land unlisted.
+   ``docs/architecture.md``), so new pages cannot land unlisted;
+6. **docstring examples** — every ``>>>`` example in a docstring of a
+   ``src/repro`` module is executed with :mod:`doctest`, so the API
+   examples in the code keep producing exactly the output they show.
 
 Run:  python tools/check_docs.py            # exit 1 on any failure
       python tools/check_docs.py --verbose  # list every check
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -171,6 +176,35 @@ def check_orphans(
             )
 
 
+def module_doctests(root: Path = REPO_ROOT) -> list[doctest.DocTest]:
+    """Every docstring example of the ``src/repro`` modules that have one."""
+    src = root / "src"
+    finder = doctest.DocTestFinder()
+    tests: list[doctest.DocTest] = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        if ">>>" not in path.read_text():
+            continue
+        name = ".".join(path.relative_to(src).with_suffix("").parts)
+        module = importlib.import_module(name.removesuffix(".__init__"))
+        tests.extend(t for t in finder.find(module) if t.examples)
+    return tests
+
+
+def check_module_doctests(
+    errors: list[str], verbose: bool, root: Path = REPO_ROOT
+) -> None:
+    runner = doctest.DocTestRunner(verbose=False)
+    for test in module_doctests(root):
+        out: list[str] = []
+        if runner.run(test, out=out.append).failed:
+            errors.append(
+                f"{test.name}: docstring example failure(s)\n" + "".join(out)
+            )
+        elif verbose:
+            print(f"  doctest ok: {test.name} "
+                  f"({len(test.examples)} example(s))")
+
+
 def run_checks(verbose: bool = False, root: Path = REPO_ROOT) -> list[str]:
     errors: list[str] = []
     for path in doc_files(root):
@@ -185,6 +219,9 @@ def run_checks(verbose: bool = False, root: Path = REPO_ROOT) -> list[str]:
         check_links(path, text, errors, verbose, root)
         check_wikilinks(path, text, errors, verbose, root)
     check_orphans(errors, verbose, root)
+    if verbose:
+        print("src/repro docstrings:")
+    check_module_doctests(errors, verbose, root)
     return errors
 
 
