@@ -7,7 +7,8 @@ buys on a fixed workload:
 * bitmask width ``b`` — storage per nonzero and kernel time (Eq. 7);
 * zero-row filtering — packed size and simulated time on hypersparse
   batches (Eq. 5-6);
-* SUMMA vs the 1-D allreduce strawman — communication volume;
+* SUMMA vs the 1-D allreduce strawman (the ``c = p`` corner with a
+  per-batch all-reduce) — communication volume;
 * replication factor ``c`` — the 2.5D communication trade-off;
 * deferred vs per-batch fiber reduction;
 * SimilarityAtScale vs the MapReduce dataflow (§I).
@@ -125,10 +126,12 @@ def test_ablation_summa_vs_1d(benchmark, emit):
         source, machine=mach_summa, batch_count=2, gather_result=False,
         replication=1,
     )
+    # The strawman: a 1 x 1 face, every rank a full B replica, and B
+    # all-reduced after every batch.
     mach_1d = Machine(laptop(16))
     one_d = jaccard_similarity(
         source, machine=mach_1d, batch_count=2, gather_result=False,
-        gram_algorithm="1d_allreduce",
+        replication=16, reduce_every_batch=True,
     )
     rows = [
         [

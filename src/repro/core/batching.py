@@ -23,6 +23,9 @@ from repro.core.config import SimilarityConfig
 from repro.runtime.machine import MachineSpec
 from repro.util.partition import block_bounds
 
+#: Share of a rank's memory the grid and batch planners budget for.
+MEMORY_FRACTION = 0.8
+
 
 @dataclass(frozen=True)
 class GridPlan:
@@ -66,7 +69,7 @@ def plan_grid(
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    memory_words = config.memory_fraction * spec.memory_per_rank / 8.0
+    memory_words = MEMORY_FRACTION * spec.memory_per_rank / 8.0
     if config.replication is not None:
         c = min(config.replication, p)
         q = int(math.isqrt(p // c))
@@ -113,7 +116,7 @@ def plan_batches(
         raise ValueError(f"m must be positive, got {m}")
     if config.batch_count is not None:
         return BatchPlan(batch_count=min(config.batch_count, m), m=m)
-    budget = config.memory_fraction * spec.memory_per_rank
+    budget = MEMORY_FRACTION * spec.memory_per_rank
     q = grid.q
     active = grid.active_ranks
     # Resident output blocks per rank: B (int64), C (int64), S (float64).

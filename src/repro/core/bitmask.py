@@ -102,35 +102,6 @@ def distribute_and_pack(
     return matrices
 
 
-def distribute_and_pack_1d(
-    comm: Communicator,
-    chunks: list[CooMatrix],
-    n_rows: int,
-    n_cols: int,
-    bit_width: int = 64,
-    codec: WireCodec | None = None,
-) -> list[BitMatrix]:
-    """1-D variant for the all-reduce strawman: full-width row slices.
-
-    Every rank receives one word-aligned row slice spanning *all*
-    columns; the Gram step then needs a full ``n x n`` all-reduce.
-    """
-    _check_chunks(comm, chunks, n_rows, n_cols, bit_width)
-    bounds = word_aligned_row_bounds(n_rows, comm.size, bit_width)
-    owners = [(lo, hi, r) for r, (lo, hi) in enumerate(bounds)]
-    word_dest = _word_table(n_rows, bit_width, comm.size, owners)
-    no_offset = np.zeros(comm.size, dtype=np.int64)
-    send = _route(chunks, word_dest, None, no_offset, bit_width)
-    comm.charge_compute([float(c.nnz) for c in chunks])
-    received = comm.alltoallv(send, codec=codec)
-    blocks = [
-        BitMatrix.from_messages(received[r], hi - lo, n_cols, bit_width, (lo, 0))
-        for r, (lo, hi) in enumerate(bounds)
-    ]
-    comm.charge_compute([float(_count(received[r])) for r in range(comm.size)])
-    return blocks
-
-
 def _check_chunks(
     comm: Communicator,
     chunks: list[CooMatrix],

@@ -15,7 +15,6 @@ from repro.sparse.dispatch import KERNEL_POLICIES
 from repro.util.bits import SUPPORTED_WIDTHS
 
 FILTER_STRATEGIES = ("allgather", "transpose", "off")
-GRAM_ALGORITHMS = ("summa", "1d_allreduce")
 
 #: Candidate-pruning depth of the service-layer query cascade
 #: (:mod:`repro.service.query`).  ``"off"`` = brute-force exact
@@ -88,16 +87,16 @@ class SimilarityConfig:
     replication:
         Output replication factor ``c`` of the 2.5D scheme.  ``None``
         applies the paper's rule ``c = Theta(min(p, M p / n^2))`` subject
-        to grid feasibility.
+        to grid feasibility.  ``c = p`` is the rule's top end: a
+        ``1 x 1`` face, every rank a full ``B`` replica.  With
+        ``reduce_every_batch=True`` that corner is the 1-D all-reduce
+        strawman the ablation bench compares SUMMA against.
     filter_strategy:
         ``"allgather"`` — replicate the filter vector on all ranks and
         prefix-sum locally (what the paper's implementation does, §IV-A);
         ``"transpose"`` — the fully distributed variant from the
         algorithm description (§III-C); ``"off"`` — skip filtering (ablation;
         every batch row, zero or not, is packed).
-    gram_algorithm:
-        ``"summa"`` — the communication-avoiding 2-D/2.5D product;
-        ``"1d_allreduce"`` — the dense-allreduce strawman (ablation).
     kernel_policy:
         How the local Gram kernel is picked per batch.  ``"adaptive"``
         (default) lets :func:`repro.sparse.dispatch.choose_kernel` route
@@ -134,7 +133,7 @@ class SimilarityConfig:
         packed lane fingerprints (Li–König), ``"hll"`` ships
         HyperLogLog union-cardinality registers.  Sketch runs route
         through :mod:`repro.sparse.sketch_exchange` and ignore
-        ``gram_algorithm``/``kernel_policy``; every estimate carries
+        ``replication``/``kernel_policy``; every estimate carries
         the analytic 95% error bound in ``result.error_bound``.
     sketch_size:
         Sketch budget per sample: bottom-``s`` size for ``minhash``,
@@ -219,7 +218,6 @@ class SimilarityConfig:
     batch_count: int | None = None
     replication: int | None = None
     filter_strategy: str = "allgather"
-    gram_algorithm: str = "summa"
     kernel_policy: str = "adaptive"
     pipeline: str = "off"
     wire_codec: str = "raw"
@@ -237,7 +235,6 @@ class SimilarityConfig:
     gather_result: bool = True
     compute_distance: bool = True
     validate: bool = False
-    memory_fraction: float = 0.8
 
     def __post_init__(self) -> None:
         if self.bit_width not in SUPPORTED_WIDTHS:
@@ -253,11 +250,6 @@ class SimilarityConfig:
             raise ValueError(
                 f"filter_strategy must be one of {FILTER_STRATEGIES}, "
                 f"got {self.filter_strategy!r}"
-            )
-        if self.gram_algorithm not in GRAM_ALGORITHMS:
-            raise ValueError(
-                f"gram_algorithm must be one of {GRAM_ALGORITHMS}, "
-                f"got {self.gram_algorithm!r}"
             )
         if self.kernel_policy not in KERNEL_POLICIES:
             raise ValueError(
@@ -316,10 +308,6 @@ class SimilarityConfig:
             raise ValueError(
                 f"shard_band_policy must be one of {SHARD_BAND_POLICIES}, "
                 f"got {self.shard_band_policy!r}"
-            )
-        if not 0.0 < self.memory_fraction <= 1.0:
-            raise ValueError(
-                f"memory_fraction must be in (0, 1], got {self.memory_fraction}"
             )
 
     # ---- canonical knob names -----------------------------------------

@@ -194,8 +194,7 @@ class SimilarityResult:
             f"grid={self.grid_q}x{self.grid_q}x{self.grid_c} "
             f"(active {self.active_ranks}/{self.p})",
             f"batches={self.batch_count} bit_width={self.config.bit_width} "
-            f"filter={self.config.filter_strategy} "
-            f"gram={self.config.gram_algorithm}",
+            f"filter={self.config.filter_strategy}",
             f"kernel policy={self.config.kernel_policy} "
             f"used={'/'.join(self.kernels_used) or '-'} "
             f"planned={self.planned_kernel or '-'}",

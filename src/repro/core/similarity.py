@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.analysis import predicted_gram_kernel
 from repro.core.batching import BatchPlan, GridPlan, plan_batches, plan_grid
-from repro.core.bitmask import distribute_and_pack, distribute_and_pack_1d
+from repro.core.bitmask import distribute_and_pack
 from repro.core.config import SimilarityConfig
 from repro.core.filtering import apply_filter
 from repro.core.indicator import IndicatorSource, SetSource
@@ -57,7 +57,6 @@ from repro.sparse.summa import (
     colsums_2d,
     fiber_reduce,
     fiber_reduce_vector,
-    gram_1d_allreduce,
     summa_gram_2d,
 )
 from repro.util.arrays import sorted_unique
@@ -68,12 +67,10 @@ from repro.util.partition import round_robin_indices
 class _PreparedBatch:
     """One batch after read/filter/pack, awaiting Gram accumulation.
 
-    ``payload`` holds the packed words — per-layer
-    :class:`~repro.sparse.distributed.DistWordMatrix` objects on the
-    SUMMA path, per-rank :class:`~repro.sparse.bitmatrix.BitMatrix`
-    blocks on the 1-D path.  The pipeline scheduler keeps at most one of
-    these in flight beyond the batch being accumulated (the double
-    buffer).
+    ``payload`` holds the packed words, one
+    :class:`~repro.sparse.distributed.DistWordMatrix` per replication
+    layer.  The pipeline scheduler keeps at most one of these in flight
+    beyond the batch being accumulated (the double buffer).
     """
 
     lo: int
@@ -147,8 +144,6 @@ class SimilarityAtScale:
         before = self.machine.ledger.snapshot()
         if self.config.estimator != "exact":
             result = self._run_sketch(source)
-        elif self.config.gram_algorithm == "1d_allreduce":
-            result = self._run_1d(source)
         else:
             result = self._run_summa(source)
         result.cost = self.machine.ledger.diff(before)
@@ -313,32 +308,6 @@ class SimilarityAtScale:
             comm.charge_compute([float(ch.nnz) for ch in chunks])
         return chunks, sum(ch.nnz for ch in chunks)
 
-    def plan_1d(self, source: IndicatorSource) -> BatchPlan:
-        """The batch plan of the 1-D layout (every rank one row slab)."""
-        return plan_batches(
-            source.m, source.n, source.nnz_estimate(), self.machine.spec,
-            self.config, GridPlan(q=1, c=self.machine.world.size),
-        )
-
-    def prepare_1d(
-        self, source: IndicatorSource, lo: int, hi: int, codec
-    ) -> tuple[list, int, int]:
-        """Read -> zero-row filter -> bit-pack one batch on the 1-D layout.
-
-        Returns ``(per-rank packed blocks, nnz, surviving rows)`` — the
-        ``prepare`` step of the 1-D all-reduce driver's batch loop.
-        """
-        machine, config, comm = self.machine, self.config, self.machine.world
-        chunks, nnz = self._read_batch(comm, source, lo, hi)
-        with machine.phase("filter"):
-            filt = apply_filter(comm, chunks, config.filter_strategy)
-        with machine.phase("pack"):
-            blocks = distribute_and_pack_1d(
-                comm, filt.chunks, filt.n_nonzero_rows, source.n,
-                config.bit_width, codec=codec,
-            )
-        return blocks, nnz, filt.n_nonzero_rows
-
     def _derive_similarity(
         self, grid: ProcessorGrid, b_main: DistDenseMatrix, ahat: DistVector
     ) -> tuple[DistDenseMatrix, DistDenseMatrix | None]:
@@ -422,83 +391,26 @@ class SimilarityAtScale:
             out[lo:hi] = part
         return out
 
-    # ---- 1-D all-reduce strawman ----------------------------------------------
-
-    def _run_1d(self, source: IndicatorSource) -> SimilarityResult:
-        machine, config = self.machine, self.config
-        codec = resolve_wire_codec(config.wire_codec)
-        n, m = source.n, source.m
-        comm = machine.world
-        batch_plan = self.plan_1d(source)
-        b_total = np.zeros((n, n), dtype=np.int64)
-        ahat = np.zeros(n, dtype=np.int64)
-        bounds = batch_plan.bounds
-        prepared_meta: list[_PreparedBatch] = []
-
-        def prepare(idx: int) -> _PreparedBatch:
-            lo, hi = bounds[idx]
-            blocks, nnz, kept = self.prepare_1d(source, lo, hi, codec)
-            return _PreparedBatch(
-                lo, hi, nnz, kept, self._dispatch(n, nnz, kept), blocks
-            )
-
-        def accumulate(idx: int, prep: _PreparedBatch) -> None:
-            nonlocal ahat
-            blocks = prep.payload
-            with machine.phase("spgemm"):
-                gram_1d_allreduce(
-                    comm, blocks, kernel=prep.decision.kernel, codec=codec,
-                    out=b_total,
-                )
-                partial = [blk.column_popcounts() for blk in blocks]
-                comm.charge_compute([float(b.words.size) for b in blocks])
-                ahat += comm.allreduce(partial, codec=codec)[0]
-            prepared_meta.append(prep)
-
-        timings = run_batches(
-            machine, len(bounds), prepare, accumulate, mode=config.pipeline
-        )
-        batches = _batch_stats(
-            prepared_meta, timings, config.wire_codec, config.estimator
-        )
-        with machine.phase("similarity"):
-            unions = ahat[:, None] + ahat[None, :] - b_total
-            sim = np.where(
-                unions == 0, 1.0, b_total / np.where(unions == 0, 1, unions)
-            )
-            comm.charge_compute(4.0 * sim.size)
-        result = SimilarityResult(
-            n=n, m=m, config=config, machine_name=machine.spec.name,
-            p=machine.p, grid_q=1, grid_c=comm.size, cost=machine.ledger,
-            batches=batches,
-            planned_kernel=self._plan_kernel(source, batch_plan),
-            pipeline_mode=config.pipeline,
-        )
-        if config.gather_result:
-            result.similarity = sim
-            result.intersections = b_total
-            result.sample_sizes = ahat
-            if config.compute_distance:
-                result.distance = 1.0 - sim
-        return result
-
     # ---- sketch estimation path ------------------------------------------------
 
     def _run_sketch(self, source: IndicatorSource) -> SimilarityResult:
         """Sketch-based estimation (``config.estimator != "exact"``).
 
-        Streams the same batched reads as the exact drivers, but folds
+        Streams the same batched reads as the exact driver, but folds
         each rank's coordinates into per-sample sketches instead of
         packed Gram tiles; the all-pairs estimation happens after a
         codec-mediated sketch gather (see
-        :mod:`repro.sparse.sketch_exchange`).  ``gram_algorithm`` and
-        ``kernel_policy`` are ignored on this path.
+        :mod:`repro.sparse.sketch_exchange`).  ``kernel_policy`` and
+        ``replication`` are ignored on this path.
         """
         machine, config = self.machine, self.config
         codec = resolve_wire_codec(config.wire_codec)
         n, m = source.n, source.m
         comm = machine.world
-        batch_plan = self.plan_1d(source)
+        batch_plan = plan_batches(
+            m, n, source.nnz_estimate(), machine.spec, config,
+            GridPlan(q=1, c=comm.size),
+        )
         families = [
             SketchFamily(
                 estimator=config.estimator,

@@ -311,24 +311,30 @@ def build_index_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _index_tool(args: argparse.Namespace, **config_overrides) -> GenomeAtScale:
-    if args.machine == "stampede2":
-        spec = stampede2_knl(args.nodes)
-    else:
-        spec = laptop(args.ranks)
-    if "similarity" not in config_overrides:
-        config_overrides["similarity"] = getattr(
-            args, "similarity", "jaccard"
+def _build_tool(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, **config_overrides
+) -> GenomeAtScale:
+    """The machine, config and pipeline the parsed flags describe.
+
+    A value the library rejects (``--batches 0``, ``-k 4``, ...) is a
+    usage error: one ``error:`` line and exit status 2, no traceback.
+    """
+    try:
+        if args.machine == "stampede2":
+            spec = stampede2_knl(args.nodes)
+        else:
+            spec = laptop(args.ranks)
+        return GenomeAtScale(
+            machine=Machine(spec), config=SimilarityConfig(**config_overrides),
+            k=args.k, min_count=args.min_count,
         )
-    config = SimilarityConfig(**config_overrides)
-    return GenomeAtScale(
-        machine=Machine(spec), config=config, k=args.k,
-        min_count=args.min_count,
-    )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def index_main(argv: list[str]) -> int:
-    args = build_index_parser().parse_args(argv)
+    parser = build_index_parser()
+    args = parser.parse_args(argv)
     inputs = getattr(args, "inputs", None)
     fasta_paths = collect_inputs(inputs) if inputs else []
     if args.command == "migrate":
@@ -352,8 +358,8 @@ def index_main(argv: list[str]) -> int:
         )
         return 0
     if args.command == "build":
-        tool = _index_tool(
-            args, wire_codec=args.wire_codec,
+        tool = _build_tool(
+            parser, args, similarity=args.similarity, wire_codec=args.wire_codec,
             sketch_size=args.sketch_size, sketch_bits=args.sketch_bits,
             store_shards=args.shards, shard_band_policy=args.band_policy,
         )
@@ -364,7 +370,7 @@ def index_main(argv: list[str]) -> int:
     if args.command == "add":
         from repro.service import open_store
 
-        tool = _index_tool(args)
+        tool = _build_tool(parser, args, similarity=args.similarity)
         added = [entry.name for entry in tool.extend_index(args.index, fasta_paths)]
         print(
             f"added {len(added)} sample(s) ({', '.join(added)}): index now "
@@ -374,8 +380,9 @@ def index_main(argv: list[str]) -> int:
     # query
     if args.threshold is None and args.top_k is None:
         raise SystemExit("index query requires --threshold and/or --top-k")
-    tool = _index_tool(
-        args, query_prefilter=args.query_prefilter, estimator=args.estimator,
+    tool = _build_tool(
+        parser, args, similarity=args.similarity,
+        query_prefilter=args.query_prefilter, estimator=args.estimator,
         query_candidates=args.query_candidates,
     )
     if args.batch_file is not None:
@@ -508,21 +515,16 @@ def main(argv: list[str] | None = None) -> int:
         or argv[1] in ("build", "add", "query", "shard", "migrate", "-h", "--help")
     ):
         return index_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.chunk_bases is not None and args.chunk_bases <= 0:
+        parser.error(f"chunk_bases must be positive, got {args.chunk_bases}")
     fasta_paths = collect_inputs(args.inputs)
-    if args.machine == "stampede2":
-        spec = stampede2_knl(args.nodes)
-    else:
-        spec = laptop(args.ranks)
-    machine = Machine(spec)
-    config = SimilarityConfig(
-        batch_count=args.batches, bit_width=args.bit_width,
+    tool = _build_tool(
+        parser, args, batch_count=args.batches, bit_width=args.bit_width,
         kernel_policy=args.kernel_policy, pipeline=args.pipeline,
         wire_codec=args.wire_codec, estimator=args.estimator,
         sketch_size=args.sketch_size, sketch_bits=args.sketch_bits,
-    )
-    tool = GenomeAtScale(
-        machine=machine, config=config, k=args.k, min_count=args.min_count
     )
     args.output.mkdir(parents=True, exist_ok=True)
     if args.stream:

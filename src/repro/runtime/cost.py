@@ -438,14 +438,6 @@ class CostLedger:
                 "overlap_credited": self.overlap_credited_seconds,
             }
 
-    def reset(self) -> None:
-        with self._lock:
-            self.phases.clear()
-            self.overlap_credited_seconds = 0.0
-            if self._clocks is not None:
-                self._clocks[:] = 0.0
-            self._makespan_override = None
-
     def diff(self, before: dict) -> "CostLedger":
         """A ledger holding only the charges accrued since ``before``."""
         prev_phases: dict[str, PhaseCost] = before.get("phases", {})

@@ -3,26 +3,15 @@
 SimilarityAtScale computes ``B = A^T A`` on a ``sqrt(p/c) x sqrt(p/c) x c``
 processor grid (§III-C): each of the ``c`` replication layers owns a copy
 of the output and a slice of the input rows; within a layer, a 2-D SUMMA
-runs over the ``sqrt(p/c) x sqrt(p/c)`` face.  This module maps ranks to
-grid coordinates and builds the row / column / layer / fiber
+runs over the ``sqrt(p/c) x sqrt(p/c)`` face.  This module maps grid
+coordinates to ranks and builds the row / column / layer / fiber
 sub-communicators those algorithms need.  The grid's shape is planned
 by the driver (:func:`repro.core.batching.plan_grid`), not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.runtime.comm import Communicator
-
-
-@dataclass(frozen=True)
-class GridCoords:
-    """Coordinates of one rank on a 3-D processor grid."""
-
-    row: int
-    col: int
-    layer: int
 
 
 class ProcessorGrid:
@@ -50,15 +39,7 @@ class ProcessorGrid:
         self.layers = layers
         self._cache: dict[tuple, Communicator] = {}
 
-    # ---- rank <-> coordinates -------------------------------------------
-
-    def coords(self, local_rank: int) -> GridCoords:
-        if not 0 <= local_rank < self.comm.size:
-            raise IndexError(f"rank {local_rank} out of range")
-        face = self.rows * self.cols
-        layer, rem = divmod(local_rank, face)
-        row, col = divmod(rem, self.cols)
-        return GridCoords(row=row, col=col, layer=layer)
+    # ---- coordinates -> rank -------------------------------------------
 
     def local_rank(self, row: int, col: int, layer: int = 0) -> int:
         if not (0 <= row < self.rows and 0 <= col < self.cols and 0 <= layer < self.layers):

@@ -8,11 +8,8 @@ and compare the resulting multisets.  For integer abundance vectors
 
     ``J_w(a, b) = sum_v min(a_v, b_v) / sum_v max(a_v, b_v)``
 
-— the min/max-over-counts accumulation, expressed here through the
-``(+, min)`` / ``(+, max)`` semirings of :mod:`repro.sparse.semiring`
-(:data:`~repro.sparse.semiring.SUM_MIN`,
-:data:`~repro.sparse.semiring.SUM_MAX`) applied to the aligned counts of
-the shared support.  On multiplicity-free inputs (every count 1) the
+— the min/max-over-counts accumulation: elementwise ``np.minimum`` /
+``np.maximum`` of the aligned counts of the shared support, summed.  On multiplicity-free inputs (every count 1) the
 min is the set intersection and the max the set union, so ``J_w``
 degenerates exactly to the unweighted Jaccard — the regression pinned in
 ``tests/semantics/``.
@@ -25,8 +22,6 @@ and 0.0 when exactly one side is empty.
 from __future__ import annotations
 
 import numpy as np
-
-from repro.sparse.semiring import SUM_MAX, SUM_MIN
 
 __all__ = [
     "coerce_counts",
@@ -80,9 +75,9 @@ def intersection_union_mass(
     """``(sum min, sum max)`` of two normalized abundance vectors.
 
     Inputs must be in the :func:`coerce_counts` normal form.  The shared
-    support contributes through the ``(+, min)`` / ``(+, max)``
-    semirings; values exclusive to one side contribute their full count
-    to the union mass only.
+    support contributes the elementwise min / max of its counts; values
+    exclusive to one side contribute their full count to the union mass
+    only.
 
     >>> a_vals, a_cnt = coerce_counts([1, 2, 3], [2, 1, 4])
     >>> b_vals, b_cnt = coerce_counts([2, 3, 9], [5, 1, 1])
@@ -93,10 +88,8 @@ def intersection_union_mass(
         a_vals, b_vals, assume_unique=True, return_indices=True
     )
     if common.size:
-        # The semirings' vectorized multiply (elementwise min / max)
-        # accumulated under their shared SUM monoid.
-        inter = int(SUM_MIN.multiply(a_counts[ia], b_counts[ib]).sum())
-        shared_union = int(SUM_MAX.multiply(a_counts[ia], b_counts[ib]).sum())
+        inter = int(np.minimum(a_counts[ia], b_counts[ib]).sum())
+        shared_union = int(np.maximum(a_counts[ia], b_counts[ib]).sum())
     else:
         inter = shared_union = 0
     a_only = total_mass(a_counts) - (int(a_counts[ia].sum()) if common.size else 0)

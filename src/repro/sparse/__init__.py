@@ -5,9 +5,6 @@ writes with algebraic accumulation, (b) semiring sparse-matrix products
 with dense output (the popcount kernel of Eq. 7), and (c) processor-grid
 data distribution.  This package re-implements that subset:
 
-* :mod:`~repro.sparse.semiring` — monoid/semiring abstraction, including
-  the ``(max, x)`` structure used for the filter vector and the
-  popcount-AND structure used for the compressed product;
 * :mod:`~repro.sparse.coo` — a minimal boolean / integer coordinate
   format tailored to hypersparse indicator matrices;
 * :mod:`~repro.sparse.bitmatrix` — the b-bit packed column-block format
@@ -37,13 +34,6 @@ from repro.sparse.dispatch import (
     predict_kernel_ops,
     resolve_kernel,
 )
-from repro.sparse.semiring import (
-    ARITHMETIC,
-    BOOLEAN,
-    MAX_TIMES,
-    POPCOUNT_AND,
-    Semiring,
-)
 from repro.sparse.sketch_exchange import (
     ExchangeOutcome,
     SketchFamily,
@@ -59,11 +49,6 @@ from repro.sparse.spgemm import (
 __all__ = [
     "BitMatrix",
     "CooMatrix",
-    "Semiring",
-    "ARITHMETIC",
-    "BOOLEAN",
-    "MAX_TIMES",
-    "POPCOUNT_AND",
     "DispatchDecision",
     "GRAM_KERNELS",
     "KERNEL_POLICIES",

@@ -68,10 +68,6 @@ class DistWordMatrix:
     def nnz(self) -> int:
         return sum(b.nnz for b in self.blocks.values())
 
-    @property
-    def nbytes_per_rank(self) -> dict[tuple[int, int], int]:
-        return {k: b.nbytes for k, b in self.blocks.items()}
-
     def block(self, s: int, t: int) -> BitMatrix:
         return self.blocks[(s, t)]
 

@@ -22,20 +22,19 @@ dimension, giving the ``O(z / sqrt(cp))`` per-rank communication volume
 of the paper's analysis (with the ``c n^2 / p``-sized fiber reduction
 when ``c > 1``).
 
-A 1-D all-reduce variant (:func:`gram_1d_allreduce`) is also provided:
-it is the communication-*inefficient* strategy (every rank reduces the
-full ``n x n``) that MapReduce-style implementations effectively perform,
-used as the ablation baseline.
+The communication-*inefficient* 1-D all-reduce strategy that
+MapReduce-style implementations effectively perform (every rank reduces
+the full ``n x n``) is the ``c = p`` corner of the same scheme: a
+``1 x 1`` face, so each rank holds a full ``B`` replica and every layer
+takes ``1/p`` of the batch rows.  The ablation baseline runs it as
+``SimilarityConfig(replication=p, reduce_every_batch=True)``, which
+all-reduces ``B`` across the fibers after every batch.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.runtime.codec import WireCodec
-from repro.runtime.comm import Communicator
 from repro.runtime.topology import ProcessorGrid
-from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.dispatch import resolve_kernel
 from repro.sparse.distributed import DistDenseMatrix, DistVector, DistWordMatrix
 from repro.sparse.spgemm import colsum_bitpacked
@@ -181,41 +180,3 @@ def fiber_reduce_vector(
         vals = [p.parts[t] for p in partials]
         result.parts[t] = fiber.allreduce(vals, codec=codec)[0]
     return result
-
-
-def gram_1d_allreduce(
-    comm: Communicator,
-    local_blocks: list[BitMatrix],
-    kernel: str = "bitpacked",
-    codec: WireCodec | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Communication-inefficient baseline: local grams + full allreduce.
-
-    Every rank computes a full ``n x n`` Gram of its word-row slice and
-    participates in an ``n^2``-sized all-reduce — the allreduce-over-
-    reducers pattern (§I) whose communication volume does not shrink with
-    ``sqrt(p)``.  Functionally identical to SUMMA; the local Gram runs
-    through the named dispatch kernel.  The reduced Gram is returned, or
-    added into ``out`` (the caller's running ``B``) and ``out`` returned.
-    """
-    if len(local_blocks) != comm.size:
-        raise ValueError(
-            f"need one block per rank ({comm.size}), got {len(local_blocks)}"
-        )
-    kernel_fn = resolve_kernel(kernel)
-    n = local_blocks[0].n_cols
-    partials = []
-    flops = []
-    for blk in local_blocks:
-        if blk.n_cols != n:
-            raise ValueError("all blocks must span the full column range")
-        res = kernel_fn(blk)
-        partials.append(res.value)
-        flops.append(res.flops)
-    comm.charge_compute(flops, kernel=kernel)
-    reduced = comm.allreduce(partials, codec=codec)[0]
-    if out is None:
-        return reduced
-    out += reduced
-    return out

@@ -29,16 +29,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="filter_strategy"):
             SimilarityConfig(filter_strategy="magic")
 
-    def test_bad_gram_algorithm(self):
-        with pytest.raises(ValueError, match="gram_algorithm"):
-            SimilarityConfig(gram_algorithm="cannon")
-
-    def test_bad_memory_fraction(self):
-        with pytest.raises(ValueError, match="memory_fraction"):
-            SimilarityConfig(memory_fraction=0.0)
-        with pytest.raises(ValueError, match="memory_fraction"):
-            SimilarityConfig(memory_fraction=1.5)
-
     def test_frozen(self):
         cfg = SimilarityConfig()
         with pytest.raises(AttributeError):
@@ -123,7 +113,12 @@ class TestKnobNamespace:
         for gone in ("query.batch_size", "query.max_wait"):
             with pytest.raises(ValueError, match="unknown config knob"):
                 SimilarityConfig.from_dict({gone: 1})
-        assert len(dataclasses.fields(SimilarityConfig)) == 23
+        # The 1-D strawman is replication=p, reduce_every_batch=True, and
+        # the planners' memory share is batching.MEMORY_FRACTION.
+        for gone in ("gram_algorithm", "memory_fraction"):
+            with pytest.raises(ValueError, match="unknown config knob"):
+                SimilarityConfig.from_dict({gone: 1})
+        assert len(dataclasses.fields(SimilarityConfig)) == 21
 
     def test_shard_knob_validation(self):
         with pytest.raises(ValueError, match="store_shards"):

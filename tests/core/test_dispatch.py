@@ -353,7 +353,7 @@ class TestDriverDispatch:
         result = jaccard_similarity(
             source, machine=Machine(laptop(4)),
             config=SimilarityConfig(
-                gram_algorithm="1d_allreduce", batch_count=2,
+                replication=4, reduce_every_batch=True, batch_count=2,
                 gather_result=False,
             ),
         )

@@ -65,11 +65,14 @@ class TestCorrectness:
         assert np.allclose(result.similarity, exact_jaccard(sample_sets))
 
     def test_1d_allreduce_path(self, sample_sets):
+        # replication = p: a 1 x 1 face, B all-reduced after every batch.
         result = jaccard_similarity(
             sample_sets,
             machine=Machine(laptop(4)),
-            gram_algorithm="1d_allreduce",
+            replication=4,
+            reduce_every_batch=True,
         )
+        assert (result.grid_q, result.grid_c) == (1, 4)
         assert np.allclose(result.similarity, exact_jaccard(sample_sets))
 
     def test_distance_is_one_minus_similarity(self, sample_sets):
@@ -103,13 +106,17 @@ class TestCorrectness:
 
 
 class TestPipelinedSchedule:
-    @pytest.mark.parametrize("gram", ["summa", "1d_allreduce"])
-    def test_bit_exact_with_serial(self, sample_sets, gram):
+    @pytest.mark.parametrize(
+        "layout",
+        [{}, {"replication": 4, "reduce_every_batch": True}],
+        ids=["summa", "1d_allreduce"],
+    )
+    def test_bit_exact_with_serial(self, sample_sets, layout):
         results = {}
         for mode in ("off", "double_buffer"):
             results[mode] = jaccard_similarity(
                 sample_sets, machine=Machine(laptop(4)), batch_count=5,
-                gram_algorithm=gram, pipeline=mode,
+                pipeline=mode, **layout,
             )
         a, b = results["off"], results["double_buffer"]
         assert np.array_equal(a.similarity, b.similarity)
@@ -253,7 +260,8 @@ class TestScalingShape:
     def test_communication_drops_with_summa_vs_1d(self, rng):
         # Pin replication to 1 so the SUMMA path runs a genuine 4x4 face
         # (the auto-planner would otherwise replicate the tiny B fully,
-        # which degenerates to the same traffic as the 1-D strawman).
+        # which degenerates to the same traffic as the 1-D strawman:
+        # replication = p with a per-batch all-reduce).
         sets = random_sets(rng, n=64, m=6000, max_size=600)
         m_summa = Machine(laptop(16))
         m_1d = Machine(laptop(16))
@@ -263,7 +271,7 @@ class TestScalingShape:
         )
         r_1 = jaccard_similarity(
             sets, machine=m_1d, gather_result=False, batch_count=1,
-            gram_algorithm="1d_allreduce",
+            replication=16, reduce_every_batch=True,
         )
         assert r_s.grid_q == 4
         assert (

@@ -49,11 +49,15 @@ class TestConfig:
 
 
 class TestBitExactness:
-    @pytest.mark.parametrize("gram", ["summa", "1d_allreduce"])
+    @pytest.mark.parametrize(
+        "layout",
+        [{}, {"replication": 4, "reduce_every_batch": True}],
+        ids=["summa", "1d_allreduce"],
+    )
     @pytest.mark.parametrize("policy", ["varint", "rle", "adaptive"])
-    def test_identical_to_raw(self, gram, policy):
-        base = run(FIG2A_DENSE, gram_algorithm=gram, wire_codec="raw")
-        other = run(FIG2A_DENSE, gram_algorithm=gram, wire_codec=policy)
+    def test_identical_to_raw(self, layout, policy):
+        base = run(FIG2A_DENSE, wire_codec="raw", **layout)
+        other = run(FIG2A_DENSE, wire_codec=policy, **layout)
         assert np.array_equal(base.similarity, other.similarity)
         assert np.array_equal(base.intersections, other.intersections)
         assert np.array_equal(base.sample_sizes, other.sample_sizes)

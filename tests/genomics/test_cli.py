@@ -208,3 +208,55 @@ class TestIndexSubcommands:
                 ["index", "query", str(SMOKE_FASTA), "--index", str(index),
                  "--threshold", "0.5"]
             )
+
+
+def assert_usage_error(capsys, exited, message):
+    """Exit 2 with one ``error:`` line naming the bad value, no traceback."""
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+    assert line.endswith(f"error: {message}")
+
+
+class TestInvalidValues:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--batches", "0"], "batch_count must be positive, got 0"),
+            (["--ranks", "0"], "ranks_per_node must be positive, got 0"),
+            (["-k", "4"], "k must be odd (paper §V-A2), got 4"),
+            (["--sketch-size", "0"], "sketch_size must be positive, got 0"),
+            (
+                ["--stream", "--chunk-bases", "0"],
+                "chunk_bases must be positive, got 0",
+            ),
+            (
+                ["--machine", "stampede2", "--nodes", "0"],
+                "n_nodes must be positive, got 0",
+            ),
+        ],
+        ids=["batches", "ranks", "k", "sketch-size", "chunk-bases", "nodes"],
+    )
+    def test_batch_run_exits_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main([str(SMOKE_FASTA), "-o", str(out), *flags])
+        assert_usage_error(capsys, exited, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shards", "0"], "store_shards must be >= 1, got 0"),
+            (["--sketch-size", "0"], "sketch_size must be positive, got 0"),
+            (["-k", "4"], "k must be odd (paper §V-A2), got 4"),
+        ],
+        ids=["shards", "sketch-size", "k"],
+    )
+    def test_index_build_exits_2(self, tmp_path, capsys, flags, message):
+        index = tmp_path / "idx"
+        with pytest.raises(SystemExit) as exited:
+            main(["index", "build", str(SMOKE_FASTA), "--index", str(index), *flags])
+        assert_usage_error(capsys, exited, message)
+        assert not index.exists()

@@ -71,12 +71,6 @@ class TestCostLedger:
             ledger.charge_io(2.0)
         assert ledger.simulated_seconds == 3.0
 
-    def test_reset(self):
-        ledger = CostLedger()
-        ledger.charge_compute(1.0)
-        ledger.reset()
-        assert ledger.simulated_seconds == 0.0
-
     def test_diff_isolates_new_charges(self):
         ledger = CostLedger()
         with ledger.phase("a"):
@@ -143,7 +137,7 @@ class TestOverlapCredit:
         assert ledger.credit_overlap([1.0]) == 0.0
         assert ledger.overlap_credited_seconds == 0.0
 
-    def test_diff_and_reset_carry_credit(self):
+    def test_diff_carries_credit(self):
         ledger = CostLedger(n_ranks=2)
         ledger.local_advance([0, 1], [2.0, 2.0])
         snap = ledger.snapshot()
@@ -152,8 +146,6 @@ class TestOverlapCredit:
         delta = ledger.diff(snap)
         assert delta.overlap_credited_seconds == pytest.approx(1.0)
         assert delta.simulated_seconds == pytest.approx(3.0)
-        ledger.reset()
-        assert ledger.overlap_credited_seconds == 0.0
 
     def test_report_mentions_overlap_when_credited(self):
         ledger = CostLedger(n_ranks=2)
@@ -219,10 +211,3 @@ class TestWireCounters:
         assert "wire codec" in report
         assert "rle" in report
         assert "4.00x" in report
-
-    def test_reset_clears_wire_counters(self):
-        ledger = CostLedger()
-        ledger.record_wire("rle", 10.0, 1.0)
-        ledger.reset()
-        assert ledger.wire_raw_bytes == 0.0
-        assert ledger.wire_codec_totals == {}

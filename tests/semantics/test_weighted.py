@@ -1,6 +1,6 @@
 """Property tests of the weighted-Jaccard mass arithmetic.
 
-The semiring-backed ``intersection_union_mass`` is checked against a
+``intersection_union_mass`` is checked against a
 ``collections.Counter`` multiset reference on arbitrary abundance
 vectors.
 """

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bitmask import distribute_and_pack, distribute_and_pack_1d
+from repro.core.bitmask import distribute_and_pack
 from repro.runtime import Machine, laptop
 from repro.runtime.codec import WireCodec
 from repro.runtime.topology import ProcessorGrid
@@ -120,8 +120,6 @@ class TestDistWordMatrix:
         with pytest.raises(ValueError, match=r"chunk 2 has shape .* 128 x 9"):
             distribute_and_pack(grid.comm, grid, chunks, 128, 9)
         assert grid.comm.ledger.snapshot() == before  # nothing charged
-        with pytest.raises(ValueError, match=r"chunk 2 has shape .* 128 x 9"):
-            distribute_and_pack_1d(grid.comm, chunks, 128, 9)
 
     def test_communicator_must_match_grid(self):
         grid = build_grid(4, 2, 2)

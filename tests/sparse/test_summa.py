@@ -1,4 +1,4 @@
-"""Tests for the distributed Gram algorithms (SUMMA / 2.5D / 1-D)."""
+"""Tests for the distributed Gram algorithms (SUMMA / 2.5D, c = p included)."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,13 @@ import pytest
 from repro.core.bitmask import distribute_and_pack
 from repro.runtime import Machine, laptop
 from repro.runtime.topology import ProcessorGrid
-from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.coo import CooMatrix
-from repro.sparse.distributed import DistDenseMatrix, word_aligned_row_bounds
+from repro.sparse.distributed import DistDenseMatrix
 from repro.sparse.spgemm import gram_dense_reference
 from repro.sparse.summa import (
     colsums_2d,
     fiber_reduce,
     fiber_reduce_vector,
-    gram_1d_allreduce,
     summa_gram_2d,
 )
 
@@ -36,6 +34,19 @@ def dist_layers(dense, grid, bit_width=64):
 def dist_matrix(dense, grid, bit_width=64):
     (mat,) = dist_layers(dense, grid, bit_width)
     return mat
+
+
+def layered_gram(dense, grid):
+    """SUMMA on every layer, then the fiber reductions: ``(B, a-hat)``."""
+    n = dense.shape[1]
+    partials, vecs = [], []
+    for layer, mat in enumerate(dist_layers(dense, grid)):
+        assert mat.layer == layer
+        out = DistDenseMatrix.zeros(grid, layer, n, n)
+        summa_gram_2d(mat, out)
+        partials.append(out)
+        vecs.append(colsums_2d(mat))
+    return fiber_reduce(grid, partials), fiber_reduce_vector(grid, vecs)
 
 
 class TestSumma2d:
@@ -87,16 +98,8 @@ class Test25D:
         dense = rng.random((256, 9)) < 0.2
         machine = Machine(laptop(8))
         grid = ProcessorGrid(machine.world, 2, 2, 2)
-        partials, vecs = [], []
-        for layer, mat in enumerate(dist_layers(dense, grid)):
-            assert mat.layer == layer
-            out = DistDenseMatrix.zeros(grid, layer, 9, 9)
-            summa_gram_2d(mat, out)
-            partials.append(out)
-            vecs.append(colsums_2d(mat))
-        total = fiber_reduce(grid, partials)
+        total, vec = layered_gram(dense, grid)
         assert np.array_equal(total.to_local(), gram_dense_reference(dense))
-        vec = fiber_reduce_vector(grid, vecs)
         assert np.array_equal(vec.to_local(), dense.sum(axis=0))
 
     def test_fiber_reduce_single_layer_is_identity(self, rng):
@@ -120,26 +123,15 @@ class TestColsums:
 
 
 class TestGram1d:
+    """``c = p``: a ``1 x 1`` face, every rank a full ``B`` replica — the
+    1-D all-reduce layout the ablation bench compares SUMMA against."""
+
     def test_matches_reference(self, rng):
         dense = rng.random((256, 10)) < 0.2
-        machine = Machine(laptop(4))
-        bounds = word_aligned_row_bounds(256, 4, 64)
-        blocks = [
-            BitMatrix.from_dense(dense[lo:hi]) for lo, hi in bounds
-        ]
-        out = gram_1d_allreduce(machine.world, blocks)
-        assert np.array_equal(out, gram_dense_reference(dense))
-
-    def test_accumulates_into_out(self, rng):
-        dense = rng.random((256, 10)) < 0.2
-        bounds = word_aligned_row_bounds(256, 4, 64)
-        blocks = [BitMatrix.from_dense(dense[lo:hi]) for lo, hi in bounds]
-        total = np.full((10, 10), 3, dtype=np.int64)
-        got = gram_1d_allreduce(
-            Machine(laptop(4)).world, blocks, kernel="blocked", out=total
-        )
-        assert got is total
-        assert np.array_equal(total, 3 + gram_dense_reference(dense))
+        grid = ProcessorGrid(Machine(laptop(4)).world, 1, 1, 4)
+        total, vec = layered_gram(dense, grid)
+        assert np.array_equal(total.to_local(), gram_dense_reference(dense))
+        assert np.array_equal(vec.to_local(), dense.sum(axis=0))
 
     def test_moves_more_bytes_than_summa(self, rng):
         # The point of the paper: allreduce-style reduction communicates
@@ -147,27 +139,11 @@ class TestGram1d:
         n = 48
         dense = rng.random((512, n)) < 0.1
         mach_1d = Machine(laptop(4))
-        bounds = word_aligned_row_bounds(512, 4, 64)
-        blocks = [BitMatrix.from_dense(dense[lo:hi]) for lo, hi in bounds]
-        gram_1d_allreduce(mach_1d.world, blocks)
-
+        layered_gram(dense, ProcessorGrid(mach_1d.world, 1, 1, 4))
         mach_2d = Machine(laptop(4))
-        grid = ProcessorGrid(mach_2d.world, 2, 2, 1)
-        mat = dist_matrix(dense, grid)
-        out = DistDenseMatrix.zeros(grid, 0, n, n)
-        summa_gram_2d(mat, out)
+        layered_gram(dense, ProcessorGrid(mach_2d.world, 2, 2, 1))
         assert (
             mach_1d.ledger.communication_bytes
             > mach_2d.ledger.communication_bytes
         )
 
-    def test_block_count_validated(self):
-        machine = Machine(laptop(2))
-        with pytest.raises(ValueError, match="one block per rank"):
-            gram_1d_allreduce(machine.world, [BitMatrix.zeros(8, 2)])
-
-    def test_column_span_validated(self):
-        machine = Machine(laptop(2))
-        blocks = [BitMatrix.zeros(64, 3), BitMatrix.zeros(64, 2)]
-        with pytest.raises(ValueError, match="full column range"):
-            gram_1d_allreduce(machine.world, blocks)

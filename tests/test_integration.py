@@ -72,7 +72,8 @@ class TestPipelinesAgree:
         ref = exact_jaccard(sets)
         summa = jaccard_similarity(sets, machine=Machine(laptop(4)))
         one_d = jaccard_similarity(
-            sets, machine=Machine(laptop(4)), gram_algorithm="1d_allreduce"
+            sets, machine=Machine(laptop(4)), replication=4,
+            reduce_every_batch=True,
         )
         mapred = mapreduce_jaccard(sets, machine=Machine(laptop(4)))
         assert np.allclose(summa.similarity, ref)
