@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.batching import BatchPlan, GridPlan, plan_batches, plan_grid
+from repro.core.batching import (
+    MEMORY_FRACTION,
+    BatchPlan,
+    GridPlan,
+    plan_batches,
+    plan_grid,
+)
 from repro.core.config import SimilarityConfig
 from repro.runtime.machine import laptop, stampede2_knl
 
@@ -51,6 +57,14 @@ class TestPlanGrid:
         assert plan.c == 4
         assert plan.q == 1
 
+    @pytest.mark.parametrize("p", [2, 5, 16])
+    def test_replication_p_is_the_1d_corner(self, p):
+        # The 1-D all-reduce strawman: a 1 x 1 face, one layer per rank.
+        cfg = SimilarityConfig(replication=p, reduce_every_batch=True)
+        plan = plan_grid(p, 100, laptop(p), cfg)
+        assert (plan.q, plan.c) == (1, p)
+        assert plan.active_ranks == p
+
 
 class TestPlanBatches:
     def test_pinned_count(self):
@@ -81,6 +95,19 @@ class TestPlanBatches:
             10_000_000, 100, 5e7, spec, cfg, GridPlan(2, 1)
         )
         assert plan.batch_count > 1
+
+    def test_budget_is_memory_fraction_of_rank_memory(self):
+        from dataclasses import replace
+
+        # n = 100 on a 1 x 1 face: B, C and S take 3 * 8 * 100^2 bytes.
+        resident = 3 * 8 * 100**2
+        assert MEMORY_FRACTION == 0.8
+        cfg = SimilarityConfig()
+        fits = replace(laptop(1), memory_per_rank=int(resident / 0.75))
+        over = replace(laptop(1), memory_per_rank=int(resident / 0.85))
+        # Both machines hold the output; only the first within the budget.
+        assert plan_batches(1000, 100, 10.0, fits, cfg, GridPlan(1, 1)).batch_count == 1
+        assert plan_batches(1000, 100, 10.0, over, cfg, GridPlan(1, 1)).batch_count == 1000
 
     def test_invalid_m(self):
         with pytest.raises(ValueError, match="positive"):

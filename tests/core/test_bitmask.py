@@ -125,3 +125,31 @@ class TestGridRouting:
                     assert got.n_rows == want.n_rows
                     assert np.array_equal(got.words, want.words)
 
+
+class TestRowSliceRouting:
+    """The ``c = p`` corner: a ``1 x 1`` face, so every rank is a layer and
+    receives one full-width, word-aligned row slice of the batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(1, 6), data=st.data())
+    def test_messages_and_words_equal_the_reference(self, size, data):
+        dense, chunks, bit_width = data.draw(batches(size))
+        n_rows, n_cols = dense.shape
+        comm = Recording(Machine(laptop(size)).world)
+        grid = ProcessorGrid(comm._comm, 1, 1, size)
+        mats = distribute_and_pack(comm, grid, chunks, n_rows, n_cols, bit_width)
+
+        bounds = word_aligned_row_bounds(n_rows, size, bit_width)
+        los = np.array([lo for lo, _ in bounds], dtype=np.int64)
+        his = np.array([hi for _, hi in bounds], dtype=np.int64)
+        (sent,) = comm.sent
+        for chunk, row in zip(chunks, sent):
+            dests = np.searchsorted(his, chunk.rows, side="right")
+            want = _mask_loop(dests, chunk.rows - los[dests], chunk.cols, size)
+            assert_same_messages(row, want)
+        assert len(mats) == size
+        for (lo, hi), mat in zip(bounds, mats):
+            want = BitMatrix.from_dense(dense[lo:hi], bit_width)
+            block = mat.block(0, 0)
+            assert block.n_rows == want.n_rows
+            assert np.array_equal(block.words, want.words)

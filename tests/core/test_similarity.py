@@ -75,6 +75,21 @@ class TestCorrectness:
         assert (result.grid_q, result.grid_c) == (1, 4)
         assert np.allclose(result.similarity, exact_jaccard(sample_sets))
 
+    def test_1d_allreduce_reduces_every_batch(self, sample_sets):
+        # The strawman all-reduces B after every batch; the deferred form
+        # of the same c = p grid reduces once and gives the same answer.
+        results = {}
+        for eager in (True, False):
+            results[eager] = jaccard_similarity(
+                sample_sets, machine=Machine(laptop(4)), replication=4,
+                batch_count=3, reduce_every_batch=eager,
+            )
+        eager, deferred = results[True], results[False]
+        assert np.array_equal(eager.similarity, deferred.similarity)
+        assert (
+            eager.cost.communication_bytes > deferred.cost.communication_bytes
+        )
+
     def test_distance_is_one_minus_similarity(self, sample_sets):
         result = jaccard_similarity(sample_sets)
         assert np.allclose(result.distance, 1.0 - result.similarity)

@@ -56,6 +56,27 @@ def test_total_mass_matches_counter(a):
     assert total_mass(ac) == sum(Counter(a).values())
 
 
+@given(a=multisets_st, b=multisets_st)
+@settings(max_examples=40, deadline=None)
+def test_weighted_jaccard_is_symmetric_and_bounded(a, b):
+    av, ac = as_vectors(a)
+    bv, bc = as_vectors(b)
+    jw = weighted_jaccard_pair(av, ac, bv, bc)
+    assert jw == weighted_jaccard_pair(bv, bc, av, ac)
+    assert 0.0 <= jw <= 1.0
+    assert weighted_jaccard_pair(av, ac, av, ac) == 1.0
+
+
+def test_empty_sample_conventions():
+    empty_v, empty_c = coerce_counts(np.array([], dtype=np.int64))
+    av, ac = coerce_counts([3, 3, 8])
+    assert intersection_union_mass(empty_v, empty_c, empty_v, empty_c) == (0, 0)
+    assert weighted_jaccard_pair(empty_v, empty_c, empty_v, empty_c) == 1.0
+    assert intersection_union_mass(av, ac, empty_v, empty_c) == (0, 3)
+    assert weighted_jaccard_pair(av, ac, empty_v, empty_c) == 0.0
+    assert weighted_jaccard_pair(empty_v, empty_c, av, ac) == 0.0
+
+
 def test_coerce_counts_sorts_and_sums_duplicates():
     vals = np.array([3, 1, 2, 1], dtype=np.int64)
     v, c = coerce_counts(vals, np.array([5, 2, 1, 3], dtype=np.int64))

@@ -7,7 +7,7 @@ from repro.core.bitmask import distribute_and_pack
 from repro.runtime import Machine, laptop
 from repro.runtime.topology import ProcessorGrid
 from repro.sparse.coo import CooMatrix
-from repro.sparse.distributed import DistDenseMatrix
+from repro.sparse.distributed import DistDenseMatrix, DistVector
 from repro.sparse.spgemm import gram_dense_reference
 from repro.sparse.summa import (
     colsums_2d,
@@ -82,6 +82,14 @@ class TestSumma2d:
         with pytest.raises(ValueError, match="square"):
             summa_gram_2d(mat, out)
 
+    def test_rejects_output_on_another_face(self, rng):
+        machine = Machine(laptop(4))
+        mat = dist_matrix(rng.random((64, 6)) < 0.3, ProcessorGrid(machine.world, 2, 2, 1))
+        other = ProcessorGrid(machine.world, 2, 2, 1)
+        out = DistDenseMatrix.zeros(other, 0, 6, 6)
+        with pytest.raises(ValueError, match="same face"):
+            summa_gram_2d(mat, out)
+
     def test_charges_communication(self, rng):
         machine = Machine(laptop(4))
         grid = ProcessorGrid(machine.world, 2, 2, 1)
@@ -112,6 +120,17 @@ class Test25D:
         out = DistDenseMatrix.zeros(grid, 0, 4, 4)
         with pytest.raises(ValueError, match="one partial per layer"):
             fiber_reduce(grid, [out])
+
+    def test_fiber_reduce_vector_single_layer_is_identity(self):
+        grid = ProcessorGrid(Machine(laptop(4)).world, 2, 2, 1)
+        vec = DistVector.zeros(grid, 0, 4)
+        assert fiber_reduce_vector(grid, [vec]) is vec
+
+    def test_fiber_reduce_vector_layer_count_validated(self):
+        grid = ProcessorGrid(Machine(laptop(8)).world, 2, 2, 2)
+        vec = DistVector.zeros(grid, 0, 4)
+        with pytest.raises(ValueError, match="one partial per layer"):
+            fiber_reduce_vector(grid, [vec])
 
 
 class TestColsums:
@@ -147,3 +166,48 @@ class TestGram1d:
             > mach_2d.ledger.communication_bytes
         )
 
+    def test_accumulates_into_out(self, rng):
+        # Two batches summed into every rank's replica, reduced once.
+        batches = [rng.random((128, 10)) < 0.2 for _ in range(2)]
+        grid = ProcessorGrid(Machine(laptop(4)).world, 1, 1, 4)
+        outs = [DistDenseMatrix.zeros(grid, layer, 10, 10) for layer in range(4)]
+        for dense in batches:
+            for out, mat in zip(outs, dist_layers(dense, grid)):
+                summa_gram_2d(mat, out)
+        total = fiber_reduce(grid, outs)
+        want = sum(gram_dense_reference(dense) for dense in batches)
+        assert np.array_equal(total.to_local(), want)
+
+    def test_per_batch_reduction_moves_more_bytes(self, rng):
+        # Reducing B after every batch repeats the n x n all-reduce that
+        # the deferred form pays once.
+        batches = [rng.random((128, 10)) < 0.2 for _ in range(3)]
+        moved = {}
+        for eager in (True, False):
+            machine = Machine(laptop(4))
+            grid = ProcessorGrid(machine.world, 1, 1, 4)
+            outs = [DistDenseMatrix.zeros(grid, layer, 10, 10) for layer in range(4)]
+            total = np.zeros((10, 10), dtype=np.int64)
+            for dense in batches:
+                for out, mat in zip(outs, dist_layers(dense, grid)):
+                    summa_gram_2d(mat, out)
+                if eager:
+                    total += fiber_reduce(grid, outs).to_local()
+                    outs = [DistDenseMatrix.zeros(grid, layer, 10, 10) for layer in range(4)]
+            if not eager:
+                total = fiber_reduce(grid, outs).to_local()
+            assert np.array_equal(
+                total, sum(gram_dense_reference(dense) for dense in batches)
+            )
+            moved[eager] = machine.ledger.communication_bytes
+        assert moved[True] > moved[False]
+
+    def test_one_partial_per_rank(self):
+        # Every rank is a layer, so the fiber reductions take p partials.
+        grid = ProcessorGrid(Machine(laptop(3)).world, 1, 1, 3)
+        outs = [DistDenseMatrix.zeros(grid, layer, 4, 4) for layer in range(2)]
+        with pytest.raises(ValueError, match="one partial per layer"):
+            fiber_reduce(grid, outs)
+        vecs = [DistVector.zeros(grid, layer, 4) for layer in range(2)]
+        with pytest.raises(ValueError, match="one partial per layer"):
+            fiber_reduce_vector(grid, vecs)
