@@ -53,6 +53,7 @@ from repro.runtime.topology import ProcessorGrid
 from repro.sparse.dispatch import DispatchDecision, choose_kernel
 from repro.sparse.distributed import DistDenseMatrix, DistVector
 from repro.sparse.sketch_exchange import SketchFamily, exchange_and_estimate
+from repro.sparse.spgemm import EXACT_FLOAT32_ROWS
 from repro.sparse.summa import (
     colsums_2d,
     fiber_reduce,
@@ -102,6 +103,59 @@ def _batch_stats(
         )
         for p, t in zip(prepared, timings, strict=True)
     ]
+
+
+class _StagedGram:
+    """One replication layer's ``B``, accumulated exactly in float32.
+
+    The paper's ``B += R^T R`` (Eq. 7) runs into a float32 stage, so the
+    kernels add float32 products without converting each one.  A stage
+    entry counts at most the bit rows staged so far, so float32 holds it
+    exactly while they stay under :data:`EXACT_FLOAT32_ROWS`.  A batch
+    that would reach the bound first flushes the stage into an int64
+    ``B``, allocated on the first flush; a batch at or over the bound on
+    its own adds straight into that ``B``.  :meth:`collect` converts once
+    per block, before the reduction, so every collective moves int64.
+    """
+
+    def __init__(self, grid: ProcessorGrid, layer: int, n: int):
+        self._dims = (grid, layer, n, n)
+        self._stage: DistDenseMatrix | None = None
+        self._exact: DistDenseMatrix | None = None
+        self._rows = 0
+
+    def target(self, rows: int) -> DistDenseMatrix:
+        """The matrix a batch of ``rows`` bit rows on this layer adds into."""
+        if self._rows + rows >= EXACT_FLOAT32_ROWS:
+            self._flush()
+        if rows >= EXACT_FLOAT32_ROWS:
+            if self._exact is None:
+                self._exact = DistDenseMatrix.zeros(*self._dims)
+            return self._exact
+        if self._stage is None:
+            self._stage = DistDenseMatrix.zeros(*self._dims, dtype=np.float32)
+        self._rows += rows
+        return self._stage
+
+    def _flush(self) -> None:
+        stage, self._stage, self._rows = self._stage, None, 0
+        if stage is None:
+            return
+        if self._exact is None:
+            # Block by block, so at most one block is held twice.
+            for key in stage.blocks:
+                stage.blocks[key] = stage.blocks[key].astype(np.int64)
+            self._exact = stage
+        else:
+            for key, blk in stage.blocks.items():
+                self._exact.blocks[key] += blk.astype(np.int64)
+
+    def collect(self) -> DistDenseMatrix:
+        """The layer's int64 ``B`` (at least one batch was added); the
+        layer is left empty."""
+        self._flush()
+        exact, self._exact = self._exact, None
+        return exact
 
 
 def _coerce_source(data) -> IndicatorSource:
@@ -169,7 +223,7 @@ class SimilarityAtScale:
             m, n, source.nnz_estimate(), machine.spec, config, grid_plan
         )
 
-        b_layers = [DistDenseMatrix.zeros(grid, l, n, n) for l in range(c)]
+        b_layers = [_StagedGram(grid, l, n) for l in range(c)]
         ahat_layers = [DistVector.zeros(grid, l, n) for l in range(c)]
         b_main: DistDenseMatrix | None = None
         ahat_main: DistVector | None = None
@@ -191,42 +245,33 @@ class SimilarityAtScale:
                 lo, hi, nnz, filt.n_nonzero_rows, decision, layer_mats
             )
 
+        def reduce_layers() -> tuple[DistDenseMatrix, DistVector]:
+            # Every layer's B is int64 before it reaches the wire.
+            reduced_b = fiber_reduce(
+                grid, [g.collect() for g in b_layers], codec=codec
+            )
+            return reduced_b, fiber_reduce_vector(grid, ahat_layers, codec=codec)
+
         def accumulate(idx: int, prep: _PreparedBatch) -> None:
             nonlocal b_main, ahat_main
             layer_mats = prep.payload
-            kernel = prep.decision.kernel
             with machine.phase("spgemm"):
-                if config.reduce_every_batch and c > 1:
-                    partial_b = [
-                        DistDenseMatrix.zeros(grid, l, n, n) for l in range(c)
-                    ]
-                    partial_a = [DistVector.zeros(grid, l, n) for l in range(c)]
-                    for l in range(c):
-                        summa_gram_2d(
-                            layer_mats[l], partial_b[l], kernel=kernel,
-                            codec=codec,
-                        )
-                        partial_a[l].add_inplace(
-                            colsums_2d(layer_mats[l], codec=codec)
-                        )
-                    reduced_b = fiber_reduce(grid, partial_b, codec=codec)
-                    reduced_a = fiber_reduce_vector(
-                        grid, partial_a, codec=codec
+                for l, mat in enumerate(layer_mats):
+                    summa_gram_2d(
+                        mat, b_layers[l].target(mat.n_rows),
+                        kernel=prep.decision.kernel, codec=codec,
                     )
+                    ahat_layers[l].add_inplace(colsums_2d(mat, codec=codec))
+                if config.reduce_every_batch and c > 1:
+                    reduced_b, reduced_a = reduce_layers()
+                    ahat_layers[:] = [
+                        DistVector.zeros(grid, l, n) for l in range(c)
+                    ]
                     if b_main is None:
                         b_main, ahat_main = reduced_b, reduced_a
                     else:
                         b_main.add_inplace(reduced_b)
                         ahat_main.add_inplace(reduced_a)
-                else:
-                    for l in range(c):
-                        summa_gram_2d(
-                            layer_mats[l], b_layers[l], kernel=kernel,
-                            codec=codec,
-                        )
-                        ahat_layers[l].add_inplace(
-                            colsums_2d(layer_mats[l], codec=codec)
-                        )
             prepared_meta.append(prep)
 
         timings = run_batches(
@@ -238,10 +283,7 @@ class SimilarityAtScale:
 
         with machine.phase("reduce"):
             if b_main is None:
-                b_main = fiber_reduce(grid, b_layers, codec=codec)
-                ahat_main = fiber_reduce_vector(
-                    grid, ahat_layers, codec=codec
-                )
+                b_main, ahat_main = reduce_layers()
         assert ahat_main is not None
         sim_blocks, dist_blocks = self._derive_similarity(grid, b_main, ahat_main)
 

@@ -332,6 +332,21 @@ def _build_tool(
         parser.error(str(exc))
 
 
+def _check_index(
+    parser: argparse.ArgumentParser, tool: GenomeAtScale, index: Path
+) -> None:
+    """An ``--index`` the tool cannot use is a usage error too.
+
+    That is an index built with another ``-k`` (or canonical mode, or
+    ``--min-count``), or one that does not open: one ``error:`` line
+    naming the value, exit status 2.
+    """
+    try:
+        tool._open_index(index)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def index_main(argv: list[str]) -> int:
     parser = build_index_parser()
     args = parser.parse_args(argv)
@@ -371,6 +386,7 @@ def index_main(argv: list[str]) -> int:
         from repro.service import open_store
 
         tool = _build_tool(parser, args, similarity=args.similarity)
+        _check_index(parser, tool, args.index)
         added = [entry.name for entry in tool.extend_index(args.index, fasta_paths)]
         print(
             f"added {len(added)} sample(s) ({', '.join(added)}): index now "
@@ -379,12 +395,13 @@ def index_main(argv: list[str]) -> int:
         return 0
     # query
     if args.threshold is None and args.top_k is None:
-        raise SystemExit("index query requires --threshold and/or --top-k")
+        parser.error("index query requires --threshold and/or --top-k")
     tool = _build_tool(
         parser, args, similarity=args.similarity,
         query_prefilter=args.query_prefilter, estimator=args.estimator,
         query_candidates=args.query_candidates,
     )
+    _check_index(parser, tool, args.index)
     if args.batch_file is not None:
         if fasta_paths:
             raise SystemExit(
@@ -519,6 +536,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.chunk_bases is not None and args.chunk_bases <= 0:
         parser.error(f"chunk_bases must be positive, got {args.chunk_bases}")
+    if args.stream and args.min_count != 1:
+        parser.error(f"--stream requires --min-count 1, got {args.min_count}")
     fasta_paths = collect_inputs(args.inputs)
     tool = _build_tool(
         parser, args, batch_count=args.batches, bit_width=args.bit_width,
@@ -528,8 +547,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args.output.mkdir(parents=True, exist_ok=True)
     if args.stream:
-        if args.min_count != 1:
-            raise SystemExit("--stream requires --min-count 1")
         result = tool.run_streaming(fasta_paths, chunk_bases=args.chunk_bases)
     else:
         result = tool.run_fasta(fasta_paths, args.output)

@@ -23,10 +23,15 @@ Three kernels cover the density regimes the paper evaluates:
 
 All kernels produce the same dense int64 Gram matrix; tests assert exact
 agreement with a dense boolean reference on random inputs.  Each takes an
-optional ``out``: an int64 ``(n_x, n_y)`` array the product is *added*
-into (``B += X^T Y``), which is how the distributed layer accumulates a
-batch into its output blocks without a temporary.  The density-adaptive
-choice between them lives in :mod:`repro.sparse.dispatch`.
+optional ``out``: an ``(n_x, n_y)`` array the product is *added* into
+(``B += X^T Y``), which is how the distributed layer accumulates a batch
+into its output blocks without a temporary.  ``out`` is int64, or a
+float32 *stage* that the caller keeps exact by flushing it to int64
+before any entry could reach :data:`EXACT_FLOAT32_ROWS` (the exact
+driver does, see :mod:`repro.core.similarity`).  The stage dtype is what
+executes, never what is charged: ``working_set_bytes`` counts ``out`` at
+int64 size whatever its dtype.  The density-adaptive choice between the
+kernels lives in :mod:`repro.sparse.dispatch`.
 
 Kernels return a :class:`KernelResult` carrying the value together with
 the modelled operation count, which the distributed layer charges to the
@@ -76,15 +81,22 @@ def gram_dense_reference(dense: np.ndarray) -> np.ndarray:
 
 
 def _accumulator(out: np.ndarray | None, n_x: int, n_y: int) -> np.ndarray:
-    """The int64 ``(n_x, n_y)`` array a kernel adds its product into."""
+    """The ``(n_x, n_y)`` array a kernel adds its product into: int64, or
+    a float32 stage its caller keeps under :data:`EXACT_FLOAT32_ROWS`."""
     if out is None:
         return np.zeros((n_x, n_y), dtype=np.int64)
-    if out.shape != (n_x, n_y) or out.dtype != np.int64:
+    if out.shape != (n_x, n_y) or out.dtype not in (np.int64, np.float32):
         raise ValueError(
-            f"out must be int64 of shape {(n_x, n_y)}, got {out.dtype} "
-            f"{out.shape}"
+            f"out must be int64 (or a float32 stage) of shape {(n_x, n_y)}, "
+            f"got {out.dtype} {out.shape}"
         )
     return out
+
+
+def _charged_bytes(out: np.ndarray) -> float:
+    """``out`` as the model sees it: an int64 ``B`` block, whatever the
+    executed stage dtype."""
+    return 8.0 * out.size
 
 
 def gram_bitpacked(
@@ -148,7 +160,7 @@ def gram_bitpacked(
         cy = (yw != 0).sum(axis=1, dtype=np.float64)
         sparse_flops = 2.0 * float((cx * cy).sum())
     flops = min(dense_flops, sparse_flops)
-    working_set = float(x.nbytes + y.nbytes + out.nbytes)
+    working_set = float(x.nbytes + y.nbytes) + _charged_bytes(out)
     return KernelResult(out, flops, working_set)
 
 
@@ -177,14 +189,18 @@ def gram_popcount_blocked(
     :func:`gram_bitpacked`.  Each executed step unpacks a word-row tile
     of both operands to float32 0/1 matrices of at most
     :data:`EXEC_TILE_BYTES` (one word row at least), multiplies them with
-    one ``np.matmul`` and adds the product into the int64 result (``out``
-    when given, so ``B += X^T Y`` needs no temporary).  The product is
-    exact: a step spans fewer than :data:`EXACT_FLOAT32_ROWS` bit rows, so
-    every partial sum of 0/1 products is an integer float32 represents
-    exactly, in whatever order the BLAS adds them.  ``y is x`` and
-    ``y=None`` still run a real GEMM on two unpacked buffers — NumPy's
-    ``a @ a.T`` SYRK path measured slower on both all-pairs workloads'
-    block shapes.
+    one ``np.matmul`` and adds the product into the result (``out`` when
+    given, so ``B += X^T Y`` needs no temporary).  The product is exact: a
+    step spans fewer than :data:`EXACT_FLOAT32_ROWS` bit rows, so every
+    partial sum of 0/1 products is an integer float32 represents exactly,
+    in whatever order the BLAS adds them.  An int64 ``out`` takes each
+    product through one conversion; a float32 stage ``out`` takes it with
+    a plain float32 add, exact while the caller keeps the stage's staged
+    rows under the same bound.  ``y is x`` and ``y=None`` unpack each tile
+    once and copy it into a second buffer: two buffers keep the product
+    on GEMM, because NumPy's ``a @ a.T`` SYRK path measured slower on the
+    all-pairs block shapes (about 1.8 ms against 1.5 ms for a 640 x 256
+    tile on a 2-core x86 box).
 
     Modelled cost — what the ledger charges, independent of the GEMM that
     runs: Eq. 7's one word operation per (word row, column pair), half
@@ -211,11 +227,12 @@ def gram_popcount_blocked(
         EXEC_TILE_BYTES // ((n_x + n_y) * x.bit_width * 4),
         (EXACT_FLOAT32_ROWS - 1) // x.bit_width,
     )))
+    same = y is x
     for lo in range(0, w, step):
-        # Two unpacks even when y is x: two buffers keep matmul on GEMM.
         xb = _unpack_tile(x.words[lo : lo + step])
-        yb = _unpack_tile(y.words[lo : lo + step])
-        np.add(out, xb @ yb.T, out=out, dtype=np.int64, casting="unsafe")
+        # One unpack when y is x; the copy keeps matmul on GEMM.
+        yb = xb.copy() if same else _unpack_tile(y.words[lo : lo + step])
+        np.add(out, xb @ yb.T, out=out, dtype=out.dtype, casting="unsafe")
     itemsize = x.words.dtype.itemsize
     tile = int(max(1, min(w, word_tile)))
     per_col = max(1, tile * n_y * itemsize)
@@ -225,8 +242,7 @@ def gram_popcount_blocked(
     working_set = float(
         tile * (min(block, n_x) + n_y) * itemsize
         + tile * min(block, n_x) * n_y * itemsize
-        + out.nbytes
-    )
+    ) + _charged_bytes(out)
     return KernelResult(out, flops, working_set)
 
 
@@ -260,7 +276,7 @@ def gram_outer_pair(
         )
     n_x, n_y = x.n_cols, y.n_cols
     out = _accumulator(out, n_x, n_y)
-    working_set = float(x.nbytes + y.nbytes + out.nbytes)
+    working_set = float(x.nbytes + y.nbytes) + _charged_bytes(out)
     xr, xc = x.nonzero_bits()
     if xr.size == 0:
         return KernelResult(out, 0.0, working_set)

@@ -15,7 +15,11 @@ Per stage ``s`` the algorithm moves the word-row panel ``R_{s,*}``:
 2. every diagonal rank ``(i, i)`` broadcasts ``R_{s,i}`` along grid row
    ``i`` (after which rank ``(i, j)`` also holds ``R_{s,i}``);
 3. rank ``(i, j)`` accumulates ``B_{ij} += popcount-gram(R_{s,i},
-   R_{s,j})`` locally.
+   R_{s,j})`` locally, into its block of ``out``: int64, or the float32
+   stage the exact driver keeps exact by flushing it to int64 before
+   the 2^24-row bound (:mod:`repro.core.similarity`).  A diagonal rank
+   ``(i, i)`` passes the same block twice, so the blocked kernel
+   unpacks it once.
 
 Each panel block thus crosses the machine ``O(log q)`` times per
 dimension, giving the ``O(z / sqrt(cp))`` per-rank communication volume

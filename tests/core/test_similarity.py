@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro import SimilarityConfig, jaccard_similarity
-from repro.core.indicator import CooSource, SyntheticSource
+from repro.core import similarity
+from repro.core.indicator import CooSource, SetSource, SyntheticSource
 from repro.core.similarity import SimilarityAtScale
 from repro.runtime import Machine, laptop, stampede2_knl
+from repro.runtime.topology import ProcessorGrid
 from repro.sparse.coo import CooMatrix
 from tests.helpers import exact_jaccard, random_sets
 
@@ -303,3 +305,91 @@ class TestScalingShape:
             )
             times.append(r.simulated_seconds)
         assert times[2] < times[0]
+
+
+class TestFloat32Stage:
+    """The driver stages each layer's ``B`` in float32 and flushes it to
+    int64 before any entry could lose exactness; the answers and the
+    ledger must equal the int64 path's bit for bit."""
+
+    # 128 rows a batch: 16 words, which 1, 2 and 8 layers split evenly.
+    M, BATCHES, WIDTH = 7 * 128, 7, 8
+
+    @pytest.fixture
+    def source(self, rng):
+        # One full sample keeps every row nonzero, so each batch gives
+        # every layer the same bit-row count.
+        sets = [set(range(self.M))] + random_sets(rng, n=9, m=self.M, max_size=300)
+        return SetSource(sets, m=self.M)
+
+
+    def run(self, source, monkeypatch, bound, policy, replication, every):
+        monkeypatch.setattr(similarity, "EXACT_FLOAT32_ROWS", bound)
+        held = []
+        real_collect = similarity._StagedGram.collect
+
+        def collect(self):
+            # Whether a flush (or the int64 route) ran before the fold.
+            held.append(self._exact is not None)
+            return real_collect(self)
+
+        monkeypatch.setattr(similarity._StagedGram, "collect", collect)
+        cfg = SimilarityConfig(
+            batch_count=self.BATCHES, bit_width=self.WIDTH,
+            kernel_policy=policy, replication=replication,
+            reduce_every_batch=every,
+        )
+        result = jaccard_similarity(source, machine=Machine(laptop(8)), config=cfg)
+        return result, held
+
+    @pytest.mark.parametrize("every", [False, True], ids=["deferred", "every-batch"])
+    @pytest.mark.parametrize("replication", [1, 2, 8])
+    @pytest.mark.parametrize("policy", ["blocked", "bitpacked", "outer"])
+    @pytest.mark.parametrize("case", ["every", "few", "over", "none"])
+    def test_equal_to_the_int64_path(
+        self, source, monkeypatch, case, policy, replication, every
+    ):
+        want, _ = self.run(source, monkeypatch, 0, policy, replication, every)
+        rows = self.M // self.BATCHES // replication  # per layer and batch
+        bound = {
+            "every": rows + 1,  # two batches reach it: flush every batch
+            "few": 3 * rows + 1,  # flush every third batch
+            "over": rows,  # each batch alone reaches it: int64 route
+            "none": 2**24,
+        }[case]
+        got, held = self.run(source, monkeypatch, bound, policy, replication, every)
+        assert got.grid_c == replication
+        assert {b.kernel for b in got.batches} == {policy}
+        assert np.array_equal(got.intersections, want.intersections)
+        assert np.array_equal(got.similarity, want.similarity)
+        assert np.array_equal(got.sample_sizes, want.sample_sizes)
+        assert got.cost == want.cost
+        # Per-batch reduction (c > 1 only) folds each batch alone, so
+        # only the int64 route leaves an int64 B behind there.
+        per_batch = every and replication > 1
+        flushed = case == "over" or (case in ("every", "few") and not per_batch)
+        assert held and set(held) == {flushed}
+
+    def test_stage_flushes_before_the_bound(self, monkeypatch):
+        monkeypatch.setattr(similarity, "EXACT_FLOAT32_ROWS", 10)
+        grid = ProcessorGrid(Machine(laptop(1)).world, 1, 1, 1)
+        gram = similarity._StagedGram(grid, 0, 2)
+        staged = gram.target(4)
+        assert staged.blocks[(0, 0)].dtype == np.float32
+        staged.blocks[(0, 0)] += 4
+        assert gram.target(5) is staged  # 9 staged rows: still exact
+        staged.blocks[(0, 0)] += 5
+        fresh = gram.target(1)  # 10 would reach the bound: flush first
+        assert fresh is not staged and fresh.blocks[(0, 0)].dtype == np.float32
+        fresh.blocks[(0, 0)] += 1
+        exact = gram.target(10)  # at the bound alone: straight into int64
+        assert exact.blocks[(0, 0)].dtype == np.int64
+        exact.blocks[(0, 0)] += 10
+        total = gram.collect()
+        assert total is exact
+        assert np.array_equal(total.blocks[(0, 0)], np.full((2, 2), 20))
+        # The layer is empty afterwards: a new batch starts a new stage.
+        again = gram.target(3)
+        assert again.blocks[(0, 0)].dtype == np.float32
+        assert not again.blocks[(0, 0)].any()
+        assert gram.collect().blocks[(0, 0)].dtype == np.int64

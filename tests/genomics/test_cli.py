@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.genomics.cli import build_parser, main
+from repro.genomics.pipeline import GenomeAtScale
 
 SMOKE_FASTA = (
     Path(__file__).resolve().parent.parent / "data" / "smoke_fasta"
@@ -137,11 +138,14 @@ class TestIndexSubcommands:
             ["index", "build", str(self.FASTAS[0]), "--index", str(index)]
         ) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit, match="threshold"):
+        with pytest.raises(SystemExit) as exited:
             main(
                 ["index", "query", str(self.FASTAS[0]),
                  "--index", str(index)]
             )
+        assert_usage_error(
+            capsys, exited, "index query requires --threshold and/or --top-k"
+        )
 
     def test_batch_run_over_directory_named_index(self, tmp_path, capsys):
         """A FASTA directory literally named "index" stays a batch run."""
@@ -172,11 +176,22 @@ class TestIndexSubcommands:
              "-k", "21"]
         ) == 0
         capsys.readouterr()
-        with pytest.raises(ValueError, match="k="):
-            main(
-                ["index", "query", str(self.FASTAS[0]),
-                 "--index", str(index), "-k", "31", "--threshold", "0.5"]
-            )
+        message = (
+            f"index at {index} was built with k=21, tool is configured "
+            f"for k=31"
+        )
+        with pytest.raises(ValueError) as raised:
+            GenomeAtScale(k=31).query_index(index, self.FASTAS[0], threshold=0.5)
+        assert str(raised.value) == message
+        for command, extra in (
+            ("query", ["--threshold", "0.5"]), ("add", [])
+        ):
+            with pytest.raises(SystemExit) as exited:
+                main(
+                    ["index", command, str(self.FASTAS[1]),
+                     "--index", str(index), "-k", "31", *extra]
+                )
+            assert_usage_error(capsys, exited, message)
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -243,6 +258,16 @@ class TestInvalidValues:
         with pytest.raises(SystemExit) as exited:
             main([str(SMOKE_FASTA), "-o", str(out), *flags])
         assert_usage_error(capsys, exited, message)
+        assert not out.exists()
+
+    def test_stream_with_min_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main([str(SMOKE_FASTA), "-o", str(out), "--stream",
+                  "--min-count", "2"])
+        assert_usage_error(
+            capsys, exited, "--stream requires --min-count 1, got 2"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

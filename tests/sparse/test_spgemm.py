@@ -127,6 +127,24 @@ class TestKernelsAgree:
             fresh.flops, fresh.working_set_bytes
         )
 
+    @pytest.mark.parametrize("form", ["none", "same", "pair"])
+    def test_float32_stage_matches_int64_out(self, kernel, form, rng):
+        x = rng.random((150, 6)) < 0.3
+        y = x if form != "pair" else rng.random((150, 9)) < 0.3
+        bx = BitMatrix.from_dense(x, 16)
+        by = {"none": None, "same": bx, "pair": BitMatrix.from_dense(y, 16)}[form]
+        prior = rng.integers(0, 50, size=(6, y.shape[1]))
+        wide = prior.copy()
+        stage = prior.astype(np.float32)
+        want = kernel(bx, by, out=wide)
+        got = kernel(bx, by, out=stage)
+        assert got.value is stage and stage.dtype == np.float32
+        assert np.array_equal(stage, wide)
+        # The stage dtype executes; the model charges an int64 B.
+        assert (got.flops, got.working_set_bytes) == (
+            want.flops, want.working_set_bytes
+        )
+
     def test_out_accumulates_nothing_from_empty_operands(self, kernel):
         out = np.full((3, 2), 7, dtype=np.int64)
         res = kernel(BitMatrix.zeros(64, 3), BitMatrix.zeros(64, 2), out=out)
@@ -187,6 +205,28 @@ class TestBlockedGemm:
         assert (res.flops, res.working_set_bytes) == (
             one_tile.flops, one_tile.working_set_bytes
         )
+
+    @pytest.mark.parametrize("form", ["none", "same"])
+    def test_one_unpack_when_y_is_x(self, monkeypatch, form, rng):
+        x = rng.random((11 * 64 + 5, 12)) < 0.5
+        bx = BitMatrix.from_dense(x)
+        twin = BitMatrix.from_dense(x)  # equal words, another object
+        monkeypatch.setattr(spgemm, "EXEC_TILE_BYTES", 3 * 24 * 64 * 4)
+        calls = []
+        real_unpack = spgemm._unpack_tile
+
+        def unpack(words):
+            calls.append(words.shape[0])
+            return real_unpack(words)
+
+        monkeypatch.setattr(spgemm, "_unpack_tile", unpack)
+        two = gram_popcount_blocked(bx, twin)
+        two_calls = len(calls)
+        calls.clear()
+        one = gram_popcount_blocked(bx, None if form == "none" else bx)
+        assert two_calls == 2 * len(calls) == 8  # four 3-word steps
+        assert np.array_equal(one.value, two.value)
+        assert np.array_equal(one.value, gram_dense_reference(x))
 
     @pytest.mark.parametrize(
         "rows, n_x, n_y", [(0, 4, 4), (64, 0, 3), (64, 3, 0)],

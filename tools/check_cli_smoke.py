@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end CLI smoke over the committed tiny FASTA set.
 
-Three sections, all driving the ``genome-at-scale`` CLI as subprocesses
+Four sections, all driving the ``genome-at-scale`` CLI as subprocesses
 over ``tests/data/smoke_fasta``:
 
 * ``estimator`` — the batch engine: one ``--estimator exact`` run and
@@ -12,7 +12,9 @@ over ``tests/data/smoke_fasta``:
   through ``--wire-codec adaptive``; its matrix must equal the first
   run's bit for bit, and its cost report must show the wire volume.
 * ``index`` — the serving layer: ``index build`` over three samples,
-  ``index add`` of the fourth, then ``index query --threshold`` of one
+  ``index add`` of the fourth, an ``index query -k 21`` against that
+  ``k = 31`` index, which must exit 2 with one ``error:`` line naming
+  both values and no traceback, then ``index query --threshold`` of one
   sample against the four-genome index; the query's matches must agree
   exactly with a fresh batch-engine exact run over the same four
   samples (same qualifying set, same similarities), and so must the
@@ -44,7 +46,7 @@ k-mer extraction, the distributed engine, the sketch subsystem, the
 persistent store, the incremental add, the query cascade, and the
 result writers all have to work for them to pass.
 
-Run:  python tools/check_cli_smoke.py [--section all|estimator|index]
+Run:  python tools/check_cli_smoke.py [--section all|estimator|index|shard|similarity]
 """
 
 from __future__ import annotations
@@ -76,18 +78,40 @@ WIRE_RE = re.compile(r"wire codec=adaptive \((raw .* on the wire)")
 SECTIONS = ("estimator", "index", "shard", "similarity")
 
 
-def run_cli(args: list[str]) -> None:
-    """Run the CLI as a subprocess; raise on a nonzero exit."""
+def _cli(args: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     cmd = [sys.executable, "-m", "repro.genomics.cli", *args]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+
+def run_cli(args: list[str]) -> None:
+    """Run the CLI as a subprocess; raise on a nonzero exit."""
+    proc = _cli(args)
     if proc.returncode != 0:
         print(proc.stdout)
         print(proc.stderr, file=sys.stderr)
         raise SystemExit(f"CLI exited {proc.returncode} for args {args}")
+
+
+def run_cli_usage_error(args: list[str], message: str) -> None:
+    """Run the CLI; it must exit 2 with one ``error:`` line ending in
+    ``message`` and no traceback."""
+    proc = _cli(args)
+    errors = [ln for ln in proc.stderr.splitlines() if "error:" in ln]
+    if (
+        proc.returncode != 2
+        or "Traceback" in proc.stderr
+        or len(errors) != 1
+        or not errors[0].endswith(f"error: {message}")
+    ):
+        print(proc.stderr, file=sys.stderr)
+        raise SystemExit(
+            f"CLI exited {proc.returncode} for args {args}; expected exit 2 "
+            f"with the one line 'error: {message}'"
+        )
 
 
 def check_estimator(
@@ -170,6 +194,12 @@ def check_index(
         ["index", "add", str(fastas[-1]), "--index", str(index_dir)]
     )
     query_fasta = fastas[0]
+    # A query with another -k than the index's is a usage error.
+    mismatch = ["index", "query", str(query_fasta), "--index", str(index_dir), "-k", "21"]
+    run_cli_usage_error(
+        [*mismatch, "--threshold", str(threshold)],
+        f"index at {index_dir} was built with k=31, tool is configured for k=21",
+    )
     run_cli(
         [
             "index", "query", str(query_fasta), "--index", str(index_dir),
@@ -272,6 +302,7 @@ def check_index(
     migrated = "; ".join(check_migrate(workdir / "migrate", v1) for v1 in V1_STORES)
     return (
         f"cli smoke ok [index]: build({len(fastas) - 1}) -> add(1) -> "
+        f"query -k 21 refused with exit 2 -> "
         f"all_pairs() equal to the fresh exact run; "
         f"query t={threshold:g} returned {len(got)} match(es) identical "
         f"to it "
