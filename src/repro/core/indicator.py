@@ -180,14 +180,30 @@ class FileSource(SortedSampleSource):
     ``searchsorted``) and plain text files with one integer per line —
     the "sorted numerical representation" GenomeAtScale materializes for
     each sequencing sample (§IV).
+
+    ``contents``, when given, are the files' arrays as their writer
+    holds them — one per path, each sorted, distinct int64 values in
+    ``[0, m)`` and equal to what the file stores — and the source
+    starts with them loaded, so it never reads those files back.
     """
 
-    def __init__(self, paths: Sequence[str | Path], m: int):
+    def __init__(
+        self,
+        paths: Sequence[str | Path],
+        m: int,
+        contents: Sequence[np.ndarray] | None = None,
+    ):
         self.paths = [Path(p) for p in paths]
         if not self.paths:
             raise ValueError("FileSource requires at least one sample file")
         self._m = int(m)
         self._cache: dict[int, np.ndarray] = {}
+        if contents is not None:
+            if len(contents) != len(self.paths):
+                raise ValueError(
+                    f"{len(contents)} arrays for {len(self.paths)} sample files"
+                )
+            self._cache = dict(enumerate(contents))
         self._nnz: int | None = None
 
     @property

@@ -351,7 +351,7 @@ def index_main(argv: list[str]) -> int:
     parser = build_index_parser()
     args = parser.parse_args(argv)
     inputs = getattr(args, "inputs", None)
-    fasta_paths = collect_inputs(inputs) if inputs else []
+    fasta_paths = collect_inputs(parser, inputs) if inputs else []
     if args.command == "migrate":
         from repro.service import migrate_store
         from repro.service.store import FORMAT_VERSION
@@ -404,11 +404,11 @@ def index_main(argv: list[str]) -> int:
     _check_index(parser, tool, args.index)
     if args.batch_file is not None:
         if fasta_paths:
-            raise SystemExit(
+            parser.error(
                 "index query takes either positional FASTA files or "
                 "--batch-file, not both"
             )
-        batch_paths = _read_batch_file(args.batch_file)
+        batch_paths = _read_batch_file(parser, args.batch_file)
         results = tool.query_index_batch(
             args.index, batch_paths,
             threshold=args.threshold, top_k=args.top_k,
@@ -434,7 +434,7 @@ def index_main(argv: list[str]) -> int:
             args.json.write_text(json.dumps(payload, indent=2) + "\n")
         return 0
     if len(fasta_paths) != 1:
-        raise SystemExit(
+        parser.error(
             f"index query takes exactly one query FASTA file, got "
             f"{len(fasta_paths)} (pass a single file, not a directory, "
             f"or use --batch-file for many)"
@@ -465,9 +465,11 @@ _SCORE_LABELS = {
 }
 
 
-def _read_batch_file(path: Path) -> list[Path]:
+def _read_batch_file(parser: argparse.ArgumentParser, path: Path) -> list[Path]:
+    """The query FASTAs a ``--batch-file`` lists; a list file that is
+    missing or empty, or that names a missing FASTA, is a usage error."""
     if not path.exists():
-        raise SystemExit(f"missing --batch-file: {path}")
+        parser.error(f"missing --batch-file: {path}")
     out = []
     for line in path.read_text().splitlines():
         line = line.strip()
@@ -475,10 +477,10 @@ def _read_batch_file(path: Path) -> list[Path]:
             continue
         p = Path(line)
         if not p.exists():
-            raise SystemExit(f"missing query FASTA from {path}: {p}")
+            parser.error(f"missing query FASTA from {path}: {p}")
         out.append(p)
     if not out:
-        raise SystemExit(f"--batch-file {path} lists no query FASTA files")
+        parser.error(f"--batch-file {path} lists no query FASTA files")
     return out
 
 
@@ -507,18 +509,23 @@ def _query_payload(path: Path, result) -> dict:
     }
 
 
-def collect_inputs(inputs: list[Path]) -> list[Path]:
+def collect_inputs(
+    parser: argparse.ArgumentParser, inputs: list[Path]
+) -> list[Path]:
+    """The FASTA files ``inputs`` name: the ``.fasta``/``.fa``/``.fna``
+    files of a single directory, or the files themselves.  An empty
+    directory or a missing file is a usage error."""
     if len(inputs) == 1 and inputs[0].is_dir():
         found = sorted(
             p for p in inputs[0].iterdir()
             if p.suffix in (".fasta", ".fa", ".fna")
         )
         if not found:
-            raise SystemExit(f"no FASTA files found in {inputs[0]}")
+            parser.error(f"no FASTA files found in {inputs[0]}")
         return found
     missing = [p for p in inputs if not p.exists()]
     if missing:
-        raise SystemExit(f"missing input files: {missing}")
+        parser.error(f"missing input files: {', '.join(map(str, missing))}")
     return inputs
 
 
@@ -538,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"chunk_bases must be positive, got {args.chunk_bases}")
     if args.stream and args.min_count != 1:
         parser.error(f"--stream requires --min-count 1, got {args.min_count}")
-    fasta_paths = collect_inputs(args.inputs)
+    fasta_paths = collect_inputs(parser, args.inputs)
     tool = _build_tool(
         parser, args, batch_count=args.batches, bit_width=args.bit_width,
         kernel_policy=args.kernel_policy, pipeline=args.pipeline,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.genomics.kmer import canonical_kmers, encode_kmers
+from repro.genomics.kmer import canonical_kmers, encode_kmers, kmer_set
 
 
 def count_kmers(
@@ -95,15 +95,40 @@ def clean_kmers(
 def clean_sample(
     sequences, k: int, min_count: int | None = None, canonical: bool = True
 ) -> tuple[np.ndarray, CleaningReport]:
-    """Count and threshold a sample's k-mers in one step.
+    """A sample's sorted k-mer codes, thresholded by abundance.
 
     ``min_count=None`` applies :func:`kingsford_threshold` on the
-    sample's total base count.
+    sample's total base count.  The threshold is resolved first: at 1
+    nothing can fall under it, so the codes are the sample's
+    :func:`~repro.genomics.kmer.kmer_set` and no abundance is counted;
+    above 1 the sample is counted and filtered as in
+    :func:`clean_sample_counts`.  Either way the report is the same.
     """
-    codes, _, report = clean_sample_counts(
-        sequences, k, min_count=min_count, canonical=canonical
+    sequences = list(sequences)
+    min_count = _resolve_min_count(sequences, min_count)
+    if min_count > 1:
+        codes, _, report = clean_sample_counts(
+            sequences, k, min_count=min_count, canonical=canonical
+        )
+        return codes, report
+    codes = kmer_set(sequences, k, canonical)
+    return codes, CleaningReport(
+        threshold=min_count,
+        kmers_before=int(codes.size),
+        kmers_after=int(codes.size),
     )
-    return codes, report
+
+
+def _resolve_min_count(sequences, min_count: int | None) -> int:
+    """``min_count``, or the Kingsford rule's when it is ``None``."""
+    if min_count is None:
+        total_bases = sum(
+            len(getattr(seq, "sequence", seq)) for seq in sequences
+        )
+        min_count = kingsford_threshold(total_bases)
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    return min_count
 
 
 def clean_sample_counts(
@@ -117,14 +142,9 @@ def clean_sample_counts(
     multiplicities feed the min/max mass accumulation instead of being
     discarded after cleaning.
     """
+    sequences = list(sequences)
+    min_count = _resolve_min_count(sequences, min_count)
     codes, counts = count_kmers(sequences, k, canonical)
-    if min_count is None:
-        total_bases = sum(
-            len(getattr(seq, "sequence", seq)) for seq in sequences
-        )
-        min_count = kingsford_threshold(total_bases)
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
     keep = counts >= min_count
     kept, kept_counts = codes[keep], counts[keep]
     report = CleaningReport(

@@ -15,6 +15,10 @@ Two conventions from the paper's evaluation (§V-A2):
   which would bias canonical counting.
 
 Windows containing an ambiguous base (``N``) produce no k-mer.
+
+Both strands are encoded by binary doubling over the base-code array
+(:func:`_window_codes`): ``O(log k)`` vector passes for all windows at
+once, where folding in one base at a time takes ``k``.
 """
 
 from __future__ import annotations
@@ -33,71 +37,78 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
 
 
+def _window_codes(digits: np.ndarray, k: int) -> np.ndarray:
+    """The span-``k`` window codes of a 2-bit digit array, by doubling.
+
+    ``out[i]`` is digits ``i .. i+k-1`` read as one base-4 number, most
+    significant first.  Horner's rule over the bits of ``k``, most
+    significant bit first: the span-``r`` windows become span ``2r`` by
+    one shift-or of the array with itself shifted by ``r`` windows
+    (``w[i] << 2r | w[i + r]``), and a set bit then appends one more
+    digit in place (``w[i] << 2 | digits[i + r]``).  That is
+    ``2 * (log2 k + popcount k)`` passes instead of ``2k``, and never
+    more than two window arrays beside the digits.  Needs
+    ``digits.size >= k``.
+    """
+    vals = digits.astype(np.int64)
+    span = 1
+    for bit in bin(k)[3:]:
+        doubled = np.left_shift(vals[:-span], 2 * span)
+        np.bitwise_or(doubled, vals[span:], out=doubled)
+        vals, span = doubled, 2 * span
+        if bit == "1":
+            vals = vals[:-1]
+            np.left_shift(vals, 2, out=vals)
+            np.bitwise_or(vals, digits[span:], out=vals)
+            span += 1
+    return vals
+
+
+def _kmer_codes(seq: str, k: int, canonical: bool) -> np.ndarray:
+    _check_k(k)
+    codes = sequence_to_codes(seq)
+    if codes.size < k:
+        return np.empty(0, dtype=np.int64)
+    digits = codes & 3
+    vals = _window_codes(digits, k)
+    if canonical:
+        rc = _window_codes(3 - digits[::-1], k)[::-1]
+        np.minimum(vals, rc, out=vals)
+    ambiguous = codes == 255
+    if not ambiguous.any():
+        return vals
+    # A window is valid iff the running count of N is the same at both
+    # of its ends.
+    seen = np.concatenate(([0], np.cumsum(ambiguous)))
+    return vals[seen[k:] == seen[: vals.size]]
+
+
 def encode_kmers(seq: str, k: int) -> np.ndarray:
     """All forward-strand k-mer codes of ``seq``, in order.
 
-    Windows overlapping an ambiguous base are skipped.  A rolling
-    encode: ``k`` shift-or passes, pass ``i`` folding base ``i`` of every
-    window in as the next 2-bit digit (``code = code << 2 | base``) over
-    one contiguous slice of the base-code array — ``O(k * n)`` word
-    operations on ``n``-length vectors, no ``(n, k)`` window matrix.
-    The ambiguity mask is one cumulative sum: a window is valid iff the
-    running count of ``N`` is the same at both of its ends.
+    Windows overlapping an ambiguous base are skipped.  The codes of
+    every window come from :func:`_window_codes`: ``O(log k)`` doubling
+    passes over the base-code array, no ``(n, k)`` window matrix.  The
+    ambiguity mask, when ``seq`` has an ``N`` at all, is one cumulative
+    sum: a window is valid iff the running count of ``N`` is the same at
+    both of its ends.
     """
-    _check_k(k)
-    codes = sequence_to_codes(seq)
-    n = codes.size - k + 1
-    if n <= 0:
-        return np.empty(0, dtype=np.int64)
-    ambiguous = np.concatenate(([0], np.cumsum(codes == 255)))
-    digits = codes & 3
-    vals = np.zeros(n, dtype=np.int64)
-    for i in range(k):
-        np.left_shift(vals, 2, out=vals)
-        np.bitwise_or(vals, digits[i : i + n], out=vals)
-    if ambiguous[-1] == 0:
-        return vals
-    return vals[ambiguous[k:] == ambiguous[:n]]
-
-
-#: Masks that swap adjacent 2-bit digits / adjacent nibbles of a word.
-_PAIR_MASK = np.uint64(0x3333333333333333)
-_NIBBLE_MASK = np.uint64(0x0F0F0F0F0F0F0F0F)
-
-
-def reverse_complement_codes(kmers: np.ndarray, k: int) -> np.ndarray:
-    """Reverse-complement encodings, computed on the 64-bit word.
-
-    Complement in 2-bit code is ``3 - digit``, i.e. every bit flipped;
-    reversal flips digit order.  Both act on all 32 digit slots of the
-    word at once: flip the bits, reverse the digits (swap the digits of
-    each nibble, the nibbles of each byte, then the bytes), and shift
-    the ``k`` digits that ended up at the top back down by ``64 - 2k``
-    — which also drops the complemented padding.  Equivalent to encoding
-    ``reverse_complement(decode(x))``, in a fixed handful of word
-    operations whatever ``k`` is.
-    """
-    _check_k(k)
-    x = ~np.asarray(kmers, dtype=np.int64).view(np.uint64)
-    x = ((x >> np.uint64(2)) & _PAIR_MASK) | ((x & _PAIR_MASK) << np.uint64(2))
-    x = ((x >> np.uint64(4)) & _NIBBLE_MASK) | ((x & _NIBBLE_MASK) << np.uint64(4))
-    x = x.byteswap() >> np.uint64(64 - 2 * k)
-    return x.view(np.int64)
+    return _kmer_codes(seq, k, canonical=False)
 
 
 def canonical_kmers(seq: str, k: int) -> np.ndarray:
     """Canonical (strand-independent) k-mer codes of ``seq``.
 
     For each window, the minimum of the forward and reverse-complement
-    encodings.  With even ``k`` a palindromic k-mer can equal its own
-    reverse complement; the paper avoids this by using odd ``k``
-    (§V-A2), and so does every caller in this repository.
+    encodings.  The reverse strand is encoded by the same doubling as
+    the forward one: complementing a base is ``3 - digit``, so the
+    reverse-complement codes are the window codes of the reversed,
+    complemented digits, read backwards.  With even ``k`` a palindromic
+    k-mer can equal its own reverse complement; the paper avoids this
+    by using odd ``k`` (§V-A2), and so does every caller in this
+    repository.
     """
-    fwd = encode_kmers(seq, k)
-    if fwd.size == 0:
-        return fwd
-    rev = reverse_complement_codes(fwd, k)
-    return np.minimum(fwd, rev)
+    return _kmer_codes(seq, k, canonical=True)
 
 
 def kmer_set(

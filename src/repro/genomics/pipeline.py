@@ -36,6 +36,8 @@ from repro.runtime.engine import Machine
 if TYPE_CHECKING:
     import networkx as nx
 
+    from repro.core.indicator import FileSource
+
 
 @dataclass
 class GenomeAtScaleResult:
@@ -130,6 +132,21 @@ class GenomeAtScale:
         names: list[str] | None = None,
     ) -> tuple[SampleStore, list[CleaningReport]]:
         """FASTA files -> sorted numeric sample store (Fig. 1, ¹)."""
+        store, reports, _ = self._write_store(fasta_paths, store_dir, names)
+        return store, reports
+
+    def _write_store(
+        self,
+        fasta_paths: list[str | Path],
+        store_dir: str | Path,
+        names: list[str] | None,
+    ) -> tuple[SampleStore, list[CleaningReport], list[np.ndarray]]:
+        """:meth:`build_store`, also returning the stored code arrays.
+
+        Each array is this method's own (a fresh :func:`clean_sample`
+        result, sorted and distinct) and is exactly what
+        :meth:`SampleStore.add_samples` saved for it.
+        """
         paths = [Path(p) for p in fasta_paths]
         if not paths:
             raise ValueError("need at least one FASTA file")
@@ -140,7 +157,7 @@ class GenomeAtScale:
                 f"{len(names)} names for {len(paths)} FASTA files"
             )
         store = SampleStore.create(store_dir, k=self.k, canonical=self.canonical)
-        reports = []
+        reports, samples = [], []
 
         def cleaned():
             for name, path in zip(names, paths):
@@ -149,10 +166,11 @@ class GenomeAtScale:
                     canonical=self.canonical,
                 )
                 reports.append(report)
+                samples.append(codes)
                 yield name, codes
 
         store.add_samples(cleaned())
-        return store, reports
+        return store, reports, samples
 
     # ---- parts II + III: distributed distances -------------------------
 
@@ -160,8 +178,16 @@ class GenomeAtScale:
         self, store: SampleStore, cleaning: list[CleaningReport] | None = None
     ) -> GenomeAtScaleResult:
         """Compute all-pairs genetic distances over a sample store."""
+        return self._run(store, store.as_source(), cleaning)
+
+    def _run(
+        self,
+        store: SampleStore,
+        source: FileSource,
+        cleaning: list[CleaningReport] | None,
+    ) -> GenomeAtScaleResult:
         engine = SimilarityAtScale(machine=self.machine, config=self.config)
-        result = engine.run(store.as_source())
+        result = engine.run(source)
         return GenomeAtScaleResult(
             names=list(store.names),
             k=store.k,
@@ -175,11 +201,16 @@ class GenomeAtScale:
         workdir: str | Path,
         names: list[str] | None = None,
     ) -> GenomeAtScaleResult:
-        """End to end: FASTA files -> distance matrix."""
-        store, reports = self.build_store(
+        """End to end: FASTA files -> distance matrix.
+
+        The samples are written to ``workdir/samples`` as by
+        :meth:`build_store`, and Part II starts from the arrays just
+        written instead of reading the files back.
+        """
+        store, reports, samples = self._write_store(
             fasta_paths, Path(workdir) / "samples", names
         )
-        return self.run_store(store, cleaning=reports)
+        return self._run(store, store.as_source(contents=samples), reports)
 
     # ---- the persistent index (repro.service) --------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -127,8 +127,18 @@ class SampleStore:
         """On-disk footprint of all sample files."""
         return sum(self._path(n).stat().st_size for n in self.names)
 
-    def as_source(self) -> FileSource:
-        """A batched indicator source over this store's files."""
+    def as_source(
+        self, contents: Sequence[np.ndarray] | None = None
+    ) -> FileSource:
+        """A batched indicator source over this store's files.
+
+        Every file is read and validated on first use, unless
+        ``contents`` hands over the arrays :meth:`add_samples` just
+        stored from the caller's own, in :attr:`names` order (see
+        :class:`~repro.core.indicator.FileSource`).
+        """
         if not self.names:
             raise ValueError("sample store is empty")
-        return FileSource([self._path(n) for n in self.names], m=self.m)
+        return FileSource(
+            [self._path(n) for n in self.names], m=self.m, contents=contents
+        )

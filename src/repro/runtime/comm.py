@@ -229,9 +229,22 @@ class Communicator:
         # As in bcast, a single-rank group never touches the wire.
         wire = codec if self.size > 1 else None
         sends = [self._send(wire, v) for v in vals]
+        # Left to right, as ``+`` sums: the first ``+`` makes a fresh
+        # result, and each later array of its shape whose dtype it keeps
+        # is added into that result in place — no block per summand, and
+        # no caller's value written to.
         acc = sends[0][0]
-        for v, _, _ in sends[1:]:
-            acc = acc + v
+        for i, (v, _, _) in enumerate(sends[1:]):
+            if (
+                i
+                and isinstance(acc, np.ndarray)
+                and isinstance(v, np.ndarray)
+                and v.shape == acc.shape
+                and np.result_type(acc, v) == acc.dtype
+            ):
+                np.add(acc, v, out=acc)
+            else:
+                acc = acc + v
         frames = [f for _, _, f in sends if f is not None]
         nbytes = max(n for _, n, _ in sends)
         raw_nbytes = max(payload_nbytes(v) for v in vals)

@@ -218,11 +218,82 @@ class TestIndexSubcommands:
             ["index", "build", *map(str, self.FASTAS), "--index", str(index)]
         ) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit, match="exactly one"):
+        with pytest.raises(SystemExit) as exited:
             main(
                 ["index", "query", str(SMOKE_FASTA), "--index", str(index),
                  "--threshold", "0.5"]
             )
+        assert_usage_error(
+            capsys, exited,
+            "index query takes exactly one query FASTA file, got 4 (pass a "
+            "single file, not a directory, or use --batch-file for many)",
+        )
+
+    def test_query_rejects_several_files(self, tmp_path, capsys):
+        index = tmp_path / "idx"
+        assert main(
+            ["index", "build", *map(str, self.FASTAS), "--index", str(index)]
+        ) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            main(
+                ["index", "query", *map(str, self.FASTAS[:2]),
+                 "--index", str(index), "--threshold", "0.5"]
+            )
+        assert_usage_error(
+            capsys, exited,
+            "index query takes exactly one query FASTA file, got 2 (pass a "
+            "single file, not a directory, or use --batch-file for many)",
+        )
+
+    def _batch_usage_error(self, tmp_path, capsys, lines, positional=()):
+        """``index query --batch-file`` over a list of ``lines`` (or no
+        list file at all when ``lines`` is ``None``)."""
+        index = tmp_path / "idx"
+        assert main(
+            ["index", "build", str(self.FASTAS[0]), "--index", str(index)]
+        ) == 0
+        capsys.readouterr()
+        listing = tmp_path / "queries.txt"
+        if lines is not None:
+            listing.write_text("".join(f"{ln}\n" for ln in lines))
+        with pytest.raises(SystemExit) as exited:
+            main(
+                ["index", "query", *positional, "--batch-file", str(listing),
+                 "--index", str(index), "--threshold", "0.5"]
+            )
+        return listing, exited
+
+    def test_batch_file_with_positional_fasta(self, tmp_path, capsys):
+        _, exited = self._batch_usage_error(
+            tmp_path, capsys, [self.FASTAS[1]], positional=[str(self.FASTAS[1])]
+        )
+        assert_usage_error(
+            capsys, exited,
+            "index query takes either positional FASTA files or "
+            "--batch-file, not both",
+        )
+
+    def test_batch_file_missing(self, tmp_path, capsys):
+        listing, exited = self._batch_usage_error(tmp_path, capsys, None)
+        assert_usage_error(capsys, exited, f"missing --batch-file: {listing}")
+
+    def test_batch_file_names_missing_fasta(self, tmp_path, capsys):
+        gone = tmp_path / "gone.fasta"
+        listing, exited = self._batch_usage_error(
+            tmp_path, capsys, [self.FASTAS[1], gone]
+        )
+        assert_usage_error(
+            capsys, exited, f"missing query FASTA from {listing}: {gone}"
+        )
+
+    def test_batch_file_empty(self, tmp_path, capsys):
+        listing, exited = self._batch_usage_error(
+            tmp_path, capsys, ["# nothing", ""]
+        )
+        assert_usage_error(
+            capsys, exited, f"--batch-file {listing} lists no query FASTA files"
+        )
 
 
 def assert_usage_error(capsys, exited, message):
@@ -268,6 +339,26 @@ class TestInvalidValues:
         assert_usage_error(
             capsys, exited, "--stream requires --min-count 1, got 2"
         )
+        assert not out.exists()
+
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        gone = tmp_path / "gone.fasta"
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main([str(SMOKE_FASTA / "sample_a.fasta"), str(gone), "-o", str(out)])
+        assert_usage_error(capsys, exited, f"missing input files: {gone}")
+        assert not out.exists()
+        with pytest.raises(SystemExit) as exited:
+            main(["index", "build", str(gone), "--index", str(tmp_path / "idx")])
+        assert_usage_error(capsys, exited, f"missing input files: {gone}")
+
+    def test_empty_directory_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main([str(empty), "-o", str(out)])
+        assert_usage_error(capsys, exited, f"no FASTA files found in {empty}")
         assert not out.exists()
 
     @pytest.mark.parametrize(

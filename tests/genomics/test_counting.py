@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.genomics import counting
 from repro.genomics.counting import (
     clean_kmers,
     clean_sample,
+    clean_sample_counts,
     count_kmers,
     kingsford_threshold,
 )
@@ -103,3 +105,42 @@ class TestCleanSample:
         cleaned, report = clean_sample(reads, 5, min_count=3)
         assert cleaned.size <= raw.size
         assert report.threshold == 3
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("min_count", [1, None, 2, 3])
+    def test_equals_the_counting_path(self, rng, min_count, canonical):
+        from repro.genomics.simulate import random_genome, reads_from_genome
+
+        reads = reads_from_genome(
+            rng, random_genome(rng, 600), coverage=8.0, read_length=60,
+            error_rate=0.01,
+        )
+        codes, report = clean_sample(
+            reads, 7, min_count=min_count, canonical=canonical
+        )
+        want, _, want_report = clean_sample_counts(
+            reads, 7, min_count=min_count, canonical=canonical
+        )
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, want)
+        assert report == want_report
+
+    @pytest.mark.parametrize("min_count", [1, None])
+    def test_threshold_one_counts_nothing(self, monkeypatch, min_count):
+        def no_counting(*args, **kwargs):
+            raise AssertionError("counted abundances that nothing reads")
+
+        monkeypatch.setattr(counting, "count_kmers", no_counting)
+        codes, report = clean_sample(
+            ["ACGTTGCA", "AAAAC"], 3, min_count=min_count
+        )
+        assert report == counting.CleaningReport(1, codes.size, codes.size)
+        assert codes.tolist() == sorted(set(codes.tolist()))
+
+    @pytest.mark.parametrize("min_count", [1, None, 2])
+    def test_one_shot_iterable(self, min_count):
+        seqs = ["AAAAAC", "ACGTAC", "AAAAAC"]
+        codes, report = clean_sample(iter(seqs), 3, min_count=min_count)
+        want, want_report = clean_sample(seqs, 3, min_count=min_count)
+        assert np.array_equal(codes, want)
+        assert report == want_report

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from repro.genomics.kmer import (
     MAX_K,
+    _window_codes,
     canonical_kmers,
     decode_kmer,
     encode_kmers,
     kmer_set,
     kmer_space_size,
-    reverse_complement_codes,
 )
 from repro.genomics.sequence import reverse_complement, sequence_to_codes
 
@@ -21,7 +21,7 @@ odd_k = st.sampled_from([3, 5, 7, 11, 19, 31])
 
 
 def _encode_by_window_matmul(seq: str, k: int) -> np.ndarray:
-    """The ``(n, k)`` window-matrix encode the rolling shift-or replaced."""
+    """The ``(n, k)`` window-matrix encode, an independent reference."""
     codes = sequence_to_codes(seq)
     if codes.size < k:
         return np.empty(0, dtype=np.int64)
@@ -32,13 +32,73 @@ def _encode_by_window_matmul(seq: str, k: int) -> np.ndarray:
 
 
 def _reverse_complement_by_digits(kmers: np.ndarray, k: int) -> np.ndarray:
-    """The ``k``-iteration digit loop the word-level reversal replaced."""
+    """Reverse-complement codes by a ``k``-iteration digit loop."""
     rem = np.asarray(kmers, dtype=np.int64).copy()
     out = np.zeros_like(rem)
     for _ in range(k):
         out = out * 4 + (3 - rem % 4)
         rem //= 4
     return out
+
+
+def _code(kmer: str) -> int:
+    return int("".join(str("ACGT".index(b)) for b in kmer), 4)
+
+
+def _kmers_by_strings(seq: str, k: int, canonical: bool) -> list[int]:
+    """Every window's code, one Python string at a time."""
+    seq = seq.upper()
+    out = []
+    for i in range(len(seq) - k + 1):
+        window = seq[i : i + k]
+        if "N" in window:
+            continue
+        code = _code(window)
+        if canonical:
+            code = min(code, _code(reverse_complement(window)))
+        out.append(code)
+    return out
+
+
+def _awkward_sequences(k: int, rng) -> list[str]:
+    """Shorter than / equal to / just over ``k``, N runs at both ends,
+    lowercase, and random ACGTN."""
+    def bases(n, alphabet="ACGT"):
+        return "".join(rng.choice(list(alphabet), size=n))
+
+    return [
+        "",
+        bases(k - 1),
+        bases(k),
+        bases(k + 1),
+        "NNN" + bases(2 * k) + "NN",
+        bases(k) + "N" * (k + 1) + bases(k + 2),
+        bases(3 * k, "acgt") + bases(k, "ACGTacgtNn"),
+        bases(200, "ACGTN"),
+        bases(150, "AAAACGTN"),
+    ]
+
+
+class TestAgainstStrings:
+    @pytest.mark.parametrize("k", range(1, MAX_K + 1))
+    def test_encode_and_canonical_for_every_k(self, k, rng):
+        for seq in _awkward_sequences(k, rng):
+            for canonical, fn in ((False, encode_kmers), (True, canonical_kmers)):
+                got = fn(seq, k)
+                assert got.dtype == np.int64
+                assert got.tolist() == _kmers_by_strings(seq, k, canonical), (
+                    seq, fn.__name__,
+                )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 16, 30, 31])
+    def test_window_codes_leave_the_digits_untouched(self, k, rng):
+        digits = rng.integers(0, 4, size=3 * k + 5).astype(np.uint8)
+        before = digits.copy()
+        got = _window_codes(digits, k)
+        assert np.array_equal(digits, before)
+        assert got.size == digits.size - k + 1
+        seq = "".join("ACGT"[d] for d in digits)
+        assert got.tolist() == _kmers_by_strings(seq, k, canonical=False)
 
 
 class TestEncode:
@@ -125,45 +185,44 @@ class TestDecode:
 
 
 class TestReverseComplementCodes:
+    """The reverse-strand codes inside :func:`canonical_kmers`."""
+
     @settings(max_examples=50)
     @given(seq=st.text(alphabet="ACGT", min_size=5, max_size=40), k=odd_k)
     def test_matches_string_rc(self, seq, k):
         if len(seq) < k:
             return
-        fwd = encode_kmers(seq, k)
-        rc = reverse_complement_codes(fwd, k)
-        for i, code in enumerate(rc):
-            assert decode_kmer(int(code), k) == reverse_complement(
-                seq[i : i + k]
+        got = canonical_kmers(seq, k)
+        for i, code in enumerate(got):
+            window = seq[i : i + k]
+            assert decode_kmer(int(code), k) == min(
+                window, reverse_complement(window), key=_code
             )
 
     @pytest.mark.parametrize("k", range(1, MAX_K + 1))
-    def test_word_reversal_equals_digit_loop_for_every_k(self, k, rng):
+    def test_doubling_equals_digit_loop_for_every_k(self, k, rng):
+        seqs = [
+            "A" * (k + 3),
+            "T" * (k + 3),
+            "".join(rng.choice(list("ACGT"), size=200 + k)),
+        ]
+        for seq in seqs:
+            fwd = encode_kmers(seq, k)
+            got = canonical_kmers(seq, k)
+            assert got.dtype == np.int64
+            assert np.array_equal(
+                got, np.minimum(fwd, _reverse_complement_by_digits(fwd, k))
+            )
         top = 4**k - 1
-        codes = np.concatenate(
-            [
-                [0, top, 1, top - 1, top // 3],  # all-A, all-T, ...
-                rng.integers(0, top, size=200, endpoint=True),
-            ]
-        ).astype(np.int64)
-        got = reverse_complement_codes(codes, k)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, _reverse_complement_by_digits(codes, k))
-        assert got[0] == top and got[1] == 0  # A^k <-> T^k
+        assert canonical_kmers("T" * k, k).tolist() == [0]  # T^k -> A^k
+        assert _reverse_complement_by_digits(np.array([0]), k)[0] == top
 
-    def test_input_left_untouched_and_shape_kept(self):
-        codes = np.array([[6, 27], [0, 63]], dtype=np.int64)
-        before = codes.copy()
-        got = reverse_complement_codes(codes, 3)
-        assert got.shape == codes.shape
-        assert np.array_equal(codes, before)
-        assert np.array_equal(got, _reverse_complement_by_digits(codes, 3))
-
-    @given(seq=st.text(alphabet="ACGT", min_size=7, max_size=30))
+    @given(seq=st.text(alphabet="ACGTN", min_size=7, max_size=30))
     def test_involution(self, seq):
-        fwd = encode_kmers(seq, 7)
-        rc2 = reverse_complement_codes(reverse_complement_codes(fwd, 7), 7)
-        assert np.array_equal(fwd, rc2)
+        # The reverse strand's windows are this strand's, backwards.
+        fwd = canonical_kmers(seq, 7)
+        rev = canonical_kmers(reverse_complement(seq), 7)
+        assert np.array_equal(fwd, rev[::-1])
 
 
 class TestCanonical:

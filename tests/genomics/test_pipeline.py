@@ -100,6 +100,75 @@ class TestPipeline:
         assert leaves == set(cohort.names)
 
 
+def _same_run(a, b):
+    """Bit-identical matrices, batch records and ledger."""
+    import dataclasses
+
+    ra, rb = a.similarity_result, b.similarity_result
+    for name in ("similarity", "distance", "intersections", "sample_sizes"):
+        x, y = getattr(ra, name), getattr(rb, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert [dataclasses.asdict(x) for x in ra.batches] == [
+        dataclasses.asdict(x) for x in rb.batches
+    ]
+    assert ra.cost.phases == rb.cost.phases
+    assert ra.cost.simulated_seconds == rb.cost.simulated_seconds
+    assert a.names == b.names
+
+
+class TestRunFastaHandsOver:
+    """``run_fasta`` starts Part II from the arrays Part I just wrote."""
+
+    def tool(self):
+        return GenomeAtScale(machine=Machine(laptop(4)), k=19)
+
+    def test_same_as_the_reopened_store(self, cohort_dir, tmp_path):
+        from repro.genomics.samples import SampleStore
+
+        _, paths, _ = cohort_dir
+        result = self.tool().run_fasta(paths, tmp_path / "work")
+        reopened = self.tool().run_store(
+            SampleStore.open(tmp_path / "work" / "samples"),
+            cleaning=result.cleaning,
+        )
+        _same_run(result, reopened)
+
+    def test_store_bytes_equal_build_store(self, cohort_dir, tmp_path):
+        _, paths, _ = cohort_dir
+        self.tool().run_fasta(paths, tmp_path / "work")
+        store, _ = self.tool().build_store(paths, tmp_path / "built")
+        written = sorted((tmp_path / "work" / "samples").iterdir())
+        assert [p.name for p in written] == sorted(
+            p.name for p in store.root.iterdir()
+        )
+        for p in written:
+            assert p.read_bytes() == (store.root / p.name).read_bytes()
+
+    def test_reads_no_sample_file_back(self, cohort_dir, tmp_path, monkeypatch):
+        _, paths, _ = cohort_dir
+        loads = []
+        real_load = np.load
+        monkeypatch.setattr(
+            np, "load", lambda *a, **kw: loads.append(a) or real_load(*a, **kw)
+        )
+        self.tool().run_fasta(paths, tmp_path / "work")
+        assert loads == []
+
+    def test_corrupted_file_in_reopened_store_is_named(
+        self, cohort_dir, tmp_path
+    ):
+        from repro.genomics.samples import SampleStore
+
+        _, paths, _ = cohort_dir
+        self.tool().run_fasta(paths, tmp_path / "work")
+        store = SampleStore.open(tmp_path / "work" / "samples")
+        bad = store.root / f"{store.names[2]}.npy"
+        bad.write_bytes(bad.read_bytes()[:40])
+        with pytest.raises(ValueError, match="unreadable sample file") as info:
+            self.tool().run_store(store)
+        assert str(bad) in str(info.value)
+
+
 class TestCli:
     def test_end_to_end(self, cohort_dir, tmp_path, capsys):
         _, _, fasta_dir = cohort_dir
@@ -113,15 +182,19 @@ class TestCli:
         assert (out / "tree_nj.nwk").exists()
         assert "SimilarityAtScale" in capsys.readouterr().out
 
-    def test_missing_inputs(self, tmp_path):
-        with pytest.raises(SystemExit):
+    def test_missing_inputs(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
             cli_main([str(tmp_path / "nope.fasta"), "-o", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "error: missing input files:" in capsys.readouterr().err
 
-    def test_empty_directory(self, tmp_path):
+    def test_empty_directory(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
-        with pytest.raises(SystemExit, match="no FASTA"):
+        with pytest.raises(SystemExit) as exited:
             cli_main([str(empty), "-o", str(tmp_path / "out")])
+        assert exited.value.code == 2
+        assert "error: no FASTA files found in" in capsys.readouterr().err
 
 
 class TestIndexMethods:

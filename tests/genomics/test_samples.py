@@ -49,6 +49,28 @@ class TestSampleStore:
         coo = source.read_batch(0, 64, 0, 1)
         assert coo.nnz == 4
 
+    def test_as_source_with_contents_reads_no_file(self, tmp_path, monkeypatch):
+        store = SampleStore.create(tmp_path / "s", k=3)
+        arrays = [np.array([0, 7]), np.array([7, 20])]
+        store.add_samples(zip("ab", arrays))
+        loads = []
+        real_load = np.load
+        monkeypatch.setattr(
+            np, "load", lambda *a, **kw: loads.append(a) or real_load(*a, **kw)
+        )
+        handed = store.as_source(contents=arrays).read_batch(0, 64, 0, 1)
+        assert loads == []
+        read = store.as_source().read_batch(0, 64, 0, 1)
+        assert len(loads) == 2
+        assert np.array_equal(handed.rows, read.rows)
+        assert np.array_equal(handed.cols, read.cols)
+
+    def test_as_source_contents_must_match_the_files(self, tmp_path):
+        store = SampleStore.create(tmp_path / "s", k=3)
+        store.add_samples([("a", np.array([1])), ("b", np.array([2]))])
+        with pytest.raises(ValueError, match="1 arrays for 2 sample files"):
+            store.as_source(contents=[np.array([1])])
+
     def test_as_source_empty_store(self, tmp_path):
         store = SampleStore.create(tmp_path / "s", k=3)
         with pytest.raises(ValueError, match="empty"):

@@ -171,3 +171,60 @@ class TestCodecPerPayload:
         total = machine.ledger.total
         assert total.wire_raw_bytes == payload.nbytes
         assert 0 < total.wire_encoded_bytes < payload.nbytes
+
+
+class TestAllreduceSum:
+    """The sum every rank receives is the plain left-to-right ``+``."""
+
+    CASES = {
+        "int64": lambda: [np.arange(6).reshape(2, 3) * r for r in range(5)],
+        "float64": lambda: [np.linspace(0, 1, 7) * r for r in range(4)],
+        "int_then_float": lambda: [
+            np.arange(4), np.arange(4) * 2, np.full(4, 0.5), np.arange(4),
+        ],
+        "float32_then_int64": lambda: [
+            np.ones(3, np.float32), np.ones(3, np.float32),
+            np.arange(3), np.ones(3, np.float32),
+        ],
+        "bool_then_int": lambda: [
+            np.array([True, False]), np.array([True, True]),
+            np.array([True, False]), np.array([3, 4]),
+        ],
+        "python_scalars": lambda: [1, 2.5, 3, 4],
+        "numpy_scalars": lambda: [np.int64(1), np.int64(2), np.float64(0.5)],
+        "array_and_scalar": lambda: [
+            np.array([1, 2]), 3, np.array([1, 1]), np.array([0.5, 1.0]),
+        ],
+        "broadcast": lambda: [np.ones(3), np.ones((2, 3)), np.ones(3), np.ones(3)],
+        "zero_d": lambda: [np.array(1), np.array(2), np.array(3)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_plain_sum_and_leaves_inputs(self, machine, case):
+        vals = self.CASES[case]()
+        before = [np.array(v, copy=True) for v in vals]
+        want = vals[0]
+        for v in vals[1:]:
+            want = want + v
+        out = machine.world.sub(range(len(vals))).allreduce(vals)
+        got = out[0]
+        assert type(got) is type(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.array_equal(got, want)
+        assert all(o is got for o in out)
+        for v, b in zip(vals, before):
+            assert np.asarray(v).dtype == b.dtype
+            assert np.array_equal(v, b)
+
+    def test_result_is_not_a_callers_array(self, machine):
+        vals = [np.zeros(4, np.int64) for _ in range(3)]
+        got = machine.world.sub(range(3)).allreduce(vals)[0]
+        assert all(got is not v and not np.shares_memory(got, v) for v in vals)
+
+    def test_wire_codec_sum_is_the_same(self, machine):
+        vals = [np.arange(64, dtype=np.int64) * r for r in range(4)]
+        comm = machine.world.sub(range(4))
+        raw = comm.allreduce(vals)[0]
+        framed = comm.allreduce(vals, codec=WireCodec("adaptive"))[0]
+        assert framed.dtype == raw.dtype
+        assert np.array_equal(framed, raw)

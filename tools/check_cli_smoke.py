@@ -12,9 +12,12 @@ over ``tests/data/smoke_fasta``:
   through ``--wire-codec adaptive``; its matrix must equal the first
   run's bit for bit, and its cost report must show the wire volume.
 * ``index`` — the serving layer: ``index build`` over three samples,
-  ``index add`` of the fourth, an ``index query -k 21`` against that
-  ``k = 31`` index, which must exit 2 with one ``error:`` line naming
-  both values and no traceback, then ``index query --threshold`` of one
+  ``index add`` of the fourth, then four usage-error legs, each of
+  which must exit 2 with one ``error:`` line naming the bad value and
+  no traceback: an ``index query -k 21`` against that ``k = 31``
+  index, a query FASTA given beside ``--batch-file``, the FASTA
+  directory given as the query, and a query FASTA that does not
+  exist.  Then ``index query --threshold`` of one
   sample against the four-genome index; the query's matches must agree
   exactly with a fresh batch-engine exact run over the same four
   samples (same qualifying set, same similarities), and so must the
@@ -200,6 +203,23 @@ def check_index(
         [*mismatch, "--threshold", str(threshold)],
         f"index at {index_dir} was built with k=31, tool is configured for k=21",
     )
+    # So are query inputs the command cannot take.
+    query_flags = ["--index", str(index_dir), "--threshold", str(threshold)]
+    run_cli_usage_error(
+        ["index", "query", str(query_fasta), "--batch-file",
+         str(workdir / "unused_list.txt"), *query_flags],
+        "index query takes either positional FASTA files or --batch-file, not both",
+    )
+    run_cli_usage_error(
+        ["index", "query", str(FASTA_DIR), *query_flags],
+        f"index query takes exactly one query FASTA file, got {len(fastas)} "
+        f"(pass a single file, not a directory, or use --batch-file for many)",
+    )
+    missing = workdir / "missing.fasta"
+    run_cli_usage_error(
+        ["index", "query", str(missing), *query_flags],
+        f"missing input files: {missing}",
+    )
     run_cli(
         [
             "index", "query", str(query_fasta), "--index", str(index_dir),
@@ -302,7 +322,8 @@ def check_index(
     migrated = "; ".join(check_migrate(workdir / "migrate", v1) for v1 in V1_STORES)
     return (
         f"cli smoke ok [index]: build({len(fastas) - 1}) -> add(1) -> "
-        f"query -k 21 refused with exit 2 -> "
+        f"query -k 21, FASTA beside --batch-file, directory query and "
+        f"missing FASTA refused with exit 2 -> "
         f"all_pairs() equal to the fresh exact run; "
         f"query t={threshold:g} returned {len(got)} match(es) identical "
         f"to it "
