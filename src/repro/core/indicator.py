@@ -23,7 +23,7 @@ Concrete sources:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class SortedSampleSource:
 class SetSource(SortedSampleSource):
     """Samples given as in-memory collections of integer attribute values."""
 
-    def __init__(self, sets: Sequence, m: int | None = None):
+    def __init__(self, sets: Iterable, m: int | None = None):
         # np.array copies: the source never aliases caller-owned memory.
         self._arrays = [
             sorted_unique(

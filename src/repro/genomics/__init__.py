@@ -14,10 +14,9 @@ to go from sequencing data to a matrix of Jaccard genetic distances
   noise thresholds used to clean raw reads (§V-A2);
 * :mod:`~repro.genomics.samples` — the sorted numeric per-sample
   representation GenomeAtScale materializes on disk (§IV);
-* :mod:`~repro.genomics.stream` — streaming ingestion: chunked FASTA
-  -> k-mer batches as an iterator, and a batched indicator source that
-  never materializes whole sequence files;
-* :mod:`~repro.genomics.pipeline` — the end-to-end tool;
+* :mod:`~repro.genomics.pipeline` — the end-to-end tool, with one
+  ingest loop (FASTA -> cleaned k-mer arrays) behind the sample-store
+  run, the store-free run and the index paths;
 * :mod:`~repro.genomics.simulate` — synthetic cohorts: phylogeny-aware
   genome evolution, read simulation with errors, and generators
   calibrated to the Kingsford and BIGSI dataset regimes (§V-A2);
@@ -36,7 +35,6 @@ from repro.genomics.phylogeny import neighbor_joining, upgma
 from repro.genomics.pipeline import GenomeAtScale, GenomeAtScaleResult
 from repro.genomics.samples import SampleStore
 from repro.genomics.sequence import SequenceRecord, reverse_complement
-from repro.genomics.stream import StreamingKmerSource, stream_kmer_set
 from repro.genomics.simulate import (
     CohortSpec,
     bigsi_like,
@@ -59,8 +57,6 @@ __all__ = [
     "SampleStore",
     "SequenceRecord",
     "reverse_complement",
-    "StreamingKmerSource",
-    "stream_kmer_set",
     "CohortSpec",
     "bigsi_like",
     "kingsford_like",

@@ -40,6 +40,7 @@ from repro.core.sketch import ESTIMATORS
 from repro.runtime.codec import WIRE_CODECS
 from repro.runtime.pipeline import PIPELINE_MODES
 from repro.sparse.dispatch import KERNEL_POLICIES
+from repro.genomics.fasta import is_fasta, sample_name
 from repro.genomics.phylogeny import tree_to_newick
 from repro.genomics.pipeline import GenomeAtScale
 from repro.runtime.engine import Machine
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "inputs", nargs="+", type=Path,
-        help="FASTA files, or a single directory of .fasta/.fa files",
+        help="FASTA files, or a single directory of .fasta/.fa/.fna(.gz) files",
     )
     parser.add_argument("-o", "--output", type=Path, required=True,
                         help="output directory")
@@ -122,13 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stream", action="store_true",
         help=(
-            "stream chunked FASTA straight into the engine (no sample "
-            "store on disk; requires --min-count 1)"
+            "keep no sample store under -o: the cleaned k-mer sets go "
+            "straight into the engine (results equal the default run's)"
         ),
-    )
-    parser.add_argument(
-        "--chunk-bases", type=int, default=None,
-        help="bases per streaming chunk (with --stream; default 1 MiB)",
     )
     parser.add_argument("--tree", choices=["nj", "upgma", "none"],
                         default="nj", help="phylogeny method")
@@ -176,7 +173,7 @@ def build_index_parser() -> argparse.ArgumentParser:
     )
     build.add_argument(
         "inputs", nargs="+", type=Path,
-        help="FASTA files, or a single directory of .fasta/.fa files",
+        help="FASTA files, or a single directory of .fasta/.fa/.fna(.gz) files",
     )
     _add_index_common(build)
     build.add_argument(
@@ -215,7 +212,7 @@ def build_index_parser() -> argparse.ArgumentParser:
     )
     add.add_argument(
         "inputs", nargs="+", type=Path,
-        help="FASTA files, or a single directory of .fasta/.fa files",
+        help="FASTA files, or a single directory of .fasta/.fa/.fna(.gz) files",
     )
     _add_index_common(add)
 
@@ -513,20 +510,23 @@ def collect_inputs(
     parser: argparse.ArgumentParser, inputs: list[Path]
 ) -> list[Path]:
     """The FASTA files ``inputs`` name: the ``.fasta``/``.fa``/``.fna``
-    files of a single directory, or the files themselves.  An empty
-    directory or a missing file is a usage error."""
+    files of a single directory, gzipped or not, or the files
+    themselves.  An empty directory, a missing file or two files of one
+    sample name (``x.fa`` beside ``x.fa.gz``) is a usage error."""
     if len(inputs) == 1 and inputs[0].is_dir():
-        found = sorted(
-            p for p in inputs[0].iterdir()
-            if p.suffix in (".fasta", ".fa", ".fna")
-        )
+        found = sorted(p for p in inputs[0].iterdir() if is_fasta(p))
         if not found:
             parser.error(f"no FASTA files found in {inputs[0]}")
-        return found
-    missing = [p for p in inputs if not p.exists()]
-    if missing:
-        parser.error(f"missing input files: {', '.join(map(str, missing))}")
-    return inputs
+    else:
+        found = inputs
+        missing = [p for p in inputs if not p.exists()]
+        if missing:
+            parser.error(f"missing input files: {', '.join(map(str, missing))}")
+    names = [sample_name(p) for p in found]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        parser.error(f"several input files hold sample {repeated[0]!r}")
+    return found
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -541,10 +541,6 @@ def main(argv: list[str] | None = None) -> int:
         return index_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.chunk_bases is not None and args.chunk_bases <= 0:
-        parser.error(f"chunk_bases must be positive, got {args.chunk_bases}")
-    if args.stream and args.min_count != 1:
-        parser.error(f"--stream requires --min-count 1, got {args.min_count}")
     fasta_paths = collect_inputs(parser, args.inputs)
     tool = _build_tool(
         parser, args, batch_count=args.batches, bit_width=args.bit_width,
@@ -554,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args.output.mkdir(parents=True, exist_ok=True)
     if args.stream:
-        result = tool.run_streaming(fasta_paths, chunk_bases=args.chunk_bases)
+        result = tool.run_streaming(fasta_paths)
     else:
         result = tool.run_fasta(fasta_paths, args.output)
 

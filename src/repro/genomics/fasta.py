@@ -25,6 +25,23 @@ _BLOCK_CHARS = 1 << 16
 _ASCII_BLANKS = " \t\x0b\x0c\r\x1c\x1d\x1e\x1f"
 
 
+def is_fasta(path: str | Path) -> bool:
+    """Whether ``path`` ends in ``.fasta``, ``.fa`` or ``.fna``, with or
+    without a further ``.gz``."""
+    return _without_gz(path).suffix in (".fasta", ".fa", ".fna")
+
+
+def sample_name(path: str | Path) -> str:
+    """The sample a sequence file holds: its file name without ``.gz``
+    and then without its last suffix (``x.fasta.gz`` and ``x.fa`` are
+    both sample ``x``)."""
+    return _without_gz(path).stem
+
+
+def _without_gz(path: str | Path) -> Path:
+    return Path(Path(path).name.removesuffix(".gz"))
+
+
 def _open_text(path: str | Path) -> IO[str]:
     path = Path(path)
     if path.suffix == ".gz":

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro.core.config import SimilarityConfig
+from repro.core.indicator import IndicatorSource, SetSource
 from repro.core.result import SimilarityResult
 from repro.core.similarity import SimilarityAtScale
 from repro.genomics.counting import (
@@ -28,15 +29,14 @@ from repro.genomics.counting import (
     clean_sample,
     clean_sample_counts,
 )
-from repro.genomics.fasta import read_fasta
+from repro.genomics.fasta import read_fasta, sample_name
+from repro.genomics.kmer import kmer_space_size
 from repro.genomics.phylogeny import jaccard_tree
 from repro.genomics.samples import SampleStore
 from repro.runtime.engine import Machine
 
 if TYPE_CHECKING:
     import networkx as nx
-
-    from repro.core.indicator import FileSource
 
 
 @dataclass
@@ -125,6 +125,56 @@ class GenomeAtScale:
 
     # ---- part I: building the sample representation --------------------
 
+    def _inputs(
+        self, fasta_paths: list[str | Path], names: list[str] | None
+    ) -> list[tuple[str, Path]]:
+        """The ``(name, path)`` samples to ingest, checked up front.
+
+        Names default to each file's
+        :func:`~repro.genomics.fasta.sample_name`.
+        """
+        paths = [Path(p) for p in fasta_paths]
+        if not paths:
+            raise ValueError("need at least one FASTA file")
+        if names is None:
+            names = [sample_name(p) for p in paths]
+        if len(names) != len(paths):
+            raise ValueError(
+                f"{len(names)} names for {len(paths)} FASTA files"
+            )
+        return list(zip(names, paths))
+
+    def _clean(
+        self,
+        inputs: list[tuple[str, Path]],
+        reports: list[CleaningReport],
+        weighted: bool = False,
+    ) -> Iterator[tuple]:
+        """The one Part I loop: each sample read, cleaned and yielded in
+        turn, its report appended to ``reports``.
+
+        Items are ``(name, codes)`` pairs (a fresh :func:`clean_sample`
+        result, sorted and distinct); when ``weighted`` the surviving
+        abundances are kept and the items are ``(name, codes, counts)``
+        triples, which every store-layer entry point
+        (:meth:`IndexStore.append_many` and friends) accepts directly.
+        """
+        for name, path in inputs:
+            if weighted:
+                codes, counts, report = clean_sample_counts(
+                    read_fasta(path), self.k, min_count=self.min_count,
+                    canonical=self.canonical,
+                )
+                item = (name, codes, counts)
+            else:
+                codes, report = clean_sample(
+                    read_fasta(path), self.k, min_count=self.min_count,
+                    canonical=self.canonical,
+                )
+                item = (name, codes)
+            reports.append(report)
+            yield item
+
     def build_store(
         self,
         fasta_paths: list[str | Path],
@@ -143,34 +193,14 @@ class GenomeAtScale:
     ) -> tuple[SampleStore, list[CleaningReport], list[np.ndarray]]:
         """:meth:`build_store`, also returning the stored code arrays.
 
-        Each array is this method's own (a fresh :func:`clean_sample`
-        result, sorted and distinct) and is exactly what
+        Each array is this method's own and is exactly what
         :meth:`SampleStore.add_samples` saved for it.
         """
-        paths = [Path(p) for p in fasta_paths]
-        if not paths:
-            raise ValueError("need at least one FASTA file")
-        if names is None:
-            names = [p.stem for p in paths]
-        if len(names) != len(paths):
-            raise ValueError(
-                f"{len(names)} names for {len(paths)} FASTA files"
-            )
+        reports: list[CleaningReport] = []
+        items = list(self._clean(self._inputs(fasta_paths, names), reports))
         store = SampleStore.create(store_dir, k=self.k, canonical=self.canonical)
-        reports, samples = [], []
-
-        def cleaned():
-            for name, path in zip(names, paths):
-                codes, report = clean_sample(
-                    read_fasta(path), self.k, min_count=self.min_count,
-                    canonical=self.canonical,
-                )
-                reports.append(report)
-                samples.append(codes)
-                yield name, codes
-
-        store.add_samples(cleaned())
-        return store, reports, samples
+        store.add_samples(items)
+        return store, reports, [codes for _, codes in items]
 
     # ---- parts II + III: distributed distances -------------------------
 
@@ -178,19 +208,20 @@ class GenomeAtScale:
         self, store: SampleStore, cleaning: list[CleaningReport] | None = None
     ) -> GenomeAtScaleResult:
         """Compute all-pairs genetic distances over a sample store."""
-        return self._run(store, store.as_source(), cleaning)
+        return self._run(store.as_source(), store.names, store.k, cleaning)
 
     def _run(
         self,
-        store: SampleStore,
-        source: FileSource,
+        source: IndicatorSource,
+        names: list[str],
+        k: int,
         cleaning: list[CleaningReport] | None,
     ) -> GenomeAtScaleResult:
         engine = SimilarityAtScale(machine=self.machine, config=self.config)
         result = engine.run(source)
         return GenomeAtScaleResult(
-            names=list(store.names),
-            k=store.k,
+            names=list(names),
+            k=k,
             similarity_result=result,
             cleaning=cleaning if cleaning is not None else [],
         )
@@ -210,7 +241,27 @@ class GenomeAtScale:
         store, reports, samples = self._write_store(
             fasta_paths, Path(workdir) / "samples", names
         )
-        return self._run(store, store.as_source(contents=samples), reports)
+        return self._run(
+            store.as_source(contents=samples), store.names, store.k, reports
+        )
+
+    def run_streaming(
+        self, fasta_paths: list[str | Path]
+    ) -> GenomeAtScaleResult:
+        """:meth:`run_fasta` without the sample store: nothing is written.
+
+        The samples are cleaned by the same loop, at any ``min_count``,
+        and Part II runs over their arrays in memory, so the result
+        equals :meth:`run_fasta`'s bit for bit.  Every cleaned array is
+        held until the run ends, as on the store path.
+        """
+        inputs = self._inputs(fasta_paths, None)
+        reports: list[CleaningReport] = []
+        source = SetSource(
+            (codes for _, codes in self._clean(inputs, reports)),
+            m=kmer_space_size(self.k),
+        )
+        return self._run(source, [name for name, _ in inputs], self.k, reports)
 
     # ---- the persistent index (repro.service) --------------------------
 
@@ -225,38 +276,11 @@ class GenomeAtScale:
     def _clean_inputs(
         self, fasta_paths: list[str | Path], names: list[str] | None
     ) -> list[tuple]:
-        """FASTA files -> cleaned index items.
-
-        ``(name, codes)`` pairs normally; under ``weighted_jaccard``
-        the surviving abundances are kept and the items are
-        ``(name, codes, counts)`` triples, which every store-layer
-        entry point (:meth:`IndexStore.append_many` and friends)
-        accepts directly.
-        """
-        paths = [Path(p) for p in fasta_paths]
-        if not paths:
-            raise ValueError("need at least one FASTA file")
-        if names is None:
-            names = [p.stem for p in paths]
-        if len(names) != len(paths):
-            raise ValueError(
-                f"{len(names)} names for {len(paths)} FASTA files"
-            )
-        out = []
-        for name, path in zip(names, paths):
-            if self._weighted:
-                codes, counts, _ = clean_sample_counts(
-                    read_fasta(path), self.k, min_count=self.min_count,
-                    canonical=self.canonical,
-                )
-                out.append((name, codes, counts))
-            else:
-                codes, _ = clean_sample(
-                    read_fasta(path), self.k, min_count=self.min_count,
-                    canonical=self.canonical,
-                )
-                out.append((name, codes))
-        return out
+        """FASTA files -> cleaned index items (see :meth:`_clean`),
+        weighted as the configured measure asks."""
+        return list(
+            self._clean(self._inputs(fasta_paths, names), [], self._weighted)
+        )
 
     def build_index(
         self,
@@ -275,7 +299,6 @@ class GenomeAtScale:
         on-demand read (``SimilarityService.all_pairs``).  Returns the
         store.
         """
-        from repro.genomics.kmer import kmer_space_size
         from repro.service import SimilarityService
 
         config = self.config if self.config is not None else SimilarityConfig()
@@ -398,41 +421,4 @@ class GenomeAtScale:
             queries = [codes for _, codes in cleaned]
         return self._service(index_dir).query_batch(
             queries, threshold=threshold, top_k=top_k,
-        )
-
-    def run_streaming(
-        self,
-        fasta_paths: list[str | Path],
-        chunk_bases: int | None = None,
-    ) -> GenomeAtScaleResult:
-        """Streaming end to end: chunked FASTA -> distance matrix.
-
-        Skips the sample-store materialization entirely: each sample's
-        k-mer set is assembled chunk by chunk by
-        :class:`~repro.genomics.stream.StreamingKmerSource`, so no full
-        sequence set is ever held in memory.  Abundance cleaning needs
-        global per-k-mer counts, which a single streaming pass does not
-        keep, so this path requires ``min_count=1`` (keep every k-mer —
-        appropriate for assembled genomes; use the sample-store path for
-        read sets that need cleaning).
-        """
-        from repro.genomics.stream import DEFAULT_CHUNK_BASES, StreamingKmerSource
-
-        if self.min_count != 1:
-            raise ValueError(
-                "streaming ingestion has no global k-mer counts for "
-                f"abundance cleaning; requires min_count=1, got "
-                f"{self.min_count}"
-            )
-        source = StreamingKmerSource(
-            fasta_paths, k=self.k, canonical=self.canonical,
-            chunk_bases=(
-                chunk_bases if chunk_bases is not None else DEFAULT_CHUNK_BASES
-            ),
-        )
-        engine = SimilarityAtScale(machine=self.machine, config=self.config)
-        result = engine.run(source)
-        return GenomeAtScaleResult(
-            names=source.names, k=self.k,
-            similarity_result=result, cleaning=[],
         )

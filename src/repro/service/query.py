@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.baselines.exact import intersection_size_sorted
 from repro.core.config import QUERY_PREFILTERS, SimilarityConfig
-from repro.core.sketch import sketch_error_bound
 from repro.runtime.engine import Machine
 from repro.runtime.executor import SequentialExecutor
 from repro.runtime.machine import laptop
@@ -54,7 +53,7 @@ from repro.service.cache import (
 from repro.service.cascade import Request, run_cascade, validate_request
 from repro.service.cascade import sketch_estimates  # noqa: F401 - public from this module
 from repro.service.errors import ConfigError, QueryError
-from repro.service.plan import QueryPlan, compile_plan, resolve_family
+from repro.service.plan import QueryPlan, compile_plan
 from repro.service.sharded import ShardedStore
 from repro.service.store import IndexStore, StoreSnapshot
 
@@ -266,22 +265,6 @@ class _QueryEngine:
         self._pinned = None
         self._pin_lock = threading.Lock()
 
-    # ---- configuration ------------------------------------------------
-
-    @property
-    def family(self) -> str:
-        """The stored sketch family the prefilter estimates with."""
-        return resolve_family(
-            self.config.estimator, tuple(self.store.families)
-        )
-
-    @property
-    def error_bound(self) -> float:
-        """Analytic 95% additive bound of the prefilter estimates."""
-        return sketch_error_bound(
-            self.family, self.store.sketch_size, self.store.sketch_bits
-        )
-
     def snapshot(self):
         """The pinned view of the store's current version.
 
@@ -420,11 +403,11 @@ class _QueryEngine:
                     cached, from_cache=True, cache_stats=self.cache.stats
                 )
         if misses:
-            before = self.machine.ledger.snapshot()
+            before = self.machine.ledger.makespan
             computed = self._compute(
                 [requests[i] for i in misses], snapshot, plan
             )
-            cost = self.machine.ledger.diff(before).simulated_seconds
+            cost = self.machine.ledger.makespan - before
             for i, result in zip(misses, computed):
                 bare = replace(result, simulated_seconds=cost / len(misses))
                 self.cache.put(keys[i], bare)

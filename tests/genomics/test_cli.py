@@ -1,5 +1,6 @@
 """Tests for the genome-at-scale CLI, including the estimator flags."""
 
+import gzip
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.genomics.cli import build_parser, main
 from repro.genomics.pipeline import GenomeAtScale
+from repro.service import open_store
 
 SMOKE_FASTA = (
     Path(__file__).resolve().parent.parent / "data" / "smoke_fasta"
@@ -47,11 +49,9 @@ class TestEndToEnd:
     tier-1 speed: both modes exit 0 and agree within the sketch bound.
     """
 
-    def run_cli(self, tmp_path, subdir, extra):
+    def run_cli(self, tmp_path, subdir, extra, inputs=SMOKE_FASTA):
         out = tmp_path / subdir
-        rc = main(
-            [str(SMOKE_FASTA), "-o", str(out), "--tree", "none", *extra]
-        )
+        rc = main([str(inputs), "-o", str(out), "--tree", "none", *extra])
         assert rc == 0
         return np.load(out / "similarity.npy")
 
@@ -68,6 +68,28 @@ class TestEndToEnd:
             report.split("estimated J +/- ")[1].split(" at 95%")[0]
         )
         assert np.abs(exact - approx).max() <= bound
+
+    def test_gzipped_directory_equals_plain(self, tmp_path, capsys):
+        """``x.fasta.gz`` is sample ``x``, on every path that ingests it."""
+        gz_dir = tmp_path / "gz"
+        gz_dir.mkdir()
+        for path in sorted(SMOKE_FASTA.glob("*.fasta")):
+            with gzip.open(gz_dir / f"{path.name}.gz", "wb") as fh:
+                fh.write(path.read_bytes())
+        plain = self.run_cli(tmp_path, "plain", [])
+        for subdir, extra in (("gz", []), ("gz-stream", ["--stream"])):
+            assert np.array_equal(
+                plain, self.run_cli(tmp_path, subdir, extra, inputs=gz_dir)
+            )
+            assert (tmp_path / subdir / "distance.phylip").read_text() == (
+                tmp_path / "plain" / "distance.phylip"
+            ).read_text()
+        names = [f"sample_{c}" for c in "abcd"]
+        stored = sorted(p.name for p in (tmp_path / "gz" / "samples").iterdir())
+        assert stored == ["manifest.json", *(f"{n}.npy" for n in names)]
+        index = tmp_path / "idx"
+        assert main(["index", "build", str(gz_dir), "--index", str(index)]) == 0
+        assert open_store(index).names == names
 
 
 class TestIndexSubcommands:
@@ -314,31 +336,17 @@ class TestInvalidValues:
             (["-k", "4"], "k must be odd (paper §V-A2), got 4"),
             (["--sketch-size", "0"], "sketch_size must be positive, got 0"),
             (
-                ["--stream", "--chunk-bases", "0"],
-                "chunk_bases must be positive, got 0",
-            ),
-            (
                 ["--machine", "stampede2", "--nodes", "0"],
                 "n_nodes must be positive, got 0",
             ),
         ],
-        ids=["batches", "ranks", "k", "sketch-size", "chunk-bases", "nodes"],
+        ids=["batches", "ranks", "k", "sketch-size", "nodes"],
     )
     def test_batch_run_exits_2(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exited:
             main([str(SMOKE_FASTA), "-o", str(out), *flags])
         assert_usage_error(capsys, exited, message)
-        assert not out.exists()
-
-    def test_stream_with_min_count_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exited:
-            main([str(SMOKE_FASTA), "-o", str(out), "--stream",
-                  "--min-count", "2"])
-        assert_usage_error(
-            capsys, exited, "--stream requires --min-count 1, got 2"
-        )
         assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
@@ -359,6 +367,23 @@ class TestInvalidValues:
         with pytest.raises(SystemExit) as exited:
             main([str(empty), "-o", str(out)])
         assert_usage_error(capsys, exited, f"no FASTA files found in {empty}")
+        assert not out.exists()
+
+    def test_one_sample_in_two_files_exits_2(self, tmp_path, capsys):
+        """``x.fasta`` beside ``x.fasta.gz`` is one sample twice."""
+        both = tmp_path / "both"
+        both.mkdir()
+        plain = SMOKE_FASTA / "sample_a.fasta"
+        (both / plain.name).write_bytes(plain.read_bytes())
+        with gzip.open(both / f"{plain.name}.gz", "wb") as fh:
+            fh.write(plain.read_bytes())
+        out = tmp_path / "out"
+        for argv in ([str(both)], [str(both / plain.name), str(plain)]):
+            with pytest.raises(SystemExit) as exited:
+                main([*argv, "-o", str(out), "--stream"])
+            assert_usage_error(
+                capsys, exited, "several input files hold sample 'sample_a'"
+            )
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 """Integration tests for the GenomeAtScale pipeline and CLI."""
 
+import gzip
+
 import numpy as np
 import pytest
 
+from repro import SimilarityConfig
 from repro.baselines.exact import jaccard_pairwise_sorted
 from repro.genomics.cli import main as cli_main
 from repro.genomics.kmer import kmer_set
@@ -167,6 +170,102 @@ class TestRunFastaHandsOver:
         with pytest.raises(ValueError, match="unreadable sample file") as info:
             self.tool().run_store(store)
         assert str(bad) in str(info.value)
+
+
+def _messy_fasta(directory, seed=41, n_samples=4):
+    """FASTA in the shapes it comes in, the last file gzipped.
+
+    Each sample holds several CRLF-terminated, 60-column records of one
+    mutated genome: two overlapping pieces (so the overlap's k-mers
+    occur twice and survive ``min_count=2``), a lowercase copy of part
+    of it, a piece cut by an N run, and a 12-base record (shorter than
+    k = 15 or 31).
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.choice(list("ACGT"), size=900)
+    paths = []
+    for i in range(n_samples):
+        genome = base.copy()
+        hits = rng.random(genome.size) < 0.02 * (i + 1)
+        genome[hits] = rng.choice(list("ACGT"), size=int(hits.sum()))
+        genome = "".join(genome)
+        records = [
+            genome[:520],
+            genome[330:],
+            genome[600:720].lower(),
+            genome[100:180] + "N" * 7 + genome[187:260],
+            genome[40:52],
+        ]
+        text = "".join(
+            f">s{i}_r{j} piece {j}\r\n"
+            + "".join(seq[o:o + 60] + "\r\n" for o in range(0, len(seq), 60))
+            for j, seq in enumerate(records)
+        )
+        if i == n_samples - 1:
+            path = directory / f"s{i}.fasta.gz"
+            with gzip.open(path, "wt", newline="") as fh:
+                fh.write(text)
+        else:
+            path = directory / f"s{i}.fasta"
+            path.write_text(text, newline="")
+        paths.append(path)
+    return paths
+
+
+class TestRunStreaming:
+    """``run_streaming`` is ``run_fasta`` without the sample store."""
+
+    @pytest.mark.parametrize("min_count", [1, 2])
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("k", [15, 31])
+    def test_equals_run_fasta(self, tmp_path, k, canonical, min_count):
+        paths = _messy_fasta(tmp_path)
+
+        def tool():
+            return GenomeAtScale(
+                machine=Machine(laptop(4)),
+                config=SimilarityConfig(batch_count=3),
+                k=k, canonical=canonical, min_count=min_count,
+            )
+
+        streamed = tool().run_streaming(paths)
+        stored = tool().run_fasta(paths, tmp_path / "work")
+        _same_run(streamed, stored)
+        assert streamed.names == ["s0", "s1", "s2", "s3"]
+        assert streamed.cleaning == stored.cleaning
+        assert sum(r.kmers_after for r in stored.cleaning) > 0
+
+    def test_pipelined_run_is_bit_exact(self, tmp_path):
+        paths = _messy_fasta(tmp_path)
+        results = [
+            GenomeAtScale(
+                machine=Machine(laptop(4)),
+                config=SimilarityConfig(batch_count=4, pipeline=mode),
+                k=9,
+            ).run_streaming(paths)
+            for mode in ("off", "double_buffer")
+        ]
+        for name in ("similarity", "intersections"):
+            assert np.array_equal(
+                getattr(results[0].similarity_result, name),
+                getattr(results[1].similarity_result, name),
+            )
+
+    def test_cli_stream_keeps_no_store(self, tmp_path, capsys):
+        directory = tmp_path / "fasta"
+        directory.mkdir()
+        _messy_fasta(directory)
+        common = [str(directory), "-k", "15", "--min-count", "2",
+                  "--tree", "none"]
+        assert cli_main([*common, "-o", str(tmp_path / "plain")]) == 0
+        assert cli_main([*common, "-o", str(tmp_path / "stream"),
+                         "--stream"]) == 0
+        assert (tmp_path / "plain" / "samples").is_dir()
+        assert not (tmp_path / "stream" / "samples").exists()
+        for name in ("similarity.npy", "distance.phylip"):
+            assert (tmp_path / "plain" / name).read_bytes() == (
+                tmp_path / "stream" / name
+            ).read_bytes()
 
 
 class TestCli:

@@ -134,7 +134,7 @@ class TestThresholdQueries:
             tmp_path, family_sets, name=f"idx_{family}", families=(family,)
         )
         eng = engine(store, "cascade", estimator=family)
-        assert eng.family == family
+        assert eng.plan().family == family
         res = eng.query_values(family_sets[0], threshold=0.5)
         ref = engine(store, "off").query_values(
             family_sets[0], threshold=0.5

@@ -341,7 +341,7 @@ class TestFanOut:
             return real(family, *args)
 
         monkeypatch.setattr(cascade, "sketch_row", counting)
-        families = sorted({LSH_FAMILY, service.engine.family})
+        families = sorted({LSH_FAMILY, service.engine.plan().family})
         assert len(families) == 2
 
         query = np.sort(rng.choice(M, size=1400, replace=False))

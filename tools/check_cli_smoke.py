@@ -7,10 +7,13 @@ over ``tests/data/smoke_fasta``:
 * ``estimator`` — the batch engine: one ``--estimator exact`` run and
   one ``--estimator minhash`` run must exit 0, write similarity
   matrices of equal shape, and agree within the analytic 95% bound the
-  sketch run prints in its cost report.  A third, exact run ingests by
-  streaming (``--stream --chunk-bases 64``) and sends every collective
-  through ``--wire-codec adaptive``; its matrix must equal the first
-  run's bit for bit, and its cost report must show the wire volume.
+  sketch run prints in its cost report.  A third, exact run keeps no
+  sample store (``--stream``) and sends every collective through
+  ``--wire-codec adaptive``; its matrix must equal the first run's bit
+  for bit, and its cost report must show the wire volume.  A fourth,
+  exact run reads a gzipped copy of the FASTA directory
+  (``sample_a.fasta.gz``, ...); its sample names and matrix must equal
+  the first run's.
 * ``index`` — the serving layer: ``index build`` over three samples,
   ``index add`` of the fourth, then four usage-error legs, each of
   which must exit 2 with one ``error:`` line naming the bad value and
@@ -55,6 +58,7 @@ Run:  python tools/check_cli_smoke.py [--section all|estimator|index|shard|simil
 from __future__ import annotations
 
 import argparse
+import gzip
 import json
 import os
 import re
@@ -124,6 +128,7 @@ def check_estimator(
     exact_dir = workdir / "exact"
     sketch_dir = workdir / "minhash"
     stream_dir = workdir / "stream"
+    gz_dir = workdir / "gz"
     run_cli(
         [str(FASTA_DIR), "-o", str(exact_dir), "--tree", "none",
          "--estimator", "exact"]
@@ -134,14 +139,24 @@ def check_estimator(
     )
     run_cli(
         [str(FASTA_DIR), "-o", str(stream_dir), "--tree", "none",
-         "--estimator", "exact", "--stream", "--chunk-bases", "64",
-         "--wire-codec", "adaptive"]
+         "--estimator", "exact", "--stream", "--wire-codec", "adaptive"]
     )
+    gz_fasta = workdir / "gz_fasta"
+    gz_fasta.mkdir(parents=True, exist_ok=True)
+    for path in sorted(FASTA_DIR.glob("*.fasta")):
+        with gzip.open(gz_fasta / f"{path.name}.gz", "wb") as fh:
+            fh.write(path.read_bytes())
+    run_cli([str(gz_fasta), "-o", str(gz_dir), "--tree", "none", "--estimator", "exact"])
     exact = np.load(exact_dir / "similarity.npy")
     if not np.array_equal(exact, np.load(stream_dir / "similarity.npy")):
         raise SystemExit(
             "streamed, codec-framed exact run disagrees with the exact run"
         )
+    gz_names = _sample_names(gz_dir)
+    if gz_names != _sample_names(exact_dir):
+        raise SystemExit(f"gzipped FASTA run names its samples {gz_names}")
+    if not np.array_equal(exact, np.load(gz_dir / "similarity.npy")):
+        raise SystemExit("gzipped FASTA run disagrees with the plain run")
     wire = WIRE_RE.search((stream_dir / "cost_report.txt").read_text())
     if wire is None:
         raise SystemExit(
@@ -171,8 +186,15 @@ def check_estimator(
     return (
         f"cli smoke ok [estimator]: {exact.shape[0]} samples, "
         f"max |exact - minhash| = {diff:.4f} <= printed bound {bound:.4f}; "
-        f"--stream --wire-codec adaptive equal to exact ({wire.group(1)})"
+        f"--stream --wire-codec adaptive equal to exact ({wire.group(1)}); "
+        "gzipped FASTA equal to plain"
     )
+
+
+def _sample_names(out_dir: Path) -> list[str]:
+    """The sample names a batch run stored under ``out_dir``."""
+    manifest = json.loads((out_dir / "samples" / "manifest.json").read_text())
+    return manifest["names"]
 
 
 def check_index(
