@@ -8,11 +8,14 @@ import pytest
 from repro import SimilarityConfig
 from repro.baselines.exact import jaccard_pairwise_sorted
 from repro.genomics.cli import main as cli_main
+from repro.genomics.fasta import iter_fasta, write_fasta
 from repro.genomics.kmer import kmer_set
 from repro.genomics.pipeline import GenomeAtScale
+from repro.genomics.sequence import SequenceRecord
 from repro.genomics.simulate import kingsford_like, simulate_cohort, with_reads
 from repro.runtime import Machine, laptop
 from repro.service import open_store
+from tests.helpers import exact_jaccard
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +253,104 @@ class TestRunStreaming:
                 getattr(results[0].similarity_result, name),
                 getattr(results[1].similarity_result, name),
             )
+
+    def test_single_batch_degenerates_to_serial_schedule(self, tmp_path):
+        """One batch leaves nothing to overlap: zero credit, serial stats."""
+        result = GenomeAtScale(
+            machine=Machine(laptop(4)),
+            config=SimilarityConfig(batch_count=1, pipeline="double_buffer"),
+            k=7,
+        ).run_streaming(_messy_fasta(tmp_path, n_samples=3))
+        run = result.similarity_result
+        assert run.batch_count == 1
+        assert run.overlap_saved_seconds == 0.0
+        assert run.cost.overlap_credited_seconds == 0.0
+        assert run.pipeline_mode == "double_buffer"
+
+    def test_matches_exact_jaccard(self, rng, tmp_path):
+        k = 9
+        paths = []
+        for i in range(4):
+            bases = rng.choice(list("ACGTN"), size=(3, 300),
+                               p=[0.24] * 4 + [0.04])
+            records = [
+                SequenceRecord(name=f"r{j}", sequence="".join(row))
+                for j, row in enumerate(bases)
+            ]
+            paths.append(tmp_path / f"sample{i}.fasta")
+            write_fasta(paths[-1], records)
+        result = GenomeAtScale(machine=Machine(laptop(4)), k=k).run_streaming(
+            paths
+        )
+        sets = [kmer_set(list(iter_fasta(p)), k) for p in paths]
+        assert np.allclose(result.similarity, exact_jaccard(sets))
+        assert result.similarity_result.sample_sizes.tolist() == [
+            s.size for s in sets
+        ]
+
+    def test_names_and_shapes(self, tmp_path):
+        paths = _messy_fasta(tmp_path, n_samples=3)
+        result = GenomeAtScale(machine=Machine(laptop(2)), k=15).run_streaming(
+            paths
+        )
+        assert [p.name for p in paths] == ["s0.fasta", "s1.fasta",
+                                           "s2.fasta.gz"]
+        assert result.names == ["s0", "s1", "s2"]
+        assert result.n_samples == 3
+        assert result.similarity.shape == (3, 3)
+        assert len(result.cleaning) == 3
+
+    def test_all_ambiguous_sample_is_empty(self, tmp_path):
+        """A sample of N runs and records shorter than k is an empty set."""
+        empty = tmp_path / "n.fasta"
+        write_fasta(empty, [SequenceRecord(name="n", sequence="N" * 10),
+                            SequenceRecord(name="short", sequence="AC")])
+        paths = [empty, *_messy_fasta(tmp_path, n_samples=2)]
+        result = GenomeAtScale(machine=Machine(laptop(2)), k=5).run_streaming(
+            paths
+        )
+        sizes = result.similarity_result.sample_sizes
+        assert sizes[0] == 0 and (sizes[1:] > 0).all()
+        assert result.cleaning[0].kmers_after == 0
+        assert result.similarity[0, 0] == 1.0  # J(empty, empty) = 1
+        assert (result.similarity[0, 1:] == 0.0).all()
+
+    def test_records_are_never_joined(self, tmp_path):
+        """No k-mer spans two records of one sample (no phantom k-mers)."""
+        path = tmp_path / "ab.fasta"
+        write_fasta(path, [SequenceRecord(name="a", sequence="AAAAA"),
+                           SequenceRecord(name="b", sequence="TTTTT")])
+        result = GenomeAtScale(k=3, canonical=False).run_streaming([path])
+        assert result.similarity_result.sample_sizes.tolist() == [2]
+
+    def test_line_wrapping_loses_no_kmer(self, tmp_path):
+        """A record wrapped at any width is the same set as one line."""
+        k = 5
+        seq = "ACGTACGTTAGCCATGACGTACGTA"
+        paths = []
+        for width in (len(seq), k - 1, k, 7):
+            paths.append(tmp_path / f"w{width}.fasta")
+            write_fasta(paths[-1], [SequenceRecord(name="r", sequence=seq)],
+                        line_width=width)
+        result = GenomeAtScale(k=k, canonical=False).run_streaming(paths)
+        assert (result.similarity == 1.0).all()
+        sizes = result.similarity_result.sample_sizes
+        assert (sizes == kmer_set([seq], k, canonical=False).size).all()
+
+    def test_requires_files(self):
+        with pytest.raises(ValueError, match="at least one"):
+            GenomeAtScale(k=7).run_streaming([])
+
+    def test_writes_nothing(self, tmp_path, monkeypatch):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        paths = _messy_fasta(inputs, n_samples=2)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        GenomeAtScale(k=15).run_streaming(paths)
+        assert list(work.iterdir()) == []
+        assert sorted(inputs.iterdir()) == sorted(paths)
 
     def test_cli_stream_keeps_no_store(self, tmp_path, capsys):
         directory = tmp_path / "fasta"
