@@ -86,6 +86,12 @@ class SimilarityResult:
     error_bound: float | None = None
     #: Total raw (pre-codec) sketch payload bytes gathered (sketch runs).
     sketch_payload_bytes: int = 0
+    #: Measured seconds this run spent inside each ledger phase
+    #: (``CostLedger.measured_s`` accrued by the run); they vary from
+    #: run to run, so result equality ignores them.
+    measured_s: dict[str, float] = field(default_factory=dict, compare=False)
+    #: Measured wall seconds of the whole run.
+    wall_s: float = field(default=0.0, compare=False)
 
     @property
     def active_ranks(self) -> int:
@@ -205,5 +211,30 @@ class SimilarityResult:
             f"(mean/batch {format_time(self.mean_batch_seconds)})",
             "",
             self.cost.report(),
+            "",
+            self.measured_report(),
         ]
+        return "\n".join(lines)
+
+    def measured_report(self) -> str:
+        """Per phase: modelled time, measured time and measured / modelled.
+
+        The ``unphased`` row is the run's wall time that no phase
+        covered (negative if phases nested or overlapped in threads).
+        """
+        from repro.util.units import format_time
+
+        header = f"{'phase':<18}{'modelled':>12}{'measured':>12}{'ratio':>10}"
+        lines = [header, "-" * len(header)]
+        for name in sorted(set(self.cost.phases) | set(self.measured_s)):
+            pc = self.cost.phases.get(name)
+            modelled = pc.seconds if pc is not None else 0.0
+            measured = self.measured_s.get(name, 0.0)
+            ratio = f"{measured / modelled:>9.1f}x" if modelled > 0.0 else f"{'-':>10}"
+            lines.append(
+                f"{name:<18}{format_time(modelled):>12}"
+                f"{format_time(measured):>12}{ratio}"
+            )
+        unphased = self.wall_s - sum(self.measured_s.values())
+        lines.append(f"{'unphased':<18}{'-':>12}{format_time(unphased):>12}{'-':>10}")
         return "\n".join(lines)

@@ -33,6 +33,7 @@ see :mod:`repro.core.sketch` and ``docs/sketches.md``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,14 +196,22 @@ class SimilarityAtScale:
         source = _coerce_source(data)
         if source.n <= 0:
             raise ValueError("need at least one data sample")
-        before = self.machine.ledger.snapshot()
+        ledger = self.machine.ledger
+        before, measured = ledger.snapshot(), dict(ledger.measured_s)
+        started = time.perf_counter()
         if self.config.estimator != "exact":
             result = self._run_sketch(source)
         else:
             result = self._run_summa(source)
-        result.cost = self.machine.ledger.diff(before)
+        result.cost = ledger.diff(before)
         if self.config.validate and result.similarity is not None:
             self._validate(result)
+        result.wall_s = time.perf_counter() - started
+        result.measured_s = {
+            name: s - measured.get(name, 0.0)
+            for name, s in ledger.measured_s.items()
+            if s != measured.get(name, 0.0)
+        }
         return result
 
     # ---- SUMMA / 2.5D path ---------------------------------------------------

@@ -20,6 +20,14 @@ in the filter phase?" regardless of overlap.  Phase ``wall_seconds``
 records how much the makespan advanced while the phase was active —
 the number to read for per-phase time.
 
+Measured time
+-------------
+The model is a prediction; :meth:`CostLedger.phase` also reads
+``time.perf_counter`` on entry and exit and adds the delta to
+:attr:`CostLedger.measured_s`, keyed by phase name.  That map lives
+beside the phases, not in :class:`PhaseCost`, so snapshots, diffs and
+ledger equality see only the model, which is deterministic.
+
 Threads
 -------
 One ledger may be charged from several threads at once (concurrent
@@ -33,6 +41,7 @@ lost and no reader sees a dict change size under it.
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
@@ -152,6 +161,12 @@ class CostLedger:
     #: :meth:`credit_overlap`): how much modelled time the schedule hid
     #: by running disjoint-resource stages concurrently.
     overlap_credited_seconds: float = 0.0
+    #: Measured seconds spent inside each phase (``time.perf_counter``),
+    #: summed over entries; kept out of :meth:`snapshot`, :meth:`diff`
+    #: and equality.
+    measured_s: dict[str, float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     _phase_stack: list[str] = field(default_factory=list)
     _clocks: np.ndarray | None = field(default=None, repr=False)
     _makespan_override: float | None = field(default=None, repr=False)
@@ -246,21 +261,24 @@ class CostLedger:
     def phase(self, name: str) -> Iterator[PhaseCost]:
         """Attribute charges (and makespan advance) to ``name``.
 
-        Nested phases attribute volume to the innermost label; wall time
-        is attributed to every frame on the stack, so use flat phases
-        for clean breakdowns.
+        Nested phases attribute volume to the innermost label; wall time,
+        modelled and measured, is attributed to every frame on the
+        stack, so use flat phases for clean breakdowns.
         """
         with self._lock:
             self._phase_stack.append(name)
             entered = self.makespan if self._clocks is not None else 0.0
             cost = self._get(name)
+        started = time.perf_counter()
         try:
             yield cost
         finally:
+            elapsed = time.perf_counter() - started
             with self._lock:
                 self._phase_stack.pop()
                 if self._clocks is not None:
                     self._get(name).wall_seconds += self.makespan - entered
+                self.measured_s[name] = self.measured_s.get(name, 0.0) + elapsed
 
     def _get(self, name: str | None = None) -> PhaseCost:
         with self._lock:

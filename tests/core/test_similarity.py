@@ -267,6 +267,22 @@ class TestResultMetadata:
         assert "SimilarityAtScale" in text
         assert "grid" in text
 
+    def test_summary_puts_measured_time_beside_the_model(self, sample_sets):
+        machine = Machine(laptop(4))
+        jaccard_similarity(sample_sets, machine=machine)  # a run before
+        result = jaccard_similarity(sample_sets, machine=machine)
+        assert {"read", "filter", "pack", "spgemm", "reduce", "gather"} <= set(
+            result.measured_s
+        )
+        # The run's own delta, not the machine's running total.
+        assert sum(result.measured_s.values()) <= result.wall_s
+        assert result.measured_s["filter"] < machine.ledger.measured_s["filter"]
+        table = result.summary().split("\n\n")[-1].splitlines()
+        assert table[0].split() == ["phase", "modelled", "measured", "ratio"]
+        rows = {line.split()[0]: line for line in table[2:]}
+        assert set(rows) == set(result.measured_s) | {"unphased"}
+        assert rows["filter"].endswith("x")
+
     def test_grid_recorded(self, sample_sets):
         result = jaccard_similarity(sample_sets, machine=Machine(laptop(16)))
         assert result.active_ranks <= 16

@@ -107,6 +107,37 @@ class TestCostLedger:
         assert "TOTAL" in text
 
 
+class TestMeasuredClock:
+    def test_phase_entries_add_measured_seconds(self, monkeypatch):
+        ticks = iter([1.0, 1.25, 2.0, 2.5])
+        monkeypatch.setattr("repro.runtime.cost.time.perf_counter", lambda: next(ticks))
+        ledger = CostLedger(n_ranks=2)
+        for _ in range(2):
+            with ledger.phase("filter"):
+                ledger.charge_compute(1.0, ranks=[0, 1])
+        assert ledger.measured_s == {"filter": 0.75}
+
+    def test_nested_phase_times_every_frame(self):
+        ledger = CostLedger()
+        with ledger.phase("outer"):
+            with ledger.phase("inner"):
+                pass
+        assert set(ledger.measured_s) == {"outer", "inner"}
+        assert ledger.measured_s["outer"] >= ledger.measured_s["inner"] >= 0.0
+
+    def test_model_views_ignore_the_clock(self):
+        a, b = CostLedger(n_ranks=1), CostLedger(n_ranks=1)
+        for ledger in (a, b):
+            before = ledger.snapshot()
+            with ledger.phase("read"):
+                ledger.charge_io(2.0, ranks=[0])
+        a.measured_s["read"] += 1.0
+        assert a == b
+        assert "measured" not in repr(a)
+        assert a.diff(before).measured_s == {}
+        assert set(a.snapshot()) == {"phases", "makespan", "overlap_credited"}
+
+
 class TestOverlapCredit:
     def test_credit_turns_sum_into_max(self):
         ledger = CostLedger(n_ranks=2)

@@ -13,7 +13,11 @@ over ``tests/data/smoke_fasta``:
   for bit, and its cost report must show the wire volume.  A fourth,
   exact run reads a gzipped copy of the FASTA directory
   (``sample_a.fasta.gz``, ...); its sample names and matrix must equal
-  the first run's.
+  the first run's.  The exact run's cost report must hold the
+  measured-time table: a measured time on each of the read, filter,
+  pack, spgemm, reduce and gather rows, and an ``unphased`` row.
+  Measured times vary from run to run, so no report is compared byte
+  for byte.
 * ``index`` — the serving layer: ``index build`` over three samples,
   ``index add`` of the fourth, then four usage-error legs, each of
   which must exit 2 with one ``error:`` line naming the bad value and
@@ -81,6 +85,11 @@ V1_STORES = [REPO_ROOT / "tests" / "data" / f"store_v1_{kind}" for kind in ("fla
 #: The bound line ``result.summary()`` prints for sketch runs.
 BOUND_RE = re.compile(r"estimated J \+/- ([0-9.]+) at 95%")
 WIRE_RE = re.compile(r"wire codec=adaptive \((raw .* on the wire)")
+#: A row of the measured-time table: phase, modelled, measured, ratio.
+TIME = r"-?[0-9.]+ (?:us|ms|s|min|h|days)"
+MEASURED_RE = re.compile(rf"^(\w+) +(?:{TIME}|-) +({TIME}) +\S+$", re.MULTILINE)
+#: The phases every exact run enters, plus the wall time none covered.
+MEASURED_ROWS = ("read", "filter", "pack", "spgemm", "reduce", "gather", "unphased")
 
 SECTIONS = ("estimator", "index", "shard", "similarity")
 
@@ -157,6 +166,10 @@ def check_estimator(
         raise SystemExit(f"gzipped FASTA run names its samples {gz_names}")
     if not np.array_equal(exact, np.load(gz_dir / "similarity.npy")):
         raise SystemExit("gzipped FASTA run disagrees with the plain run")
+    measured = dict(MEASURED_RE.findall((exact_dir / "cost_report.txt").read_text()))
+    missing = [name for name in MEASURED_ROWS if name not in measured]
+    if missing:
+        raise SystemExit(f"exact run's cost report has no measured time for {missing}")
     wire = WIRE_RE.search((stream_dir / "cost_report.txt").read_text())
     if wire is None:
         raise SystemExit(
@@ -187,7 +200,8 @@ def check_estimator(
         f"cli smoke ok [estimator]: {exact.shape[0]} samples, "
         f"max |exact - minhash| = {diff:.4f} <= printed bound {bound:.4f}; "
         f"--stream --wire-codec adaptive equal to exact ({wire.group(1)}); "
-        "gzipped FASTA equal to plain"
+        "gzipped FASTA equal to plain; "
+        f"measured filter {measured['filter']}, unphased {measured['unphased']}"
     )
 
 
