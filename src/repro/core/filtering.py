@@ -23,6 +23,9 @@ Two strategies are implemented, mirroring the paper:
   beta)`` for the scan plus two h-relations.
 
 Both yield the identical mapping: compacted ids ordered by global row.
+A hypersparse batch (``4^k / r`` rows) cannot hold ``f`` densely: it
+keeps the sorted distinct row ids and takes their prefix sum on a
+coarse grid of about one cell per id, executed but never charged.
 """
 
 from __future__ import annotations
@@ -74,33 +77,55 @@ def apply_filter(
     raise ValueError(f"unknown filter strategy {strategy!r}")
 
 
-def _nonzero_rows(rows: np.ndarray, m_batch: int) -> np.ndarray:
+def _nonzero_rows(rows: np.ndarray, m_batch: int, kind: str | None = None) -> np.ndarray:
     """Sorted distinct row ids of a coordinate list (the support of ``f``).
 
     A batch with no more rows than coordinates builds the filter vector
     of Eq. 5 literally — one scatter into a dense ``f``, one scan — which
     is linear; a hypersparse batch (``m_batch`` is ``4^k / r``) cannot
-    afford the dense vector and sorts its ids instead.
+    afford the dense vector and sorts its ids instead (``kind="stable"``
+    merges sorted runs); one strictly increasing run is returned as is.
     """
     if m_batch <= rows.size:
         f = np.zeros(m_batch, dtype=bool)
         f[rows] = True
         return np.flatnonzero(f)
-    return sorted_unique(rows)
+    return sorted_unique(rows, kind)
 
 
-def _rank_in(keys: np.ndarray, rows: np.ndarray, m_batch: int) -> np.ndarray:
+def _cell_starts(keys: np.ndarray, m_batch: int) -> tuple[int, np.ndarray]:
+    """``start[c]``: how many ``keys`` lie below cell ``c`` of ``2^shift``
+    rows — Eq. 6 on a grid of one to two cells per key."""
+    shift = max(int(m_batch - 1).bit_length() - keys.size.bit_length(), 0)
+    counts = np.bincount(keys >> shift, minlength=(int(m_batch - 1) >> shift) + 1)
+    start = np.zeros(counts.size, np.int32 if keys.size < 2**31 else np.int64)
+    np.cumsum(counts[:-1], out=start[1:])
+    return shift, start
+
+
+def _rank_in(keys: np.ndarray, rows: np.ndarray, m_batch: int, cells=None) -> np.ndarray:
     """Eq. 6: the position of each row id in the sorted distinct ``keys``.
 
     Same choice as :func:`_nonzero_rows`: the prefix sum of ``f`` as a
-    dense lookup table when the batch has no more rows than coordinates,
-    a binary search otherwise.
+    dense lookup table when the batch has no more rows than coordinates;
+    else each id starts at its entry of the batch's :func:`_cell_starts`
+    and steps over its cell's smaller keys in up to four vectorised rounds.
+    Ids still short, or all without ``cells`` (one run), are searched.
     """
     if m_batch <= rows.size:
         table = np.empty(m_batch, dtype=np.int64)
         table[keys] = np.arange(keys.size, dtype=np.int64)
         return table[rows]
-    return np.searchsorted(keys, rows)
+    if cells is None or not keys.size:
+        return np.searchsorted(keys, rows)
+    pos = cells[1].take(rows >> cells[0]).astype(np.int64)
+    # A ``pos`` past the last key is clipped onto it and stays short.
+    short = np.flatnonzero(keys.take(pos, mode="clip") < rows)
+    for _ in range(4):
+        pos[short] += 1
+        short = short[keys.take(pos[short], mode="clip") < rows[short]]
+    pos[short] = np.searchsorted(keys, rows[short])
+    return pos
 
 
 def _filter_allgather(comm: Communicator, chunks: list[CooMatrix]) -> FilterResult:
@@ -108,13 +133,15 @@ def _filter_allgather(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
     local_rows = [_nonzero_rows(c.rows, m_batch) for c in chunks]
     comm.charge_compute([float(c.nnz) for c in chunks])
     gathered = comm.allgather(local_rows)[0]
-    # Replicated merge: the (max, x)-semiring read of f on every rank,
-    # followed by the local prefix sum over its nonzero entries.
-    nonzero_rows = _nonzero_rows(np.concatenate(gathered), m_batch)
+    # Replicated merge of the p sorted runs (the (max, x)-semiring read of
+    # f on every rank), followed by the local prefix sum over its entries.
+    nonzero_rows = _nonzero_rows(np.concatenate(gathered), m_batch, "stable")
     comm.charge_compute(float(sum(a.size for a in gathered)))
+    plain = [m_batch <= c.rows.size or u is c.rows for c, u in zip(chunks, local_rows)]
+    cells = None if all(plain) else _cell_starts(nonzero_rows, m_batch)
     mapped = []
-    for chunk in chunks:
-        new_rows = _rank_in(nonzero_rows, chunk.rows, m_batch)
+    for chunk, one_run in zip(chunks, plain):
+        new_rows = _rank_in(nonzero_rows, chunk.rows, m_batch, None if one_run else cells)
         mapped.append(
             CooMatrix(new_rows, chunk.cols, (int(nonzero_rows.size), chunk.shape[1]))
         )
@@ -131,9 +158,11 @@ def _filter_transpose(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
     # (1) Transposition: ship each locally observed nonzero row id to its
     # block owner.
     send: list[list[np.ndarray | None]] = []
+    plain: list[bool] = []
     for chunk in chunks:
         # Sorted ids fall into the owners' blocks as contiguous slices.
         uniq = _nonzero_rows(chunk.rows, m_batch)
+        plain.append(m_batch <= chunk.rows.size or uniq is chunk.rows)
         cuts = np.searchsorted(uniq, highs).tolist()
         send.append(
             [
@@ -149,7 +178,7 @@ def _filter_transpose(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
     for r in range(p):
         parts = [a for a in received[r] if a is not None and a.size]
         owned = (
-            sorted_unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+            sorted_unique(np.concatenate(parts), "stable") if parts else np.empty(0, np.int64)
         )
         owned_rows.append(owned)
     comm.charge_compute([float(a.size) for a in owned_rows])
@@ -182,7 +211,8 @@ def _filter_transpose(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
             table = np.concatenate(pairs, axis=1)
             order = np.argsort(table[0], kind="stable")
             keys, vals = table[0][order], table[1][order]
-            new_rows = vals[_rank_in(keys, chunk.rows, m_batch)]
+            cells = None if plain[r] else _cell_starts(keys, m_batch)
+            new_rows = vals[_rank_in(keys, chunk.rows, m_batch, cells)]
         else:
             new_rows = np.empty(0, dtype=np.int64)
         mapped.append(CooMatrix(new_rows, chunk.cols, (total, chunk.shape[1])))

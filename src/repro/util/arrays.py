@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def sorted_unique(values: np.ndarray) -> np.ndarray:
+def sorted_unique(values: np.ndarray, kind: str | None = None) -> np.ndarray:
     """The sorted distinct elements of a 1-D integer array.
 
     Equal to ``np.unique(values)`` in value and dtype, but always by
@@ -24,13 +24,16 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     and a hash set (NumPy >= 2.3's ``np.unique``) cannot.  An input that
     is already strictly increasing is returned *as is*, without a copy —
     callers that retain the result and do not own ``values`` must copy.
+    ``kind`` goes to ``np.sort``: ``"stable"`` merges the sorted runs of
+    an input that concatenates a few of them, where the default
+    quicksort sorts it from scratch.
     """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"sorted_unique expects a 1-D array, got shape {arr.shape}")
     if arr.size < 2 or bool((arr[1:] > arr[:-1]).all()):
         return arr
-    arr = np.sort(arr)
+    arr = np.sort(arr, kind=kind)
     keep = np.empty(arr.size, dtype=bool)
     keep[0] = True
     np.not_equal(arr[1:], arr[:-1], out=keep[1:])

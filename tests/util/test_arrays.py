@@ -22,9 +22,9 @@ int_arrays = st.one_of(
 
 class TestSortedUnique:
     @settings(max_examples=200)
-    @given(arr=int_arrays)
-    def test_equals_np_unique_in_value_and_dtype(self, arr):
-        got, want = sorted_unique(arr), np.unique(arr)
+    @given(arr=int_arrays, kind=st.sampled_from([None, "stable"]))
+    def test_equals_np_unique_in_value_and_dtype(self, arr, kind):
+        got, want = sorted_unique(arr, kind), np.unique(arr)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
