@@ -23,9 +23,8 @@ Two strategies are implemented, mirroring the paper:
   beta)`` for the scan plus two h-relations.
 
 Both yield the identical mapping: compacted ids ordered by global row.
-A hypersparse batch (``4^k / r`` rows) cannot hold ``f`` densely: it
-keeps the sorted distinct row ids and takes their prefix sum on a
-coarse grid of about one cell per id, executed but never charged.
+A hypersparse batch (``4^k / r`` rows) prefix-sums ``f`` on a coarse grid
+of about one cell per distinct row id, executed but never charged.
 """
 
 from __future__ import annotations
@@ -120,10 +119,11 @@ def _rank_in(keys: np.ndarray, rows: np.ndarray, m_batch: int, cells=None) -> np
         return np.searchsorted(keys, rows)
     pos = cells[1].take(rows >> cells[0]).astype(np.int64)
     # A ``pos`` past the last key is clipped onto it and stays short.
+    pos += keys.take(pos, mode="clip") < rows
     short = np.flatnonzero(keys.take(pos, mode="clip") < rows)
-    for _ in range(4):
-        pos[short] += 1
-        short = short[keys.take(pos[short], mode="clip") < rows[short]]
+    for _ in range(3):  # on the short ids only: gathers beat boolean masks
+        pos[short] = step = pos.take(short) + 1
+        short = np.compress(keys.take(step, mode="clip") < rows.take(short), short)
     pos[short] = np.searchsorted(keys, rows[short])
     return pos
 
