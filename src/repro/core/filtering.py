@@ -93,8 +93,7 @@ def _nonzero_rows(rows: np.ndarray, m_batch: int, kind: str | None = None) -> np
 
 
 def _cell_starts(keys: np.ndarray, m_batch: int) -> tuple[int, np.ndarray]:
-    """``start[c]``: how many ``keys`` lie below cell ``c`` of ``2^shift``
-    rows — Eq. 6 on a grid of one to two cells per key."""
+    """``start[c]``: the number of ``keys`` below cell ``c`` of ``2^shift`` rows (Eq. 6)."""
     shift = max(int(m_batch - 1).bit_length() - keys.size.bit_length(), 0)
     counts = np.bincount(keys >> shift, minlength=(int(m_batch - 1) >> shift) + 1)
     start = np.zeros(counts.size, np.int32 if keys.size < 2**31 else np.int64)
@@ -138,6 +137,7 @@ def _filter_allgather(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
     nonzero_rows = _nonzero_rows(np.concatenate(gathered), m_batch, "stable")
     comm.charge_compute(float(sum(a.size for a in gathered)))
     plain = [m_batch <= c.rows.size or u is c.rows for c, u in zip(chunks, local_rows)]
+    del local_rows, gathered  # only the union is ranked into: free the p runs first
     cells = None if all(plain) else _cell_starts(nonzero_rows, m_batch)
     mapped = []
     for chunk, one_run in zip(chunks, plain):
