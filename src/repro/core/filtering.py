@@ -122,7 +122,7 @@ def _rank_in(keys: np.ndarray, rows: np.ndarray, m_batch: int, cells=None) -> np
     short = np.flatnonzero(keys.take(pos, mode="clip") < rows)
     for _ in range(3):  # on the short ids only: gathers beat boolean masks
         pos[short] = step = pos.take(short) + 1
-        short = np.compress(keys.take(step, mode="clip") < rows.take(short), short)
+        short = short.compress(keys.take(step, mode="clip") < rows.take(short))
     pos[short] = np.searchsorted(keys, rows[short])
     return pos
 

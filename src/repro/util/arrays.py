@@ -37,7 +37,7 @@ def sorted_unique(values: np.ndarray, kind: str | None = None) -> np.ndarray:
     keep = np.empty(arr.size, dtype=bool)
     keep[0] = True
     np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-    return np.compress(keep, arr)  # ~2x faster than ``arr[keep]`` on int64
+    return arr[keep]
 
 
 def split_by_destination(

@@ -178,10 +178,9 @@ def filter_batches(draw):
             rows = pool[draw(st.lists(st.integers(0, pool.size - 1), max_size=60))]
         else:
             runs = draw(st.integers(1, 1 if shape == "one run" else 5))
-            rows = np.concatenate(
-                [np.unique(pool[draw(st.lists(st.integers(0, pool.size - 1), max_size=20))])
-                 for _ in range(runs)]
-            ).astype(np.int64)
+            index = st.integers(0, pool.size - 1)
+            picks = [draw(st.lists(index, max_size=20)) for _ in range(runs)]
+            rows = np.concatenate([np.unique(pool[pick]) for pick in picks]).astype(np.int64)
         cols = np.arange(rows.size, dtype=np.int64) % 3
         chunks.append(CooMatrix(rows, cols, (m, 3)))
     return chunks
@@ -211,9 +210,8 @@ class TestCellRankDifferential:
 
     def test_every_key_in_one_cell_falls_to_the_residual_search(self, monkeypatch):
         m, n_keys = 2**40, 1000
-        shift, start = cells = _cell_starts(np.arange(n_keys, dtype=np.int64), m)
-        base = 5 << shift
-        keys = base + np.arange(n_keys, dtype=np.int64) * 3
+        shift = (m - 1).bit_length() - n_keys.bit_length()
+        keys = (5 << shift) + np.arange(n_keys, dtype=np.int64) * 3  # all in cell 5
         cells = _cell_starts(keys, m)
         assert cells[0] == shift and np.count_nonzero(np.diff(cells[1])) == 1
         rows = keys[np.random.default_rng(7).permutation(n_keys)]
@@ -277,9 +275,8 @@ class TestCellRankDifferential:
         rows = np.concatenate([rows, rng.integers(0, m, size=n - rows.size)])
         keys = np.unique(rows)
         rank_all_ways(keys, rows, m)
-        chunk = CooMatrix(rows, np.zeros(n, np.int64), (m, 1))
-        assert_filters_exactly([chunk, CooMatrix(keys, np.zeros(keys.size, np.int64), (m, 1))],
-                               strategy)
+        chunks = [CooMatrix(r, np.zeros(r.size, np.int64), (m, 1)) for r in (rows, keys)]
+        assert_filters_exactly(chunks, strategy)
 
     @pytest.mark.parametrize("strategy", ["allgather", "transpose"])
     def test_duplicate_rows_and_one_run_chunks(self, strategy, monkeypatch):
