@@ -137,7 +137,6 @@ def _filter_allgather(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
     nonzero_rows = _nonzero_rows(np.concatenate(gathered), m_batch, "stable")
     comm.charge_compute(float(sum(a.size for a in gathered)))
     plain = [m_batch <= c.rows.size or u is c.rows for c, u in zip(chunks, local_rows)]
-    del local_rows, gathered  # only the union is ranked into: free the p runs first
     cells = None if all(plain) else _cell_starts(nonzero_rows, m_batch)
     mapped = []
     for chunk, one_run in zip(chunks, plain):
