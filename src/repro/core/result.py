@@ -212,11 +212,11 @@ class SimilarityResult:
             "",
             self.cost.report(),
             "",
-            self.measured_report(),
+            self._measured_report(),
         ]
         return "\n".join(lines)
 
-    def measured_report(self) -> str:
+    def _measured_report(self) -> str:
         """Per phase: modelled time, measured time and measured / modelled.
 
         The ``unphased`` row is the run's wall time that no phase

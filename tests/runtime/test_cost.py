@@ -127,8 +127,8 @@ class TestMeasuredClock:
 
     def test_model_views_ignore_the_clock(self):
         a, b = CostLedger(n_ranks=1), CostLedger(n_ranks=1)
+        before = a.snapshot()
         for ledger in (a, b):
-            before = ledger.snapshot()
             with ledger.phase("read"):
                 ledger.charge_io(2.0, ranks=[0])
         a.measured_s["read"] += 1.0
