@@ -28,8 +28,7 @@ def count_kmers(
     """
     parts = []
     for seq in sequences:
-        text = getattr(seq, "sequence", seq)
-        kmers = canonical_kmers(text, k) if canonical else encode_kmers(text, k)
+        kmers = canonical_kmers(seq, k) if canonical else encode_kmers(seq, k)
         if kmers.size:
             parts.append(kmers)
     if not parts:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.genomics.sequence import ALPHABET, sequence_to_codes
+from repro.genomics.sequence import ALPHABET, SequenceRecord, sequence_to_codes
 from repro.util.arrays import sorted_unique
 
 #: k is capped so encodings fit a signed 64-bit integer: 4^31 < 2^63.
@@ -64,9 +64,12 @@ def _window_codes(digits: np.ndarray, k: int) -> np.ndarray:
     return vals
 
 
-def _kmer_codes(seq: str, k: int, canonical: bool) -> np.ndarray:
+def _kmer_codes(seq, k: int, canonical: bool) -> np.ndarray:
     _check_k(k)
-    codes = sequence_to_codes(seq)
+    if isinstance(seq, SequenceRecord):
+        codes = seq.codes
+    else:
+        codes = sequence_to_codes(getattr(seq, "sequence", seq))
     if codes.size < k:
         return np.empty(0, dtype=np.int64)
     digits = codes & 3
@@ -83,8 +86,12 @@ def _kmer_codes(seq: str, k: int, canonical: bool) -> np.ndarray:
     return vals[seen[k:] == seen[: vals.size]]
 
 
-def encode_kmers(seq: str, k: int) -> np.ndarray:
+def encode_kmers(seq, k: int) -> np.ndarray:
     """All forward-strand k-mer codes of ``seq``, in order.
+
+    ``seq`` is a string or a
+    :class:`~repro.genomics.sequence.SequenceRecord`, whose base codes
+    are taken as they are.
 
     Windows overlapping an ambiguous base are skipped.  The codes of
     every window come from :func:`_window_codes`: ``O(log k)`` doubling
@@ -96,8 +103,9 @@ def encode_kmers(seq: str, k: int) -> np.ndarray:
     return _kmer_codes(seq, k, canonical=False)
 
 
-def canonical_kmers(seq: str, k: int) -> np.ndarray:
-    """Canonical (strand-independent) k-mer codes of ``seq``.
+def canonical_kmers(seq, k: int) -> np.ndarray:
+    """Canonical (strand-independent) k-mer codes of ``seq`` (a string
+    or a :class:`~repro.genomics.sequence.SequenceRecord`).
 
     For each window, the minimum of the forward and reverse-complement
     encodings.  The reverse strand is encoded by the same doubling as
@@ -122,8 +130,7 @@ def kmer_set(
     """
     parts = []
     for seq in sequences:
-        text = getattr(seq, "sequence", seq)
-        kmers = canonical_kmers(text, k) if canonical else encode_kmers(text, k)
+        kmers = _kmer_codes(seq, k, canonical)
         if kmers.size:
             parts.append(kmers)
     if not parts:

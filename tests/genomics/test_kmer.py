@@ -255,6 +255,21 @@ class TestKmerSet:
         out = kmer_set([SequenceRecord("x", "ACGT")], 2, canonical=False)
         assert out.size > 0
 
+    @settings(max_examples=60)
+    @given(seq=st.text(alphabet="ACGTNacgtn", max_size=80), k=odd_k)
+    def test_records_equal_their_text(self, seq, k):
+        # A record's k-mers come from the codes it validated with; the
+        # string path encodes the text itself.
+        from repro.genomics.sequence import SequenceRecord
+
+        rec = SequenceRecord("x", seq)
+        for canonical in (True, False):
+            assert np.array_equal(
+                kmer_set([rec], k, canonical), kmer_set([seq], k, canonical)
+            )
+        assert np.array_equal(encode_kmers(rec, k), encode_kmers(seq, k))
+        assert np.array_equal(canonical_kmers(rec, k), canonical_kmers(seq, k))
+
     def test_empty(self):
         assert kmer_set([], 3).size == 0
         assert kmer_set(["NN"], 2).size == 0

@@ -79,6 +79,20 @@ class TestSequenceRecord:
         with pytest.raises(ValueError, match="invalid bases"):
             SequenceRecord("x", "ACGU")
 
+    def test_invalid_bases_named_after_folding(self):
+        with pytest.raises(
+            ValueError, match=r"^record 'x' contains invalid bases: \['U', 'X'\]$"
+        ):
+            SequenceRecord("x", "acgNxu")
+
+    def test_codes_are_the_validating_lookup(self):
+        rec = SequenceRecord("x", "acgNt")
+        assert rec.sequence == "ACGNT"
+        assert rec.codes.tolist() == [0, 1, 2, 255, 3]
+        assert not rec.codes.flags.writeable
+        assert rec == SequenceRecord("x", "ACGNT")
+        assert "codes" not in repr(rec)
+
     def test_quality_length_checked(self):
         with pytest.raises(ValueError, match="quality"):
             SequenceRecord("x", "ACGT", quality="!!")

@@ -13,7 +13,10 @@ over ``tests/data/smoke_fasta``:
   for bit, and its cost report must show the wire volume.  A fourth,
   exact run reads a gzipped copy of the FASTA directory
   (``sample_a.fasta.gz``, ...); its sample names and matrix must equal
-  the first run's.  The exact run's cost report must hold the
+  the first run's.  A fifth, exact run packs ``--bit-width 8``: four
+  samples make every Gram block narrow enough for the blocked kernel's
+  pattern body, and its matrix must equal the 64-bit run's bit for bit.
+  The exact run's cost report must hold the
   measured-time table: a measured time on each of the read, filter,
   pack, spgemm, reduce and gather rows, and an ``unphased`` row.
   Measured times vary from run to run, so no report is compared byte
@@ -138,6 +141,7 @@ def check_estimator(
     sketch_dir = workdir / "minhash"
     stream_dir = workdir / "stream"
     gz_dir = workdir / "gz"
+    byte_dir = workdir / "bit_width_8"
     run_cli(
         [str(FASTA_DIR), "-o", str(exact_dir), "--tree", "none",
          "--estimator", "exact"]
@@ -156,6 +160,7 @@ def check_estimator(
         with gzip.open(gz_fasta / f"{path.name}.gz", "wb") as fh:
             fh.write(path.read_bytes())
     run_cli([str(gz_fasta), "-o", str(gz_dir), "--tree", "none", "--estimator", "exact"])
+    run_cli([str(FASTA_DIR), "-o", str(byte_dir), "--tree", "none", "--bit-width", "8"])
     exact = np.load(exact_dir / "similarity.npy")
     if not np.array_equal(exact, np.load(stream_dir / "similarity.npy")):
         raise SystemExit(
@@ -166,6 +171,8 @@ def check_estimator(
         raise SystemExit(f"gzipped FASTA run names its samples {gz_names}")
     if not np.array_equal(exact, np.load(gz_dir / "similarity.npy")):
         raise SystemExit("gzipped FASTA run disagrees with the plain run")
+    if not np.array_equal(exact, np.load(byte_dir / "similarity.npy")):
+        raise SystemExit("--bit-width 8 run disagrees with the 64-bit run")
     measured = dict(MEASURED_RE.findall((exact_dir / "cost_report.txt").read_text()))
     missing = [name for name in MEASURED_ROWS if name not in measured]
     if missing:
@@ -200,7 +207,7 @@ def check_estimator(
         f"cli smoke ok [estimator]: {exact.shape[0]} samples, "
         f"max |exact - minhash| = {diff:.4f} <= printed bound {bound:.4f}; "
         f"--stream --wire-codec adaptive equal to exact ({wire.group(1)}); "
-        "gzipped FASTA equal to plain; "
+        "gzipped FASTA and --bit-width 8 equal to plain; "
         f"measured filter {measured['filter']}, unphased {measured['unphased']}"
     )
 
