@@ -19,7 +19,6 @@ configurable driver.
 
 from repro.core.config import SimilarityConfig
 from repro.core.indicator import (
-    CooSource,
     FileSource,
     IndicatorSource,
     SetSource,
@@ -41,7 +40,6 @@ __all__ = [
     "sketch_error_bound",
     "IndicatorSource",
     "SetSource",
-    "CooSource",
     "FileSource",
     "SyntheticSource",
     "BatchStats",

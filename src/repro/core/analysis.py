@@ -6,19 +6,18 @@ These closed forms mirror the paper's batch cost
                         + (z / sqrt(cp) + c n^2 / p + p) * beta
                         + (F / p) * gamma )
 
-the memory-bound simplification ``T~(n, M, p)``, the total cost over all
-batches, and the strong-scaling efficiency ``E_p`` (shown to be O(1)).
+and the strong-scaling efficiency ``E_p`` (shown to be O(1)).
 
 They serve two purposes: (1) cross-validation — tests check that the
 *measured* ledger of the simulator scales the way the model predicts
-(same slopes in p, z, c); (2) planning — the grid planner uses the beta
-terms to choose the replication factor, and
+(same slopes in p, z, c); (2) planning — the grid planner
+(:func:`repro.core.batching.plan_grid`) ranks replication factors by
+the beta terms of :func:`batch_cost`, and
 :func:`predicted_gram_kernel` predicts the density-adaptive kernel
 dispatch from ``nnz_estimate`` before any data is read.
 
-Units: ``z``/``Z`` count nonzero *words* of the compressed batch /
-problem, ``M`` is per-rank memory in words, ``F``/``G`` are arithmetic
-operation counts, and all outputs are seconds under a
+Units: ``z`` counts nonzero *words* of the compressed batch, ``M`` is
+per-rank memory in words, ``F`` is an arithmetic operation count, and all outputs are seconds under a
 :class:`~repro.runtime.machine.MachineSpec` (word size 8 bytes).
 """
 
@@ -75,32 +74,6 @@ def batch_cost(
     supersteps = 1.0 + z / (M * root)
     words = z / root + c * float(n) ** 2 / p + p
     return CostBreakdown(supersteps, words, F / p, spec)
-
-
-def memory_bound_batch_cost(
-    n: int, M: float, p: int, F: float, spec: MachineSpec
-) -> CostBreakdown:
-    """The simplified ``T~(n, M, p)`` for ``z = Theta(Mp)``,
-    ``c = Theta(min(p, Mp / n^2))``, ``p = O(M)``, ``M <= n^2``."""
-    sqrt_m = math.sqrt(M)
-    supersteps = float(n) / sqrt_m
-    words = float(n) * sqrt_m
-    return CostBreakdown(supersteps, words, F / p, spec)
-
-
-def total_cost(
-    Z: float, n: int, M: float, p: int, G: float, spec: MachineSpec
-) -> CostBreakdown:
-    """Whole-problem cost with memory-maximal batches (§III-C):
-
-        (Z / Mp) * T~(n, M, p)
-        = (n Z / (p M^{3/2})) alpha + (n Z / (sqrt(M) p)) beta + (G/p) gamma
-    """
-    if M <= 0 or p <= 0:
-        raise ValueError(f"M and p must be positive, got M={M}, p={p}")
-    supersteps = n * Z / (p * M ** 1.5)
-    words = n * Z / (math.sqrt(M) * p)
-    return CostBreakdown(supersteps, words, G / p, spec)
 
 
 def strong_scaling_efficiency(
@@ -166,14 +139,3 @@ def predicted_gram_kernel(
 
     survivors = int(round(expected_nonzero_rows(m_rows, n_cols, nnz)))
     return choose_kernel(survivors, n_cols, nnz, bit_width, policy=policy)
-
-
-def gram_operations(z: float, n: int, n_word_rows: float) -> float:
-    """Modelled popcount-Gram op count for one batch.
-
-    With dense packed word blocks the sweep costs ``2 * h * n^2 / 2``
-    word ops (symmetric); ``z`` only matters through the surviving word
-    rows ``h``, so the caller passes both.
-    """
-    del z  # retained for signature symmetry with the paper's F(z, ...)
-    return float(n_word_rows) * float(n) * (float(n) + 1.0)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.analysis import batch_cost
 from repro.core.config import SimilarityConfig
 from repro.runtime.machine import MachineSpec
 from repro.util.partition import block_bounds
@@ -64,8 +65,10 @@ def plan_grid(
     Enumerates feasible ``(q, c)`` with ``q^2 c <= p``; keeps the
     combinations maximizing active ranks; among those, honours the
     memory cap ``c <= max(1, M p / n^2)`` and picks the ``c`` minimizing
-    the modelled per-batch communication volume ``z / sqrt(c a) +
-    c n^2 / a`` (the beta terms of the §III-C batch cost).
+    the modelled per-batch communication volume on the ``a`` active
+    ranks, :func:`~repro.core.analysis.batch_cost`'s words ``z /
+    sqrt(c a) + c n^2 / a + a`` (the beta terms of §III-C; the ``a``
+    term is the same for every candidate compared).
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
@@ -88,7 +91,9 @@ def plan_grid(
         active = q * q * c
         if c > c_cap and c > 1:
             continue
-        comm_volume = z / math.sqrt(c * active) + c * float(n) ** 2 / active
+        comm_volume = batch_cost(
+            z, n, memory_words, c, active, 0.0, spec
+        ).words_communicated
         candidates.append((active, comm_volume, GridPlan(q=q, c=c)))
     if not candidates:
         return GridPlan(q=1, c=1)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.core.sketch import (
     ESTIMATORS,
@@ -48,27 +48,11 @@ SIMILARITY_MEASURES = ("jaccard", "weighted_jaccard", "containment", "cosine")
 #: How a sharded store's size-band edges are planned (see
 #: :func:`repro.service.sharded.plan_size_bands`).  ``"geometric"`` —
 #: edges grow by a constant ratio across ``[1, m]`` (matches the
-#: size-ratio window's multiplicative shape); ``"uniform"`` — equal
-#: width bands; ``"quantile"`` — equal-count bands over observed sizes
+#: size-ratio window's multiplicative shape); ``"quantile"`` —
+#: equal-count bands over observed sizes
 #: (needs a size sample; best load balance).  Defined here (not in the
 #: service package) so the config layer never imports upward.
-SHARD_BAND_POLICIES = ("geometric", "uniform", "quantile")
-
-#: Canonical namespaced knob name -> dataclass field, for every knob
-#: whose flat name predates the ``query.*`` / ``store.*`` namespaces.
-#: ``to_dict`` emits the canonical spellings and ``from_dict`` accepts
-#: only those (the flat spellings remain as constructor field names).
-_NAMESPACED_KNOBS = {
-    "query.similarity": "similarity",
-    "query.prefilter": "query_prefilter",
-    "query.candidates": "query_candidates",
-    "query.cache_size": "query_cache_size",
-    "store.shards": "store_shards",
-    "store.band_policy": "shard_band_policy",
-}
-_CANONICAL_KNOB_NAMES = {
-    field_name: canonical for canonical, field_name in _NAMESPACED_KNOBS.items()
-}
+SHARD_BAND_POLICIES = ("geometric", "quantile")
 
 
 @dataclass(frozen=True)
@@ -148,9 +132,8 @@ class SimilarityConfig:
         Root seed of every sketch hash; sketches are deterministic in
         (seed, sample values) whatever the rank layout or batching.
     similarity:
-        Similarity measure the service layer answers queries in
-        (canonical knob name ``query.similarity``); one of
-        :data:`SIMILARITY_MEASURES`.  ``"jaccard"`` (default) is the
+        Similarity measure the service layer answers queries in; one
+        of :data:`SIMILARITY_MEASURES`.  ``"jaccard"`` (default) is the
         paper's presence/absence Eq. 2; ``"containment"`` scores the
         asymmetric query containment ``|Q∩C| / |Q|`` (one-sided
         pruning bound); ``"cosine"`` the binary Ochiai coefficient
@@ -189,14 +172,14 @@ class SimilarityConfig:
         its queries in one cascade pass over one store snapshot.
     store_shards:
         Number of size-banded shards a newly created store is split
-        into (canonical knob name ``store.shards``).  1 (default) keeps
+        into.  1 (default) keeps
         the classic single-directory :class:`~repro.service.store.
         IndexStore`; >= 2 creates a :class:`~repro.service.sharded.
         ShardedStore` whose threshold/top-k queries fan out only over
         the bands the size-ratio window overlaps.
     shard_band_policy:
-        How the shard band edges are planned (canonical knob name
-        ``store.band_policy``); one of :data:`SHARD_BAND_POLICIES`.
+        How the shard band edges are planned; one of
+        :data:`SHARD_BAND_POLICIES`.
     reduce_every_batch:
         When ``True``, replication layers reduce their partial ``B`` after
         every batch (as in the paper's Listing 1 accumulation order);
@@ -211,7 +194,7 @@ class SimilarityConfig:
         Also derive the Jaccard distance matrix ``D = 1 - S``.
     validate:
         Run extra internal consistency checks (symmetry, value ranges)
-        after every batch; for tests and debugging.
+        once, on the finished result; for tests and debugging.
     """
 
     bit_width: int = 64
@@ -309,45 +292,3 @@ class SimilarityConfig:
                 f"shard_band_policy must be one of {SHARD_BAND_POLICIES}, "
                 f"got {self.shard_band_policy!r}"
             )
-
-    # ---- canonical knob names -----------------------------------------
-
-    def to_dict(self) -> dict:
-        """The config as a dict under the *canonical* knob names.
-
-        Service-layer knobs are emitted under the ``query.*`` /
-        ``store.*`` namespaces (``query.prefilter``, ``store.shards``,
-        ...); everything else keeps its flat field name.  The output
-        round-trips through :meth:`from_dict`.
-        """
-        out = {}
-        for f in fields(self):
-            out[_CANONICAL_KNOB_NAMES.get(f.name, f.name)] = getattr(
-                self, f.name
-            )
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimilarityConfig":
-        """Build a config from canonical knob names.
-
-        Service-layer knobs are spelled ``query.*`` / ``store.*``; a
-        flat spelling of a namespaced knob (``query_prefilter``,
-        ``store_shards``, ...) raises ``ValueError`` naming the
-        canonical key, as does an unknown knob.
-        """
-        field_names = {f.name for f in fields(cls)}
-        kwargs = {}
-        for key, value in data.items():
-            if key in _NAMESPACED_KNOBS:
-                kwargs[_NAMESPACED_KNOBS[key]] = value
-            elif key in _CANONICAL_KNOB_NAMES:
-                raise ValueError(
-                    f"config knob {key!r} is spelled "
-                    f"{_CANONICAL_KNOB_NAMES[key]!r}"
-                )
-            elif key in field_names:
-                kwargs[key] = value
-            else:
-                raise ValueError(f"unknown config knob {key!r}")
-        return cls(**kwargs)

@@ -10,7 +10,6 @@ the current batch's row window ``[lo, hi)`` as batch-local coordinates.
 Concrete sources:
 
 * :class:`SetSource` — in-memory collections of attribute values;
-* :class:`CooSource` — an existing :class:`~repro.sparse.coo.CooMatrix`;
 * :class:`FileSource` — one sorted ``.npy``/text file per sample, the
   on-disk format GenomeAtScale produces;
 * :class:`SyntheticSource` — Bernoulli(``density``) indicator entries
@@ -83,9 +82,12 @@ class SortedSampleSource:
     def _window_table(self, lo: int, hi: int) -> np.ndarray:
         memo = self._windows
         if memo is None or memo[:2] != (lo, hi):
+            # Each array's bound method on one prebuilt int64 pair: the
+            # np.searchsorted wrapper would convert the pair per sample.
+            window = np.array((lo, hi), dtype=np.int64)
             table = np.empty((self.n, 2), dtype=np.int64)
             for j in range(self.n):
-                table[j] = np.searchsorted(self._load(j), (lo, hi))
+                table[j] = self._load(j).searchsorted(window)
             self._windows = memo = (lo, hi, table)
         return memo[2]
 
@@ -139,38 +141,6 @@ class SetSource(SortedSampleSource):
 
     def nnz_estimate(self) -> int:
         return self._nnz
-
-
-class CooSource:
-    """Wraps a fully materialized :class:`CooMatrix` (tests, small data)."""
-
-    def __init__(self, coo: CooMatrix):
-        self._coo = coo.deduplicate()
-        order = np.lexsort((self._coo.cols, self._coo.rows))
-        self._rows = self._coo.rows[order]
-        self._cols = self._coo.cols[order]
-
-    @property
-    def n(self) -> int:
-        return self._coo.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self._coo.shape[0]
-
-    def read_batch(self, lo: int, hi: int, rank: int, n_readers: int) -> CooMatrix:
-        a, b = np.searchsorted(self._rows, [lo, hi])
-        rows = self._rows[a:b]
-        cols = self._cols[a:b]
-        mine = cols % n_readers == rank
-        return CooMatrix(rows[mine] - lo, cols[mine], (hi - lo, self.n))
-
-    def read_bytes(self, lo: int, hi: int, rank: int, n_readers: int) -> int:
-        a, b = np.searchsorted(self._rows, [lo, hi])
-        return int(np.count_nonzero(self._cols[a:b] % n_readers == rank)) * 8
-
-    def nnz_estimate(self) -> int:
-        return self._coo.nnz
 
 
 class FileSource(SortedSampleSource):

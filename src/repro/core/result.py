@@ -33,12 +33,6 @@ class BatchStats:
     #: Gram accumulation with the next batch's preparation (0 under the
     #: serial schedule and for the last batch).
     overlap_saved_seconds: float = 0.0
-    #: Wire-codec policy the batch's collectives ran under
-    #: (``config.wire_codec`` at run time; ``"raw"`` = legacy format).
-    wire_codec: str = "raw"
-    #: Estimator the run used (``config.estimator`` at run time); sketch
-    #: batches fold coordinates into sketches instead of Gram tiles.
-    estimator: str = "exact"
 
     @property
     def rows(self) -> int:
@@ -77,10 +71,6 @@ class SimilarityResult:
     #: Kernel the planner predicted from ``nnz_estimate`` before reading
     #: any data (``None`` for runs predating the dispatch layer).
     planned_kernel: str | None = None
-    #: Batch schedule the run used (``config.pipeline`` at run time).
-    pipeline_mode: str = "off"
-    #: Estimator the run used (``config.estimator`` at run time).
-    estimator: str = "exact"
     #: Uniform worst-case 95% additive bound on every estimated J
     #: (``None`` for exact runs; see ``docs/sketches.md``).
     error_bound: float | None = None
@@ -151,25 +141,6 @@ class SimilarityResult:
         r = total_batches if total_batches is not None else self.batch_count
         return self.mean_batch_seconds * r
 
-    def top_pairs(self, top: int = 10) -> list[tuple[int, int, float]]:
-        """Most similar sample pairs ``(i, j, s_ij)``, descending.
-
-        The "similar sample discovery" application of paper Fig. 1 (Ł),
-        generic over domains.  Requires a gathered similarity matrix.
-        """
-        if self.similarity is None:
-            raise ValueError(
-                "similarity was not gathered (config.gather_result=False)"
-            )
-        s = self.similarity
-        pairs = [
-            (float(s[i, j]), i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        ]
-        pairs.sort(reverse=True)
-        return [(i, j, v) for v, i, j in pairs[:top]]
-
     def summary(self) -> str:
         from repro.util.units import format_bytes, format_count, format_time
 
@@ -181,11 +152,11 @@ class SimilarityResult:
                 f"{format_bytes(self.wire_encoded_bytes)} on the wire, "
                 f"{ratio:.2f}x)"
             )
-        if self.estimator == "exact":
+        if self.config.estimator == "exact":
             estimator_line = "estimator=exact"
         else:
             estimator_line = (
-                f"estimator={self.estimator} "
+                f"estimator={self.config.estimator} "
                 f"sketch_size={self.config.sketch_size} "
                 f"sketch_bits={self.config.sketch_bits} "
                 f"(estimated J +/- {self.error_bound:.4f} at 95%, "
@@ -204,7 +175,7 @@ class SimilarityResult:
             f"kernel policy={self.config.kernel_policy} "
             f"used={'/'.join(self.kernels_used) or '-'} "
             f"planned={self.planned_kernel or '-'}",
-            f"pipeline={self.pipeline_mode} "
+            f"pipeline={self.config.pipeline} "
             f"(overlap hid {format_time(self.overlap_saved_seconds)})",
             wire_line,
             f"simulated time: {format_time(self.simulated_seconds)} "

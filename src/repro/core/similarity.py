@@ -86,8 +86,6 @@ class _PreparedBatch:
 def _batch_stats(
     prepared: list[_PreparedBatch],
     timings: list[StageTiming],
-    wire_codec: str = "raw",
-    estimator: str = "exact",
 ) -> list[BatchStats]:
     """Fuse prepared-batch metadata with the scheduler's stage timings."""
     return [
@@ -99,8 +97,6 @@ def _batch_stats(
             prepare_seconds=t.prepare_seconds,
             gram_seconds=t.accumulate_seconds,
             overlap_saved_seconds=t.overlap_saved_seconds,
-            wire_codec=wire_codec,
-            estimator=estimator,
         )
         for p, t in zip(prepared, timings, strict=True)
     ]
@@ -286,9 +282,7 @@ class SimilarityAtScale:
         timings = run_batches(
             machine, len(bounds), prepare, accumulate, mode=config.pipeline
         )
-        batches = _batch_stats(
-            prepared_meta, timings, config.wire_codec, config.estimator
-        )
+        batches = _batch_stats(prepared_meta, timings)
 
         with machine.phase("reduce"):
             if b_main is None:
@@ -301,7 +295,6 @@ class SimilarityAtScale:
             p=machine.p, grid_q=q, grid_c=c, cost=machine.ledger,
             batches=batches,
             planned_kernel=self._plan_kernel(source, batch_plan),
-            pipeline_mode=config.pipeline,
         )
         if config.gather_result:
             with machine.phase("gather"):
@@ -509,9 +502,7 @@ class SimilarityAtScale:
         timings = run_batches(
             machine, len(bounds), prepare, accumulate, mode=config.pipeline
         )
-        batches = _batch_stats(
-            prepared_meta, timings, config.wire_codec, config.estimator
-        )
+        batches = _batch_stats(prepared_meta, timings)
         with machine.phase("exchange"):
             outcome = exchange_and_estimate(comm, families, n, codec=codec)
 
@@ -520,8 +511,6 @@ class SimilarityAtScale:
             p=machine.p, grid_q=1, grid_c=comm.size, cost=machine.ledger,
             batches=batches,
             planned_kernel=kernel,
-            pipeline_mode=config.pipeline,
-            estimator=config.estimator,
             error_bound=outcome.error_bound,
             sketch_payload_bytes=outcome.sketch_payload_bytes,
         )

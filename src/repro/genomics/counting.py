@@ -74,23 +74,6 @@ class CleaningReport:
         return 1.0 - self.kmers_after / self.kmers_before
 
 
-def clean_kmers(
-    codes: np.ndarray, counts: np.ndarray, min_count: int
-) -> tuple[np.ndarray, CleaningReport]:
-    """Drop k-mers with abundance below ``min_count``."""
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
-    if codes.shape != counts.shape:
-        raise ValueError("codes and counts must align")
-    keep = counts >= min_count
-    kept = codes[keep]
-    return kept, CleaningReport(
-        threshold=min_count,
-        kmers_before=int(codes.size),
-        kmers_after=int(kept.size),
-    )
-
-
 def clean_sample(
     sequences, k: int, min_count: int | None = None, canonical: bool = True
 ) -> tuple[np.ndarray, CleaningReport]:

@@ -31,11 +31,6 @@ for _i, _b in enumerate(ALPHABET):
 _CODE_TABLE = BASE_CODES.tobytes()
 
 
-def is_valid_sequence(seq: str) -> bool:
-    """True when ``seq`` contains only A/C/G/T/N (case-insensitive)."""
-    return _checked_codes(seq) is not None
-
-
 def reverse_complement(seq: str) -> str:
     """The reverse complement (e.g. ``AACG`` -> ``CGTT``)."""
     return seq.upper().translate(_COMPLEMENT_TABLE)[::-1]
@@ -92,19 +87,3 @@ class SequenceRecord:
 
     def __len__(self) -> int:
         return len(self.sequence)
-
-    @property
-    def gc_content(self) -> float:
-        """Fraction of G/C bases among unambiguous positions."""
-        acgt = sum(self.sequence.count(b) for b in "ACGT")
-        if acgt == 0:
-            return 0.0
-        gc = self.sequence.count("G") + self.sequence.count("C")
-        return gc / acgt
-
-    def reverse_complemented(self) -> "SequenceRecord":
-        return SequenceRecord(
-            name=self.name,
-            sequence=reverse_complement(self.sequence),
-            quality=self.quality[::-1] if self.quality else None,
-        )

@@ -2,14 +2,13 @@
 
 The paper's Eq. 7 bitmask compression shrinks compute-side storage, but
 a SUMMA panel broadcast still moves the *raw* packed words.  This module
-closes that gap with lossless wire codecs for the three payload families
+closes that gap with lossless wire codecs for the two payload families
 the distributed Jaccard pipeline actually sends:
 
 * bit-packed word tiles (:class:`~repro.sparse.bitmatrix.BitMatrix`
   blocks — the SUMMA panel broadcasts),
 * integer/float ndarrays (Gram partials, ``a-hat`` contributions, COO
-  coordinate stacks — the allreduce / all-to-all / gather payloads),
-* opaque byte strings.
+  coordinate stacks — the allreduce / all-to-all / gather payloads).
 
 Three codecs are provided (plus the pass-through):
 
@@ -59,7 +58,8 @@ MAGIC = b"RWF1"
 _CODEC_IDS = {"raw": 0, "varint": 1, "rle": 2}
 _CODEC_NAMES = {v: k for k, v in _CODEC_IDS.items()}
 
-KIND_BYTES, KIND_NDARRAY, KIND_BITMATRIX = 0, 1, 2
+#: Payload kinds of the frame header (kind 0 is unassigned).
+KIND_NDARRAY, KIND_BITMATRIX = 1, 2
 
 _DTYPES = (
     np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32),
@@ -453,16 +453,6 @@ def _decode_ndarray(
     return arr.reshape(shape).copy()
 
 
-def _encode_bytes(obj, codec: str) -> Frame:
-    payload = bytes(obj)
-    if codec == "rle":
-        body = rle_encode_words(np.frombuffer(payload, dtype=np.uint8))
-        return _pack_frame("rle", KIND_BYTES, _DTYPE_CODES[np.dtype(np.uint8)],
-                           0, len(payload), 0, body, len(payload))
-    return _pack_frame("raw", KIND_BYTES, _DTYPE_CODES[np.dtype(np.uint8)],
-                       0, len(payload), 0, payload, len(payload))
-
-
 # ---- adaptive policy -----------------------------------------------------
 
 
@@ -525,15 +515,6 @@ def encode_frame(obj: Any, policy: str) -> Frame:
             )
         codec = _choose_ndarray(obj) if policy == "adaptive" else policy
         return _encode_ndarray(obj, codec)
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        payload = bytes(obj)
-        if policy == "adaptive":
-            flat = np.frombuffer(payload, dtype=np.uint8)
-            rle = rle_token_nbytes(flat) + int(np.count_nonzero(flat))
-            codec = "rle" if rle < len(payload) else "raw"
-        else:
-            codec = policy
-        return _encode_bytes(payload, codec)
     raise CodecError(f"unsupported wire payload type {type(obj).__name__}")
 
 
@@ -557,14 +538,6 @@ def decode_frame(frame: Frame | bytes | bytearray | memoryview) -> Any:
         return _decode_bitmatrix(codec_id, dtype, rows, cols, body)
     if kind == KIND_NDARRAY:
         return _decode_ndarray(codec_id, dtype, flags, rows, cols, body)
-    if kind == KIND_BYTES:
-        if _CODEC_NAMES[codec_id] == "rle":
-            return rle_decode_words(body, np.dtype(np.uint8), rows).tobytes()
-        if len(body) != rows:
-            raise CodecError(
-                f"raw bytes body holds {len(body)} B, frame declares {rows}"
-            )
-        return body
     raise CodecError(f"unknown payload kind {kind}")
 
 
@@ -601,8 +574,6 @@ class WireCodec:
                 1 <= obj.ndim <= 2 and obj.dtype in _DTYPE_CODES
                 and obj.nbytes > 0
             )
-        if isinstance(obj, (bytes, bytearray, memoryview)):
-            return len(bytes(obj)) > 0
         return False
 
     def encode(self, obj: Any) -> Frame:

@@ -300,12 +300,11 @@ class CostLedger:
         messages: int = 0,
         total_flops: float = 0.0,
         rounds: int = 1,
-        phase: str | None = None,
         ranks: Sequence[int] | None = None,
     ) -> None:
         """Charge one logical communication step (possibly multi-round)."""
         with self._lock:
-            pc = self._get(phase)
+            pc = self._get()
             pc.supersteps += rounds
             pc.alpha_seconds += alpha_seconds
             pc.comm_seconds += comm_seconds
@@ -323,7 +322,6 @@ class CostLedger:
         self,
         seconds: float,
         flops: float = 0.0,
-        phase: str | None = None,
         ranks: Sequence[int] | None = None,
         per_rank_seconds: Sequence[float] | None = None,
         kernel: str | None = None,
@@ -336,7 +334,7 @@ class CostLedger:
         in the phase's per-kernel breakdown.
         """
         with self._lock:
-            pc = self._get(phase)
+            pc = self._get()
             pc.compute_seconds += seconds
             pc.total_flops += flops
             if kernel is not None:
@@ -352,7 +350,6 @@ class CostLedger:
         codec: str,
         raw_bytes: float,
         encoded_bytes: float,
-        phase: str | None = None,
     ) -> None:
         """Record a codec-mediated collective's raw vs. encoded volume.
 
@@ -361,18 +358,17 @@ class CostLedger:
         did the codec keep off the wire?" per phase and per codec.
         """
         with self._lock:
-            self._get(phase).record_wire(codec, raw_bytes, encoded_bytes)
+            self._get().record_wire(codec, raw_bytes, encoded_bytes)
 
     def charge_io(
         self,
         seconds: float,
-        phase: str | None = None,
         ranks: Sequence[int] | None = None,
         per_rank_seconds: Sequence[float] | None = None,
     ) -> None:
         """Charge file-system time."""
         with self._lock:
-            pc = self._get(phase)
+            pc = self._get()
             pc.io_seconds += seconds
             if ranks is not None:
                 self.local_advance(

@@ -7,7 +7,7 @@ registry — ``jaccard``, ``weighted_jaccard``, ``containment``,
 ``cosine`` — each bundling its score formula, its exact candidate
 pruning bound, and its sketch estimation story.  The service layer
 (:mod:`repro.service`) threads the configured measure
-(``SimilarityConfig.similarity``, knob ``query.similarity``) through
+(``SimilarityConfig.similarity``) through
 plan compilation, the query cascade, batching, shard fan-out, caching,
 and the CLI; :mod:`repro.analytics.clustering` accepts the same knob.
 

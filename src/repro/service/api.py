@@ -9,7 +9,7 @@ that hides the wiring:
 * ``create`` / ``open`` pick the store layout (flat
   :class:`~repro.service.store.IndexStore` vs size-banded
   :class:`~repro.service.sharded.ShardedStore`) from the config's
-  ``store.shards`` knob or the on-disk manifest, and build the matching
+  ``store_shards`` knob or the on-disk manifest, and build the matching
   query engine (:class:`~repro.service.query.SimilarityIndex` vs the
   band router :class:`~repro.service.query.ShardedSimilarityIndex`);
 * ``add`` / ``remove`` / ``compact`` route mutations through the

@@ -116,10 +116,9 @@ def plan_size_bands(
 
     ``"geometric"`` grows the edges by a constant ratio across
     ``[1, m]`` (the multiplicative shape of the size-ratio window);
-    ``"uniform"`` uses equal-width bands; ``"quantile"`` places the
-    edges at equal-count quantiles of ``sizes`` (the observed corpus),
-    which is the only policy that guarantees balanced shards when the
-    corpus sizes are concentrated.
+    ``"quantile"`` places the edges at equal-count quantiles of
+    ``sizes`` (the observed corpus), which guarantees balanced shards
+    when the corpus sizes are concentrated.
     """
     if n_bands < 1:
         raise StoreError(f"need at least one size band, got {n_bands}")
@@ -139,15 +138,11 @@ def plan_size_bands(
         interior = [
             int(round(ratio ** (i + 1))) for i in range(n_bands - 1)
         ]
-    elif policy == "uniform":
-        interior = [
-            int(round((i + 1) * m / n_bands)) for i in range(n_bands - 1)
-        ]
     else:  # quantile
         if sizes is None or len(sizes) == 0:
             raise StoreError(
                 "quantile banding needs observed sizes "
-                "(pass a size sample, or use geometric/uniform)"
+                "(pass a size sample, or use geometric)"
             )
         arr = np.sort(np.asarray(sizes, dtype=np.int64))
         qs = np.quantile(arr, [(i + 1) / n_bands for i in range(n_bands - 1)])
@@ -378,11 +373,6 @@ class ShardedStore(_StoreAPI):
             np.searchsorted(self.band_edges, int(size), side="right")
         )
         return min(band, self.n_shards - 1)
-
-    def band_bounds(self, band: int) -> tuple[int, int]:
-        """The half-open size interval ``[lo, hi)`` of one band."""
-        lo = 0 if band == 0 else int(self.band_edges[band - 1])
-        return lo, int(self.band_edges[band])
 
     def band_range(self, lo: int, hi: int) -> tuple[int, int]:
         """Inclusive band-index range overlapping size window [lo, hi]."""

@@ -244,11 +244,6 @@ class BitMatrix:
             out[:, j] = unpack_bits(self.words[:, j], self.n_rows, self.bit_width)
         return out
 
-    def col_slice(self, lo: int, hi: int) -> "BitMatrix":
-        if not 0 <= lo <= hi <= self.n_cols:
-            raise IndexError(f"column slice [{lo},{hi}) out of range {self.n_cols}")
-        return BitMatrix(self.words[:, lo:hi].copy(), self.n_rows, self.bit_width)
-
     def word_row_slice(self, lo: int, hi: int) -> "BitMatrix":
         """Slice whole word-rows (row granularity = ``bit_width`` bits)."""
         if not 0 <= lo <= hi <= self.n_word_rows:
@@ -258,20 +253,3 @@ class BitMatrix:
         n_rows = min(self.n_rows - lo * self.bit_width, (hi - lo) * self.bit_width)
         n_rows = max(n_rows, 0)
         return BitMatrix(self.words[lo:hi].copy(), n_rows, self.bit_width)
-
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        """Vertical concatenation at word-row granularity.
-
-        Requires this matrix's bit rows to fill its words exactly (true for
-        all internal uses, where segment boundaries are word-aligned).
-        """
-        if self.bit_width != other.bit_width:
-            raise ValueError("bit widths differ")
-        if self.n_cols != other.n_cols:
-            raise ValueError("column counts differ")
-        if self.n_rows % self.bit_width != 0 and other.n_word_rows > 0:
-            raise ValueError(
-                "cannot stack below a partially-filled trailing word"
-            )
-        words = np.vstack([self.words, other.words])
-        return BitMatrix(words, self.n_rows + other.n_rows, self.bit_width)

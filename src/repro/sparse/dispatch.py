@@ -96,11 +96,6 @@ class DispatchDecision:
     density: float
     predicted_ops: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def forced(self) -> bool:
-        """True when a fixed policy overrode the adaptive choice."""
-        return self.policy != "adaptive"
-
 
 def resolve_kernel(name: str):
     """Look up a pairwise Gram kernel by name."""

@@ -7,35 +7,17 @@ depend on them without import cycles.
 """
 
 from repro.util.arrays import sorted_unique, split_by_destination
-from repro.util.bits import (
-    pack_bits,
-    popcount,
-    popcount_words,
-    unpack_bits,
-    words_needed,
-)
-from repro.util.partition import (
-    block_bounds,
-    block_owner,
-    block_size,
-    even_chunks,
-    round_robin_indices,
-)
+from repro.util.bits import unpack_bits, words_needed
+from repro.util.partition import block_bounds, round_robin_indices
 from repro.util.prng import derive_seed, rng_for
 from repro.util.units import format_bytes, format_count, format_time
 
 __all__ = [
-    "pack_bits",
-    "popcount",
-    "popcount_words",
     "unpack_bits",
     "words_needed",
     "sorted_unique",
     "split_by_destination",
     "block_bounds",
-    "block_owner",
-    "block_size",
-    "even_chunks",
     "round_robin_indices",
     "derive_seed",
     "rng_for",

@@ -3,10 +3,10 @@
 The SimilarityAtScale algorithm (paper Eq. 7) compresses segments of ``b``
 consecutive boolean rows of the indicator matrix into ``b``-bit machine
 words, replacing inner products with ``popcount(x & y)``.  This module
-provides the vectorized pack/unpack/popcount kernels used by
-:mod:`repro.sparse.bitmatrix` and :mod:`repro.core.bitmask`.
+holds the word types and the unpack used by
+:mod:`repro.sparse.bitmatrix`.
 
-All kernels operate on NumPy arrays of unsigned integers; ``bit_width``
+All helpers operate on NumPy arrays of unsigned integers; ``bit_width``
 selects the word type (8, 16, 32 or 64 bits — the paper uses 32/64, the
 smaller widths exist for the ablation bench).
 """
@@ -43,39 +43,13 @@ def words_needed(n_rows: int, bit_width: int) -> int:
     return -(-n_rows // bit_width)
 
 
-def pack_bits(mask: np.ndarray, bit_width: int = 64) -> np.ndarray:
-    """Pack a boolean vector into a vector of ``bit_width``-bit words.
-
-    Bit ``k`` of word ``w`` holds element ``w * bit_width + k`` (LSB-first
-    within each word, mirroring the column-major segment masking of the
-    paper's ``preprocessInput``).  The trailing partial word, if any, is
-    zero-padded.
-
-    Parameters
-    ----------
-    mask:
-        1-D array interpretable as booleans.
-    bit_width:
-        Word width in bits; one of 8, 16, 32, 64.
-    """
-    dtype = _check_width(bit_width)
-    arr = np.asarray(mask)
-    if arr.ndim != 1:
-        raise ValueError(f"pack_bits expects a 1-D array, got shape {arr.shape}")
-    bits = arr.astype(bool)
-    n_words = words_needed(bits.size, bit_width)
-    padded = np.zeros(n_words * bit_width, dtype=bool)
-    padded[: bits.size] = bits
-    # np.packbits is MSB-first per byte; reverse within bytes to get
-    # LSB-first, then view groups of bytes as little-endian words.
-    chunks = padded.reshape(-1, 8)[:, ::-1]
-    as_bytes = np.packbits(chunks, axis=1).reshape(-1)
-    words = as_bytes.view(np.dtype(dtype).newbyteorder("<"))
-    return np.ascontiguousarray(words.astype(dtype, copy=False))
-
-
 def unpack_bits(words: np.ndarray, n_rows: int, bit_width: int = 64) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: expand words back into ``n_rows`` bools."""
+    """Expand words back into ``n_rows`` bools.
+
+    Bit ``k`` of word ``w`` is element ``w * bit_width + k`` (LSB-first
+    within each word, the layout :class:`~repro.sparse.bitmatrix.BitMatrix`
+    packs).
+    """
     dtype = _check_width(bit_width)
     arr = np.ascontiguousarray(np.asarray(words, dtype=dtype))
     if arr.ndim != 1:
@@ -87,17 +61,3 @@ def unpack_bits(words: np.ndarray, n_rows: int, bit_width: int = 64) -> np.ndarr
     as_bytes = arr.astype(np.dtype(dtype).newbyteorder("<"), copy=False).view(np.uint8)
     bits = np.unpackbits(as_bytes.reshape(-1, 1), axis=1)[:, ::-1].reshape(-1)
     return bits[:n_rows].astype(bool)
-
-
-def popcount(x: np.ndarray | int) -> np.ndarray | int:
-    """Number of set bits, elementwise (hardware popcount via NumPy>=2)."""
-    if isinstance(x, (int, np.integer)):
-        return int(np.bitwise_count(np.uint64(x)))
-    return np.bitwise_count(x)
-
-
-def popcount_words(words: np.ndarray) -> int:
-    """Total number of set bits across an entire word array."""
-    if words.size == 0:
-        return 0
-    return int(np.bitwise_count(words).sum(dtype=np.int64))

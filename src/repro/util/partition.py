@@ -13,16 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def block_size(total: int, parts: int, index: int) -> int:
-    """Size of block ``index`` when ``total`` items split into ``parts``."""
-    if parts <= 0:
-        raise ValueError(f"parts must be positive, got {parts}")
-    if not 0 <= index < parts:
-        raise IndexError(f"block index {index} out of range for {parts} parts")
-    base, rem = divmod(total, parts)
-    return base + (1 if index < rem else 0)
-
-
 def block_bounds(total: int, parts: int, index: int) -> tuple[int, int]:
     """Half-open ``[lo, hi)`` bounds of block ``index``."""
     if parts <= 0:
@@ -32,28 +22,6 @@ def block_bounds(total: int, parts: int, index: int) -> tuple[int, int]:
     base, rem = divmod(total, parts)
     lo = index * base + min(index, rem)
     return lo, lo + base + (1 if index < rem else 0)
-
-
-def block_owner(total: int, parts: int, item: int) -> int:
-    """Rank owning global index ``item`` under the block layout."""
-    if not 0 <= item < total:
-        raise IndexError(f"item {item} out of range for total {total}")
-    base, rem = divmod(total, parts)
-    split = rem * (base + 1)
-    if item < split:
-        return item // (base + 1)
-    if base == 0:
-        raise IndexError(f"item {item} beyond the populated blocks")
-    return rem + (item - split) // base
-
-
-def even_chunks(values: np.ndarray, parts: int) -> list[np.ndarray]:
-    """Split ``values`` into ``parts`` block-contiguous chunks."""
-    out = []
-    for i in range(parts):
-        lo, hi = block_bounds(len(values), parts, i)
-        out.append(values[lo:hi])
-    return out
 
 
 def round_robin_indices(total: int, parts: int, index: int) -> np.ndarray:

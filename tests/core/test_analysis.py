@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.analysis import (
-    batch_cost,
-    gram_operations,
-    memory_bound_batch_cost,
-    strong_scaling_efficiency,
-    total_cost,
-)
+from repro.core.analysis import batch_cost, strong_scaling_efficiency
 from repro.runtime.machine import stampede2_knl
 
 SPEC = stampede2_knl(4)
@@ -44,27 +38,6 @@ class TestBatchCost:
             batch_cost(1e6, 100, 1e7, 1, 0, 1e8, SPEC)
 
 
-class TestMemoryBoundCost:
-    def test_matches_paper_form(self):
-        # T~ = (n / sqrt(M)) alpha + n sqrt(M) beta + F/p gamma
-        n, M, p, F = 1000, 1e6, 64, 1e9
-        cost = memory_bound_batch_cost(n, M, p, F, SPEC)
-        assert cost.supersteps == pytest.approx(n / M**0.5)
-        assert cost.words_communicated == pytest.approx(n * M**0.5)
-        assert cost.operations == pytest.approx(F / p)
-
-
-class TestTotalCost:
-    def test_scales_inversely_with_p(self):
-        t64 = total_cost(Z=1e10, n=1000, M=1e7, p=64, G=1e12, spec=SPEC)
-        t256 = total_cost(Z=1e10, n=1000, M=1e7, p=256, G=1e12, spec=SPEC)
-        assert t256.seconds == pytest.approx(t64.seconds * 64 / 256, rel=1e-6)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            total_cost(1e6, 10, 0, 4, 1e6, SPEC)
-
-
 class TestStrongScalingEfficiency:
     def test_near_constant(self):
         # §III-C: E_p = O(1) — efficiency stays bounded as p grows.
@@ -78,11 +51,3 @@ class TestStrongScalingEfficiency:
     def test_requires_multiple(self):
         with pytest.raises(ValueError, match="multiple"):
             strong_scaling_efficiency(n=100, p0=3, p=4, spec=SPEC)
-
-
-class TestGramOperations:
-    def test_quadratic_in_n(self):
-        assert gram_operations(0, 200, 10) > 3 * gram_operations(0, 100, 10)
-
-    def test_linear_in_rows(self):
-        assert gram_operations(0, 100, 20) == 2 * gram_operations(0, 100, 10)

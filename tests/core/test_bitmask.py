@@ -39,9 +39,9 @@ class Recording:
 
 @st.composite
 def batches(draw, ranks):
-    """A random batch split over ``ranks`` chunks in one of the orders the
-    sources produce: column-major with ascending rows (the sorted-sample
-    sources), row-major (``CooSource``), or shuffled."""
+    """A random batch split over ``ranks`` chunks in one of three orders:
+    column-major with ascending rows (what the sources produce), row-major,
+    or shuffled."""
     bit_width = draw(st.sampled_from([8, 16, 32, 64]))
     n_rows = draw(st.integers(0, 5 * bit_width + 3))
     n_cols = draw(st.integers(1, 9))

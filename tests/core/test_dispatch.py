@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from repro import SimilarityConfig, jaccard_similarity
 from repro.core.analysis import expected_nonzero_rows, predicted_gram_kernel
-from repro.core.indicator import CooSource, SetSource, SyntheticSource
+from repro.core.indicator import SetSource, SyntheticSource
 from repro.runtime import Machine, laptop
 from repro.sparse.bitmatrix import BitMatrix
-from repro.sparse.coo import CooMatrix
 from repro.sparse.dispatch import (
     KERNEL_POLICIES,
     choose_kernel,
@@ -69,7 +68,7 @@ class TestChooseKernel:
                 policy=policy,
             )
             assert d.kernel == policy
-            assert d.forced
+            assert d.policy == policy
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
@@ -335,13 +334,11 @@ class TestDriverDispatch:
         tail_count = 40
         tail_rows = rng.integers(640, 512_000, size=tail_count)
         tail_cols = rng.integers(0, 24, size=tail_count)
-        coo = CooMatrix(
-            np.concatenate([dense_rows, tail_rows]),
-            np.concatenate([dense_cols, tail_cols]),
-            (512_000, 24),
-        )
+        rows = np.concatenate([dense_rows, tail_rows])
+        cols = np.concatenate([dense_cols, tail_cols])
+        source = SetSource([rows[cols == j] for j in range(24)], m=512_000)
         result = jaccard_similarity(
-            CooSource(coo), machine=Machine(laptop(4)),
+            source, machine=Machine(laptop(4)),
             config=SimilarityConfig(batch_count=2, gather_result=False),
         )
         assert result.batches[0].kernel == "blocked"

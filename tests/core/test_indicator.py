@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.indicator import (
-    CooSource,
     FileSource,
     IndicatorSource,
     SetSource,
@@ -133,7 +132,6 @@ class TestReadBytes:
 
         return [
             counting(SetSource, sets, m=200),
-            counting(CooSource, CooMatrix.from_sets(sets, 200)),
             counting(FileSource, paths, m=200),
         ]
 
@@ -151,18 +149,6 @@ class TestReadBytes:
             ]
             assert got == want
             assert sum(got[:1]) == src.nnz_estimate() * 8
-
-
-class TestCooSource:
-    def test_matches_matrix(self, rng):
-        dense = rng.random((40, 6)) < 0.2
-        src = CooSource(CooMatrix.from_dense(dense))
-        assert np.array_equal(assemble(src, [(0, 20), (20, 40)], 4), dense)
-
-    def test_nnz_estimate(self, rng):
-        dense = rng.random((20, 4)) < 0.3
-        src = CooSource(CooMatrix.from_dense(dense))
-        assert src.nnz_estimate() == int(dense.sum())
 
 
 class TestFileSource:

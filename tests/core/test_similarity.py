@@ -5,11 +5,10 @@ import pytest
 
 from repro import SimilarityConfig, jaccard_similarity
 from repro.core import similarity
-from repro.core.indicator import CooSource, SetSource, SyntheticSource
+from repro.core.indicator import SetSource, SyntheticSource
 from repro.core.similarity import SimilarityAtScale
 from repro.runtime import Machine, laptop, stampede2_knl
 from repro.runtime.topology import ProcessorGrid
-from repro.sparse.coo import CooMatrix
 from tests.helpers import exact_jaccard, random_sets
 
 
@@ -114,9 +113,9 @@ class TestCorrectness:
         sets = [set(np.flatnonzero(dense[:, j]).tolist()) for j in range(8)]
         assert np.allclose(result.similarity, exact_jaccard(sets))
 
-    def test_coo_source(self, rng):
+    def test_dense_columns_source(self, rng):
         dense = rng.random((120, 7)) < 0.15
-        src = CooSource(CooMatrix.from_dense(dense))
+        src = SetSource([np.flatnonzero(dense[:, j]) for j in range(7)], m=120)
         result = jaccard_similarity(src, machine=Machine(laptop(4)))
         sets = [set(np.flatnonzero(dense[:, j]).tolist()) for j in range(7)]
         assert np.allclose(result.similarity, exact_jaccard(sets))
@@ -173,7 +172,7 @@ class TestPipelinedSchedule:
             sample_sets, machine=Machine(laptop(4)), batch_count=4,
             pipeline="double_buffer",
         )
-        assert result.pipeline_mode == "double_buffer"
+        assert result.config.pipeline == "double_buffer"
         for b in result.batches:
             assert b.prepare_seconds > 0
             assert b.gram_seconds > 0
@@ -188,7 +187,7 @@ class TestPipelinedSchedule:
         result = jaccard_similarity(
             sample_sets, machine=Machine(laptop(4)), batch_count=4
         )
-        assert result.pipeline_mode == "off"
+        assert result.config.pipeline == "off"
         assert result.overlap_saved_seconds == 0.0
         assert result.cost.overlap_credited_seconds == 0.0
 

@@ -115,12 +115,6 @@ class TestLedgerRegression:
 
 
 class TestSurfacing:
-    def test_batch_stats_record_policy(self):
-        result = run(FIG2A_DENSE, wire_codec="adaptive")
-        assert all(b.wire_codec == "adaptive" for b in result.batches)
-        assert all(b.wire_codec == "raw"
-                   for b in run(FIG2A_DENSE).batches)
-
     def test_summary_reports_wire_line(self):
         result = run(FIG2B_HYPERSPARSE, wire_codec="adaptive")
         summary = result.summary()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.genomics import counting
 from repro.genomics.counting import (
-    clean_kmers,
     clean_sample,
     clean_sample_counts,
     count_kmers,
@@ -52,28 +51,19 @@ class TestKingsfordThreshold:
             kingsford_threshold(-1)
 
 
-class TestCleanKmers:
-    def test_threshold_applied(self):
-        codes = np.array([1, 2, 3])
-        counts = np.array([1, 5, 2])
-        kept, report = clean_kmers(codes, counts, min_count=2)
-        assert kept.tolist() == [2, 3]
-        assert report.kmers_before == 3
-        assert report.kmers_after == 2
-        assert report.removed_fraction == pytest.approx(1 / 3)
-
-    def test_min_count_validated(self):
-        with pytest.raises(ValueError, match="min_count"):
-            clean_kmers(np.array([1]), np.array([1]), 0)
-
-    def test_alignment_validated(self):
-        with pytest.raises(ValueError, match="align"):
-            clean_kmers(np.array([1, 2]), np.array([1]), 1)
+class TestCleaningReport:
+    def test_counts_before_and_after_the_threshold(self):
+        # AA x3 survives min_count=2; AC, CG, GT appear once each.
+        kept, report = clean_sample(
+            ["AAAA", "ACGT"], 2, min_count=2, canonical=False
+        )
+        assert kept.tolist() == [0]
+        assert report.kmers_before == 4
+        assert report.kmers_after == 1
+        assert report.removed_fraction == pytest.approx(3 / 4)
 
     def test_empty_report(self):
-        kept, report = clean_kmers(
-            np.empty(0, np.int64), np.empty(0, np.int64), 3
-        )
+        kept, report = clean_sample([], 3, min_count=3)
         assert kept.size == 0
         assert report.removed_fraction == 0.0
 

@@ -265,7 +265,7 @@ class TestRunStreaming:
         assert run.batch_count == 1
         assert run.overlap_saved_seconds == 0.0
         assert run.cost.overlap_credited_seconds == 0.0
-        assert run.pipeline_mode == "double_buffer"
+        assert run.config.pipeline == "double_buffer"
 
     def test_matches_exact_jaccard(self, rng, tmp_path):
         k = 9

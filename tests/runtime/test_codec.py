@@ -188,11 +188,16 @@ class TestNdarrayFrames:
         with pytest.raises(CodecError):
             encode_frame({"a": 1}, "adaptive")
 
-    def test_bytes_roundtrip(self):
-        for payload in (b"", b"\x00" * 100, bytes(range(256))):
-            for policy in POLICIES:
-                for back in roundtrip(payload, policy):
-                    assert back == payload
+    def test_byte_strings_are_not_a_payload_kind(self):
+        # The pipeline sends arrays and word tiles only; a byte string is
+        # refused on encode, and a frame of payload kind 0 on decode.
+        for policy in POLICIES:
+            with pytest.raises(CodecError, match="unsupported wire payload"):
+                encode_frame(b"abc", policy)
+        frame = bytearray(encode_frame(np.arange(4), "raw").data)
+        frame[5] = 0
+        with pytest.raises(CodecError, match="payload kind 0"):
+            decode_frame(bytes(frame))
 
     def test_malformed_frames_rejected(self):
         with pytest.raises(CodecError):
@@ -260,14 +265,13 @@ class TestResolveWireCodec:
         codec = WireCodec("adaptive")
         assert codec.supports(np.zeros(3))
         assert codec.supports(BitMatrix.zeros(8, 8))
-        assert codec.supports(b"abc")
+        assert not codec.supports(b"abc")
         assert not codec.supports(None)
         assert not codec.supports((1, np.zeros(3)))
         assert not codec.supports(np.zeros((2, 2, 2)))
         # Empty payloads take the raw path: nothing to compress, and a
         # frame header would cost bytes the raw wire crosses for free.
         assert not codec.supports(np.zeros(0))
-        assert not codec.supports(b"")
         assert not codec.supports(BitMatrix.zeros(0, 0))
 
 

@@ -21,14 +21,16 @@ M = 2_000
 
 
 def make_service(tmp_path, layout, name="idx"):
-    # Three uniform bands over [0, M) (edges ~667 / ~1334): the sizes
-    # below land in all of them.
+    # Quantile bands over an even spread of sizes are three equal-width
+    # bands over [0, M] (edges 667 / 1334): the sizes below land in all
+    # of them.
     config = SimilarityConfig(
         store_shards=3 if layout == "sharded" else 1,
-        shard_band_policy="uniform",
+        shard_band_policy="quantile",
     )
     return SimilarityService.create(
-        tmp_path / name, m=M, config=config, machine=Machine(laptop(4))
+        tmp_path / name, m=M, config=config, machine=Machine(laptop(4)),
+        size_hint=np.arange(M + 1),
     )
 
 
@@ -73,7 +75,7 @@ def test_history(tmp_path, rng, layout):
     assert svc.compact() == 2
     check(svc, model)
     if layout == "flat":
-        svc.shard(3, band_policy="uniform")
+        svc.shard(3)
         check(svc, model)
     check(SimilarityService.open(svc.store.root), model)
 

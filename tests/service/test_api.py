@@ -61,9 +61,7 @@ class TestLifecycle:
         assert svc.stats()["layout"] == "flat"
 
     def test_create_sharded_from_config(self, tmp_path):
-        config = SimilarityConfig(
-            store_shards=4, shard_band_policy="uniform"
-        )
+        config = SimilarityConfig(store_shards=4)
         svc = SimilarityService.create(
             tmp_path / "idx", m=M, config=config
         )

@@ -486,7 +486,6 @@ class TestConcurrencyStress:
             root, m=m,
             config=SimilarityConfig(
                 sketch_size=32, query_cache_size=0, store_shards=shards,
-                shard_band_policy="uniform",
             ),
         )
         store = svc.store

@@ -194,9 +194,7 @@ class TestAddValidation:
         bad, message = BAD_ADD_ITEMS[case]
         service = SimilarityService.create(
             tmp_path / "idx", m=M,
-            config=SimilarityConfig(
-                store_shards=shards, shard_band_policy="uniform"
-            ),
+            config=SimilarityConfig(store_shards=shards),
         )
         service.add([("a", [1, 2])])
         store = service.store
@@ -339,9 +337,7 @@ class TestQueryValidation:
         bad, message = BAD_QUERY_VALUES[case]
         service = SimilarityService.create(
             tmp_path / "idx", m=M,
-            config=SimilarityConfig(
-                store_shards=shards, shard_band_policy="uniform"
-            ),
+            config=SimilarityConfig(store_shards=shards),
         )
         service.add([("a", [1, 2]), ("b", [2, 3, 4])])
         with pytest.raises(QueryError, match=message):
@@ -361,7 +357,7 @@ class TestQueryValidation:
             tmp_path / "idx", m=M,
             config=SimilarityConfig(
                 similarity="weighted_jaccard",
-                store_shards=shards, shard_band_policy="uniform",
+                store_shards=shards,
             ),
         )
         service.add([("a", [1, 2, 3], [2, 1, 1]), ("b", [2, 3, 4])])
@@ -378,9 +374,7 @@ class TestQueryValidation:
         params, message = BAD_QUERY_PARAMS[case]
         service = SimilarityService.create(
             tmp_path / "idx", m=M,
-            config=SimilarityConfig(
-                store_shards=shards, shard_band_policy="uniform"
-            ),
+            config=SimilarityConfig(store_shards=shards),
         )
         service.add([("a", [1, 2]), ("b", [2, 3, 4])])
         with pytest.raises(QueryError, match=message):
@@ -404,7 +398,7 @@ class TestQueryValidation:
             tmp_path / "idx", m=M,
             config=SimilarityConfig(
                 similarity="weighted_jaccard",
-                store_shards=shards, shard_band_policy="uniform",
+                store_shards=shards,
             ),
         )
         service.add([("a", [1, 2, 3], [2, 1, 1]), ("b", [2, 3, 4])])

@@ -528,11 +528,11 @@ class TestTableFile:
             [header, params, keymat[:-1]],
             [header, params, keymat[:, :-1]],
             [header, params, keymat.ravel()],
-            [header, params, b"not a matrix"],
+            [header, params, np.frombuffer(b"not a matrix", np.uint8)],
             [fewer, params, keymat[:-1]],
             legacy_payloads(store.lsh_table()),
             legacy_payloads(store.lsh_table())[:-1],
-            [b"junk"] * len(legacy_payloads(store.lsh_table())),
+            [np.frombuffer(b"junk", np.uint8)] * len(legacy_payloads(store.lsh_table())),
         ):
             write_records(path, payloads, "raw")
             self.assert_unreadable(store.root, path)
@@ -550,11 +550,13 @@ class TestWriteTraffic:
         return np.sort(rng.choice(M, size=size, replace=False))
 
     def test_one_table_file_per_touched_band(self, tmp_path, rng, monkeypatch):
+        # Quantile bands over an even spread of sizes: 8 equal-width bands.
         service = SimilarityService.create(
             tmp_path / "idx", m=M,
             config=SimilarityConfig(
-                store_shards=8, shard_band_policy="uniform", sketch_size=LANES
+                store_shards=8, shard_band_policy="quantile", sketch_size=LANES
             ),
+            size_hint=np.arange(M + 1),
         )
         width = (M + 1) // 8 + 1
         service.add(

@@ -35,7 +35,7 @@ M = 3_000
 def corpus(rng, n=24):
     """Skewed small-size sets (plus one empty genome).
 
-    Sizes stay under 900 << M, so on *uniform* banding the upper bands
+    Sizes stay under 900 << M, so on equal-width banding the upper bands
     are empty — which also exercises empty shards.  Use
     :func:`spread_corpus` when a test needs every band populated.
     """
@@ -48,7 +48,7 @@ def corpus(rng, n=24):
 
 
 def spread_corpus(rng, per_band=6, bands=4):
-    """Sets planted inside every uniform band over [0, M)."""
+    """Sets planted inside every equal-width band over [0, M)."""
     width = M // bands
     sets = []
     for b in range(bands):
@@ -67,12 +67,11 @@ def build_flat(tmp_path, sets, name="flat"):
     return store
 
 
-def build_sharded(tmp_path, sets, shards, name=None, policy="uniform"):
-    sizes = np.array([len(s) for s in sets], dtype=np.int64)
+def build_sharded(tmp_path, sets, shards, name=None):
+    # Quantile bands over an even spread of sizes are equal-width bands.
     store = ShardedStore.create(
         tmp_path / (name or f"sh{shards}"), m=M, shards=shards,
-        band_policy=policy, sketch_size=64,
-        size_hint=sizes if policy == "quantile" else None,
+        band_policy="quantile", sketch_size=64, size_hint=np.arange(M + 1),
     )
     store.append_many([(f"g{i:02d}", s) for i, s in enumerate(sets)])
     return store
@@ -84,12 +83,11 @@ def matches_of(result):
 
 class TestBandPlanning:
     def test_edges_are_monotone_and_cover(self):
-        for policy in ("geometric", "uniform"):
-            for n in (1, 2, 5, 16):
-                edges = plan_size_bands(M, n, policy)
-                assert edges.shape == (n,)
-                assert edges[-1] == M + 1
-                assert np.all(np.diff(edges) > 0) or n == 1
+        for n in (1, 2, 5, 16):
+            edges = plan_size_bands(M, n, "geometric")
+            assert edges.shape == (n,)
+            assert edges[-1] == M + 1
+            assert np.all(np.diff(edges) > 0) or n == 1
 
     def test_quantile_needs_sizes(self):
         with pytest.raises(StoreError, match="quantile banding needs"):
@@ -115,9 +113,9 @@ class TestBandPlanning:
         bands = [store.band_of(s) for s in range(0, M + 1)]
         assert min(bands) == 0 and max(bands) == 4
         assert bands == sorted(bands)  # monotone in size
-        # band_bounds is half-open: [lo, hi) belongs to the band, hi
-        # itself to the next one.
-        lo, hi = store.band_bounds(2)
+        # Edges are upper-exclusive: [edge_1, edge_2) belongs to band 2,
+        # edge_2 itself to the next one.
+        lo, hi = (int(e) for e in store.band_edges[1:3])
         assert store.band_of(lo) == 2 and store.band_of(hi - 1) == 2
         assert store.band_of(hi) == 3
 
@@ -182,7 +180,8 @@ class TestStoreParity:
 
     def test_append_routes_by_size_band(self, tmp_path, rng):
         sh = ShardedStore.create(
-            tmp_path / "sh", m=M, shards=3, band_policy="uniform"
+            tmp_path / "sh", m=M, shards=3, band_policy="quantile",
+            size_hint=np.arange(M + 1),
         )
         sh.append("small", np.arange(5))
         sh.append("big", np.arange(2500))
@@ -280,7 +279,7 @@ class TestQueryEquality:
 
 class TestFanOut:
     def test_band_selection_prunes_shards(self, tmp_path, rng):
-        # Genomes planted in every uniform band: a threshold-0.5 query
+        # Genomes planted in every equal-width band: a threshold-0.5 query
         # of size 200 has size window [100, 400], which overlaps only
         # the lowest of 8 bands (width 375) — genomes in the other
         # bands are never even candidates.

@@ -156,7 +156,8 @@ class TestExactUnderHistory:
             root,
             m=M,
             shards=LAYOUTS[layout],
-            band_policy="uniform",
+            band_policy="quantile",
+            size_hint=np.arange(M + 1),
             sketch_size=32,
             families=STORE_FAMILIES,
         )

@@ -246,7 +246,7 @@ class TestMutations:
 
 
 SMALL = np.array([1, 2, 3], dtype=np.int64)
-# M // 3 = 3333: on three uniform bands the mid band starts there.
+# M // 3 = 3333: on three equal-width bands the mid band starts there.
 MID = np.arange(3400, 7000, dtype=np.int64)
 LARGE = np.arange(100, 7900, dtype=np.int64)
 # New genomes landing in two different bands of the sharded layout.
@@ -282,7 +282,7 @@ class TestCrashConsistency:
         store = create_store(
             tmp_path / f"{layout}-{tag}", m=M,
             shards=3 if layout == "sharded" else 1,
-            band_policy="uniform", sketch_size=64,
+            band_policy="quantile", size_hint=np.arange(M + 1), sketch_size=64,
         )
         store.append_many([("small", SMALL), ("mid", MID), ("large", LARGE)])
         return SimilarityService(store)
@@ -320,7 +320,7 @@ class TestCrashConsistency:
         ),
     }
     FLAT_ONLY = {
-        "shard_store": (None, lambda svc: svc.shard(3, band_policy="uniform")),
+        "shard_store": (None, lambda svc: svc.shard(3)),
     }
     ROWS = {
         **{label: ("flat", *row) for label, row in MUTATIONS.items()},

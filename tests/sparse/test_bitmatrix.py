@@ -185,40 +185,11 @@ class TestOperations:
     def test_column_popcounts_empty(self):
         assert BitMatrix.zeros(0, 3).column_popcounts().tolist() == [0, 0, 0]
 
-    def test_col_slice(self, rng):
-        dense = rng.random((40, 8)) < 0.5
-        bm = BitMatrix.from_dense(dense)
-        assert np.array_equal(bm.col_slice(2, 5).to_dense(), dense[:, 2:5])
-
-    def test_col_slice_bounds(self):
-        with pytest.raises(IndexError):
-            BitMatrix.zeros(8, 2).col_slice(0, 3)
-
     def test_word_row_slice(self, rng):
         dense = rng.random((64, 3)) < 0.5
         bm = BitMatrix.from_dense(dense, 16)
         sl = bm.word_row_slice(1, 3)
         assert np.array_equal(sl.to_dense(), dense[16:48])
-
-    def test_stack(self, rng):
-        top = rng.random((32, 4)) < 0.5
-        bottom = rng.random((20, 4)) < 0.5
-        stacked = BitMatrix.from_dense(top, 16).stack(
-            BitMatrix.from_dense(bottom, 16)
-        )
-        assert np.array_equal(stacked.to_dense(), np.vstack([top, bottom]))
-
-    def test_stack_rejects_unaligned(self):
-        a = BitMatrix.from_dense(np.ones((5, 2), dtype=bool), 8)
-        b = BitMatrix.from_dense(np.ones((8, 2), dtype=bool), 8)
-        with pytest.raises(ValueError, match="partially-filled"):
-            a.stack(b)
-
-    def test_stack_width_mismatch(self):
-        a = BitMatrix.zeros(8, 2, 8)
-        b = BitMatrix.zeros(8, 2, 16)
-        with pytest.raises(ValueError, match="bit widths"):
-            a.stack(b)
 
     def test_nbytes_shrinks_with_packing(self):
         dense = np.ones((640, 4), dtype=bool)

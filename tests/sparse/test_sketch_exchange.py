@@ -198,10 +198,9 @@ class TestDriverPath:
         )
         err = np.abs(result.similarity - exact_matrix(sets)).max()
         assert err <= result.error_bound
-        assert result.estimator == estimator
+        assert f"estimator={estimator} " in result.summary()
         assert result.distance is not None
         assert np.allclose(result.distance, 1.0 - result.similarity)
-        assert all(b.estimator == estimator for b in result.batches)
         assert all(
             b.kernel == f"sketch:{estimator}" for b in result.batches
         )

@@ -105,22 +105,6 @@ class TestPipelinesAgree:
         assert error < 0.15, f"read-based distances off by {error:.3f}"
 
 
-class TestResultConveniences:
-    def test_top_pairs(self, rng):
-        sets = [{1, 2, 3}, {1, 2, 3, 4}, {99}]
-        result = jaccard_similarity(sets)
-        pairs = result.top_pairs(top=2)
-        assert pairs[0][:2] == (0, 1)
-        assert pairs[0][2] == pytest.approx(0.75)
-        assert pairs[0][2] >= pairs[1][2]
-
-    def test_top_pairs_requires_gather(self, rng):
-        sets = random_sets(rng, n=4, m=50, max_size=10)
-        result = jaccard_similarity(sets, gather_result=False)
-        with pytest.raises(ValueError, match="not gathered"):
-            result.top_pairs()
-
-
 class TestDeterminismAcrossRuns:
     def test_same_seed_same_everything(self):
         source = SyntheticSource(m=10_000, n=32, density=0.02, seed=77)

@@ -1,18 +1,11 @@
-"""Tests for bit packing and popcount primitives."""
+"""Tests for the word types and the bit unpack."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.bits import (
-    SUPPORTED_WIDTHS,
-    pack_bits,
-    popcount,
-    popcount_words,
-    unpack_bits,
-    words_needed,
-)
+from repro.util.bits import SUPPORTED_WIDTHS, WORD_DTYPES, unpack_bits, words_needed
 
 
 class TestWordsNeeded:
@@ -35,39 +28,39 @@ class TestWordsNeeded:
             words_needed(10, 12)
 
 
+def pack(bits: np.ndarray, width: int) -> np.ndarray:
+    """LSB-first ``width``-bit words of ``bits``, zero-padded (the layout
+    :class:`~repro.sparse.bitmatrix.BitMatrix` packs)."""
+    padded = np.zeros(words_needed(bits.size, width) * width, dtype=bool)
+    padded[: bits.size] = bits
+    as_bytes = np.packbits(padded, bitorder="little")
+    return as_bytes.view(WORD_DTYPES[width].newbyteorder("<")).astype(WORD_DTYPES[width])
+
+
 class TestPackUnpack:
     @pytest.mark.parametrize("width", SUPPORTED_WIDTHS)
     def test_roundtrip_simple(self, width):
         bits = np.array([True, False, True, True] * 20)
-        packed = pack_bits(bits, width)
-        assert np.array_equal(unpack_bits(packed, bits.size, width), bits)
+        assert np.array_equal(unpack_bits(pack(bits, width), bits.size, width), bits)
 
     def test_lsb_first_layout(self):
-        bits = np.zeros(64, dtype=bool)
-        bits[0] = True
-        bits[5] = True
-        packed = pack_bits(bits, 64)
-        assert packed[0] == (1 << 0) | (1 << 5)
+        bits = unpack_bits(np.array([(1 << 0) | (1 << 5)], dtype=np.uint64), 64)
+        assert np.flatnonzero(bits).tolist() == [0, 5]
 
     def test_second_word(self):
-        bits = np.zeros(70, dtype=bool)
-        bits[64] = True
-        packed = pack_bits(bits, 64)
-        assert packed.tolist() == [0, 1]
+        bits = unpack_bits(np.array([0, 1], dtype=np.uint64), 70)
+        assert np.flatnonzero(bits).tolist() == [64]
 
     def test_empty(self):
-        packed = pack_bits(np.empty(0, dtype=bool))
-        assert packed.size == 0
-        assert unpack_bits(packed, 0).size == 0
+        assert unpack_bits(np.empty(0, dtype=np.uint64), 0).size == 0
 
     def test_2d_input_rejected(self):
         with pytest.raises(ValueError, match="1-D"):
-            pack_bits(np.zeros((2, 2), dtype=bool))
+            unpack_bits(np.zeros((2, 2), dtype=np.uint64), 1)
 
     def test_unpack_too_many_rows_rejected(self):
-        packed = pack_bits(np.ones(8, dtype=bool), 8)
         with pytest.raises(ValueError, match="cannot unpack"):
-            unpack_bits(packed, 9, 8)
+            unpack_bits(np.array([255], dtype=np.uint8), 9, 8)
 
     @settings(max_examples=60)
     @given(
@@ -76,33 +69,6 @@ class TestPackUnpack:
     )
     def test_roundtrip_property(self, bits, width):
         arr = np.array(bits, dtype=bool)
-        packed = pack_bits(arr, width)
+        packed = pack(arr, width)
         assert packed.size == words_needed(arr.size, width)
         assert np.array_equal(unpack_bits(packed, arr.size, width), arr)
-
-    @settings(max_examples=40)
-    @given(
-        bits=st.lists(st.booleans(), max_size=300),
-        width=st.sampled_from(SUPPORTED_WIDTHS),
-    )
-    def test_popcount_preserved(self, bits, width):
-        arr = np.array(bits, dtype=bool)
-        assert popcount_words(pack_bits(arr, width)) == int(arr.sum())
-
-
-class TestPopcount:
-    def test_scalar(self):
-        assert popcount(0) == 0
-        assert popcount(0b1011) == 3
-        assert popcount(2**63) == 1
-
-    def test_array(self):
-        arr = np.array([0, 1, 3, 255], dtype=np.uint8)
-        assert popcount(arr).tolist() == [0, 1, 2, 8]
-
-    @given(st.integers(min_value=0, max_value=2**64 - 1))
-    def test_matches_bin_count(self, x):
-        assert popcount(x) == bin(x).count("1")
-
-    def test_popcount_words_empty(self):
-        assert popcount_words(np.empty(0, dtype=np.uint64)) == 0
