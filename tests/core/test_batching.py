@@ -1,5 +1,8 @@
 """Tests for grid and batch planning."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.core.batching import (
@@ -64,6 +67,44 @@ class TestPlanGrid:
         plan = plan_grid(p, 100, laptop(p), cfg)
         assert (plan.q, plan.c) == (1, p)
         assert plan.active_ranks == p
+
+
+def paper_form_plan(p, n, spec, z_hint):
+    """The grid ``plan_grid`` must pick, ranked by the §III-C beta terms
+    written out inline: ``z / sqrt(c a) + c n^2 / a`` on ``a`` active
+    ranks, without ``batch_cost``'s ``+ a`` term (equal for every
+    candidate that keeps the most ranks busy)."""
+    memory_words = MEMORY_FRACTION * spec.memory_per_rank / 8.0
+    c_cap = max(1.0, memory_words * p / float(max(n, 1)) ** 2)
+    z = z_hint if z_hint is not None else memory_words * p
+    best = None
+    for c in range(1, p + 1):
+        q = math.isqrt(p // c)
+        active = q * q * c
+        if q < 1 or (c > c_cap and c > 1):
+            continue
+        volume = z / math.sqrt(c * active) + c * float(n) ** 2 / active
+        key = (-active, volume, c)
+        if best is None or key < best[0]:
+            best = (key, GridPlan(q=q, c=c))
+    return best[1]
+
+
+class TestCommunicationRanking:
+    SPECS = (
+        laptop(4),
+        stampede2_knl(1),
+        replace(laptop(4), memory_per_rank=2**16),
+        replace(laptop(4), memory_per_rank=2**24),
+    )
+
+    @pytest.mark.parametrize("z_hint", [None, 1e6], ids=["z-memory", "z-hint"])
+    @pytest.mark.parametrize("n", [1, 2, 17, 640, 4096])
+    def test_batch_cost_ranks_like_the_paper_form(self, n, z_hint):
+        for spec in self.SPECS:
+            for p in range(1, 65):
+                got = plan_grid(p, n, spec, SimilarityConfig(), z_hint=z_hint)
+                assert got == paper_form_plan(p, n, spec, z_hint), (spec, p)
 
 
 class TestPlanBatches:

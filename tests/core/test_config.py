@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import SimilarityConfig
+from repro.core.config import SHARD_BAND_POLICIES, SimilarityConfig
 
 
 class TestValidation:
@@ -78,3 +78,7 @@ class TestServiceKnobs:
         for policy in ("alphabetical", "uniform"):
             with pytest.raises(ValueError, match="shard_band_policy"):
                 SimilarityConfig(shard_band_policy=policy)
+
+    @pytest.mark.parametrize("policy", SHARD_BAND_POLICIES)
+    def test_band_policies_accepted(self, policy):
+        assert SimilarityConfig(shard_band_policy=policy).shard_band_policy == policy

@@ -109,6 +109,46 @@ class TestSetSource:
         assert coo.shape == (8, 4)
 
 
+class TestWindowTable:
+    """The per-batch table of each sample's ``[lo, hi)`` slice bounds."""
+
+    @pytest.fixture
+    def source(self, rng):
+        sizes = (0, 1, 17, 60, 150)
+        return SetSource([rng.choice(200, size=k, replace=False) for k in sizes], m=200)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0, 200), (0, 50), (50, 120), (120, 200), (30, 30), (199, 200)]
+    )
+    def test_rows_are_each_samples_searchsorted_window(self, source, lo, hi):
+        table = source._window_table(lo, hi)
+        assert table.dtype == np.int64
+        assert table.shape == (source.n, 2)
+        for j in range(source.n):
+            expect = np.searchsorted(source._load(j), [lo, hi])
+            assert table[j].tolist() == expect.tolist()
+
+    def test_same_window_reuses_the_table(self, source):
+        assert source._window_table(10, 90) is source._window_table(10, 90)
+
+    def test_next_window_starts_where_the_last_ended(self, source):
+        first = source._window_table(0, 100).copy()
+        second = source._window_table(100, 200)
+        assert first[:, 1].tolist() == second[:, 0].tolist()
+        assert second[:, 1].tolist() == [source._load(j).size for j in range(source.n)]
+
+    def test_file_samples_match_the_same_sets_in_memory(self, tmp_path, rng):
+        # .npy files keep their own integer dtype until loaded.
+        sets = [np.unique(rng.integers(0, 90, size=20)).astype(np.int32) for _ in range(3)]
+        paths = []
+        for i, vals in enumerate(sets):
+            paths.append(tmp_path / f"s{i}.npy")
+            np.save(paths[-1], vals)
+        files, memory = FileSource(paths, m=90), SetSource(sets, m=90)
+        for lo, hi in [(0, 30), (30, 60), (60, 90)]:
+            assert np.array_equal(files._window_table(lo, hi), memory._window_table(lo, hi))
+
+
 class TestReadBytes:
     """``read_bytes`` is the window count, answered without a read."""
 

@@ -8,6 +8,7 @@ from repro.core import similarity
 from repro.core.indicator import SetSource, SyntheticSource
 from repro.core.similarity import SimilarityAtScale
 from repro.runtime import Machine, laptop, stampede2_knl
+from repro.runtime.pipeline import PIPELINE_MODES
 from repro.runtime.topology import ProcessorGrid
 from tests.helpers import exact_jaccard, random_sets
 
@@ -265,6 +266,16 @@ class TestResultMetadata:
         text = result.summary()
         assert "SimilarityAtScale" in text
         assert "grid" in text
+
+    @pytest.mark.parametrize("pipeline", PIPELINE_MODES)
+    def test_summary_names_the_configured_schedule(self, sample_sets, pipeline):
+        result = jaccard_similarity(
+            sample_sets, machine=Machine(laptop(4)), batch_count=2,
+            pipeline=pipeline,
+        )
+        text = result.summary()
+        assert f"pipeline={pipeline} " in text
+        assert "estimator=exact" in text
 
     def test_summary_puts_measured_time_beside_the_model(self, sample_sets):
         machine = Machine(laptop(4))

@@ -122,6 +122,12 @@ class TestSurfacing:
         assert "on the wire" in summary
         assert "wire codec=raw" in run(FIG2A_DENSE).summary()
 
+    @pytest.mark.parametrize("policy", WIRE_CODECS)
+    def test_summary_names_the_configured_policy(self, policy):
+        summary = run(FIG2B_HYPERSPARSE, wire_codec=policy).summary()
+        assert f"wire codec={policy}" in summary
+        assert ("on the wire" in summary) == (policy != "raw")
+
     def test_report_breaks_down_codecs(self):
         result = run(FIG2B_HYPERSPARSE, wire_codec="adaptive")
         assert "wire codec" in result.cost.report()

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.genomics.cli import build_parser, main
+from repro.core.config import SHARD_BAND_POLICIES
+from repro.genomics.cli import build_index_parser, build_parser, main
 from repro.genomics.pipeline import GenomeAtScale
 from repro.service import open_store
 
@@ -40,6 +41,21 @@ class TestParser:
             build_parser().parse_args(
                 ["x.fasta", "-o", "out", "--estimator", "simhash"]
             )
+
+
+class TestIndexParser:
+    @pytest.mark.parametrize("command", ["build", "shard"])
+    def test_band_policy_choices(self, command):
+        argv = {
+            "build": ["build", "x.fasta", "--index", "idx"],
+            "shard": ["shard", "--index", "idx", "--shards", "2"],
+        }[command]
+        parser = build_index_parser()
+        assert parser.parse_args(argv).band_policy == "quantile"
+        for policy in SHARD_BAND_POLICIES:
+            assert parser.parse_args([*argv, "--band-policy", policy]).band_policy == policy
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--band-policy", "uniform"])
 
 
 class TestEndToEnd:

@@ -35,6 +35,13 @@ from repro.sparse.bitmatrix import BitMatrix
 
 POLICIES = ("raw", "varint", "rle", "adaptive")
 
+#: Byte strings are not a payload kind: they cross the wire unframed.
+BYTE_STRINGS = pytest.mark.parametrize(
+    "payload",
+    [b"\x00\x00abc\x00", bytearray(b"\x00\x00abc\x00"), memoryview(b"\x00\x00abc\x00")],
+    ids=["bytes", "bytearray", "memoryview"],
+)
+
 
 def roundtrip(obj, policy):
     frame = encode_frame(obj, policy)
@@ -274,6 +281,13 @@ class TestResolveWireCodec:
         assert not codec.supports(np.zeros(0))
         assert not codec.supports(BitMatrix.zeros(0, 0))
 
+    @BYTE_STRINGS
+    def test_no_policy_frames_byte_strings(self, payload):
+        for policy in POLICIES[1:]:
+            assert not WireCodec(policy).supports(payload)
+            with pytest.raises(CodecError, match="unsupported wire payload"):
+                encode_frame(payload, policy)
+
 
 # ---- codec-mediated collectives -----------------------------------------
 
@@ -349,6 +363,17 @@ class TestCodecCollectives:
         out = comm.bcast(("tuple", 1), root=0, codec=WireCodec("rle"))
         assert out[3] == ("tuple", 1)
         assert comm.ledger.total.wire_raw_bytes == 0.0
+
+    @BYTE_STRINGS
+    def test_byte_strings_cross_unframed(self, payload):
+        plain = make_comm()
+        plain.bcast(payload, root=0)
+        for policy in POLICIES[1:]:
+            comm = make_comm()
+            out = comm.bcast(payload, root=0, codec=WireCodec(policy))
+            assert all(bytes(o) == bytes(payload) for o in out)
+            assert comm.ledger.total.wire_raw_bytes == 0.0
+            assert comm.ledger.total.total_bytes == plain.ledger.total.total_bytes
 
 
 class TestChargeBuilders:

@@ -1,5 +1,7 @@
 """Tests for the BSP cost ledger."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.runtime.cost import CostLedger, PhaseCost
@@ -105,6 +107,31 @@ class TestCostLedger:
         text = ledger.report()
         assert "read" in text
         assert "TOTAL" in text
+
+
+#: One charge of each kind; none names its phase, so each lands in the
+#: innermost phase open on the ledger.
+CHARGES = {
+    "superstep": lambda ledger: ledger.charge_superstep(
+        alpha_seconds=1e-5, comm_seconds=2e-5, total_bytes=64, messages=2
+    ),
+    "compute": lambda ledger: ledger.charge_compute(3.0, flops=7.0, kernel="k"),
+    "wire": lambda ledger: ledger.record_wire("rle", 100.0, 40.0),
+    "io": lambda ledger: ledger.charge_io(4.0),
+}
+
+
+class TestChargesLandInTheOpenPhase:
+    @pytest.mark.parametrize("kind", sorted(CHARGES))
+    def test_innermost_phase_takes_the_whole_charge(self, kind):
+        bare = CostLedger()
+        CHARGES[kind](bare)
+        nested = CostLedger()
+        with nested.phase("outer"):
+            with nested.phase("inner"):
+                CHARGES[kind](nested)
+        assert asdict(nested.phases["inner"]) == asdict(bare.phases["default"])
+        assert asdict(nested.phases["outer"]) == asdict(PhaseCost())
 
 
 class TestMeasuredClock:

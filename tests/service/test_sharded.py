@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.config import SIMILARITY_MEASURES, SimilarityConfig
+from repro.core.config import SHARD_BAND_POLICIES, SIMILARITY_MEASURES, SimilarityConfig
 from repro.runtime.engine import Machine
 from repro.runtime.machine import laptop
 from repro.service import (
@@ -105,6 +105,20 @@ class TestBandPlanning:
             plan_size_bands(3, 10)
         with pytest.raises(StoreError, match="band_policy"):
             plan_size_bands(M, 2, "bogus")
+
+    @pytest.mark.parametrize("policy", SHARD_BAND_POLICIES)
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_every_policy_maps_each_size_to_one_band(self, n, policy, rng):
+        sizes = rng.integers(1, M, size=200)
+        edges = plan_size_bands(M, n, policy, sizes=sizes)
+        assert edges.shape == (n,) and edges[-1] == M + 1
+        assert np.all(np.diff(edges) > 0)
+        bands = np.searchsorted(edges, np.arange(M + 1), side="right")
+        assert bands.min() == 0 and bands.max() == n - 1
+
+    def test_equal_width_bands_are_not_a_policy(self):
+        with pytest.raises(StoreError, match="band_policy"):
+            plan_size_bands(M, 4, "uniform")
 
     def test_band_of_covers_every_size(self, tmp_path):
         store = ShardedStore.create(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sparse.bitmatrix import BitMatrix
 from repro.util.bits import SUPPORTED_WIDTHS, WORD_DTYPES, unpack_bits, words_needed
 
 
@@ -72,3 +73,21 @@ class TestPackUnpack:
         packed = pack(arr, width)
         assert packed.size == words_needed(arr.size, width)
         assert np.array_equal(unpack_bits(packed, arr.size, width), arr)
+
+
+class TestBitMatrixColumns:
+    """A :class:`BitMatrix` column is one packed bit vector."""
+
+    @pytest.mark.parametrize("width", SUPPORTED_WIDTHS)
+    def test_unpack_recovers_each_column(self, width, rng):
+        dense = rng.random((77, 5)) < 0.3
+        words = BitMatrix.from_dense(dense, width).words
+        for j in range(dense.shape[1]):
+            assert np.array_equal(unpack_bits(words[:, j], 77, width), dense[:, j])
+
+    @pytest.mark.parametrize("width", SUPPORTED_WIDTHS)
+    def test_pack_helper_is_the_bitmatrix_layout(self, width, rng):
+        bits = rng.random(131) < 0.5
+        column = BitMatrix.from_dense(bits[:, None], width).words[:, 0]
+        assert column.dtype == WORD_DTYPES[width]
+        assert np.array_equal(pack(bits, width), column)
